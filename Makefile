@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race4 vet fmt bench bins conformance alloccheck fuzz replay churn verify arbiter chaos drain connscale clean
+.PHONY: build test race race4 stable benchcheck vet fmt bench bins conformance alloccheck fuzz replay churn verify arbiter chaos drain connscale clean
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,20 @@ race:
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/...
 
+# stable is the flake hunt for the packages with real concurrency: 20 runs
+# each at one, two and four Ps (CI runs it on demand, not on every push).
+stable:
+	@set -e; for p in 1 2 4; do \
+		echo "stable: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=20 ./internal/server/ ./internal/netpoll/ ./internal/store/; \
+	done
+
+# benchcheck compiles and tests bench/, the repository benchmark. It is its
+# own module, so `go build ./... && go test ./...` at the root never sees it;
+# this is what catches a store or server API change that would break it.
+benchcheck:
+	cd bench && $(GO) vet . && $(GO) test .
+
 vet:
 	$(GO) vet ./...
 
@@ -26,12 +40,13 @@ conformance:
 	$(GO) test -count=1 -run TestServerProtocolConformance -v ./internal/server/
 
 # alloccheck runs the testing.AllocsPerRun gates that pin the hot-path
-# allocation floors (GET hit = 0 through protocol+server+store with the value
-# streamed zero-copy from an epoch-pinned arena view; GET miss = 0 — the
-# lookup event's key rides a pooled per-shard buffer; SET, cross-class re-set
-# and append/prepend = 0 — value chunks recycled through the slab arena, item
-# records pooled per shard; set+delete churn <= 1; streaming client pipelined
-# GET <= 1 amortized over a real socket). An accidental allocation on the
+# allocation floors (GetItemView hit = 0 through protocol+server+store with
+# the value streamed zero-copy from an epoch-pinned arena view; GetItemView
+# miss = 0 — the lookup event's key rides a pooled per-shard buffer;
+# SetItemBytes, cross-class re-set and AppendBytes/PrependBytes = 0 — value
+# chunks recycled through the slab arena, item records pooled per shard;
+# SetItemBytes+Delete churn <= 1; streaming client pipelined GET <= 1
+# amortized over a real socket). An accidental allocation on the
 # mutation path fails the build, not a future benchmark run.
 alloccheck:
 	$(GO) test -count=1 -run 'TestAllocGate' -v ./internal/server/ ./internal/store/ ./internal/client/

@@ -186,11 +186,6 @@ func (a *ARC) Len() int { return a.t1.Len() + a.t2.Len() }
 // cost units. Intended for tests and diagnostics.
 func (a *ARC) Target() int64 { return a.p }
 
-// RecencyLen and FrequencyLen report the resident list sizes. Intended for
-// tests.
-func (a *ARC) RecencyLen() int   { return a.t1.Len() }
-func (a *ARC) FrequencyLen() int { return a.t2.Len() }
-
 func min64(a, b int64) int64 {
 	if a < b {
 		return a

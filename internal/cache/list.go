@@ -94,21 +94,6 @@ func (l *list) MoveToFront(n *node) {
 	l.insert(n, &l.root)
 }
 
-// MoveToBack moves n to the back of the list.
-func (l *list) MoveToBack(n *node) {
-	if l.root.prev == n {
-		return
-	}
-	l.Remove(n)
-	l.insert(n, l.root.prev)
-}
-
-// InsertAfter inserts n immediately after mark, which must be an element of
-// the list.
-func (l *list) InsertAfter(n, mark *node) {
-	l.insert(n, mark)
-}
-
 // InsertBefore inserts n immediately before mark, which must be an element of
 // the list.
 func (l *list) InsertBefore(n, mark *node) {

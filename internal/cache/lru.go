@@ -93,15 +93,6 @@ func (l *LRU) Add(key string, cost int64) []Victim {
 	return l.evictOverflow(nil)
 }
 
-// AddIfAbsent inserts key only if it is not already present. It reports
-// whether an insertion happened and returns any victims.
-func (l *LRU) AddIfAbsent(key string, cost int64) (bool, []Victim) {
-	if _, ok := l.items[key]; ok {
-		return false, nil
-	}
-	return true, l.Add(key, cost)
-}
-
 // Remove deletes key from the queue and reports whether it was present.
 func (l *LRU) Remove(key string) bool {
 	n, ok := l.items[key]

@@ -2,9 +2,9 @@
 // generator, the examples and the end-to-end tests. It supports the verbs
 // the server implements — get/gets, set/add/replace/append/prepend/cas,
 // touch, incr/decr, delete, stats, flush_all, version, tenant — including
-// pipelined batches (PipelineGet, PipelineSet) that amortize one flush over
-// many commands, and is safe for use by one goroutine per Client (the load
-// generator opens one Client per worker connection).
+// pipelined batches (PipelineGetFunc, PipelineSet) that amortize one flush
+// over many commands, and is safe for use by one goroutine per Client (the
+// load generator opens one Client per worker connection).
 //
 // The hot paths share the protocol package's allocation discipline: commands
 // are assembled with strconv appends into a per-client scratch buffer and
@@ -12,8 +12,8 @@
 // The streaming APIs (GetMultiFunc, PipelineGetFunc) deliver each VALUE
 // block through a callback over client-owned reusable buffers — zero
 // per-value garbage, pinned by the client alloc gate — and the convenience
-// forms (Get, Gets, GetMulti, PipelineGet) are built on top of them, paying
-// only for the caller-owned copies they return.
+// forms (Get, Gets) are built on top of them, paying only for the
+// caller-owned copies they return.
 //
 // Failure handling is explicit. Every transport or desync failure poisons
 // the connection: a poisoned connection is never reused (a half-read
@@ -581,12 +581,11 @@ func (c *Client) getMultiOnce(keys []string, withCAS bool, fn ValueFunc) error {
 // single flush, then streams every VALUE block to fn. Each command carries
 // exactly one key, so the i passed to fn is the exact index into keys of the
 // command being answered (a missing key produces no callback for its index —
-// duplicates in keys are answered once per occurrence). This is the
-// allocation-free counterpart of PipelineGet: no map or data slices are
-// built, so a deep pipelined GET drives the server's zero-allocation path
-// end to end; the client alloc gate pins the round trip at <= 1 amortized
-// allocation per operation. Like GetMultiFunc, the batch is retried across
-// reconnects only while fn has not yet seen data.
+// duplicates in keys are answered once per occurrence). No map or data
+// slices are built, so a deep pipelined GET drives the server's
+// zero-allocation path end to end; the client alloc gate pins the round trip
+// at <= 1 amortized allocation per operation. Like GetMultiFunc, the batch
+// is retried across reconnects only while fn has not yet seen data.
 func (c *Client) PipelineGetFunc(keys []string, fn IndexedValueFunc) error {
 	delivered := false
 	return c.retry("pipeline get", func() error {
@@ -663,19 +662,6 @@ func (c *Client) Get(key string) ([]byte, bool, error) {
 	return data, found, nil
 }
 
-// GetMulti fetches several keys in one round trip. It is built on
-// GetMultiFunc; the returned map and values are owned by the caller.
-func (c *Client) GetMulti(keys []string) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
-	err := c.GetMultiFunc(keys, false, func(key []byte, _ uint32, _ uint64, value []byte) {
-		out[string(key)] = append([]byte(nil), value...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // PipelineSet stores value under every key with a single batch write and a
 // single flush, then reads the responses. The server parses ahead on its
 // buffered reader and flushes once per batch, so a deep pipeline pays one
@@ -718,22 +704,6 @@ func (c *Client) PipelineSetOptions(keys []string, value []byte, flags uint32, e
 		}
 	}
 	return nil
-}
-
-// PipelineGet issues one get command per key in a single batch write and a
-// single flush, then reads all responses. Missing keys are absent from the
-// returned map. It is built on PipelineGetFunc; callers that only need the
-// per-key outcome should use that directly and skip the map and data-slice
-// garbage.
-func (c *Client) PipelineGet(keys []string) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
-	err := c.PipelineGetFunc(keys, func(_ int, key []byte, _ uint32, _ uint64, value []byte) {
-		out[string(key)] = append([]byte(nil), value...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Delete removes key, reporting whether it existed. Like the storage verbs

@@ -121,7 +121,10 @@ func TestClientPipelinedBatches(t *testing.T) {
 	if err := c.PipelineSet(keys, []byte("batched")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.PipelineGet(append(keys[:10:10], "missing-1", "missing-2"))
+	got := map[string]string{}
+	err := c.PipelineGetFunc(append(keys[:10:10], "missing-1", "missing-2"), func(_ int, k []byte, _ uint32, _ uint64, v []byte) {
+		got[string(k)] = string(v)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +132,7 @@ func TestClientPipelinedBatches(t *testing.T) {
 		t.Fatalf("pipelined get returned %d values, want 10", len(got))
 	}
 	for _, k := range keys[:10] {
-		if string(got[k]) != "batched" {
+		if got[k] != "batched" {
 			t.Fatalf("%s = %q", k, got[k])
 		}
 	}
@@ -138,17 +141,17 @@ func TestClientPipelinedBatches(t *testing.T) {
 	if err := c.Set("after", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	multi, err := c.GetMulti([]string{"pipe-1", "after"})
-	if err != nil || len(multi) != 2 {
-		t.Fatalf("GetMulti = %v %v", multi, err)
+	multi := 0
+	err = c.GetMultiFunc([]string{"pipe-1", "after"}, false, func([]byte, uint32, uint64, []byte) { multi++ })
+	if err != nil || multi != 2 {
+		t.Fatalf("GetMultiFunc streamed %d values, err %v", multi, err)
 	}
 }
 
-// TestClientStreamingGetFuncs covers the callback GET APIs the old
-// map-building methods are now built on: PipelineGetFunc must report the
-// exact request index of every VALUE block (including duplicates and with
-// misses interleaved), and GetMultiFunc must stream a single multi-key
-// command with CAS tokens when asked.
+// TestClientStreamingGetFuncs covers the callback GET APIs: PipelineGetFunc
+// must report the exact request index of every VALUE block (including
+// duplicates and with misses interleaved), and GetMultiFunc must stream a
+// single multi-key command with CAS tokens when asked.
 func TestClientStreamingGetFuncs(t *testing.T) {
 	srv := startServer(t)
 	c := dial(t, srv)

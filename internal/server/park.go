@@ -67,9 +67,8 @@ type parkedConn struct {
 	state      atomic.Int32
 	registered atomic.Bool
 
-	// Timer-wheel links, guarded by the wheel's mutex. The idle timeout is
-	// uniform, so insertion order is deadline order and one FIFO list
-	// suffices for a "wheel".
+	// Timer-wheel links, guarded by the wheel's mutex: one list kept in
+	// deadline order (see parkWheel.add).
 	prev, next *parkedConn
 	deadline   time.Time
 	inWheel    bool
@@ -206,6 +205,8 @@ func (s *Server) admitParked(conn net.Conn) {
 		read:   s.cfg.ReadTimeout,
 		write:  s.cfg.WriteTimeout,
 		linger: pr.linger,
+		// A connection that never completes a command idles from its accept.
+		lastCmd: s.clock(),
 		// The raw fd backs the linger's non-blocking MSG_PEEK probe. It is
 		// only ever peeked while a worker owns the connection, so it cannot
 		// be closed (and its number reused) under the probe.
@@ -348,7 +349,9 @@ func (s *Server) park(pc *parkedConn) {
 	s.parked.Add(1)
 	s.parks.Add(1)
 	if pc.gc.idle > 0 {
-		pr.wheel.add(pc, s.clock().Add(pc.gc.idle))
+		// Idle runs from the last completed command, not from this park: a
+		// wake that read nothing (spurious readiness) must not restart it.
+		pr.wheel.add(pc, pc.gc.lastCmd.Add(pc.gc.idle))
 	}
 	var err error
 	if pc.registered.Load() {
@@ -426,10 +429,12 @@ func (s *Server) reaperLoop() {
 	}
 }
 
-// parkWheel tracks parked connections' idle deadlines. Because every
-// connection gets the same IdleTimeout, parking order is deadline order and
-// the "wheel" degenerates to one intrusive FIFO list: add appends, the
-// reaper pops expired heads, and wake unlinks from anywhere in O(1).
+// parkWheel tracks parked connections' idle deadlines in one intrusive list
+// kept in deadline order: the reaper pops expired heads and wake unlinks from
+// anywhere in O(1). Every deadline is last-command time plus the same
+// IdleTimeout, so a connection parking right after its batch belongs at the
+// tail and add is O(1); only a connection re-parking without having served
+// anything (its old deadline stands) walks further in.
 type parkWheel struct {
 	mu         sync.Mutex
 	head, tail *parkedConn
@@ -439,14 +444,23 @@ func (w *parkWheel) add(pc *parkedConn, deadline time.Time) {
 	w.mu.Lock()
 	pc.deadline = deadline
 	pc.inWheel = true
-	pc.prev = w.tail
-	pc.next = nil
-	if w.tail != nil {
-		w.tail.next = pc
+	after := w.tail
+	for after != nil && after.deadline.After(deadline) {
+		after = after.prev
+	}
+	pc.prev = after
+	if after != nil {
+		pc.next = after.next
+		after.next = pc
 	} else {
+		pc.next = w.head
 		w.head = pc
 	}
-	w.tail = pc
+	if pc.next != nil {
+		pc.next.prev = pc
+	} else {
+		w.tail = pc
+	}
 	w.mu.Unlock()
 }
 

@@ -130,10 +130,12 @@ func TestParkTenantStickiness(t *testing.T) {
 
 	// The key must be visible in app1 (via the store) and the woken session
 	// must still resolve it.
-	if _, ok, err := st.Get("app1", "sticky"); err != nil || !ok {
+	v, ok, err := st.GetItemView("app1", []byte("sticky"))
+	v.Release()
+	if err != nil || !ok {
 		t.Fatalf("key not in app1: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := st.Get("default", "sticky"); err != nil || ok {
+	if _, ok, err := st.GetItemView("default", []byte("sticky")); err != nil || ok {
 		t.Fatalf("key leaked to default tenant: ok=%v err=%v", ok, err)
 	}
 	roundTrip("get sticky\r\n", "VALUE sticky 0 2")
@@ -252,9 +254,18 @@ func TestParkWakeRaceBatches(t *testing.T) {
 // wheel can enforce IdleTimeout. Advance the stubbed clock past the idle
 // deadline and the reaper must close the parked connection and count it in
 // conn_timeouts — it must not live forever just because it parked.
-func TestParkIdleReapStubClock(t *testing.T) {
+func TestParkIdleReapStubClock(t *testing.T) { testParkIdleReap(t, false) }
+
+// TestParkIdleReapNoDataWake: a wake that reads no bytes (spurious readiness)
+// halfway through the idle window re-parks the connection under an already
+// advanced clock. The idle window runs from the last completed command, so
+// the re-park must not restart it.
+func TestParkIdleReapNoDataWake(t *testing.T) { testParkIdleReap(t, true) }
+
+func testParkIdleReap(t *testing.T, noDataWake bool) {
+	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	var fake atomic.Int64
-	fake.Store(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
+	fake.Store(start.UnixNano())
 	cfg := parkedConfig()
 	cfg.IdleTimeout = time.Minute
 	cfg.now = func() time.Time { return time.Unix(0, fake.Load()) }
@@ -270,13 +281,42 @@ func TestParkIdleReapStubClock(t *testing.T) {
 	if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION") {
 		t.Fatalf("version = %q, %v", line, err)
 	}
-	waitParks(t, srv, 1)
+	// The response is out, so the gauge can only reach 1 through the park
+	// that follows the command (an earlier accept-time park was undone by
+	// the wake that served it).
+	waitParked(t, srv, 1)
+
+	// The wheel's deadline for the conn is what the reaper acts on; it must
+	// sit one idle window after the version command whatever happens next.
+	checkDeadline := func(when string) {
+		t.Helper()
+		w := &srv.pr.wheel
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if w.head == nil || w.head != w.tail {
+			t.Fatalf("%s: wheel does not hold exactly the one parked conn", when)
+		}
+		if want := start.Add(cfg.IdleTimeout); !w.head.deadline.Equal(want) {
+			t.Fatalf("%s: wheel deadline = %v, want %v", when, w.head.deadline, want)
+		}
+	}
+	checkDeadline("after the command")
 
 	// Not yet expired: half the idle window passes, the conn must survive.
 	fake.Add(int64(30 * time.Second))
-	time.Sleep(60 * time.Millisecond) // several reaper ticks
-	if got := srv.ConnStats().ParkedConnections; got != 1 {
-		t.Fatalf("parked = %d after half the idle window, want 1", got)
+	if got := srv.pr.wheel.popExpired(srv.clock(), nil); len(got) != 0 {
+		t.Fatalf("%d conns expired after half the idle window, want 0", len(got))
+	}
+	if noDataWake {
+		parks := srv.parks.Load()
+		srv.pr.mu.Lock()
+		var token uint64
+		for token = range srv.pr.conns {
+		}
+		srv.pr.mu.Unlock()
+		srv.connReady(srv.pr, token)
+		waitParks(t, srv, parks+1)
+		checkDeadline("after the no-data wake")
 	}
 
 	// Expired: the wheel must reap it even though it parked "just before"
@@ -287,6 +327,30 @@ func TestParkIdleReapStubClock(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := r.ReadByte(); err == nil {
 		t.Fatal("reaped connection still open")
+	}
+}
+
+// TestParkWheelDeadlineOrder: the reaper only looks at the head, so add must
+// keep the list in deadline order even when conns arrive out of order (a
+// re-park that served nothing carries an old deadline).
+func TestParkWheelDeadlineOrder(t *testing.T) {
+	base := time.Unix(1000, 0)
+	var w parkWheel
+	conns := make([]*parkedConn, 5)
+	for i, sec := range []int{3, 1, 4, 2, 3} {
+		conns[i] = &parkedConn{token: uint64(sec)}
+		w.add(conns[i], base.Add(time.Duration(sec)*time.Second))
+	}
+	w.remove(conns[3]) // unlink from the middle: deadline 2
+	var got []uint64
+	for _, pc := range w.popExpired(base.Add(3*time.Second), nil) {
+		got = append(got, pc.token)
+	}
+	if fmt.Sprint(got) != "[1 3 3]" {
+		t.Fatalf("popExpired order = %v, want [1 3 3]", got)
+	}
+	if w.head != conns[2] || w.tail != conns[2] || conns[2].prev != nil || conns[2].next != nil {
+		t.Fatalf("wheel should hold only the deadline-4 conn")
 	}
 }
 

@@ -418,6 +418,9 @@ type governedConn struct {
 	linger time.Duration
 	fd     uintptr
 	waiter netpoll.ReadWaiter
+	// lastCmd is the server clock at the parked-mode connection's last batch
+	// boundary: the instant its idle timeout runs from (see Server.park).
+	lastCmd time.Time
 }
 
 // errLingerExpired is the cached sentinel a boundary read returns when the
@@ -637,6 +640,9 @@ func (c *session) step() bool {
 	if c.r.Buffered() == 0 {
 		if err := c.w.Flush(); err != nil {
 			return false
+		}
+		if c.gc != nil && c.gc.linger > 0 {
+			c.gc.lastCmd = c.srv.clock()
 		}
 		// Batch answered and flushed: if a graceful shutdown is in
 		// progress, this is the drain point — exit before blocking on a

@@ -86,12 +86,15 @@ func TestServerBinaryValuesAndMultiGet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := c.GetMulti([]string{"k0", "k3", "binary", "missing"})
+	got := map[string][]byte{}
+	err := c.GetMultiFunc([]string{"k0", "k3", "binary", "missing"}, false, func(k []byte, _ uint32, _ uint64, v []byte) {
+		got[string(k)] = append([]byte(nil), v...)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 {
-		t.Fatalf("GetMulti returned %d values, want 3", len(got))
+		t.Fatalf("GetMultiFunc streamed %d values, want 3", len(got))
 	}
 	if string(got["k3"]) != "3" {
 		t.Fatalf("k3 = %q", got["k3"])
@@ -210,15 +213,16 @@ func TestServerPipelinedCommands(t *testing.T) {
 	if err := c.PipelineSet(keys, []byte("vvv")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.PipelineGet(keys)
-	if err != nil {
+	got := map[string]string{}
+	collect := func(_ int, k []byte, _ uint32, _ uint64, v []byte) { got[string(k)] = string(v) }
+	if err := c.PipelineGetFunc(keys, collect); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(keys) {
 		t.Fatalf("pipelined get returned %d of %d values", len(got), len(keys))
 	}
 	for _, k := range keys {
-		if string(got[k]) != "vvv" {
+		if got[k] != "vvv" {
 			t.Fatalf("%s = %q", k, got[k])
 		}
 	}
@@ -227,7 +231,7 @@ func TestServerPipelinedCommands(t *testing.T) {
 	if err := c.Set("x", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PipelineGet([]string{"x", "missing", "x"}); err != nil {
+	if err := c.PipelineGetFunc([]string{"x", "missing", "x"}, collect); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -319,6 +323,7 @@ func BenchmarkServerPipelined(b *testing.B) {
 					b.Fatal(err)
 				}
 				batch := make([]string, depth)
+				discard := func(int, []byte, uint32, uint64, []byte) {}
 				b.ResetTimer()
 				for done := 0; done < b.N; done += depth {
 					for j := range batch {
@@ -330,7 +335,7 @@ func BenchmarkServerPipelined(b *testing.B) {
 						}
 						continue
 					}
-					if _, err := c.PipelineGet(batch); err != nil {
+					if err := c.PipelineGetFunc(batch, discard); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -13,7 +13,7 @@ import (
 //
 //   - hit:  0 allocations — the map lookup rides the alloc-free m[string(b)]
 //     form, the lookup event reuses the record's interned key string, and
-//     the value copy-out lands in the caller's reused buffer;
+//     the value is borrowed through an epoch pin, not copied;
 //   - miss: 0 allocations — the lookup event's key rides a pooled per-shard
 //     key buffer that is returned to the shard once the event replays
 //     (the tenant takes the counter-only LookupTransient path on a miss,
@@ -35,34 +35,33 @@ func TestAllocGateStoreGet(t *testing.T) {
 	keys := make([][]byte, 64)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%d", i))
-		if err := s.Set("hot", string(keys[i]), value); err != nil {
+		if err := set(s, "hot", string(keys[i]), value); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	var i int
-	vbuf := make([]byte, 0, len(value))
 	hitAllocs := testing.AllocsPerRun(2000, func() {
 		k := keys[i&(len(keys)-1)]
 		i++
-		it, buf, ok, err := s.GetItemInto("hot", k, vbuf)
-		vbuf = buf
-		if err != nil || !ok || len(it.Value) != len(value) {
+		v, ok, err := s.GetItemView("hot", k)
+		if err != nil || !ok || len(v.Value) != len(value) {
 			t.Fatalf("get hit = %v %v", ok, err)
 		}
+		v.Release()
 	})
 	if hitAllocs != 0 {
-		t.Errorf("GetItemInto hit allocates %.2f objects/op, want 0", hitAllocs)
+		t.Errorf("GetItemView hit allocates %.2f objects/op, want 0", hitAllocs)
 	}
 
 	missKey := []byte("no-such-key")
 	missAllocs := testing.AllocsPerRun(2000, func() {
-		if _, _, ok, err := s.GetItemInto("hot", missKey, vbuf); err != nil || ok {
+		if _, ok, err := s.GetItemView("hot", missKey); err != nil || ok {
 			t.Fatalf("get miss = %v %v", ok, err)
 		}
 	})
 	if missAllocs != 0 {
-		t.Errorf("GetItemInto miss allocates %.2f objects/op, want 0 (pooled event key buffer)", missAllocs)
+		t.Errorf("GetItemView miss allocates %.2f objects/op, want 0 (pooled event key buffer)", missAllocs)
 	}
 }
 
@@ -159,17 +158,17 @@ func TestAllocGateStoreAppend(t *testing.T) {
 	if err := s.SetItemBytes("hot", key, base, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append("hot", "append-key", extra); err != nil {
+	if _, err := s.AppendBytes("hot", key, extra); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(2000, func() {
 		if err := s.SetItemBytes("hot", key, base, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if ok, err := s.Append("hot", "append-key", extra); err != nil || !ok {
+		if ok, err := s.AppendBytes("hot", key, extra); err != nil || !ok {
 			t.Fatalf("append = %v %v", ok, err)
 		}
-		if ok, err := s.Prepend("hot", "append-key", extra); err != nil || !ok {
+		if ok, err := s.PrependBytes("hot", key, extra); err != nil || !ok {
 			t.Fatalf("prepend = %v %v", ok, err)
 		}
 	})
@@ -207,51 +206,6 @@ func TestAllocGateStoreDelete(t *testing.T) {
 	}
 }
 
-// TestGetItemBytesMatchesGetItem checks the byte-keyed read against the
-// string-keyed one across hit, miss, flags/CAS and expiry shedding.
-func TestGetItemBytesMatchesGetItem(t *testing.T) {
-	clock := int64(1000)
-	s := New(Config{
-		DefaultMode:     AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
-		SyncBookkeeping: true,
-		Now:             func() int64 { return clock },
-	})
-	defer s.Close()
-	if err := s.RegisterTenant("app", 8<<20); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetItem("app", "k", []byte("v"), 1234, 0); err != nil {
-		t.Fatal(err)
-	}
-	a, okA, _ := s.GetItem("app", "k")
-	b, okB, _ := s.GetItemBytes("app", []byte("k"))
-	if okA != okB || string(a.Value) != string(b.Value) || a.Flags != b.Flags || a.CAS != b.CAS {
-		t.Fatalf("GetItem %+v/%v vs GetItemBytes %+v/%v", a, okA, b, okB)
-	}
-	if _, ok, _ := s.GetItemBytes("app", []byte("missing")); ok {
-		t.Fatalf("byte-keyed miss reported a hit")
-	}
-	// Expiry shedding through the byte-keyed path.
-	if err := s.SetItem("app", "ttl", []byte("v"), 0, 2000); err != nil {
-		t.Fatal(err)
-	}
-	clock = 3000
-	if _, ok, _ := s.GetItemBytes("app", []byte("ttl")); ok {
-		t.Fatalf("expired record served through GetItemBytes")
-	}
-	st, err := s.Stats("app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Expired != 1 {
-		t.Fatalf("expired = %d, want 1", st.Expired)
-	}
-	if _, ok, err := s.GetItemBytes("ghost", []byte("k")); err == nil || ok {
-		t.Fatalf("unknown tenant must error")
-	}
-}
-
 // TestColdClassFirstAdmissionSticks is the regression test for the ROADMAP
 // open item: the first admission into a cold Cliffhanger class whose chunk
 // size exceeds MinQueueBytes (2 credits = 8 KiB on default config) used to
@@ -280,11 +234,11 @@ func TestColdClassFirstAdmissionSticks(t *testing.T) {
 			// to fail outright in sync mode ("does not fit") and silently
 			// drop in async mode.
 			big := make([]byte, 12<<10)
-			if err := s.Set("app", "big-key", big); err != nil {
+			if err := set(s, "app", "big-key", big); err != nil {
 				t.Fatalf("first admission into a cold big-chunk class bounced: %v", err)
 			}
 			s.Flush()
-			v, ok, err := s.Get("app", "big-key")
+			v, ok, err := get(s, "app", "big-key")
 			if err != nil || !ok || len(v) != len(big) {
 				t.Fatalf("big key not resident after first set: ok=%v err=%v", ok, err)
 			}
@@ -296,11 +250,11 @@ func TestColdClassFirstAdmissionSticks(t *testing.T) {
 				t.Fatalf("UsedBytes = %d, want at least one 16 KiB chunk", used)
 			}
 			// An even larger class (64 KiB chunk) on the same tenant.
-			if err := s.Set("app", "bigger-key", make([]byte, 60<<10)); err != nil {
+			if err := set(s, "app", "bigger-key", make([]byte, 60<<10)); err != nil {
 				t.Fatalf("cold 64 KiB class bounced: %v", err)
 			}
 			s.Flush()
-			if _, ok, _ := s.Get("app", "bigger-key"); !ok {
+			if _, ok, _ := get(s, "app", "bigger-key"); !ok {
 				t.Fatalf("64 KiB chunk key not resident after first set")
 			}
 		})
@@ -322,7 +276,7 @@ func TestSetItemBytesCopiesValue(t *testing.T) {
 		}
 		copy(value, "XXXXX") // simulate the parse buffer being reused
 		key[0] = 'Z'
-		it, ok, err := s.GetItemBytes("app", []byte("shared-buffer-key"))
+		it, ok, err := getItem(s, "app", "shared-buffer-key")
 		if err != nil || !ok {
 			t.Fatalf("get after buffer reuse = %v %v", ok, err)
 		}

@@ -241,13 +241,13 @@ func TestArbiterConvergence(t *testing.T) {
 		}
 		k := fmt.Sprintf("%s-%d", tenant, key)
 		for _, s := range []*Store{arbitrated, static} {
-			_, ok, err := s.Get(tenant, k)
+			_, ok, err := get(s, tenant, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ok {
 				hits[s]++
-			} else if err := s.Set(tenant, k, value); err != nil {
+			} else if err := set(s, tenant, k, value); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -90,22 +90,22 @@ func arenaStormOps(t *testing.T, s *Store, tenant string, rng *rand.Rand, ops in
 		size := sizes[rng.Intn(len(sizes))]
 		switch r := rng.Intn(100); {
 		case r < 40: // SET (frequently a cross-class re-set)
-			if err := s.SetItem(tenant, key, payload[:size], uint32(i), 0); err != nil {
+			if err := setItem(s, tenant, key, payload[:size], uint32(i), 0); err != nil {
 				t.Errorf("set: %v", err)
 			}
 		case r < 48: // SET with a TTL the clock advances will kill
 			mu.Lock()
 			now := *clock
 			mu.Unlock()
-			if err := s.SetItem(tenant, key, payload[:size], 0, now+int64(1+rng.Intn(5))); err != nil {
+			if err := setItem(s, tenant, key, payload[:size], 0, now+int64(1+rng.Intn(5))); err != nil {
 				t.Errorf("ttl set: %v", err)
 			}
 		case r < 58:
-			if _, err := s.Append(tenant, key, payload[:rng.Intn(64)]); err != nil {
+			if _, err := appendTo(s, tenant, key, payload[:rng.Intn(64)], false); err != nil {
 				t.Errorf("append: %v", err)
 			}
 		case r < 64:
-			if _, err := s.Prepend(tenant, key, payload[:rng.Intn(64)]); err != nil {
+			if _, err := appendTo(s, tenant, key, payload[:rng.Intn(64)], true); err != nil {
 				t.Errorf("prepend: %v", err)
 			}
 		case r < 78:
@@ -113,7 +113,7 @@ func arenaStormOps(t *testing.T, s *Store, tenant string, rng *rand.Rand, ops in
 				t.Errorf("delete: %v", err)
 			}
 		case r < 90:
-			if _, _, err := s.Get(tenant, key); err != nil {
+			if _, _, err := get(s, tenant, key); err != nil {
 				t.Errorf("get: %v", err)
 			}
 		case r < 94:
@@ -252,29 +252,29 @@ func TestArenaGlobalLRUOversizeFallback(t *testing.T) {
 	for i := range huge {
 		huge[i] = byte(i)
 	}
-	if err := s.Set("big", "huge", huge); err != nil {
+	if err := set(s, "big", "huge", huge); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := s.Get("big", "huge")
+	v, ok, err := get(s, "big", "huge")
 	if err != nil || !ok || len(v) != len(huge) || v[12345] != huge[12345] {
 		t.Fatalf("oversize value not served back: ok=%v err=%v len=%d", ok, err, len(v))
 	}
 	// Shrink into an arena class, then grow back out.
-	if err := s.Set("big", "huge", make([]byte, 300)); err != nil {
+	if err := set(s, "big", "huge", make([]byte, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set("big", "huge", huge); err != nil {
+	if err := set(s, "big", "huge", huge); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, _ := s.Get("big", "huge"); !ok || len(v) != len(huge) {
+	if v, ok, _ := get(s, "big", "huge"); !ok || len(v) != len(huge) {
 		t.Fatalf("re-grown oversize value lost: ok=%v len=%d", ok, len(v))
 	}
 	// Append onto an oversize value reuses its heap buffer only when it has
 	// room; either way the result must be intact.
-	if _, err := s.Append("big", "huge", []byte("tail")); err != nil {
+	if _, err := appendTo(s, "big", "huge", []byte("tail"), false); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _ = s.Get("big", "huge")
+	v, ok, _ = get(s, "big", "huge")
 	if !ok || len(v) != len(huge)+4 || string(v[len(v)-4:]) != "tail" {
 		t.Fatalf("oversize append corrupt: ok=%v len=%d", ok, len(v))
 	}

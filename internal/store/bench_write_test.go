@@ -57,8 +57,6 @@ func benchmarkWriteHeavy(b *testing.B, goroutines int) {
 	for w := 0; w < goroutines; w++ {
 		go func(worker int) {
 			defer func() { done <- struct{}{} }()
-			// Per-worker copy-out buffer, as the server's sessions hold.
-			vbuf := make([]byte, 0, writeHeavySizes[len(writeHeavySizes)-1])
 			idx := worker * (nKeys / 8)
 			for i := 0; i < per; i++ {
 				k := keys[(idx+i*7)&(nKeys-1)]
@@ -76,13 +74,13 @@ func benchmarkWriteHeavy(b *testing.B, goroutines int) {
 						b.Error(err)
 						return
 					}
-				default: // 40% GET (copy-out into the reused buffer)
-					_, buf, _, err := s.GetItemInto("hot", k, vbuf)
+				default: // 40% GET (borrowed view, as the server streams it)
+					v, _, err := s.GetItemView("hot", k)
 					if err != nil {
 						b.Error(err)
 						return
 					}
-					vbuf = buf
+					v.Release()
 				}
 			}
 		}(w)

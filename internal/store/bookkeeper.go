@@ -363,14 +363,11 @@ func (b *bookkeeper) reap() {
 		var acts []recordAction
 		sh.mu.Lock()
 		scanned := 0
-		for key, it := range sh.items {
+		for _, it := range sh.items {
 			if it.deadAt(now, flushAt) {
-				delete(sh.items, key)
-				ev := event{kind: evExpire, key: key, size: it.size}
+				ev := b.entry.removeLocked(sh, it, evExpire)
 				acts = append(acts, b.bufferLocked(sh, &ev))
 				evs = append(evs, ev)
-				b.entry.freeValueLocked(sh, it.size, it.value)
-				sh.putItemLocked(it)
 			}
 			if scanned++; scanned >= reapScanLimit {
 				break

@@ -114,7 +114,7 @@ func TestArenaConservationDuringMigrationPinned(t *testing.T) {
 	}
 	nkeys := 0
 	for ; ; nkeys++ {
-		if err := s.SetItem("app", fmt.Sprintf("k%d", nkeys), val, 0, 0); err != nil {
+		if err := setItem(s, "app", fmt.Sprintf("k%d", nkeys), val, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		if used, _ := s.UsedBytes("app"); used > 14<<20 {
@@ -192,7 +192,7 @@ func TestTenantResizeShrinkUnderLoad(t *testing.T) {
 	val := make([]byte, 1500)
 	for i := 0; i < numKeys; i++ {
 		fill(val, byte(i))
-		if err := s.SetItem("hot", fmt.Sprintf("k%d", i), val, 0, 0); err != nil {
+		if err := setItem(s, "hot", fmt.Sprintf("k%d", i), val, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func TestReadersVsTenantDelete(t *testing.T) {
 	val := make([]byte, 900)
 	for i := 0; i < numKeys; i++ {
 		fill(val, byte(i))
-		if err := s.SetItem("dying", fmt.Sprintf("k%d", i), val, 0, 0); err != nil {
+		if err := setItem(s, "dying", fmt.Sprintf("k%d", i), val, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +366,7 @@ func TestReadersVsTenantDelete(t *testing.T) {
 	hv := make([]byte, 900)
 	fill(hv, 0xEE)
 	for i := 0; i < numKeys; i++ {
-		if err := s.SetItem("heir", fmt.Sprintf("h%d", i), hv, 0, 0); err != nil {
+		if err := setItem(s, "heir", fmt.Sprintf("h%d", i), hv, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -383,7 +383,7 @@ func TestReadersVsTenantDelete(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := s.Get("dying", "k0"); err == nil {
+	if _, _, err := get(s, "dying", "k0"); err == nil {
 		t.Fatal("deleted tenant still serves requests")
 	}
 	s.Flush()

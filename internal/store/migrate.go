@@ -321,16 +321,13 @@ func (e *tenantEntry) evictMigrating(m *migration) {
 		sh := &e.shards[i]
 		evs, acts = evs[:0], acts[:0]
 		sh.mu.Lock()
-		for k, it := range sh.items {
+		for _, it := range sh.items {
 			if it.value == nil || !m.contains(it.value) {
 				continue
 			}
-			delete(sh.items, k)
-			ev := event{kind: evMigrate, key: k, size: it.size}
+			ev := e.removeLocked(sh, it, evMigrate)
 			acts = append(acts, e.bk.bufferLocked(sh, &ev))
 			evs = append(evs, ev)
-			e.freeValueLocked(sh, it.size, it.value)
-			sh.putItemLocked(it)
 		}
 		sh.mu.Unlock()
 		for j := range evs {

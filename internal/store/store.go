@@ -265,11 +265,9 @@ type tenantEntry struct {
 	dying atomic.Bool
 }
 
-func (e *tenantEntry) shardFor(key string) *valueShard {
-	return &e.shards[fnv1a64(key)&e.mask]
-}
-
-func (e *tenantEntry) shardForBytes(key []byte) *valueShard {
+// shardFor returns the stripe key hashes to; one generic body, like fnv1a64,
+// so string- and byte-keyed callers cannot disagree.
+func shardFor[K ~string | ~[]byte](e *tenantEntry, key K) *valueShard {
 	return &e.shards[fnv1a64(key)&e.mask]
 }
 
@@ -320,7 +318,7 @@ func (e *tenantEntry) reallocValueLocked(sh *valueShard, it *item, newSize int64
 // chunk is retired to quarantine, where any reader that pinned a view under
 // this same shard lock keeps it alive until it unpins.
 func (e *tenantEntry) dropVictim(key string) {
-	sh := e.shardFor(key)
+	sh := shardFor(e, key)
 	sh.mu.Lock()
 	if it, ok := sh.items[key]; ok && !it.pendingAdmit {
 		delete(sh.items, key)
@@ -334,7 +332,7 @@ func (e *tenantEntry) dropVictim(key string) {
 // tenant. Only the record written by that same mutation is marked: if a
 // newer mutation owns the record its own admission is still pending.
 func (e *tenantEntry) markAdmitted(key string, seq uint64) {
-	sh := e.shardFor(key)
+	sh := shardFor(e, key)
 	sh.mu.Lock()
 	if it := sh.items[key]; it != nil && it.seq == seq {
 		it.pendingAdmit = false
@@ -385,12 +383,13 @@ func (e *tenantEntry) setLocked(sh *valueShard, key string, prev *item, value []
 	return event{kind: evAdmit, key: key, size: size}
 }
 
-// expireLocked removes a dead record, recycles its chunk and record, and
-// returns its expiry event. The caller must hold sh.mu and must not touch it
-// (or it.key) afterwards — capture anything needed before the call.
-func (e *tenantEntry) expireLocked(sh *valueShard, key string, it *item) event {
-	delete(sh.items, key)
-	ev := event{kind: evExpire, key: key, size: it.size}
+// removeLocked drops it from the directory, recycles its chunk and record,
+// and returns the structural event (kind: delete, expiry, migration) that
+// tells the bookkeeper, keyed by the record's interned key. The caller must
+// hold sh.mu and must not touch it afterwards.
+func (e *tenantEntry) removeLocked(sh *valueShard, it *item, kind eventKind) event {
+	ev := event{kind: kind, key: it.key, size: it.size}
+	delete(sh.items, it.key)
 	e.freeValueLocked(sh, it.size, it.value)
 	sh.putItemLocked(it)
 	return ev
@@ -636,14 +635,6 @@ type ErrNoTenant struct{ Name string }
 
 func (e ErrNoTenant) Error() string { return fmt.Sprintf("store: unknown tenant %q", e.Name) }
 
-// Item is the full record a read returns: the value plus the flags stored
-// with it and the CAS token of its last mutation.
-type Item struct {
-	Value []byte
-	Flags uint32
-	CAS   uint64
-}
-
 // CASResult is the outcome of a CompareAndSwap.
 type CASResult int
 
@@ -699,24 +690,22 @@ func (s *Store) deadNow(e *tenantEntry, it *item) bool {
 	return it.deadAt(s.cfg.Now(), fa)
 }
 
-// liveLocked returns key's record if present and not dead (TTL lapsed or
-// flushed). A dead record is removed, its chunk and record recycled, and its
-// buffered expiry event returned with hasExp true; the caller must hold
-// sh.mu, and after unlocking must finish exp before finishing any event it
-// buffers itself (per-key arrival order). Everything is passed by value so
-// the no-expiry steady state allocates nothing. The clock is only consulted
-// for records that can die at all.
-func (s *Store) liveLocked(e *tenantEntry, sh *valueShard, key string) (it *item, exp event, expAct recordAction, hasExp bool) {
-	it = sh.items[key]
-	if it == nil {
-		return nil, event{}, actNone, false
-	}
-	if !s.deadNow(e, it) {
+// liveLocked is the one directory probe: it returns key's record if present
+// and not dead (TTL lapsed or flushed). A dead record is removed, its chunk
+// and record recycled, and its buffered expiry event returned with hasExp
+// true; the caller must hold sh.mu, and after unlocking must finish exp
+// before finishing any event it buffers itself (per-key arrival order).
+// Everything is passed by value so the no-expiry steady state allocates
+// nothing, and a byte key rides Go's allocation-free m[string(b)] lookup. The
+// clock is only consulted for records that can die at all.
+func liveLocked[K ~string | ~[]byte](s *Store, e *tenantEntry, sh *valueShard, key K) (it *item, exp event, expAct recordAction, hasExp bool) {
+	it = sh.items[string(key)]
+	if it == nil || !s.deadNow(e, it) {
 		return it, event{}, actNone, false
 	}
-	ev := e.expireLocked(sh, key, it)
-	act := e.bk.bufferLocked(sh, &ev)
-	return nil, ev, act, true
+	exp = e.removeLocked(sh, it, evExpire)
+	expAct = e.bk.bufferLocked(sh, &exp)
+	return nil, exp, expAct, true
 }
 
 // finishExpiry completes a liveLocked expiry after the shard lock dropped.
@@ -724,80 +713,6 @@ func finishExpiry(e *tenantEntry, sh *valueShard, exp event, expAct recordAction
 	if hasExp {
 		e.bk.finish(sh, exp, expAct)
 	}
-}
-
-// Get returns the value stored under key for the tenant and whether it was
-// present (and unexpired). The returned slice is a caller-owned copy.
-func (s *Store) Get(tenant, key string) ([]byte, bool, error) {
-	it, ok, err := s.GetItem(tenant, key)
-	return it.Value, ok, err
-}
-
-// GetWithCAS returns the value and a CAS token for the gets verb.
-func (s *Store) GetWithCAS(tenant, key string) ([]byte, uint64, bool, error) {
-	it, ok, err := s.GetItem(tenant, key)
-	return it.Value, it.CAS, ok, err
-}
-
-// GetItem returns the full item record — value, flags, CAS token — stored
-// under key, lazily expiring it if its TTL lapsed. The returned Item is a
-// caller-owned copy, made OUTSIDE the shard lock from a pinned view: the
-// critical section is just the directory probe plus the pin, and the epoch
-// quarantine keeps the chunk's bytes intact until the copy unpins. The common
-// case (no dead record to shed) stays on a scalar fast path: one
-// stack-allocated lookup event and, for never-expiring records, no clock read
-// under the shard lock.
-func (s *Store) GetItem(tenant, key string) (Item, bool, error) {
-	e, ok := s.entry(tenant)
-	if !ok {
-		return Item{}, false, ErrNoTenant{tenant}
-	}
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	it := sh.items[key]
-	if it != nil && s.deadNow(e, it) {
-		// Slow path: shed the dead record, then account the miss.
-		exp := e.expireLocked(sh, key, it)
-		expAct := e.bk.bufferLocked(sh, &exp)
-		ev := event{kind: evLookup, key: key, size: lookupSize(key, nil)}
-		act := e.bk.bufferLocked(sh, &ev)
-		sh.mu.Unlock()
-		e.bk.finish(sh, exp, expAct)
-		e.bk.finish(sh, ev, act)
-		return Item{}, false, nil
-	}
-	// Drive the eviction/shadow structures with the charged size recorded
-	// at admission, so the lookup lands on the slab class that actually
-	// holds the key. Buffered in the same critical section as the record
-	// read, so per-key event order matches value order.
-	ev := event{kind: evLookup, key: key, size: lookupSize(key, it)}
-	act := e.bk.bufferLocked(sh, &ev)
-	var (
-		out  Item
-		view []byte
-	)
-	if it != nil {
-		e.arena.pin(sh.idx)
-		view = it.value
-		out = Item{Flags: it.flags, CAS: it.cas}
-	}
-	sh.mu.Unlock()
-	if it != nil {
-		out.Value = append([]byte(nil), view...)
-		e.arena.unpin(sh.idx)
-	}
-	e.bk.finish(sh, ev, act)
-	return out, it != nil, nil
-}
-
-// lookupSize returns the accounting size for a GET: resident keys use the
-// charged size their admission was accounted under, absent keys fall back to
-// the key length (their class is unknowable).
-func lookupSize(key string, it *item) int64 {
-	if it == nil {
-		return int64(len(key))
-	}
-	return it.size
 }
 
 // ItemView is a borrowed read of a resident item: Value points straight into
@@ -827,9 +742,9 @@ func (v *ItemView) Release() {
 	}
 }
 
-// GetItemView is the zero-copy read path: a byte-keyed lookup whose critical
-// section is just the directory probe, the event append and an epoch pin — no
-// value bytes move under the shard lock. On a hit the returned view borrows
+// GetItemView is the read path, and it is zero-copy: a byte-keyed lookup
+// whose critical section is just the directory probe, the event append and an
+// epoch pin — no value bytes move under the shard lock. On a hit the returned view borrows
 // the record's chunk directly; the caller streams or copies it and then MUST
 // call Release. On a miss (ok false) the view is zero and needs no Release.
 //
@@ -843,102 +758,50 @@ func (s *Store) GetItemView(tenant string, key []byte) (ItemView, bool, error) {
 	if !ok {
 		return ItemView{}, false, ErrNoTenant{tenant}
 	}
-	sh := e.shardForBytes(key)
+	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it := sh.items[string(key)]
-	if it != nil && s.deadNow(e, it) {
-		// Slow path: shed the dead record, then account the miss. The dead
-		// record's interned key serves both events (captured before
-		// expireLocked recycles the record).
-		ikey := it.key
-		exp := e.expireLocked(sh, ikey, it)
-		expAct := e.bk.bufferLocked(sh, &exp)
-		ev := event{kind: evLookup, key: ikey, size: int64(len(key))}
-		act := e.bk.bufferLocked(sh, &ev)
-		sh.mu.Unlock()
-		e.bk.finish(sh, exp, expAct)
-		e.bk.finish(sh, ev, act)
-		return ItemView{}, false, nil
-	}
-	var ev event
+	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
+	// Drive the eviction/shadow structures with the charged size recorded at
+	// admission, so the lookup lands on the slab class that actually holds the
+	// key; absent keys fall back to the key length. Buffered in the same
+	// critical section as the record read, so per-key event order matches
+	// value order.
+	ev := event{kind: evLookup, size: int64(len(key))}
 	var out ItemView
-	if it != nil {
-		ev = event{kind: evLookup, key: it.key, size: it.size}
+	switch {
+	case it != nil:
+		ev.key, ev.size = it.key, it.size
 		// Pin before unlocking: the pin-store happens-before any retirement
 		// of this chunk (retires run under this same shard mutex), which is
 		// what makes the borrowed Value safe to read after the unlock.
 		e.arena.pin(sh.idx)
 		out = ItemView{Value: it.value, Flags: it.flags, CAS: it.cas, arena: e.arena, stripe: sh.idx}
-	} else {
-		kb, ks := sh.getKeyLocked(key)
-		ev = event{kind: evLookup, key: ks, size: int64(len(key)), keyBuf: kb}
+	case hasExp:
+		// The record just shed lends the miss its interned key.
+		ev.key = exp.key
+	default:
+		ev.keyBuf, ev.key = sh.getKeyLocked(key)
 	}
 	act := e.bk.bufferLocked(sh, &ev)
 	sh.mu.Unlock()
+	finishExpiry(e, sh, exp, expAct, hasExp)
 	e.bk.finish(sh, ev, act)
 	return out, it != nil, nil
 }
 
-// GetItemInto is the copying read for callers that want an owned buffer: a
-// GetItemView whose value is copied into dst (grown as needed) OUTSIDE the
-// shard lock — the lock is held only for the directory probe, and the epoch
-// pin keeps the source bytes stable during the copy. It returns the item
-// (whose Value field is dst's filled prefix on a hit and nil on a miss) and
-// the possibly-grown buffer, which the caller should pass back on the next
-// call so growth amortizes to zero.
-func (s *Store) GetItemInto(tenant string, key, dst []byte) (Item, []byte, bool, error) {
-	v, ok, err := s.GetItemView(tenant, key)
-	if err != nil || !ok {
-		return Item{}, dst, ok, err
-	}
-	dst = append(dst[:0], v.Value...)
-	out := Item{Value: dst, Flags: v.Flags, CAS: v.CAS}
-	v.Release()
-	return out, dst, true, nil
-}
-
-// GetItemBytes is GetItemInto without a reusable destination: the value
-// comes back in a fresh caller-owned copy (one allocation per hit). Callers
-// on the hot path should hold a buffer and use GetItemInto directly.
-func (s *Store) GetItemBytes(tenant string, key []byte) (Item, bool, error) {
-	it, _, ok, err := s.GetItemInto(tenant, key, nil)
-	return it, ok, err
-}
-
-// Set stores value under key for the tenant, evicting older entries as
-// needed. Values too large for any slab class are rejected. Equivalent to
-// SetItem with zero flags and no expiry.
-func (s *Store) Set(tenant, key string, value []byte) error {
-	return s.SetItem(tenant, key, value, 0, 0)
-}
-
-// SetItem stores value under key with the given flags and exptime (memcached
-// semantics: 0 never expires, <= 30 days is relative seconds, larger is an
-// absolute unix timestamp, negative is immediately expired).
+// SetItemBytes stores value under key with the given flags and exptime
+// (memcached semantics: 0 never expires, <= 30 days is relative seconds,
+// larger is an absolute unix timestamp, negative is immediately expired),
+// evicting older entries as needed. Values too large for any slab class are
+// rejected. Key and value are caller-owned (the server's reusable parse
+// buffers): the value is copied into a recycled arena chunk under the shard
+// lock, and the key string is materialized only at map insertion —
+// re-setting a resident key reuses its interned key and its record, so the
+// steady-state SET allocates nothing.
 //
 // With asynchronous bookkeeping the admission is settled off the request
 // path: in the rare case that the key does not fit its tenant at all, the
 // value is dropped shortly after the call instead of producing an error.
-func (s *Store) SetItem(tenant, key string, value []byte, flags uint32, exptime int64) error {
-	e, ok := s.entry(tenant)
-	if !ok {
-		return ErrNoTenant{tenant}
-	}
-	size := int64(len(key) + len(value))
-	if _, fits := e.tenant.ClassFor(size); !fits {
-		return errTooLarge(key, size)
-	}
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	return s.commitSetLocked(e, sh, tenant, key, sh.items[key], value, flags, exptime)
-}
-
-// SetItemBytes is SetItem for a caller-owned key and value (the server's
-// reusable parse buffers): the value is copied into a recycled arena chunk
-// under the shard lock, and the key string is materialized only at map
-// insertion — re-setting a resident key reuses its interned key, its record
-// and (within a slab class) its chunk, so the steady-state SET allocates
-// nothing.
 func (s *Store) SetItemBytes(tenant string, key, value []byte, flags uint32, exptime int64) error {
 	e, ok := s.entry(tenant)
 	if !ok {
@@ -948,24 +811,8 @@ func (s *Store) SetItemBytes(tenant string, key, value []byte, flags uint32, exp
 	if _, fits := e.tenant.ClassFor(size); !fits {
 		return errTooLarge(string(key), size)
 	}
-	sh := e.shardForBytes(key)
+	sh := shardFor(e, key)
 	sh.mu.Lock()
-	prev := sh.items[string(key)]
-	ks := ""
-	if prev != nil {
-		ks = prev.key
-	} else {
-		ks = string(key)
-	}
-	return s.commitSetLocked(e, sh, tenant, ks, prev, value, flags, exptime)
-}
-
-// commitSetLocked is the shared tail of SetItem and SetItemBytes: it installs
-// the record under the resolved interned key, buffers the admission and
-// finishes it, reporting the synchronous outcome. The previous record is
-// consulted even if expired — its structural entry is still resident, so the
-// re-admit must shed it. The caller must hold sh.mu, which is released here.
-func (s *Store) commitSetLocked(e *tenantEntry, sh *valueShard, tenant, key string, prev *item, value []byte, flags uint32, exptime int64) error {
 	if e.dying.Load() {
 		// The tenant was deleted after this caller resolved the entry: the
 		// check runs under the shard lock, ordered before the teardown's
@@ -973,11 +820,17 @@ func (s *Store) commitSetLocked(e *tenantEntry, sh *valueShard, tenant, key stri
 		sh.mu.Unlock()
 		return ErrNoTenant{tenant}
 	}
-	ev := e.setLocked(sh, key, prev, value, flags, s.deadline(exptime), s.cfg.Now())
-	act := e.bufferMutationLocked(sh, &ev)
-	sh.mu.Unlock()
-	e.bk.finish(sh, ev, act)
-	return e.admitOutcome(tenant, sh, ev)
+	// The previous record is consulted even if dead — its structural entry is
+	// still resident, so the re-admit must shed it.
+	prev := sh.items[string(key)]
+	var ks string
+	if prev != nil {
+		ks = prev.key
+	} else {
+		ks = string(key)
+	}
+	ev := e.setLocked(sh, ks, prev, value, flags, s.deadline(exptime), s.cfg.Now())
+	return s.storeMutation(e, sh, tenant, ev, event{}, actNone, false)
 }
 
 // admitOutcome reports the does-not-fit error of a settled synchronous
@@ -985,7 +838,7 @@ func (s *Store) commitSetLocked(e *tenantEntry, sh *valueShard, tenant, key stri
 // been dropped by the replay (dropVictim), so a missing record means the
 // key did not fit its tenant. Asynchronous admissions settle off the
 // request path and always report nil (the value is shed shortly after; see
-// SetItem). Under concurrent synchronous use the check is best-effort — a
+// SetItemBytes). Under concurrent synchronous use the check is best-effort — a
 // racing delete of the same key can be indistinguishable from a bounce.
 func (e *tenantEntry) admitOutcome(tenant string, sh *valueShard, ev event) error {
 	if !e.bk.synchronous {
@@ -1027,13 +880,13 @@ func (s *Store) mutate(tenant, key string, decide func(live *item) (value []byte
 	if !ok {
 		return false, ErrNoTenant{tenant}
 	}
-	sh := e.shardFor(key)
+	sh := shardFor(e, key)
 	sh.mu.Lock()
 	if e.dying.Load() {
 		sh.mu.Unlock()
 		return false, ErrNoTenant{tenant}
 	}
-	it, exp, expAct, hasExp := s.liveLocked(e, sh, key)
+	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
 	value, flags, expires, doStore, err := decide(it)
 	if err != nil || !doStore {
 		sh.mu.Unlock()
@@ -1077,28 +930,18 @@ func (s *Store) Replace(tenant, key string, value []byte, flags uint32, exptime 
 	})
 }
 
-// Append appends suffix to key's existing value, keeping its flags and
-// expiry. It reports whether the key existed.
-func (s *Store) Append(tenant, key string, suffix []byte) (bool, error) {
+// AppendBytes appends suffix to key's existing value, keeping its flags and
+// expiry. It reports whether the key existed. The key is caller-owned (the
+// server's parse buffer): a hit proceeds under the record's interned key
+// string, so the steady-state append performs zero heap allocations.
+func (s *Store) AppendBytes(tenant string, key, suffix []byte) (bool, error) {
 	return s.concat(tenant, key, suffix, false)
 }
 
-// Prepend prepends prefix to key's existing value, keeping its flags and
-// expiry. It reports whether the key existed.
-func (s *Store) Prepend(tenant, key string, prefix []byte) (bool, error) {
-	return s.concat(tenant, key, prefix, true)
-}
-
-// AppendBytes is Append with a caller-owned key (the server's parse buffer):
-// a hit reuses the record's interned key string, so the steady-state append
-// performs zero heap allocations end to end.
-func (s *Store) AppendBytes(tenant string, key, suffix []byte) (bool, error) {
-	return s.concatBytes(tenant, key, suffix, false)
-}
-
-// PrependBytes is Prepend with a caller-owned key.
+// PrependBytes prepends prefix to key's existing value, keeping its flags
+// and expiry. It reports whether the key existed.
 func (s *Store) PrependBytes(tenant string, key, prefix []byte) (bool, error) {
-	return s.concatBytes(tenant, key, prefix, true)
+	return s.concat(tenant, key, prefix, true)
 }
 
 // concat implements append/prepend by assembling the concatenation in a
@@ -1107,79 +950,40 @@ func (s *Store) PrependBytes(tenant string, key, prefix []byte) (bool, error) {
 // the bytes shifting under it. The fresh chunk comes off the freelists and
 // the retired one cycles back through epoch reclamation, so a steady-state
 // append loop still allocates nothing.
-func (s *Store) concat(tenant, key string, extra []byte, front bool) (bool, error) {
+func (s *Store) concat(tenant string, key, extra []byte, front bool) (bool, error) {
 	e, ok := s.entry(tenant)
 	if !ok {
 		return false, ErrNoTenant{tenant}
 	}
-	sh := e.shardFor(key)
+	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, exp, expAct, hasExp := s.liveLocked(e, sh, key)
+	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
 	if it == nil {
 		sh.mu.Unlock()
 		finishExpiry(e, sh, exp, expAct, hasExp)
 		return false, nil
 	}
-	// liveLocked only buffers an expiry when it returns nil, so a live
-	// record means there is nothing pending to finish.
-	return s.concatLocked(e, sh, tenant, it, extra, front)
-}
-
-// concatBytes is concat with a caller-owned byte key: the map lookup rides
-// the alloc-free m[string(b)] form and a hit proceeds under the record's
-// interned key.
-func (s *Store) concatBytes(tenant string, key, extra []byte, front bool) (bool, error) {
-	e, ok := s.entry(tenant)
-	if !ok {
-		return false, ErrNoTenant{tenant}
-	}
-	sh := e.shardForBytes(key)
-	sh.mu.Lock()
-	it := sh.items[string(key)]
-	if it != nil && s.deadNow(e, it) {
-		exp := e.expireLocked(sh, it.key, it)
-		expAct := e.bk.bufferLocked(sh, &exp)
-		sh.mu.Unlock()
-		e.bk.finish(sh, exp, expAct)
-		return false, nil
-	}
-	if it == nil {
-		sh.mu.Unlock()
-		return false, nil
-	}
-	return s.concatLocked(e, sh, tenant, it, extra, front)
-}
-
-// concatLocked is the shared tail of concat and concatBytes: it grows the
-// live record's value by extra in the arena and finishes the mutation. The
-// caller must hold sh.mu — released here — with no expiry left pending on
-// the shard's behalf (a dead record was shed and reported before reaching
-// this point); key strings come from the record itself (interned).
-func (s *Store) concatLocked(e *tenantEntry, sh *valueShard, tenant string, it *item, extra []byte, front bool) (bool, error) {
+	// liveLocked only buffers an expiry when it returns nil, so a live record
+	// means there is nothing pending to finish.
 	if e.dying.Load() {
 		sh.mu.Unlock()
 		return false, ErrNoTenant{tenant}
 	}
-	key := it.key
-	oldLen := len(it.value)
-	newSize := it.size + int64(len(extra))
+	oldSize := it.size
+	newSize := oldSize + int64(len(extra))
 	if _, fits := e.tenant.ClassFor(newSize); !fits {
 		sh.mu.Unlock()
-		return false, errTooLarge(key, newSize)
+		return false, errTooLarge(it.key, newSize)
 	}
-	oldSize := it.size
-	newLen := oldLen + len(extra)
 	// Copy-on-write: assemble in a fresh chunk even when the grown size stays
 	// in the same slab class. The old chunk's contents remain intact in
 	// quarantine, so copying from it after the alloc is safe, and any pinned
 	// reader keeps seeing the pre-concat value.
-	nv := e.newValueLocked(sh, newSize, newLen)
+	nv := e.newValueLocked(sh, newSize, len(it.value)+len(extra))
 	if front {
-		copy(nv, extra)
-		copy(nv[len(extra):], it.value[:oldLen])
+		copy(nv[copy(nv, extra):], it.value)
 	} else {
-		copy(nv, it.value[:oldLen])
-		copy(nv[oldLen:], extra)
+		copy(nv[copy(nv, it.value):], extra)
 	}
 	e.freeValueLocked(sh, oldSize, it.value)
 	it.value = nv
@@ -1187,11 +991,9 @@ func (s *Store) concatLocked(e *tenantEntry, sh *valueShard, tenant string, it *
 	it.cas = sh.casCounter
 	it.size = newSize
 	it.setAt = s.cfg.Now()
-	var ev event
+	ev := event{kind: evAdmit, key: it.key, size: newSize}
 	if oldSize != newSize {
-		ev = event{kind: evReAdmit, key: key, size: newSize, oldSize: oldSize}
-	} else {
-		ev = event{kind: evAdmit, key: key, size: newSize}
+		ev = event{kind: evReAdmit, key: it.key, size: newSize, oldSize: oldSize}
 	}
 	if err := s.storeMutation(e, sh, tenant, ev, event{}, actNone, false); err != nil {
 		return false, err
@@ -1228,15 +1030,18 @@ func (s *Store) Touch(tenant, key string, exptime int64) (bool, error) {
 		return false, ErrNoTenant{tenant}
 	}
 	expires := s.deadline(exptime)
-	sh := e.shardFor(key)
+	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, exp, expAct, hasExp := s.liveLocked(e, sh, key)
-	if it != nil {
-		it.expires = expires
-	}
+	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
 	// A touch refreshes recency in the eviction queues but is accounted
 	// into its own counters (cmd_touch/touch_hits), never the GET hit rate.
-	ev := event{kind: evTouch, key: key, size: lookupSize(key, it)}
+	// Like a GET it is sized by the resident record's charge, or by the key
+	// length when absent.
+	ev := event{kind: evTouch, key: key, size: int64(len(key))}
+	if it != nil {
+		it.expires = expires
+		ev.size = it.size
+	}
 	act := e.bk.bufferLocked(sh, &ev)
 	sh.mu.Unlock()
 	finishExpiry(e, sh, exp, expAct, hasExp)
@@ -1294,19 +1099,16 @@ func (s *Store) Delete(tenant, key string) (bool, error) {
 	if !ok {
 		return false, ErrNoTenant{tenant}
 	}
-	sh := e.shardFor(key)
+	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, exp, expAct, hasExp := s.liveLocked(e, sh, key)
+	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
 	var (
 		rm    event
 		rmAct recordAction
 	)
 	if it != nil {
-		delete(sh.items, key)
-		rm = event{kind: evRemove, key: key, size: it.size}
+		rm = e.removeLocked(sh, it, evRemove)
 		rmAct = e.bk.bufferLocked(sh, &rm)
-		e.freeValueLocked(sh, it.size, it.value)
-		sh.putItemLocked(it)
 	}
 	sh.mu.Unlock()
 	finishExpiry(e, sh, exp, expAct, hasExp)
@@ -1337,16 +1139,6 @@ func (s *Store) FlushAll(tenant string, exptime int64) error {
 	return s.flushNow(e)
 }
 
-// FlushTenant removes every entry of the tenant immediately, cancelling any
-// pending delayed flush.
-func (s *Store) FlushTenant(tenant string) error {
-	e, ok := s.entry(tenant)
-	if !ok {
-		return ErrNoTenant{tenant}
-	}
-	return s.flushNow(e)
-}
-
 // flushNow physically removes every record of the tenant, recycling chunks
 // and records as it goes. The pending delayed-flush deadline (if any) is
 // cleared first: memcached's flush_all replaces an armed deadline, so items
@@ -1371,13 +1163,10 @@ func (s *Store) flushNow(e *tenantEntry) error {
 		sh := &e.shards[i]
 		evs, acts = evs[:0], acts[:0]
 		sh.mu.Lock()
-		for k, it := range sh.items {
-			delete(sh.items, k)
-			ev := event{kind: evRemove, key: k, size: it.size}
+		for _, it := range sh.items {
+			ev := e.removeLocked(sh, it, evRemove)
 			acts = append(acts, e.bk.bufferLocked(sh, &ev))
 			evs = append(evs, ev)
-			e.freeValueLocked(sh, it.size, it.value)
-			sh.putItemLocked(it)
 		}
 		sh.mu.Unlock()
 		for j := range evs {

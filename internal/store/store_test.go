@@ -262,28 +262,28 @@ func TestStoreBasicOperations(t *testing.T) {
 	if err := s.RegisterTenant("", 4<<20); err == nil {
 		t.Fatalf("empty tenant name should fail")
 	}
-	if _, _, err := s.Get("nope", "k"); err == nil {
+	if _, _, err := get(s, "nope", "k"); err == nil {
 		t.Fatalf("unknown tenant should error")
 	}
-	if err := s.Set("app1", "hello", []byte("world")); err != nil {
+	if err := set(s, "app1", "hello", []byte("world")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := s.Get("app1", "hello")
+	v, ok, err := get(s, "app1", "hello")
 	if err != nil || !ok || string(v) != "world" {
 		t.Fatalf("Get = %q %v %v", v, ok, err)
 	}
-	if _, ok, _ := s.Get("app1", "missing"); ok {
+	if _, ok, _ := get(s, "app1", "missing"); ok {
 		t.Fatalf("missing key should not be found")
 	}
-	_, cas1, ok, err := s.GetWithCAS("app1", "hello")
+	it, ok, err := getItem(s, "app1", "hello")
+	cas1 := it.CAS
 	if err != nil || !ok || cas1 == 0 {
-		t.Fatalf("GetWithCAS = %v %v %v", cas1, ok, err)
+		t.Fatalf("gets = %v %v %v", cas1, ok, err)
 	}
-	if err := s.Set("app1", "hello", []byte("world2")); err != nil {
+	if err := set(s, "app1", "hello", []byte("world2")); err != nil {
 		t.Fatal(err)
 	}
-	_, cas2, _, _ := s.GetWithCAS("app1", "hello")
-	if cas2 == cas1 {
+	if it, _, _ := getItem(s, "app1", "hello"); it.CAS == cas1 {
 		t.Fatalf("CAS token should change on update")
 	}
 	if deleted, _ := s.Delete("app1", "hello"); !deleted {
@@ -304,7 +304,7 @@ func TestStoreEvictionDropsValues(t *testing.T) {
 	}
 	// Write far more data than fits: ~1 MiB of 1 KiB chunk items.
 	for i := 0; i < 4000; i++ {
-		if err := s.Set("app", fmt.Sprintf("k%d", i), make([]byte, 900)); err != nil {
+		if err := set(s, "app", fmt.Sprintf("k%d", i), make([]byte, 900)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,10 +317,10 @@ func TestStoreEvictionDropsValues(t *testing.T) {
 		t.Fatalf("used bytes %d exceed the 1 MiB reservation", used)
 	}
 	// The most recently written keys should be present, the oldest gone.
-	if _, ok, _ := s.Get("app", "k3999"); !ok {
+	if _, ok, _ := get(s, "app", "k3999"); !ok {
 		t.Fatalf("most recent key should be resident")
 	}
-	if _, ok, _ := s.Get("app", "k0"); ok {
+	if _, ok, _ := get(s, "app", "k0"); ok {
 		t.Fatalf("oldest key should have been evicted")
 	}
 	st, _ := s.Stats("app")
@@ -332,7 +332,7 @@ func TestStoreEvictionDropsValues(t *testing.T) {
 func TestStoreRejectsOversizedValues(t *testing.T) {
 	s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU})
 	s.RegisterTenant("app", 8<<20)
-	if err := s.Set("app", "big", make([]byte, 2<<20)); err == nil {
+	if err := set(s, "app", "big", make([]byte, 2<<20)); err == nil {
 		t.Fatalf("values above the largest chunk must be rejected")
 	}
 }
@@ -342,21 +342,21 @@ func TestStoreFlushTenant(t *testing.T) {
 	defer s.Close()
 	s.RegisterTenant("app", 4<<20)
 	for i := 0; i < 100; i++ {
-		s.Set("app", fmt.Sprintf("k%d", i), []byte("v"))
+		set(s, "app", fmt.Sprintf("k%d", i), []byte("v"))
 	}
-	if err := s.FlushTenant("app"); err != nil {
+	if err := s.FlushAll("app", 0); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.Items("app"); n != 0 {
 		t.Fatalf("flush left %d items", n)
 	}
-	if _, ok, _ := s.Get("app", "k1"); ok {
+	if _, ok, _ := get(s, "app", "k1"); ok {
 		t.Fatalf("flushed key should be gone")
 	}
 	if used, _ := s.UsedBytes("app"); used != 0 {
 		t.Fatalf("flush left %d used bytes", used)
 	}
-	if err := s.FlushTenant("ghost"); err == nil {
+	if err := s.FlushAll("ghost", 0); err == nil {
 		t.Fatalf("flush of unknown tenant should error")
 	}
 }
@@ -376,27 +376,27 @@ func TestStoreDelayedFlushAll(t *testing.T) {
 	defer s.Close()
 	s.RegisterTenant("app", 4<<20)
 
-	s.Set("app", "before", []byte("v"))
+	set(s, "app", "before", []byte("v"))
 	if err := s.FlushAll("app", 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.Get("app", "before"); !ok {
+	if _, ok, _ := get(s, "app", "before"); !ok {
 		t.Fatalf("item must survive until the flush deadline")
 	}
 	// Written after the command but before the deadline: dies at the
 	// deadline, per memcached's oldest_live rule.
 	clock = 1002
-	s.Set("app", "during", []byte("v"))
+	set(s, "app", "during", []byte("v"))
 
 	clock = 1005 // deadline reached
-	if _, ok, _ := s.Get("app", "before"); ok {
+	if _, ok, _ := get(s, "app", "before"); ok {
 		t.Fatalf("item from before the flush must be invalid after the deadline")
 	}
-	if _, ok, _ := s.Get("app", "during"); ok {
+	if _, ok, _ := get(s, "app", "during"); ok {
 		t.Fatalf("item written before the deadline must be invalid too")
 	}
-	s.Set("app", "after", []byte("v"))
-	if _, ok, _ := s.Get("app", "after"); !ok {
+	set(s, "app", "after", []byte("v"))
+	if _, ok, _ := get(s, "app", "after"); !ok {
 		t.Fatalf("item written after the deadline must survive")
 	}
 	st, _ := s.Stats("app")
@@ -413,20 +413,20 @@ func TestStoreDelayedFlushAll(t *testing.T) {
 	if err := s.FlushAll("app", 0); err != nil {
 		t.Fatal(err)
 	}
-	s.Set("app", "fresh", []byte("v"))
+	set(s, "app", "fresh", []byte("v"))
 	clock = 1005 + 3600
-	if _, ok, _ := s.Get("app", "fresh"); !ok {
+	if _, ok, _ := get(s, "app", "fresh"); !ok {
 		t.Fatalf("immediate flush must cancel the pending delayed deadline")
 	}
 
 	// Mutations see the flush too: a dead record is not appendable.
 	clock = 10000
-	s.Set("app", "mut", []byte("v"))
+	set(s, "app", "mut", []byte("v"))
 	if err := s.FlushAll("app", 5); err != nil {
 		t.Fatal(err)
 	}
 	clock = 10005
-	if ok, _ := s.Append("app", "mut", []byte("x")); ok {
+	if ok, _ := appendTo(s, "app", "mut", []byte("x"), false); ok {
 		t.Fatalf("append must miss a flush-killed record")
 	}
 	if err := s.FlushAll("ghost", 5); err == nil {
@@ -446,7 +446,7 @@ func TestStoreDelayedFlushReaper(t *testing.T) {
 	defer s.Close()
 	s.RegisterTenant("app", 4<<20)
 	for i := 0; i < 200; i++ {
-		s.Set("app", fmt.Sprintf("k%d", i), []byte("v"))
+		set(s, "app", fmt.Sprintf("k%d", i), []byte("v"))
 	}
 	if err := s.FlushAll("app", 5); err != nil {
 		t.Fatal(err)
@@ -485,9 +485,9 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				case 0:
 					s.Delete(tenant, key)
 				case 1, 2, 3:
-					s.Set(tenant, key, make([]byte, 64+rng.Intn(512)))
+					set(s, tenant, key, make([]byte, 64+rng.Intn(512)))
 				default:
-					s.Get(tenant, key)
+					get(s, tenant, key)
 				}
 			}
 		}(w)
@@ -529,7 +529,7 @@ func TestStoreValueConsistencyWithQueues(t *testing.T) {
 					case 0:
 						s.Delete("app", key)
 					default:
-						s.Set("app", key, make([]byte, 200+rng.Intn(800)))
+						set(s, "app", key, make([]byte, 200+rng.Intn(800)))
 					}
 				}
 				s.Flush()
@@ -583,10 +583,10 @@ func TestStoreSyncBookkeeping(t *testing.T) {
 	if err := s.RegisterTenant("app", 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Set("app", "k", []byte("v")); err != nil {
+	if err := set(s, "app", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.Get("app", "k"); !ok {
+	if _, ok, _ := get(s, "app", "k"); !ok {
 		t.Fatalf("value should be resident")
 	}
 	st, _ := s.Stats("app")
@@ -608,11 +608,11 @@ func TestStoreAsyncDoesNotFitDropsValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := make([]byte, 512<<10)
-	if err := s.Set("tiny", "big", big); err != nil {
+	if err := set(s, "tiny", "big", big); err != nil {
 		t.Fatalf("async set should not report fit errors: %v", err)
 	}
 	s.Flush()
-	if _, ok, _ := s.Get("tiny", "big"); ok {
+	if _, ok, _ := get(s, "tiny", "big"); ok {
 		t.Fatalf("bounced admission should have dropped the value")
 	}
 }
@@ -644,9 +644,9 @@ func TestStoreSnapshotsRaceWithTraffic(t *testing.T) {
 				case 0:
 					s.Delete("hot", key)
 				case 1, 2:
-					s.Set("hot", key, make([]byte, 64+rng.Intn(900)))
+					set(s, "hot", key, make([]byte, 64+rng.Intn(900)))
 				default:
-					s.Get("hot", key)
+					get(s, "hot", key)
 				}
 			}
 		}(w)
@@ -811,15 +811,15 @@ func benchmarkStore(b *testing.B, mode AllocationMode) {
 	keys := make([]string, 1<<14)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
-		s.Set("app", keys[i], value)
+		set(s, "app", keys[i], value)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[i&(len(keys)-1)]
 		if i%10 == 0 {
-			s.Set("app", k, value)
+			set(s, "app", k, value)
 		} else {
-			s.Get("app", k)
+			get(s, "app", k)
 		}
 	}
 }
@@ -837,13 +837,13 @@ func TestStoreCrossClassReSet(t *testing.T) {
 				if err := s.RegisterTenant("app", 4<<20); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Set("app", "k", make([]byte, 64)); err != nil {
+				if err := set(s, "app", "k", make([]byte, 64)); err != nil {
 					t.Fatal(err)
 				}
 				// 4 KiB maps to the 8 KiB chunk class, which a cold
 				// Cliffhanger queue can admit without growing first.
 				large := make([]byte, 4<<10)
-				if err := s.Set("app", "k", large); err != nil {
+				if err := set(s, "app", "k", large); err != nil {
 					t.Fatal(err)
 				}
 				s.Flush()
@@ -864,7 +864,7 @@ func TestStoreCrossClassReSet(t *testing.T) {
 				if used != want {
 					t.Fatalf("UsedBytes = %d, want the new charge %d", used, want)
 				}
-				if v, ok, _ := s.Get("app", "k"); !ok || len(v) != len(large) {
+				if v, ok, _ := get(s, "app", "k"); !ok || len(v) != len(large) {
 					t.Fatalf("re-set value not readable: ok=%v len=%d", ok, len(v))
 				}
 				if deleted, _ := s.Delete("app", "k"); !deleted {
@@ -904,11 +904,11 @@ func TestStoreCrossClassReSetConcurrent(t *testing.T) {
 						key := fmt.Sprintf("k%d", rng.Intn(200))
 						switch rng.Intn(4) {
 						case 0:
-							s.Set("app", key, make([]byte, 64))
+							set(s, "app", key, make([]byte, 64))
 						case 1:
-							s.Set("app", key, make([]byte, 8<<10))
+							set(s, "app", key, make([]byte, 8<<10))
 						case 2:
-							s.Get("app", key)
+							get(s, "app", key)
 						default:
 							s.Delete("app", key)
 						}
@@ -967,19 +967,19 @@ func TestStoreExpiry(t *testing.T) {
 			if err := s.RegisterTenant("app", 4<<20); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.SetItem("app", "k", []byte("v"), 7, 50); err != nil {
+			if err := setItem(s, "app", "k", []byte("v"), 7, 50); err != nil {
 				t.Fatal(err)
 			}
-			it, ok, _ := s.GetItem("app", "k")
+			it, ok, _ := getItem(s, "app", "k")
 			if !ok || it.Flags != 7 || string(it.Value) != "v" {
 				t.Fatalf("live item = %+v ok=%v", it, ok)
 			}
 			now.Add(49)
-			if _, ok, _ := s.Get("app", "k"); !ok {
+			if _, ok, _ := get(s, "app", "k"); !ok {
 				t.Fatalf("item expired early")
 			}
 			now.Add(1)
-			if _, ok, _ := s.Get("app", "k"); ok {
+			if _, ok, _ := get(s, "app", "k"); ok {
 				t.Fatalf("item must expire at its deadline")
 			}
 			s.Flush()
@@ -995,43 +995,43 @@ func TestStoreExpiry(t *testing.T) {
 			}
 
 			// exptime 0 never expires; negative exptime is already dead.
-			if err := s.SetItem("app", "forever", []byte("v"), 0, 0); err != nil {
+			if err := setItem(s, "app", "forever", []byte("v"), 0, 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.SetItem("app", "dead", []byte("v"), 0, -1); err != nil {
+			if err := setItem(s, "app", "dead", []byte("v"), 0, -1); err != nil {
 				t.Fatal(err)
 			}
 			now.Add(maxRelativeExpiry + 1)
-			if _, ok, _ := s.Get("app", "forever"); !ok {
+			if _, ok, _ := get(s, "app", "forever"); !ok {
 				t.Fatalf("exptime 0 must never expire")
 			}
-			if _, ok, _ := s.Get("app", "dead"); ok {
+			if _, ok, _ := get(s, "app", "dead"); ok {
 				t.Fatalf("negative exptime must be dead on arrival")
 			}
 
 			// Large exptimes are absolute unix timestamps.
 			deadline := now.Load() + 100
-			if err := s.SetItem("app", "abs", []byte("v"), 0, deadline); err != nil {
+			if err := setItem(s, "app", "abs", []byte("v"), 0, deadline); err != nil {
 				t.Fatal(err)
 			}
 			now.Store(deadline - 1)
-			if _, ok, _ := s.Get("app", "abs"); !ok {
+			if _, ok, _ := get(s, "app", "abs"); !ok {
 				t.Fatalf("absolute deadline expired early")
 			}
 			now.Store(deadline)
-			if _, ok, _ := s.Get("app", "abs"); ok {
+			if _, ok, _ := get(s, "app", "abs"); ok {
 				t.Fatalf("absolute deadline not honored")
 			}
 
 			// Touch extends a TTL and reports missing keys.
-			if err := s.SetItem("app", "t", []byte("v"), 0, 10); err != nil {
+			if err := setItem(s, "app", "t", []byte("v"), 0, 10); err != nil {
 				t.Fatal(err)
 			}
 			if found, _ := s.Touch("app", "t", 500); !found {
 				t.Fatalf("touch should find the key")
 			}
 			now.Add(100)
-			if _, ok, _ := s.Get("app", "t"); !ok {
+			if _, ok, _ := get(s, "app", "t"); !ok {
 				t.Fatalf("touched key should outlive its original TTL")
 			}
 			if found, _ := s.Touch("app", "missing", 500); found {
@@ -1057,7 +1057,7 @@ func TestStoreExpiryReaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := s.SetItem("app", fmt.Sprintf("k%d", i), []byte("v"), 0, 10); err != nil {
+		if err := setItem(s, "app", fmt.Sprintf("k%d", i), []byte("v"), 0, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1105,7 +1105,7 @@ func TestStoreVerbSemantics(t *testing.T) {
 	if stored, _ := s.Add("app", "a", []byte("2"), 0, 0); stored {
 		t.Fatalf("add of existing key should not store")
 	}
-	if v, _, _ := s.Get("app", "a"); string(v) != "1" {
+	if v, _, _ := get(s, "app", "a"); string(v) != "1" {
 		t.Fatalf("failed add clobbered the value: %q", v)
 	}
 
@@ -1116,29 +1116,29 @@ func TestStoreVerbSemantics(t *testing.T) {
 	if stored, _ := s.Replace("app", "a", []byte("3"), 9, 0); !stored {
 		t.Fatalf("replace of existing key should store")
 	}
-	it, _, _ := s.GetItem("app", "a")
+	it, _, _ := getItem(s, "app", "a")
 	if string(it.Value) != "3" || it.Flags != 9 {
 		t.Fatalf("replace result = %+v", it)
 	}
 
 	// append/prepend: concatenate, keep flags, fail on missing keys.
-	if ok, _ := s.Append("app", "missing", []byte("x")); ok {
+	if ok, _ := appendTo(s, "app", "missing", []byte("x"), false); ok {
 		t.Fatalf("append to missing key should fail")
 	}
-	if ok, _ := s.Append("app", "a", []byte("-tail")); !ok {
+	if ok, _ := appendTo(s, "app", "a", []byte("-tail"), false); !ok {
 		t.Fatalf("append should succeed")
 	}
-	if ok, _ := s.Prepend("app", "a", []byte("head-")); !ok {
+	if ok, _ := appendTo(s, "app", "a", []byte("head-"), true); !ok {
 		t.Fatalf("prepend should succeed")
 	}
-	it, _, _ = s.GetItem("app", "a")
+	it, _, _ = getItem(s, "app", "a")
 	if string(it.Value) != "head-3-tail" || it.Flags != 9 {
 		t.Fatalf("append/prepend result = %q flags=%d", it.Value, it.Flags)
 	}
 
 	// cas: stored with the current token, EXISTS after a mutation,
 	// NOT_FOUND for absent keys.
-	_, cas, _, _ := s.GetWithCAS("app", "a")
+	cas := it.CAS
 	if res, _ := s.CompareAndSwap("app", "a", []byte("swapped"), 0, 0, cas); res != CASStored {
 		t.Fatalf("cas with current token = %v", res)
 	}
@@ -1148,13 +1148,13 @@ func TestStoreVerbSemantics(t *testing.T) {
 	if res, _ := s.CompareAndSwap("app", "missing", []byte("x"), 0, 0, 1); res != CASNotFound {
 		t.Fatalf("cas of missing key = %v", res)
 	}
-	if v, _, _ := s.Get("app", "a"); string(v) != "swapped" {
+	if v, _, _ := get(s, "app", "a"); string(v) != "swapped" {
 		t.Fatalf("cas result = %q", v)
 	}
 
 	// incr/decr: uint64 arithmetic clamped at zero, NOT_FOUND on missing,
 	// ErrNotNumeric on garbage.
-	s.Set("app", "n", []byte("10"))
+	set(s, "app", "n", []byte("10"))
 	if v, found, err := s.Incr("app", "n", 5); err != nil || !found || v != 15 {
 		t.Fatalf("incr = %d %v %v", v, found, err)
 	}

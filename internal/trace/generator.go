@@ -290,9 +290,6 @@ func (g *Generator) classWeights(st *appState) []float64 {
 	return weights
 }
 
-// Emitted reports the number of requests generated so far.
-func (g *Generator) Emitted() int64 { return g.emitted }
-
 // pickWeighted returns an index drawn proportionally to weights. Zero or
 // negative weights are treated as zero; if all weights are zero the first
 // index is returned.
