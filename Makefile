@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race4 stable benchcheck vet fmt bench bins conformance alloccheck fuzz replay churn verify arbiter chaos drain connscale clean
+.PHONY: build test race race4 stable benchcheck benchquick vet fmt bench bins conformance alloccheck fuzz replay churn verify arbiter chaos drain connscale clean
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,14 @@ stable:
 benchcheck:
 	cd bench && $(GO) vet . && $(GO) test .
 
+# benchquick drives a daemon built from this tree with the benchmark's own
+# traffic: all four workloads for about 2 s each over real sockets. It exits
+# non-zero on any wrong byte, failed operation or unclean SIGTERM drain, so a
+# change that breaks the daemon under that traffic fails here and not in the
+# benchmark run. The numbers it prints are not comparable with full runs.
+benchquick:
+	bash bench/run.sh -quick
+
 vet:
 	$(GO) vet ./...
 
@@ -45,8 +53,9 @@ conformance:
 # miss = 0 — the lookup event's key rides a pooled per-shard buffer;
 # SetItemBytes, cross-class re-set and AppendBytes/PrependBytes = 0 — value
 # chunks recycled through the slab arena, item records pooled per shard;
-# SetItemBytes+Delete churn <= 1; streaming client pipelined GET <= 1
-# amortized over a real socket). An accidental allocation on the
+# SetItemBytes+Delete churn <= 1; the bookkeeper's sweep = 0 — buffers stolen
+# and handed back, ordered in kept scratch; streaming client pipelined GET
+# <= 1 amortized over a real socket). An accidental allocation on the
 # mutation path fails the build, not a future benchmark run.
 alloccheck:
 	$(GO) test -count=1 -run 'TestAllocGate' -v ./internal/server/ ./internal/store/ ./internal/client/

@@ -55,15 +55,30 @@ func (l *LRU) Cost(key string) (int64, bool) {
 	return n.cost, true
 }
 
+// Handle refers to an entry found by Probe. It stays valid until the next
+// call that adds, removes or evicts entries; the zero Handle refers to
+// nothing.
+type Handle struct{ n *node }
+
+// Probe looks up key without updating recency and returns a handle to its
+// entry, so that a caller that decides to promote it does not pay a second
+// map lookup.
+func (l *LRU) Probe(key string) (Handle, bool) {
+	n, ok := l.items[key]
+	return Handle{n}, ok
+}
+
+// Promote moves the entry h refers to to the most-recently-used position.
+func (l *LRU) Promote(h Handle) { l.ll.MoveToFront(h.n) }
+
 // Get looks up key and, if present, promotes it to the most-recently-used
 // position. It reports whether the key was found.
 func (l *LRU) Get(key string) bool {
-	n, ok := l.items[key]
-	if !ok {
-		return false
+	h, ok := l.Probe(key)
+	if ok {
+		l.Promote(h)
 	}
-	l.ll.MoveToFront(n)
-	return true
+	return ok
 }
 
 // Touch promotes key to the most-recently-used position if present, without

@@ -88,10 +88,10 @@ func TestQueueBasicHitMissEvict(t *testing.T) {
 	if _, ok := m.Access("nope", "a", 1); ok {
 		t.Fatalf("unknown queue ID should report ok=false")
 	}
-	if !m.Contains(q, "a") || m.Contains(q, "zzz") {
+	if !m.Queue(q).Contains("a") || m.Queue(q).Contains("zzz") {
 		t.Fatalf("Contains misbehaving")
 	}
-	if !m.Remove(q, "a") || m.Remove(q, "a") {
+	if !m.Queue(q).Remove("a") || m.Queue(q).Remove("a") {
 		t.Fatalf("Remove misbehaving")
 	}
 }
@@ -132,7 +132,7 @@ func TestQueueEvictionReportsVictims(t *testing.T) {
 		t.Fatalf("caller tracks %d resident keys, queue reports %d", len(resident), m.Queue(q).Items())
 	}
 	for k := range resident {
-		if !m.Contains(q, k) {
+		if !m.Queue(q).Contains(k) {
 			t.Fatalf("key %q tracked resident but not in queue", k)
 		}
 	}

@@ -126,6 +126,10 @@ func (m *Manager) Queue(id string) *Queue {
 	return nil
 }
 
+// QueueAt returns the i-th managed queue in creation order (the order of the
+// specs NewManager was given).
+func (m *Manager) QueueAt(i int) *Queue { return m.queues[i] }
+
 // QueueIDs returns the managed queue IDs in creation order.
 func (m *Manager) QueueIDs() []string {
 	ids := make([]string, len(m.queues))
@@ -143,12 +147,29 @@ func (m *Manager) Access(queueID, key string, cost int64) (AccessOutcome, bool) 
 	if !ok {
 		return AccessOutcome{}, false
 	}
-	q := m.queues[i]
-	out := q.Access(key, cost)
+	return m.AccessAt(i, key, cost), true
+}
+
+// AccessAt is Access addressed by queue index (see QueueAt), for callers
+// that already know it and should not pay a string-keyed lookup per request.
+func (m *Manager) AccessAt(i int, key string, cost int64) AccessOutcome {
+	return m.climb(i, m.queues[i].Access(key, cost))
+}
+
+// AccessResidentAt is AccessAt for a request that must not admit: it does
+// nothing, and reports false, unless key is physically resident in queue i
+// (Queue.AccessResident).
+func (m *Manager) AccessResidentAt(i int, key string, cost int64) (AccessOutcome, bool) {
+	out, ok := m.queues[i].AccessResident(key, cost)
+	return m.climb(i, out), ok
+}
+
+// climb runs hill climbing on the outcome of an access to queue i.
+func (m *Manager) climb(i int, out AccessOutcome) AccessOutcome {
 	if out.ShadowHit && m.cfg.EnableHillClimbing && len(m.queues) > 1 {
 		m.transferCredit(i)
 	}
-	return out, true
+	return out
 }
 
 // transferCredit implements Algorithm 1: the queue whose shadow queue was
@@ -193,22 +214,6 @@ func (m *Manager) transferCredit(winner int) {
 	m.credits[victim] -= credit
 	m.queues[winner].SetCapacity(m.queues[winner].Capacity() + credit)
 	m.queues[victim].SetCapacity(m.queues[victim].Capacity() - credit)
-}
-
-// Remove deletes key from the queue with the given ID.
-func (m *Manager) Remove(queueID, key string) bool {
-	if i, ok := m.byID[queueID]; ok {
-		return m.queues[i].Remove(key)
-	}
-	return false
-}
-
-// Contains reports whether key is physically resident in the given queue.
-func (m *Manager) Contains(queueID, key string) bool {
-	if i, ok := m.byID[queueID]; ok {
-		return m.queues[i].Contains(key)
-	}
-	return false
 }
 
 // Capacities returns the current capacity of every queue, keyed by ID.

@@ -51,18 +51,21 @@ func newPartition(physCapacity, tailCapacity, cliffCapacity, hillCapacity int64)
 }
 
 // lookup reports where key currently resides without modifying the chain.
-func (p *partition) lookup(key string) segment {
+// For segFront it also returns the front entry's handle, so promote need not
+// probe the front LRU a second time.
+func (p *partition) lookup(key string) (segment, cache.Handle) {
+	if h, ok := p.front.Probe(key); ok {
+		return segFront, h
+	}
 	switch {
-	case p.front.Contains(key):
-		return segFront
 	case p.tail.Contains(key):
-		return segTail
+		return segTail, cache.Handle{}
 	case p.cliff.Contains(key):
-		return segCliff
+		return segCliff, cache.Handle{}
 	case p.hill.Contains(key):
-		return segHill
+		return segHill, cache.Handle{}
 	default:
-		return segMiss
+		return segMiss, cache.Handle{}
 	}
 }
 
@@ -73,12 +76,13 @@ func (p *partition) remove(key string) bool {
 
 // promote handles a reference to key that was found in segment seg: the key
 // is moved to the front of the physical chain (for segFront a plain LRU
-// promotion suffices) and overflow cascades down the chain. It returns the
-// keys physically evicted by the cascade.
-func (p *partition) promote(key string, cost int64, seg segment) []cache.Victim {
+// promotion of the entry h, which lookup returned, suffices) and overflow
+// cascades down the chain. It returns the keys physically evicted by the
+// cascade.
+func (p *partition) promote(key string, cost int64, seg segment, h cache.Handle) []cache.Victim {
 	switch seg {
 	case segFront:
-		p.front.Get(key)
+		p.front.Promote(h)
 		return nil
 	case segTail:
 		p.tail.Remove(key)
@@ -348,12 +352,27 @@ func (q *Queue) SetCapacity(capacity int64) {
 
 // Contains reports whether key is physically resident.
 func (q *Queue) Contains(key string) bool {
-	s := q.left.lookup(key)
-	if s == segFront || s == segTail {
-		return true
+	_, seg, _ := q.holder(key)
+	return seg != segMiss
+}
+
+// holder finds the partition and physical segment (segFront, with the entry's
+// handle, or segTail) that key is resident in; seg is segMiss if it is in
+// neither. A key is in at most one segment of one partition, so the order of
+// the probes is free: both fronts come first because that is where all
+// resident keys but the two tail windows' worth are.
+func (q *Queue) holder(key string) (*partition, segment, cache.Handle) {
+	for _, p := range [...]*partition{q.left, q.right} {
+		if h, ok := p.front.Probe(key); ok {
+			return p, segFront, h
+		}
 	}
-	s = q.right.lookup(key)
-	return s == segFront || s == segTail
+	for _, p := range [...]*partition{q.left, q.right} {
+		if p.tail.Contains(key) {
+			return p, segTail, cache.Handle{}
+		}
+	}
+	return nil, segMiss, cache.Handle{}
 }
 
 // Remove deletes key from the queue entirely (physical and shadow segments).
@@ -373,14 +392,36 @@ func (q *Queue) Access(key string, cost int64) AccessOutcome {
 	// Find the key, preferring its routed partition but falling back to the
 	// other so that ratio changes migrate keys instead of losing them.
 	found := target
-	seg := target.lookup(key)
+	seg, h := target.lookup(key)
 	if seg == segMiss {
-		if s := other.lookup(key); s != segMiss {
-			found = other
-			seg = s
+		if s, oh := other.lookup(key); s != segMiss {
+			found, seg, h = other, s, oh
 		}
 	}
+	return q.settle(key, cost, target, found, seg, h)
+}
 
+// AccessResident is exactly `if q.Contains(key) { q.Access(key, cost) }` —
+// the GET path of a store whose misses must not admit — reporting whether the
+// access happened. For a key in a front segment, which is nearly every hit,
+// the whole call costs one LRU probe (two if the queue is split and the key
+// in its right half), against the pair's three or more.
+func (q *Queue) AccessResident(key string, cost int64) (AccessOutcome, bool) {
+	found, seg, h := q.holder(key)
+	if seg == segMiss {
+		return AccessOutcome{}, false
+	}
+	q.stats.Requests++
+	// When key routes to the other partition than the one holding it, Access
+	// finds nothing there (see holder) and falls back to found.
+	target, _ := q.route(key)
+	return q.settle(key, cost, target, found, seg, h), true
+}
+
+// settle finishes an access once the key has been located: in segment seg of
+// partition found (seg is segMiss if nowhere), h being its handle when seg is
+// segFront; target is the partition the key routes to.
+func (q *Queue) settle(key string, cost int64, target, found *partition, seg segment, h cache.Handle) AccessOutcome {
 	var out AccessOutcome
 	switch seg {
 	case segFront, segTail:
@@ -407,7 +448,7 @@ func (q *Queue) Access(key string, cost int64) AccessOutcome {
 	// partition where the key resides.
 	var evicted []cache.Victim
 	if out.Hit {
-		evicted = found.promote(key, cost, seg)
+		evicted = found.promote(key, cost, seg, h)
 	} else {
 		if seg != segMiss {
 			// Drop the key's shadow entry (wherever it lives) so it is

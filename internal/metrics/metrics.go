@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -117,14 +118,8 @@ func (h *LatencyHistogram) Record(d time.Duration) {
 	if ns < 1 {
 		ns = 1
 	}
-	b := int(math.Log2(float64(ns)))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
-	}
-	h.buckets[b].Add(1)
+	// Bucket floor(log2 ns): at most 62 for an int64, so always in range.
+	h.buckets[bits.Len64(uint64(ns))-1].Add(1)
 	h.count.Add(1)
 	h.sum.Add(ns)
 }
@@ -156,10 +151,19 @@ func (h *LatencyHistogram) Quantile(q float64) time.Duration {
 	for i := range h.buckets {
 		seen += h.buckets[i].Load()
 		if seen >= target {
-			return time.Duration(math.Exp2(float64(i + 1)))
+			return bucketUpper(i)
 		}
 	}
-	return time.Duration(math.Exp2(float64(len(h.buckets))))
+	return bucketUpper(len(h.buckets) - 1)
+}
+
+// bucketUpper is the exclusive upper bound of bucket i, 2^(i+1) ns, held to
+// the largest Duration for the top buckets, whose bound does not fit one.
+func bucketUpper(i int) time.Duration {
+	if i >= 62 {
+		return math.MaxInt64
+	}
+	return 1 << (i + 1)
 }
 
 // String summarizes the histogram.

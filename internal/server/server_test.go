@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strconv"
@@ -773,5 +774,38 @@ func TestServerArbiterStats(t *testing.T) {
 	}
 	if _, err := strconv.ParseInt(stats["target_bytes"], 10, 64); err != nil {
 		t.Fatalf("stats target_bytes = %q: %v", stats["target_bytes"], err)
+	}
+}
+
+// TestLatencySampling pins the sampler: per session and per histogram, the
+// first command is timed and then every latencySampleEvery-th, whatever the
+// other kind of command does in between (SETs and GETs alternate here, which
+// one shared counter would turn into "SETs only"); a timed GET records each
+// of its keys. Ops is published at the batch boundary.
+func TestLatencySampling(t *testing.T) {
+	const rounds = 2*latencySampleEvery + 1
+	payload := bytes.Repeat([]byte("set k 0 0 1\r\nv\r\nget key-1 key-1\r\n"), rounds)
+	c, _ := newGateSession(t, payload)
+	srv := c.srv
+	for i := 0; i < 2; i++ {
+		if !c.step() {
+			t.Fatal("session stopped on a healthy command")
+		}
+	}
+	if srv.SetLatency.Count() != 1 || srv.GetLatency.Count() != 2 {
+		t.Fatalf("after a session's first SET and first two-key GET: %d SET and %d GET samples, want 1 and 2",
+			srv.SetLatency.Count(), srv.GetLatency.Count())
+	}
+	if srv.Ops.Ops() != 0 {
+		t.Fatalf("Ops = %d in the middle of a batch, want 0 until the boundary", srv.Ops.Ops())
+	}
+	for c.step() {
+	}
+	if srv.SetLatency.Count() != 3 || srv.GetLatency.Count() != 6 {
+		t.Fatalf("after %d SETs and %d two-key GETs: %d SET and %d GET samples, want 3 and 6",
+			rounds, rounds, srv.SetLatency.Count(), srv.GetLatency.Count())
+	}
+	if srv.Ops.Ops() != 2*rounds {
+		t.Fatalf("Ops = %d after the batch, want %d", srv.Ops.Ops(), 2*rounds)
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,6 +103,11 @@ const (
 	// huge shard never stalls the drain goroutine; Go's randomized map
 	// iteration makes successive passes cover different subsets.
 	reapScanLimit = 512
+	// sweepWindow is how many consecutive sequence stamps a sweep orders at
+	// a time (see replayInOrder). A notified sweep finds about
+	// eventBatchSize events in each of 64 shards, one window's worth; the
+	// scratch it sizes is 8 bytes a stamp.
+	sweepWindow = 4096
 )
 
 // bookkeeper owns a tenant's structural state (the Tenant with its eviction
@@ -137,10 +141,24 @@ type bookkeeper struct {
 	// dropped counts advisory events shed because bookkeeping was
 	// saturated.
 	dropped atomic.Int64
+
+	// Sweep scratch, owned by whoever holds every shard's applyMu: the
+	// buffer stolen from each shard, how far into it the replay has got, and
+	// one slot per stamp of the window being ordered. Kept between sweeps so
+	// a sweep allocates nothing; stolen and slots are nil outside a sweep so
+	// they pin no key.
+	stolen [][]event
+	cursor []int
+	slots  []*event
 }
 
 func newBookkeeper(t *Tenant, e *tenantEntry, synchronous bool, now func() int64) *bookkeeper {
-	b := &bookkeeper{tenant: t, entry: e, synchronous: synchronous, now: now}
+	b := &bookkeeper{
+		tenant: t, entry: e, synchronous: synchronous, now: now,
+		stolen: make([][]event, len(e.shards)),
+		cursor: make([]int, len(e.shards)),
+		slots:  make([]*event, sweepWindow),
+	}
 	if !synchronous {
 		b.notify = make(chan struct{}, 1)
 		b.stop = make(chan struct{})
@@ -228,16 +246,34 @@ func (b *bookkeeper) finish(sh *valueShard, ev event, act recordAction) {
 // the shard's spare so steady-state buffering never allocates.
 func (b *bookkeeper) applyShard(sh *valueShard) {
 	sh.applyMu.Lock()
-	sh.mu.Lock()
-	batch := sh.pending
-	sh.pending = sh.spare[:0]
-	sh.spare = nil
-	sh.mu.Unlock()
+	batch := sh.steal()
 	b.applyEvents(batch)
+	sh.handBack(batch)
+	sh.applyMu.Unlock()
+}
+
+// steal takes the shard's buffered events, leaving its spare buffer to
+// collect new ones, and returns nil if there are none. The caller must hold
+// sh.applyMu and pass the batch to handBack once it has been replayed.
+func (sh *valueShard) steal() []event {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if len(sh.pending) == 0 {
+		return nil
+	}
+	batch := sh.pending
+	sh.pending, sh.spare = sh.spare[:0], nil
+	return batch
+}
+
+// handBack makes a replayed batch's buffer the shard's next spare.
+func (sh *valueShard) handBack(batch []event) {
+	if batch == nil {
+		return
+	}
 	sh.mu.Lock()
 	sh.spare = batch[:0]
 	sh.mu.Unlock()
-	sh.applyMu.Unlock()
 }
 
 // applyEvents replays events against the tenant, marking each admission as
@@ -253,15 +289,15 @@ func (b *bookkeeper) applyEvents(batch []event) {
 		return
 	}
 	b.mu.Lock()
-	for _, ev := range batch {
-		b.applyEventLocked(ev)
+	for i := range batch {
+		b.applyEventLocked(&batch[i])
 	}
 	b.mu.Unlock()
 }
 
 // applyEventLocked replays one event against the tenant. The caller must
 // hold b.mu.
-func (b *bookkeeper) applyEventLocked(ev event) {
+func (b *bookkeeper) applyEventLocked(ev *event) {
 	var evicted []cache.Victim
 	switch ev.kind {
 	case evLookup:
@@ -352,9 +388,15 @@ func (b *bookkeeper) reconfigure() {
 // so the structural removal replays in arrival order with the shard's other
 // pending events. Synchronous stores have no drain goroutine and rely on the
 // lazy dead check on the read path alone.
+//
+// A tenant that never stored a TTL and has no delayed flush armed has
+// nothing that can die, so its tick stops here without taking a shard lock.
 func (b *bookkeeper) reap() {
-	now := b.now()
 	flushAt := b.entry.flushAt.Load()
+	if flushAt == 0 && !b.entry.everTTL.Load() {
+		return
+	}
+	now := b.now()
 	shards := b.entry.shards
 	for n := 0; n < reapShardsPerTick && n < len(shards); n++ {
 		sh := &shards[b.reapCursor]
@@ -383,24 +425,65 @@ func (b *bookkeeper) reap() {
 // sweep steals every shard's buffer and replays the union in arrival order,
 // so a settled engine has seen the same admission/eviction sequence a
 // synchronous one would have. All applyMu locks are held (in index order)
-// until the merged batch is applied, so a concurrent inline applier cannot
-// replay a shard's newer events ahead of the stolen older ones.
+// until the union is applied, so a concurrent inline applier cannot replay a
+// shard's newer events ahead of the stolen older ones — and so sweeps are
+// serialized, which is what lets them share the bookkeeper's scratch. Buffers
+// are stolen and handed back the way applyShard does it, so a sweep copies no
+// event and allocates nothing.
 func (b *bookkeeper) sweep() {
 	shards := b.entry.shards
-	var all []event
+	n := 0
 	for i := range shards {
 		shards[i].applyMu.Lock()
-		shards[i].mu.Lock()
-		all = append(all, shards[i].pending...)
-		// The events were copied into the merged batch, so the buffer can be
-		// truncated in place (keeping its capacity for reuse).
-		shards[i].pending = shards[i].pending[:0]
-		shards[i].mu.Unlock()
+		b.stolen[i] = shards[i].steal()
+		n += len(b.stolen[i])
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	b.applyEvents(all)
+	if n > 0 {
+		b.mu.Lock()
+		b.replayInOrder(n)
+		b.mu.Unlock()
+	}
 	for i := range shards {
+		shards[i].handBack(b.stolen[i])
+		b.stolen[i] = nil
 		shards[i].applyMu.Unlock()
+	}
+}
+
+// replayInOrder replays the n stolen events in ascending stamp order without
+// comparing any two of them. Each stolen buffer is already ascending, and
+// stamps are handed out one by one, so the union is a range of stamps with
+// few holes (events an inline applier took, or that arrived on a shard
+// already stolen): the events of sweepWindow consecutive stamps are scattered
+// into slots by stamp and the slots replayed left to right, window after
+// window from the lowest stamp not yet replayed. The caller must hold b.mu
+// and every applyMu.
+func (b *bookkeeper) replayInOrder(n int) {
+	clear(b.cursor)
+	for n > 0 {
+		lo := ^uint64(0)
+		for i, batch := range b.stolen {
+			if c := b.cursor[i]; c < len(batch) && batch[c].seq < lo {
+				lo = batch[c].seq
+			}
+		}
+		top := uint64(0)
+		for i, batch := range b.stolen {
+			c := b.cursor[i]
+			for ; c < len(batch) && batch[c].seq-lo < sweepWindow; c++ {
+				off := batch[c].seq - lo
+				b.slots[off] = &batch[c]
+				top = max(top, off)
+			}
+			b.cursor[i] = c
+		}
+		for i, ev := range b.slots[:top+1] {
+			if ev != nil {
+				b.applyEventLocked(ev)
+				b.slots[i] = nil
+				n--
+			}
+		}
 	}
 }
 

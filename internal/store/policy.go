@@ -22,7 +22,7 @@ import (
 
 // partitionPolicy is how a tenant divides its reservation across queues and
 // charges items against it. The hooks mirror the tenant's public surface:
-// classFor/cost map an item to a queue and a charge, resident/promote/admit/
+// classFor/cost map an item to a queue and a charge, promoteResident/admit/
 // remove mutate the structure, resize retargets the reservation, and the
 // snapshot hooks feed Stats/ClassCapacities/UsedBytes.
 type partitionPolicy interface {
@@ -32,10 +32,12 @@ type partitionPolicy interface {
 	cost(class int, size int64) int64
 	// resident reports whether key is tracked, without promoting it.
 	resident(class int, key string) bool
-	// promote re-accesses an already-resident key (the GET/touch path);
-	// eviction side effects of lazily applied resizes are deliberately
-	// dropped, matching the pre-extraction behavior.
-	promote(class int, key string, cost int64) bool
+	// promoteResident is the GET/touch path: it re-accesses key if it is
+	// resident and reports whether that was a hit; a key that is not
+	// resident is left alone (a GET miss does not admit). Eviction side
+	// effects of lazily applied resizes are deliberately dropped, matching
+	// the pre-extraction behavior.
+	promoteResident(class int, key string, cost int64) bool
 	// admit inserts (or promotes) key, growing the queue first where the
 	// mode allows it, and returns the accompanying evictions.
 	admit(class int, key string, cost int64) (bool, []cache.Victim)
@@ -67,8 +69,18 @@ func (p *classQueues) cost(class int, size int64) int64 { return p.geom.ChunkSiz
 
 func (p *classQueues) resident(class int, key string) bool { return p.classes[class].Contains(key) }
 
-func (p *classQueues) promote(class int, key string, cost int64) bool {
-	hit, _ := p.classes[class].Access(key, cost)
+func (p *classQueues) promoteResident(class int, key string, cost int64) bool {
+	return accessIfResident(p.classes[class], key, cost)
+}
+
+// accessIfResident is promoteResident over one eviction queue: cache.Policy
+// couples lookup and fill, so the structure is only touched when the key is
+// already resident.
+func accessIfResident(q cache.Policy, key string, cost int64) bool {
+	if !q.Contains(key) {
+		return false
+	}
+	hit, _ := q.Access(key, cost)
 	return hit
 }
 
@@ -223,9 +235,8 @@ func (p *globalLRUPolicy) cost(class int, size int64) int64 {
 
 func (p *globalLRUPolicy) resident(class int, key string) bool { return p.queue.Contains(key) }
 
-func (p *globalLRUPolicy) promote(class int, key string, cost int64) bool {
-	hit, _ := p.queue.Access(key, cost)
-	return hit
+func (p *globalLRUPolicy) promoteResident(class int, key string, cost int64) bool {
+	return accessIfResident(p.queue, key, cost)
 }
 
 func (p *globalLRUPolicy) admit(class int, key string, cost int64) (bool, []cache.Victim) {
@@ -253,13 +264,13 @@ func (p *globalLRUPolicy) manager() *core.Manager { return nil }
 // climbing and scales performance cliffs. It serves both AllocCliffhanger
 // and AllocMemshare — the latter differs only in that the store's arbiter
 // additionally resizes the whole tenant at runtime.
+//
+// The manager's queues are created one per slab class in class order, so a
+// class index is also the queue's index (core.Manager.QueueAt).
 type managedPolicy struct {
 	geom  *slab.Geometry
 	alloc *slab.Allocator
 	mgr   *core.Manager
-	// classIDs caches the per-class queue ID strings ("class0", "class1",
-	// ...) so the hot paths never format one per access.
-	classIDs []string
 }
 
 func newManagedPolicy(cfg TenantConfig, geom *slab.Geometry) (*managedPolicy, error) {
@@ -283,43 +294,30 @@ func newManagedPolicy(cfg TenantConfig, geom *slab.Geometry) (*managedPolicy, er
 	if err != nil {
 		return nil, err
 	}
-	p := &managedPolicy{
-		geom:     geom,
-		alloc:    slab.NewAllocator(geom, cfg.MemoryBytes),
-		mgr:      m,
-		classIDs: make([]string, n),
-	}
-	for c := 0; c < n; c++ {
-		p.classIDs[c] = classQueueID(c)
-	}
-	return p, nil
+	return &managedPolicy{geom: geom, alloc: slab.NewAllocator(geom, cfg.MemoryBytes), mgr: m}, nil
 }
-
-// classID returns the cached queue ID of class (no formatting on the hot
-// path).
-func (p *managedPolicy) classID(class int) string { return p.classIDs[class] }
 
 func (p *managedPolicy) classFor(size int64) (int, bool) { return p.geom.ClassFor(size) }
 
 func (p *managedPolicy) cost(class int, size int64) int64 { return p.geom.ChunkSize(class) }
 
 func (p *managedPolicy) resident(class int, key string) bool {
-	return p.mgr.Contains(p.classID(class), key)
+	return p.mgr.QueueAt(class).Contains(key)
 }
 
-func (p *managedPolicy) promote(class int, key string, cost int64) bool {
-	out, _ := p.mgr.Access(p.classID(class), key, cost)
+func (p *managedPolicy) promoteResident(class int, key string, cost int64) bool {
+	out, _ := p.mgr.AccessResidentAt(class, key, cost)
 	return out.Hit
 }
 
 func (p *managedPolicy) admit(class int, key string, cost int64) (bool, []cache.Victim) {
 	victims := p.growIfNeeded(class, cost)
-	out, _ := p.mgr.Access(p.classID(class), key, cost)
+	out := p.mgr.AccessAt(class, key, cost)
 	return out.Hit, append(victims, out.Evicted...)
 }
 
 func (p *managedPolicy) remove(class int, key string) bool {
-	return p.mgr.Remove(p.classID(class), key)
+	return p.mgr.QueueAt(class).Remove(key)
 }
 
 func (p *managedPolicy) resize(oldBytes, newBytes int64) []cache.Victim {
@@ -330,11 +328,7 @@ func (p *managedPolicy) resize(oldBytes, newBytes int64) []cache.Victim {
 	// the excess restores FreePages ⇔ (budget - CapacitySum) so future
 	// growth is gated correctly.
 	for c := 0; c < p.geom.NumClasses(); c++ {
-		q := p.mgr.Queue(p.classID(c))
-		if q == nil {
-			continue
-		}
-		wantPages := (q.Capacity() + p.geom.PageSize - 1) / p.geom.PageSize
+		wantPages := (p.mgr.QueueAt(c).Capacity() + p.geom.PageSize - 1) / p.geom.PageSize
 		for p.alloc.PagesOf(c) > wantPages {
 			if !p.alloc.Release(c) {
 				break
@@ -359,10 +353,7 @@ func (p *managedPolicy) resize(oldBytes, newBytes int64) []cache.Victim {
 // pages immediately, so the eager apply is also the faithful behavior. Any
 // victims of the applied resize are returned for the caller to drop.
 func (p *managedPolicy) growIfNeeded(class int, cost int64) []cache.Victim {
-	q := p.mgr.Queue(p.classID(class))
-	if q == nil {
-		return nil
-	}
+	q := p.mgr.QueueAt(class)
 	grew := false
 	for q.Used()+cost > q.Capacity() && p.alloc.FreePages() > 0 {
 		if !p.alloc.Grow(class) {
@@ -380,9 +371,7 @@ func (p *managedPolicy) growIfNeeded(class int, cost int64) []cache.Victim {
 func (p *managedPolicy) capacities() map[int]int64 {
 	out := make(map[int]int64)
 	for c := 0; c < p.geom.NumClasses(); c++ {
-		if q := p.mgr.Queue(p.classID(c)); q != nil {
-			out[c] = q.Capacity()
-		}
+		out[c] = p.mgr.QueueAt(c).Capacity()
 	}
 	return out
 }
@@ -390,9 +379,7 @@ func (p *managedPolicy) capacities() map[int]int64 {
 func (p *managedPolicy) items() map[int]int {
 	out := make(map[int]int)
 	for c := 0; c < p.geom.NumClasses(); c++ {
-		if q := p.mgr.Queue(p.classID(c)); q != nil {
-			out[c] = q.Items()
-		}
+		out[c] = p.mgr.QueueAt(c).Items()
 	}
 	return out
 }
@@ -400,9 +387,7 @@ func (p *managedPolicy) items() map[int]int {
 func (p *managedPolicy) used() map[int]int64 {
 	out := make(map[int]int64)
 	for c := 0; c < p.geom.NumClasses(); c++ {
-		if q := p.mgr.Queue(p.classID(c)); q != nil {
-			out[c] = q.Used()
-		}
+		out[c] = p.mgr.QueueAt(c).Used()
 	}
 	return out
 }

@@ -256,6 +256,10 @@ type tenantEntry struct {
 	targetBytes  atomic.Int64
 	appliedBytes atomic.Int64
 	resized      atomic.Bool
+	// everTTL latches once a record has been given an expiry deadline. Until
+	// then (and while no delayed flush is armed) nothing in the tenant can
+	// die, and the background reaper does not scan it.
+	everTTL atomic.Bool
 	// reconfMu serializes reconfigure ticks (drain loop vs. synchronous
 	// ResizeTenant callers).
 	reconfMu sync.Mutex
@@ -375,12 +379,23 @@ func (e *tenantEntry) setLocked(sh *valueShard, key string, prev *item, value []
 	it.flags = flags
 	it.cas = sh.casCounter
 	it.size = size
-	it.expires = expires
+	e.setExpiresLocked(it, expires)
 	it.setAt = now
 	if prev != nil && oldSize != size {
 		return event{kind: evReAdmit, key: key, size: size, oldSize: oldSize}
 	}
 	return event{kind: evAdmit, key: key, size: size}
+}
+
+// setExpiresLocked gives it the expiry deadline expires (0 = never), latching
+// everTTL on the tenant's first real deadline. The flag is loaded first
+// because it is written once and every later TTL write would otherwise
+// contend on it. The caller must hold the record's shard lock.
+func (e *tenantEntry) setExpiresLocked(it *item, expires int64) {
+	it.expires = expires
+	if expires != 0 && !e.everTTL.Load() {
+		e.everTTL.Store(true)
+	}
 }
 
 // removeLocked drops it from the directory, recycles its chunk and record,
@@ -1039,7 +1054,7 @@ func (s *Store) Touch(tenant, key string, exptime int64) (bool, error) {
 	// length when absent.
 	ev := event{kind: evTouch, key: key, size: int64(len(key))}
 	if it != nil {
-		it.expires = expires
+		e.setExpiresLocked(it, expires)
 		ev.size = it.size
 	}
 	act := e.bk.bufferLocked(sh, &ev)

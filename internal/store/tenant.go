@@ -274,12 +274,6 @@ func (t *Tenant) cost(class int, size int64) int64 {
 	return t.policy.cost(class, size)
 }
 
-// resident reports whether key is currently tracked by the class's policy
-// structure, without promoting it or touching any counters.
-func (t *Tenant) resident(class int, key string) bool {
-	return t.policy.resident(class, key)
-}
-
 // Lookup performs the GET path: it reports whether key is resident and
 // promotes it if so. It never admits the key (admission happens on the SET
 // that follows a miss, as in Memcached).
@@ -290,12 +284,7 @@ func (t *Tenant) Lookup(key string, size int64) bool {
 	}
 	t.requests++
 	t.classReq[class]++
-	hit := false
-	// Policies couple lookup and fill; only touch the structure when the key
-	// is already resident so a GET miss does not admit it.
-	if t.policy.resident(class, key) {
-		hit = t.policy.promote(class, key, t.cost(class, size))
-	}
+	hit := t.policy.promoteResident(class, key, t.cost(class, size))
 	if hit {
 		t.hits++
 		t.classHit[class]++
@@ -366,10 +355,7 @@ func (t *Tenant) Touch(key string, size int64) bool {
 		return false
 	}
 	t.touches++
-	hit := false
-	if t.policy.resident(class, key) {
-		hit = t.policy.promote(class, key, t.cost(class, size))
-	}
+	hit := t.policy.promoteResident(class, key, t.cost(class, size))
 	if hit {
 		t.touchHits++
 	}
