@@ -12,16 +12,18 @@ race:
 	$(GO) test -race ./...
 
 # race4 exercises the epoch-reclamation races (pin vs retire vs reclaim) with
-# real parallelism; CI runs this as its own lane.
+# real parallelism; CI runs this as its own lane. internal/core rides along
+# for the keeps-what-fits property, whose store-level twins are in here.
 race4:
-	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/...
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
 
-# stable is the flake hunt for the packages with real concurrency: 20 runs
-# each at one, two and four Ps (CI runs it on demand, not on every push).
+# stable is the flake hunt for the packages with real concurrency, plus
+# internal/core for the keeps-what-fits property: 20 runs each at one, two and
+# four Ps (CI runs it on demand, not on every push).
 stable:
 	@set -e; for p in 1 2 4; do \
 		echo "stable: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -count=20 ./internal/server/ ./internal/netpoll/ ./internal/store/; \
+		GOMAXPROCS=$$p $(GO) test -count=20 ./internal/server/ ./internal/netpoll/ ./internal/store/ ./internal/core/; \
 	done
 
 # benchcheck compiles and tests bench/, the repository benchmark. It is its
@@ -44,8 +46,12 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# conformance walks every verb over a real socket, then runs the
+# shipped-defaults smoke: a -mode cliffhanger, default:64 store is loaded with
+# 8192 keys that fit thirty times over, and `stats` must report no miss and
+# `stats cliffhanger` no eviction, no relaxed pointer and even partitions.
 conformance:
-	$(GO) test -count=1 -run TestServerProtocolConformance -v ./internal/server/
+	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits' -v ./internal/server/
 
 # alloccheck runs the testing.AllocsPerRun gates that pin the hot-path
 # allocation floors (GetItemView hit = 0 through protocol+server+store with
@@ -112,10 +118,12 @@ verify: bins
 # equal partition. The gate fails unless memshare's wire aggregate beats the
 # cliffhanger static split, every mode's sim-vs-wire agreement and
 # conservation audit holding along the way; the store-level convergence and
-# thrash proofs run under the race detector first.
+# thrash proofs run under the race detector first. The report goes under the
+# git-ignored .bench_build/, not into a tracked file.
 arbiter: bins
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestArbiter|TestPlanArbiterMove' -v ./internal/store/
-	./bin/cliffbench -trace memcachier -scale 0.25 -hitrate-json BENCH_hitrate.json -hitrate-gate
+	mkdir -p .bench_build
+	./bin/cliffbench -trace memcachier -scale 0.25 -hitrate-json .bench_build/hitrate.json -hitrate-gate
 
 # chaos runs the fault-injection suite under the race detector with real
 # parallelism: the connection governor, graceful drain and chaos proxy are

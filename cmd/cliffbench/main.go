@@ -634,7 +634,7 @@ type hitrateMode struct {
 	Apps         []hitrateApp `json:"apps"`
 }
 
-// hitrateReport is the BENCH_hitrate.json document.
+// hitrateReport is the -hitrate-json document.
 type hitrateReport struct {
 	Trace    string  `json:"trace"`
 	Requests int64   `json:"requests"`

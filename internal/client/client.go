@@ -860,6 +860,120 @@ func (c *Client) StatsArbiter() (*ArbiterStats, error) {
 	return out, nil
 }
 
+// CliffhangerQueue is one class queue's algorithm state as parsed from "stats
+// cliffhanger": what hill climbing gave it (Capacity, Credits), how cliff
+// scaling has it split (Ratio, the two pointers, the two partitions' applied
+// capacities) and the counters of the events that moved either.
+type CliffhangerQueue struct {
+	Capacity, AppliedCapacity, Used, Items, Credits int64
+	Split                                           bool
+	Ratio                                           float64
+	LeftPointer, RightPointer                       int64
+	LeftCapacity, RightCapacity                     int64
+	Requests, Hits, ShadowHits, CliffShadowHits     int64
+	LeftTailEvents, RightTailEvents                 int64
+	LeftCliffEvents, RightCliffEvents               int64
+	StalePointerEvents, RelaxEvents                 int64
+	Resizes, Evictions                              int64
+}
+
+// counter maps an integer field's wire name to where it is parsed into; nil
+// for a name this client does not know.
+func (q *CliffhangerQueue) counter(field string) *int64 {
+	switch field {
+	case "capacity":
+		return &q.Capacity
+	case "applied_capacity":
+		return &q.AppliedCapacity
+	case "used":
+		return &q.Used
+	case "items":
+		return &q.Items
+	case "credits":
+		return &q.Credits
+	case "left_pointer":
+		return &q.LeftPointer
+	case "right_pointer":
+		return &q.RightPointer
+	case "left_capacity":
+		return &q.LeftCapacity
+	case "right_capacity":
+		return &q.RightCapacity
+	case "requests":
+		return &q.Requests
+	case "hits":
+		return &q.Hits
+	case "shadow_hits":
+		return &q.ShadowHits
+	case "cliff_shadow_hits":
+		return &q.CliffShadowHits
+	case "left_tail_events":
+		return &q.LeftTailEvents
+	case "right_tail_events":
+		return &q.RightTailEvents
+	case "left_cliff_events":
+		return &q.LeftCliffEvents
+	case "right_cliff_events":
+		return &q.RightCliffEvents
+	case "stale_pointer_events":
+		return &q.StalePointerEvents
+	case "relax_events":
+		return &q.RelaxEvents
+	case "resizes":
+		return &q.Resizes
+	case "evictions":
+		return &q.Evictions
+	}
+	return nil
+}
+
+// CliffhangerStats is the parsed "stats cliffhanger" response: the pages of
+// the tenant's reservation no class queue holds yet, and every class queue
+// that has seen traffic, keyed by queue ID ("class3").
+type CliffhangerStats struct {
+	Tenant    string
+	FreePages int64
+	Queues    map[string]CliffhangerQueue
+}
+
+// StatsCliffhanger fetches and parses "stats cliffhanger [tenant]" — the
+// paper's algorithm state for the named tenant, or for the session's when
+// tenant is empty.
+func (c *Client) StatsCliffhanger(tenant string) (*CliffhangerStats, error) {
+	line := "stats cliffhanger"
+	if tenant != "" {
+		line += " " + tenant
+	}
+	raw, err := c.statsCmd(line)
+	if err != nil {
+		return nil, err
+	}
+	out := &CliffhangerStats{Tenant: raw["tenant"], Queues: make(map[string]CliffhangerQueue)}
+	out.FreePages, _ = strconv.ParseInt(raw["free_pages"], 10, 64)
+	for k, v := range raw {
+		i := strings.LastIndex(k, ":")
+		if i < 0 {
+			continue
+		}
+		id, field := k[:i], k[i+1:]
+		q := out.Queues[id]
+		switch field {
+		case "split":
+			q.Split = v == "1"
+		case "ratio":
+			q.Ratio, _ = strconv.ParseFloat(v, 64)
+		default:
+			dst := q.counter(field)
+			if dst == nil {
+				continue
+			}
+			*dst, _ = strconv.ParseInt(v, 10, 64)
+		}
+		out.Queues[id] = q
+	}
+	return out, nil
+}
+
 // ConnStats is the connection-front-end slice of the general "stats"
 // response, parsed into integers: the classic connection counters plus the
 // event-driven front end's gauges (how many connections are parked off

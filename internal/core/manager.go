@@ -36,7 +36,11 @@ type QueueSnapshot struct {
 	Ratio           float64
 	LeftPointer     int64
 	RightPointer    int64
-	Stats           QueueStats
+	// LeftCapacity and RightCapacity are the physical capacities applied to
+	// the two partitions (everything is in the left one while unsplit).
+	LeftCapacity  int64
+	RightCapacity int64
+	Stats         QueueStats
 }
 
 // Manager runs Cliffhanger over a set of queues sharing a fixed memory
@@ -107,6 +111,19 @@ func NewManager(cfg Config, totalBytes int64, specs []QueueSpec) (*Manager, erro
 		m.queues = append(m.queues, q)
 	}
 	return m, nil
+}
+
+// SetSpare tells the manager how to ask its owner whether memory is left that
+// no queue has been given — for the store, free slab pages. While there is,
+// no queue relaxes a cliff pointer (see Queue.settle): a partition short of
+// room is handed spare memory, not its sibling's. It is asked each time
+// rather than told once, because tenant resizes and the arbiter move the
+// answer in both directions. A manager that is never told has none, which is
+// the paper's setting: every page is already in some queue.
+func (m *Manager) SetSpare(spare func() bool) {
+	for _, q := range m.queues {
+		q.spare = spare
+	}
 }
 
 // Config returns the manager's normalized configuration.
@@ -230,6 +247,7 @@ func (m *Manager) Snapshot() []QueueSnapshot {
 	out := make([]QueueSnapshot, 0, len(m.queues))
 	for i, q := range m.queues {
 		lp, rp := q.Pointers()
+		lc, rc := q.PartitionCapacities()
 		out = append(out, QueueSnapshot{
 			ID:              q.id,
 			Capacity:        q.Capacity(),
@@ -241,6 +259,8 @@ func (m *Manager) Snapshot() []QueueSnapshot {
 			Ratio:           q.Ratio(),
 			LeftPointer:     lp,
 			RightPointer:    rp,
+			LeftCapacity:    lc,
+			RightCapacity:   rc,
 			Stats:           q.Stats(),
 		})
 	}

@@ -164,6 +164,19 @@ func (p *partition) setHillCapacity(capacity int64) {
 // used reports the physically resident cost.
 func (p *partition) used() int64 { return p.front.Used() + p.tail.Used() }
 
+// popOldest removes and returns the coldest resident entry without
+// remembering it in the shadow queues: the caller is moving it, not evicting
+// it.
+func (p *partition) popOldest() (cache.Victim, bool) {
+	if v, ok := p.tail.RemoveOldest(); ok {
+		return v, true
+	}
+	return p.front.RemoveOldest()
+}
+
+// hasRoom reports whether cost more fits under the physical capacity.
+func (p *partition) hasRoom(cost int64) bool { return p.used()+cost <= p.physCapacity }
+
 // items reports the number of physically resident entries.
 func (p *partition) items() int { return p.front.Len() + p.tail.Len() }
 
@@ -218,7 +231,11 @@ func underfullBy(p *partition, margin int64) bool {
 // relaxed: several credits plus the tail-window size (the tail drains while
 // the front refills after any capacity increase, creating benign slack of up
 // to one tail window), or a sixteenth of capacity for large partitions —
-// whichever is larger — so that growth transients never trigger relaxation.
+// whichever is larger. That covers the transients of credit-sized growth. It
+// does not cover a page grant: a partition that was just handed half a
+// megabyte is underfull by far more than this, by construction, which is why
+// relaxation is also held off while the owner still has memory to grant
+// (Queue.ownerHasSpare).
 func relaxMargin(p *partition, credit int64) int64 {
 	m := 4*credit + p.tailCapacity
 	if alt := p.physCapacity/16 + p.tailCapacity; alt > m {
@@ -255,6 +272,10 @@ type Queue struct {
 	pendingResize bool
 	rr            uint64 // round-robin counter for SplitRoundRobin
 	missCount     uint64 // drives the relaxation rate limit
+
+	// spare reports whether the queue's owner still holds memory it has
+	// given to no queue (Manager.SetSpare); nil means it never does.
+	spare func() bool
 
 	stats QueueStats
 }
@@ -348,6 +369,37 @@ func (q *Queue) SetCapacity(capacity int64) {
 	q.capacity = capacity
 	q.clampPointers()
 	q.pendingResize = true
+}
+
+// Grow raises the capacity by delta bytes that come from outside the
+// manager's queues — a free page — rather than from a sibling queue. Nothing
+// was taken from anyone, so the grant says nothing about where a cliff is: a
+// left pointer that is home (inside the dead zone, where recomputeRatio
+// already treats it as not having moved) moves with the operating point.
+// SetCapacity alone would leave it a page behind, which reads as "the convex
+// region starts a page back" and holds the left partition to half of the old
+// size. The right pointer needs no help: clampPointers lifts it.
+func (q *Queue) Grow(delta int64) {
+	home := q.capacity-q.leftPointer <= q.deadZone()
+	q.SetCapacity(q.capacity + delta)
+	if home {
+		q.leftPointer = q.capacity
+	}
+}
+
+// HasRoom reports whether admitting key at cost would evict nothing. Eviction
+// is per partition, so the question is put to the partition key routes to: a
+// full partition evicts even while its sibling has slack.
+func (q *Queue) HasRoom(key string, cost int64) bool {
+	if !q.split {
+		return q.left.hasRoom(cost)
+	}
+	// Hash the key only when the partitions disagree.
+	l, r := q.left.hasRoom(cost), q.right.hasRoom(cost)
+	if l == r {
+		return l
+	}
+	return q.routesLeft(key) == l
 }
 
 // Contains reports whether key is physically resident.
@@ -466,9 +518,19 @@ func (q *Queue) settle(key string, cost int64, target, found *partition, seg seg
 	// windows go quiet, so we pull the pointer back one credit at a time, at
 	// most once per pointerLeakPeriod misses. This also implements lazy
 	// growth: partitions only keep memory they demonstrably fill.
+	//
+	// None of this holds while the owner has memory it has handed to nobody.
+	// Relaxation moves memory a partition is not filling to its sibling, and
+	// there is nothing to gain by that when the sibling can be given a free
+	// page instead; worse, a partition that was just granted one is underfull
+	// by construction, so every cold fill would read as pointer overshoot and
+	// squeeze the left partition while most of the tenant is empty. The paper
+	// never meets this state (memcached has handed out every page before
+	// Cliffhanger starts moving memory); relaxation is ours, so the guard is
+	// too.
 	if q.split && q.cfg.EnableCliffScaling && !out.Hit {
 		q.missCount++
-		if q.missCount%pointerLeakPeriod == 0 {
+		if q.missCount%pointerLeakPeriod == 0 && !q.ownerHasSpare() {
 			credit := q.cfg.CreditBytes
 			if q.rightPointer > q.capacity && underfullBy(q.right, relaxMargin(q.right, credit)) {
 				q.stats.RelaxEvents++
@@ -496,26 +558,34 @@ func (q *Queue) settle(key string, cost int64, target, found *partition, seg seg
 	return out
 }
 
+// ownerHasSpare asks the owner whether it still holds memory no queue has been
+// given (Manager.SetSpare).
+func (q *Queue) ownerHasSpare() bool { return q.spare != nil && q.spare() }
+
 // route returns the partition the key is routed to and the other partition.
 func (q *Queue) route(key string) (target, other *partition) {
 	if !q.split {
 		return q.left, q.right
 	}
-	var toLeft bool
-	switch q.cfg.Splitter {
-	case SplitRoundRobin:
+	toLeft := q.routesLeft(key)
+	if q.cfg.Splitter == SplitRoundRobin {
 		q.rr++
-		// Route in proportion to ratio using a deterministic low-discrepancy
-		// sequence: the fractional part of rr*ratio.
-		toLeft = float64(q.rr%1000)/1000.0 < q.ratio
-	default:
-		h := fnv1a(key)
-		toLeft = float64(h%(1<<20))/float64(1<<20) < q.ratio
 	}
 	if toLeft {
 		return q.left, q.right
 	}
 	return q.right, q.left
+}
+
+// routesLeft reports whether the next request for key on a split queue goes
+// to the left partition, without consuming a round-robin turn.
+func (q *Queue) routesLeft(key string) bool {
+	if q.cfg.Splitter == SplitRoundRobin {
+		// Route in proportion to ratio using a deterministic low-discrepancy
+		// sequence: the fractional part of rr*ratio.
+		return float64((q.rr+1)%1000)/1000.0 < q.ratio
+	}
+	return float64(fnv1a(key)%(1<<20))/float64(1<<20) < q.ratio
 }
 
 // updatePointers implements Algorithm 2. The "shadow queue" of each
@@ -629,9 +699,12 @@ func (q *Queue) recomputeRatio() {
 // lopsided ratios (e.g. dR=1 credit against dL=thousands) and thrash the
 // partitions.
 func (q *Queue) ratioPinned() bool {
-	deadZone := 4 * q.cfg.CreditBytes
-	return q.rightPointer-q.capacity <= deadZone || q.capacity-q.leftPointer <= deadZone
+	return q.rightPointer-q.capacity <= q.deadZone() || q.capacity-q.leftPointer <= q.deadZone()
 }
+
+// deadZone is how far a pointer may sit from the operating point and still
+// count as home.
+func (q *Queue) deadZone() int64 { return 4 * q.cfg.CreditBytes }
 
 // applyResize implements UpdatePhysicalQueues of Algorithm 3 plus the
 // hill-climbing capacity target: the left partition simulates a queue of
@@ -643,7 +716,9 @@ func (q *Queue) ratioPinned() bool {
 func (q *Queue) applyResize() []cache.Victim {
 	q.pendingResize = false
 	q.stats.Resizes++
-	q.maybeToggleSplit()
+	if q.maybeToggleSplit() && q.left.used() > q.capacity/2 {
+		return q.splitResidents()
+	}
 	var victims []cache.Victim
 	if !q.split {
 		victims = append(victims, q.left.setPhysCapacity(q.capacity)...)
@@ -689,7 +764,13 @@ func (q *Queue) applyResize() []cache.Victim {
 		// Not yet at the target: keep resizing on subsequent misses.
 		q.pendingResize = true
 	}
-	victims = append(victims, q.left.setPhysCapacity(leftCap)...)
+	return append(victims, q.setPartitions(leftCap, rightCap)...)
+}
+
+// setPartitions applies physical capacities to the two partitions of a split
+// queue and divides the hill-climbing shadow between them in proportion.
+func (q *Queue) setPartitions(leftCap, rightCap int64) []cache.Victim {
+	victims := q.left.setPhysCapacity(leftCap)
 	victims = append(victims, q.right.setPhysCapacity(rightCap)...)
 	total := leftCap + rightCap
 	if total <= 0 {
@@ -720,12 +801,13 @@ func stepToward(cur, target, step int64) int64 {
 }
 
 // maybeToggleSplit activates or deactivates cliff scaling based on the
-// queue's size in items (§5.1: only queues above ~1000 items).
-func (q *Queue) maybeToggleSplit() {
+// queue's size in items (§5.1: only queues above ~1000 items). It reports
+// whether this call activated it.
+func (q *Queue) maybeToggleSplit() bool {
 	if !q.cfg.EnableCliffScaling {
 		q.split = false
 		q.ratio = 1.0
-		return
+		return false
 	}
 	items := q.capacity / q.unitCost
 	switch {
@@ -734,11 +816,43 @@ func (q *Queue) maybeToggleSplit() {
 		q.leftPointer = q.capacity
 		q.rightPointer = q.capacity
 		q.ratio = 0.5
+		return true
 	case q.split && items < q.cfg.CliffMinItems*8/10:
 		// Hysteresis: deactivate only when clearly below the threshold.
 		q.split = false
 		q.ratio = 1.0
 	}
+	return false
+}
+
+// splitResidents lays out a queue that has just become split while holding
+// more than half its capacity: both pointers are home and the ratio is 0.5,
+// so each partition gets half. Until this moment everything lived in the left
+// partition, and halving it the way a running queue is repartitioned — shrink
+// left a step at a time and evict what no longer fits — would throw out
+// residents of a queue that is, as a whole, no fuller than before (a class
+// that had just been granted its fourth page lost 256 items this way with 250
+// pages free). Instead the colder part moves to the right partition, in
+// recency order. Which partition holds a key does not matter to a lookup,
+// which tries both, and at ratio 0.5 the partitions are interchangeable; only
+// what does not fit the capacity as a whole is evicted. (A queue that holds
+// no more than half takes the ordinary path in applyResize: stepping its left
+// partition down evicts nothing, and every queue is born that way.)
+func (q *Queue) splitResidents() []cache.Victim {
+	half := q.capacity / 2
+	var colder []cache.Victim // coldest first
+	for q.left.used() > half {
+		v, ok := q.left.popOldest()
+		if !ok {
+			break
+		}
+		colder = append(colder, v)
+	}
+	victims := q.setPartitions(half, q.capacity-half)
+	for _, v := range colder {
+		victims = append(victims, q.right.insert(v.Key, v.Cost)...)
+	}
+	return victims
 }
 
 // ForceApplyResize applies any pending capacity changes immediately. It is

@@ -299,16 +299,15 @@ func (p *Parser) ReadCommand() (*Command, error) {
 			return nil, fmt.Errorf("protocol: flush_all takes [delay] [noreply], got %q", tok)
 		}
 	case VerbStats:
-		// stats [sub-command] — e.g. "stats slabs". The optional argument
-		// rides in Keys (it points into the parser-owned line buffer, like
-		// any key).
-		tok, rest2 := nextToken(rest)
-		if len(tok) != 0 {
+		// stats [sub-command [argument]] — e.g. "stats slabs" or "stats
+		// cliffhanger app2". The optional tokens ride in Keys (they point
+		// into the parser-owned line buffer, like any key).
+		for tok, rest2 := nextToken(rest); len(tok) != 0; tok, rest2 = nextToken(rest2) {
+			if len(cmd.Keys) == 2 {
+				return nil, fmt.Errorf("protocol: stats takes at most two arguments, got %q", tok)
+			}
 			cmd.Keys = append(cmd.Keys, tok)
 			p.keys = cmd.Keys[:0]
-			if extra, _ := nextToken(rest2); len(extra) != 0 {
-				return nil, fmt.Errorf("protocol: stats takes at most one argument, got %q", extra)
-			}
 		}
 	case VerbVersion:
 		// no arguments needed

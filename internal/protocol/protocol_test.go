@@ -230,8 +230,8 @@ func TestParserReusesCommand(t *testing.T) {
 }
 
 // TestParserStatsArgument covers the optional stats sub-command: bare stats
-// carries no keys, "stats slabs" carries the argument in Keys, and more than
-// one argument is rejected.
+// carries no keys, "stats slabs" carries the argument in Keys, "stats
+// cliffhanger app2" carries both, and a third argument is rejected.
 func TestParserStatsArgument(t *testing.T) {
 	p := parser("stats\r\nstats slabs\r\nSTATS SLABS\r\n")
 	c, err := p.ReadCommand()
@@ -248,8 +248,12 @@ func TestParserStatsArgument(t *testing.T) {
 	if err != nil || c.Name != VerbStats || key(c, 0) != "SLABS" {
 		t.Fatalf("STATS SLABS = %+v, %v", c, err)
 	}
-	if _, err := parser("stats slabs extra\r\n").ReadCommand(); err == nil {
-		t.Fatalf("stats with two arguments must be rejected")
+	c, err = parser("stats cliffhanger app2\r\n").ReadCommand()
+	if err != nil || len(c.Keys) != 2 || key(c, 0) != "cliffhanger" || key(c, 1) != "app2" {
+		t.Fatalf("stats cliffhanger app2 = %+v, %v", c, err)
+	}
+	if _, err := parser("stats cliffhanger app2 extra\r\n").ReadCommand(); err == nil {
+		t.Fatalf("stats with three arguments must be rejected")
 	}
 }
 

@@ -946,10 +946,15 @@ func (s *Server) handleDelete(c *session, cmd *protocol.Command) error {
 
 func (s *Server) handleStats(c *session, cmd *protocol.Command) error {
 	if len(cmd.Keys) > 0 {
-		switch string(cmd.Keys[0]) {
-		case "slabs":
+		// Only "cliffhanger" takes an argument of its own, a tenant name.
+		switch sub := string(cmd.Keys[0]); {
+		case sub == "cliffhanger" && len(cmd.Keys) == 2:
+			return s.handleStatsCliffhanger(c, string(cmd.Keys[1]))
+		case sub == "cliffhanger":
+			return s.handleStatsCliffhanger(c, c.tenant)
+		case sub == "slabs" && len(cmd.Keys) == 1:
 			return s.handleStatsSlabs(c)
-		case "arbiter":
+		case sub == "arbiter" && len(cmd.Keys) == 1:
 			return s.handleStatsArbiter(c)
 		}
 		return protocol.WriteLine(c.w, "ERROR")
@@ -1064,6 +1069,66 @@ func (s *Server) handleStatsArbiter(c *session) error {
 		add(n+":target_bytes", strconv.FormatInt(t.TargetBytes, 10))
 		add(n+":marginal_hit_per_byte", strconv.FormatFloat(t.MarginalHitPerByte, 'g', -1, 64))
 		add(n+":hit_density_per_byte", strconv.FormatFloat(t.HitDensityPerByte, 'g', -1, 64))
+	}
+	return protocol.WriteStats(c.w, stats, order)
+}
+
+// handleStatsCliffhanger serves "stats cliffhanger [tenant]": the paper's
+// algorithm state for one tenant (the session's unless named), which is
+// otherwise visible only to tests. First the pages of the reservation that no
+// class queue has been granted yet — while there are any, the tenant is not
+// under memory pressure and must neither evict nor move a cliff pointer — then
+// one "<queue>:<field>" group per class queue that has seen traffic: its
+// hill-climbing capacity and credit balance, the cliff-scaling split (request
+// ratio, both pointers, both partitions' applied capacities) and the event
+// counters that moved them. It is read under the bookkeeper's lock like
+// "stats" and costs the request path nothing. A tenant in another allocation
+// mode has no queues to show.
+func (s *Server) handleStatsCliffhanger(c *session, tenant string) error {
+	queues, freePages, err := s.store.QueueSnapshots(tenant)
+	if err != nil {
+		return protocol.WriteLine(c.w, "SERVER_ERROR "+err.Error())
+	}
+	var order []string
+	stats := make(map[string]string)
+	add := func(k, v string) {
+		order = append(order, k)
+		stats[k] = v
+	}
+	add("tenant", tenant)
+	add("free_pages", strconv.FormatInt(freePages, 10))
+	for _, q := range queues {
+		if q.Stats.Requests == 0 && q.Items == 0 {
+			continue
+		}
+		num := func(field string, v int64) { add(q.ID+":"+field, strconv.FormatInt(v, 10)) }
+		split := int64(0)
+		if q.Split {
+			split = 1
+		}
+		num("capacity", q.Capacity)
+		num("applied_capacity", q.AppliedCapacity)
+		num("used", q.Used)
+		num("items", int64(q.Items))
+		num("credits", q.Credits)
+		num("split", split)
+		add(q.ID+":ratio", strconv.FormatFloat(q.Ratio, 'f', 4, 64))
+		num("left_pointer", q.LeftPointer)
+		num("right_pointer", q.RightPointer)
+		num("left_capacity", q.LeftCapacity)
+		num("right_capacity", q.RightCapacity)
+		num("requests", q.Stats.Requests)
+		num("hits", q.Stats.Hits)
+		num("shadow_hits", q.Stats.ShadowHits)
+		num("cliff_shadow_hits", q.Stats.CliffShadowHits)
+		num("left_tail_events", q.Stats.LeftTailEvents)
+		num("right_tail_events", q.Stats.RightTailEvents)
+		num("left_cliff_events", q.Stats.LeftCliffEvents)
+		num("right_cliff_events", q.Stats.RightCliffEvents)
+		num("stale_pointer_events", q.Stats.StalePointerEvents)
+		num("relax_events", q.Stats.RelaxEvents)
+		num("resizes", q.Stats.Resizes)
+		num("evictions", q.Stats.Evictions)
 	}
 	return protocol.WriteStats(c.w, stats, order)
 }

@@ -14,6 +14,7 @@ import (
 
 	"cliffhanger/internal/cache"
 	"cliffhanger/internal/client"
+	"cliffhanger/internal/core"
 	"cliffhanger/internal/store"
 )
 
@@ -394,7 +395,7 @@ func TestServerFlagsRoundTrip(t *testing.T) {
 // socket and checks the exact response lines, memcached-style. CI runs this
 // test as its protocol-conformance gate.
 func TestServerProtocolConformance(t *testing.T) {
-	srv, _ := startTestServer(t, store.AllocDefault)
+	srv, st := startTestServer(t, store.AllocDefault)
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -565,6 +566,41 @@ func TestServerProtocolConformance(t *testing.T) {
 		t.Fatalf("stats slabs incomplete: end=%v chunk_size=%v used_chunks=%v total_malloced=%v",
 			sawEnd, sawChunkSize, sawUsed, sawMalloced)
 	}
+	// stats cliffhanger [tenant]: the algorithm state of a Cliffhanger-mode
+	// tenant — its ungranted pages, then one "<queue>:<field>" group per
+	// class queue that has seen traffic. The session stays on app2; the
+	// tenant is named.
+	if err := st.RegisterTenantConfig(store.TenantConfig{Name: "cliff", MemoryBytes: 8 << 20, Mode: store.AllocCliffhanger}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetItemBytes("cliff", []byte("k"), []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	send("stats cliffhanger cliff\r\n")
+	// (One 64-byte item: the queue is still at its 8 KiB floor, below the
+	// 1000-item split threshold, and no page has been granted.)
+	expect("STAT tenant cliff", "STAT free_pages 8",
+		"STAT class0:capacity 8192", "STAT class0:applied_capacity 8192",
+		"STAT class0:used 64", "STAT class0:items 1", "STAT class0:credits 0",
+		"STAT class0:split 0", "STAT class0:ratio 1.0000",
+		"STAT class0:left_pointer 8192", "STAT class0:right_pointer 8192",
+		"STAT class0:left_capacity 8192", "STAT class0:right_capacity 0",
+		"STAT class0:requests 1", "STAT class0:hits 0", "STAT class0:shadow_hits 0", "STAT class0:cliff_shadow_hits 0",
+		"STAT class0:left_tail_events 0", "STAT class0:right_tail_events 0",
+		"STAT class0:left_cliff_events 0", "STAT class0:right_cliff_events 0",
+		"STAT class0:stale_pointer_events 0", "STAT class0:relax_events 0")
+	if line, err = r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "STAT class0:resizes ") {
+		t.Fatalf("stats cliffhanger resizes line = %q %v", line, err)
+	}
+	expect("STAT class0:evictions 0", "END")
+	// A tenant in another mode has no queues to show, an unknown one is an
+	// error, and only "cliffhanger" takes an argument.
+	send("stats cliffhanger\r\n")
+	expect("STAT tenant app2", "STAT free_pages 0", "END")
+	send("stats cliffhanger ghost\r\n")
+	expect("SERVER_ERROR store: unknown tenant \"ghost\"")
+	send("stats slabs app2\r\n")
+	expect("ERROR")
 	// An unknown stats sub-command draws ERROR, like memcached.
 	send("stats bogus\r\n")
 	expect("ERROR")
@@ -774,6 +810,77 @@ func TestServerArbiterStats(t *testing.T) {
 	}
 	if _, err := strconv.ParseInt(stats["target_bytes"], 10, 64); err != nil {
 		t.Fatalf("stats target_bytes = %q: %v", stats["target_bytes"], err)
+	}
+}
+
+// TestServerShippedDefaultsKeepWhatFits is the shipped-defaults smoke (the
+// daemon's -mode cliffhanger, -tenants default:64, asynchronous bookkeeping)
+// over a real socket: 8192 keys of 256 bytes fit the tenant thirty times
+// over, so after storing each once every GET must hit, and "stats
+// cliffhanger", read through the typed client parser and checked against the
+// store's own snapshot, must show an algorithm that never had a reason to
+// act — pages still free, nothing evicted, no pointer relaxed, both pointers
+// home and the partitions even.
+func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	if err := st.RegisterTenant("default", 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default"}, st)
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); st.Close() })
+	c := dialTest(t, srv)
+
+	const keys = 8192
+	value := make([]byte, 256)
+	for i := 0; i < keys; i++ {
+		if err := c.Set(fmt.Sprintf("fits-%d", i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		if _, ok, err := c.Get(fmt.Sprintf("fits-%d", i)); err != nil || !ok {
+			t.Fatalf("GET %d of a key that was stored and fits: ok=%v err=%v", i, ok, err)
+		}
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats["get_misses"] != "0" || stats["get_hits"] != strconv.Itoa(keys) {
+		t.Fatalf("stats get_hits=%s get_misses=%s, want %d and 0", stats["get_hits"], stats["get_misses"], keys)
+	}
+
+	cs, err := c.StatsCliffhanger("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, freePages, err := st.QueueSnapshots("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Tenant != "default" || cs.FreePages != freePages || cs.FreePages == 0 || len(cs.Queues) != 1 {
+		t.Fatalf("stats cliffhanger = %+v, store says %d free pages", cs, freePages)
+	}
+	for id, q := range cs.Queues {
+		var want core.QueueSnapshot
+		for _, s := range snaps {
+			if s.ID == id {
+				want = s
+			}
+		}
+		if q.Capacity != want.Capacity || q.Used != want.Used || q.Items != int64(want.Items) ||
+			q.Split != want.Split || q.LeftPointer != want.LeftPointer || q.RightCapacity != want.RightCapacity ||
+			q.Requests != want.Stats.Requests || q.Hits != want.Stats.Hits || q.Resizes != want.Stats.Resizes {
+			t.Fatalf("queue %s parsed %+v, store says %+v", id, q, want)
+		}
+		if q.Items != keys || q.Evictions != 0 || q.RelaxEvents != 0 || !q.Split || q.Ratio != 0.5 ||
+			q.LeftPointer != q.Capacity || q.RightPointer != q.Capacity ||
+			q.LeftCapacity != q.Capacity/2 || q.RightCapacity != q.Capacity/2 || q.AppliedCapacity != q.Capacity {
+			t.Fatalf("queue %s acted on a working set that fits: %+v", id, q)
+		}
 	}
 }
 

@@ -294,7 +294,9 @@ func newManagedPolicy(cfg TenantConfig, geom *slab.Geometry) (*managedPolicy, er
 	if err != nil {
 		return nil, err
 	}
-	return &managedPolicy{geom: geom, alloc: slab.NewAllocator(geom, cfg.MemoryBytes), mgr: m}, nil
+	p := &managedPolicy{geom: geom, alloc: slab.NewAllocator(geom, cfg.MemoryBytes), mgr: m}
+	m.SetSpare(func() bool { return p.alloc.FreePages() > 0 })
+	return p, nil
 }
 
 func (p *managedPolicy) classFor(size int64) (int, bool) { return p.geom.ClassFor(size) }
@@ -311,7 +313,7 @@ func (p *managedPolicy) promoteResident(class int, key string, cost int64) bool 
 }
 
 func (p *managedPolicy) admit(class int, key string, cost int64) (bool, []cache.Victim) {
-	victims := p.growIfNeeded(class, cost)
+	victims := p.growIfNeeded(class, key, cost)
 	out := p.mgr.AccessAt(class, key, cost)
 	return out.Hit, append(victims, out.Evicted...)
 }
@@ -339,9 +341,12 @@ func (p *managedPolicy) resize(oldBytes, newBytes int64) []cache.Victim {
 }
 
 // growIfNeeded is the managed counterpart of the default policy's on-demand
-// growth: while free pages remain, a class queue that is out of room grows
-// by one page, exactly like stock Memcached; once the pages are exhausted,
-// only the hill-climbing credit transfers change queue sizes.
+// growth: while free pages remain, a class queue that has no room for key
+// grows by one page, exactly like stock Memcached; once the pages are
+// exhausted, only the hill-climbing credit transfers change queue sizes.
+// "No room" is asked of the partition key routes to (Queue.HasRoom), because
+// that is where the eviction would happen: asked of the queue as a whole, a
+// full partition evicted while its sibling had slack and free pages sat idle.
 //
 // Hill-climbing capacity changes are applied lazily (on the next miss, per
 // the paper's thrash-avoidance rule), but a page grab is applied eagerly
@@ -352,17 +357,17 @@ func (p *managedPolicy) resize(oldBytes, newBytes int64) []cache.Victim {
 // entry while a free page sat already granted. Stock Memcached grows by
 // pages immediately, so the eager apply is also the faithful behavior. Any
 // victims of the applied resize are returned for the caller to drop.
-func (p *managedPolicy) growIfNeeded(class int, cost int64) []cache.Victim {
+func (p *managedPolicy) growIfNeeded(class int, key string, cost int64) []cache.Victim {
 	q := p.mgr.QueueAt(class)
-	grew := false
-	for q.Used()+cost > q.Capacity() && p.alloc.FreePages() > 0 {
-		if !p.alloc.Grow(class) {
-			break
-		}
-		q.SetCapacity(q.Capacity() + p.geom.PageSize)
-		grew = true
+	// One page is always enough (no chunk is larger than a page, and a split
+	// queue's resize step is larger than its chunk), except for a partition
+	// that cliff scaling is shrinking — and that one is meant to evict.
+	if p.alloc.FreePages() > 0 && !q.HasRoom(key, cost) {
+		p.alloc.Grow(class)
+		q.Grow(p.geom.PageSize)
+		return q.ForceApplyResize()
 	}
-	if grew || q.AppliedCapacity() < cost {
+	if q.AppliedCapacity() < cost {
 		return q.ForceApplyResize()
 	}
 	return nil

@@ -1254,22 +1254,23 @@ func (s *Store) ReclaimStats(tenant string) (ArenaReclaimStats, error) {
 	return e.arena.reclaimStats(), nil
 }
 
-// QueueSnapshots returns the per-queue Cliffhanger state of the tenant
-// (nil for tenants in other allocation modes), settling in-flight
+// QueueSnapshots returns the per-queue Cliffhanger state of the tenant (nil
+// for tenants in other allocation modes) and the number of pages of its
+// reservation that no class queue has been granted yet, settling in-flight
 // bookkeeping first. It is safe to call concurrently with request traffic.
-func (s *Store) QueueSnapshots(tenant string) ([]core.QueueSnapshot, error) {
+func (s *Store) QueueSnapshots(tenant string) (queues []core.QueueSnapshot, freePages int64, err error) {
 	e, ok := s.entry(tenant)
 	if !ok {
-		return nil, ErrNoTenant{tenant}
+		return nil, 0, ErrNoTenant{tenant}
 	}
 	e.bk.flush()
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
-	m := e.tenant.Manager()
-	if m == nil {
-		return nil, nil
+	p, ok := e.tenant.policy.(*managedPolicy)
+	if !ok {
+		return nil, 0, nil
 	}
-	return m.Snapshot(), nil
+	return p.mgr.Snapshot(), p.alloc.FreePages(), nil
 }
 
 // ClassCapacities returns the tenant's current per-class capacities in

@@ -655,7 +655,7 @@ func TestStoreSnapshotsRaceWithTraffic(t *testing.T) {
 		if _, err := s.Stats("hot"); err != nil {
 			t.Error(err)
 		}
-		snaps, err := s.QueueSnapshots("hot")
+		snaps, _, err := s.QueueSnapshots("hot")
 		if err != nil {
 			t.Error(err)
 		}
