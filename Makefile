@@ -13,17 +13,22 @@ race:
 
 # race4 exercises the epoch-reclamation races (pin vs retire vs reclaim) with
 # real parallelism; CI runs this as its own lane. internal/core rides along
-# for the keeps-what-fits property, whose store-level twins are in here.
+# for the keeps-what-fits property, whose store-level twins are in here. The
+# second line is the tenant switch on both sides of the socket: the client's
+# deferred tenant line against scripted and real servers, the server's
+# one-write answer on both front ends, and the two switch alloc gates.
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/ ./internal/server/
 
 # stable is the flake hunt for the packages with real concurrency, plus
-# internal/core for the keeps-what-fits property: 20 runs each at one, two and
-# four Ps (CI runs it on demand, not on every push).
+# internal/core for the keeps-what-fits property and internal/client for the
+# scripted-listener tests, which count the segments a request arrives in: 20
+# runs each at one, two and four Ps (CI runs it on demand, not on every push).
 stable:
 	@set -e; for p in 1 2 4; do \
 		echo "stable: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -count=20 ./internal/server/ ./internal/netpoll/ ./internal/store/ ./internal/core/; \
+		GOMAXPROCS=$$p $(GO) test -count=20 ./internal/server/ ./internal/netpoll/ ./internal/store/ ./internal/core/ ./internal/client/; \
 	done
 
 # benchcheck compiles and tests bench/, the repository benchmark. It is its
@@ -46,10 +51,12 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# conformance walks every verb over a real socket, then runs the
-# shipped-defaults smoke: a -mode cliffhanger, default:64 store is loaded with
-# 8192 keys that fit thirty times over, and `stats` must report no miss and
-# `stats cliffhanger` no eviction, no relaxed pointer and even partitions.
+# conformance walks every verb over a real socket, checks that both front
+# ends answer a tenant-switching batch in order (the classic one in a single
+# write), then runs the shipped-defaults smoke: a -mode cliffhanger,
+# default:64 store is loaded with 8192 keys that fit thirty times over, and
+# `stats` must report no miss and `stats cliffhanger` no eviction, no relaxed
+# pointer and even partitions.
 conformance:
 	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits' -v ./internal/server/
 
@@ -61,8 +68,10 @@ conformance:
 # chunks recycled through the slab arena, item records pooled per shard;
 # SetItemBytes+Delete churn <= 1; the bookkeeper's sweep = 0 — buffers stolen
 # and handed back, ordered in kept scratch; streaming client pipelined GET
-# <= 1 amortized over a real socket). An accidental allocation on the
-# mutation path fails the build, not a future benchmark run.
+# <= 1 amortized over a real socket; a tenant switch between registered
+# tenants = 0 in the server, switch + GET <= 1 through client and server). An
+# accidental allocation on the mutation path fails the build, not a future
+# benchmark run.
 alloccheck:
 	$(GO) test -count=1 -run 'TestAllocGate' -v ./internal/server/ ./internal/store/ ./internal/client/
 

@@ -15,15 +15,27 @@
 // forms (Get, Gets) are built on top of them, paying only for the
 // caller-owned copies they return.
 //
+// Tenant selection costs no round trip. SelectTenant only records the name;
+// the next operation writes the tenant line ahead of its own command, in the
+// same flush, and checks the server's TENANT acknowledgement before it reads
+// its own response. The selection is sticky: a connection redialed for any
+// reason is told the tenant again by the first operation that uses it, so an
+// operation never runs against another tenant than the one last selected.
+// Deferring the line loses no error report, because the server never rejects
+// the verb — it stores the name without looking it up, and an unknown tenant
+// has always surfaced as a SERVER_ERROR on the command after it. Whatever
+// does go wrong with the line (a transport failure, an acknowledgement that
+// is not TENANT) is returned by the operation that carried it.
+//
 // Failure handling is explicit. Every transport or desync failure poisons
 // the connection: a poisoned connection is never reused (a half-read
 // pipeline would misattribute responses to the wrong commands), so the next
 // operation transparently redials and replays the tenant selection.
-// Idempotent read verbs (get/gets, touch, stats, version, tenant) are
-// additionally retried across reconnects with jittered exponential backoff
-// up to Options.MaxRetries; storage verbs are never retried — a SET or INCR
-// whose fate is unknown must surface its error rather than risk applying
-// twice. Retried operations return *OpError carrying the retryable-vs-fatal
+// Idempotent read verbs (get/gets, touch, stats, version) are additionally
+// retried across reconnects with jittered exponential backoff up to
+// Options.MaxRetries; storage verbs are never retried — a SET or INCR whose
+// fate is unknown must surface its error rather than risk applying twice.
+// Retried operations return *OpError carrying the retryable-vs-fatal
 // classification (see IsRetryable); in-band server errors still unwrap to
 // protocol.ErrRemote.
 package client
@@ -125,9 +137,13 @@ type Client struct {
 	// desync happened mid-stream, so reusing it would misattribute
 	// responses. The next operation redials instead.
 	broken bool
-	// tenant is replayed after every reconnect so retried operations land
-	// on the tenant the caller selected.
-	tenant string
+	// tenant is the caller's selection and connTenant what this connection
+	// has been told ("" on a fresh one, which serves the server's default).
+	// begin writes the tenant line when they differ, so the selection
+	// follows the caller across redials; tenantAck is set from then until
+	// flush has read the TENANT that answers the line.
+	tenant, connTenant string
+	tenantAck          bool
 
 	// scratch assembles outgoing command lines (reused across calls).
 	scratch []byte
@@ -177,9 +193,10 @@ func (c *Client) Close() error {
 func (c *Client) poison() { c.broken = true }
 
 // ensureConn (re)establishes the transport on first use or after a poison.
-// A reconnect replays the selected tenant before the caller's command goes
-// out — redialing happens strictly between operations, so it is safe for
-// every verb, including storage.
+// The new connection has been told no tenant, which is what makes begin
+// replay the selection ahead of the caller's command — redialing happens
+// strictly between operations, so it is safe for every verb, including
+// storage.
 func (c *Client) ensureConn() error {
 	if c.conn != nil && !c.broken {
 		return nil
@@ -209,17 +226,14 @@ func (c *Client) ensureConn() error {
 	}
 	c.conn = conn
 	c.broken = false
-	if c.tenant != "" {
-		if err := c.selectTenantRaw(c.tenant); err != nil {
-			c.poison()
-			return fmt.Errorf("client: reselect tenant %q: %w", c.tenant, err)
-		}
-	}
+	c.connTenant, c.tenantAck = "", false
 	return nil
 }
 
-// begin readies the transport for one operation: reconnect if poisoned and
-// arm the per-op deadline.
+// begin readies the transport for one operation: reconnect if poisoned, arm
+// the per-op deadline and, if the connection is not on the selected tenant,
+// queue the tenant line in front of the command the caller is about to
+// write. The line goes out with that command's flush, not its own.
 func (c *Client) begin() error {
 	if err := c.ensureConn(); err != nil {
 		return err
@@ -227,7 +241,14 @@ func (c *Client) begin() error {
 	if c.opts.OpTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opts.OpTimeout))
 	}
-	return nil
+	if c.tenant == c.connTenant {
+		return nil
+	}
+	c.scratch = append(c.scratch[:0], "tenant "...)
+	c.scratch = append(c.scratch, c.tenant...)
+	c.scratch = append(c.scratch, '\r', '\n')
+	c.connTenant, c.tenantAck = c.tenant, true
+	return c.send(c.scratch)
 }
 
 // retry runs fn as one attempt of the named idempotent operation,
@@ -265,11 +286,26 @@ func (c *Client) backoff(attempt int) {
 
 // flush pushes buffered command bytes out, poisoning the connection on
 // failure (some commands may have reached the server, some not — the stream
-// state is unknowable).
+// state is unknowable). If begin queued a tenant line, its acknowledgement
+// is the first response line and is consumed here, so the caller reads its
+// own response next; anything but TENANT means the stream is not where the
+// client thinks it is.
 func (c *Client) flush() error {
 	if err := c.w.Flush(); err != nil {
 		c.poison()
 		return err
+	}
+	if !c.tenantAck {
+		return nil
+	}
+	c.tenantAck = false
+	line, err := c.readLineBytes()
+	if err != nil {
+		return err
+	}
+	if string(line) != "TENANT" {
+		c.poison()
+		return fmt.Errorf("client: unexpected tenant response %q", line)
 	}
 	return nil
 }
@@ -290,40 +326,18 @@ func (c *Client) sendString(s string) error {
 	return nil
 }
 
-// SelectTenant switches the connection to the given tenant. The selection
-// sticks across reconnects: a retried or redialed operation replays it
-// before any command.
+// SelectTenant makes name the tenant of every following operation. It does
+// no I/O: the next operation carries the tenant line in its own flush (see
+// the package comment), re-selecting the current tenant sends nothing, and
+// of several selections in a row only the last is sent. The selection sticks
+// across reconnects. The only error is for the empty name, which no server
+// accepts and which here stands for a connection told nothing; it leaves
+// the selection as it was.
 func (c *Client) SelectTenant(name string) error {
-	err := c.retry("tenant "+name, func() error {
-		return c.selectTenantRaw(name)
-	})
-	if err != nil {
-		return err
+	if name == "" {
+		return errors.New("client: empty tenant name")
 	}
 	c.tenant = name
-	return nil
-}
-
-// selectTenantRaw runs the tenant round trip on the current connection
-// without touching c.tenant (ensureConn uses it to replay the selection).
-func (c *Client) selectTenantRaw(name string) error {
-	if err := c.sendString("tenant " + name); err != nil {
-		return err
-	}
-	if err := c.sendString("\r\n"); err != nil {
-		return err
-	}
-	if err := c.flush(); err != nil {
-		return err
-	}
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	if line != "TENANT" {
-		c.poison()
-		return fmt.Errorf("client: unexpected tenant response %q", line)
-	}
 	return nil
 }
 

@@ -110,6 +110,34 @@ func TestClientTenantVerb(t *testing.T) {
 	}
 }
 
+// TestClientTenantPendingLargeBatch: a PipelineSet that overflows the 64 KiB
+// writer several times while a selection is pending. The tenant line leaves
+// with the first overflow and its acknowledgement waits in the socket until
+// the batch's own flush reads it, ahead of the STORED lines; every key must
+// land in the selected tenant and none in the default one.
+func TestClientTenantPendingLargeBatch(t *testing.T) {
+	srv := startServer(t)
+	c, other := dial(t, srv), dial(t, srv)
+	keys := make([]string, 300)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("big-%d", i)
+	}
+	if err := c.SelectTenant("app2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PipelineSet(keys, make([]byte, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{keys[0], keys[len(keys)-1]} {
+		if v, ok, err := c.Get(k); err != nil || !ok || len(v) != 1024 {
+			t.Fatalf("%s in app2: %d bytes, %v, %v", k, len(v), ok, err)
+		}
+		if _, ok, err := other.Get(k); err != nil || ok {
+			t.Fatalf("%s in default: found=%v err=%v, want a miss", k, ok, err)
+		}
+	}
+}
+
 func TestClientPipelinedBatches(t *testing.T) {
 	srv := startServer(t)
 	c := dial(t, srv)

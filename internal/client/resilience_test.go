@@ -3,8 +3,8 @@ package client_test
 // Resilience tests for the client's failure discipline, driven by scripted
 // fake servers that misbehave in controlled ways: poisoned connections are
 // never reused (the mid-pipeline desync regression), idempotent reads retry
-// across reconnects, storage verbs never do, tenant selection is replayed
-// on every redial, and per-op deadlines fire.
+// across reconnects, storage verbs never do, tenant selection costs no round
+// trip of its own and is replayed on every redial, and per-op deadlines fire.
 
 import (
 	"bufio"
@@ -60,6 +60,45 @@ func readCmdLine(t *testing.T, r *bufio.Reader) string {
 		return ""
 	}
 	return strings.TrimRight(line, "\r\n")
+}
+
+// readSegment returns what one Read on the server side of conn delivers: a
+// request the client flushed once arrives as one segment, a request that
+// took two round trips cannot.
+func readSegment(conn net.Conn) string {
+	buf := make([]byte, 64<<10)
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, _ := conn.Read(buf)
+	return string(buf[:n])
+}
+
+// serveSegments answers, on one connection, each expected segment with its
+// response in a single Write, and reports the first segment that differs.
+func serveSegments(exchange ...[2]string) connScript {
+	return func(t *testing.T, conn net.Conn) {
+		for i, x := range exchange {
+			if got := readSegment(conn); got != x[0] {
+				t.Errorf("segment %d = %q, want %q", i, got, x[0])
+				return
+			}
+			conn.Write([]byte(x[1]))
+		}
+	}
+}
+
+const (
+	getK       = "get k\r\n"
+	valueK     = "VALUE k 0 2\r\nhi\r\nEND\r\n"
+	tenantGetK = "tenant app2\r\n" + getK
+	ackValueK  = "TENANT\r\n" + valueK
+)
+
+func wantHi(t *testing.T, c *client.Client) {
+	t.Helper()
+	v, ok, err := c.Get("k")
+	if err != nil || !ok || string(v) != "hi" {
+		t.Fatalf("get k = %q %v %v, want hi", v, ok, err)
+	}
 }
 
 // TestClientPoisonedConnNotReused is the satellite-2 regression test: a
@@ -303,4 +342,131 @@ func TestClientRemoteErrorsNotRetryable(t *testing.T) {
 	if client.IsRetryable(protocol.ErrRemote) {
 		t.Fatal("in-band server errors must not be retryable")
 	}
+}
+
+// TestClientTenantRidesNextFlush: a selection costs no round trip. The
+// tenant line reaches the server in the same segment as the command behind
+// it and both answers are read from one; re-selecting the current tenant
+// sends nothing; of two selections in a row only the last is sent; the empty
+// name is refused and changes nothing.
+func TestClientTenantRidesNextFlush(t *testing.T) {
+	addr, accepted := startFake(t, serveSegments(
+		[2]string{tenantGetK, ackValueK},
+		[2]string{getK, valueK},
+		[2]string{"tenant b\r\n" + getK, ackValueK},
+		[2]string{getK, valueK},
+	))
+	c, err := client.Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, names := range [][]string{{"app2"}, {"app2"}, {"a", "b"}} {
+		for _, name := range names {
+			if err := c.SelectTenant(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantHi(t, c)
+	}
+	if err := c.SelectTenant(""); err == nil {
+		t.Fatal("the empty tenant name must be refused")
+	}
+	wantHi(t, c)
+	if n := accepted.Load(); n != 1 {
+		t.Fatalf("accepted %d conns, want 1", n)
+	}
+}
+
+// TestClientTenantBadAck: anything but TENANT in answer to the tenant line
+// means the stream is not where the client thinks it is. The operation that
+// carried the line fails with a fatal error (no retry, even with retries
+// on), the connection is poisoned, and the next operation redials and tells
+// the new connection the tenant again.
+func TestClientTenantBadAck(t *testing.T) {
+	for _, bad := range []string{"ERROR\r\n", valueK} {
+		addr, accepted := startFake(t,
+			serveSegments([2]string{tenantGetK, bad}),
+			serveSegments([2]string{tenantGetK, ackValueK}),
+		)
+		c, err := client.DialOptions(addr, client.Options{DialTimeout: 2 * time.Second, MaxRetries: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SelectTenant("app2")
+		_, _, err = c.Get("k")
+		if err == nil || client.IsRetryable(err) {
+			t.Fatalf("ack %q: get = %v, want a fatal error", bad, err)
+		}
+		if n := accepted.Load(); n != 1 {
+			t.Fatalf("ack %q: accepted %d conns after the bad ack, want 1 (not retried)", bad, n)
+		}
+		wantHi(t, c)
+		if n := accepted.Load(); n != 2 {
+			t.Fatalf("ack %q: accepted %d conns, want 2 (poisoned conn redialed)", bad, n)
+		}
+	}
+}
+
+// TestClientTenantSelectedOnDeadConn: the connection dies between
+// SelectTenant and the operation. An idempotent Get with retries on succeeds
+// on the new tenant over a fresh connection; a Set surfaces its error
+// unretried, and the operation after it lands on the new tenant.
+func TestClientTenantSelectedOnDeadConn(t *testing.T) {
+	hangUp := func(*testing.T, net.Conn) {}
+	opts := client.Options{DialTimeout: 2 * time.Second, MaxRetries: 2}
+
+	addr, accepted := startFake(t, hangUp, serveSegments([2]string{tenantGetK, ackValueK}))
+	c, err := client.DialOptions(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SelectTenant("app2")
+	wantHi(t, c)
+	if n := accepted.Load(); n != 2 {
+		t.Fatalf("accepted %d conns, want 2 (one dead, one retry)", n)
+	}
+
+	addr, accepted = startFake(t, hangUp, serveSegments([2]string{tenantGetK, ackValueK}))
+	c, err = client.DialOptions(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SelectTenant("app2")
+	if err := c.Set("k", []byte("abc")); err == nil || !client.IsRetryable(err) {
+		t.Fatalf("set on a dead conn = %v, want its transport error", err)
+	}
+	if n := accepted.Load(); n != 1 {
+		t.Fatalf("accepted %d conns after the failed set, want 1 (storage must not auto-retry)", n)
+	}
+	wantHi(t, c)
+}
+
+// TestClientTenantAcrossClose: Close and the redial behind it forget what
+// the old connection had been told and what it still owed, so the first
+// operation on the new one sends the current selection once — whether the
+// old connection had heard it or not.
+func TestClientTenantAcrossClose(t *testing.T) {
+	addr, _ := startFake(t,
+		serveSegments([2]string{"tenant a\r\n" + getK, ackValueK}),
+		serveSegments([2]string{"tenant a\r\n" + getK, ackValueK}),
+		serveSegments([2]string{tenantGetK, ackValueK}, [2]string{getK, valueK}),
+	)
+	c, err := client.Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SelectTenant("a")
+	wantHi(t, c)
+	c.Close()
+	wantHi(t, c)
+	c.SelectTenant("b")
+	c.Close()
+	c.SelectTenant("app2")
+	wantHi(t, c)
+	wantHi(t, c)
 }

@@ -55,8 +55,10 @@ type Command struct {
 	Data []byte
 	// NoReply suppresses the response when true.
 	NoReply bool
-	// Tenant is the argument of the tenant verb.
-	Tenant string
+	// Tenant is the name argument of the tenant verb and of the tenant admin
+	// verbs. Like Keys it points into the command line, so a tenant switch
+	// parses without allocating.
+	Tenant []byte
 }
 
 // MaxKeyLength is the memcached limit on key length.
@@ -255,7 +257,7 @@ func (p *Parser) ReadCommand() (*Command, error) {
 		if len(name) == 0 || len(extra) != 0 {
 			return nil, fmt.Errorf("protocol: tenant needs exactly one name")
 		}
-		cmd.Tenant = string(name)
+		cmd.Tenant = name
 	case VerbTenantCreate, VerbTenantResize:
 		// tenant_create <name> <MB> / tenant_resize <name> <MB>. The size
 		// rides in Delta (megabytes, must be non-zero).
@@ -269,7 +271,7 @@ func (p *Parser) ReadCommand() (*Command, error) {
 		if !ok || mb == 0 {
 			return nil, fmt.Errorf("protocol: invalid size argument %q", mbTok)
 		}
-		cmd.Tenant = string(name)
+		cmd.Tenant = name
 		cmd.Delta = mb
 	case VerbTenantDelete:
 		name, rest2 := nextToken(rest)
@@ -277,7 +279,7 @@ func (p *Parser) ReadCommand() (*Command, error) {
 		if len(name) == 0 || len(extra) != 0 {
 			return nil, fmt.Errorf("protocol: tenant_delete needs exactly one name")
 		}
-		cmd.Tenant = string(name)
+		cmd.Tenant = name
 	case VerbFlushAll:
 		// flush_all [delay] [noreply] — memcached's optional delayed-flush
 		// form. The delay rides in ExpTime (it is converted with the same

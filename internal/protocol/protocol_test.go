@@ -73,7 +73,7 @@ func TestReadCommandDeleteAndTenant(t *testing.T) {
 		t.Fatalf("delete: %+v %v", cmd, err)
 	}
 	cmd, err = parse("tenant app7\r\n")
-	if err != nil || cmd.Tenant != "app7" {
+	if err != nil || string(cmd.Tenant) != "app7" {
 		t.Fatalf("tenant: %+v %v", cmd, err)
 	}
 	for _, verb := range []string{"stats", "flush_all", "version"} {
@@ -89,15 +89,15 @@ func TestReadCommandDeleteAndTenant(t *testing.T) {
 
 func TestReadCommandTenantLifecycle(t *testing.T) {
 	cmd, err := parse("tenant_create app9 16\r\n")
-	if err != nil || cmd.Name != VerbTenantCreate || cmd.Tenant != "app9" || cmd.Delta != 16 {
+	if err != nil || cmd.Name != VerbTenantCreate || string(cmd.Tenant) != "app9" || cmd.Delta != 16 {
 		t.Fatalf("tenant_create: %+v %v", cmd, err)
 	}
 	cmd, err = parse("tenant_resize app9 8\r\n")
-	if err != nil || cmd.Name != VerbTenantResize || cmd.Tenant != "app9" || cmd.Delta != 8 {
+	if err != nil || cmd.Name != VerbTenantResize || string(cmd.Tenant) != "app9" || cmd.Delta != 8 {
 		t.Fatalf("tenant_resize: %+v %v", cmd, err)
 	}
 	cmd, err = parse("tenant_delete app9\r\n")
-	if err != nil || cmd.Name != VerbTenantDelete || cmd.Tenant != "app9" {
+	if err != nil || cmd.Name != VerbTenantDelete || string(cmd.Tenant) != "app9" {
 		t.Fatalf("tenant_delete: %+v %v", cmd, err)
 	}
 	for _, in := range []string{

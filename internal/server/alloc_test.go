@@ -109,6 +109,42 @@ func TestAllocGateServerAppend(t *testing.T) {
 	}
 }
 
+// TestAllocGateServerTenantSwitch pins what a multi-tenant client costs the
+// server: it switches tenant ahead of almost every command, so a switch
+// between two registered tenants followed by a GET hit in each allocates
+// nothing through parser, handler and store — the name is parsed in place
+// and the session keeps the registry's own string.
+func TestAllocGateServerTenantSwitch(t *testing.T) {
+	c, reset := newGateSession(t, []byte("tenant app2\r\nget key-1\r\ntenant default\r\nget key-1\r\n"))
+	st := c.srv.store
+	if err := st.RegisterTenant("app2", 8<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetItemBytes("app2", []byte("key-1"), make([]byte, 64), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		reset()
+		for i := 0; i < 4; i++ {
+			if !c.step() {
+				t.Fatal("session stopped on a healthy tenant switch")
+			}
+		}
+		if c.tenant != "default" {
+			t.Fatalf("session ends the round on tenant %q, want default", c.tenant)
+		}
+	}
+	step()
+	for _, name := range []string{"default", "app2"} {
+		if ts, err := st.Stats(name); err != nil || ts.Hits != 1 || ts.Misses != 0 {
+			t.Fatalf("tenant %s after one round: %+v, %v; want one hit", name, ts, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("two tenant switches and two GET hits allocate %.2f objects, want 0", allocs)
+	}
+}
+
 // TestSessionClosesOnOversizedLine pins the anti-desync rule for command
 // lines past protocol.MaxLineLength: such a line may have been a storage
 // command whose announced data block is still unread, so the session must

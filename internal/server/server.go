@@ -728,7 +728,14 @@ func (s *Server) handle(c *session, cmd *protocol.Command) error {
 	}
 	switch cmd.Name {
 	case protocol.VerbTenant:
-		c.tenant = cmd.Tenant
+		// The verb cannot fail: an unknown name is stored like any other and
+		// answers SERVER_ERROR from the next command on. A multi-tenant
+		// client switches ahead of almost every command, so a switch between
+		// registered tenants must not allocate: TenantName hands back the
+		// registry's own string for them.
+		if string(cmd.Tenant) != c.tenant {
+			c.tenant = s.store.TenantName(cmd.Tenant)
+		}
 		return protocol.WriteLine(c.w, "TENANT")
 	case protocol.VerbGet, protocol.VerbGets:
 		return s.handleGet(c, cmd)
@@ -774,6 +781,7 @@ const maxTenantMB = 1 << 30
 // unknown tenant) come back as SERVER_ERROR without dropping the connection.
 func (s *Server) handleTenantAdmin(c *session, cmd *protocol.Command) error {
 	var err error
+	name := string(cmd.Tenant)
 	switch cmd.Name {
 	case protocol.VerbTenantCreate, protocol.VerbTenantResize:
 		if cmd.Delta > maxTenantMB {
@@ -781,12 +789,12 @@ func (s *Server) handleTenantAdmin(c *session, cmd *protocol.Command) error {
 		}
 		bytes := int64(cmd.Delta) << 20
 		if cmd.Name == protocol.VerbTenantCreate {
-			err = s.store.RegisterTenant(cmd.Tenant, bytes)
+			err = s.store.RegisterTenant(name, bytes)
 		} else {
-			err = s.store.ResizeTenant(cmd.Tenant, bytes)
+			err = s.store.ResizeTenant(name, bytes)
 		}
 	case protocol.VerbTenantDelete:
-		err = s.store.DeleteTenant(cmd.Tenant)
+		err = s.store.DeleteTenant(name)
 	}
 	if err != nil {
 		return protocol.WriteLine(c.w, "SERVER_ERROR "+err.Error())

@@ -635,6 +635,113 @@ func TestServerProtocolConformance(t *testing.T) {
 	send("quit\r\n")
 }
 
+// writeCountingConn counts the Writes the server makes on a connection: a
+// batch answered in one is one syscall, whatever it holds.
+type writeCountingConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestServerProtocolConformanceTenantPipeline pins the server half of the
+// client's free tenant switch on both front ends: tenant lines and the
+// commands behind them, arriving in one segment, are answered in order, each
+// value from the tenant selected just before it. The classic front end must
+// put all four answers in one Write (a client that lets the tenant line ride
+// its command's flush pays one round trip only if the acknowledgement rides
+// the response's); the parked one must also keep the last selection across
+// a park and wake.
+func TestServerProtocolConformanceTenantPipeline(t *testing.T) {
+	const batch = "tenant a\r\nget k\r\ntenant b\r\nget k\r\n"
+	answers := []string{
+		"TENANT", "VALUE k 0 6", "from-a", "END",
+		"TENANT", "VALUE k 0 6", "from-b", "END",
+	}
+	// The verb itself never fails, which is what lets a client send it
+	// without waiting: an unregistered name is acknowledged like any other
+	// and the error comes from the command behind it.
+	const ghost = "tenant ghost\r\nget k\r\ntenant a\r\nget k\r\n"
+	ghostAnswers := []string{
+		"TENANT", `SERVER_ERROR store: unknown tenant "ghost"`,
+		"TENANT", "VALUE k 0 6", "from-a", "END",
+	}
+	load := func(t *testing.T, st *store.Store) {
+		t.Helper()
+		for _, name := range []string{"a", "b"} {
+			if err := st.RegisterTenant(name, 8<<20); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.SetItemBytes(name, []byte("k"), []byte("from-"+name), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	exchange := func(t *testing.T, conn net.Conn, r *bufio.Reader, req string, want ...string) {
+		t.Helper()
+		if _, err := conn.Write([]byte(req)); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range want {
+			line, err := r.ReadString('\n')
+			if got := strings.TrimRight(line, "\r\n"); err != nil || got != w {
+				t.Fatalf("response line = %q (%v), want %q", got, err, w)
+			}
+		}
+	}
+
+	t.Run("classic", func(t *testing.T) {
+		srv, st := startGovernedServer(t, Config{})
+		load(t, st)
+		// serveConn is handed the accepted connection through the counter,
+		// as acceptLoop would hand it the bare one.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// serveConn returns on EOF, and srv.Close, which runs later, waits
+		// for it.
+		defer conn.Close()
+		accepted, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted := &writeCountingConn{Conn: accepted}
+		srv.curr.Add(1)
+		srv.wg.Add(1)
+		go srv.serveConn(counted)
+		r := bufio.NewReader(conn)
+		exchange(t, conn, r, batch, answers...)
+		if n := counted.writes.Load(); n != 1 {
+			t.Errorf("the batch was answered in %d writes, want 1", n)
+		}
+		exchange(t, conn, r, ghost, ghostAnswers...)
+	})
+
+	t.Run("parked", func(t *testing.T) {
+		srv, st := startGovernedServer(t, Config{Workers: 2, ParkLinger: 200 * time.Microsecond})
+		load(t, st)
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		exchange(t, conn, r, batch, answers...)
+		waitParked(t, srv, 1)
+		exchange(t, conn, r, "get k\r\n", "VALUE k 0 6", "from-b", "END")
+		exchange(t, conn, r, ghost, ghostAnswers...)
+	})
+}
+
 // TestServerDelayedFlushAllEndToEnd drives the delayed flush_all semantics
 // over the wire with a stubbed clock: items last written before the deadline
 // (even ones set after the command) die exactly when it passes; later writes

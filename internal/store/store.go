@@ -640,6 +640,18 @@ func (s *Store) Tenants() []string {
 	return names
 }
 
+// TenantName returns name as a string without allocating when a tenant of
+// that name is registered (the registry's own copy comes back), and as a new
+// string otherwise. The server's tenant verb keeps the result for the life
+// of the selection, so a session switching between live tenants on every
+// command produces no garbage.
+func (s *Store) TenantName(name []byte) string {
+	if e, ok := (*s.tenants.Load())[string(name)]; ok {
+		return e.tenant.Name()
+	}
+	return string(name)
+}
+
 func (s *Store) entry(tenant string) (*tenantEntry, bool) {
 	e, ok := (*s.tenants.Load())[tenant]
 	return e, ok

@@ -18,8 +18,8 @@ func TestStoreSurface(t *testing.T) {
 		"DeleteTenant", "DroppedEvents", "Flush", "FlushAll", "GetItemView",
 		"Incr", "Items", "PageStats", "PrependBytes", "QueueSnapshots",
 		"ReclaimStats", "RegisterTenant", "RegisterTenantConfig", "Replace",
-		"ResizeTenant", "SetItemBytes", "SlabStats", "Stats", "Tenants", "Touch",
-		"UsedBytes",
+		"ResizeTenant", "SetItemBytes", "SlabStats", "Stats", "TenantName",
+		"Tenants", "Touch", "UsedBytes",
 	}
 	typ := reflect.TypeOf(&Store{})
 	got := make([]string, typ.NumMethod())
