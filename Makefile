@@ -12,19 +12,25 @@ race:
 	$(GO) test -race ./...
 
 # race4 exercises the epoch-reclamation races (pin vs retire vs reclaim) with
-# real parallelism; CI runs this as its own lane. internal/core rides along
-# for the keeps-what-fits property, whose store-level twins are in here. The
-# second line is the tenant switch on both sides of the socket: the client's
+# real parallelism; CI runs this as its own lane. The whole store package
+# runs, so the footprint tests (TestArenaLeasesFollowResidency and its
+# twenty-tenant Memcachier form, TestArenaQuarantineBoundedInBytes) race the
+# drain tick's reclaim here too. internal/core rides along for the
+# keeps-what-fits property, whose store-level twins are in here. The second
+# line is the tenant switch on both sides of the socket: the client's
 # deferred tenant line against scripted and real servers, the server's
 # one-write answer on both front ends, and the two switch alloc gates.
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/ ./internal/server/
 
-# stable is the flake hunt for the packages with real concurrency, plus
-# internal/core for the keeps-what-fits property and internal/client for the
-# scripted-listener tests, which count the segments a request arrives in: 20
-# runs each at one, two and four Ps (CI runs it on demand, not on every push).
+# stable is the flake hunt for the packages with real concurrency (in
+# internal/store that includes the asynchronous halves of the
+# leases-follow-residency tests, whose page counts depend on when the drain
+# tick reclaims), plus internal/core for the keeps-what-fits property and
+# internal/client for the scripted-listener tests, which count the segments a
+# request arrives in: 20 runs each at one, two and four Ps (CI runs it on
+# demand, not on every push).
 stable:
 	@set -e; for p in 1 2 4; do \
 		echo "stable: GOMAXPROCS=$$p"; \

@@ -805,9 +805,9 @@ func (c *Client) Stats() (map[string]string, error) {
 }
 
 // StatsSlabs returns the per-slab-class arena occupancy ("stats slabs"):
-// chunk size, carved pages and used/free chunk counts per class, keyed
-// "<class>:<field>", plus the active_slabs/total_pages/total_malloced
-// totals.
+// chunk size, leased pages and used/free/quarantined/uncarved chunk counts
+// per class, keyed "<class>:<field>", plus the
+// active_slabs/total_pages/total_malloced totals.
 func (c *Client) StatsSlabs() (map[string]string, error) {
 	return c.statsCmd("stats slabs")
 }

@@ -1142,9 +1142,10 @@ func (s *Server) handleStatsCliffhanger(c *session, tenant string) error {
 }
 
 // handleStatsSlabs serves the memcached "stats slabs" sub-command from the
-// tenant's arena accounting: per active class the chunk size, carved pages
-// and used/free/quarantined chunk counts, then the cross-class page count
-// and total arena bytes (memcached's active_slabs / total_malloced footer).
+// tenant's arena accounting: per active class the chunk size, leased pages
+// and used/free/quarantined/uncarved chunk counts, then the cross-class page
+// count and total arena bytes (memcached's active_slabs / total_malloced
+// footer).
 func (s *Server) handleStatsSlabs(c *session) error {
 	classes, err := s.store.SlabStats(c.tenant)
 	if err != nil {
@@ -1172,6 +1173,7 @@ func (s *Server) handleStatsSlabs(c *session) error {
 		add(prefix+":used_chunks", strconv.FormatInt(cl.UsedChunks, 10))
 		add(prefix+":free_chunks", strconv.FormatInt(cl.FreeChunks, 10))
 		add(prefix+":quarantined_chunks", strconv.FormatInt(cl.QuarantinedChunks, 10))
+		add(prefix+":uncarved_chunks", strconv.FormatInt(cl.UncarvedChunks, 10))
 		add(prefix+":mem_requested", strconv.FormatInt(cl.UsedChunks*cl.ChunkSize, 10))
 	}
 	add("active_slabs", strconv.Itoa(active))

@@ -160,20 +160,29 @@ func TestServerTenantIsolationAndStats(t *testing.T) {
 	if slabs["active_slabs"] == "" || slabs["total_malloced"] == "" {
 		t.Fatalf("stats slabs missing totals: %v", slabs)
 	}
-	sawClass, sawQuarantined := false, false
-	for k := range slabs {
-		if strings.HasSuffix(k, ":used_chunks") {
-			sawClass = true
+	// Every class line accounts for each chunk of its pages in one of the
+	// states a chunk can be in with no page retiring.
+	sawClass := false
+	for k, total := range slabs {
+		class, ok := strings.CutSuffix(k, ":total_chunks")
+		if !ok {
+			continue
 		}
-		if strings.HasSuffix(k, ":quarantined_chunks") {
-			sawQuarantined = true
+		sawClass = true
+		sum := 0
+		for _, state := range []string{"used", "free", "quarantined", "uncarved"} {
+			n, err := strconv.Atoi(slabs[class+":"+state+"_chunks"])
+			if err != nil {
+				t.Fatalf("stats slabs %s:%s_chunks: %v (%v)", class, state, err, slabs)
+			}
+			sum += n
+		}
+		if strconv.Itoa(sum) != total {
+			t.Fatalf("stats slabs class %s: used + free + quarantined + uncarved = %d, total_chunks %s: %v", class, sum, total, slabs)
 		}
 	}
 	if !sawClass {
 		t.Fatalf("stats slabs reports no class lines for a tenant with a resident value: %v", slabs)
-	}
-	if !sawQuarantined {
-		t.Fatalf("stats slabs reports no quarantined_chunks lines: %v", slabs)
 	}
 	if err := c2.FlushAll(); err != nil {
 		t.Fatal(err)

@@ -9,14 +9,17 @@ package store
 // instead of handed to the GC, so a churning write-heavy workload reuses a
 // fixed set of pages instead of continuously allocating.
 //
-// Layout: chunks flow between a per-class central freelist and per-stripe
-// caches, one stripe per value shard (the Go runtime's mcache/mcentral
-// split). Alloc and free always run while the caller holds the owning value
-// shard's mutex, so a stripe's lock is effectively uncontended — it exists so
-// the stats/audit walk and the epoch reclaimer do not have to reach into
-// shard locking. Refills and flush-backs move chunks between a stripe and the
-// central list in batches, so even a stripe that only ever frees (or only
-// ever allocates) touches the central lock once per stripeRefill operations.
+// Layout: each slab class has ONE freelist (arenaCentral.free, a LIFO under
+// the class mutex) holding only chunks that were used and freed, which are the
+// free chunks worth reusing first because they are already resident. Pages are
+// carved on demand: a class keeps the uncarved remainder of its newest page
+// (tail) and alloc cuts one chunk off it when the freelist is empty, so
+// leasing a page materialises no chunk headers and touches none of its
+// memory. There are no per-shard chunk caches: a tenant's footprint follows
+// what it stores, not shards x classes. What stays per stripe (one stripe per
+// value shard) is the quarantine list and the pin slot, which are what reader
+// safety rests on: pin and free run while the caller holds the owning value
+// shard's mutex.
 //
 // Reclamation safety — epoch-based quarantine: a chunk must never be recycled
 // while a reader can still observe it. Readers used to be forced to copy the
@@ -41,28 +44,30 @@ package store
 // scan while harvesting a chunk retired before it.
 //
 // The epoch advances on the bookkeeper's drain tick (async mode), on free
-// pressure (a refill that finds the central list dry advances and harvests
-// before carving a page — this is what keeps synchronous stores, which have
-// no drain goroutine, recycling), and when a stripe's quarantine hits its
-// high-water mark.
+// pressure (an alloc that finds its class's freelist and tail both empty
+// advances and harvests every stripe before leasing a page — this is what
+// keeps synchronous stores, which have no drain goroutine, recycling), and
+// when a stripe's quarantine reaches the freeing class's high-water mark.
 //
 // Growth and shrink: pages are leased lazily from the process-wide
-// pageAllocator when a class's central freelist runs dry, and — unlike stock
-// memcached — can be RETURNED: live tenant resize retires pages one at a time
-// through the migration machinery in migrate.go (sweep the page's free chunks
-// out of the freelists, evict its residents through the event buffers, let
-// stragglers drain through quarantine, then release the whole page), and
-// tenant delete returns everything once quarantine fully drains. While a page
-// is retiring, its chunks transition to a fourth accounting state, migrating
-// (counted on the migration record), and the conservation invariant reads
-// used + free + quarantined + migrating == pages * chunks-per-page.
+// pageAllocator when a class has neither a free chunk nor an uncarved one,
+// and — unlike stock memcached — can be RETURNED: live tenant resize retires
+// pages one at a time through the migration machinery in migrate.go (capture
+// the page's free chunks and uncarved remainder, evict its residents through
+// the event buffers, let stragglers drain through quarantine, then release
+// the whole page), and tenant delete returns everything once quarantine fully
+// drains. A chunk is in exactly one of five states, and the conservation
+// invariant reads
+// used + free + quarantined + migrating + uncarved == pages * chunks-per-page
+// (migrating: captured by the in-flight page retirement, counted on its
+// record).
 //
 // Lock order: bookkeeper.mu > valueShard.mu > arenaStripe.mu >
 // arenaCentral.mu > pageAllocator.mu. The arena never calls back into the
-// store, so the order cannot invert. The one deliberate exception: the
-// free-pressure path may TryLock OTHER stripes' mutexes while holding its own
-// to harvest their quarantines; TryLock never blocks, so no cycle can
-// deadlock.
+// store, so the order cannot invert. Alloc takes the class mutex without a
+// stripe mutex, and only the sealed audit ever holds two stripe mutexes (all
+// of them, in index order), so the pressure harvest may block on each stripe
+// in turn.
 //
 // Values whose charged size exceeds the largest chunk (possible only under
 // the exact-size global-LRU layout, which admits items of any size) fall back
@@ -79,17 +84,12 @@ import (
 )
 
 const (
-	// stripeRefill is how many chunks a dry stripe cache pulls from the
-	// central freelist at once.
-	stripeRefill = 8
-	// stripeCap is the stripe-cache size past which half the cached chunks
-	// are flushed back to the central freelist, so a shard that only frees
-	// (e.g. one the reaper is draining) cannot strand a class's chunks.
-	stripeCap = 16
-	// quarantineHighWater is the per-stripe quarantined-chunk count at which
-	// the freeing caller advances the epoch and reclaims inline, bounding how
-	// much memory deferred frees can park between drain ticks.
-	quarantineHighWater = 128
+	// quarantineHighWaterBytes and quarantineHighWaterChunks bound how much
+	// deferred frees can park on one stripe between drain ticks: a free that
+	// finds the stripe's quarantine at the smaller of the two, measured in
+	// chunks of the class being freed, advances the epoch and reclaims inline.
+	quarantineHighWaterBytes  = 64 << 10
+	quarantineHighWaterChunks = 128
 	// pinCountBits splits a pin slot's packed word: the low bits count the
 	// shard's active pinned readers, the high bits carry the epoch the oldest
 	// of them pinned. 16 bits allow 65535 concurrent readers per shard.
@@ -131,24 +131,32 @@ type arena struct {
 	deferredFrees atomic.Int64
 }
 
-// arenaCentral is one slab class's page store and central freelist.
+// arenaCentral is one slab class's page store and freelist.
 type arenaCentral struct {
 	mu        sync.Mutex
-	free      [][]byte // full-capacity chunks, len == cap == chunk size
-	pages     int64    // pages currently carved for this class
+	free      [][]byte // used-and-freed chunks, LIFO, len == cap == chunk size
+	tail      []byte   // uncarved remainder of the newest page, whole chunks
+	pages     int64    // pages currently leased for this class
 	pageBufs  [][]byte // the raw page buffers backing those pages
 	chunkSize int64
 	perPage   int64
-	// used counts chunks currently backing resident values (including ones
-	// cached per stripe's accounting moment: a chunk is used from the moment
-	// alloc hands it out until free takes it back). Updated outside the
-	// freelist locks, so live reads are approximate; after the store
-	// quiesces, used + free + quarantined == pages * perPage exactly — the
-	// three-state conservation invariant the property test pins.
+	// quarHighWater is the stripe quarantine length at which a free of this
+	// class reclaims inline (see quarantineHighWaterBytes).
+	quarHighWater int
+	// used counts chunks currently backing resident values: a chunk is used
+	// from the moment alloc hands it out until free takes it back. Updated
+	// outside the freelist lock, so live reads are approximate; after the
+	// store quiesces the conservation invariant holds exactly.
 	used atomic.Int64
 	// quarantined counts the class's chunks currently parked on stripe
 	// quarantine lists awaiting epoch reclamation.
 	quarantined atomic.Int64
+}
+
+// uncarvedLocked counts the whole chunks left on the newest page's tail. The
+// caller must hold cl.mu.
+func (cl *arenaCentral) uncarvedLocked() int64 {
+	return int64(len(cl.tail)) / cl.chunkSize
 }
 
 // quarChunk is one retired chunk awaiting reclamation: the chunk, its class,
@@ -161,11 +169,9 @@ type quarChunk struct {
 	epoch uint64
 }
 
-// arenaStripe is one value shard's chunk cache plus its quarantine list,
-// indexed by class.
+// arenaStripe is one value shard's quarantine list.
 type arenaStripe struct {
 	mu   sync.Mutex
-	free [][][]byte
 	quar []quarChunk
 }
 
@@ -182,11 +188,10 @@ func newArena(geom *slab.Geometry, stripes int, pa *pageAllocator, owner string)
 	}
 	a.epoch.Store(1)
 	for c := range a.classes {
-		a.classes[c].chunkSize = geom.ChunkSize(c)
-		a.classes[c].perPage = geom.ChunksPerPage(c)
-	}
-	for i := range a.stripes {
-		a.stripes[i].free = make([][][]byte, geom.NumClasses())
+		cl := &a.classes[c]
+		cl.chunkSize = geom.ChunkSize(c)
+		cl.perPage = geom.ChunksPerPage(c)
+		cl.quarHighWater = max(1, min(quarantineHighWaterChunks, int(quarantineHighWaterBytes/cl.chunkSize)))
 	}
 	return a
 }
@@ -248,8 +253,9 @@ func (a *arena) advanceEpoch() {
 	a.epoch.Add(1)
 }
 
-// reclaim harvests every stripe's quarantine. Called by the bookkeeper's
-// drain tick (after advanceEpoch) and by tests that force a settle.
+// reclaim harvests every stripe's quarantine. Called after advanceEpoch by
+// the bookkeeper's drain tick, by an alloc under free pressure, and by tests
+// that force a settle.
 func (a *arena) reclaim() {
 	for i := range a.stripes {
 		st := &a.stripes[i]
@@ -260,10 +266,11 @@ func (a *arena) reclaim() {
 }
 
 // reclaimStripeLocked recycles the prefix of the stripe's quarantine whose
-// stamps every active reader has advanced past. The caller must hold st.mu —
-// holding it is the seal that makes the slot scan sound: no new chunk can be
-// pushed while we scan, so any pin that could protect a quarantined chunk was
-// published before the scan and is observed by it.
+// stamps every active reader has advanced past, pushing the chunks onto their
+// classes' freelists under one cl.mu hold per class. The caller must hold
+// st.mu — holding it is the seal that makes the slot scan sound: no new chunk
+// can be pushed while we scan, so any pin that could protect a quarantined
+// chunk was published before the scan and is observed by it.
 func (a *arena) reclaimStripeLocked(st *arenaStripe) {
 	if len(st.quar) == 0 {
 		return
@@ -278,27 +285,39 @@ func (a *arena) reclaimStripeLocked(st *arenaStripe) {
 	}
 	m := a.migrating.Load()
 	for i := 0; i < n; i++ {
-		q := st.quar[i]
-		a.classes[q.class].quarantined.Add(-1)
-		if m != nil && m.class == q.class && m.contains(q.chunk) {
-			// The chunk belongs to the retiring page: it has now outlived
-			// every pinned reader, so it joins the migration instead of the
-			// freelist. This is the path that makes page retirement respect
-			// zero-copy readers.
-			m.got.Add(1)
+		class := st.quar[i].class
+		if class < 0 {
+			continue // went back with an earlier chunk of its class
+		}
+		cl := &a.classes[class]
+		var moved, captured int64
+		cl.mu.Lock()
+		for j := i; j < n; j++ {
+			q := &st.quar[j]
+			if q.class != class {
+				continue
+			}
+			q.class = -1
+			moved++
+			if m != nil && m.class == class && m.contains(q.chunk) {
+				// The chunk belongs to the retiring page: it has now outlived
+				// every pinned reader, so it joins the migration instead of the
+				// freelist. This is the path that makes page retirement respect
+				// zero-copy readers.
+				captured++
+				continue
+			}
+			cl.free = append(cl.free, q.chunk)
+		}
+		cl.mu.Unlock()
+		cl.quarantined.Add(-moved)
+		if captured > 0 {
+			m.got.Add(captured)
 			a.maybeFinishMigration(m)
-			continue
 		}
-		cache := append(st.free[q.class], q.chunk)
-		if len(cache) > stripeCap {
-			cache = a.flushLocked(q.class, cache)
-		}
-		st.free[q.class] = cache
 	}
 	rest := copy(st.quar, st.quar[n:])
-	for i := rest; i < len(st.quar); i++ {
-		st.quar[i] = quarChunk{}
-	}
+	clear(st.quar[rest:])
 	st.quar = st.quar[:rest]
 }
 
@@ -313,108 +332,57 @@ func (a *arena) quarantinedChunks() int64 {
 	return n
 }
 
-// alloc returns a full-length chunk of the given class, preferring the
-// stripe's cache, then the central freelist, then the stripe's own reclaimed
-// quarantine, then a freshly carved page. While a page retirement is in
-// flight, a popped chunk belonging to the retiring page is captured for the
-// migration instead of handed out — this intercept is what guarantees that
-// from the moment a migration is published, no new resident can land on the
-// retiring page. The steady-state cost is one atomic nil load.
-func (a *arena) alloc(stripe, class int) []byte {
-	st := &a.stripes[stripe]
-	st.mu.Lock()
-	var c []byte
+// alloc returns a full-length chunk of the given class: the class's most
+// recently freed chunk, else one cut off the uncarved tail of its newest page,
+// else — after free pressure has advanced the epoch and harvested every
+// stripe's quarantine, which is what keeps synchronous stores, which have no
+// drain tick, recycling instead of growing — one cut off a freshly leased
+// page. While a page retirement is in flight, a chunk belonging to the
+// retiring page is captured for the migration instead of handed out — this
+// intercept is what guarantees that from the moment a migration is published,
+// no new resident can land on the retiring page. The steady-state cost is one
+// mutex and one atomic nil load.
+func (a *arena) alloc(class int) []byte {
+	cl := &a.classes[class]
+	cs := cl.chunkSize
+	harvested := false
+	cl.mu.Lock()
 	for {
-		if len(st.free[class]) == 0 {
-			a.refillLocked(st, class)
-		}
-		cache := st.free[class]
-		n := len(cache) - 1
-		c = cache[n]
-		cache[n] = nil
-		st.free[class] = cache[:n]
-		if m := a.migrating.Load(); m != nil && m.class == class && m.contains(c) {
-			m.got.Add(1)
-			a.maybeFinishMigration(m)
+		var c []byte
+		switch n := len(cl.free) - 1; {
+		case n >= 0:
+			c, cl.free[n] = cl.free[n], nil
+			cl.free = cl.free[:n]
+		case len(cl.tail) > 0:
+			// The three-index slice caps the chunk at its own boundary, so an
+			// append through a stale reference can never bleed into a
+			// neighbouring chunk.
+			c, cl.tail = cl.tail[:cs:cs], cl.tail[cs:]
+		case !harvested && a.quarantinedChunks() > 0:
+			harvested = true
+			cl.mu.Unlock()
+			a.advanceEpoch()
+			a.reclaim()
+			cl.mu.Lock()
+			continue
+		default:
+			page := a.pa.lease(a.owner)
+			cl.tail = page[:cl.perPage*cs]
+			cl.pages++
+			cl.pageBufs = append(cl.pageBufs, page)
 			continue
 		}
-		break
-	}
-	st.mu.Unlock()
-	a.classes[class].used.Add(1)
-	return c
-}
-
-// refillLocked restocks st.free[class]: central freelist first; when that is
-// dry, free pressure advances the epoch and harvests quarantined chunks (the
-// stripe's own first, then — opportunistically, via TryLock — other stripes')
-// before a new page is carved. The pressure path is what keeps synchronous
-// stores, which have no drain tick, recycling instead of growing. The caller
-// must hold st.mu; st.free[class] is non-empty on return.
-func (a *arena) refillLocked(st *arenaStripe, class int) {
-	cl := &a.classes[class]
-	cl.mu.Lock()
-	if len(cl.free) > 0 {
-		st.free[class] = a.pullLocked(cl, st.free[class])
+		m := a.migrating.Load()
+		if m == nil || m.class != class || !m.contains(c) {
+			cl.mu.Unlock()
+			cl.used.Add(1)
+			return c
+		}
+		m.got.Add(1)
 		cl.mu.Unlock()
-		return
+		a.maybeFinishMigration(m)
+		cl.mu.Lock()
 	}
-	cl.mu.Unlock()
-
-	if a.quarantinedChunks() > 0 {
-		a.epoch.Add(1)
-		a.reclaimStripeLocked(st)
-		if len(st.free[class]) > 0 {
-			return
-		}
-		// The needed chunks may be parked on other stripes' quarantines
-		// (e.g. after a flush drained shards this stripe never frees on).
-		// TryLock keeps the cross-stripe peek deadlock-free: two pressured
-		// allocs can never wait on each other's stripe mutex. Harvested
-		// chunks land on the owning stripe's cache and overflow to the
-		// central list, where the carve step below picks them up.
-		for i := range a.stripes {
-			other := &a.stripes[i]
-			if other == st || !other.mu.TryLock() {
-				continue
-			}
-			a.reclaimStripeLocked(other)
-			other.mu.Unlock()
-		}
-	}
-
-	cl.mu.Lock()
-	if len(cl.free) == 0 {
-		page := a.pa.lease(a.owner)
-		cs := cl.chunkSize
-		for off := int64(0); off+cs <= a.geom.PageSize; off += cs {
-			// The three-index slice caps each chunk at its own boundary, so
-			// an append through a stale reference can never bleed into a
-			// neighbouring chunk.
-			cl.free = append(cl.free, page[off:off+cs:off+cs])
-		}
-		cl.pages++
-		cl.pageBufs = append(cl.pageBufs, page)
-	}
-	st.free[class] = a.pullLocked(cl, st.free[class])
-	cl.mu.Unlock()
-}
-
-// pullLocked moves up to stripeRefill chunks from the class's central
-// freelist into cache. The caller must hold cl.mu, and cl.free must be
-// non-empty.
-func (a *arena) pullLocked(cl *arenaCentral, cache [][]byte) [][]byte {
-	n := stripeRefill
-	if n > len(cl.free) {
-		n = len(cl.free)
-	}
-	split := len(cl.free) - n
-	cache = append(cache, cl.free[split:]...)
-	for i := split; i < len(cl.free); i++ {
-		cl.free[i] = nil
-	}
-	cl.free = cl.free[:split]
-	return cache
 }
 
 // freeChunk retires a chunk of the given class into the stripe's quarantine,
@@ -436,27 +404,12 @@ func (a *arena) freeChunk(stripe, class int, chunk []byte) {
 	st.quar = append(st.quar, quarChunk{chunk: chunk, class: class, epoch: a.epoch.Load()})
 	cl.quarantined.Add(1)
 	a.deferredFrees.Add(1)
-	if len(st.quar) >= quarantineHighWater {
-		a.epoch.Add(1)
+	if len(st.quar) >= cl.quarHighWater {
+		a.advanceEpoch()
 		a.reclaimStripeLocked(st)
 	}
 	st.mu.Unlock()
 	cl.used.Add(-1)
-}
-
-// flushLocked moves the older half of an overfull stripe cache back to the
-// central freelist. The caller must hold the stripe's lock.
-func (a *arena) flushLocked(class int, cache [][]byte) [][]byte {
-	cl := &a.classes[class]
-	half := len(cache) / 2
-	cl.mu.Lock()
-	cl.free = append(cl.free, cache[:half]...)
-	cl.mu.Unlock()
-	rest := copy(cache, cache[half:])
-	for i := rest; i < len(cache); i++ {
-		cache[i] = nil
-	}
-	return cache[:rest]
 }
 
 // ArenaClassStats reports one slab class's arena occupancy.
@@ -464,24 +417,26 @@ type ArenaClassStats struct {
 	// Class is the slab class index; ChunkSize its chunk size in bytes.
 	Class     int
 	ChunkSize int64
-	// Pages is the number of pages carved for the class; PageSize is the
+	// Pages is the number of pages leased for the class; PageSize is the
 	// page size in bytes.
 	Pages    int64
 	PageSize int64
 	// TotalChunks is Pages times chunks-per-page.
 	TotalChunks int64
 	// UsedChunks counts chunks backing resident values; FreeChunks counts
-	// chunks on the central freelist and the per-stripe caches;
+	// chunks on the class's freelist (used before and freed);
 	// QuarantinedChunks counts retired chunks parked until every reader
 	// epoch advances past them; MigratingChunks counts chunks of the class's
-	// retiring page already captured by an in-flight page migration. Under
-	// live traffic the split is approximate (a chunk in flight between lists
-	// is momentarily in none); on a quiesced store
-	// Used + Free + Quarantined + Migrating == Total exactly.
+	// retiring page already captured by an in-flight page migration;
+	// UncarvedChunks counts chunks of the newest page never handed out yet.
+	// Under live traffic the split is approximate (a chunk in flight between
+	// states is momentarily in none); on a quiesced store
+	// Used + Free + Quarantined + Migrating + Uncarved == Total exactly.
 	UsedChunks        int64
 	FreeChunks        int64
 	QuarantinedChunks int64
 	MigratingChunks   int64
+	UncarvedChunks    int64
 }
 
 // ArenaBytes returns the bytes the class's pages occupy.
@@ -520,10 +475,11 @@ func SumArenaStats(classes []ArenaClassStats) (arenaBytes, usedBytes, totalBytes
 	return arenaBytes, usedBytes, totalBytes
 }
 
-// centralStats snapshots the per-class page counts, central freelists and
-// used/quarantined counters. Shared by the live stats walk and the sealed
-// audit snapshot.
-func (a *arena) centralStats() []ArenaClassStats {
+// stats snapshots every class's occupancy, including classes that hold no
+// page yet (Pages == 0). Locks are taken one class at a time and the used and
+// quarantined counters move outside them, so under live traffic the split is
+// approximate; exact accounting goes through statsSealed.
+func (a *arena) stats() []ArenaClassStats {
 	out := make([]ArenaClassStats, len(a.classes))
 	for c := range a.classes {
 		cl := &a.classes[c]
@@ -537,11 +493,12 @@ func (a *arena) centralStats() []ArenaClassStats {
 			UsedChunks:        cl.used.Load(),
 			FreeChunks:        int64(len(cl.free)),
 			QuarantinedChunks: cl.quarantined.Load(),
+			UncarvedChunks:    cl.uncarvedLocked(),
 		}
-		// The migrating count must come from the same cl.mu section as pages
-		// and the central freelist: migration completion (pages--, pointer
-		// cleared) and the central sweep both mutate under cl.mu, so reading
-		// here keeps the per-class snapshot internally consistent.
+		// The migrating count must come from the same cl.mu section as pages,
+		// the freelist and the tail: migration completion (pages--, pointer
+		// cleared) and the sweep both mutate under cl.mu, so reading here
+		// keeps the per-class snapshot internally consistent.
 		if m := a.migrating.Load(); m != nil && m.class == c {
 			out[c].MigratingChunks = m.got.Load()
 		}
@@ -550,44 +507,16 @@ func (a *arena) centralStats() []ArenaClassStats {
 	return out
 }
 
-// addStripeStats folds one stripe's cached chunks into out. The caller must
-// hold st.mu.
-func addStripeStats(out []ArenaClassStats, st *arenaStripe) {
-	for c := range st.free {
-		out[c].FreeChunks += int64(len(st.free[c]))
-	}
-}
-
-// stats snapshots every class's occupancy, including classes that have not
-// carved a page yet (Pages == 0). Locks are taken one list at a time, so
-// under live traffic the split is approximate (a chunk in flight between
-// lists can be counted twice or not at all); exact accounting goes through
-// statsSealed.
-func (a *arena) stats() []ArenaClassStats {
-	out := a.centralStats()
-	for i := range a.stripes {
-		st := &a.stripes[i]
-		st.mu.Lock()
-		addStripeStats(out, st)
-		st.mu.Unlock()
-	}
-	return out
-}
-
 // statsSealed snapshots occupancy with every stripe mutex held for the whole
-// walk: alloc, free and — crucially — the drain tick's concurrent reclaim all
-// need a stripe mutex to move a chunk between states, so the sealed snapshot
-// is internally consistent even while the background reclaimer runs. Used by
-// the conservation audit; the live stats verb keeps the cheaper approximate
-// walk.
+// walk: on a store with no traffic the only thing still moving chunks between
+// states is the drain tick's reclaim, which needs a stripe mutex, so the
+// sealed snapshot is internally consistent even while it runs. Used by the
+// conservation audit; the live stats verb keeps the cheaper approximate walk.
 func (a *arena) statsSealed() []ArenaClassStats {
 	for i := range a.stripes {
 		a.stripes[i].mu.Lock()
 	}
-	out := a.centralStats()
-	for i := range a.stripes {
-		addStripeStats(out, &a.stripes[i])
-	}
+	out := a.stats()
 	for i := range a.stripes {
 		a.stripes[i].mu.Unlock()
 	}
@@ -595,25 +524,24 @@ func (a *arena) statsSealed() []ArenaClassStats {
 }
 
 // checkConservation verifies the arena's chunk-conservation invariant on a
-// quiesced store: for every class, every chunk of every carved page is
-// backing a resident value, sitting on a freelist, parked in quarantine, or
-// captured by an in-flight page migration —
-// used + free + quarantined + migrating == pages * chunks-per-page, with no
-// chunk leaked and none double-freed (the migrating term is zero whenever no
-// page is retiring, which restores the classic three-state form). usedWant
-// gives the caller-counted resident chunks per class (from walking the item
-// directory); pass nil to skip that cross-check. The sealed snapshot keeps
-// the check sound even while the bookkeeper's drain tick reclaims — or a
-// migration collects — concurrently.
+// quiesced store: for every class, every chunk of every leased page is
+// backing a resident value, sitting on the freelist, parked in quarantine,
+// captured by an in-flight page migration, or not carved yet —
+// used + free + quarantined + migrating + uncarved == pages * chunks-per-page,
+// with no chunk leaked and none double-freed. usedWant gives the
+// caller-counted resident chunks per class (from walking the item directory);
+// pass nil to skip that cross-check. The sealed snapshot keeps the check sound
+// even while the bookkeeper's drain tick reclaims — or a migration collects —
+// concurrently.
 func (a *arena) checkConservation(usedWant []int64) error {
 	for _, st := range a.statsSealed() {
-		if st.UsedChunks+st.FreeChunks+st.QuarantinedChunks+st.MigratingChunks != st.TotalChunks {
-			return fmt.Errorf("class %d (chunk %d): used %d + free %d + quarantined %d + migrating %d != total %d (%d pages)",
-				st.Class, st.ChunkSize, st.UsedChunks, st.FreeChunks, st.QuarantinedChunks, st.MigratingChunks, st.TotalChunks, st.Pages)
+		if st.UsedChunks+st.FreeChunks+st.QuarantinedChunks+st.MigratingChunks+st.UncarvedChunks != st.TotalChunks {
+			return fmt.Errorf("class %d (chunk %d): used %d + free %d + quarantined %d + migrating %d + uncarved %d != total %d (%d pages)",
+				st.Class, st.ChunkSize, st.UsedChunks, st.FreeChunks, st.QuarantinedChunks, st.MigratingChunks, st.UncarvedChunks, st.TotalChunks, st.Pages)
 		}
-		if st.UsedChunks < 0 || st.FreeChunks < 0 || st.QuarantinedChunks < 0 || st.MigratingChunks < 0 {
-			return fmt.Errorf("class %d: negative occupancy (used %d, free %d, quarantined %d, migrating %d)",
-				st.Class, st.UsedChunks, st.FreeChunks, st.QuarantinedChunks, st.MigratingChunks)
+		if st.UsedChunks < 0 || st.QuarantinedChunks < 0 || st.MigratingChunks < 0 {
+			return fmt.Errorf("class %d: negative occupancy (used %d, quarantined %d, migrating %d)",
+				st.Class, st.UsedChunks, st.QuarantinedChunks, st.MigratingChunks)
 		}
 		if usedWant != nil && st.UsedChunks != usedWant[st.Class] {
 			return fmt.Errorf("class %d: arena counts %d used chunks, directory holds %d",

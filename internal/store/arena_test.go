@@ -61,9 +61,8 @@ func auditArena(t *testing.T, s *Store, tenant string) {
 
 // drainQuarantine forces one full epoch-reclaim cycle on a quiesced store
 // and checks the quarantine empties: with no reader pinned, a single epoch
-// advance must make every parked chunk reclaimable. This is the third leg of
-// the three-state invariant — quarantined chunks are a transient state, not
-// a leak.
+// advance must make every parked chunk reclaimable: quarantined chunks are a
+// transient state of the conservation invariant, not a leak.
 func drainQuarantine(t *testing.T, s *Store, tenant string) {
 	t.Helper()
 	e, ok := s.entry(tenant)
@@ -144,9 +143,10 @@ func arenaStormOps(t *testing.T, s *Store, tenant string, rng *rand.Rand, ops in
 
 // TestArenaConservationProperty is the arena's safety net: after a
 // randomized storm of set / cross-class re-set / append / prepend / delete /
-// expire / flush traffic, every chunk of every carved page must be either
-// backing a resident value, sitting on a freelist, or parked in epoch
-// quarantine (the three-state invariant: no leak, no double free), every
+// expire / flush traffic, every chunk of every leased page must be either
+// backing a resident value, sitting on its class's freelist, parked in epoch
+// quarantine or not carved yet (used + free + quarantined + migrating +
+// uncarved == pages * chunks-per-page: no leak, no double free), every
 // resident chunk's capacity must match its class, and UsedBytes must still
 // equal the live records' structural charge — in both bookkeeping modes.
 // A forced epoch advance on the quiesced store must then drain the
@@ -302,15 +302,15 @@ func TestArenaChunkMisfreePanics(t *testing.T) {
 
 // TestArenaRecycling pins the recycle-don't-free discipline at the arena
 // level: a burst of allocations followed by frees and an identical second
-// burst must not carve new pages — the second burst is served entirely from
-// the freelists.
+// burst must not lease new pages — the second burst is served entirely from
+// the freelist.
 func TestArenaRecycling(t *testing.T) {
 	geom := slab.DefaultGeometry()
 	a := newArena(geom, 8, newPageAllocator(geom.PageSize), "t")
 	class, _ := a.classFor(200)
 	var chunks [][]byte
 	for i := 0; i < 5000; i++ {
-		chunks = append(chunks, a.alloc(i%8, class))
+		chunks = append(chunks, a.alloc(class))
 	}
 	pagesAfterFirst := a.stats()[class].Pages
 	if pagesAfterFirst == 0 {
@@ -321,7 +321,7 @@ func TestArenaRecycling(t *testing.T) {
 	}
 	chunks = chunks[:0]
 	for i := 0; i < 5000; i++ {
-		chunks = append(chunks, a.alloc((i+3)%8, class))
+		chunks = append(chunks, a.alloc(class))
 	}
 	st := a.stats()[class]
 	if st.Pages != pagesAfterFirst {
@@ -459,4 +459,152 @@ func TestArenaReadersVsFrees(t *testing.T) {
 			auditArena(t, s, "app")
 		})
 	}
+}
+
+// keysOnEveryShard returns perShard keys for each of the tenant's value
+// shards, so a test's traffic reaches every arena stripe.
+func keysOnEveryShard(e *tenantEntry, perShard int) [][]byte {
+	need := make([]int, len(e.shards))
+	var keys [][]byte
+	for i := 0; len(keys) < perShard*len(e.shards); i++ {
+		key := []byte(fmt.Sprintf("res-%d", i))
+		if idx := shardFor(e, key).idx; need[idx] < perShard {
+			need[idx]++
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}
+
+// TestArenaLeasesFollowResidency pins the arena's footprint to what the
+// tenant stores: a 2 MiB tenant at the default 64 shards is filled past
+// capacity with 20-30 KiB values on keys that reach every shard, then churned
+// with overwrites, deletes and the evictions they force. However the chunks
+// moved between shards, every class must hold no more pages than its peak
+// resident chunks needed plus one, and the tenant no more than the lease
+// count a resized tenant is shrunk to. Chunks cached per shard, or pages
+// leased while freed chunks sat on other shards, fail it.
+func TestArenaLeasesFollowResidency(t *testing.T) {
+	for _, syncBk := range []bool{true, false} {
+		name := "async"
+		if syncBk {
+			name = "sync"
+		}
+		t.Run(name, func(t *testing.T) {
+			const reservation = 2 << 20
+			s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: syncBk})
+			defer s.Close()
+			if err := s.RegisterTenant("app", reservation); err != nil {
+				t.Fatal(err)
+			}
+			e, _ := s.entry("app")
+			keys := keysOnEveryShard(e, 3)
+			peak := make([]int64, e.arena.geom.NumClasses())
+			sample := func() {
+				for _, st := range e.arena.stats() {
+					peak[st.Class] = max(peak[st.Class], st.UsedChunks)
+				}
+			}
+			rng := rand.New(rand.NewSource(7))
+			payload := make([]byte, 30<<10)
+			sets := 0
+			store := func(key []byte) {
+				// Admission may bounce a set under pressure; that is an
+				// outcome, not a failure.
+				_ = s.SetItemBytes("app", key, payload[:20<<10+rng.Intn(10<<10)], 0, 0)
+				sample()
+				// Residency only tracks the reservation as closely as the
+				// bookkeeper's evictions track the admissions: settle like a
+				// client that pipelines eight deep.
+				if sets++; sets%8 == 0 {
+					s.Flush()
+				}
+			}
+			for _, key := range keys {
+				store(key)
+			}
+			for i := 0; i < 4000; i++ {
+				key := keys[rng.Intn(len(keys))]
+				switch r := rng.Intn(100); {
+				case r < 60:
+					store(key)
+				case r < 75:
+					if _, err := s.Delete("app", string(key)); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if v, _, err := s.GetItemView("app", key); err != nil {
+						t.Fatal(err)
+					} else {
+						v.Release()
+					}
+				}
+			}
+			s.Flush()
+			auditArena(t, s, "app")
+			assertPagesFollowPeak(t, "app", e.arena.stats(), peak)
+			leases := s.PageStats().Leases["app"]
+			if target := e.physicalTargetPages(reservation); leases > target {
+				t.Errorf("tenant leases %d pages for a %d-byte reservation, want <= %d", leases, reservation, target)
+			}
+		})
+	}
+}
+
+// assertPagesFollowPeak checks every class against
+// pages <= ceil(peak used chunks / chunks-per-page) + 1.
+func assertPagesFollowPeak(t *testing.T, tenant string, classes []ArenaClassStats, peak []int64) {
+	t.Helper()
+	for _, st := range classes {
+		if st.Pages == 0 {
+			continue
+		}
+		perPage := st.TotalChunks / st.Pages
+		if limit := (peak[st.Class]+perPage-1)/perPage + 1; st.Pages > limit {
+			t.Errorf("%s class %d (chunk %d): %d pages leased for a peak of %d used chunks (%d per page), want <= %d",
+				tenant, st.Class, st.ChunkSize, st.Pages, peak[st.Class], perPage, limit)
+		}
+	}
+}
+
+// TestArenaQuarantineBoundedInBytes pins the quarantine high-water mark to
+// bytes: a synchronous store has no drain tick, so the freeing caller's
+// inline reclaim is the only thing that bounds what deferred frees park. All
+// traffic lands on one stripe, inside capacity so no alloc ever runs dry and
+// harvests, and overwrites 30 KiB values; with no reader pinned the stripe
+// may never hold more than the high-water mark.
+func TestArenaQuarantineBoundedInBytes(t *testing.T) {
+	s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	defer s.Close()
+	if err := s.RegisterTenant("app", 16<<20); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := s.entry("app")
+	var keys [][]byte
+	for i := 0; len(keys) < 32; i++ {
+		if key := []byte(fmt.Sprintf("big-%d", i)); shardFor(e, key).idx == 0 {
+			keys = append(keys, key)
+		}
+	}
+	payload := make([]byte, 30<<10)
+	class, _ := e.arena.classFor(int64(len(keys[0]) + len(payload)))
+	chunkSize := e.arena.geom.ChunkSize(class)
+	var worst int64
+	for i := 0; i < 1000; i++ {
+		if err := s.SetItemBytes("app", keys[i%len(keys)], payload, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := s.ReclaimStats("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst = max(worst, rs.QuarantinedChunks*chunkSize)
+	}
+	if worst > quarantineHighWaterBytes {
+		t.Fatalf("one stripe's quarantine reached %d bytes of %d-byte chunks, want <= %d", worst, chunkSize, quarantineHighWaterBytes)
+	}
+	if worst == 0 {
+		t.Fatal("no overwrite ever left a chunk in quarantine")
+	}
+	auditArena(t, s, "app")
 }

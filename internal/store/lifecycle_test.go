@@ -12,10 +12,12 @@ import (
 )
 
 // TestArenaConservationDuringMigration drives one page retirement by hand at
-// the arena level and audits the four-state conservation invariant at every
-// intermediate step: after publish, after the freelist sweep (chunks parked
-// in the migrating state), with the remainder in quarantine, and after the
-// final capture returns the page to the process pool.
+// the arena level and audits the five-state conservation invariant at every
+// intermediate step: after publish, after the sweep (free chunks and the
+// uncarved remainder parked in the migrating state), with the rest in
+// quarantine, and after the final capture returns the page to the process
+// pool. The retiring page is the class's newest, half carved, so it holds
+// chunks in every state a page can.
 func TestArenaConservationDuringMigration(t *testing.T) {
 	geom := slab.DefaultGeometry()
 	pa := newPageAllocator(geom.PageSize)
@@ -23,11 +25,12 @@ func TestArenaConservationDuringMigration(t *testing.T) {
 	class, _ := a.classFor(200)
 	perPage := int(geom.PageSize / geom.ChunkSize(class))
 
-	// Carve three pages' worth of chunks, then free a third of them so the
-	// retiring page holds a mix of used, stripe-cached and quarantined chunks.
-	chunks := make([][]byte, 3*perPage)
+	// Two and a half pages' worth of chunks, then a third of them freed and
+	// recycled onto the freelist: the newest page holds used, free and
+	// uncarved chunks.
+	chunks := make([][]byte, 2*perPage+perPage/2)
 	for i := range chunks {
-		chunks[i] = a.alloc(i%4, class)
+		chunks[i] = a.alloc(class)
 	}
 	for i := range chunks {
 		if i%3 == 0 {
@@ -35,28 +38,45 @@ func TestArenaConservationDuringMigration(t *testing.T) {
 			chunks[i] = nil
 		}
 	}
+	a.advanceEpoch()
+	a.reclaim()
 	if err := a.checkConservation(nil); err != nil {
 		t.Fatalf("before migration: %v", err)
+	}
+	uncarved := a.stats()[class].UncarvedChunks
+	if want := int64(perPage - perPage/2); uncarved != want {
+		t.Fatalf("newest page has %d uncarved chunks, want %d", uncarved, want)
 	}
 	pagesBefore := pa.leaseCount("t")
 
 	pages := a.pageRanges()
-	if len(pages) < 3 {
-		t.Fatalf("carved %d pages, want >= 3", len(pages))
+	if len(pages) != 3 {
+		t.Fatalf("leased %d pages, want 3", len(pages))
 	}
-	m := a.startMigration(pages[0])
+	m := a.startMigration(pages[2])
 	if err := a.checkConservation(nil); err != nil {
 		t.Fatalf("after publish: %v", err)
 	}
 
-	// Sweep the freelists: idle chunks of the page move to the migrating
-	// state; the invariant must hold with the migration partially filled.
+	// Sweep: the page's free chunks and its uncarved remainder move to the
+	// migrating state; the invariant must hold with the migration partially
+	// filled.
 	a.migrationSweep(m)
-	if m.got.Load() == int64(perPage) {
-		t.Fatal("sweep alone completed the migration; the page held no used chunks")
+	if got := m.got.Load(); got <= uncarved || got == int64(perPage) {
+		t.Fatalf("sweep captured %d of %d chunks, want the %d uncarved ones, some free ones and no used one", got, perPage, uncarved)
+	}
+	if st := a.stats()[class]; st.UncarvedChunks != 0 || st.MigratingChunks != m.got.Load() {
+		t.Fatalf("after sweep: %d uncarved, %d migrating, want 0 and %d", st.UncarvedChunks, st.MigratingChunks, m.got.Load())
 	}
 	if err := a.checkConservation(nil); err != nil {
 		t.Fatalf("mid-migration after sweep: %v", err)
+	}
+	// An alloc mid-migration must not land on the retiring page, and with
+	// its tail captured the class goes back to its freelist.
+	if c := a.alloc(class); m.contains(c) {
+		t.Fatal("alloc handed out a chunk of the retiring page")
+	} else {
+		a.freeChunk(0, class, c)
 	}
 
 	// Free every remaining chunk. The retiring page's chunks retire into
@@ -73,7 +93,7 @@ func TestArenaConservationDuringMigration(t *testing.T) {
 
 	// Drain: epoch advances let the reclaim redirect hand the page's
 	// quarantined chunks to the migration; the sweep re-captures anything
-	// that had already landed back on a freelist.
+	// that had already landed back on the freelist.
 	for i := 0; i < 10 && a.migrating.Load() != nil; i++ {
 		a.advanceEpoch()
 		a.reclaim()

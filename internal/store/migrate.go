@@ -14,8 +14,9 @@ package store
 //  2. PUBLISH — the migration record (class + page address range) is stored
 //              in arena.migrating. From this instant the alloc intercept
 //              guarantees no chunk of the page is ever handed out again.
-//  3. SWEEP  — the page's chunks sitting idle on the central freelist and
-//              the stripe caches are captured (under the respective locks).
+//  3. SWEEP  — the page's chunks sitting idle on the class freelist, and
+//              its uncarved remainder if it is the class's newest page, are
+//              captured under the class mutex.
 //  4. EVICT  — residents still on the page are evicted through the normal
 //              per-shard event buffers (evMigrate), so queues, UsedBytes and
 //              the conservation audit stay exact; their chunks retire into
@@ -28,10 +29,11 @@ package store
 //              class drops the page (pages--, buffer untracked) and the raw
 //              page returns to the process-wide pageAllocator.
 //
-// Chunks captured by a migration form the fourth accounting state; every
+// Chunks captured by a migration form their own accounting state; every
 // transition into it happens under the lock that guards the state the chunk
-// leaves (stripe mutex or central mutex), which is what keeps the sealed
-// conservation audit exact mid-migration.
+// leaves (stripe mutex for quarantine, class mutex for the freelist and the
+// uncarved tail), which is what keeps the sealed conservation audit exact
+// mid-migration.
 
 import (
 	"sort"
@@ -44,7 +46,7 @@ type migration struct {
 	class  int
 	lo, hi uintptr // the retiring page's address range [lo, hi)
 	buf    []byte  // the raw page, returned to the pool on completion
-	want   int64   // chunks carved from the page (chunks-per-page)
+	want   int64   // chunks the page holds, carved or not (chunks-per-page)
 	got    atomic.Int64
 	done   atomic.Bool // latches the single completion
 }
@@ -56,7 +58,7 @@ func sliceBase(b []byte) uintptr {
 	return uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 }
 
-// contains reports whether chunk was carved from the retiring page.
+// contains reports whether chunk lies in the retiring page.
 func (m *migration) contains(chunk []byte) bool {
 	p := sliceBase(chunk)
 	return p >= m.lo && p < m.hi
@@ -102,41 +104,30 @@ func (a *arena) startMigration(pr pageRange) *migration {
 }
 
 // migrationSweep captures the retiring page's chunks currently sitting idle
-// on the central freelist and the stripe caches. It is cheap and idempotent;
-// the driver re-runs it every tick while the migration is in flight so a
-// chunk that was in flight between freelists during one pass is caught by a
-// later one.
+// on the class freelist, and its uncarved remainder. It is cheap and
+// idempotent; the driver re-runs it every tick while the migration is in
+// flight so a chunk that reached the freelist after one pass is caught by a
+// later one. m.got is bumped inside the cl.mu section so the sealed audit
+// never observes a chunk in neither state.
 func (a *arena) migrationSweep(m *migration) {
 	cl := &a.classes[m.class]
 	cl.mu.Lock()
-	cl.free = m.captureFrom(cl.free)
-	cl.mu.Unlock()
-	for i := range a.stripes {
-		st := &a.stripes[i]
-		st.mu.Lock()
-		st.free[m.class] = m.captureFrom(st.free[m.class])
-		st.mu.Unlock()
-	}
-	a.maybeFinishMigration(m)
-}
-
-// captureFrom filters the retiring page's chunks out of one freelist,
-// crediting them to the migration. The caller must hold the lock guarding
-// the list — m.got is bumped inside that critical section so the sealed
-// audit never observes a chunk in neither state.
-func (m *migration) captureFrom(list [][]byte) [][]byte {
-	kept := list[:0]
-	for _, c := range list {
+	kept := cl.free[:0]
+	for _, c := range cl.free {
 		if m.contains(c) {
 			m.got.Add(1)
 			continue
 		}
 		kept = append(kept, c)
 	}
-	for i := len(kept); i < len(list); i++ {
-		list[i] = nil
+	clear(cl.free[len(kept):])
+	cl.free = kept
+	if len(cl.tail) > 0 && m.contains(cl.tail) {
+		m.got.Add(cl.uncarvedLocked())
+		cl.tail = nil
 	}
-	return kept
+	cl.mu.Unlock()
+	a.maybeFinishMigration(m)
 }
 
 // maybeFinishMigration completes the retirement once every chunk of the page
@@ -226,9 +217,9 @@ func (e *tenantEntry) reconfigureTick() bool {
 
 // physicalStep advances (or starts) page retirement toward the target lease
 // count by at most one page, reporting whether physical work remains. Each
-// call re-sweeps the freelists — catching chunks that were in flight between
-// lists during an earlier pass — evicts any residents still on the page, and
-// gives quarantined stragglers an epoch tick to drain.
+// call re-sweeps the freelist — catching chunks that reached it after an
+// earlier pass — evicts any residents still on the page, and gives
+// quarantined stragglers an epoch tick to drain.
 func (e *tenantEntry) physicalStep(target int64) bool {
 	a := e.arena
 	m := a.migrating.Load()
@@ -348,27 +339,13 @@ func (a *arena) usedChunks() int64 {
 
 // releaseAll returns every page to the process pool. Only legal once the
 // arena is fully drained: no resident chunks, nothing quarantined, no
-// migration in flight — i.e. every chunk is back on a freelist and no reader
+// migration in flight — i.e. every chunk is free or uncarved and no reader
 // can hold a pinned view (the delete teardown waits for exactly that).
 func (a *arena) releaseAll() {
-	for i := range a.stripes {
-		st := &a.stripes[i]
-		st.mu.Lock()
-		for c := range st.free {
-			for j := range st.free[c] {
-				st.free[c][j] = nil
-			}
-			st.free[c] = nil
-		}
-		st.mu.Unlock()
-	}
 	for c := range a.classes {
 		cl := &a.classes[c]
 		cl.mu.Lock()
-		for i := range cl.free {
-			cl.free[i] = nil
-		}
-		cl.free = nil
+		cl.free, cl.tail = nil, nil
 		bufs := cl.pageBufs
 		cl.pageBufs = nil
 		cl.pages = 0

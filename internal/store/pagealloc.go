@@ -4,7 +4,7 @@ package store
 // Every tenant arena used to conjure its own 1 MiB pages with make(), which
 // made "move a page from tenant A to tenant B" meaningless — there was no
 // shared pool to move it through. Now one pageAllocator per Store owns every
-// raw page; arenas lease pages when a class's central freelist runs dry and
+// raw page; arenas lease pages when a class has no free or uncarved chunk and
 // return them when a page migration retires a page or a deleted tenant's
 // quarantine drains. Returned pages go on a free pool and are re-leased
 // before any new page is made, so tenant churn recycles physical memory
@@ -12,7 +12,7 @@ package store
 // a recycled page's stale bytes are never observable).
 //
 // Lock order: pa.mu is a leaf below every other lock in the store — lease and
-// release are called while holding a stripe or central mutex and never call
+// release are called while holding a stripe or class mutex and never call
 // out, so the order cannot invert.
 
 import "sync"

@@ -281,7 +281,7 @@ func shardFor[K ~string | ~[]byte](e *tenantEntry, key K) *valueShard {
 // layout) fall back to the heap. The caller must hold sh.mu.
 func (e *tenantEntry) newValueLocked(sh *valueShard, size int64, vlen int) []byte {
 	if class, ok := e.arena.classFor(size); ok {
-		return e.arena.alloc(sh.idx, class)[:vlen]
+		return e.arena.alloc(class)[:vlen]
 	}
 	return make([]byte, vlen)
 }
@@ -1242,10 +1242,10 @@ func (s *Store) Stats(tenant string) (TenantStats, error) {
 }
 
 // SlabStats returns the tenant's per-class arena occupancy: chunk size,
-// carved pages, and used/free/quarantined chunk counts (the data behind the
-// protocol's "stats slabs"). Under live traffic the split is approximate; on
-// a quiesced store used + free + quarantined == pages * chunks-per-page
-// exactly.
+// leased pages, and used/free/quarantined/migrating/uncarved chunk counts
+// (the data behind the protocol's "stats slabs"). Under live traffic the
+// split is approximate; on a quiesced store the five states sum to
+// pages * chunks-per-page exactly.
 func (s *Store) SlabStats(tenant string) ([]ArenaClassStats, error) {
 	e, ok := s.entry(tenant)
 	if !ok {
@@ -1332,10 +1332,12 @@ func (s *Store) UsedBytes(tenant string) (int64, error) {
 
 // AuditConservation verifies the tenant's arena chunk-conservation
 // invariant against a walk of the item directory: every chunk of every
-// carved page is backing a resident value, sitting on a freelist, parked in
-// quarantine, or captured by an in-flight page migration; the arena's used
-// counts match the directory walk; and UsedBytes matches the structural
-// charge of the resident records. In-flight bookkeeping is settled first.
+// leased page is backing a resident value, sitting on its class's freelist,
+// parked in quarantine, captured by an in-flight page migration, or not
+// carved yet (used + free + quarantined + migrating + uncarved ==
+// pages * chunks-per-page); the arena's used counts match the directory
+// walk; and UsedBytes matches the structural charge of the resident records.
+// In-flight bookkeeping is settled first.
 // The caller must quiesce traffic on the tenant — the walk takes each shard
 // lock in turn, so concurrent mutations would make the cross-shard totals
 // approximate. The chaos and shutdown suites run this after every fault
