@@ -69,17 +69,18 @@ conformance:
 # alloccheck runs the testing.AllocsPerRun gates that pin the hot-path
 # allocation floors (GetItemView hit = 0 through protocol+server+store with
 # the value streamed zero-copy from an epoch-pinned arena view; GetItemView
-# miss = 0 — the lookup event's key rides a pooled per-shard buffer;
+# miss = 0 — the lookup event carries no key;
 # SetItemBytes, cross-class re-set and AppendBytes/PrependBytes = 0 — value
 # chunks recycled through the slab arena, item records pooled per shard;
 # SetItemBytes+Delete churn <= 1; the bookkeeper's sweep = 0 — buffers stolen
 # and handed back, ordered in kept scratch; streaming client pipelined GET
 # <= 1 amortized over a real socket; a tenant switch between registered
-# tenants = 0 in the server, switch + GET <= 1 through client and server). An
-# accidental allocation on the mutation path fails the build, not a future
-# benchmark run.
+# tenants = 0 in the server, switch + GET <= 1 through client and server; in a
+# full, split class queue a hit = 0 and an evicting admission <= 1, the
+# victims it returns). An accidental allocation on the mutation path fails the
+# build, not a future benchmark run.
 alloccheck:
-	$(GO) test -count=1 -run 'TestAllocGate' -v ./internal/server/ ./internal/store/ ./internal/client/
+	$(GO) test -count=1 -run 'TestAllocGate' -v ./internal/server/ ./internal/store/ ./internal/client/ ./internal/core/
 
 # fuzz gives each protocol fuzz target a short budget; CI runs the seed
 # corpus via plain `go test`.

@@ -89,7 +89,7 @@ func main() {
 		rate      = flag.Float64("rate", 0, "open-loop injection rate in req/s (0 = closed loop)")
 		verify    = flag.Bool("verify", false, "cross-check wire-replay hit rates against internal/sim and exit")
 		tolerance = flag.Float64("tolerance", 0.02, "largest acceptable per-app |wire-sim| hit-rate delta for -verify")
-		modeFlag  = flag.String("mode", "cliffhanger", "allocation mode for -verify: default, cliffhanger, static, global-lru, memshare")
+		modeFlag  = flag.String("mode", "cliffhanger", "allocation mode for -verify: default, cliffhanger, global-lru, memshare")
 		hitrate   = flag.String("hitrate-json", "", "run the default/cliffhanger/memshare head-to-head over the wire, write per-app + aggregate hit rates to this JSON file, and exit")
 		hitGate   = flag.Bool("hitrate-gate", false, "with -hitrate-json: exit non-zero unless memshare's wire aggregate beats the cliffhanger static split")
 		printTen  = flag.Bool("print-tenants", false, "print the cliffhangerd -tenants value for the chosen trace and exit")
@@ -738,12 +738,16 @@ func runHitrate(logger *log.Logger, spec string, opts workload.Options, path str
 
 func parseMode(s string) (store.AllocationMode, error) {
 	for _, m := range []store.AllocationMode{
-		store.AllocDefault, store.AllocCliffhanger, store.AllocStatic,
-		store.AllocGlobalLRU, store.AllocMemshare,
+		store.AllocDefault, store.AllocCliffhanger, store.AllocGlobalLRU, store.AllocMemshare,
 	} {
 		if m.String() == s {
 			return m, nil
 		}
+	}
+	if s == store.AllocStatic.String() {
+		// A tenant registered by name and size has no per-class budgets, and a
+		// static tenant without them holds one item per class.
+		return 0, fmt.Errorf("allocation mode %q exists for the simulator's solver baseline only", s)
 	}
 	return 0, fmt.Errorf("unknown allocation mode %q", s)
 }

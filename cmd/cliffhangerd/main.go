@@ -104,7 +104,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:11211", "TCP listen address")
 		tenants   = flag.String("tenants", "default:64", "comma-separated name:MB tenant reservations")
-		mode      = flag.String("mode", "cliffhanger", "allocation mode: default, cliffhanger, static, global-lru, memshare")
+		mode      = flag.String("mode", "cliffhanger", "allocation mode: default, cliffhanger, global-lru, memshare")
 		arbIntv   = flag.Duration("arbiter-interval", time.Second, "cross-tenant arbiter tick period for memshare mode (0 disables the background arbiter)")
 		policy    = flag.String("policy", "lru", "eviction policy for non-cliffhanger modes: lru, lfu, arc, facebook")
 		shards    = flag.Int("shards", 0, "value shards per tenant (0 = default)")
@@ -241,12 +241,16 @@ func parseTenants(s string) ([]tenantSpec, error) {
 
 func parseMode(s string) (store.AllocationMode, error) {
 	for _, m := range []store.AllocationMode{
-		store.AllocDefault, store.AllocCliffhanger, store.AllocStatic,
-		store.AllocGlobalLRU, store.AllocMemshare,
+		store.AllocDefault, store.AllocCliffhanger, store.AllocGlobalLRU, store.AllocMemshare,
 	} {
 		if m.String() == s {
 			return m, nil
 		}
+	}
+	if s == store.AllocStatic.String() {
+		// A tenant registered by name and size has no per-class budgets, and a
+		// static tenant without them holds one item per class.
+		return 0, fmt.Errorf("allocation mode %q exists for the simulator's solver baseline only", s)
 	}
 	return 0, fmt.Errorf("unknown allocation mode %q", s)
 }

@@ -13,11 +13,11 @@ package cache
 type FacebookLRU struct {
 	capacity int64
 	used     int64
-	ll       *list
-	items    map[string]*node
+	ll       *List
+	items    map[string]*Node
 	// mid points at the first node of the bottom half (nil when the bottom
 	// half is empty); belowMid counts the nodes in the bottom half.
-	mid      *node
+	mid      *Node
 	belowMid int
 }
 
@@ -31,8 +31,8 @@ const (
 func NewFacebookLRU(capacity int64) *FacebookLRU {
 	return &FacebookLRU{
 		capacity: capacity,
-		ll:       newList(),
-		items:    make(map[string]*node),
+		ll:       NewList(),
+		items:    make(map[string]*Node),
 	}
 }
 
@@ -47,7 +47,7 @@ func (f *FacebookLRU) Access(key string, cost int64) (bool, []Victim) {
 	if cost > f.capacity {
 		return false, []Victim{{Key: key, Cost: cost}}
 	}
-	n := &node{key: key, cost: cost}
+	n := &Node{Key: key, Cost: cost}
 	f.items[key] = n
 	f.insertAtMid(n)
 	f.used += cost
@@ -92,33 +92,27 @@ func (f *FacebookLRU) Len() int { return f.ll.Len() }
 
 // Keys returns keys from most to least recently used position. Intended for
 // tests.
-func (f *FacebookLRU) Keys() []string {
-	keys := make([]string, 0, f.ll.Len())
-	for n := f.ll.Front(); n != nil && n != &f.ll.root; n = n.next {
-		keys = append(keys, n.key)
-	}
-	return keys
-}
+func (f *FacebookLRU) Keys() []string { return f.ll.Keys() }
 
 // BottomHalfLen reports the number of entries currently in the probation
 // (bottom) half. Intended for tests.
 func (f *FacebookLRU) BottomHalfLen() int { return f.belowMid }
 
 // promote moves a re-referenced entry to the very top of the queue.
-func (f *FacebookLRU) promote(n *node) {
-	if n.aux == fbBottomHalf {
+func (f *FacebookLRU) promote(n *Node) {
+	if n.Aux == fbBottomHalf {
 		f.belowMid--
 		if f.mid == n {
 			f.mid = f.nextNode(n)
 		}
-		n.aux = fbTopHalf
+		n.Aux = fbTopHalf
 	}
 	f.ll.MoveToFront(n)
 }
 
 // insertAtMid places a first-time entry at the current mid-point.
-func (f *FacebookLRU) insertAtMid(n *node) {
-	n.aux = fbBottomHalf
+func (f *FacebookLRU) insertAtMid(n *Node) {
+	n.Aux = fbBottomHalf
 	if f.mid == nil {
 		f.ll.PushBack(n)
 	} else {
@@ -146,7 +140,7 @@ func (f *FacebookLRU) rebalance() {
 		if prev == nil {
 			break
 		}
-		prev.aux = fbBottomHalf
+		prev.Aux = fbBottomHalf
 		f.mid = prev
 		f.belowMid++
 	}
@@ -155,26 +149,23 @@ func (f *FacebookLRU) rebalance() {
 			f.belowMid = 0
 			break
 		}
-		f.mid.aux = fbTopHalf
+		f.mid.Aux = fbTopHalf
 		f.mid = f.nextNode(f.mid)
 		f.belowMid--
 	}
 }
 
 // nextNode returns the node after n, or nil at the tail.
-func (f *FacebookLRU) nextNode(n *node) *node {
+func (f *FacebookLRU) nextNode(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
-	if n.next == &f.ll.root {
-		return nil
-	}
-	return n.next
+	return f.ll.Next(n)
 }
 
 // prevNode returns the node before n, or the tail when n is nil, or nil at
 // the head.
-func (f *FacebookLRU) prevNode(n *node) *node {
+func (f *FacebookLRU) prevNode(n *Node) *Node {
 	if n == nil {
 		return f.ll.Back()
 	}
@@ -190,20 +181,20 @@ func (f *FacebookLRU) evictOverflow(victims []Victim) []Victim {
 		if n == nil {
 			break
 		}
-		victims = append(victims, Victim{Key: n.key, Cost: n.cost})
+		victims = append(victims, Victim{Key: n.Key, Cost: n.Cost})
 		f.unlink(n)
 	}
 	return victims
 }
 
-func (f *FacebookLRU) unlink(n *node) {
-	if n.aux == fbBottomHalf {
+func (f *FacebookLRU) unlink(n *Node) {
+	if n.Aux == fbBottomHalf {
 		f.belowMid--
 		if f.mid == n {
 			f.mid = f.nextNode(n)
 		}
 	}
 	f.ll.Remove(n)
-	delete(f.items, n.key)
-	f.used -= n.cost
+	delete(f.items, n.Key)
+	f.used -= n.Cost
 }

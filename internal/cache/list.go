@@ -1,7 +1,23 @@
 // Package cache provides the eviction-queue substrate used by Cliffhanger:
-// an intrusive LRU list, key-only shadow queues, and the baseline eviction
-// policies the paper compares against (LFU, ARC, and Facebook's mid-point
-// insertion scheme).
+// one intrusive recency list (List, Node) and the queues built on it.
+//
+// What each type is for:
+//
+//   - List and Node are the only linked list in the repository. LRU and
+//     FacebookLRU link their entries with it, and so does core.Queue, whose
+//     eight segments (front, tail window, cliff shadow and hill shadow of two
+//     partitions) are Lists over nodes that the queue's one index owns.
+//   - LRU is the eviction queue of the unmanaged allocation modes (default,
+//     static, global-LRU: one LRU per slab class, or one per tenant) and the
+//     building block of ARC. It has its own index and recycles its own nodes.
+//     The Cliffhanger-managed modes do not use it.
+//   - LFU, ARC and FacebookLRU are the baseline policies the paper compares
+//     against, behind the Policy interface.
+//   - Shadow is a stand-alone key-only queue. The product no longer uses it:
+//     a managed queue's shadow segments are Lists in core.Queue. It stays
+//     because the repository benchmark's cache.shadow_access_ns row is pinned
+//     to NewShadow, Push and Hit, so that row now times a type no request
+//     touches; the next benchmark change should re-point it at core.Queue.
 //
 // All queues in this package account capacity in abstract "cost" units. For
 // slab-class queues the cost of an entry is usually 1 (item counting, as in
@@ -12,36 +28,40 @@
 // (internal/store, internal/sim) provide their own locking.
 package cache
 
-// node is an intrusive doubly-linked list element holding one cache entry.
-type node struct {
-	prev, next *node
-	key        string
-	cost       int64
-	// aux is scratch space for policies that need per-entry metadata
-	// (e.g. LFU frequency, Facebook first-hit marker).
-	aux int64
+// Node is an intrusive doubly-linked list element holding one cache entry.
+// Whoever indexes the entry owns the node: it may be unlinked from one List
+// and linked into another, keeping its identity.
+type Node struct {
+	prev, next *Node
+	Key        string
+	Cost       int64
+	// Aux is scratch space for the owner's per-entry metadata (the Facebook
+	// policy's half marker, the segment a core.Queue entry is linked in).
+	Aux int64
 }
 
-// list is a doubly-linked list with a sentinel root, modelled after
-// container/list but specialized to *node to avoid interface allocations on
-// the hot path.
-type list struct {
-	root node
+// List is a doubly-linked list with a sentinel root, modelled after
+// container/list but specialized to *Node to avoid interface allocations on
+// the hot path. It keeps order only; capacity and cost accounting belong to
+// the queue that owns it.
+type List struct {
+	root Node
 	len  int
 }
 
-func newList() *list {
-	l := &list{}
+// NewList returns an empty list.
+func NewList() *List {
+	l := &List{}
 	l.root.prev = &l.root
 	l.root.next = &l.root
 	return l
 }
 
 // Len reports the number of elements in the list.
-func (l *list) Len() int { return l.len }
+func (l *List) Len() int { return l.len }
 
 // Front returns the first element or nil if the list is empty.
-func (l *list) Front() *node {
+func (l *List) Front() *Node {
 	if l.len == 0 {
 		return nil
 	}
@@ -49,7 +69,7 @@ func (l *list) Front() *node {
 }
 
 // Back returns the last element or nil if the list is empty.
-func (l *list) Back() *node {
+func (l *List) Back() *Node {
 	if l.len == 0 {
 		return nil
 	}
@@ -57,17 +77,17 @@ func (l *list) Back() *node {
 }
 
 // PushFront inserts n at the front of the list.
-func (l *list) PushFront(n *node) {
+func (l *List) PushFront(n *Node) {
 	l.insert(n, &l.root)
 }
 
 // PushBack inserts n at the back of the list.
-func (l *list) PushBack(n *node) {
+func (l *List) PushBack(n *Node) {
 	l.insert(n, l.root.prev)
 }
 
 // insert places n after at.
-func (l *list) insert(n, at *node) {
+func (l *List) insert(n, at *Node) {
 	n.prev = at
 	n.next = at.next
 	n.prev.next = n
@@ -76,7 +96,7 @@ func (l *list) insert(n, at *node) {
 }
 
 // Remove unlinks n from the list. n must be an element of the list.
-func (l *list) Remove(n *node) {
+func (l *List) Remove(n *Node) {
 	n.prev.next = n.next
 	n.next.prev = n.prev
 	n.prev = nil
@@ -86,7 +106,7 @@ func (l *list) Remove(n *node) {
 
 // MoveToFront moves n to the front of the list. n must be an element of the
 // list.
-func (l *list) MoveToFront(n *node) {
+func (l *List) MoveToFront(n *Node) {
 	if l.root.next == n {
 		return
 	}
@@ -96,6 +116,25 @@ func (l *list) MoveToFront(n *node) {
 
 // InsertBefore inserts n immediately before mark, which must be an element of
 // the list.
-func (l *list) InsertBefore(n, mark *node) {
+func (l *List) InsertBefore(n, mark *Node) {
 	l.insert(n, mark.prev)
+}
+
+// Next returns the element after n, or nil if n is the last one. n must be an
+// element of the list.
+func (l *List) Next(n *Node) *Node {
+	if n.next == &l.root {
+		return nil
+	}
+	return n.next
+}
+
+// Keys returns the keys of the elements from front to back. It is intended
+// for tests and diagnostics.
+func (l *List) Keys() []string {
+	keys := make([]string, 0, l.len)
+	for n := l.Front(); n != nil; n = l.Next(n) {
+		keys = append(keys, n.Key)
+	}
+	return keys
 }

@@ -15,9 +15,9 @@ type Victim struct {
 type LRU struct {
 	capacity int64
 	used     int64
-	ll       *list
-	items    map[string]*node
-	free     *node // freelist of recycled nodes (singly linked via next)
+	ll       *List
+	items    map[string]*Node
+	free     *Node // freelist of recycled nodes (singly linked via next)
 }
 
 // NewLRU returns an empty LRU queue with the given capacity in cost units.
@@ -25,8 +25,8 @@ type LRU struct {
 func NewLRU(capacity int64) *LRU {
 	return &LRU{
 		capacity: capacity,
-		ll:       newList(),
-		items:    make(map[string]*node),
+		ll:       NewList(),
+		items:    make(map[string]*Node),
 	}
 }
 
@@ -52,38 +52,18 @@ func (l *LRU) Cost(key string) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return n.cost, true
+	return n.Cost, true
 }
-
-// Handle refers to an entry found by Probe. It stays valid until the next
-// call that adds, removes or evicts entries; the zero Handle refers to
-// nothing.
-type Handle struct{ n *node }
-
-// Probe looks up key without updating recency and returns a handle to its
-// entry, so that a caller that decides to promote it does not pay a second
-// map lookup.
-func (l *LRU) Probe(key string) (Handle, bool) {
-	n, ok := l.items[key]
-	return Handle{n}, ok
-}
-
-// Promote moves the entry h refers to to the most-recently-used position.
-func (l *LRU) Promote(h Handle) { l.ll.MoveToFront(h.n) }
 
 // Get looks up key and, if present, promotes it to the most-recently-used
 // position. It reports whether the key was found.
 func (l *LRU) Get(key string) bool {
-	h, ok := l.Probe(key)
+	n, ok := l.items[key]
 	if ok {
-		l.Promote(h)
+		l.ll.MoveToFront(n)
 	}
 	return ok
 }
-
-// Touch promotes key to the most-recently-used position if present, without
-// reporting anything. It is a convenience wrapper around Get.
-func (l *LRU) Touch(key string) { l.Get(key) }
 
 // Add inserts key with the given cost at the most-recently-used position,
 // updating the cost if the key is already present, and returns any entries
@@ -91,8 +71,8 @@ func (l *LRU) Touch(key string) { l.Get(key) }
 // queue's capacity it is not admitted and is returned as its own victim.
 func (l *LRU) Add(key string, cost int64) []Victim {
 	if n, ok := l.items[key]; ok {
-		l.used += cost - n.cost
-		n.cost = cost
+		l.used += cost - n.Cost
+		n.Cost = cost
 		l.ll.MoveToFront(n)
 		return l.evictOverflow(nil)
 	}
@@ -125,18 +105,9 @@ func (l *LRU) RemoveOldest() (Victim, bool) {
 	if n == nil {
 		return Victim{}, false
 	}
-	v := Victim{Key: n.key, Cost: n.cost}
+	v := Victim{Key: n.Key, Cost: n.Cost}
 	l.unlink(n)
 	return v, true
-}
-
-// PeekOldest returns the least-recently-used entry without removing it.
-func (l *LRU) PeekOldest() (Victim, bool) {
-	n := l.ll.Back()
-	if n == nil {
-		return Victim{}, false
-	}
-	return Victim{Key: n.key, Cost: n.cost}, true
 }
 
 // Resize changes the queue capacity and returns entries evicted to fit the
@@ -148,31 +119,7 @@ func (l *LRU) Resize(capacity int64) []Victim {
 
 // Keys returns the keys currently in the queue ordered from most to least
 // recently used. It is intended for tests and diagnostics.
-func (l *LRU) Keys() []string {
-	keys := make([]string, 0, l.ll.Len())
-	for n := l.ll.Front(); n != nil && n != &l.ll.root; n = n.next {
-		keys = append(keys, n.key)
-	}
-	return keys
-}
-
-// TailKeys returns up to n keys from the least-recently-used end, ordered
-// from oldest to newest. It is intended for tests and diagnostics.
-func (l *LRU) TailKeys(n int) []string {
-	keys := make([]string, 0, n)
-	for e := l.ll.Back(); e != nil && e != &l.ll.root && len(keys) < n; e = e.prev {
-		keys = append(keys, e.key)
-	}
-	return keys
-}
-
-// Clear removes every entry from the queue.
-func (l *LRU) Clear() {
-	l.ll = newList()
-	l.items = make(map[string]*node)
-	l.used = 0
-	l.free = nil
-}
+func (l *LRU) Keys() []string { return l.ll.Keys() }
 
 func (l *LRU) evictOverflow(victims []Victim) []Victim {
 	for l.used > l.capacity {
@@ -180,33 +127,33 @@ func (l *LRU) evictOverflow(victims []Victim) []Victim {
 		if n == nil {
 			break
 		}
-		victims = append(victims, Victim{Key: n.key, Cost: n.cost})
+		victims = append(victims, Victim{Key: n.Key, Cost: n.Cost})
 		l.unlink(n)
 	}
 	return victims
 }
 
-func (l *LRU) unlink(n *node) {
+func (l *LRU) unlink(n *Node) {
 	l.ll.Remove(n)
-	delete(l.items, n.key)
-	l.used -= n.cost
+	delete(l.items, n.Key)
+	l.used -= n.Cost
 	l.recycle(n)
 }
 
-func (l *LRU) newNode(key string, cost int64) *node {
+func (l *LRU) newNode(key string, cost int64) *Node {
 	if n := l.free; n != nil {
 		l.free = n.next
 		n.next = nil
-		n.key = key
-		n.cost = cost
-		n.aux = 0
+		n.Key = key
+		n.Cost = cost
+		n.Aux = 0
 		return n
 	}
-	return &node{key: key, cost: cost}
+	return &Node{Key: key, Cost: cost}
 }
 
-func (l *LRU) recycle(n *node) {
-	n.key = ""
+func (l *LRU) recycle(n *Node) {
+	n.Key = ""
 	n.next = l.free
 	l.free = n
 }

@@ -115,48 +115,16 @@ func TestLRURemove(t *testing.T) {
 
 func TestLRUOldestAccessors(t *testing.T) {
 	l := NewLRU(3)
-	if _, ok := l.PeekOldest(); ok {
-		t.Fatalf("PeekOldest on empty queue should report false")
-	}
 	if _, ok := l.RemoveOldest(); ok {
 		t.Fatalf("RemoveOldest on empty queue should report false")
 	}
 	l.Add("a", 1)
 	l.Add("b", 1)
-	if v, ok := l.PeekOldest(); !ok || v.Key != "a" {
-		t.Fatalf("PeekOldest = %v,%v want a", v, ok)
-	}
 	if v, ok := l.RemoveOldest(); !ok || v.Key != "a" {
 		t.Fatalf("RemoveOldest = %v,%v want a", v, ok)
 	}
 	if l.Len() != 1 {
 		t.Fatalf("Len = %d after RemoveOldest, want 1", l.Len())
-	}
-}
-
-func TestLRUTailKeys(t *testing.T) {
-	l := NewLRU(5)
-	for i := 0; i < 5; i++ {
-		l.Add(fmt.Sprintf("k%d", i), 1)
-	}
-	got := l.TailKeys(2)
-	want := []string{"k0", "k1"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("TailKeys(2) = %v, want %v", got, want)
-	}
-}
-
-func TestLRUClear(t *testing.T) {
-	l := NewLRU(5)
-	l.Add("a", 1)
-	l.Add("b", 1)
-	l.Clear()
-	if l.Len() != 0 || l.Used() != 0 || l.Contains("a") {
-		t.Fatalf("Clear did not empty the queue")
-	}
-	l.Add("c", 1)
-	if !l.Contains("c") {
-		t.Fatalf("queue unusable after Clear")
 	}
 }
 

@@ -61,6 +61,3 @@ func (s *Shadow) Capacity() int64 { return s.lru.Capacity() }
 // Keys returns remembered keys from most to least recently evicted. It is
 // intended for tests.
 func (s *Shadow) Keys() []string { return s.lru.Keys() }
-
-// Clear forgets every remembered key.
-func (s *Shadow) Clear() { s.lru.Clear() }

@@ -14,6 +14,13 @@
 // or all applications on a server — exactly as one Cliffhanger instance runs
 // per Memcached server in the paper.
 //
+// A Queue is Figure 5 as drawn: per partition one chain (front, tail window,
+// cliff shadow, hill shadow, forgotten) that a key ages down, and one index
+// over both chains. The segments are cache.List recency lists with a capacity
+// each; a key's node stays the same from admission to removal and is tagged
+// with the segment it is linked in, so a lookup is one map probe and nothing
+// outside the queue ever sees a node die at a segment boundary.
+//
 // None of the types in this package are safe for concurrent use; callers
 // serialize access (the store shards by application and locks per shard).
 package core

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"cliffhanger/internal/cache"
 )
@@ -242,7 +241,7 @@ func (m *Manager) Capacities() map[string]int64 {
 	return out
 }
 
-// Snapshot returns per-queue state ordered by queue ID for stable output.
+// Snapshot returns per-queue state in creation order (see QueueAt).
 func (m *Manager) Snapshot() []QueueSnapshot {
 	out := make([]QueueSnapshot, 0, len(m.queues))
 	for i, q := range m.queues {
@@ -264,7 +263,6 @@ func (m *Manager) Snapshot() []QueueSnapshot {
 			Stats:           q.Stats(),
 		})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
 

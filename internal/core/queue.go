@@ -4,133 +4,66 @@ import (
 	"cliffhanger/internal/cache"
 )
 
-// segment identifies where in a partition's chain a key was found.
-type segment int
-
+// The segments of a partition's chain, in the order a key ages through them.
 const (
-	segMiss segment = iota
+	segNone = iota - 1 // not in the queue at all
 	segFront
-	segTail  // physical hit in the tail window ("left of pointer")
-	segCliff // hit in the cliff-scaling shadow queue ("right of pointer")
-	segHill  // hit in the hill-climbing shadow queue
+	segTail  // the physical tail window ("left of pointer")
+	segCliff // the cliff-scaling shadow queue ("right of pointer")
+	segHill  // the partition's share of the hill-climbing shadow queue
+	numSegs
 )
 
-// partition is one half of a cliff-scaled queue (Figure 5): a physical LRU
-// split into a front segment and a tail window, followed by a short
-// cliff-scaling shadow queue and a share of the hill-climbing shadow queue.
-// Keys cascade down the chain as they age: front -> tail window -> cliff
-// shadow -> hill shadow -> forgotten. Crossing the tail-window boundary is a
-// physical eviction (the caller must drop the value).
+// segment is one capacity-bounded stretch of a partition's chain: a recency
+// list over nodes that the queue's index owns, with the cost it holds.
+type segment struct {
+	list     *cache.List
+	capacity int64
+	used     int64
+}
+
+func (s *segment) pushFront(n *cache.Node) {
+	s.list.PushFront(n)
+	s.used += n.Cost
+}
+
+func (s *segment) remove(n *cache.Node) {
+	s.list.Remove(n)
+	s.used -= n.Cost
+}
+
+// partition is one half of a cliff-scaled queue, drawn in Figure 5 as one
+// chain: the physical queue (a front segment, then the tail window), then the
+// short cliff-scaling shadow queue, then a share of the hill-climbing shadow
+// queue. A key ages down the chain a segment at a time and is forgotten when
+// it falls off the end. Leaving the tail window is a physical eviction (the
+// caller must drop the value); the two shadow segments hold keys only.
 type partition struct {
-	front *cache.LRU
-	tail  *cache.LRU
-	cliff *cache.Shadow
-	hill  *cache.Shadow
+	segs [numSegs]segment
+	// tag is what Node.Aux reads for an entry in this partition's front
+	// segment; the other segments follow (Queue.segmentOf).
+	tag int64
 
 	physCapacity int64 // target capacity of front+tail, in cost units
 	tailCapacity int64 // capacity reserved for the tail window
 }
 
-func newPartition(physCapacity, tailCapacity, cliffCapacity, hillCapacity int64) *partition {
-	if physCapacity < 0 {
-		physCapacity = 0
+func (p *partition) init(tag, physCapacity, tailCapacity, cliffCapacity, hillCapacity int64) {
+	for i := range p.segs {
+		p.segs[i].list = cache.NewList()
 	}
-	frontCap := physCapacity - tailCapacity
-	if frontCap < 0 {
-		frontCap = 0
-	}
-	tailCap := physCapacity - frontCap
-	return &partition{
-		front:        cache.NewLRU(frontCap),
-		tail:         cache.NewLRU(tailCap),
-		cliff:        cache.NewShadow(cliffCapacity),
-		hill:         cache.NewShadow(hillCapacity),
-		physCapacity: physCapacity,
-		tailCapacity: tailCapacity,
-	}
+	p.tag = tag
+	p.tailCapacity = tailCapacity
+	p.segs[segCliff].capacity = cliffCapacity
+	p.segs[segHill].capacity = hillCapacity
+	p.setPhysTargets(physCapacity)
 }
 
-// lookup reports where key currently resides without modifying the chain.
-// For segFront it also returns the front entry's handle, so promote need not
-// probe the front LRU a second time.
-func (p *partition) lookup(key string) (segment, cache.Handle) {
-	if h, ok := p.front.Probe(key); ok {
-		return segFront, h
-	}
-	switch {
-	case p.tail.Contains(key):
-		return segTail, cache.Handle{}
-	case p.cliff.Contains(key):
-		return segCliff, cache.Handle{}
-	case p.hill.Contains(key):
-		return segHill, cache.Handle{}
-	default:
-		return segMiss, cache.Handle{}
-	}
-}
-
-// remove deletes key from whichever segment holds it.
-func (p *partition) remove(key string) bool {
-	return p.front.Remove(key) || p.tail.Remove(key) || p.cliff.Remove(key) || p.hill.Remove(key)
-}
-
-// promote handles a reference to key that was found in segment seg: the key
-// is moved to the front of the physical chain (for segFront a plain LRU
-// promotion of the entry h, which lookup returned, suffices) and overflow
-// cascades down the chain. It returns the keys physically evicted by the
-// cascade.
-func (p *partition) promote(key string, cost int64, seg segment, h cache.Handle) []cache.Victim {
-	switch seg {
-	case segFront:
-		p.front.Promote(h)
-		return nil
-	case segTail:
-		p.tail.Remove(key)
-	case segCliff:
-		p.cliff.Remove(key)
-	case segHill:
-		p.hill.Remove(key)
-	}
-	return p.insert(key, cost)
-}
-
-// insert places key at the head of the physical chain and cascades overflow
-// down the segments, returning physical evictions.
-func (p *partition) insert(key string, cost int64) []cache.Victim {
-	var physical []cache.Victim
-	// If the front segment cannot hold this entry (tiny partitions, or cost
-	// exceeding the front capacity), insert directly into the tail window —
-	// checked up front so the steady-state path never pays front.Add's
-	// rejection-victim allocation.
-	if p.front.Capacity() <= 0 || cost > p.front.Capacity() {
-		overflow := p.tail.Add(key, cost)
-		physical = append(physical, p.cascadeFromTail(overflow)...)
-		return physical
-	}
-	// Normal cascade: front overflow enters the tail window.
-	for _, v := range p.front.Add(key, cost) {
-		ov := p.tail.Add(v.Key, v.Cost)
-		physical = append(physical, p.cascadeFromTail(ov)...)
-	}
-	return physical
-}
-
-// cascadeFromTail handles entries falling out of the tail window: they are
-// physically evicted (reported to the caller) and their keys are remembered
-// by the cliff shadow, whose own overflow flows into the hill shadow.
-func (p *partition) cascadeFromTail(victims []cache.Victim) []cache.Victim {
-	for _, v := range victims {
-		for _, cv := range p.cliff.Push(v.Key, v.Cost) {
-			p.hill.Push(cv.Key, cv.Cost)
-		}
-	}
-	return victims
-}
-
-// setPhysCapacity retargets the partition's physical capacity, keeping the
-// tail window at its configured size, and cascades any overflow. It returns
-// physical evictions.
-func (p *partition) setPhysCapacity(physCapacity int64) []cache.Victim {
+// setPhysTargets records a new physical capacity and divides it between the
+// front segment and the tail window, which keeps its configured size as long
+// as the partition is at least that large. Nothing moves until the segments
+// are drained.
+func (p *partition) setPhysTargets(physCapacity int64) {
 	if physCapacity < 0 {
 		physCapacity = 0
 	}
@@ -139,46 +72,27 @@ func (p *partition) setPhysCapacity(physCapacity int64) []cache.Victim {
 	if frontCap < 0 {
 		frontCap = 0
 	}
-	tailCap := physCapacity - frontCap
-	var physical []cache.Victim
-	// Shrink the tail first so front overflow has room to cascade sanely.
-	for _, v := range p.tail.Resize(tailCap) {
-		physical = append(physical, v)
-		for _, cv := range p.cliff.Push(v.Key, v.Cost) {
-			p.hill.Push(cv.Key, cv.Cost)
-		}
-	}
-	for _, v := range p.front.Resize(frontCap) {
-		ov := p.tail.Add(v.Key, v.Cost)
-		physical = append(physical, p.cascadeFromTail(ov)...)
-	}
-	return physical
-}
-
-// setHillCapacity retargets the partition's share of the hill-climbing
-// shadow queue.
-func (p *partition) setHillCapacity(capacity int64) {
-	p.hill.Resize(capacity)
+	p.segs[segFront].capacity = frontCap
+	p.segs[segTail].capacity = physCapacity - frontCap
 }
 
 // used reports the physically resident cost.
-func (p *partition) used() int64 { return p.front.Used() + p.tail.Used() }
-
-// popOldest removes and returns the coldest resident entry without
-// remembering it in the shadow queues: the caller is moving it, not evicting
-// it.
-func (p *partition) popOldest() (cache.Victim, bool) {
-	if v, ok := p.tail.RemoveOldest(); ok {
-		return v, true
-	}
-	return p.front.RemoveOldest()
-}
+func (p *partition) used() int64 { return p.segs[segFront].used + p.segs[segTail].used }
 
 // hasRoom reports whether cost more fits under the physical capacity.
 func (p *partition) hasRoom(cost int64) bool { return p.used()+cost <= p.physCapacity }
 
 // items reports the number of physically resident entries.
-func (p *partition) items() int { return p.front.Len() + p.tail.Len() }
+func (p *partition) items() int { return p.segs[segFront].list.Len() + p.segs[segTail].list.Len() }
+
+// coldest returns the least recently used resident entry, nil if there is
+// none.
+func (p *partition) coldest() *cache.Node {
+	if n := p.segs[segTail].list.Back(); n != nil {
+		return n
+	}
+	return p.segs[segFront].list.Back()
+}
 
 // AccessOutcome describes the result of one access to a managed queue.
 type AccessOutcome struct {
@@ -245,10 +159,19 @@ func relaxMargin(p *partition, credit int64) int64 {
 }
 
 // Queue is one Cliffhanger-managed eviction queue: a slab class or an
-// application. It owns the Figure-5 structure (two partitions, each with a
-// tail window, a cliff shadow and a hill shadow) and runs the cliff-scaling
-// pointer algorithm locally. Capacity changes come from the Manager's hill
-// climbing (or from the caller when hill climbing is disabled).
+// application. It owns the Figure-5 structure, two chains of four segments,
+// and runs the cliff-scaling pointer algorithm locally. Capacity changes come
+// from the Manager's hill climbing (or from the caller when hill climbing is
+// disabled).
+//
+// The queue has one index. A key gets one node when it is first admitted and
+// keeps it, relinked from segment to segment and tagged with the one that
+// holds it, until it is removed or falls off the end of a hill shadow; so one
+// probe (find) answers whether the key is known, resident or only remembered,
+// and in which partition. Every way an entry can move (promotion, admission,
+// shadow hit, a capacity change, the move of the colder residents when the
+// queue first splits) is the same step: put the node at the head of a segment
+// and let what no longer fits fall onto the segment below (place, drain).
 type Queue struct {
 	id       string
 	cfg      Config
@@ -256,7 +179,10 @@ type Queue struct {
 
 	capacity int64 // target total physical capacity (cost units)
 
-	left, right *partition
+	index       map[string]*cache.Node
+	parts       [2]partition
+	left, right *partition  // &parts[0], &parts[1]
+	free        *cache.List // the nodes of forgotten keys, for the next admissions
 	split       bool
 
 	// Cliff-scaling state (Algorithm 2/3), in cost units.
@@ -296,12 +222,15 @@ func newQueue(id string, cfg Config, capacity, unitCost int64) *Queue {
 		unitCost: unitCost,
 		capacity: capacity,
 		ratio:    1.0,
+		index:    make(map[string]*cache.Node),
+		free:     cache.NewList(),
 	}
+	q.left, q.right = &q.parts[0], &q.parts[1]
 	tailCap := cfg.TailWindowItems * unitCost
 	cliffCap := cfg.CliffShadowItems * unitCost
 	// Unsplit layout: everything lives in the left partition.
-	q.left = newPartition(capacity, tailCap, cliffCap, cfg.ShadowBytes)
-	q.right = newPartition(0, tailCap, cliffCap, 0)
+	q.left.init(0, capacity, tailCap, cliffCap, cfg.ShadowBytes)
+	q.right.init(numSegs, 0, tailCap, cliffCap, 0)
 	q.leftPointer = capacity
 	q.rightPointer = capacity
 	// Apply the initial layout immediately (splitting the capacity in half
@@ -402,36 +331,123 @@ func (q *Queue) HasRoom(key string, cost int64) bool {
 	return q.routesLeft(key) == l
 }
 
-// Contains reports whether key is physically resident.
-func (q *Queue) Contains(key string) bool {
-	_, seg, _ := q.holder(key)
-	return seg != segMiss
+// find is the queue's one probe: the partition and segment key is linked in
+// (seg is segNone and n nil if the queue does not know the key).
+func (q *Queue) find(key string) (n *cache.Node, p *partition, seg int) {
+	n, ok := q.index[key]
+	if !ok {
+		return nil, nil, segNone
+	}
+	p, seg = q.segmentOf(n)
+	return n, p, seg
 }
 
-// holder finds the partition and physical segment (segFront, with the entry's
-// handle, or segTail) that key is resident in; seg is segMiss if it is in
-// neither. A key is in at most one segment of one partition, so the order of
-// the probes is free: both fronts come first because that is where all
-// resident keys but the two tail windows' worth are.
-func (q *Queue) holder(key string) (*partition, segment, cache.Handle) {
-	for _, p := range [...]*partition{q.left, q.right} {
-		if h, ok := p.front.Probe(key); ok {
-			return p, segFront, h
+// segmentOf reads the partition and segment n is linked in off its tag.
+func (q *Queue) segmentOf(n *cache.Node) (*partition, int) {
+	return &q.parts[n.Aux/numSegs], int(n.Aux % numSegs)
+}
+
+// unlink takes n out of the segment that holds it; the index keeps it.
+func (q *Queue) unlink(n *cache.Node) {
+	p, seg := q.segmentOf(n)
+	p.segs[seg].remove(n)
+}
+
+// place puts n, which is in the index and in no segment, at the head of
+// segment seg of p, and drains the segment. An entry the segment can never
+// hold (it costs more than the whole segment) passes through it to the one
+// below instead of flushing it. Entries that cross the tail-window boundary
+// on the way are physical evictions and are appended to victims; an entry
+// that runs off the end of the chain is forgotten.
+func (q *Queue) place(n *cache.Node, p *partition, seg int, victims []cache.Victim) []cache.Victim {
+	for ; seg < numSegs; seg++ {
+		s := &p.segs[seg]
+		if n.Cost <= s.capacity {
+			n.Aux = p.tag + int64(seg)
+			s.pushFront(n)
+			return q.drain(p, seg, victims)
+		}
+		if seg == segTail {
+			victims = append(victims, cache.Victim{Key: n.Key, Cost: n.Cost})
 		}
 	}
-	for _, p := range [...]*partition{q.left, q.right} {
-		if p.tail.Contains(key) {
-			return p, segTail, cache.Handle{}
+	q.forget(n)
+	return victims
+}
+
+// drain moves the oldest entries of segment seg of p onto the segment below
+// until what is left fits the segment's capacity.
+func (q *Queue) drain(p *partition, seg int, victims []cache.Victim) []cache.Victim {
+	s := &p.segs[seg]
+	for s.used > s.capacity {
+		n := s.list.Back()
+		if n == nil {
+			break
 		}
+		s.remove(n)
+		if seg == segTail {
+			victims = append(victims, cache.Victim{Key: n.Key, Cost: n.Cost})
+		}
+		victims = q.place(n, p, seg+1, victims)
 	}
-	return nil, segMiss, cache.Handle{}
+	return victims
+}
+
+// admit gives a key the queue does not know its node and places it at the
+// head of p's chain.
+func (q *Queue) admit(key string, cost int64, p *partition) []cache.Victim {
+	n := q.free.Front()
+	if n != nil {
+		q.free.Remove(n)
+	} else {
+		n = &cache.Node{}
+	}
+	n.Key, n.Cost = key, cost
+	q.index[key] = n
+	return q.place(n, p, segFront, nil)
+}
+
+// forget drops an unlinked node from the index and keeps it for a later
+// admission: at steady state the next one, which pushes another key off the
+// end, and under delete-and-set churn the re-set, so that neither makes
+// garbage.
+func (q *Queue) forget(n *cache.Node) {
+	delete(q.index, n.Key)
+	n.Key = ""
+	q.free.PushFront(n)
+}
+
+// setPhysCapacity retargets the partition's physical capacity, keeping the
+// tail window at its configured size, and returns what that evicts. The tail
+// window drains before the front segment so that front overflow finds the
+// room the tail window will have.
+func (q *Queue) setPhysCapacity(p *partition, physCapacity int64, victims []cache.Victim) []cache.Victim {
+	p.setPhysTargets(physCapacity)
+	victims = q.drain(p, segTail, victims)
+	return q.drain(p, segFront, victims)
+}
+
+// setHillCapacity retargets the partition's share of the hill-climbing
+// shadow queue.
+func (q *Queue) setHillCapacity(p *partition, capacity int64) {
+	p.segs[segHill].capacity = capacity
+	q.drain(p, segHill, nil)
+}
+
+// Contains reports whether key is physically resident.
+func (q *Queue) Contains(key string) bool {
+	_, _, seg := q.find(key)
+	return seg == segFront || seg == segTail
 }
 
 // Remove deletes key from the queue entirely (physical and shadow segments).
 func (q *Queue) Remove(key string) bool {
-	l := q.left.remove(key)
-	r := q.right.remove(key)
-	return l || r
+	n, ok := q.index[key]
+	if ok {
+		q.unlink(n)
+		q.forget(n)
+	}
+	return ok
 }
 
 // Access processes one request for key with the given cost and returns the
@@ -439,41 +455,28 @@ func (q *Queue) Remove(key string) bool {
 // the value and drops the values of any Evicted keys.
 func (q *Queue) Access(key string, cost int64) AccessOutcome {
 	q.stats.Requests++
-	target, other := q.route(key)
-
-	// Find the key, preferring its routed partition but falling back to the
-	// other so that ratio changes migrate keys instead of losing them.
-	found := target
-	seg, h := target.lookup(key)
-	if seg == segMiss {
-		if s, oh := other.lookup(key); s != segMiss {
-			found, seg, h = other, s, oh
-		}
-	}
-	return q.settle(key, cost, target, found, seg, h)
+	n, found, seg := q.find(key)
+	return q.settle(key, cost, n, found, seg)
 }
 
 // AccessResident is exactly `if q.Contains(key) { q.Access(key, cost) }` —
 // the GET path of a store whose misses must not admit — reporting whether the
-// access happened. For a key in a front segment, which is nearly every hit,
-// the whole call costs one LRU probe (two if the queue is split and the key
-// in its right half), against the pair's three or more.
+// access happened. Either way it costs the one probe.
 func (q *Queue) AccessResident(key string, cost int64) (AccessOutcome, bool) {
-	found, seg, h := q.holder(key)
-	if seg == segMiss {
+	n, found, seg := q.find(key)
+	if seg != segFront && seg != segTail {
 		return AccessOutcome{}, false
 	}
 	q.stats.Requests++
-	// When key routes to the other partition than the one holding it, Access
-	// finds nothing there (see holder) and falls back to found.
-	target, _ := q.route(key)
-	return q.settle(key, cost, target, found, seg, h), true
+	return q.settle(key, cost, n, found, seg), true
 }
 
-// settle finishes an access once the key has been located: in segment seg of
-// partition found (seg is segMiss if nowhere), h being its handle when seg is
-// segFront; target is the partition the key routes to.
-func (q *Queue) settle(key string, cost int64, target, found *partition, seg segment, h cache.Handle) AccessOutcome {
+// settle finishes an access once the key has been looked up: n is its node,
+// linked in segment seg of partition found (nil, nil and segNone if the queue
+// does not know the key).
+func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, seg int) AccessOutcome {
+	// Routed before the pointer updates below move the ratio.
+	target := q.route(key)
 	var out AccessOutcome
 	switch seg {
 	case segFront, segTail:
@@ -495,19 +498,24 @@ func (q *Queue) settle(key string, cost int64, target, found *partition, seg seg
 		q.updatePointers(found, seg)
 	}
 
-	// Promote or admit the key. Misses and shadow hits are admissions into
-	// the routed partition; physical hits are promotions within the
-	// partition where the key resides.
+	// Promote or admit the key. A front hit moves to the head of its segment
+	// and keeps the cost it was stored with. Everything else enters the head
+	// of a chain at the caller's cost: a tail-window hit that of the partition
+	// it is resident in, a shadow hit or a miss that of the partition the key
+	// routes to, so that ratio changes migrate keys instead of losing them.
 	var evicted []cache.Victim
-	if out.Hit {
-		evicted = found.promote(key, cost, seg, h)
-	} else {
-		if seg != segMiss {
-			// Drop the key's shadow entry (wherever it lives) so it is
-			// admitted exactly once.
-			found.remove(key)
+	switch {
+	case seg == segFront:
+		found.segs[segFront].list.MoveToFront(n)
+	case n != nil:
+		q.unlink(n)
+		n.Cost = cost
+		if out.Hit {
+			target = found
 		}
-		evicted = append(evicted, target.insert(key, cost)...)
+		evicted = q.place(n, target, segFront, nil)
+	default:
+		evicted = q.admit(key, cost, target)
 	}
 	// Relax pointers toward "just full" partition sizes. A partition that is
 	// underfull by a clear margin has more memory than its key subset needs,
@@ -562,19 +570,20 @@ func (q *Queue) settle(key string, cost int64, target, found *partition, seg seg
 // given (Manager.SetSpare).
 func (q *Queue) ownerHasSpare() bool { return q.spare != nil && q.spare() }
 
-// route returns the partition the key is routed to and the other partition.
-func (q *Queue) route(key string) (target, other *partition) {
+// route returns the partition the key is routed to, consuming a round-robin
+// turn.
+func (q *Queue) route(key string) *partition {
 	if !q.split {
-		return q.left, q.right
+		return q.left
 	}
 	toLeft := q.routesLeft(key)
 	if q.cfg.Splitter == SplitRoundRobin {
 		q.rr++
 	}
 	if toLeft {
-		return q.left, q.right
+		return q.left
 	}
-	return q.right, q.left
+	return q.right
 }
 
 // routesLeft reports whether the next request for key on a split queue goes
@@ -594,7 +603,7 @@ func (q *Queue) routesLeft(key string) bool {
 // partition's cliff shadow queue (§5.1). Hits right of a pointer push it
 // outward (right pointer grows, left pointer shrinks); hits left of a
 // pointer pull it back toward the current operating point.
-func (q *Queue) updatePointers(p *partition, seg segment) {
+func (q *Queue) updatePointers(p *partition, seg int) {
 	if seg != segTail && seg != segCliff {
 		return
 	}
@@ -719,12 +728,11 @@ func (q *Queue) applyResize() []cache.Victim {
 	if q.maybeToggleSplit() && q.left.used() > q.capacity/2 {
 		return q.splitResidents()
 	}
-	var victims []cache.Victim
 	if !q.split {
-		victims = append(victims, q.left.setPhysCapacity(q.capacity)...)
-		victims = append(victims, q.right.setPhysCapacity(0)...)
-		q.left.setHillCapacity(q.cfg.ShadowBytes)
-		q.right.setHillCapacity(0)
+		victims := q.setPhysCapacity(q.left, q.capacity, nil)
+		victims = q.setPhysCapacity(q.right, 0, victims)
+		q.setHillCapacity(q.left, q.cfg.ShadowBytes)
+		q.setHillCapacity(q.right, 0)
 		return victims
 	}
 	// Target partition sizes per Algorithm 3 (UpdatePhysicalQueues). When
@@ -758,26 +766,26 @@ func (q *Queue) applyResize() []cache.Victim {
 	if abs64(leftCap-q.left.physCapacity) < q.cfg.CreditBytes &&
 		abs64(rightCap-q.right.physCapacity) < q.cfg.CreditBytes &&
 		q.left.physCapacity+q.right.physCapacity <= q.capacity {
-		return victims
+		return nil
 	}
 	if leftCap != leftTarget {
 		// Not yet at the target: keep resizing on subsequent misses.
 		q.pendingResize = true
 	}
-	return append(victims, q.setPartitions(leftCap, rightCap)...)
+	return q.setPartitions(leftCap, rightCap)
 }
 
 // setPartitions applies physical capacities to the two partitions of a split
 // queue and divides the hill-climbing shadow between them in proportion.
 func (q *Queue) setPartitions(leftCap, rightCap int64) []cache.Victim {
-	victims := q.left.setPhysCapacity(leftCap)
-	victims = append(victims, q.right.setPhysCapacity(rightCap)...)
+	victims := q.setPhysCapacity(q.left, leftCap, nil)
+	victims = q.setPhysCapacity(q.right, rightCap, victims)
 	total := leftCap + rightCap
 	if total <= 0 {
 		total = 1
 	}
-	q.left.setHillCapacity(q.cfg.ShadowBytes * leftCap / total)
-	q.right.setHillCapacity(q.cfg.ShadowBytes * rightCap / total)
+	q.setHillCapacity(q.left, q.cfg.ShadowBytes*leftCap/total)
+	q.setHillCapacity(q.right, q.cfg.ShadowBytes*rightCap/total)
 	return victims
 }
 
@@ -833,24 +841,28 @@ func (q *Queue) maybeToggleSplit() bool {
 // residents of a queue that is, as a whole, no fuller than before (a class
 // that had just been granted its fourth page lost 256 items this way with 250
 // pages free). Instead the colder part moves to the right partition, in
-// recency order. Which partition holds a key does not matter to a lookup,
-// which tries both, and at ratio 0.5 the partitions are interchangeable; only
-// what does not fit the capacity as a whole is evicted. (A queue that holds
-// no more than half takes the ordinary path in applyResize: stepping its left
-// partition down evicts nothing, and every queue is born that way.)
+// recency order: its nodes are taken out of the left chain, tail window
+// first, before the partitions get their new sizes, and are then placed at
+// the head of the right chain coldest first. Which partition holds a key does
+// not matter to a lookup, which finds it wherever it is, and at ratio 0.5 the
+// partitions are interchangeable; only what does not fit the capacity as a
+// whole is evicted. (A queue that holds no more than half takes the ordinary
+// path in applyResize: stepping its left partition down evicts nothing, and
+// every queue is born that way.)
 func (q *Queue) splitResidents() []cache.Victim {
 	half := q.capacity / 2
-	var colder []cache.Victim // coldest first
+	var colder []*cache.Node // coldest first, in the index but in no segment
 	for q.left.used() > half {
-		v, ok := q.left.popOldest()
-		if !ok {
+		n := q.left.coldest()
+		if n == nil {
 			break
 		}
-		colder = append(colder, v)
+		q.unlink(n)
+		colder = append(colder, n)
 	}
 	victims := q.setPartitions(half, q.capacity-half)
-	for _, v := range colder {
-		victims = append(victims, q.right.insert(v.Key, v.Cost)...)
+	for _, n := range colder {
+		victims = q.place(n, q.right, segFront, victims)
 	}
 	return victims
 }

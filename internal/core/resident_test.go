@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"cliffhanger/internal/cache"
 )
 
 // queueState is everything about a queue an access can change: the key order
@@ -23,7 +26,7 @@ type queueState struct {
 
 func stateOf(q *Queue) queueState {
 	s := queueState{
-		Caps:          [4]int64{q.left.physCapacity, q.right.physCapacity, q.left.hill.Capacity(), q.right.hill.Capacity()},
+		Caps:          [4]int64{q.left.physCapacity, q.right.physCapacity, q.left.segs[segHill].capacity, q.right.segs[segHill].capacity},
 		Ratio:         q.Ratio(),
 		Split:         q.Split(),
 		PendingResize: q.PendingResize(),
@@ -32,97 +35,302 @@ func stateOf(q *Queue) queueState {
 		Stats:         q.Stats(),
 	}
 	s.Left, s.Right = q.Pointers()
-	for i, p := range []*partition{q.left, q.right} {
-		s.Segments[4*i] = p.front.Keys()
-		s.Segments[4*i+1] = p.tail.Keys()
-		s.Segments[4*i+2] = p.cliff.Keys()
-		s.Segments[4*i+3] = p.hill.Keys()
+	for i := range q.parts {
+		for j := range q.parts[i].segs {
+			s.Segments[numSegs*i+j] = q.parts[i].segs[j].list.Keys()
+		}
 	}
 	return s
 }
 
-// TestAccessResidentMatchesContainsThenAccess drives two identical queues
-// with one seeded random op stream — GETs of resident, shadowed and unknown
-// keys, admissions, removes and capacity changes that switch cliff scaling on
-// and off — serving the GETs of one with Contains followed by Access and of
-// the other with AccessResident, and requires the same outcome and the same
-// state after every op.
-func TestAccessResidentMatchesContainsThenAccess(t *testing.T) {
+// streamOp is one step of the seeded op stream the queue tests share.
+type streamOp struct {
+	kind  string // "get" (never admits), "access", "remove", "capacity", "grow" or "apply"
+	key   string
+	cost  int64
+	bytes int64 // the new capacity, or the grant
+}
+
+func (o streamOp) String() string {
+	switch o.kind {
+	case "capacity", "grow":
+		return fmt.Sprintf("%s %d", o.kind, o.bytes)
+	case "apply":
+		return o.kind
+	}
+	return fmt.Sprintf("%s %s cost %d", o.kind, o.key, o.cost)
+}
+
+// streamConfig is the queue the op stream is sized for: unit cost 1, windows
+// of 16 and cliff scaling from 100 items up, so capacities of 40 to 400 switch
+// it on and off.
+func streamConfig(splitter Splitter, missOnly bool) Config {
+	return Config{
+		CreditBytes:        4,
+		ShadowBytes:        200,
+		CliffShadowItems:   16,
+		TailWindowItems:    16,
+		CliffMinItems:      100,
+		ResizeOnMissOnly:   missOnly,
+		EnableCliffScaling: true,
+		Splitter:           splitter,
+	}.withDefaults()
+}
+
+// forEachStreamConfig runs f once per splitter and resize-on-miss setting.
+func forEachStreamConfig(t *testing.T, f func(t *testing.T, name string, cfg Config, ops []streamOp)) {
 	for _, splitter := range []Splitter{SplitHash, SplitRoundRobin} {
 		for _, missOnly := range []bool{true, false} {
-			t.Run(fmt.Sprintf("splitter=%d/resizeOnMissOnly=%v", splitter, missOnly), func(t *testing.T) {
-				cfg := Config{
-					CreditBytes:        4,
-					ShadowBytes:        200,
-					CliffShadowItems:   16,
-					TailWindowItems:    16,
-					CliffMinItems:      100,
-					ResizeOnMissOnly:   missOnly,
-					EnableCliffScaling: true,
-					Splitter:           splitter,
-				}.withDefaults()
-				pair := newQueue("pair", cfg, 150, 1)
-				fused := newQueue("fused", cfg, 150, 1)
-				rng := rand.New(rand.NewSource(int64(7 + splitter)))
-				zipf := rand.NewZipf(rng, 1.1, 8, 599)
-				var gets, residentGets, tailHits, shadowAdmits, toggles int
-				for op := 0; op < 20000; op++ {
-					key := fmt.Sprintf("k%d", zipf.Uint64())
-					wasSplit := pair.Split()
-					var what string
-					switch r := rng.Intn(100); {
-					case r < 50:
-						what = "get " + key
-						var want AccessOutcome
-						resident := pair.Contains(key)
-						if resident {
-							want = pair.Access(key, 1)
-						}
-						got, ok := fused.AccessResident(key, 1)
-						if ok != resident || !reflect.DeepEqual(got, want) {
-							t.Fatalf("op %d %s: AccessResident = %+v, %v; Contains+Access = %+v, %v", op, what, got, ok, want, resident)
-						}
-						gets++
-						if ok {
-							residentGets++
-						}
-						if got.TailWindowHit {
-							tailHits++
-						}
-					case r < 88:
-						what = "access " + key
-						want, got := pair.Access(key, 1), fused.Access(key, 1)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("op %d %s: outcomes diverged: %+v vs %+v", op, what, got, want)
-						}
-						if got.ShadowHit || got.CliffShadowHit {
-							shadowAdmits++
-						}
-					case r < 94:
-						what = "remove " + key
-						if want, got := pair.Remove(key), fused.Remove(key); got != want {
-							t.Fatalf("op %d %s: %v vs %v", op, what, got, want)
-						}
-					default:
-						capacity := int64(40 + rng.Intn(360))
-						what = fmt.Sprintf("SetCapacity %d", capacity)
-						pair.SetCapacity(capacity)
-						fused.SetCapacity(capacity)
-					}
-					ps, fs := stateOf(pair), stateOf(fused)
-					if !reflect.DeepEqual(ps, fs) {
-						t.Fatalf("op %d %s: states diverged:\npair  %+v\nfused %+v", op, what, ps, fs)
-					}
-					if ps.Split != wasSplit {
-						toggles++
-					}
-				}
-				t.Logf("%d GETs (%d resident, %d tail-window hits), %d shadow admissions, %d split toggles",
-					gets, residentGets, tailHits, shadowAdmits, toggles)
-				if residentGets == 0 || residentGets == gets || tailHits == 0 || shadowAdmits == 0 || toggles == 0 {
-					t.Fatalf("op stream too narrow to tell the two paths apart")
-				}
+			name := fmt.Sprintf("splitter=%d/resizeOnMissOnly=%v", splitter, missOnly)
+			t.Run(name, func(t *testing.T) {
+				f(t, name, streamConfig(splitter, missOnly), opStream(int64(7+splitter)))
 			})
 		}
 	}
+}
+
+// opStream is a seeded random op stream over a Zipfian key space: GETs of
+// resident, shadowed and unknown keys, admissions, removes and capacity
+// changes (absolute, page-like grants, some applied at once) that switch
+// cliff scaling on and off. Most entries cost 1; a few cost 2 to 4, so a
+// re-entering key can change its cost, and one in fifty costs 20, which no
+// 16-unit window and no small front segment can hold.
+func opStream(seed int64) []streamOp {
+	rng := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(rng, 1.1, 8, 599)
+	ops := make([]streamOp, 20000)
+	for i := range ops {
+		o := streamOp{key: fmt.Sprintf("k%d", zipf.Uint64()), cost: 1}
+		switch c := rng.Intn(100); {
+		case c < 2:
+			o.cost = 20
+		case c < 10:
+			o.cost = int64(2 + rng.Intn(3))
+		}
+		switch r := rng.Intn(100); {
+		case r < 50:
+			o.kind = "get"
+		case r < 88:
+			o.kind = "access"
+		case r < 94:
+			o.kind = "remove"
+		case r < 98:
+			o.kind, o.bytes = "capacity", int64(40+rng.Intn(360))
+		case r < 99:
+			o.kind, o.bytes = "grow", int64(8+rng.Intn(64))
+		default:
+			o.kind = "apply"
+		}
+		ops[i] = o
+	}
+	return ops
+}
+
+// apply runs one op on q the way a store would: a GET touches the queue only
+// if the key is resident. It returns the outcome of an access (served is
+// false for a GET that found nothing), the victims of a forced resize and the
+// answer of a remove.
+func (o streamOp) apply(q *Queue) (out AccessOutcome, served bool, victims []cache.Victim, removed bool) {
+	switch o.kind {
+	case "get":
+		out, served = q.AccessResident(o.key, o.cost)
+	case "access":
+		out, served = q.Access(o.key, o.cost), true
+	case "remove":
+		removed = q.Remove(o.key)
+	case "capacity":
+		q.SetCapacity(o.bytes)
+	case "grow":
+		q.Grow(o.bytes)
+	case "apply":
+		victims = q.ForceApplyResize()
+	}
+	return out, served, victims, removed
+}
+
+// TestAccessResidentMatchesContainsThenAccess drives two identical queues
+// with the op stream, serving the GETs of one with Contains followed by
+// Access and of the other with AccessResident, and requires the same outcome
+// and the same state after every op.
+func TestAccessResidentMatchesContainsThenAccess(t *testing.T) {
+	forEachStreamConfig(t, func(t *testing.T, _ string, cfg Config, ops []streamOp) {
+		pair := newQueue("pair", cfg, 150, 1)
+		fused := newQueue("fused", cfg, 150, 1)
+		var gets, residentGets, tailHits, shadowAdmits, toggles int
+		for i, op := range ops {
+			wasSplit := pair.Split()
+			var want AccessOutcome
+			var wantServed, wantRemoved bool
+			var wantVictims []cache.Victim
+			if op.kind == "get" {
+				if wantServed = pair.Contains(op.key); wantServed {
+					want = pair.Access(op.key, op.cost)
+				}
+			} else {
+				want, wantServed, wantVictims, wantRemoved = op.apply(pair)
+			}
+			got, served, victims, removed := op.apply(fused)
+			if served != wantServed || removed != wantRemoved || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(victims, wantVictims) {
+				t.Fatalf("op %d %s: fused = %+v, %v, %v, %v; pair = %+v, %v, %v, %v",
+					i, op, got, served, victims, removed, want, wantServed, wantVictims, wantRemoved)
+			}
+			switch op.kind {
+			case "get":
+				gets++
+				if served {
+					residentGets++
+				}
+				if got.TailWindowHit {
+					tailHits++
+				}
+			case "access":
+				if got.ShadowHit || got.CliffShadowHit {
+					shadowAdmits++
+				}
+			}
+			ps, fs := stateOf(pair), stateOf(fused)
+			if !reflect.DeepEqual(ps, fs) {
+				t.Fatalf("op %d %s: states diverged:\npair  %+v\nfused %+v", i, op, ps, fs)
+			}
+			if ps.Split != wasSplit {
+				toggles++
+			}
+		}
+		t.Logf("%d GETs (%d resident, %d tail-window hits), %d shadow admissions, %d split toggles",
+			gets, residentGets, tailHits, shadowAdmits, toggles)
+		if residentGets == 0 || residentGets == gets || tailHits == 0 || shadowAdmits == 0 || toggles == 0 {
+			t.Fatalf("op stream too narrow to tell the two paths apart")
+		}
+	})
+}
+
+// TestQueueOpStreamFingerprint pins the queue op for op: a hash over every
+// access outcome, every victim list in order, every HasRoom and Remove answer
+// and the final state of the op stream. The constants were recorded from the
+// queue of eight separate LRUs that this one replaced (commit 09ed3e6), which
+// it therefore matches bit for bit and not only through the simulator's
+// goldens.
+func TestQueueOpStreamFingerprint(t *testing.T) {
+	want := map[string]uint64{
+		"splitter=0/resizeOnMissOnly=true":  0x4bc43ebc40b722ff,
+		"splitter=0/resizeOnMissOnly=false": 0xac9d72374655e823,
+		"splitter=1/resizeOnMissOnly=true":  0xfaa4fefce56dccc0,
+		"splitter=1/resizeOnMissOnly=false": 0x1511a013c10465be,
+	}
+	forEachStreamConfig(t, func(t *testing.T, name string, cfg Config, ops []streamOp) {
+		q := newQueue("q", cfg, 150, 1)
+		h := fnv.New64a()
+		var passedThrough, recosted bool
+		for i, op := range ops {
+			room := q.HasRoom(op.key, op.cost)
+			out, served, victims, removed := op.apply(q)
+			fmt.Fprintf(h, "%d %v %+v %v %+v %v\n", i, room, out, served, victims, removed)
+			for _, v := range out.Evicted {
+				if v.Key == op.key {
+					passedThrough = true
+				}
+				if v.Cost != 1 && v.Cost != 20 {
+					recosted = true
+				}
+			}
+		}
+		fmt.Fprintf(h, "%+v", stateOf(q))
+		if !passedThrough || !recosted {
+			t.Fatalf("op stream too narrow: an entry passed straight through to eviction: %v, an evicted entry had a cost other than 1 and 20: %v",
+				passedThrough, recosted)
+		}
+		if got := h.Sum64(); got != want[name] {
+			t.Errorf("fingerprint %#x, want %#x", got, want[name])
+		}
+	})
+}
+
+// TestQueueIndexAgreesWithSegments checks, after every op of the stream, that
+// the one index and the eight segments describe the same entries: every node
+// linked in a segment is the index's node for its key and is tagged with that
+// segment, the index holds nothing else (so no key is in two segments), every
+// segment's used is the sum of its nodes' costs, and no segment is over its
+// capacity once the op has drained it.
+func TestQueueIndexAgreesWithSegments(t *testing.T) {
+	forEachStreamConfig(t, func(t *testing.T, _ string, cfg Config, ops []streamOp) {
+		q := newQueue("q", cfg, 150, 1)
+		for i, op := range ops {
+			op.apply(q)
+			linked := 0
+			for pi := range q.parts {
+				p := &q.parts[pi]
+				for si := range p.segs {
+					seg := &p.segs[si]
+					var used int64
+					for n := seg.list.Front(); n != nil; n = seg.list.Next(n) {
+						linked++
+						used += n.Cost
+						if q.index[n.Key] != n {
+							t.Fatalf("op %d %s: %q is linked in segment %d/%d but the index has another node for it, or none", i, op, n.Key, pi, si)
+						}
+						if gp, gs := q.segmentOf(n); gp != p || gs != si {
+							t.Fatalf("op %d %s: %q is linked in segment %d/%d but tagged %d", i, op, n.Key, pi, si, n.Aux)
+						}
+					}
+					if used != seg.used || seg.used > seg.capacity {
+						t.Fatalf("op %d %s: segment %d/%d holds cost %d, says %d, capacity %d", i, op, pi, si, used, seg.used, seg.capacity)
+					}
+				}
+			}
+			if linked != len(q.index) {
+				t.Fatalf("op %d %s: %d nodes linked in segments, %d keys in the index", i, op, linked, len(q.index))
+			}
+		}
+	})
+}
+
+// TestAllocGateQueueAccess pins what an access allocates on a full, split
+// queue at steady state: nothing for a front hit, a tail-window hit or a
+// resident re-access, and for an admission that evicts only the victims slice
+// it returns (the entry that falls off the hill shadow lends its node to the
+// next admission). `make alloccheck` runs it.
+func TestAllocGateQueueAccess(t *testing.T) {
+	q := newQueue("q", itemCfg(), 4000, 1)
+	key := make([]string, 20000)
+	for i := range key {
+		key[i] = fmt.Sprintf("k%d", i)
+	}
+	next := 0
+	admit := func() {
+		if out := q.Access(key[next], 1); out.Hit || len(out.Evicted) == 0 {
+			t.Fatalf("access to the new key %s: %+v, want an admission that evicts", key[next], out)
+		}
+		next++
+	}
+	for i := 0; i < 10000; i++ { // fill both chains to the end of their hill shadows
+		q.Access(key[next], 1)
+		next++
+	}
+	if !q.Split() || q.Used() != q.Capacity() {
+		t.Fatalf("split=%v used=%d of %d: the gate wants a full, split queue", q.Split(), q.Used(), q.Capacity())
+	}
+	gate := func(what string, max float64, f func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(1000, f); got > max {
+			t.Errorf("%s allocates %.2f objects/op, want at most %v", what, got, max)
+		}
+	}
+	gate("an evicting admission", 1, admit)
+	hot := q.left.segs[segFront].list.Front().Key
+	gate("a front hit", 0, func() {
+		if out := q.Access(hot, 1); !out.Hit || out.TailWindowHit {
+			t.Fatalf("%+v, want a front hit", out)
+		}
+	})
+	gate("a resident re-access", 0, func() {
+		if _, ok := q.AccessResident(hot, 1); !ok {
+			t.Fatal("the hot key is not resident")
+		}
+	})
+	gate("a tail-window hit", 0, func() {
+		cold := q.right.coldest()
+		if out := q.Access(cold.Key, 1); !out.TailWindowHit || len(out.Evicted) != 0 {
+			t.Fatalf("%+v, want a tail-window hit that evicts nothing", out)
+		}
+	})
 }

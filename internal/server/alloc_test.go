@@ -48,8 +48,7 @@ func newGateSession(t *testing.T, payload []byte) (c *session, reset func()) {
 //   - 0 heap allocations on a hit (the zero-copy parser, the VALUE response
 //     streamed from the epoch-pinned arena view, and the byte-keyed store
 //     lookup reusing the record's interned key), and
-//   - 0 on a miss too (the lookup event's key rides a pooled per-shard
-//     buffer returned once the event replays).
+//   - 0 on a miss too (the lookup event carries no key).
 func TestAllocGateServerGet(t *testing.T) {
 	c, reset := newGateSession(t, []byte("get key-1\r\n"))
 	step := func() {
@@ -66,7 +65,7 @@ func TestAllocGateServerGet(t *testing.T) {
 	c, reset = newGateSession(t, []byte("get no-such-key\r\n"))
 	step()
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
-		t.Errorf("steady-state GET miss allocates %.2f objects/op, want 0 (pooled event key buffer)", allocs)
+		t.Errorf("steady-state GET miss allocates %.2f objects/op, want 0 (the miss event carries no key)", allocs)
 	}
 }
 

@@ -14,10 +14,8 @@ import (
 //   - hit:  0 allocations — the map lookup rides the alloc-free m[string(b)]
 //     form, the lookup event reuses the record's interned key string, and
 //     the value is borrowed through an epoch pin, not copied;
-//   - miss: 0 allocations — the lookup event's key rides a pooled per-shard
-//     key buffer that is returned to the shard once the event replays
-//     (the tenant takes the counter-only LookupTransient path on a miss,
-//     so nothing retains the transient key string).
+//   - miss: 0 allocations — the lookup event carries no key, only the key
+//     length, and the tenant counts it without probing a queue.
 //
 // `make alloccheck` runs this as the hot-path allocation gate; a regression
 // here fails CI rather than a future benchmark run.
@@ -61,7 +59,7 @@ func TestAllocGateStoreGet(t *testing.T) {
 		}
 	})
 	if missAllocs != 0 {
-		t.Errorf("GetItemView miss allocates %.2f objects/op, want 0 (pooled event key buffer)", missAllocs)
+		t.Errorf("GetItemView miss allocates %.2f objects/op, want 0 (the miss event carries no key)", missAllocs)
 	}
 }
 

@@ -70,17 +70,15 @@ const (
 // event is one deferred bookkeeping operation. seq is a per-tenant arrival
 // stamp: sweeps merge the shard buffers back into arrival order so eviction
 // recency matches what a synchronous engine would have seen. oldSize carries
-// the previous charged size of a re-admitted key. keyBuf, when non-nil,
-// records that key is a transient view into a pooled buffer (a byte-keyed
-// GET-miss event): the replayer must not let the tenant retain it and must
-// return the buffer to its home shard once the event is replayed or shed.
+// the previous charged size of a re-admitted key. A lookup event with an
+// empty key is a GET the directory answered with a miss: size is the key
+// length and the replay only counts it (Tenant.Lookup).
 type event struct {
 	kind    eventKind
 	key     string
 	size    int64
 	oldSize int64
 	seq     uint64
-	keyBuf  *keyBuf
 }
 
 const (
@@ -204,13 +202,6 @@ func (b *bookkeeper) bufferLocked(sh *valueShard, ev *event) recordAction {
 		return actApply
 	}
 	if (ev.kind == evLookup || ev.kind == evTouch) && len(sh.pending) >= shardBufferHighWater {
-		if ev.keyBuf != nil {
-			// The shed event is the only reference to the pooled key buffer;
-			// return it here (sh.mu is held) so overload cannot leak buffers.
-			sh.putKeyLocked(ev.keyBuf)
-			ev.keyBuf = nil
-			ev.key = ""
-		}
 		b.dropped.Add(1)
 		return actNone
 	}
@@ -301,18 +292,7 @@ func (b *bookkeeper) applyEventLocked(ev *event) {
 	var evicted []cache.Victim
 	switch ev.kind {
 	case evLookup:
-		if kb := ev.keyBuf; kb != nil {
-			// Pooled-key miss event: the tenant must not retain the transient
-			// key string (LookupTransient clones defensively in the
-			// can't-happen resident case), and the buffer goes back to its
-			// home shard's pool for the next miss.
-			b.tenant.LookupTransient(ev.key, ev.size)
-			kb.home.mu.Lock()
-			kb.home.putKeyLocked(kb)
-			kb.home.mu.Unlock()
-		} else {
-			b.tenant.Lookup(ev.key, ev.size)
-		}
+		b.tenant.Lookup(ev.key, ev.size)
 	case evTouch:
 		b.tenant.Touch(ev.key, ev.size)
 	case evAdmit:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cliffhanger/internal/cache"
+	"cliffhanger/internal/slab"
 )
 
 // TestSweepReplaysInStampOrder buffers admissions of distinct keys on their
@@ -156,5 +157,62 @@ func TestReaperSkipsTenantsWithoutTTL(t *testing.T) {
 	}
 	if st, _ := s.Stats("app"); st.Expired != 200 {
 		t.Fatalf("Expired = %d, want 200", st.Expired)
+	}
+}
+
+// TestGetMissIsCountedAgainstTheKeyLengthClass: a GET the directory answers
+// with a miss sends the bookkeeper no key, only the key's length. It must
+// still count one request and one miss for the tenant and for the slab class
+// of that length, whether the key was never stored or has just expired (its
+// record, in a larger class, is shed in the same critical section), and must
+// leave the class that held the expired record alone.
+func TestGetMissIsCountedAgainstTheKeyLengthClass(t *testing.T) {
+	for _, syncBk := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sync=%v", syncBk), func(t *testing.T) {
+			var now atomic.Int64
+			now.Store(1_000_000)
+			s := New(Config{
+				DefaultMode:     AllocCliffhanger,
+				SyncBookkeeping: syncBk,
+				Now:             func() int64 { return now.Load() },
+			})
+			defer s.Close()
+			if err := s.RegisterTenant("app", 4<<20); err != nil {
+				t.Fatal(err)
+			}
+			geom := slab.DefaultGeometry()
+			const key = "expiring"
+			value := make([]byte, 1000)
+			keyClass, _ := geom.ClassFor(int64(len(key)))
+			itemClass, _ := geom.ClassFor(int64(len(key) + len(value)))
+			if keyClass == itemClass {
+				t.Fatalf("key and item both land in class %d; the test needs them apart", keyClass)
+			}
+			if err := setItem(s, "app", key, value, 0, 10); err != nil {
+				t.Fatal(err)
+			}
+			now.Add(10)
+			for _, k := range []string{key, "unstored"} {
+				if _, ok, _ := get(s, "app", k); ok {
+					t.Fatalf("GET %s hit", k)
+				}
+			}
+			st, err := s.Stats("app")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Requests != 2 || st.Misses != 2 || st.Hits != 0 || st.Expired != 1 {
+				t.Fatalf("tenant counters %+v, want 2 requests, 2 misses, 1 expired", st)
+			}
+			for _, c := range st.Classes {
+				want := int64(0)
+				if c.Class == keyClass {
+					want = 2
+				}
+				if c.Requests != want || c.Misses != want {
+					t.Errorf("class %d: %d requests, %d misses, want %d of each", c.Class, c.Requests, c.Misses, want)
+				}
+			}
+		})
 	}
 }

@@ -30,8 +30,6 @@ type partitionPolicy interface {
 	classFor(size int64) (int, bool)
 	// cost returns the bytes charged for an item of the given size.
 	cost(class int, size int64) int64
-	// resident reports whether key is tracked, without promoting it.
-	resident(class int, key string) bool
 	// promoteResident is the GET/touch path: it re-accesses key if it is
 	// resident and reports whether that was a hit; a key that is not
 	// resident is left alone (a GET miss does not admit). Eviction side
@@ -66,8 +64,6 @@ type classQueues struct {
 func (p *classQueues) classFor(size int64) (int, bool) { return p.geom.ClassFor(size) }
 
 func (p *classQueues) cost(class int, size int64) int64 { return p.geom.ChunkSize(class) }
-
-func (p *classQueues) resident(class int, key string) bool { return p.classes[class].Contains(key) }
 
 func (p *classQueues) promoteResident(class int, key string, cost int64) bool {
 	return accessIfResident(p.classes[class], key, cost)
@@ -233,8 +229,6 @@ func (p *globalLRUPolicy) cost(class int, size int64) int64 {
 	return size
 }
 
-func (p *globalLRUPolicy) resident(class int, key string) bool { return p.queue.Contains(key) }
-
 func (p *globalLRUPolicy) promoteResident(class int, key string, cost int64) bool {
 	return accessIfResident(p.queue, key, cost)
 }
@@ -302,10 +296,6 @@ func newManagedPolicy(cfg TenantConfig, geom *slab.Geometry) (*managedPolicy, er
 func (p *managedPolicy) classFor(size int64) (int, bool) { return p.geom.ClassFor(size) }
 
 func (p *managedPolicy) cost(class int, size int64) int64 { return p.geom.ChunkSize(class) }
-
-func (p *managedPolicy) resident(class int, key string) bool {
-	return p.mgr.QueueAt(class).Contains(key)
-}
 
 func (p *managedPolicy) promoteResident(class int, key string, cost int64) bool {
 	out, _ := p.mgr.AccessResidentAt(class, key, cost)
@@ -399,8 +389,8 @@ func (p *managedPolicy) used() map[int]int64 {
 
 func (p *managedPolicy) usedBytes() int64 {
 	var sum int64
-	for _, s := range p.mgr.Snapshot() {
-		sum += s.Used
+	for c := 0; c < p.geom.NumClasses(); c++ {
+		sum += p.mgr.QueueAt(c).Used()
 	}
 	return sum
 }

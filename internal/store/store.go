@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"cliffhanger/internal/cache"
 	"cliffhanger/internal/core"
@@ -158,11 +157,6 @@ type valueShard struct {
 	// and scalar fields before unlocking, never the record pointer, so no
 	// reader can still hold it.
 	freeItems *item
-	// freeKeys pools lookup-event key buffers (guarded by mu): a byte-keyed
-	// GET miss copies the probed key into a pooled buffer instead of
-	// materializing a string, and the bookkeeper returns the buffer once the
-	// event has been replayed — the last per-miss allocation gone.
-	freeKeys *keyBuf
 
 	// pending buffers this shard's bookkeeping events (guarded by mu);
 	// applyMu makes stealing and replaying the buffer one atomic step so
@@ -192,42 +186,6 @@ func (sh *valueShard) getItemLocked() *item {
 func (sh *valueShard) putItemLocked(it *item) {
 	*it = item{next: sh.freeItems}
 	sh.freeItems = it
-}
-
-// keyBuf is a pooled lookup-event key buffer: a GET miss copies the probed
-// key into one and hands the bookkeeper an unsafe string view of it, and the
-// bookkeeper returns the buffer to its home shard's pool once the event has
-// been replayed (or shed). The view is only ever read between buffering and
-// replay — replay happens before the buffer can be pooled and reused, so the
-// string can never be observed after its bytes change. home is the shard
-// whose pool the buffer cycles through, recorded so the replayer does not
-// have to re-hash the key.
-type keyBuf struct {
-	b    []byte
-	home *valueShard
-	next *keyBuf
-}
-
-// getKeyLocked pops a pooled key buffer (or allocates the shard's first),
-// fills it with key, and returns it with a string view of its contents. The
-// caller must hold sh.mu.
-func (sh *valueShard) getKeyLocked(key []byte) (*keyBuf, string) {
-	kb := sh.freeKeys
-	if kb != nil {
-		sh.freeKeys = kb.next
-		kb.next = nil
-	} else {
-		kb = &keyBuf{home: sh}
-	}
-	kb.b = append(kb.b[:0], key...)
-	return kb, unsafe.String(unsafe.SliceData(kb.b), len(kb.b))
-}
-
-// putKeyLocked returns a key buffer to its home shard's pool. The caller must
-// hold sh.mu, and no live event may still reference the buffer's string view.
-func (sh *valueShard) putKeyLocked(kb *keyBuf) {
-	kb.next = sh.freeKeys
-	sh.freeKeys = kb
 }
 
 // tenantEntry couples a tenant's sharded value table with the bookkeeper
@@ -777,9 +735,8 @@ func (v *ItemView) Release() {
 //
 // The map lookup rides Go's allocation-free m[string(b)] optimization; a hit
 // reuses the record's interned key string for the bookkeeping event, and a
-// miss copies the probed key into a pooled buffer the bookkeeper returns
-// after replay — so both outcomes perform zero heap allocations in this
-// layer (the alloc gates pin hit = 0 and miss = 0).
+// miss sends an event with no key at all — so both outcomes perform zero heap
+// allocations in this layer (the alloc gates pin hit = 0 and miss = 0).
 func (s *Store) GetItemView(tenant string, key []byte) (ItemView, bool, error) {
 	e, ok := s.entry(tenant)
 	if !ok {
@@ -790,24 +747,21 @@ func (s *Store) GetItemView(tenant string, key []byte) (ItemView, bool, error) {
 	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
 	// Drive the eviction/shadow structures with the charged size recorded at
 	// admission, so the lookup lands on the slab class that actually holds the
-	// key; absent keys fall back to the key length. Buffered in the same
-	// critical section as the record read, so per-key event order matches
-	// value order.
+	// key. Buffered in the same critical section as the record read, so
+	// per-key event order matches value order. A miss (a just-expired record
+	// included) is an event without a key, counted against the class of the
+	// key length: a record leaves the directory only after its structural
+	// removal, or ahead of it in this shard's buffer, and a GET never admits,
+	// so there is nothing in any queue for the replay to find.
 	ev := event{kind: evLookup, size: int64(len(key))}
 	var out ItemView
-	switch {
-	case it != nil:
+	if it != nil {
 		ev.key, ev.size = it.key, it.size
 		// Pin before unlocking: the pin-store happens-before any retirement
 		// of this chunk (retires run under this same shard mutex), which is
 		// what makes the borrowed Value safe to read after the unlock.
 		e.arena.pin(sh.idx)
 		out = ItemView{Value: it.value, Flags: it.flags, CAS: it.cas, arena: e.arena, stripe: sh.idx}
-	case hasExp:
-		// The record just shed lends the miss its interned key.
-		ev.key = exp.key
-	default:
-		ev.keyBuf, ev.key = sh.getKeyLocked(key)
 	}
 	act := e.bk.bufferLocked(sh, &ev)
 	sh.mu.Unlock()

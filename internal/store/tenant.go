@@ -47,7 +47,6 @@ package store
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"cliffhanger/internal/cache"
 	"cliffhanger/internal/core"
@@ -276,7 +275,9 @@ func (t *Tenant) cost(class int, size int64) int64 {
 
 // Lookup performs the GET path: it reports whether key is resident and
 // promotes it if so. It never admits the key (admission happens on the SET
-// that follows a miss, as in Memcached).
+// that follows a miss, as in Memcached). An empty key stands for a key the
+// caller already knows is not resident (the store's directory said so): the
+// miss is counted against the class of size and no queue is probed.
 func (t *Tenant) Lookup(key string, size int64) bool {
 	class, ok := t.ClassFor(size)
 	if !ok {
@@ -284,7 +285,7 @@ func (t *Tenant) Lookup(key string, size int64) bool {
 	}
 	t.requests++
 	t.classReq[class]++
-	hit := t.policy.promoteResident(class, key, t.cost(class, size))
+	hit := key != "" && t.policy.promoteResident(class, key, t.cost(class, size))
 	if hit {
 		t.hits++
 		t.classHit[class]++
@@ -293,29 +294,6 @@ func (t *Tenant) Lookup(key string, size int64) bool {
 		t.classMiss[class]++
 	}
 	return hit
-}
-
-// LookupTransient is Lookup for a key string that must not be retained: the
-// caller owns the backing bytes (a pooled miss-key buffer) and will reuse them
-// after this call returns. Policy structures retain key strings on insert, so
-// the fast path only runs when the key is NOT resident — then the bookkeeping
-// is pure counters and nothing can capture the string. If the key turns out to
-// be resident (possible only if the directory and the policy structure
-// disagree transiently), we clone before taking the normal promote path.
-// Counter effects are identical to Lookup in both branches.
-func (t *Tenant) LookupTransient(key string, size int64) bool {
-	class, ok := t.ClassFor(size)
-	if !ok {
-		return false
-	}
-	if t.policy.resident(class, key) {
-		return t.Lookup(strings.Clone(key), size)
-	}
-	t.requests++
-	t.classReq[class]++
-	t.misses++
-	t.classMiss[class]++
-	return false
 }
 
 // Admit performs the SET path: the key becomes resident (if it fits) and any
