@@ -20,8 +20,9 @@ const (
 )
 
 // pagedManager is the store's managed policy in miniature: queues start at
-// the floor and grow one page at a time, out of a pool of free pages, when
-// the admission at hand has no room (managedPolicy.growIfNeeded).
+// the floor and grow a page at a time, out of a pool of free pages, until
+// the admission at hand has room (managedPolicy.growIfNeeded, whose grant
+// step is a fraction of a slab page; here a "page" is simply the step).
 type pagedManager struct {
 	*Manager
 	free int64
@@ -45,10 +46,10 @@ func newPagedManager(t *testing.T, cfg Config, pages int64, queues int) *pagedMa
 func (pm *pagedManager) admit(i int, key string) AccessOutcome {
 	q := pm.QueueAt(i)
 	var victims []cache.Victim
-	if pm.free > 0 && !q.HasRoom(key, fitsUnit) {
+	for pm.free > 0 && !q.HasRoom(key, fitsUnit) {
 		pm.free--
 		q.Grow(fitsPage)
-		victims = q.ForceApplyResize()
+		victims = append(victims, q.ForceApplyResize()...)
 	}
 	out := pm.AccessAt(i, key, fitsUnit)
 	out.Evicted = append(victims, out.Evicted...)

@@ -113,12 +113,13 @@ func NewManager(cfg Config, totalBytes int64, specs []QueueSpec) (*Manager, erro
 }
 
 // SetSpare tells the manager how to ask its owner whether memory is left that
-// no queue has been given — for the store, free slab pages. While there is,
-// no queue relaxes a cliff pointer (see Queue.settle): a partition short of
-// room is handed spare memory, not its sibling's. It is asked each time
-// rather than told once, because tenant resizes and the arbiter move the
-// answer in both directions. A manager that is never told has none, which is
-// the paper's setting: every page is already in some queue.
+// no queue has been given — for the store, the unassigned part of the tenant's
+// reservation. While there is, no queue relaxes a cliff pointer (see
+// Queue.settle): a partition short of room is handed spare memory, not its
+// sibling's. It is asked each time rather than told once, because tenant
+// resizes and the arbiter move the answer in both directions. A manager that
+// is never told has none, which is the paper's setting: every page is already
+// in some queue.
 func (m *Manager) SetSpare(spare func() bool) {
 	for _, q := range m.queues {
 		q.spare = spare
@@ -304,7 +305,7 @@ func (m *Manager) CapacitySum() int64 {
 // excess capacity back from the largest queues (never below the MinQueueBytes
 // floor), applying each cut immediately and returning the evicted victims.
 // On growth the extra budget is left unassigned; it reaches the queues
-// through the store's page-gated grow path, exactly like boot-time warmup.
+// through the store's grant-on-demand grow path, exactly like boot-time warmup.
 // Hill climbing keeps conserving whatever CapacitySum the cuts leave behind.
 func (m *Manager) Resize(totalBytes int64) []cache.Victim {
 	if totalBytes <= 0 {

@@ -146,10 +146,10 @@ func underfullBy(p *partition, margin int64) bool {
 // the front refills after any capacity increase, creating benign slack of up
 // to one tail window), or a sixteenth of capacity for large partitions —
 // whichever is larger. That covers the transients of credit-sized growth. It
-// does not cover a page grant: a partition that was just handed half a
-// megabyte is underfull by far more than this, by construction, which is why
-// relaxation is also held off while the owner still has memory to grant
-// (Queue.ownerHasSpare).
+// does not cover a grant of the owner's free memory: a partition that was just
+// handed an eighth of a megabyte is underfull by far more than this, by
+// construction, which is why relaxation is also held off while the owner
+// still has memory to grant (Queue.ownerHasSpare).
 func relaxMargin(p *partition, credit int64) int64 {
 	m := 4*credit + p.tailCapacity
 	if alt := p.physCapacity/16 + p.tailCapacity; alt > m {
@@ -301,12 +301,13 @@ func (q *Queue) SetCapacity(capacity int64) {
 }
 
 // Grow raises the capacity by delta bytes that come from outside the
-// manager's queues — a free page — rather than from a sibling queue. Nothing
-// was taken from anyone, so the grant says nothing about where a cliff is: a
-// left pointer that is home (inside the dead zone, where recomputeRatio
-// already treats it as not having moved) moves with the operating point.
-// SetCapacity alone would leave it a page behind, which reads as "the convex
-// region starts a page back" and holds the left partition to half of the old
+// manager's queues — the owner's free memory — rather than from a sibling
+// queue. Nothing was taken from anyone, so the grant says nothing about where
+// a cliff is: a left pointer that is home (inside the dead zone, where
+// recomputeRatio already treats it as not having moved) moves with the
+// operating point.
+// SetCapacity alone would leave it a grant behind, which reads as "the convex
+// region starts a grant back" and holds the left partition to half of the old
 // size. The right pointer needs no help: clampPointers lifts it.
 func (q *Queue) Grow(delta int64) {
 	home := q.capacity-q.leftPointer <= q.deadZone()
@@ -529,13 +530,13 @@ func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, 
 	//
 	// None of this holds while the owner has memory it has handed to nobody.
 	// Relaxation moves memory a partition is not filling to its sibling, and
-	// there is nothing to gain by that when the sibling can be given a free
-	// page instead; worse, a partition that was just granted one is underfull
-	// by construction, so every cold fill would read as pointer overshoot and
-	// squeeze the left partition while most of the tenant is empty. The paper
-	// never meets this state (memcached has handed out every page before
-	// Cliffhanger starts moving memory); relaxation is ours, so the guard is
-	// too.
+	// there is nothing to gain by that when the sibling can be given free
+	// memory instead; worse, a partition that was just granted some is
+	// underfull by construction, so every cold fill would read as pointer
+	// overshoot and squeeze the left partition while most of the tenant is
+	// empty. The paper never meets this state (memcached has handed out every
+	// page before Cliffhanger starts moving memory); relaxation is ours, so
+	// the guard is too.
 	if q.split && q.cfg.EnableCliffScaling && !out.Hit {
 		q.missCount++
 		if q.missCount%pointerLeakPeriod == 0 && !q.ownerHasSpare() {

@@ -1083,17 +1083,17 @@ func (s *Server) handleStatsArbiter(c *session) error {
 
 // handleStatsCliffhanger serves "stats cliffhanger [tenant]": the paper's
 // algorithm state for one tenant (the session's unless named), which is
-// otherwise visible only to tests. First the pages of the reservation that no
-// class queue has been granted yet — while there are any, the tenant is not
-// under memory pressure and must neither evict nor move a cliff pointer — then
-// one "<queue>:<field>" group per class queue that has seen traffic: its
-// hill-climbing capacity and credit balance, the cliff-scaling split (request
-// ratio, both pointers, both partitions' applied capacities) and the event
-// counters that moved them. It is read under the bookkeeper's lock like
-// "stats" and costs the request path nothing. A tenant in another allocation
-// mode has no queues to show.
+// otherwise visible only to tests. First the part of the reservation that no
+// class queue has been granted yet, in bytes and in whole pages — while there
+// is any, the tenant is not under memory pressure and must neither evict nor
+// move a cliff pointer — then one "<queue>:<field>" group per class queue
+// that has seen traffic: its hill-climbing capacity and credit balance, the
+// cliff-scaling split (request ratio, both pointers, both partitions' applied
+// capacities) and the event counters that moved them. It is read under the
+// bookkeeper's lock like "stats" and costs the request path nothing. A tenant
+// in another allocation mode has no queues to show.
 func (s *Server) handleStatsCliffhanger(c *session, tenant string) error {
-	queues, freePages, err := s.store.QueueSnapshots(tenant)
+	queues, freeBytes, err := s.store.QueueSnapshots(tenant)
 	if err != nil {
 		return protocol.WriteLine(c.w, "SERVER_ERROR "+err.Error())
 	}
@@ -1104,7 +1104,8 @@ func (s *Server) handleStatsCliffhanger(c *session, tenant string) error {
 		stats[k] = v
 	}
 	add("tenant", tenant)
-	add("free_pages", strconv.FormatInt(freePages, 10))
+	add("free_pages", strconv.FormatInt(freeBytes/s.store.PageStats().PageSize, 10))
+	add("free_bytes", strconv.FormatInt(freeBytes, 10))
 	for _, q := range queues {
 		if q.Stats.Requests == 0 && q.Items == 0 {
 			continue

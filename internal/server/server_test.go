@@ -576,7 +576,7 @@ func TestServerProtocolConformance(t *testing.T) {
 			sawEnd, sawChunkSize, sawUsed, sawMalloced)
 	}
 	// stats cliffhanger [tenant]: the algorithm state of a Cliffhanger-mode
-	// tenant — its ungranted pages, then one "<queue>:<field>" group per
+	// tenant — its ungranted memory, then one "<queue>:<field>" group per
 	// class queue that has seen traffic. The session stays on app2; the
 	// tenant is named.
 	if err := st.RegisterTenantConfig(store.TenantConfig{Name: "cliff", MemoryBytes: 8 << 20, Mode: store.AllocCliffhanger}); err != nil {
@@ -587,8 +587,8 @@ func TestServerProtocolConformance(t *testing.T) {
 	}
 	send("stats cliffhanger cliff\r\n")
 	// (One 64-byte item: the queue is still at its 8 KiB floor, below the
-	// 1000-item split threshold, and no page has been granted.)
-	expect("STAT tenant cliff", "STAT free_pages 8",
+	// 1000-item split threshold, and nothing has been granted.)
+	expect("STAT tenant cliff", "STAT free_pages 8", "STAT free_bytes 8388608",
 		"STAT class0:capacity 8192", "STAT class0:applied_capacity 8192",
 		"STAT class0:used 64", "STAT class0:items 1", "STAT class0:credits 0",
 		"STAT class0:split 0", "STAT class0:ratio 1.0000",
@@ -605,7 +605,7 @@ func TestServerProtocolConformance(t *testing.T) {
 	// A tenant in another mode has no queues to show, an unknown one is an
 	// error, and only "cliffhanger" takes an argument.
 	send("stats cliffhanger\r\n")
-	expect("STAT tenant app2", "STAT free_pages 0", "END")
+	expect("STAT tenant app2", "STAT free_pages 0", "STAT free_bytes 0", "END")
 	send("stats cliffhanger ghost\r\n")
 	expect("SERVER_ERROR store: unknown tenant \"ghost\"")
 	send("stats slabs app2\r\n")
@@ -973,12 +973,12 @@ func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, freePages, err := st.QueueSnapshots("default")
+	snaps, freeBytes, err := st.QueueSnapshots("default")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Tenant != "default" || cs.FreePages != freePages || cs.FreePages == 0 || len(cs.Queues) != 1 {
-		t.Fatalf("stats cliffhanger = %+v, store says %d free pages", cs, freePages)
+	if cs.Tenant != "default" || cs.FreePages != freeBytes>>20 || cs.FreePages == 0 || len(cs.Queues) != 1 {
+		t.Fatalf("stats cliffhanger = %+v, store says %d bytes free", cs, freeBytes)
 	}
 	for id, q := range cs.Queues {
 		var want core.QueueSnapshot

@@ -129,9 +129,10 @@ func (g *Geometry) ChunksPerPage(i int) int64 {
 // slab classes using the default first-come-first-serve policy: a class that
 // needs room takes a free page if any remain; otherwise it must evict from
 // its own LRU queue. Once a page is assigned to a class it is never
-// reassigned (stock Memcached behaviour; automove-style page reassignment is
-// one of the improvements discussed in §2 and is modelled separately by the
-// allocation policies in internal/sim).
+// reassigned (stock Memcached behaviour); only a live tenant resize takes
+// pages back (SetBudget, Release). It is the default policy's ledger: the
+// Cliffhanger modes count their unassigned budget in bytes instead
+// (internal/store's managedPolicy).
 type Allocator struct {
 	geom       *Geometry
 	totalPages int64
@@ -154,9 +155,6 @@ func NewAllocator(geom *Geometry, totalBytes int64) *Allocator {
 	}
 }
 
-// Geometry returns the allocator's slab geometry.
-func (a *Allocator) Geometry() *Geometry { return a.geom }
-
 // TotalPages reports the number of pages under management.
 func (a *Allocator) TotalPages() int64 { return a.totalPages }
 
@@ -168,12 +166,6 @@ func (a *Allocator) PagesOf(i int) int64 { return a.pages[i] }
 
 // BytesOf reports how many bytes class i currently owns.
 func (a *Allocator) BytesOf(i int) int64 { return a.pages[i] * a.geom.PageSize }
-
-// CapacityItems reports how many items class i can store with its current
-// pages.
-func (a *Allocator) CapacityItems(i int) int64 {
-	return a.pages[i] * a.geom.ChunksPerPage(i)
-}
 
 // Grow attempts to assign one more page to class i. It reports whether a
 // free page was available. (freePages can be negative transiently after a
@@ -191,8 +183,7 @@ func (a *Allocator) Grow(i int) bool {
 // pages), used by live tenant resizing. Growth adds the delta to the free
 // pool; a shrink can drive freePages negative, which blocks Grow until
 // enough pages are released back (the caller walks Release until FreePages
-// is non-negative, or — in Cliffhanger mode — claws queue capacity back and
-// reconciles). It returns the new total page count.
+// is non-negative). It returns the new total page count.
 func (a *Allocator) SetBudget(totalBytes int64) int64 {
 	pages := totalBytes / a.geom.PageSize
 	if pages < 0 {
@@ -204,8 +195,8 @@ func (a *Allocator) SetBudget(totalBytes int64) int64 {
 }
 
 // Release returns one page from class i to the free pool. It reports whether
-// the class had a page to release. (Stock Memcached never does this; it is
-// used by the page-reassignment baseline.)
+// the class had a page to release. (Stock Memcached never does this; a
+// live shrink of a default-mode tenant does.)
 func (a *Allocator) Release(i int) bool {
 	if a.pages[i] == 0 {
 		return false
@@ -213,23 +204,4 @@ func (a *Allocator) Release(i int) bool {
 	a.pages[i]--
 	a.freePages++
 	return true
-}
-
-// Reassign moves one page from class from to class to, modelling the
-// Twitter/Facebook page-move schemes discussed in §2. It reports whether the
-// move happened.
-func (a *Allocator) Reassign(from, to int) bool {
-	if from == to || a.pages[from] == 0 {
-		return false
-	}
-	a.pages[from]--
-	a.pages[to]++
-	return true
-}
-
-// Snapshot returns a copy of the per-class page assignment.
-func (a *Allocator) Snapshot() []int64 {
-	out := make([]int64, len(a.pages))
-	copy(out, a.pages)
-	return out
 }

@@ -262,19 +262,23 @@ func (p *globalLRUPolicy) manager() *core.Manager { return nil }
 // The manager's queues are created one per slab class in class order, so a
 // class index is also the queue's index (core.Manager.QueueAt).
 type managedPolicy struct {
-	geom  *slab.Geometry
-	alloc *slab.Allocator
-	mgr   *core.Manager
+	geom *slab.Geometry
+	mgr  *core.Manager
+	// free is the part of the reservation, in bytes, that no class queue has
+	// been granted yet. It is the policy's whole ledger: the queues'
+	// capacities say who holds the rest (free + mgr.CapacitySum() is the
+	// reservation plus the queues' MinQueueBytes floors, which are not
+	// charged), and the arena below leases physical pages as chunks are
+	// actually needed.
+	free int64
 }
 
 func newManagedPolicy(cfg TenantConfig, geom *slab.Geometry) (*managedPolicy, error) {
-	// Cliffhanger starts from the same first-come-first-serve page
-	// allocation as stock Memcached (each queue begins near zero and grows
-	// by grabbing free pages on demand) and then incrementally reassigns
-	// memory between the class queues — exactly how the paper's prototype
-	// layers the algorithm on top of memcached's slab allocator. Every
-	// queue therefore starts at the manager's minimum size, and admit hands
-	// out pages until they run out.
+	// Cliffhanger starts from first-come-first-serve allocation like stock
+	// Memcached (each queue begins near zero and takes unassigned memory on
+	// demand) and then incrementally reassigns memory between the class
+	// queues. Every queue therefore starts at the manager's minimum size,
+	// and admit hands out the reservation until it runs out.
 	n := geom.NumClasses()
 	specs := make([]core.QueueSpec, 0, n)
 	for c := 0; c < n; c++ {
@@ -288,8 +292,8 @@ func newManagedPolicy(cfg TenantConfig, geom *slab.Geometry) (*managedPolicy, er
 	if err != nil {
 		return nil, err
 	}
-	p := &managedPolicy{geom: geom, alloc: slab.NewAllocator(geom, cfg.MemoryBytes), mgr: m}
-	m.SetSpare(func() bool { return p.alloc.FreePages() > 0 })
+	p := &managedPolicy{geom: geom, mgr: m, free: cfg.MemoryBytes}
+	m.SetSpare(func() bool { return p.free > 0 })
 	return p, nil
 }
 
@@ -312,55 +316,73 @@ func (p *managedPolicy) remove(class int, key string) bool {
 	return p.mgr.QueueAt(class).Remove(key)
 }
 
+// resize retargets the reservation. The manager claws a shrink back from the
+// largest queues; whatever the queues then hold beyond their floors is what
+// has been granted, and the rest of the new reservation is free again.
 func (p *managedPolicy) resize(oldBytes, newBytes int64) []cache.Victim {
 	victims := p.mgr.Resize(newBytes)
-	p.alloc.SetBudget(newBytes)
-	// Re-sync the page gate with the clawed-back capacities: a class
-	// should hold about ceil(capacity / pageSize) pages, and releasing
-	// the excess restores FreePages ⇔ (budget - CapacitySum) so future
-	// growth is gated correctly.
-	for c := 0; c < p.geom.NumClasses(); c++ {
-		wantPages := (p.mgr.QueueAt(c).Capacity() + p.geom.PageSize - 1) / p.geom.PageSize
-		for p.alloc.PagesOf(c) > wantPages {
-			if !p.alloc.Release(c) {
-				break
-			}
-		}
-	}
+	granted := p.mgr.CapacitySum() - int64(p.mgr.NumQueues())*p.mgr.Config().MinQueueBytes
+	p.free = max(newBytes-granted, 0)
 	return victims
 }
 
+// grantsPerPage sets the step in which a class queue takes unassigned memory:
+// a quarter of a slab page, or one chunk where a chunk is larger. The paper
+// inherits memcached's whole-page grants, which is harmless when a page is
+// ~1 % of an application's memory and not when a tenant holds a handful of
+// pages: the first class to miss takes a page it may fill a tenth of, and the
+// classes that miss after the last page is gone start at MinQueueBytes and
+// wait for 4 KiB credits. A grant is only a number (the arena leases physical
+// pages as chunks are needed, whatever the queues were promised), so the step
+// could be one chunk. It should not be: a step is also headroom reserved ahead
+// of need, which hill climbing can later move without evicting anything. On
+// the Memcachier trace tenants run out of budget 95 % full with 4 KiB steps,
+// 76 % full with a quarter page and 38 % full with whole pages, and bench/'s
+// cliff_fill reads 0.7508, 0.7579 and 0.7409 (CHANGES.md PR 21 has the table).
+const grantsPerPage = 4
+
 // growIfNeeded is the managed counterpart of the default policy's on-demand
-// growth: while free pages remain, a class queue that has no room for key
-// grows by one page, exactly like stock Memcached; once the pages are
-// exhausted, only the hill-climbing credit transfers change queue sizes.
+// growth: while part of the reservation is still unassigned, a class queue
+// that has no room for key takes it, a grant step at a time, until the key
+// has room or nothing is left; from then on only the hill-climbing credit
+// transfers change queue sizes.
+//
 // "No room" is asked of the partition key routes to (Queue.HasRoom), because
 // that is where the eviction would happen: asked of the queue as a whole, a
-// full partition evicted while its sibling had slack and free pages sat idle.
+// full partition evicted while its sibling had slack and free memory sat
+// idle. It is asked again after every grant because one grant need not reach
+// that partition: the grant that takes a queue over CliffMinItems splits it,
+// splitResidents leaves the left partition exactly full, and a key that
+// routes left has room only after the next one. (A partition that cliff
+// scaling is shrinking never gets room this way and takes what is left of
+// the reservation.) A key that is already resident asks for nothing, since
+// re-accessing it takes no room; the simulator sends hits through admit as
+// well, and would otherwise grow a full queue on a hit where the store,
+// whose hits never come here, waits for the next miss.
 //
 // Hill-climbing capacity changes are applied lazily (on the next miss, per
-// the paper's thrash-avoidance rule), but a page grab is applied eagerly
-// here: the admission's insert runs before the end-of-access resize, so under
-// the lazy rule a freshly granted page would not help the very item that
-// requested it — a cold queue whose chunk size exceeds MinQueueBytes bounced
-// its first admission outright, and an exactly-full queue evicted its LRU
-// entry while a free page sat already granted. Stock Memcached grows by
-// pages immediately, so the eager apply is also the faithful behavior. Any
-// victims of the applied resize are returned for the caller to drop.
+// the paper's thrash-avoidance rule), but a grant is applied eagerly here:
+// the admission's insert runs before the end-of-access resize, so under the
+// lazy rule fresh memory would not help the very item that requested it — a
+// cold queue whose chunk size exceeds MinQueueBytes bounced its first
+// admission outright, and an exactly-full queue evicted its LRU entry with
+// the memory already granted. Stock Memcached grows immediately, so the
+// eager apply is also the faithful behavior. Any victims of the applied
+// resizes are returned for the caller to drop.
 func (p *managedPolicy) growIfNeeded(class int, key string, cost int64) []cache.Victim {
 	q := p.mgr.QueueAt(class)
-	// One page is always enough (no chunk is larger than a page, and a split
-	// queue's resize step is larger than its chunk), except for a partition
-	// that cliff scaling is shrinking — and that one is meant to evict.
-	if p.alloc.FreePages() > 0 && !q.HasRoom(key, cost) {
-		p.alloc.Grow(class)
-		q.Grow(p.geom.PageSize)
-		return q.ForceApplyResize()
+	step := max(p.geom.PageSize/grantsPerPage, p.geom.ChunkSize(class))
+	var victims []cache.Victim
+	for p.free > 0 && !q.HasRoom(key, cost) && !q.Contains(key) {
+		grant := min(step, p.free)
+		p.free -= grant
+		q.Grow(grant)
+		victims = append(victims, q.ForceApplyResize()...)
 	}
 	if q.AppliedCapacity() < cost {
-		return q.ForceApplyResize()
+		victims = append(victims, q.ForceApplyResize()...)
 	}
-	return nil
+	return victims
 }
 
 func (p *managedPolicy) capacities() map[int]int64 {

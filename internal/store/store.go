@@ -1221,10 +1221,10 @@ func (s *Store) ReclaimStats(tenant string) (ArenaReclaimStats, error) {
 }
 
 // QueueSnapshots returns the per-queue Cliffhanger state of the tenant (nil
-// for tenants in other allocation modes) and the number of pages of its
-// reservation that no class queue has been granted yet, settling in-flight
-// bookkeeping first. It is safe to call concurrently with request traffic.
-func (s *Store) QueueSnapshots(tenant string) (queues []core.QueueSnapshot, freePages int64, err error) {
+// for tenants in other allocation modes) and the bytes of its reservation
+// that no class queue has been granted yet, settling in-flight bookkeeping
+// first. It is safe to call concurrently with request traffic.
+func (s *Store) QueueSnapshots(tenant string) (queues []core.QueueSnapshot, freeBytes int64, err error) {
 	e, ok := s.entry(tenant)
 	if !ok {
 		return nil, 0, ErrNoTenant{tenant}
@@ -1236,7 +1236,7 @@ func (s *Store) QueueSnapshots(tenant string) (queues []core.QueueSnapshot, free
 	if !ok {
 		return nil, 0, nil
 	}
-	return p.mgr.Snapshot(), p.alloc.FreePages(), nil
+	return p.mgr.Snapshot(), p.free, nil
 }
 
 // ClassCapacities returns the tenant's current per-class capacities in
