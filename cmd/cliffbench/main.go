@@ -584,7 +584,7 @@ func (w *worker) runMutation(r trace.Request) error {
 // runVerify executes the sim-vs-wire cross-check and exits non-zero when
 // any application's hit rates diverge past the tolerance.
 func runVerify(logger *log.Logger, spec string, opts workload.Options, modeName string, tolerance float64) {
-	mode, err := parseMode(modeName)
+	mode, err := store.ParseAllocationMode(modeName)
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -734,22 +734,6 @@ func runHitrate(logger *log.Logger, spec string, opts workload.Options, path str
 	if gate {
 		fmt.Println("hitrate gate: PASS")
 	}
-}
-
-func parseMode(s string) (store.AllocationMode, error) {
-	for _, m := range []store.AllocationMode{
-		store.AllocDefault, store.AllocCliffhanger, store.AllocGlobalLRU, store.AllocMemshare,
-	} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	if s == store.AllocStatic.String() {
-		// A tenant registered by name and size has no per-class budgets, and a
-		// static tenant without them holds one item per class.
-		return 0, fmt.Errorf("allocation mode %q exists for the simulator's solver baseline only", s)
-	}
-	return 0, fmt.Errorf("unknown allocation mode %q", s)
 }
 
 func open(logger *log.Logger, spec string, opts workload.Options) *workload.Workload {

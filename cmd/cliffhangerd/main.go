@@ -124,7 +124,7 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "cliffhangerd: ", log.LstdFlags)
 
-	m, err := parseMode(*mode)
+	m, err := store.ParseAllocationMode(*mode)
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -237,22 +237,6 @@ func parseTenants(s string) ([]tenantSpec, error) {
 		return nil, fmt.Errorf("no tenants configured")
 	}
 	return specs, nil
-}
-
-func parseMode(s string) (store.AllocationMode, error) {
-	for _, m := range []store.AllocationMode{
-		store.AllocDefault, store.AllocCliffhanger, store.AllocGlobalLRU, store.AllocMemshare,
-	} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	if s == store.AllocStatic.String() {
-		// A tenant registered by name and size has no per-class budgets, and a
-		// static tenant without them holds one item per class.
-		return 0, fmt.Errorf("allocation mode %q exists for the simulator's solver baseline only", s)
-	}
-	return 0, fmt.Errorf("unknown allocation mode %q", s)
 }
 
 // statsTick is the JSON shape written per -stats-interval tick: one line per

@@ -25,31 +25,6 @@
 // serialize access (the store shards by application and locks per shard).
 package core
 
-// Splitter selects how requests are divided between the left and right
-// physical partitions of a queue when cliff scaling is active.
-type Splitter int
-
-const (
-	// SplitHash routes each key consistently by hash so a key always lands
-	// in the same partition (the default, mirroring Talus).
-	SplitHash Splitter = iota
-	// SplitRoundRobin alternates partitions per request in proportion to
-	// the ratio; it is kept as an ablation and for tests.
-	SplitRoundRobin
-)
-
-// VictimPolicy selects which queue loses memory when another queue earns a
-// hill-climbing credit.
-type VictimPolicy int
-
-const (
-	// VictimRandom picks a uniformly random other queue (Algorithm 1).
-	VictimRandom VictimPolicy = iota
-	// VictimLowestCredit picks the queue with the lowest accumulated
-	// credit balance; an ablation discussed in DESIGN.md.
-	VictimLowestCredit
-)
-
 // Config holds Cliffhanger's tuning parameters. The zero value is not
 // usable; use DefaultConfig as a starting point. Defaults follow §5.1-§5.3
 // of the paper.
@@ -81,10 +56,6 @@ type Config struct {
 	// each queue as a single LRU with a shadow queue (the hill-climbing-
 	// only column of Table 4).
 	EnableCliffScaling bool
-	// Splitter selects the request splitting strategy between partitions.
-	Splitter Splitter
-	// VictimPolicy selects how the losing queue is chosen for a credit.
-	VictimPolicy VictimPolicy
 	// MinQueueBytes is the floor below which hill climbing will not shrink
 	// a queue. Zero defaults to 2*CreditBytes.
 	MinQueueBytes int64
@@ -95,7 +66,9 @@ type Config struct {
 // DefaultConfig returns the configuration used in the paper's evaluation:
 // 4 KiB credits, 1 MiB hill-climbing shadow queues, 128-item cliff shadow
 // queues, cliff scaling enabled for queues above 1000 items, resizes applied
-// on misses, hash-based splitting and random victims.
+// on misses. Requests are split between a queue's partitions by key hash, so
+// a key always lands in the same one (mirroring Talus), and the queue that
+// pays for a credit is picked at random (Algorithm 1).
 func DefaultConfig() Config {
 	return Config{
 		CreditBytes:        4096,
@@ -106,8 +79,6 @@ func DefaultConfig() Config {
 		ResizeOnMissOnly:   true,
 		EnableHillClimbing: true,
 		EnableCliffScaling: true,
-		Splitter:           SplitHash,
-		VictimPolicy:       VictimRandom,
 	}
 }
 

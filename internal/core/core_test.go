@@ -516,18 +516,14 @@ func TestSnapshotAndStats(t *testing.T) {
 	if total.Requests != 1000 {
 		t.Fatalf("TotalStats.Requests = %d", total.Requests)
 	}
-	if ids := m.QueueIDs(); len(ids) != 2 || ids[0] != "b" {
-		t.Fatalf("QueueIDs = %v (creation order expected)", ids)
-	}
 	if m.Queue("zzz") != nil {
 		t.Fatalf("unknown queue should be nil")
 	}
-	caps := m.Capacities()
-	if caps["a"]+caps["b"] != m.CapacitySum() {
-		t.Fatalf("Capacities inconsistent with CapacitySum")
+	if snap[0].Capacity+snap[1].Capacity != m.CapacitySum() {
+		t.Fatalf("snapshot capacities inconsistent with CapacitySum")
 	}
-	if m.NumQueues() != 2 || m.TotalBytes() != 4000 {
-		t.Fatalf("NumQueues/TotalBytes wrong")
+	if m.NumQueues() != 2 || m.CapacitySum() != 4000 {
+		t.Fatalf("NumQueues = %d, CapacitySum = %d, want 2 queues sharing 4000", m.NumQueues(), m.CapacitySum())
 	}
 }
 
@@ -538,7 +534,12 @@ func TestDrain(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		m.Access(q, fmt.Sprintf("k%d", i), 1)
 	}
-	victims := m.Drain()
+	// Draining is a resize to nothing, applied at once, and back.
+	queue := m.Queue(q)
+	queue.SetCapacity(0)
+	victims := queue.ForceApplyResize()
+	queue.SetCapacity(500)
+	queue.ForceApplyResize()
 	if len(victims) != 400 {
 		t.Fatalf("Drain evicted %d, want 400", len(victims))
 	}
@@ -594,9 +595,8 @@ func TestCapacityConservationProperty(t *testing.T) {
 		}
 		// Settle every pending resize: the strict per-queue bound must hold
 		// on a quiesced manager.
-		for _, id := range m.QueueIDs() {
-			q := m.Queue(id)
-			for q.PendingResize() {
+		for i := 0; i < m.NumQueues(); i++ {
+			for q := m.QueueAt(i); q.pendingResize; {
 				q.ForceApplyResize()
 			}
 		}
@@ -621,54 +621,35 @@ func TestCapacityConservationProperty(t *testing.T) {
 	}
 }
 
+// TestVictimPolicies: paying for every credit from a queue picked at random
+// (Algorithm 1) moves memory to the queue that earns the credits and conserves
+// the total.
 func TestVictimPolicies(t *testing.T) {
-	for _, vp := range []VictimPolicy{VictimRandom, VictimLowestCredit} {
-		cfg := itemCfg()
-		cfg.EnableCliffScaling = false
-		cfg.VictimPolicy = vp
-		m, err := NewManager(cfg, 3000, []QueueSpec{
-			{ID: "hot", UnitCost: 1},
-			{ID: "cold1", UnitCost: 1},
-			{ID: "cold2", UnitCost: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(vp) + 1))
-		for i := 0; i < 100000; i++ {
-			if rng.Float64() < 0.9 {
-				m.Access("hot", fmt.Sprintf("h%d", rng.Intn(2000)), 1)
-			} else if rng.Float64() < 0.5 {
-				m.Access("cold1", fmt.Sprintf("c%d", rng.Intn(20)), 1)
-			} else {
-				m.Access("cold2", fmt.Sprintf("d%d", rng.Intn(20)), 1)
-			}
-		}
-		if m.Queue("hot").Capacity() <= 1000 {
-			t.Fatalf("policy %v: hot queue did not grow (capacity %d)", vp, m.Queue("hot").Capacity())
-		}
-		if m.CapacitySum() != 3000 {
-			t.Fatalf("policy %v: capacity not conserved", vp)
-		}
-	}
-}
-
-func TestSplitterRoundRobin(t *testing.T) {
 	cfg := itemCfg()
-	cfg.Splitter = SplitRoundRobin
-	m, q := singleQueue(t, cfg, 4000)
-	keys := cliffWorkload(17, 100000, 6000, 500, 0.8)
-	var hits int64
-	for _, k := range keys {
-		if out, _ := m.Access(q, k, 1); out.Hit {
-			hits++
+	cfg.EnableCliffScaling = false
+	m, err := NewManager(cfg, 3000, []QueueSpec{
+		{ID: "hot", UnitCost: 1},
+		{ID: "cold1", UnitCost: 1},
+		{ID: "cold2", UnitCost: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		if rng.Float64() < 0.9 {
+			m.Access("hot", fmt.Sprintf("h%d", rng.Intn(2000)), 1)
+		} else if rng.Float64() < 0.5 {
+			m.Access("cold1", fmt.Sprintf("c%d", rng.Intn(20)), 1)
+		} else {
+			m.Access("cold2", fmt.Sprintf("d%d", rng.Intn(20)), 1)
 		}
 	}
-	if hits == 0 {
-		t.Fatalf("round-robin splitting should still produce hits")
+	if m.Queue("hot").Capacity() <= 1000 {
+		t.Fatalf("hot queue did not grow (capacity %d)", m.Queue("hot").Capacity())
 	}
-	if r := m.Queue(q).Ratio(); r < 0 || r > 1 {
-		t.Fatalf("ratio out of range with round-robin splitting: %v", r)
+	if m.CapacitySum() != 3000 {
+		t.Fatalf("capacity not conserved")
 	}
 }
 

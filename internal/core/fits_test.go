@@ -58,8 +58,9 @@ func (pm *pagedManager) admit(i int, key string) AccessOutcome {
 
 // TestWorkingSetThatFitsMissesOnce is ROADMAP item 7's property: a working
 // set no larger than half of the budget is admitted without one eviction and
-// then never misses, for both splitters and for hill climbing, cliff scaling
-// and the two combined. At the parent of this change a third of the keys were
+// then never misses, for hill climbing, cliff scaling and the two combined.
+// (The subtest names keep the "splitter0" of the hash splitter, the only one
+// left.) At the parent of the change that added it a third of the keys were
 // evicted during the fill.
 func TestWorkingSetThatFitsMissesOnce(t *testing.T) {
 	const (
@@ -72,46 +73,43 @@ func TestWorkingSetThatFitsMissesOnce(t *testing.T) {
 		"cliff-only": Config.CliffScalingOnly,
 		"combined":   func(c Config) Config { return c },
 	}
-	for _, sp := range []Splitter{SplitHash, SplitRoundRobin} {
-		for name, algo := range algos {
-			t.Run(fmt.Sprintf("splitter%d/%s", sp, name), func(t *testing.T) {
-				cfg := algo(DefaultConfig())
-				cfg.Splitter = sp
-				cfg.Seed = 1
-				pm := newPagedManager(t, cfg, pages, queues)
-				key := func(i int) (int, string) { return i % queues, fmt.Sprintf("key-%d", i) }
+	for name, algo := range algos {
+		t.Run("splitter0/"+name, func(t *testing.T) {
+			cfg := algo(DefaultConfig())
+			cfg.Seed = 1
+			pm := newPagedManager(t, cfg, pages, queues)
+			key := func(i int) (int, string) { return i % queues, fmt.Sprintf("key-%d", i) }
+			for i := 0; i < keys; i++ {
+				q, k := key(i)
+				if out := pm.admit(q, k); out.Hit || len(out.Evicted) != 0 {
+					t.Fatalf("fill %d: hit=%v evicted=%v with %d pages free", i, out.Hit, out.Evicted, pm.free)
+				}
+			}
+			for pass := 0; pass < 2; pass++ {
 				for i := 0; i < keys; i++ {
 					q, k := key(i)
-					if out := pm.admit(q, k); out.Hit || len(out.Evicted) != 0 {
-						t.Fatalf("fill %d: hit=%v evicted=%v with %d pages free", i, out.Hit, out.Evicted, pm.free)
+					if out, ok := pm.AccessResidentAt(q, k, fitsUnit); !ok || !out.Hit {
+						t.Fatalf("pass %d: key %d missed although the working set fits twice", pass, i)
 					}
 				}
-				for pass := 0; pass < 2; pass++ {
-					for i := 0; i < keys; i++ {
-						q, k := key(i)
-						if out, ok := pm.AccessResidentAt(q, k, fitsUnit); !ok || !out.Hit {
-							t.Fatalf("pass %d: key %d missed although the working set fits twice", pass, i)
-						}
-					}
+			}
+			if pm.free == 0 {
+				t.Fatalf("the fill used every page; the test no longer has spare memory")
+			}
+			for _, s := range pm.Snapshot() {
+				if s.Stats.Evictions != 0 || s.Stats.RelaxEvents != 0 {
+					t.Errorf("%s: %d evictions, %d relax events", s.ID, s.Stats.Evictions, s.Stats.RelaxEvents)
 				}
-				if pm.free == 0 {
-					t.Fatalf("the fill used every page; the test no longer has spare memory")
+				if s.Split && (s.LeftPointer != s.Capacity || s.RightPointer != s.Capacity ||
+					s.LeftCapacity != s.Capacity/2 || s.LeftCapacity+s.RightCapacity != s.Capacity) {
+					t.Errorf("%s: pointers (%d, %d) partitions (%d, %d) for capacity %d: cliff scaling moved with nothing to scale",
+						s.ID, s.LeftPointer, s.RightPointer, s.LeftCapacity, s.RightCapacity, s.Capacity)
 				}
-				for _, s := range pm.Snapshot() {
-					if s.Stats.Evictions != 0 || s.Stats.RelaxEvents != 0 {
-						t.Errorf("%s: %d evictions, %d relax events", s.ID, s.Stats.Evictions, s.Stats.RelaxEvents)
-					}
-					if s.Split && (s.LeftPointer != s.Capacity || s.RightPointer != s.Capacity ||
-						s.LeftCapacity != s.Capacity/2 || s.LeftCapacity+s.RightCapacity != s.Capacity) {
-						t.Errorf("%s: pointers (%d, %d) partitions (%d, %d) for capacity %d: cliff scaling moved with nothing to scale",
-							s.ID, s.LeftPointer, s.RightPointer, s.LeftCapacity, s.RightCapacity, s.Capacity)
-					}
-					if s.Split != cfg.EnableCliffScaling {
-						t.Errorf("%s: split=%v, want %v (the queues should be past the split threshold)", s.ID, s.Split, cfg.EnableCliffScaling)
-					}
+				if s.Split != cfg.EnableCliffScaling {
+					t.Errorf("%s: split=%v, want %v (the queues should be past the split threshold)", s.ID, s.Split, cfg.EnableCliffScaling)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -161,7 +159,7 @@ func TestGrowCarriesHomePointers(t *testing.T) {
 	if lp, rp := q.Pointers(); lp != start+fitsPage || rp != start+fitsPage {
 		t.Fatalf("after a grant to %d the pointers are (%d, %d)", start+fitsPage, lp, rp)
 	}
-	for q.PendingResize() {
+	for q.pendingResize {
 		q.ForceApplyResize()
 	}
 	if l, r := q.PartitionCapacities(); l != (start+fitsPage)/2 || l+r != start+fitsPage {
@@ -243,8 +241,8 @@ func TestSplitActivationMovesResidents(t *testing.T) {
 	if victims := q.ForceApplyResize(); len(victims) != 0 || !q.Split() || q.Items() != before {
 		t.Fatalf("activation: %d victims, split=%v, %d items", len(victims), q.Split(), q.Items())
 	}
-	if l, r := q.PartitionCapacities(); l != half*fitsUnit || r != half*fitsUnit || q.PendingResize() {
-		t.Fatalf("partitions (%d, %d) for capacity %d, pending=%v", l, r, q.Capacity(), q.PendingResize())
+	if l, r := q.PartitionCapacities(); l != half*fitsUnit || r != half*fitsUnit || q.pendingResize {
+		t.Fatalf("partitions (%d, %d) for capacity %d, pending=%v", l, r, q.Capacity(), q.pendingResize)
 	}
 	if got := q.right.items(); got != before-half {
 		t.Fatalf("the right partition holds %d keys, want the %d coldest", got, before-half)

@@ -48,12 +48,11 @@ type QueueSnapshot struct {
 // corresponds to one "optimization domain" — all slab classes of one
 // application, or all applications of one server.
 type Manager struct {
-	cfg        Config
-	totalBytes int64
-	queues     []*Queue
-	byID       map[string]int
-	credits    []int64
-	rng        *rand.Rand
+	cfg     Config
+	queues  []*Queue
+	byID    map[string]int
+	credits []int64
+	rng     *rand.Rand
 }
 
 // NewManager creates a manager distributing totalBytes across the given
@@ -68,11 +67,10 @@ func NewManager(cfg Config, totalBytes int64, specs []QueueSpec) (*Manager, erro
 	}
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:        cfg,
-		totalBytes: totalBytes,
-		byID:       make(map[string]int, len(specs)),
-		credits:    make([]int64, len(specs)),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		cfg:     cfg,
+		byID:    make(map[string]int, len(specs)),
+		credits: make([]int64, len(specs)),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 
 	var fixed int64
@@ -129,9 +127,6 @@ func (m *Manager) SetSpare(spare func() bool) {
 // Config returns the manager's normalized configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
-// TotalBytes returns the managed memory budget.
-func (m *Manager) TotalBytes() int64 { return m.totalBytes }
-
 // NumQueues returns the number of managed queues.
 func (m *Manager) NumQueues() int { return len(m.queues) }
 
@@ -146,15 +141,6 @@ func (m *Manager) Queue(id string) *Queue {
 // QueueAt returns the i-th managed queue in creation order (the order of the
 // specs NewManager was given).
 func (m *Manager) QueueAt(i int) *Queue { return m.queues[i] }
-
-// QueueIDs returns the managed queue IDs in creation order.
-func (m *Manager) QueueIDs() []string {
-	ids := make([]string, len(m.queues))
-	for i, q := range m.queues {
-		ids[i] = q.id
-	}
-	return ids
-}
 
 // Access processes one request for key belonging to the queue with the given
 // ID. cost is the item's cost in bytes (its chunk size). It returns the
@@ -191,38 +177,17 @@ func (m *Manager) climb(i int, out AccessOutcome) AccessOutcome {
 
 // transferCredit implements Algorithm 1: the queue whose shadow queue was
 // hit earns CreditBytes of capacity at the expense of another queue. The
-// victim is chosen at random (the paper's policy) or as the queue with the
-// lowest credit balance (ablation). Victims already at the floor are skipped.
+// victim is chosen at random (the paper's policy), with a few retries when
+// the pick is the winner itself or already at the floor.
 func (m *Manager) transferCredit(winner int) {
 	credit := m.cfg.CreditBytes
 	victim := -1
-	switch m.cfg.VictimPolicy {
-	case VictimLowestCredit:
-		lowest := int64(0)
-		for j, q := range m.queues {
-			if j == winner {
-				continue
-			}
-			if q.Capacity()-credit < m.cfg.MinQueueBytes {
-				continue
-			}
-			if victim == -1 || m.credits[j] < lowest {
-				victim = j
-				lowest = m.credits[j]
-			}
+	for attempt := 0; attempt < 4 && victim == -1; attempt++ {
+		j := m.rng.Intn(len(m.queues))
+		if j == winner || m.queues[j].Capacity()-credit < m.cfg.MinQueueBytes {
+			continue
 		}
-	default:
-		// Random victim; retry a few times if the pick cannot give memory.
-		for attempt := 0; attempt < 4 && victim == -1; attempt++ {
-			j := m.rng.Intn(len(m.queues))
-			if j == winner {
-				continue
-			}
-			if m.queues[j].Capacity()-credit < m.cfg.MinQueueBytes {
-				continue
-			}
-			victim = j
-		}
+		victim = j
 	}
 	if victim == -1 {
 		return
@@ -231,15 +196,6 @@ func (m *Manager) transferCredit(winner int) {
 	m.credits[victim] -= credit
 	m.queues[winner].SetCapacity(m.queues[winner].Capacity() + credit)
 	m.queues[victim].SetCapacity(m.queues[victim].Capacity() - credit)
-}
-
-// Capacities returns the current capacity of every queue, keyed by ID.
-func (m *Manager) Capacities() map[string]int64 {
-	out := make(map[string]int64, len(m.queues))
-	for _, q := range m.queues {
-		out[q.id] = q.Capacity()
-	}
-	return out
 }
 
 // Snapshot returns per-queue state in creation order (see QueueAt).
@@ -311,7 +267,6 @@ func (m *Manager) Resize(totalBytes int64) []cache.Victim {
 	if totalBytes <= 0 {
 		return nil
 	}
-	m.totalBytes = totalBytes
 	var all []cache.Victim
 	for {
 		excess := m.CapacitySum() - totalBytes
@@ -336,20 +291,6 @@ func (m *Manager) Resize(totalBytes int64) []cache.Victim {
 		q := m.queues[victim]
 		q.SetCapacity(q.Capacity() - cut)
 		all = append(all, q.ForceApplyResize()...)
-	}
-	return all
-}
-
-// Drain evicts everything from every queue and returns the victims. It is
-// used by flush operations in the store.
-func (m *Manager) Drain() []cache.Victim {
-	var all []cache.Victim
-	for _, q := range m.queues {
-		restore := q.Capacity()
-		q.SetCapacity(0)
-		all = append(all, q.ForceApplyResize()...)
-		q.SetCapacity(restore)
-		q.ForceApplyResize()
 	}
 	return all
 }

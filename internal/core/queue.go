@@ -196,7 +196,6 @@ type Queue struct {
 	rightEvents uint64
 
 	pendingResize bool
-	rr            uint64 // round-robin counter for SplitRoundRobin
 	missCount     uint64 // drives the relaxation rate limit
 
 	// spare reports whether the queue's owner still holds memory it has
@@ -255,10 +254,6 @@ func (q *Queue) Capacity() int64 { return q.capacity }
 func (q *Queue) AppliedCapacity() int64 {
 	return q.left.physCapacity + q.right.physCapacity
 }
-
-// PendingResize reports whether a capacity or partition change is still
-// waiting to be applied (on the next miss, or via ForceApplyResize).
-func (q *Queue) PendingResize() bool { return q.pendingResize }
 
 // Used returns the physically resident cost.
 func (q *Queue) Used() int64 { return q.left.used() + q.right.used() }
@@ -571,30 +566,17 @@ func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, 
 // given (Manager.SetSpare).
 func (q *Queue) ownerHasSpare() bool { return q.spare != nil && q.spare() }
 
-// route returns the partition the key is routed to, consuming a round-robin
-// turn.
+// route returns the partition the key is routed to.
 func (q *Queue) route(key string) *partition {
-	if !q.split {
-		return q.left
-	}
-	toLeft := q.routesLeft(key)
-	if q.cfg.Splitter == SplitRoundRobin {
-		q.rr++
-	}
-	if toLeft {
+	if !q.split || q.routesLeft(key) {
 		return q.left
 	}
 	return q.right
 }
 
-// routesLeft reports whether the next request for key on a split queue goes
-// to the left partition, without consuming a round-robin turn.
+// routesLeft reports whether a request for key on a split queue goes to the
+// left partition: by key hash, in proportion to the ratio.
 func (q *Queue) routesLeft(key string) bool {
-	if q.cfg.Splitter == SplitRoundRobin {
-		// Route in proportion to ratio using a deterministic low-discrepancy
-		// sequence: the fractional part of rr*ratio.
-		return float64((q.rr+1)%1000)/1000.0 < q.ratio
-	}
 	return float64(fnv1a(key)%(1<<20))/float64(1<<20) < q.ratio
 }
 

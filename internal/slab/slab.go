@@ -1,14 +1,12 @@
-// Package slab implements Memcached-style slab-class geometry and the
-// default first-come-first-serve page allocation policy the paper uses as its
-// baseline (§2).
+// Package slab is Memcached-style slab-class geometry.
 //
 // Memcached avoids memory fragmentation by carving its memory into 1 MB pages
 // and assigning each page to a slab class. A slab class stores items whose
 // total size (key + value + item header) falls into a fixed range; chunk
 // sizes grow geometrically from a minimum size by a configurable growth
-// factor. Each class maintains its own LRU queue, and by default pages are
-// handed to whichever class first needs them ("first-come-first-serve"),
-// which is the behaviour Cliffhanger improves upon.
+// factor. Each class maintains its own LRU queue. Who gets the pages is not
+// decided here: internal/store's classQueues hands them out first come first
+// served (the paper's baseline, §2) and its managedPolicy runs Cliffhanger.
 package slab
 
 import (
@@ -123,85 +121,4 @@ func (g *Geometry) ChunkSize(i int) int64 {
 // ChunksPerPage returns how many chunks of class i fit in one page.
 func (g *Geometry) ChunksPerPage(i int) int64 {
 	return g.PageSize / g.ChunkSizes[i]
-}
-
-// Allocator tracks how a fixed memory budget is divided into pages across
-// slab classes using the default first-come-first-serve policy: a class that
-// needs room takes a free page if any remain; otherwise it must evict from
-// its own LRU queue. Once a page is assigned to a class it is never
-// reassigned (stock Memcached behaviour); only a live tenant resize takes
-// pages back (SetBudget, Release). It is the default policy's ledger: the
-// Cliffhanger modes count their unassigned budget in bytes instead
-// (internal/store's managedPolicy).
-type Allocator struct {
-	geom       *Geometry
-	totalPages int64
-	freePages  int64
-	pages      []int64 // pages owned per class
-}
-
-// NewAllocator returns an allocator managing totalBytes of memory (rounded
-// down to whole pages) over the given geometry.
-func NewAllocator(geom *Geometry, totalBytes int64) *Allocator {
-	pages := totalBytes / geom.PageSize
-	if pages < 0 {
-		pages = 0
-	}
-	return &Allocator{
-		geom:       geom,
-		totalPages: pages,
-		freePages:  pages,
-		pages:      make([]int64, geom.NumClasses()),
-	}
-}
-
-// TotalPages reports the number of pages under management.
-func (a *Allocator) TotalPages() int64 { return a.totalPages }
-
-// FreePages reports the number of unassigned pages.
-func (a *Allocator) FreePages() int64 { return a.freePages }
-
-// PagesOf reports how many pages class i currently owns.
-func (a *Allocator) PagesOf(i int) int64 { return a.pages[i] }
-
-// BytesOf reports how many bytes class i currently owns.
-func (a *Allocator) BytesOf(i int) int64 { return a.pages[i] * a.geom.PageSize }
-
-// Grow attempts to assign one more page to class i. It reports whether a
-// free page was available. (freePages can be negative transiently after a
-// SetBudget shrink, which must gate growth just like zero.)
-func (a *Allocator) Grow(i int) bool {
-	if a.freePages <= 0 {
-		return false
-	}
-	a.freePages--
-	a.pages[i]++
-	return true
-}
-
-// SetBudget retargets the allocator at totalBytes (rounded down to whole
-// pages), used by live tenant resizing. Growth adds the delta to the free
-// pool; a shrink can drive freePages negative, which blocks Grow until
-// enough pages are released back (the caller walks Release until FreePages
-// is non-negative). It returns the new total page count.
-func (a *Allocator) SetBudget(totalBytes int64) int64 {
-	pages := totalBytes / a.geom.PageSize
-	if pages < 0 {
-		pages = 0
-	}
-	a.freePages += pages - a.totalPages
-	a.totalPages = pages
-	return pages
-}
-
-// Release returns one page from class i to the free pool. It reports whether
-// the class had a page to release. (Stock Memcached never does this; a
-// live shrink of a default-mode tenant does.)
-func (a *Allocator) Release(i int) bool {
-	if a.pages[i] == 0 {
-		return false
-	}
-	a.pages[i]--
-	a.freePages++
-	return true
 }

@@ -105,61 +105,3 @@ func TestChunksPerPage(t *testing.T) {
 		t.Fatalf("ChunksPerPage(last) = %d, want 1", got)
 	}
 }
-
-func TestAllocatorGrowRelease(t *testing.T) {
-	g := DefaultGeometry()
-	a := NewAllocator(g, 4<<20) // 4 pages
-	if a.TotalPages() != 4 || a.FreePages() != 4 {
-		t.Fatalf("TotalPages=%d FreePages=%d, want 4,4", a.TotalPages(), a.FreePages())
-	}
-	for i := 0; i < 4; i++ {
-		if !a.Grow(2) {
-			t.Fatalf("Grow #%d should succeed", i)
-		}
-	}
-	if a.Grow(2) {
-		t.Fatalf("Grow beyond free pages should fail")
-	}
-	if a.PagesOf(2) != 4 || a.BytesOf(2) != 4<<20 {
-		t.Fatalf("PagesOf=%d BytesOf=%d", a.PagesOf(2), a.BytesOf(2))
-	}
-	if !a.Release(2) {
-		t.Fatalf("Release should succeed")
-	}
-	if a.Release(5) {
-		t.Fatalf("Release from empty class should fail")
-	}
-	if a.FreePages() != 1 {
-		t.Fatalf("FreePages = %d, want 1", a.FreePages())
-	}
-	if a.PagesOf(2) != 3 {
-		t.Fatalf("PagesOf = %d after a release, want 3", a.PagesOf(2))
-	}
-}
-
-// TestAllocatorConservation: pages are never created or destroyed.
-func TestAllocatorConservation(t *testing.T) {
-	f := func(ops []uint8) bool {
-		g := DefaultGeometry()
-		a := NewAllocator(g, 16<<20)
-		for _, op := range ops {
-			class := int(op) % g.NumClasses()
-			if op%2 == 0 {
-				a.Grow(class)
-			} else {
-				a.Release(class)
-			}
-			var assigned int64
-			for i := 0; i < g.NumClasses(); i++ {
-				assigned += a.PagesOf(i)
-			}
-			if assigned+a.FreePages() != a.TotalPages() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

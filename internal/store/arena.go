@@ -68,12 +68,6 @@ package store
 // stripe mutex, and only the sealed audit ever holds two stripe mutexes (all
 // of them, in index order), so the pressure harvest may block on each stripe
 // in turn.
-//
-// Values whose charged size exceeds the largest chunk (possible only under
-// the exact-size global-LRU layout, which admits items of any size) fall back
-// to plain heap allocations and are handed to the GC on free; the arena
-// accounting does not cover them, and pinned readers of such values are kept
-// safe by the GC itself (a retired heap buffer is never written again).
 
 import (
 	"fmt"
@@ -197,7 +191,7 @@ func newArena(geom *slab.Geometry, stripes int, pa *pageAllocator, owner string)
 }
 
 // classFor maps a charged item size to its arena chunk class. It reports
-// false for sizes beyond the largest chunk (the heap-fallback path).
+// false for sizes beyond the largest chunk, which no mode stores.
 func (a *arena) classFor(size int64) (int, bool) {
 	return a.geom.ClassFor(size)
 }

@@ -10,52 +10,35 @@ import (
 	"cliffhanger/internal/slab"
 )
 
-// auditArena walks the tenant's item directory under the shard locks,
-// counting resident arena chunks per class and the structural charge of
-// every record, then checks the arena's conservation invariant against both.
-// The store must be quiesced (Flush called, no concurrent traffic).
+// auditArena runs Store.AuditConservation (chunk conservation, arena used
+// counts against the directory, UsedBytes against the live records' charge)
+// and adds the two per-record checks only a test makes: every value sits in a
+// chunk of its charged size's class, and the charged size is what is stored.
+// Traffic on the tenant must have stopped.
 func auditArena(t *testing.T, s *Store, tenant string) {
 	t.Helper()
+	if err := s.AuditConservation(tenant); err != nil {
+		t.Errorf("conservation audit: %v", err)
+	}
 	e, ok := s.entry(tenant)
 	if !ok {
 		t.Fatalf("unknown tenant %q", tenant)
 	}
-	usedWant := make([]int64, e.arena.geom.NumClasses())
-	var charge int64
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
 		for _, it := range sh.items {
-			class, inArena := e.arena.classFor(it.size)
-			if inArena {
-				usedWant[class]++
-				if int64(cap(it.value)) != e.arena.geom.ChunkSize(class) {
-					t.Errorf("key %q: chunk cap %d does not match class %d chunk size %d",
-						it.key, cap(it.value), class, e.arena.geom.ChunkSize(class))
-				}
+			class, _ := e.arena.classFor(it.size)
+			if int64(cap(it.value)) != e.arena.geom.ChunkSize(class) {
+				t.Errorf("key %q: chunk cap %d does not match class %d chunk size %d",
+					it.key, cap(it.value), class, e.arena.geom.ChunkSize(class))
 			}
 			if int64(len(it.key)+len(it.value)) != it.size {
 				t.Errorf("key %q: charged size %d != len(key)+len(value) %d",
 					it.key, it.size, len(it.key)+len(it.value))
 			}
-			cl, fits := e.tenant.ClassFor(it.size)
-			if !fits {
-				t.Errorf("key %q: resident at size %d beyond the largest class", it.key, it.size)
-				continue
-			}
-			charge += e.tenant.cost(cl, it.size)
 		}
 		sh.mu.Unlock()
-	}
-	if err := e.arena.checkConservation(usedWant); err != nil {
-		t.Errorf("arena conservation violated: %v", err)
-	}
-	used, err := s.UsedBytes(tenant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != charge {
-		t.Errorf("UsedBytes = %d, live records charge %d", used, charge)
 	}
 }
 
@@ -236,55 +219,6 @@ func TestArenaConservationConcurrent(t *testing.T) {
 	auditArena(t, s, "app")
 	drainQuarantine(t, s, "app")
 	auditArena(t, s, "app")
-}
-
-// TestArenaGlobalLRUOversizeFallback pins the heap-fallback path: the
-// exact-size global-LRU layout admits items beyond the largest chunk, which
-// must bypass the arena (no page carved for them), keep working across
-// re-sets in both directions, and leave conservation intact.
-func TestArenaGlobalLRUOversizeFallback(t *testing.T) {
-	s := New(Config{DefaultMode: AllocGlobalLRU, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
-	defer s.Close()
-	if err := s.RegisterTenant("big", 16<<20); err != nil {
-		t.Fatal(err)
-	}
-	huge := make([]byte, (1<<20)+4096) // beyond the 1 MiB max chunk
-	for i := range huge {
-		huge[i] = byte(i)
-	}
-	if err := set(s, "big", "huge", huge); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := get(s, "big", "huge")
-	if err != nil || !ok || len(v) != len(huge) || v[12345] != huge[12345] {
-		t.Fatalf("oversize value not served back: ok=%v err=%v len=%d", ok, err, len(v))
-	}
-	// Shrink into an arena class, then grow back out.
-	if err := set(s, "big", "huge", make([]byte, 300)); err != nil {
-		t.Fatal(err)
-	}
-	if err := set(s, "big", "huge", huge); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := get(s, "big", "huge"); !ok || len(v) != len(huge) {
-		t.Fatalf("re-grown oversize value lost: ok=%v len=%d", ok, len(v))
-	}
-	// Append onto an oversize value reuses its heap buffer only when it has
-	// room; either way the result must be intact.
-	if _, err := appendTo(s, "big", "huge", []byte("tail"), false); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, _ = get(s, "big", "huge")
-	if !ok || len(v) != len(huge)+4 || string(v[len(v)-4:]) != "tail" {
-		t.Fatalf("oversize append corrupt: ok=%v len=%d", ok, len(v))
-	}
-	if _, err := s.Delete("big", "huge"); err != nil {
-		t.Fatal(err)
-	}
-	s.Flush()
-	auditArena(t, s, "big")
-	drainQuarantine(t, s, "big")
-	auditArena(t, s, "big")
 }
 
 // TestArenaChunkMisfreePanics pins the loud-failure contract: returning a

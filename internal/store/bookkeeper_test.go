@@ -80,7 +80,7 @@ func TestSweepReplaysInStampOrder(t *testing.T) {
 	}
 
 	class, _ := e.tenant.ClassFor(size)
-	got := e.tenant.policy.(*defaultPolicy).classes[class].(*cache.LRU).Keys() // most recent first
+	got := e.tenant.policy.(*classQueues).queues[class].(*cache.LRU).Keys() // most recent first
 	slices.Reverse(got)
 	if !slices.Equal(got, want) {
 		for i := range want {

@@ -1,15 +1,15 @@
 package store
 
-// This file is the allocation-policy layer: the per-mode behavior that used
-// to be dispatched through `switch t.cfg.Mode` statements scattered across
-// tenant.go lives in one interface with four implementations, one per
-// AllocationMode family. A Tenant owns exactly one partitionPolicy and keeps
-// only the mode-independent parts for itself — hit/miss/set counters and the
-// class-indexed stat arrays — so adding an allocation mode means adding an
-// implementation here, not threading another case through a dozen switches.
-// AllocMemshare reuses managedPolicy: within a tenant it behaves exactly
-// like Cliffhanger; what distinguishes it is the store-level arbiter
-// (arbiter.go) moving memory *between* tenants.
+// This file is the allocation-policy layer: everything about a tenant that
+// depends on its AllocationMode. The seam is "managed by the paper's algorithm
+// or not", so there are two implementations of one interface. classQueues is
+// every baseline the paper compares against (stock memcached, the Dynacache
+// solver's fixed split, Table 2's global LRU): plain eviction queues that
+// differ only in where the reservation starts. managedPolicy is Cliffhanger,
+// and Memshare within a tenant; what distinguishes AllocMemshare is the
+// store-level arbiter (arbiter.go) moving memory *between* tenants. A Tenant
+// owns exactly one partitionPolicy and keeps only the mode-independent parts
+// for itself: hit/miss/set counters and the class-indexed stat arrays.
 //
 // Like Tenant itself, policies are single-threaded; the bookkeeper (or the
 // simulator's one goroutine) serializes access.
@@ -23,56 +23,98 @@ import (
 // partitionPolicy is how a tenant divides its reservation across queues and
 // charges items against it. The hooks mirror the tenant's public surface:
 // classFor/cost map an item to a queue and a charge, promoteResident/admit/
-// remove mutate the structure, resize retargets the reservation, and the
-// snapshot hooks feed Stats/ClassCapacities/UsedBytes.
+// remove mutate the structure, resize retargets the reservation, and
+// numQueues/queueView feed Stats/ClassCapacities/UsedBytes.
 type partitionPolicy interface {
-	// classFor returns the queue an item of the given size belongs to.
+	// classFor returns the queue an item of the given size belongs to. It
+	// reports false for an item no chunk can hold, in every mode.
 	classFor(size int64) (int, bool)
 	// cost returns the bytes charged for an item of the given size.
 	cost(class int, size int64) int64
 	// promoteResident is the GET/touch path: it re-accesses key if it is
 	// resident and reports whether that was a hit; a key that is not
 	// resident is left alone (a GET miss does not admit). Eviction side
-	// effects of lazily applied resizes are deliberately dropped, matching
-	// the pre-extraction behavior.
+	// effects of lazily applied resizes are deliberately dropped.
 	promoteResident(class int, key string, cost int64) bool
-	// admit inserts (or promotes) key, growing the queue first where the
-	// mode allows it, and returns the accompanying evictions.
+	// admit inserts (or promotes) key, growing the queue first while the
+	// reservation has unassigned memory, and returns the accompanying
+	// evictions.
 	admit(class int, key string, cost int64) (bool, []cache.Victim)
 	// remove drops key's structural entry.
 	remove(class int, key string) bool
 	// resize retargets the reservation from oldBytes to newBytes and
 	// returns the victims a shrink evicted.
 	resize(oldBytes, newBytes int64) []cache.Victim
-	// Snapshot hooks, keyed by slab class (class 0 for global LRU).
-	capacities() map[int]int64
-	items() map[int]int
-	used() map[int]int64
-	usedBytes() int64
-	// manager exposes the Cliffhanger manager, nil for unmanaged policies.
+	// numQueues and queueView are the snapshot side: queue i's capacity and
+	// charge in bytes and its resident item count, in class order (a global
+	// LRU has one queue, reported as class 0).
+	numQueues() int
+	queueView(i int) (capacity, used int64, items int)
+	// manager exposes the Cliffhanger manager, nil for classQueues.
 	manager() *core.Manager
 }
 
-// classQueues is the shared shape of the unmanaged per-class policies
-// (default and static): one eviction queue per slab class, chunk-size
-// charging.
+// classQueues is every unmanaged mode: one eviction queue per slab class
+// charged by the chunk, or (global) a single queue over all sizes charged by
+// the byte, which emulates a log-structured cache at 100 % utilization
+// (Table 2). Its ledger is one number, the bytes of the reservation no queue
+// holds yet; the queues' capacities say who holds the rest. A queue with no
+// room takes a whole page of it, first come first served, as stock memcached
+// does (§2), and nothing but a live resize ever takes a page back. The modes
+// differ only in where that starts:
+//
+//   - AllocDefault: every queue at 0, the whole reservation free.
+//   - AllocStatic: every queue at its solver-provided budget, nothing free,
+//     so queues never grow.
+//   - AllocGlobalLRU: the one queue holds the whole reservation, nothing free.
 type classQueues struct {
-	geom    *slab.Geometry
-	classes []cache.Policy
+	geom   *slab.Geometry
+	queues []cache.Policy
+	free   int64
+	// global: a single queue, charged by the byte.
+	global bool
 }
 
-func (p *classQueues) classFor(size int64) (int, bool) { return p.geom.ClassFor(size) }
+func newClassQueues(cfg TenantConfig, geom *slab.Geometry) *classQueues {
+	if cfg.Mode == AllocGlobalLRU {
+		one := cache.NewPolicy(cfg.Policy, cfg.MemoryBytes)
+		return &classQueues{geom: geom, queues: []cache.Policy{one}, global: true}
+	}
+	p := &classQueues{geom: geom, queues: make([]cache.Policy, geom.NumClasses())}
+	for c := range p.queues {
+		budget := int64(0)
+		if cfg.Mode == AllocStatic {
+			if budget = cfg.StaticClassBytes[c]; budget <= 0 {
+				budget = geom.ChunkSize(c) // room for at least one item
+			}
+		}
+		p.queues[c] = cache.NewPolicy(cfg.Policy, budget)
+	}
+	if cfg.Mode != AllocStatic {
+		p.free = cfg.MemoryBytes
+	}
+	return p
+}
 
-func (p *classQueues) cost(class int, size int64) int64 { return p.geom.ChunkSize(class) }
+func (p *classQueues) classFor(size int64) (int, bool) {
+	class, ok := p.geom.ClassFor(size)
+	if p.global {
+		class = 0
+	}
+	return class, ok
+}
 
+func (p *classQueues) cost(class int, size int64) int64 {
+	if p.global {
+		return max(size, 1)
+	}
+	return p.geom.ChunkSize(class)
+}
+
+// promoteResident touches the queue only when the key is already resident:
+// cache.Policy couples lookup and fill.
 func (p *classQueues) promoteResident(class int, key string, cost int64) bool {
-	return accessIfResident(p.classes[class], key, cost)
-}
-
-// accessIfResident is promoteResident over one eviction queue: cache.Policy
-// couples lookup and fill, so the structure is only touched when the key is
-// already resident.
-func accessIfResident(q cache.Policy, key string, cost int64) bool {
+	q := p.queues[class]
 	if !q.Contains(key) {
 		return false
 	}
@@ -80,178 +122,49 @@ func accessIfResident(q cache.Policy, key string, cost int64) bool {
 	return hit
 }
 
-func (p *classQueues) remove(class int, key string) bool { return p.classes[class].Remove(key) }
-
-func (p *classQueues) capacities() map[int]int64 {
-	out := make(map[int]int64)
-	for c, q := range p.classes {
-		out[c] = q.Capacity()
-	}
-	return out
-}
-
-func (p *classQueues) items() map[int]int {
-	out := make(map[int]int)
-	for c, q := range p.classes {
-		out[c] = q.Len()
-	}
-	return out
-}
-
-func (p *classQueues) used() map[int]int64 {
-	out := make(map[int]int64)
-	for c, q := range p.classes {
-		out[c] = q.Used()
-	}
-	return out
-}
-
-func (p *classQueues) usedBytes() int64 {
-	var sum int64
-	for _, q := range p.classes {
-		sum += q.Used()
-	}
-	return sum
-}
-
-func (p *classQueues) manager() *core.Manager { return nil }
-
-// defaultPolicy is stock Memcached behavior: memory is carved into pages
-// handed to slab classes on demand, first come first served; each class runs
-// its own eviction queue starting at zero capacity.
-type defaultPolicy struct {
-	classQueues
-	alloc *slab.Allocator
-}
-
-func newDefaultPolicy(cfg TenantConfig, geom *slab.Geometry) *defaultPolicy {
-	n := geom.NumClasses()
-	p := &defaultPolicy{
-		classQueues: classQueues{geom: geom, classes: make([]cache.Policy, n)},
-		alloc:       slab.NewAllocator(geom, cfg.MemoryBytes),
-	}
-	for c := 0; c < n; c++ {
-		p.classes[c] = cache.NewPolicy(cfg.Policy, 0)
-	}
-	return p
-}
-
-// admit implements the first-come-first-serve page allocation: when the
-// class's queue has no room for one more item, it grabs a free page if any
-// remain and grows its queue capacity accordingly.
-func (p *defaultPolicy) admit(class int, key string, cost int64) (bool, []cache.Victim) {
-	q := p.classes[class]
-	for q.Used()+cost > q.Capacity() {
-		if !p.alloc.Grow(class) {
-			break
-		}
-		q.Resize(p.alloc.BytesOf(class))
+func (p *classQueues) admit(class int, key string, cost int64) (bool, []cache.Victim) {
+	q, page := p.queues[class], p.geom.PageSize
+	for q.Used()+cost > q.Capacity() && p.free >= page {
+		p.free -= page
+		q.Resize(q.Capacity() + page)
 	}
 	return q.Access(key, cost)
 }
 
-func (p *defaultPolicy) resize(oldBytes, newBytes int64) []cache.Victim {
-	p.alloc.SetBudget(newBytes)
-	// A shrink leaves the free-page balance negative; shed pages from the
-	// largest classes (shrinking their queues to match) until it clears.
+func (p *classQueues) remove(class int, key string) bool { return p.queues[class].Remove(key) }
+
+// resize moves the difference into or out of the free count. Growth reaches
+// the queues through admit; a shrink that leaves the count negative takes a
+// page at a time off the largest queue until it clears.
+func (p *classQueues) resize(oldBytes, newBytes int64) []cache.Victim {
+	p.free += newBytes - oldBytes
 	var victims []cache.Victim
-	for p.alloc.FreePages() < 0 {
-		best, most := -1, int64(0)
-		for c := range p.classes {
-			if pg := p.alloc.PagesOf(c); pg > most {
-				best, most = c, pg
+	for p.free < 0 {
+		var largest cache.Policy
+		most := int64(0)
+		for _, q := range p.queues {
+			if c := q.Capacity(); c > most {
+				largest, most = q, c
 			}
 		}
-		if best < 0 {
+		if largest == nil {
 			break
 		}
-		p.alloc.Release(best)
-		victims = append(victims, p.classes[best].Resize(p.alloc.BytesOf(best))...)
+		take := min(p.geom.PageSize, most)
+		p.free += take
+		victims = append(victims, largest.Resize(most-take)...)
 	}
 	return victims
 }
 
-// staticPolicy uses fixed per-class byte budgets, typically produced by the
-// Dynacache solver baseline. There is no free pool: queues never grow on
-// demand, and a resize scales every budget proportionally.
-type staticPolicy struct {
-	classQueues
+func (p *classQueues) numQueues() int { return len(p.queues) }
+
+func (p *classQueues) queueView(i int) (capacity, used int64, items int) {
+	q := p.queues[i]
+	return q.Capacity(), q.Used(), q.Len()
 }
 
-func newStaticPolicy(cfg TenantConfig, geom *slab.Geometry) *staticPolicy {
-	n := geom.NumClasses()
-	p := &staticPolicy{classQueues{geom: geom, classes: make([]cache.Policy, n)}}
-	for c := 0; c < n; c++ {
-		budget := cfg.StaticClassBytes[c]
-		if budget <= 0 {
-			budget = geom.ChunkSize(c) // room for at least one item
-		}
-		p.classes[c] = cache.NewPolicy(cfg.Policy, budget)
-	}
-	return p
-}
-
-func (p *staticPolicy) admit(class int, key string, cost int64) (bool, []cache.Victim) {
-	return p.classes[class].Access(key, cost)
-}
-
-func (p *staticPolicy) resize(oldBytes, newBytes int64) []cache.Victim {
-	// Static budgets have no free pool to mediate; scale every class
-	// proportionally, keeping room for at least one item each.
-	var victims []cache.Victim
-	for c, q := range p.classes {
-		nb := int64(float64(q.Capacity()) * float64(newBytes) / float64(oldBytes))
-		if nb < p.geom.ChunkSize(c) {
-			nb = p.geom.ChunkSize(c)
-		}
-		victims = append(victims, q.Resize(nb)...)
-	}
-	return victims
-}
-
-// globalLRUPolicy keeps a single queue over all of the tenant's items
-// regardless of size, charged at exact item size — emulating a
-// log-structured memory cache at 100% utilization (Table 2).
-type globalLRUPolicy struct {
-	queue cache.Policy
-}
-
-func newGlobalLRUPolicy(cfg TenantConfig) *globalLRUPolicy {
-	return &globalLRUPolicy{queue: cache.NewPolicy(cfg.Policy, cfg.MemoryBytes)}
-}
-
-func (p *globalLRUPolicy) classFor(size int64) (int, bool) { return 0, true }
-
-func (p *globalLRUPolicy) cost(class int, size int64) int64 {
-	if size <= 0 {
-		return 1
-	}
-	return size
-}
-
-func (p *globalLRUPolicy) promoteResident(class int, key string, cost int64) bool {
-	return accessIfResident(p.queue, key, cost)
-}
-
-func (p *globalLRUPolicy) admit(class int, key string, cost int64) (bool, []cache.Victim) {
-	return p.queue.Access(key, cost)
-}
-
-func (p *globalLRUPolicy) remove(class int, key string) bool { return p.queue.Remove(key) }
-
-func (p *globalLRUPolicy) resize(oldBytes, newBytes int64) []cache.Victim {
-	return p.queue.Resize(newBytes)
-}
-
-func (p *globalLRUPolicy) capacities() map[int]int64 { return map[int]int64{0: p.queue.Capacity()} }
-
-func (p *globalLRUPolicy) items() map[int]int { return map[int]int{0: p.queue.Len()} }
-
-func (p *globalLRUPolicy) used() map[int]int64 { return map[int]int64{0: p.queue.Used()} }
-
-func (p *globalLRUPolicy) usedBytes() int64 { return p.queue.Used() }
-
-func (p *globalLRUPolicy) manager() *core.Manager { return nil }
+func (p *classQueues) manager() *core.Manager { return nil }
 
 // managedPolicy runs the paper's algorithm: one Cliffhanger manager per
 // tenant moves memory between slab-class queues using shadow-queue hill
@@ -385,50 +298,19 @@ func (p *managedPolicy) growIfNeeded(class int, key string, cost int64) []cache.
 	return victims
 }
 
-func (p *managedPolicy) capacities() map[int]int64 {
-	out := make(map[int]int64)
-	for c := 0; c < p.geom.NumClasses(); c++ {
-		out[c] = p.mgr.QueueAt(c).Capacity()
-	}
-	return out
-}
+func (p *managedPolicy) numQueues() int { return p.mgr.NumQueues() }
 
-func (p *managedPolicy) items() map[int]int {
-	out := make(map[int]int)
-	for c := 0; c < p.geom.NumClasses(); c++ {
-		out[c] = p.mgr.QueueAt(c).Items()
-	}
-	return out
-}
-
-func (p *managedPolicy) used() map[int]int64 {
-	out := make(map[int]int64)
-	for c := 0; c < p.geom.NumClasses(); c++ {
-		out[c] = p.mgr.QueueAt(c).Used()
-	}
-	return out
-}
-
-func (p *managedPolicy) usedBytes() int64 {
-	var sum int64
-	for c := 0; c < p.geom.NumClasses(); c++ {
-		sum += p.mgr.QueueAt(c).Used()
-	}
-	return sum
+func (p *managedPolicy) queueView(i int) (capacity, used int64, items int) {
+	q := p.mgr.QueueAt(i)
+	return q.Capacity(), q.Used(), q.Items()
 }
 
 func (p *managedPolicy) manager() *core.Manager { return p.mgr }
 
 // newPartitionPolicy builds the policy for cfg's mode.
 func newPartitionPolicy(cfg TenantConfig, geom *slab.Geometry) (partitionPolicy, error) {
-	switch cfg.Mode {
-	case AllocCliffhanger, AllocMemshare:
+	if cfg.Mode == AllocCliffhanger || cfg.Mode == AllocMemshare {
 		return newManagedPolicy(cfg, geom)
-	case AllocGlobalLRU:
-		return newGlobalLRUPolicy(cfg), nil
-	case AllocStatic:
-		return newStaticPolicy(cfg, geom), nil
-	default: // AllocDefault
-		return newDefaultPolicy(cfg, geom), nil
 	}
+	return newClassQueues(cfg, geom), nil
 }

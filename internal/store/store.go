@@ -93,8 +93,7 @@ type item struct {
 	// string materialized per resident key. Byte-keyed reads reuse it for
 	// their bookkeeping events so a GET hit never converts []byte to string.
 	key string
-	// value is a view into an arena chunk (or a plain heap buffer for the
-	// oversize global-LRU fallback). It is valid while the shard lock is
+	// value is a view into an arena chunk. It is valid while the shard lock is
 	// held, and — thanks to epoch-based reclamation — also after the lock
 	// drops for any reader that pinned the shard's epoch slot before
 	// unlocking (GetItemView): a retired chunk sits in quarantine until every
@@ -234,28 +233,25 @@ func shardFor[K ~string | ~[]byte](e *tenantEntry, key K) *valueShard {
 }
 
 // newValueLocked returns a buffer of vlen bytes for an item charged at size,
-// backed by a recycled arena chunk of the matching slab class. Charged sizes
-// beyond the largest chunk (possible only under the exact-size global-LRU
-// layout) fall back to the heap. The caller must hold sh.mu.
+// backed by a recycled arena chunk of the matching slab class. Every storage
+// verb has refused a size no chunk can hold before it gets here, in every
+// mode. The caller must hold sh.mu.
 func (e *tenantEntry) newValueLocked(sh *valueShard, size int64, vlen int) []byte {
-	if class, ok := e.arena.classFor(size); ok {
-		return e.arena.alloc(class)[:vlen]
-	}
-	return make([]byte, vlen)
+	class, _ := e.arena.classFor(size)
+	return e.arena.alloc(class)[:vlen]
 }
 
-// freeValueLocked retires an item's value chunk into the arena's quarantine
-// (heap fallbacks are simply dropped to the GC). The caller must hold sh.mu —
-// the happens-before edge that makes pinned readers visible to the reclaimer
-// — and must not write value afterwards: a pinned reader may still be
-// streaming it, and it is only recycled once every such pin has advanced.
+// freeValueLocked retires an item's value chunk into the arena's quarantine.
+// The caller must hold sh.mu, the happens-before edge that makes pinned
+// readers visible to the reclaimer, and must not write value afterwards: a
+// pinned reader may still be streaming it, and it is only recycled once every
+// such pin has advanced.
 func (e *tenantEntry) freeValueLocked(sh *valueShard, size int64, value []byte) {
 	if value == nil {
 		return
 	}
-	if class, ok := e.arena.classFor(size); ok {
-		e.arena.freeChunk(sh.idx, class, value)
-	}
+	class, _ := e.arena.classFor(size)
+	e.arena.freeChunk(sh.idx, class, value)
 }
 
 // reallocValueLocked replaces it's value buffer for a mutation that re-writes
@@ -701,11 +697,11 @@ func finishExpiry(e *tenantEntry, sh *valueShard, exp event, expAct recordAction
 }
 
 // ItemView is a borrowed read of a resident item: Value points straight into
-// the record's arena chunk (or heap buffer), kept immutable and un-recycled
-// by an epoch pin until Release is called. The holder may read Value — e.g.
-// stream it to a connection writer — but must not retain it past Release, and
-// must Release exactly once (a zero-value ItemView's Release is a no-op, so
-// misses need no special casing). Copy-on-write mutations and the epoch
+// the record's arena chunk, kept immutable and un-recycled by an epoch pin
+// until Release is called. The holder may read Value — e.g. stream it to a
+// connection writer — but must not retain it past Release, and must Release
+// exactly once (a zero-value ItemView's Release is a no-op, so misses need no
+// special casing). Copy-on-write mutations and the epoch
 // quarantine together guarantee the bytes cannot change or be reused while
 // the pin is held.
 type ItemView struct {
@@ -1291,46 +1287,67 @@ func (s *Store) UsedBytes(tenant string) (int64, error) {
 // carved yet (used + free + quarantined + migrating + uncarved ==
 // pages * chunks-per-page); the arena's used counts match the directory
 // walk; and UsedBytes matches the structural charge of the resident records.
-// In-flight bookkeeping is settled first.
-// The caller must quiesce traffic on the tenant — the walk takes each shard
-// lock in turn, so concurrent mutations would make the cross-shard totals
-// approximate. The chaos and shutdown suites run this after every fault
-// storm: a fault that leaks or double-frees a chunk fails here.
+// The caller must quiesce traffic on the tenant. The tenant's own background
+// work need not be: the whole audit is one critical section against the drain
+// tick's reaper and page migration (auditSealed), retried until it finds no
+// bookkeeping event in flight. The chaos and shutdown suites run this after
+// every fault storm: a fault that leaks or double-frees a chunk fails here.
 func (s *Store) AuditConservation(tenant string) error {
 	e, ok := s.entry(tenant)
 	if !ok {
 		return ErrNoTenant{tenant}
 	}
-	e.bk.flush()
+	for {
+		e.bk.flush()
+		if settled, err := e.auditSealed(); settled {
+			return err
+		}
+	}
+}
+
+// auditSealed is AuditConservation's critical section. It holds bk.mu and then
+// every shard lock, in index order (the documented lock order), so nothing
+// can enter or leave the directory and no event can reach the queues while the
+// three counts are compared; taken one after the other, a record the reaper
+// expires between the directory walk and the UsedBytes read is a charge nobody
+// holds. Every applyMu is taken first, as a sweep takes them, so no applier
+// is sitting on events it stole and has not replayed; events still buffered on
+// a shard (the reaper's, since the flush) make the pass report settled = false.
+func (e *tenantEntry) auditSealed() (settled bool, err error) {
+	for i := range e.shards {
+		e.shards[i].applyMu.Lock()
+		defer e.shards[i].applyMu.Unlock()
+	}
+	e.bk.mu.Lock()
+	defer e.bk.mu.Unlock()
+	for i := range e.shards {
+		e.shards[i].mu.Lock()
+		defer e.shards[i].mu.Unlock()
+	}
 	usedWant := make([]int64, e.arena.geom.NumClasses())
 	var charge int64
 	for i := range e.shards {
 		sh := &e.shards[i]
-		sh.mu.Lock()
-		for _, it := range sh.items {
-			if class, inArena := e.arena.classFor(it.size); inArena {
-				usedWant[class]++
-			}
-			cl, fits := e.tenant.ClassFor(it.size)
-			if !fits {
-				sh.mu.Unlock()
-				return fmt.Errorf("store: key %q resident at size %d beyond the largest class", it.key, it.size)
-			}
-			charge += e.tenant.cost(cl, it.size)
+		if len(sh.pending) > 0 {
+			return false, nil
 		}
-		sh.mu.Unlock()
+		for _, it := range sh.items {
+			chunk, fits := e.arena.classFor(it.size)
+			if !fits {
+				return true, fmt.Errorf("store: key %q resident at size %d beyond the largest class", it.key, it.size)
+			}
+			usedWant[chunk]++
+			queue, _ := e.tenant.ClassFor(it.size)
+			charge += e.tenant.cost(queue, it.size)
+		}
 	}
 	if err := e.arena.checkConservation(usedWant); err != nil {
-		return err
+		return true, err
 	}
-	used, err := s.UsedBytes(tenant)
-	if err != nil {
-		return err
+	if used := e.tenant.UsedBytes(); used != charge {
+		return true, fmt.Errorf("store: UsedBytes %d != live structural charge %d", used, charge)
 	}
-	if used != charge {
-		return fmt.Errorf("store: UsedBytes %d != live structural charge %d", used, charge)
-	}
-	return nil
+	return true, nil
 }
 
 // DroppedEvents reports how many advisory bookkeeping events the tenant has

@@ -329,11 +329,38 @@ func TestStoreEvictionDropsValues(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsOversizedValues: an object no chunk can hold is refused
+// with the same error by every storage verb in every mode, global LRU
+// included (it charges by the byte but stores in chunks like everyone else),
+// and the refusal leaves the key's previous value alone.
 func TestStoreRejectsOversizedValues(t *testing.T) {
-	s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU})
-	s.RegisterTenant("app", 8<<20)
-	if err := set(s, "app", "big", make([]byte, 2<<20)); err == nil {
-		t.Fatalf("values above the largest chunk must be rejected")
+	for _, mode := range []AllocationMode{AllocDefault, AllocCliffhanger, AllocGlobalLRU, AllocMemshare} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := New(Config{DefaultMode: mode, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+			defer s.Close()
+			s.RegisterTenant("app", 8<<20)
+			huge := make([]byte, (1<<20)+1-len("big")) // one byte past the largest chunk
+			if err := set(s, "app", "big", huge[:len(huge)-1]); err != nil {
+				t.Fatalf("an object of exactly the largest chunk must fit: %v", err)
+			}
+			want := errTooLarge("big", 1<<20+1).Error()
+			if err := set(s, "app", "big", huge); err == nil || err.Error() != want {
+				t.Fatalf("set: err = %v, want %q", err, want)
+			}
+			if _, err := s.Add("app", "other", make([]byte, 2<<20), 0, 0); err == nil {
+				t.Fatalf("add above the largest chunk must be rejected")
+			}
+			if _, err := s.Replace("app", "big", huge, 0, 0); err == nil || err.Error() != want {
+				t.Fatalf("replace: err = %v, want %q", err, want)
+			}
+			if _, err := appendTo(s, "app", "big", []byte("x"), false); err == nil || err.Error() != want {
+				t.Fatalf("append: err = %v, want %q", err, want)
+			}
+			if v, ok, _ := get(s, "app", "big"); !ok || len(v) != len(huge)-1 {
+				t.Fatalf("a refused write disturbed the stored value: ok=%v len=%d", ok, len(v))
+			}
+			auditArena(t, s, "app")
+		})
 	}
 }
 
@@ -563,10 +590,7 @@ func TestStoreValueConsistencyWithQueues(t *testing.T) {
 				// With the item directory emitting re-admit events, a re-set
 				// key never leaves a stale entry in its old class queue, so
 				// settled queues track exactly one entry per held value.
-				items := 0
-				for _, n := range e.tenant.classItems() {
-					items += n
-				}
+				items := queuedItems(e.tenant)
 				if items != len(held) {
 					t.Fatalf("queues track %d items but store holds %d values", items, len(held))
 				}
@@ -852,10 +876,7 @@ func TestStoreCrossClassReSet(t *testing.T) {
 				class, _ := e.tenant.ClassFor(size)
 				want := e.tenant.cost(class, size)
 				e.bk.mu.Lock()
-				items := 0
-				for _, n := range e.tenant.classItems() {
-					items += n
-				}
+				items := queuedItems(e.tenant)
 				used := e.tenant.UsedBytes()
 				e.bk.mu.Unlock()
 				if items != 1 {
@@ -933,10 +954,7 @@ func TestStoreCrossClassReSetConcurrent(t *testing.T) {
 				sh.mu.Unlock()
 			}
 			e.bk.mu.Lock()
-			items := 0
-			for _, n := range e.tenant.classItems() {
-				items += n
-			}
+			items := queuedItems(e.tenant)
 			used := e.tenant.UsedBytes()
 			e.bk.mu.Unlock()
 			if items != held {
@@ -1225,4 +1243,15 @@ func TestTenantSelfBounceNotCountedAsEviction(t *testing.T) {
 	if evictions != 1 {
 		t.Fatalf("evicting a neighbor should count once, got %d", evictions)
 	}
+}
+
+// queuedItems totals the structural entries across the tenant's queues. The
+// caller must hold the bookkeeper's mutex or have quiesced the store.
+func queuedItems(t *Tenant) int {
+	total := 0
+	for c := 0; c < t.policy.numQueues(); c++ {
+		_, _, items := t.policy.queueView(c)
+		total += items
+	}
+	return total
 }

@@ -1,14 +1,15 @@
 // Package store implements the multi-tenant, slab-allocated cache engine the
 // experiments and the server run on: a Memcached-style key-value store with
-// per-application memory reservations, per-slab-class LRU queues, and a
-// pluggable memory-allocation policy — the default first-come-first-serve
-// page allocation, a static (solver-provided) allocation, a global LRU
-// (log-structured-memory-like) layout, Cliffhanger, or Memshare (Cliffhanger
-// within each tenant plus cross-tenant arbitration).
+// per-application memory reservations, per-slab-class LRU queues, and an
+// allocation mode that is one of two things: plain eviction queues (the
+// default first-come-first-serve page allocation, a static solver-provided
+// split, or a global LRU, which differ only in where the reservation starts),
+// or queues managed by the paper's algorithm (Cliffhanger, and Memshare, which
+// is Cliffhanger within each tenant plus cross-tenant arbitration).
 //
 // The engine is split in three layers:
 //
-//   - Tenant (this file, with the per-mode behavior in policy.go) tracks one
+//   - Tenant (this file, with the two policies in policy.go) tracks one
 //     application's cache *structure* — which keys are resident in which
 //     slab class and how memory is divided — without holding values. It is
 //     single-threaded by design: the trace-driven simulator (internal/sim)
@@ -46,7 +47,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 
 	"cliffhanger/internal/cache"
 	"cliffhanger/internal/core"
@@ -67,7 +67,8 @@ const (
 	// hill climbing and scales performance cliffs.
 	AllocCliffhanger
 	// AllocStatic uses fixed per-class byte budgets, typically produced by
-	// the Dynacache solver baseline.
+	// the Dynacache solver baseline. Only the simulator can supply them
+	// (ParseAllocationMode refuses the name).
 	AllocStatic
 	// AllocGlobalLRU keeps a single LRU over all of the tenant's items
 	// regardless of size, emulating a log-structured memory cache at 100%
@@ -98,6 +99,22 @@ func (m AllocationMode) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseAllocationMode converts a mode name, as String prints it, into the
+// mode a store can register tenants under by name and size. "static" is
+// refused: such a tenant has no per-class budgets, and without them it holds
+// one item per class; the mode exists for the simulator's solver baseline.
+func ParseAllocationMode(s string) (AllocationMode, error) {
+	for _, m := range []AllocationMode{AllocDefault, AllocCliffhanger, AllocGlobalLRU, AllocMemshare} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	if s == AllocStatic.String() {
+		return 0, fmt.Errorf("allocation mode %q exists for the simulator's solver baseline only", s)
+	}
+	return 0, fmt.Errorf("unknown allocation mode %q", s)
 }
 
 // TenantConfig configures one application's cache structure.
@@ -168,12 +185,11 @@ func (s TenantStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Tenant tracks one application's cache structure. The mode-specific
-// behavior — how memory is divided, grown and charged — lives in the
-// partitionPolicy (policy.go); the Tenant owns the mode-independent
-// counters. It is not safe for concurrent use; in the Store each tenant's
-// bookkeeper serializes access, and the simulator drives it from a single
-// goroutine.
+// Tenant tracks one application's cache structure. How memory is divided,
+// grown and charged lives in the partitionPolicy (policy.go: classQueues or
+// managedPolicy); the Tenant owns the mode-independent counters. It is not
+// safe for concurrent use; in the Store each tenant's bookkeeper serializes
+// access, and the simulator drives it from a single goroutine.
 type Tenant struct {
 	cfg    TenantConfig
 	geom   *slab.Geometry
@@ -443,15 +459,25 @@ func (t *Tenant) removeFrom(class int, key string) bool {
 // by slab class. For global-LRU tenants the single queue is reported as
 // class 0.
 func (t *Tenant) ClassCapacities() map[int]int64 {
-	return t.policy.capacities()
+	out := make(map[int]int64, t.policy.numQueues())
+	for c := 0; c < t.policy.numQueues(); c++ {
+		out[c], _, _ = t.policy.queueView(c)
+	}
+	return out
 }
 
 // UsedBytes returns the tenant's resident bytes.
 func (t *Tenant) UsedBytes() int64 {
-	return t.policy.usedBytes()
+	var sum int64
+	for c := 0; c < t.policy.numQueues(); c++ {
+		_, used, _ := t.policy.queueView(c)
+		sum += used
+	}
+	return sum
 }
 
-// Stats returns a snapshot of the tenant's counters.
+// Stats returns a snapshot of the tenant's counters, with the classes that
+// have seen traffic or hold memory in class order.
 func (t *Tenant) Stats() TenantStats {
 	st := TenantStats{
 		Name:      t.cfg.Name,
@@ -464,15 +490,13 @@ func (t *Tenant) Stats() TenantStats {
 		Touches:   t.touches,
 		TouchHits: t.touchHits,
 	}
-	caps := t.ClassCapacities()
-	items := t.classItems()
-	used := t.classUsed()
-	for c := 0; c < len(t.classReq); c++ {
-		if t.classReq[c] == 0 && caps[c] == 0 && used[c] == 0 {
+	for c := 0; c < t.policy.numQueues(); c++ {
+		capacity, used, items := t.policy.queueView(c)
+		if t.classReq[c] == 0 && capacity == 0 && used == 0 {
 			continue
 		}
 		chunk := int64(0)
-		if t.cfg.Mode != AllocGlobalLRU && c < t.geom.NumClasses() {
+		if t.cfg.Mode != AllocGlobalLRU {
 			chunk = t.geom.ChunkSize(c)
 		}
 		st.Classes = append(st.Classes, ClassStats{
@@ -482,19 +506,10 @@ func (t *Tenant) Stats() TenantStats {
 			Hits:          t.classHit[c],
 			Misses:        t.classMiss[c],
 			Evictions:     t.classEvict[c],
-			UsedBytes:     used[c],
-			CapacityBytes: caps[c],
-			Items:         items[c],
+			UsedBytes:     used,
+			CapacityBytes: capacity,
+			Items:         items,
 		})
 	}
-	sort.Slice(st.Classes, func(i, j int) bool { return st.Classes[i].Class < st.Classes[j].Class })
 	return st
-}
-
-func (t *Tenant) classItems() map[int]int {
-	return t.policy.items()
-}
-
-func (t *Tenant) classUsed() map[int]int64 {
-	return t.policy.used()
 }

@@ -9,8 +9,7 @@
 // equivalents (see memcachier.go and facebook.go) that reproduce the
 // structural properties the algorithms respond to: Zipfian popularity,
 // per-application slab-class mixes skewed across item sizes, sequential scans
-// that produce performance cliffs, and bursty phase changes. DESIGN.md §2
-// documents the substitution.
+// that produce performance cliffs, and bursty phase changes.
 package trace
 
 import (

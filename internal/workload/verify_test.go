@@ -10,36 +10,51 @@ import (
 // for: replaying the seeded Memcachier generator over a real TCP socket
 // (protocol parse, server handlers, sharded store, synchronous bookkeeping)
 // reproduces the per-application hit rates internal/sim computes for the
-// same stream, within the stated tolerance. The CLI equivalent is
-// `cliffbench -trace memcachier -verify`.
+// same stream, within the stated tolerance. The two classQueues modes a
+// binary can start are held to exactly equal hit rates: they share one
+// admission path, and nothing else in tier-1 runs them over the wire. The CLI
+// equivalent is `cliffbench -trace memcachier -verify [-mode ...]`.
 func TestCrossCheckMemcachierSimVsWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays tens of thousands of requests over a socket")
 	}
-	res, err := CrossCheck(VerifyConfig{
-		Spec:      "memcachier",
-		Options:   Options{Requests: 40000, Seed: 7, Scale: 0.05},
-		Mode:      store.AllocCliffhanger,
-		Tolerance: 0.03,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Apps) != 20 {
-		t.Fatalf("compared %d apps, want 20", len(res.Apps))
-	}
-	var reqs int64
-	for _, a := range res.Apps {
-		reqs += a.Requests
-		t.Logf("app%-2d gets=%-6d sim=%.4f wire=%.4f delta=%.4f", a.App, a.Requests, a.Sim, a.Wire, a.Delta())
-	}
-	t.Logf("overall sim=%.4f wire=%.4f maxDelta=%.4f fills=%d rejected=%d",
-		res.SimOverall, res.WireOverall, res.MaxDelta, res.Fills, res.RejectedSets)
-	if reqs == 0 {
-		t.Fatal("wire replay saw no GETs")
-	}
-	if !res.OK() {
-		t.Fatalf("wire hit rates diverged from sim: max delta %.4f > tolerance %.4f", res.MaxDelta, res.Tolerance)
+	for _, in := range []struct {
+		mode      store.AllocationMode
+		tolerance float64 // 0: sim and wire must agree exactly
+	}{
+		{store.AllocCliffhanger, 0.03},
+		{store.AllocDefault, 0},
+		{store.AllocGlobalLRU, 0},
+	} {
+		t.Run(in.mode.String(), func(t *testing.T) {
+			res, err := CrossCheck(VerifyConfig{
+				Spec:      "memcachier",
+				Options:   Options{Requests: 40000, Seed: 7, Scale: 0.05},
+				Mode:      in.mode,
+				Tolerance: in.tolerance,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Apps) != 20 {
+				t.Fatalf("compared %d apps, want 20", len(res.Apps))
+			}
+			var reqs int64
+			for _, a := range res.Apps {
+				reqs += a.Requests
+				t.Logf("app%-2d gets=%-6d sim=%.4f wire=%.4f delta=%.4f", a.App, a.Requests, a.Sim, a.Wire, a.Delta())
+			}
+			t.Logf("overall sim=%.4f wire=%.4f maxDelta=%.4f fills=%d rejected=%d",
+				res.SimOverall, res.WireOverall, res.MaxDelta, res.Fills, res.RejectedSets)
+			if reqs == 0 {
+				t.Fatal("wire replay saw no GETs")
+			}
+			// CrossCheck reads a zero tolerance as "use the default", so exact
+			// agreement is asked of MaxDelta itself.
+			if !res.OK() || (in.tolerance == 0 && res.MaxDelta != 0) {
+				t.Fatalf("wire hit rates diverged from sim: max delta %v, tolerance %v", res.MaxDelta, in.tolerance)
+			}
+		})
 	}
 }
 
