@@ -75,15 +75,18 @@ count:
 	@echo "policy.go: $$(wc -l < internal/store/policy.go) lines (wc -l)"
 	@echo "non-test wc -l, internal/store + internal/core + internal/slab: $$($(call NONTEST,internal/store/*.go internal/core/*.go internal/slab/*.go) | xargs cat | wc -l)"
 	@echo "exported identifiers, internal/slab + internal/core: $$($(call NONTEST,internal/slab/*.go internal/core/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
+	@echo "non-test wc -l, internal/server + internal/client + internal/protocol + cmd/cliffhangerd + cmd/cliffbench: $$($(call NONTEST,internal/server/*.go internal/client/*.go internal/protocol/*.go cmd/cliffhangerd/*.go cmd/cliffbench/*.go) | xargs cat | wc -l)"
+	@echo "exported identifiers, internal/client + internal/server + internal/protocol: $$($(call NONTEST,internal/client/*.go internal/server/*.go internal/protocol/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
 
 # conformance walks every verb over a real socket, checks that both front
 # ends answer a tenant-switching batch in order (the classic one in a single
 # write), then runs the shipped-defaults smoke: a -mode cliffhanger,
 # default:64 store is loaded with 8192 keys that fit thirty times over, and
 # `stats` must report no miss and `stats cliffhanger` no eviction, no relaxed
-# pointer and even partitions.
+# pointer and even partitions. Last, the stats schema: every group's field
+# names, in wire order, for a fixed store state.
 conformance:
-	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits|TestServerStatsSchema' -v ./internal/server/
 
 # fits repeats the keeps-what-fits tests where they used to flake: the
 # store-level twins (a load that fits evicts nothing, a fill of twice the

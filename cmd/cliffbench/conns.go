@@ -85,16 +85,15 @@ func runConns(logger *log.Logger, cfg connsConfig) {
 
 	ctl := dial(logger, cfg.addr, "", cfg.timeout)
 	defer ctl.Close()
-	before, err := ctl.StatsConns()
-	if err != nil {
+	run := &connsRun{Mode: "classic", HotConns: cfg.hot}
+	if err := readFrontEnd(ctl, run); err != nil {
 		logger.Fatalf("stats: %v", err)
 	}
-	mode := "classic"
-	if before.WorkerCount > 0 {
-		mode = "parked"
+	if run.Workers > 0 {
+		run.Mode = "parked"
 	}
 	logger.Printf("connscale: %s front end (%d workers), ramping %d conns at %.0f/s",
-		mode, before.WorkerCount, cfg.conns, cfg.rate)
+		run.Mode, run.Workers, cfg.conns, cfg.rate)
 
 	// Preload the hot cohort's keyspace once so every measured GET is a hit.
 	payload := make([]byte, cfg.value)
@@ -221,29 +220,18 @@ func runConns(logger *log.Logger, cfg connsConfig) {
 
 	// Read the server's view while everything is still connected: the idle
 	// mass parked, the hot cohort mid-flight.
-	after, err := ctl.StatsConns()
-	if err != nil {
+	if err := readFrontEnd(ctl, run); err != nil {
 		logger.Fatalf("stats: %v", err)
 	}
 	close(stop)
 	wg.Wait()
 
-	run := &connsRun{
-		Mode:              mode,
-		Workers:           after.WorkerCount,
-		Connections:       after.CurrConnections,
-		ParkedConnections: after.ParkedConnections,
-		ActiveSessions:    after.ActiveSessions,
-		BufferPoolBytes:   after.BufferPoolBytes,
-		MemInuseBytes:     after.MemInuseBytes,
-		HotConns:          cfg.hot,
-		HotOps:            hotOps.Load(),
-		HotOpsPerSec:      float64(hotOps.Load()) / measured.Seconds(),
-		HotP50Us:          hist.Quantile(0.50).Microseconds(),
-		HotP99Us:          hist.Quantile(0.99).Microseconds(),
-		FailedRequests:    failed.Load(),
-		RampSeconds:       rampTook.Seconds(),
-	}
+	run.HotOps = hotOps.Load()
+	run.HotOpsPerSec = float64(run.HotOps) / measured.Seconds()
+	run.HotP50Us = hist.Quantile(0.50).Microseconds()
+	run.HotP99Us = hist.Quantile(0.99).Microseconds()
+	run.FailedRequests = failed.Load()
+	run.RampSeconds = rampTook.Seconds()
 	if run.Connections > 0 {
 		run.BytesPerConn = run.MemInuseBytes / run.Connections
 	}
@@ -267,6 +255,27 @@ func runConns(logger *log.Logger, cfg connsConfig) {
 		}
 		logger.Printf("connscale gate: PASS (%.1fx bytes/conn reduction)", report.IdleBytesRatio)
 	}
+}
+
+// readFrontEnd fills run's server-side fields from one plain "stats" reply.
+func readFrontEnd(ctl *client.Client, run *connsRun) error {
+	st, err := ctl.Stats()
+	if err != nil {
+		return err
+	}
+	for name, dst := range map[string]*int64{
+		"worker_count":       &run.Workers,
+		"curr_connections":   &run.Connections,
+		"parked_connections": &run.ParkedConnections,
+		"active_sessions":    &run.ActiveSessions,
+		"buffer_pool_bytes":  &run.BufferPoolBytes,
+		"mem_inuse_bytes":    &run.MemInuseBytes,
+	} {
+		if *dst, err = st.Int(name); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mergeConnsReport folds this run into the JSON report, keyed by mode, and

@@ -46,8 +46,16 @@
 // The hot tenant's lease_pages climbs tick by tick (and cold's falls toward
 // its reserved_pages floor) while arbiter_moves counts the transfers; the
 // same numbers appear in the plain "stats" verb (reserved_pages,
-// target_bytes, marginal_hit_per_byte, arbiter_moves), in client.StatsArbiter,
-// and on each -stats-json line.
+// target_bytes, marginal_hit_per_byte, arbiter_moves), in
+// client.Stats("arbiter"), and on each -stats-json line.
+//
+// -stats-interval logs one line per tick: the commands served per second
+// over that tick, then each tenant's hit rate, shed GET events, leased pages
+// and arena occupancy. -stats-json (which needs -stats-interval) appends the
+// same tick as one JSON object: "ts", "interval_ops_per_sec", "tenants" (each
+// tenant's plain "stats" group) and "arbiter" (the "stats arbiter" group),
+// every group a name-to-value object of the strings the stats verb sends.
+// The verb's own ops_per_sec is the average since the daemon started.
 //
 // Pass -workers to switch the front end from goroutine-per-connection to
 // the event-driven parked model: a fixed worker pool serves whichever
@@ -90,12 +98,14 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof handlers on DefaultServeMux
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"cliffhanger/internal/cache"
+	"cliffhanger/internal/protocol"
 	"cliffhanger/internal/server"
 	"cliffhanger/internal/store"
 )
@@ -123,6 +133,9 @@ func main() {
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "cliffhangerd: ", log.LstdFlags)
+	if *statsJSON != "" && *statsIntv <= 0 {
+		logger.Fatal("-stats-json needs -stats-interval: it records one line per tick")
+	}
 
 	m, err := store.ParseAllocationMode(*mode)
 	if err != nil {
@@ -239,50 +252,74 @@ func parseTenants(s string) ([]tenantSpec, error) {
 	return specs, nil
 }
 
-// statsTick is the JSON shape written per -stats-interval tick: one line per
-// tick so the file tails and greps like a log but parses like a dataset.
-type statsTick struct {
-	TS        string    `json:"ts"`
-	OpsPerSec float64   `json:"ops_per_sec"`
-	GetP99Us  int64     `json:"get_p99_us"`
-	SetP99Us  int64     `json:"set_p99_us"`
-	Pool      poolStats `json:"page_pool"`
-	// The connection front end per tick: how many connections exist, how
-	// many are parked off goroutines versus actively holding a session, the
-	// bytes resident in the bounded session-buffer pool, and the worker
-	// count (zero in classic goroutine-per-connection mode).
-	CurrConnections   int64 `json:"curr_connections"`
-	ParkedConnections int64 `json:"parked_connections"`
-	ActiveSessions    int64 `json:"active_sessions"`
-	BufferPoolBytes   int64 `json:"buffer_pool_bytes"`
-	WorkerCount       int64 `json:"worker_count"`
-	// ArbiterMoves/ArbiterLastMove expose the memshare arbiter's cumulative
-	// decision count and most recent transfer (zero/empty outside memshare
-	// mode), so a stats-json trail shows when memory moved between tenants.
-	ArbiterMoves    int64            `json:"arbiter_moves,omitempty"`
-	ArbiterLastMove string           `json:"arbiter_last_move,omitempty"`
-	Tenants         []tenantTickStat `json:"tenants"`
+// tick is one -stats-interval record and one -stats-json line: the commands
+// served per second since the previous tick, then every tenant's plain stats
+// group and the arbiter group, name to value as the stats verb renders them.
+type tick struct {
+	TS                string                       `json:"ts"`
+	IntervalOpsPerSec float64                      `json:"interval_ops_per_sec"`
+	Tenants           map[string]map[string]string `json:"tenants"`
+	Arbiter           map[string]string            `json:"arbiter"`
 }
 
-type poolStats struct {
-	TotalPages int64 `json:"total_pages"`
-	FreePages  int64 `json:"free_pages"`
+// ticker renders ticks. It keeps the command count and time of the last one,
+// which the interval rate is measured from.
+type ticker struct {
+	srv  *server.Server
+	st   *store.Store
+	ops  int64
+	last time.Time
 }
 
-type tenantTickStat struct {
-	Name              string  `json:"name"`
-	HitRate           float64 `json:"hit_rate"`
-	Requests          int64   `json:"requests"`
-	ArenaBytes        int64   `json:"arena_bytes"`
-	Occupancy         float64 `json:"occupancy"`
-	Epoch             uint64  `json:"epoch"`
-	QuarantinedChunks int64   `json:"quarantined_chunks"`
-	DeferredFrees     int64   `json:"deferred_frees"`
-	LeasePages        int64   `json:"lease_pages"`
-	// ReservedPages is the arbiter floor and MarginalHitPerByte the
-	// shadow-queue signal the arbiter ranks the tenant by (memshare mode).
-	ReservedPages      int64   `json:"reserved_pages,omitempty"`
-	MarginalHitPerByte float64 `json:"marginal_hit_per_byte,omitempty"`
+func (t *ticker) next(now time.Time) tick {
+	ops := t.srv.Ops.Ops()
+	tk := tick{TS: now.UTC().Format(time.RFC3339Nano), Tenants: make(map[string]map[string]string)}
+	if secs := now.Sub(t.last).Seconds(); secs > 0 {
+		tk.IntervalOpsPerSec = float64(ops-t.ops) / secs
+	}
+	t.ops, t.last = ops, now
+	for _, name := range t.st.Tenants() {
+		// A tenant deleted since Tenants() has no group; it is left out.
+		if g, err := t.srv.Stats(name); err == nil {
+			tk.Tenants[name] = byName(g)
+		}
+	}
+	g, _ := t.srv.Stats("", "arbiter") // needs no tenant, cannot fail
+	tk.Arbiter = byName(g)
+	return tk
+}
+
+func byName(stats []protocol.Stat) map[string]string {
+	m := make(map[string]string, len(stats))
+	for _, s := range stats {
+		m[s.Name] = s.Value
+	}
+	return m
+}
+
+// logLine is the -stats-interval log line: the interval rate, the sampled
+// latency p99s and the page pool (process-wide, so read from any tenant's
+// group), then each tenant's hit rate, GETs, shed GET events, leased pages,
+// arena bytes and arena occupancy.
+func (tk *tick) logLine() string {
+	names := make([]string, 0, len(tk.Tenants))
+	for n := range tk.Tenants {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	fmt.Fprintf(&b, "ops/s=%.0f", tk.IntervalOpsPerSec)
+	if len(names) > 0 {
+		g := tk.Tenants[names[0]]
+		fmt.Fprintf(&b, " get p99=%sus set p99=%sus pool free=%s/%s",
+			g["get_p99_us"], g["set_p99_us"], g["page_pool_free"], g["page_pool_total"])
+	}
+	for _, n := range names {
+		g := tk.Tenants[n]
+		fmt.Fprintf(&b, " | %s hit=%s req=%s shed=%s pages=%s arena=%s occ=%s", n,
+			g["hit_rate"], g["cmd_get"], g["dropped_events"], g["lease_pages"], g["arena_bytes"], g["arena_occupancy"])
+	}
+	return b.String()
 }
 
 func logStats(logger *log.Logger, srv *server.Server, st *store.Store, interval time.Duration, jsonOut *os.File) {
@@ -290,71 +327,12 @@ func logStats(logger *log.Logger, srv *server.Server, st *store.Store, interval 
 	if jsonOut != nil {
 		enc = json.NewEncoder(jsonOut)
 	}
-	for range time.Tick(interval) {
-		var parts []string
-		var arenaBytes, arenaUsed, arenaTotal int64
-		ps := st.PageStats()
-		as := st.ArbiterStats()
-		cs := srv.ConnStats()
-		tick := statsTick{
-			TS:                time.Now().UTC().Format(time.RFC3339Nano),
-			OpsPerSec:         srv.Ops.Rate(),
-			GetP99Us:          srv.GetLatency.Quantile(0.99).Microseconds(),
-			SetP99Us:          srv.SetLatency.Quantile(0.99).Microseconds(),
-			Pool:              poolStats{TotalPages: ps.TotalPages, FreePages: ps.FreePages},
-			ArbiterMoves:      as.Moves,
-			ArbiterLastMove:   as.LastMove,
-			CurrConnections:   cs.CurrConnections,
-			ParkedConnections: cs.ParkedConnections,
-			ActiveSessions:    cs.ActiveSessions,
-			BufferPoolBytes:   cs.BufferPoolBytes,
-			WorkerCount:       cs.WorkerCount,
-		}
-		for _, name := range st.Tenants() {
-			s, err := st.Stats(name)
-			if err != nil {
-				continue
-			}
-			dropped, _ := st.DroppedEvents(name)
-			parts = append(parts, fmt.Sprintf("%s hit=%.4f req=%d shed=%d pages=%d",
-				name, s.HitRate(), s.Requests, dropped, ps.Leases[name]))
-			var ab, ub, tb int64
-			if classes, err := st.SlabStats(name); err == nil {
-				ab, ub, tb = store.SumArenaStats(classes)
-				arenaBytes += ab
-				arenaUsed += ub
-				arenaTotal += tb
-			}
-			occ := 0.0
-			if tb > 0 {
-				occ = float64(ub) / float64(tb)
-			}
-			rs, _ := st.ReclaimStats(name)
-			at := as.Tenants[name]
-			tick.Tenants = append(tick.Tenants, tenantTickStat{
-				Name:               name,
-				HitRate:            s.HitRate(),
-				Requests:           s.Requests,
-				ArenaBytes:         ab,
-				Occupancy:          occ,
-				Epoch:              rs.Epoch,
-				QuarantinedChunks:  rs.QuarantinedChunks,
-				DeferredFrees:      rs.DeferredFrees,
-				LeasePages:         ps.Leases[name],
-				ReservedPages:      at.ReservedPages,
-				MarginalHitPerByte: at.MarginalHitPerByte,
-			})
-		}
-		occupancy := 0.0
-		if arenaTotal > 0 {
-			occupancy = float64(arenaUsed) / float64(arenaTotal)
-		}
-		logger.Printf("ops/s=%.0f get p99=%v set p99=%v arena=%dMiB occ=%.2f pool=%d/%d | %s",
-			srv.Ops.Rate(), srv.GetLatency.Quantile(0.99), srv.SetLatency.Quantile(0.99),
-			arenaBytes>>20, occupancy, ps.TotalPages-ps.FreePages, ps.TotalPages,
-			strings.Join(parts, " | "))
+	t := ticker{srv: srv, st: st, ops: srv.Ops.Ops(), last: time.Now()}
+	for now := range time.Tick(interval) {
+		tk := t.next(now)
+		logger.Print(tk.logLine())
 		if enc != nil {
-			if err := enc.Encode(&tick); err != nil {
+			if err := enc.Encode(&tk); err != nil {
 				logger.Printf("stats-json: %v", err)
 			}
 		}

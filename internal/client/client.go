@@ -799,254 +799,35 @@ func (c *Client) adminVerb(line string) error {
 	return nil
 }
 
-// Stats returns the server's STAT lines for the selected tenant.
-func (c *Client) Stats() (map[string]string, error) {
-	return c.statsCmd("stats")
-}
+// Stats is one group of the stats verb as the server rendered it, field name
+// to value. The server's renderer is the schema; a reader names the fields it
+// needs.
+type Stats map[string]string
 
-// StatsSlabs returns the per-slab-class arena occupancy ("stats slabs"):
-// chunk size, leased pages and used/free/quarantined/uncarved chunk counts
-// per class, keyed "<class>:<field>", plus the
-// active_slabs/total_pages/total_malloced totals.
-func (c *Client) StatsSlabs() (map[string]string, error) {
-	return c.statsCmd("stats slabs")
-}
-
-// ArbiterTenant is one tenant's arbitration-facing state as parsed from
-// "stats arbiter": its page-pool lease, the floor the arbiter will not
-// shrink it below, the reservation it is converging to, the two
-// hit-rate-per-byte estimates the arbiter ranks it by, and whether it
-// participates in cross-tenant arbitration at all (memshare mode).
-type ArbiterTenant struct {
-	Arbitrated         bool
-	LeasePages         int64
-	ReservedPages      int64
-	TargetBytes        int64
-	MarginalHitPerByte float64
-	HitDensityPerByte  float64
-}
-
-// ArbiterStats is the parsed "stats arbiter" response: the process-wide move
-// counter, the most recent move ("donor->recipient:bytes", empty before the
-// first), and every tenant's state.
-type ArbiterStats struct {
-	Moves    int64
-	LastMove string
-	Tenants  map[string]ArbiterTenant
-}
-
-// StatsArbiter fetches and parses the "stats arbiter" sub-command — the
-// cross-tenant memory arbiter's observable state. Polling it is how an
-// operator watches memory migrate between memshare tenants live.
-func (c *Client) StatsArbiter() (*ArbiterStats, error) {
-	raw, err := c.statsCmd("stats arbiter")
+// Int parses the named field as an integer; a missing or non-integer field is
+// an error.
+func (s Stats) Int(name string) (int64, error) {
+	v, ok := s[name]
+	if !ok {
+		return 0, fmt.Errorf("client: stats has no %s", name)
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
-		return nil, err
+		return 0, fmt.Errorf("client: stats %s = %q: %w", name, v, err)
 	}
-	out := &ArbiterStats{Tenants: make(map[string]ArbiterTenant)}
-	out.Moves, _ = strconv.ParseInt(raw["arbiter_moves"], 10, 64)
-	out.LastMove = raw["arbiter_last_move"]
-	for k, v := range raw {
-		i := strings.LastIndex(k, ":")
-		if i < 0 {
-			continue
-		}
-		name, field := k[:i], k[i+1:]
-		t := out.Tenants[name]
-		switch field {
-		case "arbitrated":
-			t.Arbitrated = v == "true"
-		case "lease_pages":
-			t.LeasePages, _ = strconv.ParseInt(v, 10, 64)
-		case "reserved_pages":
-			t.ReservedPages, _ = strconv.ParseInt(v, 10, 64)
-		case "target_bytes":
-			t.TargetBytes, _ = strconv.ParseInt(v, 10, 64)
-		case "marginal_hit_per_byte":
-			t.MarginalHitPerByte, _ = strconv.ParseFloat(v, 64)
-		case "hit_density_per_byte":
-			t.HitDensityPerByte, _ = strconv.ParseFloat(v, 64)
-		default:
-			continue
-		}
-		out.Tenants[name] = t
-	}
-	return out, nil
+	return n, nil
 }
 
-// CliffhangerQueue is one class queue's algorithm state as parsed from "stats
-// cliffhanger": what hill climbing gave it (Capacity, Credits), how cliff
-// scaling has it split (Ratio, the two pointers, the two partitions' applied
-// capacities) and the counters of the events that moved either.
-type CliffhangerQueue struct {
-	Capacity, AppliedCapacity, Used, Items, Credits int64
-	Split                                           bool
-	Ratio                                           float64
-	LeftPointer, RightPointer                       int64
-	LeftCapacity, RightCapacity                     int64
-	Requests, Hits, ShadowHits, CliffShadowHits     int64
-	LeftTailEvents, RightTailEvents                 int64
-	LeftCliffEvents, RightCliffEvents               int64
-	StalePointerEvents, RelaxEvents                 int64
-	Resizes, Evictions                              int64
-}
-
-// counter maps an integer field's wire name to where it is parsed into; nil
-// for a name this client does not know.
-func (q *CliffhangerQueue) counter(field string) *int64 {
-	switch field {
-	case "capacity":
-		return &q.Capacity
-	case "applied_capacity":
-		return &q.AppliedCapacity
-	case "used":
-		return &q.Used
-	case "items":
-		return &q.Items
-	case "credits":
-		return &q.Credits
-	case "left_pointer":
-		return &q.LeftPointer
-	case "right_pointer":
-		return &q.RightPointer
-	case "left_capacity":
-		return &q.LeftCapacity
-	case "right_capacity":
-		return &q.RightCapacity
-	case "requests":
-		return &q.Requests
-	case "hits":
-		return &q.Hits
-	case "shadow_hits":
-		return &q.ShadowHits
-	case "cliff_shadow_hits":
-		return &q.CliffShadowHits
-	case "left_tail_events":
-		return &q.LeftTailEvents
-	case "right_tail_events":
-		return &q.RightTailEvents
-	case "left_cliff_events":
-		return &q.LeftCliffEvents
-	case "right_cliff_events":
-		return &q.RightCliffEvents
-	case "stale_pointer_events":
-		return &q.StalePointerEvents
-	case "relax_events":
-		return &q.RelaxEvents
-	case "resizes":
-		return &q.Resizes
-	case "evictions":
-		return &q.Evictions
-	}
-	return nil
-}
-
-// CliffhangerStats is the parsed "stats cliffhanger" response: the pages of
-// the tenant's reservation no class queue holds yet, and every class queue
-// that has seen traffic, keyed by queue ID ("class3").
-type CliffhangerStats struct {
-	Tenant    string
-	FreePages int64
-	Queues    map[string]CliffhangerQueue
-}
-
-// StatsCliffhanger fetches and parses "stats cliffhanger [tenant]" — the
-// paper's algorithm state for the named tenant, or for the session's when
-// tenant is empty.
-func (c *Client) StatsCliffhanger(tenant string) (*CliffhangerStats, error) {
-	line := "stats cliffhanger"
-	if tenant != "" {
-		line += " " + tenant
-	}
-	raw, err := c.statsCmd(line)
-	if err != nil {
-		return nil, err
-	}
-	out := &CliffhangerStats{Tenant: raw["tenant"], Queues: make(map[string]CliffhangerQueue)}
-	out.FreePages, _ = strconv.ParseInt(raw["free_pages"], 10, 64)
-	for k, v := range raw {
-		i := strings.LastIndex(k, ":")
-		if i < 0 {
-			continue
-		}
-		id, field := k[:i], k[i+1:]
-		q := out.Queues[id]
-		switch field {
-		case "split":
-			q.Split = v == "1"
-		case "ratio":
-			q.Ratio, _ = strconv.ParseFloat(v, 64)
-		default:
-			dst := q.counter(field)
-			if dst == nil {
-				continue
-			}
-			*dst, _ = strconv.ParseInt(v, 10, 64)
-		}
-		out.Queues[id] = q
-	}
-	return out, nil
-}
-
-// ConnStats is the connection-front-end slice of the general "stats"
-// response, parsed into integers: the classic connection counters plus the
-// event-driven front end's gauges (how many connections are parked off
-// goroutines, how many workers are busy in a session, how many bytes the
-// bounded session-buffer pool holds, and the worker count). MemInuseBytes is
-// the server's heap+stack in-use total, the numerator of the bytes-per-
-// connection figure the conns benchmark reports.
-type ConnStats struct {
-	CurrConnections     int64
-	TotalConnections    int64
-	RejectedConnections int64
-	ConnTimeouts        int64
-	ConnPanics          int64
-	ParkedConnections   int64
-	ActiveSessions      int64
-	BufferPoolBytes     int64
-	WorkerCount         int64
-	MemInuseBytes       int64
-}
-
-// StatsConns fetches "stats" and parses the connection and front-end
-// counters. Polling it is how an operator (or the conns benchmark) watches
-// per-connection memory and park/wake behaviour live.
-func (c *Client) StatsConns() (*ConnStats, error) {
-	raw, err := c.statsCmd("stats")
-	if err != nil {
-		return nil, err
-	}
-	out := &ConnStats{}
-	for key, dst := range map[string]*int64{
-		"curr_connections":     &out.CurrConnections,
-		"total_connections":    &out.TotalConnections,
-		"rejected_connections": &out.RejectedConnections,
-		"conn_timeouts":        &out.ConnTimeouts,
-		"conn_panics":          &out.ConnPanics,
-		"parked_connections":   &out.ParkedConnections,
-		"active_sessions":      &out.ActiveSessions,
-		"buffer_pool_bytes":    &out.BufferPoolBytes,
-		"worker_count":         &out.WorkerCount,
-		"mem_inuse_bytes":      &out.MemInuseBytes,
-	} {
-		v, ok := raw[key]
-		if !ok {
-			return nil, fmt.Errorf("client: stats response missing %s", key)
-		}
-		if *dst, err = strconv.ParseInt(v, 10, 64); err != nil {
-			return nil, fmt.Errorf("client: stats %s = %q: %v", key, v, err)
-		}
-	}
-	return out, nil
-}
-
-func (c *Client) statsCmd(cmd string) (map[string]string, error) {
-	var stats map[string]string
+// Stats fetches one stats group: with no args the selected tenant's plain
+// group, else the one args name ("slabs", "arbiter", "cliffhanger [tenant]").
+func (c *Client) Stats(args ...string) (Stats, error) {
+	cmd := strings.Join(append([]string{"stats"}, args...), " ")
+	var stats Stats
 	err := c.retry(cmd, func() error {
 		if err := c.writeLine(cmd); err != nil {
 			return err
 		}
-		stats = make(map[string]string)
+		stats = make(Stats)
 		for {
 			line, err := c.readLine()
 			if err != nil {

@@ -172,11 +172,10 @@ func (h *LatencyHistogram) String() string {
 		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
 }
 
-// Throughput measures operations per second over an interval. It is safe for
-// concurrent use.
+// Throughput counts operations and their average rate since it was created.
+// It is safe for concurrent use. A rate over a window is two Ops reads apart.
 type Throughput struct {
 	ops   atomic.Int64
-	mu    sync.Mutex
 	start time.Time
 }
 
@@ -191,24 +190,13 @@ func (t *Throughput) Add(n int64) { t.ops.Add(n) }
 // Ops returns the number of operations recorded.
 func (t *Throughput) Ops() int64 { return t.ops.Load() }
 
-// Rate returns operations per second since the meter was created or last
-// reset.
+// Rate returns operations per second averaged since the meter was created.
 func (t *Throughput) Rate() float64 {
-	t.mu.Lock()
 	elapsed := time.Since(t.start).Seconds()
-	t.mu.Unlock()
 	if elapsed <= 0 {
 		return 0
 	}
 	return float64(t.ops.Load()) / elapsed
-}
-
-// Reset zeroes the meter and restarts the clock.
-func (t *Throughput) Reset() {
-	t.mu.Lock()
-	t.start = time.Now()
-	t.mu.Unlock()
-	t.ops.Store(0)
 }
 
 // Summary aggregates per-key hit statistics into sorted rows, a helper for

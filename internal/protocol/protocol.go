@@ -607,19 +607,22 @@ func WriteLine(w *bufio.Writer, line string) error {
 	return err
 }
 
-// WriteStats writes STAT lines followed by END.
-func WriteStats(w *bufio.Writer, stats map[string]string, order []string) error {
-	for _, k := range order {
+// Stat is one "STAT <name> <value>" line of a stats response.
+type Stat struct{ Name, Value string }
+
+// WriteStats writes one STAT line per entry, in order, followed by END.
+func WriteStats(w *bufio.Writer, stats []Stat) error {
+	for _, s := range stats {
 		if _, err := w.WriteString("STAT "); err != nil {
 			return err
 		}
-		if _, err := w.WriteString(k); err != nil {
+		if _, err := w.WriteString(s.Name); err != nil {
 			return err
 		}
 		if err := w.WriteByte(' '); err != nil {
 			return err
 		}
-		if err := WriteLine(w, stats[k]); err != nil {
+		if err := WriteLine(w, s.Value); err != nil {
 			return err
 		}
 	}

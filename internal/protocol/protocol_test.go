@@ -440,7 +440,7 @@ func TestWriteValuesAndStats(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteStats(w, map[string]string{"x": "1", "y": "2"}, []string{"y", "x"}); err != nil {
+	if err := WriteStats(w, []Stat{{"y", "2"}, {"x", "1"}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Flush()

@@ -459,7 +459,7 @@ func TestAllocGateParkWake(t *testing.T) {
 }
 
 // TestParkStatsServed: the front-end gauges travel the whole distance —
-// server atomics -> "stats" wire lines -> the client's typed parser — and
+// server atomics -> "stats" wire lines -> the client's reader — and
 // report a truthful picture while three connections sit parked and a fourth
 // is mid-session asking for the stats.
 func TestParkStatsServed(t *testing.T) {
@@ -486,31 +486,39 @@ func TestParkStatsServed(t *testing.T) {
 	waitParked(t, srv, 3)
 
 	c := dialTest(t, srv)
-	cs, err := c.StatsConns()
+	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.ParkedConnections != 3 {
-		t.Fatalf("parked_connections = %d, want 3", cs.ParkedConnections)
+	gauge := func(name string) int64 {
+		t.Helper()
+		n, err := stats.Int(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := gauge("parked_connections"); n != 3 {
+		t.Fatalf("parked_connections = %d, want 3", n)
 	}
 	// The stats request itself is being served, so its session is live.
-	if cs.ActiveSessions < 1 {
-		t.Fatalf("active_sessions = %d, want >= 1", cs.ActiveSessions)
+	if n := gauge("active_sessions"); n < 1 {
+		t.Fatalf("active_sessions = %d, want >= 1", n)
 	}
-	if cs.WorkerCount != 4 {
-		t.Fatalf("worker_count = %d, want 4", cs.WorkerCount)
+	if n := gauge("worker_count"); n != 4 {
+		t.Fatalf("worker_count = %d, want 4", n)
 	}
-	if cs.CurrConnections != 4 || cs.TotalConnections != 4 {
-		t.Fatalf("curr/total connections = %d/%d, want 4/4", cs.CurrConnections, cs.TotalConnections)
+	if curr, total := gauge("curr_connections"), gauge("total_connections"); curr != 4 || total != 4 {
+		t.Fatalf("curr/total connections = %d/%d, want 4/4", curr, total)
 	}
-	if max := int64(4 * 2 * sessionBufSize); cs.BufferPoolBytes < 0 || cs.BufferPoolBytes > max {
-		t.Fatalf("buffer_pool_bytes = %d, want within [0, %d]", cs.BufferPoolBytes, max)
+	if n, max := gauge("buffer_pool_bytes"), int64(4*2*sessionBufSize); n < 0 || n > max {
+		t.Fatalf("buffer_pool_bytes = %d, want within [0, %d]", n, max)
 	}
-	if cs.MemInuseBytes <= 0 {
-		t.Fatalf("mem_inuse_bytes = %d, want > 0", cs.MemInuseBytes)
+	if n := gauge("mem_inuse_bytes"); n <= 0 {
+		t.Fatalf("mem_inuse_bytes = %d, want > 0", n)
 	}
-	if cs.ConnPanics != 0 || cs.RejectedConnections != 0 {
-		t.Fatalf("panics/rejected = %d/%d, want 0/0", cs.ConnPanics, cs.RejectedConnections)
+	if panics, rejected := gauge("conn_panics"), gauge("rejected_connections"); panics != 0 || rejected != 0 {
+		t.Fatalf("panics/rejected = %d/%d, want 0/0", panics, rejected)
 	}
 
 	// Once the stats client falls silent it parks too and the pool holds

@@ -952,118 +952,157 @@ func (s *Server) handleDelete(c *session, cmd *protocol.Command) error {
 	return protocol.WriteLine(c.w, "NOT_FOUND")
 }
 
-func (s *Server) handleStats(c *session, cmd *protocol.Command) error {
-	if len(cmd.Keys) > 0 {
-		// Only "cliffhanger" takes an argument of its own, a tenant name.
-		switch sub := string(cmd.Keys[0]); {
-		case sub == "cliffhanger" && len(cmd.Keys) == 2:
-			return s.handleStatsCliffhanger(c, string(cmd.Keys[1]))
-		case sub == "cliffhanger":
-			return s.handleStatsCliffhanger(c, c.tenant)
-		case sub == "slabs" && len(cmd.Keys) == 1:
-			return s.handleStatsSlabs(c)
-		case sub == "arbiter" && len(cmd.Keys) == 1:
-			return s.handleStatsArbiter(c)
+// errUnknownStats is Stats' answer to a group it does not render; the stats
+// verb replies ERROR to it, like memcached.
+var errUnknownStats = errors.New("server: unknown stats group")
+
+// Stats renders one group of the stats verb as the wire carries it, in order.
+// With no args it is tenant's plain group; "slabs" is tenant's arena by slab
+// class; "arbiter" is every tenant's arbitration state (tenant is not read);
+// "cliffhanger" is the paper's algorithm state of tenant, or of the tenant
+// named by a second argument. This is the one place a stats field is named:
+// the stats verb writes the list, cmd/cliffhangerd's log line and -stats-json
+// read it, and the client returns it as a map. An unknown group is
+// errUnknownStats and a tenant that is not registered the store's error.
+func (s *Server) Stats(tenant string, args ...string) ([]protocol.Stat, error) {
+	switch {
+	case len(args) == 0:
+		return s.plainStats(tenant)
+	case args[0] == "cliffhanger" && len(args) <= 2:
+		if len(args) == 2 {
+			tenant = args[1]
 		}
+		return s.cliffhangerStats(tenant)
+	case args[0] == "slabs" && len(args) == 1:
+		return s.slabStats(tenant)
+	case args[0] == "arbiter" && len(args) == 1:
+		return s.arbiterStats(), nil
+	}
+	return nil, errUnknownStats
+}
+
+func (s *Server) handleStats(c *session, cmd *protocol.Command) error {
+	args := make([]string, len(cmd.Keys))
+	for i, k := range cmd.Keys {
+		args[i] = string(k)
+	}
+	stats, err := s.Stats(c.tenant, args...)
+	if errors.Is(err, errUnknownStats) {
 		return protocol.WriteLine(c.w, "ERROR")
 	}
-	st, err := s.store.Stats(c.tenant)
 	if err != nil {
 		return protocol.WriteLine(c.w, "SERVER_ERROR "+err.Error())
 	}
-	// Arena occupancy for the tenant: total carved bytes and the fraction
-	// backing resident values (chunks in use over chunks carved).
+	return protocol.WriteStats(c.w, stats)
+}
+
+// statList is a stats group being rendered, in wire order.
+type statList []protocol.Stat
+
+func (l *statList) add(name, value string) {
+	*l = append(*l, protocol.Stat{Name: name, Value: value})
+}
+
+func (l *statList) num(name string, v int64) { l.add(name, strconv.FormatInt(v, 10)) }
+
+// ratio writes a fraction with four decimals.
+func (l *statList) ratio(name string, v float64) { l.add(name, strconv.FormatFloat(v, 'f', 4, 64)) }
+
+// plainStats is the plain "stats" group: the tenant's request counters, the
+// process-wide connection governor and front-end gauges (memcached field
+// names), the tenant's arena, reclamation, page-pool and arbitration state,
+// the bookkeeper's shed GET events, the sampled latency p99s, and a hit rate
+// per slab class.
+func (s *Server) plainStats(tenant string) (statList, error) {
+	st, err := s.store.Stats(tenant)
+	if err != nil {
+		return nil, err
+	}
+	// Arena occupancy: total carved bytes and the fraction backing resident
+	// values (chunks in use over chunks carved).
 	var arenaBytes, usedChunkBytes, totalChunkBytes int64
-	if classes, err := s.store.SlabStats(c.tenant); err == nil {
+	if classes, err := s.store.SlabStats(tenant); err == nil {
 		arenaBytes, usedChunkBytes, totalChunkBytes = store.SumArenaStats(classes)
 	}
 	occupancy := 0.0
 	if totalChunkBytes > 0 {
 		occupancy = float64(usedChunkBytes) / float64(totalChunkBytes)
 	}
-	// Epoch-based reclamation counters: the current global epoch, chunks
-	// sitting in quarantine awaiting recycle, and the lifetime count of
-	// frees that were deferred through quarantine.
-	rs, _ := s.store.ReclaimStats(c.tenant)
-	// Process-wide page pool: total raw pages, unleased pages, and this
-	// tenant's lease count (pages migrate between tenants at runtime).
+	rs, _ := s.store.ReclaimStats(tenant)
 	ps := s.store.PageStats()
-	// Connection-governor counters (process-wide, memcached field names).
 	cs := s.ConnStats()
-	// Arbitration-facing state for this tenant: the reserved floor the
-	// arbiter honours, the reservation it is converging to, and the marginal
-	// hit-rate-per-byte signal it ranks the tenant by.
 	as := s.store.ArbiterStats()
-	at := as.Tenants[c.tenant]
-	// Front-end memory accounting for the parked-connection model:
-	// heap+stack in use lets a harness compute bytes/connection directly
-	// from one stats call (mem_inuse_bytes / curr_connections).
+	at := as.Tenants[tenant]
+	dropped, _ := s.store.DroppedEvents(tenant)
+	// Heap+stack in use lets a harness compute the front end's bytes per
+	// connection from one stats call (mem_inuse_bytes / curr_connections).
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	order := []string{"tenant", "cmd_get", "get_hits", "get_misses", "hit_rate", "cmd_set", "cmd_touch", "touch_hits", "expired", "ops_per_sec", "curr_connections", "total_connections", "rejected_connections", "conn_timeouts", "conn_panics", "parked_connections", "active_sessions", "buffer_pool_bytes", "worker_count", "mem_inuse_bytes", "arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees", "page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte", "arbiter_moves"}
-	stats := map[string]string{
-		"tenant":                   c.tenant,
-		"curr_connections":         strconv.FormatInt(cs.CurrConnections, 10),
-		"total_connections":        strconv.FormatInt(cs.TotalConnections, 10),
-		"rejected_connections":     strconv.FormatInt(cs.RejectedConnections, 10),
-		"conn_timeouts":            strconv.FormatInt(cs.ConnTimeouts, 10),
-		"conn_panics":              strconv.FormatInt(cs.ConnPanics, 10),
-		"parked_connections":       strconv.FormatInt(cs.ParkedConnections, 10),
-		"active_sessions":          strconv.FormatInt(cs.ActiveSessions, 10),
-		"buffer_pool_bytes":        strconv.FormatInt(cs.BufferPoolBytes, 10),
-		"worker_count":             strconv.FormatInt(cs.WorkerCount, 10),
-		"mem_inuse_bytes":          strconv.FormatUint(ms.HeapInuse+ms.StackInuse, 10),
-		"cmd_get":                  strconv.FormatInt(st.Requests, 10),
-		"get_hits":                 strconv.FormatInt(st.Hits, 10),
-		"get_misses":               strconv.FormatInt(st.Misses, 10),
-		"hit_rate":                 fmt.Sprintf("%.4f", st.HitRate()),
-		"cmd_set":                  strconv.FormatInt(st.Sets, 10),
-		"cmd_touch":                strconv.FormatInt(st.Touches, 10),
-		"touch_hits":               strconv.FormatInt(st.TouchHits, 10),
-		"expired":                  strconv.FormatInt(st.Expired, 10),
-		"ops_per_sec":              fmt.Sprintf("%.0f", s.Ops.Rate()),
-		"arena_bytes":              strconv.FormatInt(arenaBytes, 10),
-		"arena_occupancy":          fmt.Sprintf("%.4f", occupancy),
-		"epoch_current":            strconv.FormatUint(rs.Epoch, 10),
-		"epoch_quarantined_chunks": strconv.FormatInt(rs.QuarantinedChunks, 10),
-		"epoch_deferred_frees":     strconv.FormatInt(rs.DeferredFrees, 10),
-		"page_pool_total":          strconv.FormatInt(ps.TotalPages, 10),
-		"page_pool_free":           strconv.FormatInt(ps.FreePages, 10),
-		"lease_pages":              strconv.FormatInt(ps.Leases[c.tenant], 10),
-		"reserved_pages":           strconv.FormatInt(at.ReservedPages, 10),
-		"target_bytes":             strconv.FormatInt(at.TargetBytes, 10),
-		"marginal_hit_per_byte":    strconv.FormatFloat(at.MarginalHitPerByte, 'g', -1, 64),
-		"arbiter_moves":            strconv.FormatInt(as.Moves, 10),
-	}
+
+	var l statList
+	l.add("tenant", tenant)
+	l.num("cmd_get", st.Requests)
+	l.num("get_hits", st.Hits)
+	l.num("get_misses", st.Misses)
+	l.ratio("hit_rate", st.HitRate())
+	l.num("cmd_set", st.Sets)
+	l.num("cmd_touch", st.Touches)
+	l.num("touch_hits", st.TouchHits)
+	l.num("expired", st.Expired)
+	// Averaged since the server started, not over a recent window.
+	l.add("ops_per_sec", strconv.FormatFloat(s.Ops.Rate(), 'f', 0, 64))
+	l.num("curr_connections", cs.CurrConnections)
+	l.num("total_connections", cs.TotalConnections)
+	l.num("rejected_connections", cs.RejectedConnections)
+	l.num("conn_timeouts", cs.ConnTimeouts)
+	l.num("conn_panics", cs.ConnPanics)
+	l.num("parked_connections", cs.ParkedConnections)
+	l.num("active_sessions", cs.ActiveSessions)
+	l.num("buffer_pool_bytes", cs.BufferPoolBytes)
+	l.num("worker_count", cs.WorkerCount)
+	l.add("mem_inuse_bytes", strconv.FormatUint(ms.HeapInuse+ms.StackInuse, 10))
+	l.num("arena_bytes", arenaBytes)
+	l.ratio("arena_occupancy", occupancy)
+	// Epoch-based reclamation: the global epoch, chunks in quarantine
+	// awaiting recycle, and the lifetime count of frees deferred through it.
+	l.add("epoch_current", strconv.FormatUint(rs.Epoch, 10))
+	l.num("epoch_quarantined_chunks", rs.QuarantinedChunks)
+	l.num("epoch_deferred_frees", rs.DeferredFrees)
+	// The process-wide page pool and this tenant's lease from it.
+	l.num("page_pool_total", ps.TotalPages)
+	l.num("page_pool_free", ps.FreePages)
+	l.num("lease_pages", ps.Leases[tenant])
+	// What the arbiter sees: the floor it honours, the reservation it is
+	// converging to, and the signal it ranks the tenant by.
+	l.num("reserved_pages", at.ReservedPages)
+	l.num("target_bytes", at.TargetBytes)
+	l.add("marginal_hit_per_byte", strconv.FormatFloat(at.MarginalHitPerByte, 'g', -1, 64))
+	l.num("arbiter_moves", as.Moves)
+	l.num("dropped_events", dropped)
+	// Sampled (latencySampleEvery) store-call latencies, process-wide.
+	l.num("get_p99_us", s.GetLatency.Quantile(0.99).Microseconds())
+	l.num("set_p99_us", s.SetLatency.Quantile(0.99).Microseconds())
 	for _, cl := range st.Classes {
-		k := fmt.Sprintf("class_%d_hit_rate", cl.Class)
-		order = append(order, k)
 		hr := 0.0
 		if cl.Requests > 0 {
 			hr = float64(cl.Hits) / float64(cl.Requests)
 		}
-		stats[k] = fmt.Sprintf("%.4f", hr)
+		l.ratio(fmt.Sprintf("class_%d_hit_rate", cl.Class), hr)
 	}
-	return protocol.WriteStats(c.w, stats, order)
+	return l, nil
 }
 
-// handleStatsArbiter serves the "stats arbiter" sub-command: the
-// process-wide move count and last move, then every tenant's
-// arbitration-facing state ("<tenant>:<field>") — lease/reserved pages, the
-// reservation target, the two hit-rate-per-byte estimates, and whether the
-// tenant participates in arbitration at all. Tenants are emitted in sorted
-// order so the output is stable, which is what lets an operator watch memory
-// migrate between tenants with a watch loop.
-func (s *Server) handleStatsArbiter(c *session) error {
+// arbiterStats is "stats arbiter": the process-wide move count and last
+// move, then every tenant's arbitration-facing state ("<tenant>:<field>") —
+// lease/reserved pages, the reservation target, the two hit-rate-per-byte
+// estimates, and whether the tenant participates in arbitration at all.
+// Tenants come in sorted order so an operator can watch memory migrate
+// between them with a watch loop.
+func (s *Server) arbiterStats() statList {
 	as := s.store.ArbiterStats()
-	var order []string
-	stats := make(map[string]string)
-	add := func(k, v string) {
-		order = append(order, k)
-		stats[k] = v
-	}
-	add("arbiter_moves", strconv.FormatInt(as.Moves, 10))
-	add("arbiter_last_move", as.LastMove)
+	var l statList
+	l.num("arbiter_moves", as.Moves)
+	l.add("arbiter_last_move", as.LastMove)
 	names := make([]string, 0, len(as.Tenants))
 	for n := range as.Tenants {
 		names = append(names, n)
@@ -1071,46 +1110,41 @@ func (s *Server) handleStatsArbiter(c *session) error {
 	sort.Strings(names)
 	for _, n := range names {
 		t := as.Tenants[n]
-		add(n+":arbitrated", strconv.FormatBool(t.Arbitrated))
-		add(n+":lease_pages", strconv.FormatInt(t.LeasePages, 10))
-		add(n+":reserved_pages", strconv.FormatInt(t.ReservedPages, 10))
-		add(n+":target_bytes", strconv.FormatInt(t.TargetBytes, 10))
-		add(n+":marginal_hit_per_byte", strconv.FormatFloat(t.MarginalHitPerByte, 'g', -1, 64))
-		add(n+":hit_density_per_byte", strconv.FormatFloat(t.HitDensityPerByte, 'g', -1, 64))
+		l.add(n+":arbitrated", strconv.FormatBool(t.Arbitrated))
+		l.num(n+":lease_pages", t.LeasePages)
+		l.num(n+":reserved_pages", t.ReservedPages)
+		l.num(n+":target_bytes", t.TargetBytes)
+		l.add(n+":marginal_hit_per_byte", strconv.FormatFloat(t.MarginalHitPerByte, 'g', -1, 64))
+		l.add(n+":hit_density_per_byte", strconv.FormatFloat(t.HitDensityPerByte, 'g', -1, 64))
 	}
-	return protocol.WriteStats(c.w, stats, order)
+	return l
 }
 
-// handleStatsCliffhanger serves "stats cliffhanger [tenant]": the paper's
-// algorithm state for one tenant (the session's unless named), which is
-// otherwise visible only to tests. First the part of the reservation that no
-// class queue has been granted yet, in bytes and in whole pages — while there
-// is any, the tenant is not under memory pressure and must neither evict nor
-// move a cliff pointer — then one "<queue>:<field>" group per class queue
-// that has seen traffic: its hill-climbing capacity and credit balance, the
-// cliff-scaling split (request ratio, both pointers, both partitions' applied
-// capacities) and the event counters that moved them. It is read under the
-// bookkeeper's lock like "stats" and costs the request path nothing. A tenant
-// in another allocation mode has no queues to show.
-func (s *Server) handleStatsCliffhanger(c *session, tenant string) error {
+// cliffhangerStats is "stats cliffhanger [tenant]": the paper's algorithm
+// state for one tenant, otherwise visible only to tests. First the part of
+// the reservation that no class queue has been granted yet, in whole pages
+// and in bytes — while there is any, the tenant is not under memory pressure
+// and must neither evict nor move a cliff pointer — then one
+// "<queue>:<field>" group per class queue that has seen traffic: its
+// hill-climbing capacity and credit balance, the cliff-scaling split (request
+// ratio, both pointers, both partitions' applied capacities) and the event
+// counters that moved them. It is read under the bookkeeper's lock like
+// "stats" and costs the request path nothing. A tenant in another allocation
+// mode has no queues to show.
+func (s *Server) cliffhangerStats(tenant string) (statList, error) {
 	queues, freeBytes, err := s.store.QueueSnapshots(tenant)
 	if err != nil {
-		return protocol.WriteLine(c.w, "SERVER_ERROR "+err.Error())
+		return nil, err
 	}
-	var order []string
-	stats := make(map[string]string)
-	add := func(k, v string) {
-		order = append(order, k)
-		stats[k] = v
-	}
-	add("tenant", tenant)
-	add("free_pages", strconv.FormatInt(freeBytes/s.store.PageStats().PageSize, 10))
-	add("free_bytes", strconv.FormatInt(freeBytes, 10))
+	var l statList
+	l.add("tenant", tenant)
+	l.num("free_pages", freeBytes/s.store.PageStats().PageSize)
+	l.num("free_bytes", freeBytes)
 	for _, q := range queues {
 		if q.Stats.Requests == 0 && q.Items == 0 {
 			continue
 		}
-		num := func(field string, v int64) { add(q.ID+":"+field, strconv.FormatInt(v, 10)) }
+		num := func(field string, v int64) { l.num(q.ID+":"+field, v) }
 		split := int64(0)
 		if q.Split {
 			split = 1
@@ -1121,7 +1155,7 @@ func (s *Server) handleStatsCliffhanger(c *session, tenant string) error {
 		num("items", int64(q.Items))
 		num("credits", q.Credits)
 		num("split", split)
-		add(q.ID+":ratio", strconv.FormatFloat(q.Ratio, 'f', 4, 64))
+		l.ratio(q.ID+":ratio", q.Ratio)
 		num("left_pointer", q.LeftPointer)
 		num("right_pointer", q.RightPointer)
 		num("left_capacity", q.LeftCapacity)
@@ -1139,25 +1173,19 @@ func (s *Server) handleStatsCliffhanger(c *session, tenant string) error {
 		num("resizes", q.Stats.Resizes)
 		num("evictions", q.Stats.Evictions)
 	}
-	return protocol.WriteStats(c.w, stats, order)
+	return l, nil
 }
 
-// handleStatsSlabs serves the memcached "stats slabs" sub-command from the
-// tenant's arena accounting: per active class the chunk size, leased pages
-// and used/free/quarantined/uncarved chunk counts, then the cross-class page
-// count and total arena bytes (memcached's active_slabs / total_malloced
-// footer).
-func (s *Server) handleStatsSlabs(c *session) error {
-	classes, err := s.store.SlabStats(c.tenant)
+// slabStats is memcached's "stats slabs" from the tenant's arena accounting:
+// per active class the chunk size, leased pages and used/free/quarantined/
+// uncarved chunk counts, then the cross-class page count and total arena
+// bytes (memcached's active_slabs / total_malloced footer).
+func (s *Server) slabStats(tenant string) (statList, error) {
+	classes, err := s.store.SlabStats(tenant)
 	if err != nil {
-		return protocol.WriteLine(c.w, "SERVER_ERROR "+err.Error())
+		return nil, err
 	}
-	var order []string
-	stats := make(map[string]string)
-	add := func(k, v string) {
-		order = append(order, k)
-		stats[k] = v
-	}
+	var l statList
 	active := 0
 	var totalBytes, totalPages int64
 	for _, cl := range classes {
@@ -1167,18 +1195,18 @@ func (s *Server) handleStatsSlabs(c *session) error {
 		active++
 		totalPages += cl.Pages
 		totalBytes += cl.ArenaBytes()
-		prefix := strconv.Itoa(cl.Class)
-		add(prefix+":chunk_size", strconv.FormatInt(cl.ChunkSize, 10))
-		add(prefix+":total_pages", strconv.FormatInt(cl.Pages, 10))
-		add(prefix+":total_chunks", strconv.FormatInt(cl.TotalChunks, 10))
-		add(prefix+":used_chunks", strconv.FormatInt(cl.UsedChunks, 10))
-		add(prefix+":free_chunks", strconv.FormatInt(cl.FreeChunks, 10))
-		add(prefix+":quarantined_chunks", strconv.FormatInt(cl.QuarantinedChunks, 10))
-		add(prefix+":uncarved_chunks", strconv.FormatInt(cl.UncarvedChunks, 10))
-		add(prefix+":mem_requested", strconv.FormatInt(cl.UsedChunks*cl.ChunkSize, 10))
+		prefix := strconv.Itoa(cl.Class) + ":"
+		l.num(prefix+"chunk_size", cl.ChunkSize)
+		l.num(prefix+"total_pages", cl.Pages)
+		l.num(prefix+"total_chunks", cl.TotalChunks)
+		l.num(prefix+"used_chunks", cl.UsedChunks)
+		l.num(prefix+"free_chunks", cl.FreeChunks)
+		l.num(prefix+"quarantined_chunks", cl.QuarantinedChunks)
+		l.num(prefix+"uncarved_chunks", cl.UncarvedChunks)
+		l.num(prefix+"mem_requested", cl.UsedChunks*cl.ChunkSize)
 	}
-	add("active_slabs", strconv.Itoa(active))
-	add("total_pages", strconv.FormatInt(totalPages, 10))
-	add("total_malloced", strconv.FormatInt(totalBytes, 10))
-	return protocol.WriteStats(c.w, stats, order)
+	l.num("active_slabs", int64(active))
+	l.num("total_pages", totalPages)
+	l.num("total_malloced", totalBytes)
+	return l, nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -153,7 +154,7 @@ func TestServerTenantIsolationAndStats(t *testing.T) {
 	if _, err := strconv.ParseInt(stats["epoch_deferred_frees"], 10, 64); err != nil {
 		t.Fatalf("stats epoch_deferred_frees = %q: %v", stats["epoch_deferred_frees"], err)
 	}
-	slabs, err := c2.StatsSlabs()
+	slabs, err := c2.Stats("slabs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,6 +645,117 @@ func TestServerProtocolConformance(t *testing.T) {
 	send("quit\r\n")
 }
 
+// TestServerStatsSchema pins the stats schema: the field names of every group,
+// in the order the wire carries them, for a fixed store state (two
+// cliffhanger-mode tenants, synchronous bookkeeping, one value in each of two
+// slab classes of "default", each read once). Server.Stats is the only place a
+// field is named, so a rename, a reorder or a new field fails here first.
+// CI's conformance lane runs it.
+func TestServerStatsSchema(t *testing.T) {
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	t.Cleanup(func() { st.Close() })
+	for name, mb := range map[string]int64{"default": 8, "app2": 4} {
+		if err := st.RegisterTenant(name, mb<<20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key, size := range map[string]int{"small": 100, "large": 4000} {
+		if err := st.SetItemBytes("default", []byte(key), make([]byte, size), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		view, ok, err := st.GetItemView("default", []byte(key))
+		if err != nil || !ok {
+			t.Fatalf("GET %s: ok=%v err=%v", key, ok, err)
+		}
+		view.Release()
+	}
+	srv := New(Config{DefaultTenant: "default"}, st)
+
+	queue := func(id string) []string {
+		var names []string
+		for _, f := range []string{"capacity", "applied_capacity", "used", "items", "credits", "split", "ratio",
+			"left_pointer", "right_pointer", "left_capacity", "right_capacity",
+			"requests", "hits", "shadow_hits", "cliff_shadow_hits",
+			"left_tail_events", "right_tail_events", "left_cliff_events", "right_cliff_events",
+			"stale_pointer_events", "relax_events", "resizes", "evictions"} {
+			names = append(names, id+":"+f)
+		}
+		return names
+	}
+	slab := func(class string) []string {
+		var names []string
+		for _, f := range []string{"chunk_size", "total_pages", "total_chunks", "used_chunks", "free_chunks",
+			"quarantined_chunks", "uncarved_chunks", "mem_requested"} {
+			names = append(names, class+":"+f)
+		}
+		return names
+	}
+	arbiter := func(tenant string) []string {
+		var names []string
+		for _, f := range []string{"arbitrated", "lease_pages", "reserved_pages", "target_bytes",
+			"marginal_hit_per_byte", "hit_density_per_byte"} {
+			names = append(names, tenant+":"+f)
+		}
+		return names
+	}
+	concat := func(parts ...[]string) []string {
+		var out []string
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	plain := []string{"tenant", "cmd_get", "get_hits", "get_misses", "hit_rate", "cmd_set", "cmd_touch", "touch_hits",
+		"expired", "ops_per_sec", "curr_connections", "total_connections", "rejected_connections", "conn_timeouts",
+		"conn_panics", "parked_connections", "active_sessions", "buffer_pool_bytes", "worker_count", "mem_inuse_bytes",
+		"arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees",
+		"page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte",
+		"arbiter_moves", "dropped_events", "get_p99_us", "set_p99_us"}
+	// A cliffhanger tenant's queues all hold their floor capacity, so every
+	// class of the default geometry (15) has a hit rate line.
+	var classHitRates []string
+	for c := 0; c < 15; c++ {
+		classHitRates = append(classHitRates, fmt.Sprintf("class_%d_hit_rate", c))
+	}
+
+	for _, tc := range []struct {
+		tenant string
+		args   []string
+		want   []string
+	}{
+		{"default", nil, concat(plain, classHitRates)},
+		{"default", []string{"slabs"}, concat(slab("1"), slab("6"), []string{"active_slabs", "total_pages", "total_malloced"})},
+		{"app2", []string{"slabs"}, []string{"active_slabs", "total_pages", "total_malloced"}},
+		{"", []string{"arbiter"}, concat([]string{"arbiter_moves", "arbiter_last_move"}, arbiter("app2"), arbiter("default"))},
+		{"default", []string{"cliffhanger"}, concat([]string{"tenant", "free_pages", "free_bytes"}, queue("class1"), queue("class6"))},
+		{"default", []string{"cliffhanger", "app2"}, []string{"tenant", "free_pages", "free_bytes"}},
+	} {
+		stats, err := srv.Stats(tc.tenant, tc.args...)
+		if err != nil {
+			t.Fatalf("Stats(%q, %q): %v", tc.tenant, tc.args, err)
+		}
+		var got []string
+		for _, s := range stats {
+			got = append(got, s.Name)
+		}
+		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("Stats(%q, %q) names\n got %q\nwant %q", tc.tenant, tc.args, got, tc.want)
+		}
+	}
+	// What the verb answers ERROR (an unknown group, an argument where none
+	// is taken) and SERVER_ERROR (an unknown tenant) to.
+	for _, args := range [][]string{{"bogus"}, {"slabs", "app2"}, {"arbiter", "app2"}} {
+		if _, err := srv.Stats("default", args...); !errors.Is(err, errUnknownStats) {
+			t.Errorf("Stats(default, %q) = %v, want errUnknownStats", args, err)
+		}
+	}
+	for _, args := range [][]string{nil, {"slabs"}, {"cliffhanger"}} {
+		if _, err := srv.Stats("ghost", args...); err == nil || errors.Is(err, errUnknownStats) {
+			t.Errorf("Stats(ghost, %q) = %v, want the store's unknown-tenant error", args, err)
+		}
+	}
+}
+
 // writeCountingConn counts the Writes the server makes on a connection: a
 // batch answered in one is one syscall, whatever it holds.
 type writeCountingConn struct {
@@ -860,9 +972,9 @@ func TestServerExpiryEndToEnd(t *testing.T) {
 
 // TestServerArbiterStats drives the "stats arbiter" verb and the per-tenant
 // arbitration fields of plain "stats" over a real socket against a memshare
-// store, and exercises the client-side typed parser: after the arbiter moves
-// memory toward the loaded tenant, both surfaces must agree on the lease,
-// floor and move count.
+// store, read through the client: after the arbiter moves memory toward the
+// loaded tenant, both surfaces must agree with the store on the lease, floor
+// and move count.
 func TestServerArbiterStats(t *testing.T) {
 	srv, st := startTestServer(t, store.AllocMemshare)
 	c := dialTest(t, srv)
@@ -884,30 +996,31 @@ func TestServerArbiterStats(t *testing.T) {
 		}
 	}
 
-	as, err := c.StatsArbiter()
+	as, err := c.Stats("arbiter")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := st.ArbiterStats()
-	if as.Moves != want.Moves || as.LastMove != want.LastMove {
-		t.Fatalf("parsed moves=%d last=%q, store says moves=%d last=%q",
-			as.Moves, as.LastMove, want.Moves, want.LastMove)
+	if as["arbiter_moves"] != strconv.FormatInt(want.Moves, 10) || as["arbiter_last_move"] != want.LastMove {
+		t.Fatalf("stats arbiter moves=%q last=%q, store says moves=%d last=%q",
+			as["arbiter_moves"], as["arbiter_last_move"], want.Moves, want.LastMove)
 	}
 	for _, name := range []string{"default", "app2"} {
-		got, ok := as.Tenants[name]
-		if !ok {
-			t.Fatalf("stats arbiter missing tenant %s: %+v", name, as)
+		if _, ok := as[name+":arbitrated"]; !ok {
+			t.Fatalf("stats arbiter missing tenant %s: %v", name, as)
 		}
 		w := want.Tenants[name]
-		if !got.Arbitrated || got.LeasePages != w.LeasePages ||
-			got.ReservedPages != w.ReservedPages || got.TargetBytes != w.TargetBytes {
-			t.Fatalf("tenant %s parsed %+v, store says %+v", name, got, w)
+		if as[name+":arbitrated"] != "true" ||
+			as[name+":lease_pages"] != strconv.FormatInt(w.LeasePages, 10) ||
+			as[name+":reserved_pages"] != strconv.FormatInt(w.ReservedPages, 10) ||
+			as[name+":target_bytes"] != strconv.FormatInt(w.TargetBytes, 10) {
+			t.Fatalf("tenant %s reads %v, store says %+v", name, as, w)
 		}
 	}
 	// app2's floor is half its 4 MiB registration: 2 pages under the default
 	// 1 MiB page geometry.
-	if as.Tenants["app2"].ReservedPages != 2 {
-		t.Fatalf("app2 reserved_pages = %d, want 2", as.Tenants["app2"].ReservedPages)
+	if got := as["app2:reserved_pages"]; got != "2" {
+		t.Fatalf("app2 reserved_pages = %s, want 2", got)
 	}
 
 	// The plain per-tenant stats verb carries the same arbitration fields.
@@ -933,8 +1046,8 @@ func TestServerArbiterStats(t *testing.T) {
 // daemon's -mode cliffhanger, -tenants default:64, asynchronous bookkeeping)
 // over a real socket: 8192 keys of 256 bytes fit the tenant thirty times
 // over, so after storing each once every GET must hit, and "stats
-// cliffhanger", read through the typed client parser and checked against the
-// store's own snapshot, must show an algorithm that never had a reason to
+// cliffhanger", read through the client and checked against the store's own
+// snapshot, must show an algorithm that never had a reason to
 // act — pages still free, nothing evicted, no pointer relaxed, both pointers
 // home and the partitions even.
 func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
@@ -969,7 +1082,7 @@ func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
 		t.Fatalf("stats get_hits=%s get_misses=%s, want %d and 0", stats["get_hits"], stats["get_misses"], keys)
 	}
 
-	cs, err := c.StatsCliffhanger("")
+	cs, err := c.Stats("cliffhanger")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -977,25 +1090,41 @@ func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Tenant != "default" || cs.FreePages != freeBytes>>20 || cs.FreePages == 0 || len(cs.Queues) != 1 {
-		t.Fatalf("stats cliffhanger = %+v, store says %d bytes free", cs, freeBytes)
+	var ids []string
+	for k := range cs {
+		if id, ok := strings.CutSuffix(k, ":capacity"); ok {
+			ids = append(ids, id)
+		}
 	}
-	for id, q := range cs.Queues {
+	freePages, err := cs.Int("free_pages")
+	if err != nil || cs["tenant"] != "default" || freePages != freeBytes>>20 || freePages == 0 || len(ids) != 1 {
+		t.Fatalf("stats cliffhanger = %v (%v), store says %d bytes free", cs, err, freeBytes)
+	}
+	for _, id := range ids {
+		num := func(field string) int64 {
+			t.Helper()
+			n, err := cs.Int(id + ":" + field)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
 		var want core.QueueSnapshot
 		for _, s := range snaps {
 			if s.ID == id {
 				want = s
 			}
 		}
-		if q.Capacity != want.Capacity || q.Used != want.Used || q.Items != int64(want.Items) ||
-			q.Split != want.Split || q.LeftPointer != want.LeftPointer || q.RightCapacity != want.RightCapacity ||
-			q.Requests != want.Stats.Requests || q.Hits != want.Stats.Hits || q.Resizes != want.Stats.Resizes {
-			t.Fatalf("queue %s parsed %+v, store says %+v", id, q, want)
+		capacity, split := num("capacity"), num("split") == 1
+		if capacity != want.Capacity || num("used") != want.Used || num("items") != int64(want.Items) ||
+			split != want.Split || num("left_pointer") != want.LeftPointer || num("right_capacity") != want.RightCapacity ||
+			num("requests") != want.Stats.Requests || num("hits") != want.Stats.Hits || num("resizes") != want.Stats.Resizes {
+			t.Fatalf("queue %s reads %v, store says %+v", id, cs, want)
 		}
-		if q.Items != keys || q.Evictions != 0 || q.RelaxEvents != 0 || !q.Split || q.Ratio != 0.5 ||
-			q.LeftPointer != q.Capacity || q.RightPointer != q.Capacity ||
-			q.LeftCapacity != q.Capacity/2 || q.RightCapacity != q.Capacity/2 || q.AppliedCapacity != q.Capacity {
-			t.Fatalf("queue %s acted on a working set that fits: %+v", id, q)
+		if num("items") != keys || num("evictions") != 0 || num("relax_events") != 0 || !split || cs[id+":ratio"] != "0.5000" ||
+			num("left_pointer") != capacity || num("right_pointer") != capacity ||
+			num("left_capacity") != capacity/2 || num("right_capacity") != capacity/2 || num("applied_capacity") != capacity {
+			t.Fatalf("queue %s acted on a working set that fits: %v", id, cs)
 		}
 	}
 }
