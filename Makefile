@@ -15,7 +15,9 @@ race:
 # real parallelism; CI runs this as its own lane. The whole store package
 # runs, so the footprint tests (TestArenaLeasesFollowResidency and its
 # twenty-tenant Memcachier form, TestArenaQuarantineBoundedInBytes) race the
-# drain tick's reclaim here too. internal/core rides along for the
+# maintenance tick's reclaim here too, and four producers storm one tenant's
+# event buffers past the high-water mark while requests sweep them
+# (TestBacklogBoundedUnderOverload). internal/core rides along for the
 # keeps-what-fits property, whose store-level twins are in here. The second
 # line is the tenant switch on both sides of the socket: the client's
 # deferred tenant line against scripted and real servers, the server's
@@ -26,9 +28,9 @@ race4:
 
 # stable is the flake hunt for the packages with real concurrency (in
 # internal/store that includes the asynchronous halves of the
-# leases-follow-residency tests, whose page counts depend on when the drain
-# tick reclaims), plus internal/core for the keeps-what-fits property and
-# internal/client for the scripted-listener tests, which count the segments a
+# leases-follow-residency tests, whose page counts depend on when the
+# maintenance tick reclaims), plus internal/core for the keeps-what-fits
+# property and internal/client for the scripted-listener tests, which count the segments a
 # request arrives in: 20 runs each at one, two and four Ps (CI runs it on
 # demand, not on every push).
 stable:
@@ -95,8 +97,11 @@ conformance:
 # detector (one race iteration is 17 s on a 2-CPU box, so 200 would be an
 # hour). The asynchronous twin failed about one full-suite run in thirty until
 # PR 21 (the bookkeeper replaying admissions in another order reached a grant
-# that left the key without room); here it gets 420 tries on every push.
-FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom
+# that left the key without room); here it gets 420 tries on every push. The
+# three apply-regime tests ride along (one maintenance goroutine per store,
+# the producer sweep and its bound, the backlog bound under overload): at one
+# and two Ps a request's sweep and the maintenance tick interleave differently.
+FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestProducerSweepsAtTheBatchBoundary|TestBacklogBoundedUnderOverload
 FITS_COUNT ?= 200
 FITS_RACE_COUNT ?= 20
 fits:
@@ -111,8 +116,9 @@ fits:
 # SetItemBytes, cross-class re-set and AppendBytes/PrependBytes = 0 — value
 # chunks recycled through the slab arena, item records pooled per shard;
 # SetItemBytes+Delete churn <= 1; the bookkeeper's sweep = 0 — buffers stolen
-# and handed back, ordered in kept scratch; streaming client pipelined GET
-# <= 1 amortized over a real socket; a tenant switch between registered
+# and handed back, ordered in kept scratch — and so is an asynchronous GET
+# loop whose own requests sweep at the batch boundary; streaming client
+# pipelined GET <= 1 amortized over a real socket; a tenant switch between registered
 # tenants = 0 in the server, switch + GET <= 1 through client and server; in a
 # full, split class queue a hit = 0 and an evicting admission <= 1, the
 # victims it returns). An accidental allocation on the mutation path fails the

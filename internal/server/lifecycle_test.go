@@ -230,7 +230,7 @@ func TestServerTenantResizeUnderLoad(t *testing.T) {
 	if err := ctl.TenantResize("hot", 8); err != nil {
 		t.Fatalf("tenant_resize: %v", err)
 	}
-	// The resize executes incrementally off the drain loop: wait for the
+	// The resize executes incrementally on the maintenance tick: wait for the
 	// lease count to reach the shrunken target (plus the documented
 	// anti-thrash slack) while traffic keeps flowing.
 	deadline = time.Now().Add(20 * time.Second)

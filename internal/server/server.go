@@ -1011,8 +1011,8 @@ func (l *statList) ratio(name string, v float64) { l.add(name, strconv.FormatFlo
 // plainStats is the plain "stats" group: the tenant's request counters, the
 // process-wide connection governor and front-end gauges (memcached field
 // names), the tenant's arena, reclamation, page-pool and arbitration state,
-// the bookkeeper's shed GET events, the sampled latency p99s, and a hit rate
-// per slab class.
+// the bookkeeper's shed GET events, sweeps and inline applies, the sampled
+// latency p99s, and a hit rate per slab class.
 func (s *Server) plainStats(tenant string) (statList, error) {
 	st, err := s.store.Stats(tenant)
 	if err != nil {
@@ -1033,7 +1033,6 @@ func (s *Server) plainStats(tenant string) (statList, error) {
 	cs := s.ConnStats()
 	as := s.store.ArbiterStats()
 	at := as.Tenants[tenant]
-	dropped, _ := s.store.DroppedEvents(tenant)
 	// Heap+stack in use lets a harness compute the front end's bytes per
 	// connection from one stats call (mem_inuse_bytes / curr_connections).
 	var ms runtime.MemStats
@@ -1078,7 +1077,11 @@ func (s *Server) plainStats(tenant string) (statList, error) {
 	l.num("target_bytes", at.TargetBytes)
 	l.add("marginal_hit_per_byte", strconv.FormatFloat(at.MarginalHitPerByte, 'g', -1, 64))
 	l.num("arbiter_moves", as.Moves)
-	l.num("dropped_events", dropped)
+	// The bookkeeper: GET events it shed, sweeps requests ran at the batch
+	// boundary, and shard backlogs requests applied at the high-water mark.
+	l.num("dropped_events", st.DroppedEvents)
+	l.num("producer_sweeps", st.Sweeps)
+	l.num("inline_applies", st.InlineApplies)
 	// Sampled (latencySampleEvery) store-call latencies, process-wide.
 	l.num("get_p99_us", s.GetLatency.Quantile(0.99).Microseconds())
 	l.num("set_p99_us", s.SetLatency.Quantile(0.99).Microseconds())

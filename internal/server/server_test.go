@@ -710,7 +710,7 @@ func TestServerStatsSchema(t *testing.T) {
 		"conn_panics", "parked_connections", "active_sessions", "buffer_pool_bytes", "worker_count", "mem_inuse_bytes",
 		"arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees",
 		"page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte",
-		"arbiter_moves", "dropped_events", "get_p99_us", "set_p99_us"}
+		"arbiter_moves", "dropped_events", "producer_sweeps", "inline_applies", "get_p99_us", "set_p99_us"}
 	// A cliffhanger tenant's queues all hold their floor capacity, so every
 	// class of the default geometry (15) has a hit rate line.
 	var classHitRates []string

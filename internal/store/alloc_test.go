@@ -330,3 +330,51 @@ func TestAllocGateSweep(t *testing.T) {
 		t.Errorf("sweeps replayed %d hits, want %d", st.Hits, want)
 	}
 }
+
+// TestAllocGateAsyncGetSweeps pins the producer-side sweep at 0 allocations:
+// an asynchronous store's GET-hit loop in which every shard crosses the batch
+// boundary, so requests inside the measured loop replay every shard's events
+// themselves. The maintenance tick is held off so every sweep is a request's.
+func TestAllocGateAsyncGetSweeps(t *testing.T) {
+	s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	defer s.Close()
+	if err := s.RegisterTenant("hot", 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%d", i))
+		if err := set(s, "hot", string(keys[i]), make([]byte, 256)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Flush()
+	defer HoldMaintenance(s)()
+	e, _ := s.entry("hot")
+	const perRun = 64 * eventBatchSize
+	run := func() {
+		for i := 0; i < perRun; i++ {
+			v, ok, err := s.GetItemView("hot", keys[i%len(keys)])
+			if err != nil || !ok {
+				t.Fatalf("get hit = %v %v", ok, err)
+			}
+			v.Release()
+		}
+	}
+	// Each shard's two buffers grow to the most events they ever hold
+	// between sweeps. Where a sweep starts in the 64-key cycle fixes where the
+	// next one does, so the sweeps settle into a cycle of at most 64 starts
+	// (128 with the two buffers swapping roles), one or more a run; let the
+	// buffers meet that cycle's largest batch before measuring.
+	for i := 0; i < 150; i++ {
+		run()
+	}
+	sweeps := e.bk.sweeps.Load()
+	allocs := testing.AllocsPerRun(50, run)
+	if allocs != 0 {
+		t.Errorf("%d async GET hits with producer sweeps allocate %.2f objects, want 0", perRun, allocs)
+	}
+	if n := e.bk.sweeps.Load() - sweeps; n < 51 {
+		t.Errorf("%d producer sweeps in 51 runs, want at least one a run", n)
+	}
+}

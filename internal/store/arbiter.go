@@ -52,9 +52,9 @@ const DefaultArbiterMinRateDelta = 24.0 / float64(1<<20)
 
 // ArbiterConfig tunes the cross-tenant arbiter.
 type ArbiterConfig struct {
-	// Interval is the background tick period. Zero disables the background
-	// goroutine; ArbiterTick can still be driven explicitly (the
-	// deterministic harnesses do).
+	// Interval is the period at which the store's maintenance goroutine
+	// ticks the arbiter. Zero disables the background tick; ArbiterTick can
+	// still be driven explicitly (the deterministic harnesses do).
 	Interval time.Duration
 	// StepBytes is the memory moved per decision. Zero defaults to one
 	// slab page.
@@ -311,7 +311,7 @@ func (a *ArbiterState) Tick(obs []ArbiterObservation) (ArbiterMove, bool) {
 // tenants and applies the decided move (if any) through ResizeTenant — so
 // the transfer rides the ordinary incremental-resize and page-migration
 // machinery. It reports whether a move was applied. Safe for concurrent
-// use; the background loop and explicit callers serialize on the arbiter
+// use; the maintenance goroutine and explicit callers serialize on the arbiter
 // mutex.
 func (s *Store) ArbiterTick() bool {
 	reg := *s.tenants.Load()
@@ -352,31 +352,6 @@ func (s *Store) ArbiterTick() bool {
 	_ = s.ResizeTenant(mv.Donor, mv.DonorBytes)
 	_ = s.ResizeTenant(mv.Recipient, mv.RecipientBytes)
 	return true
-}
-
-// arbiterLoop is the background ticker Store.New starts when
-// Config.Arbiter.Interval > 0.
-func (s *Store) arbiterLoop(interval time.Duration) {
-	defer close(s.arbDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.arbStop:
-			return
-		case <-t.C:
-			s.ArbiterTick()
-		}
-	}
-}
-
-// stopArbiter halts the background ticker (idempotent; no-op when none ran).
-func (s *Store) stopArbiter() {
-	if s.arbStop != nil {
-		close(s.arbStop)
-		<-s.arbDone
-		s.arbStop = nil
-	}
 }
 
 // ArbiterTenantStats is one tenant's arbitration-facing state.

@@ -43,10 +43,10 @@ package store
 // slots before taking the stripe lock could miss a pin published after the
 // scan while harvesting a chunk retired before it.
 //
-// The epoch advances on the bookkeeper's drain tick (async mode), on free
+// The epoch advances on the store's maintenance tick (async mode), on free
 // pressure (an alloc that finds its class's freelist and tail both empty
 // advances and harvests every stripe before leasing a page — this is what
-// keeps synchronous stores, which have no drain goroutine, recycling), and
+// keeps synchronous stores, which have no maintenance tick, recycling), and
 // when a stripe's quarantine reaches the freeing class's high-water mark.
 //
 // Growth and shrink: pages are leased lazily from the process-wide
@@ -79,9 +79,10 @@ import (
 
 const (
 	// quarantineHighWaterBytes and quarantineHighWaterChunks bound how much
-	// deferred frees can park on one stripe between drain ticks: a free that
-	// finds the stripe's quarantine at the smaller of the two, measured in
-	// chunks of the class being freed, advances the epoch and reclaims inline.
+	// deferred frees can park on one stripe between maintenance ticks: a free
+	// that finds the stripe's quarantine at the smaller of the two, measured
+	// in chunks of the class being freed, advances the epoch and reclaims
+	// inline.
 	quarantineHighWaterBytes  = 64 << 10
 	quarantineHighWaterChunks = 128
 	// pinCountBits splits a pin slot's packed word: the low bits count the
@@ -248,7 +249,7 @@ func (a *arena) advanceEpoch() {
 }
 
 // reclaim harvests every stripe's quarantine. Called after advanceEpoch by
-// the bookkeeper's drain tick, by an alloc under free pressure, and by tests
+// the store's maintenance tick, by an alloc under free pressure, and by tests
 // that force a settle.
 func (a *arena) reclaim() {
 	for i := range a.stripes {
@@ -316,7 +317,7 @@ func (a *arena) reclaimStripeLocked(st *arenaStripe) {
 }
 
 // quarantinedChunks totals the chunks currently awaiting reclamation across
-// all classes (the epoch_quarantined_chunks stat, and the drain tick's
+// all classes (the epoch_quarantined_chunks stat, and the maintenance tick's
 // is-there-anything-to-do probe).
 func (a *arena) quarantinedChunks() int64 {
 	var n int64
@@ -330,8 +331,8 @@ func (a *arena) quarantinedChunks() int64 {
 // recently freed chunk, else one cut off the uncarved tail of its newest page,
 // else — after free pressure has advanced the epoch and harvested every
 // stripe's quarantine, which is what keeps synchronous stores, which have no
-// drain tick, recycling instead of growing — one cut off a freshly leased
-// page. While a page retirement is in flight, a chunk belonging to the
+// maintenance tick, recycling instead of growing — one cut off a freshly
+// leased page. While a page retirement is in flight, a chunk belonging to the
 // retiring page is captured for the migration instead of handed out — this
 // intercept is what guarantees that from the moment a migration is published,
 // no new resident can land on the retiring page. The steady-state cost is one
@@ -503,7 +504,7 @@ func (a *arena) stats() []ArenaClassStats {
 
 // statsSealed snapshots occupancy with every stripe mutex held for the whole
 // walk: on a store with no traffic the only thing still moving chunks between
-// states is the drain tick's reclaim, which needs a stripe mutex, so the
+// states is the maintenance tick's reclaim, which needs a stripe mutex, so the
 // sealed snapshot is internally consistent even while it runs. Used by the
 // conservation audit; the live stats verb keeps the cheaper approximate walk.
 func (a *arena) statsSealed() []ArenaClassStats {
@@ -525,7 +526,7 @@ func (a *arena) statsSealed() []ArenaClassStats {
 // with no chunk leaked and none double-freed. usedWant gives the
 // caller-counted resident chunks per class (from walking the item directory);
 // pass nil to skip that cross-check. The sealed snapshot keeps the check sound
-// even while the bookkeeper's drain tick reclaims — or a migration collects —
+// even while the maintenance tick reclaims — or a migration collects —
 // concurrently.
 func (a *arena) checkConservation(usedWant []int64) error {
 	for _, st := range a.statsSealed() {

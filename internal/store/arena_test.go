@@ -502,7 +502,7 @@ func assertPagesFollowPeak(t *testing.T, tenant string, classes []ArenaClassStat
 }
 
 // TestArenaQuarantineBoundedInBytes pins the quarantine high-water mark to
-// bytes: a synchronous store has no drain tick, so the freeing caller's
+// bytes: a synchronous store has no maintenance tick, so the freeing caller's
 // inline reclaim is the only thing that bounds what deferred frees park. All
 // traffic lands on one stripe, inside capacity so no alloc ever runs dry and
 // harvests, and overwrites 30 KiB values; with no reader pinned the stripe

@@ -8,35 +8,38 @@ import (
 	"cliffhanger/internal/cache"
 )
 
-// The bookkeeper moves Cliffhanger's structural accounting — shadow-queue
+// The bookkeeper batches Cliffhanger's structural accounting — shadow-queue
 // updates, hill-climbing credit transfers, cliff-pointer walks and eviction
-// decisions — off the request hot path. Request handlers touch only their
-// value shard; the structural consequences of each request are described by
-// a small event appended to a per-shard buffer (BP-Wrapper style batching),
-// and a background goroutine per tenant drains those buffers and replays
-// them against the Tenant. The per-request cost on the data plane is a
-// striped-lock map operation plus one slice append.
+// decisions — out of the request's critical section. Request handlers touch
+// only their value shard; the structural consequences of each request are
+// described by a small event appended to a per-shard buffer (BP-Wrapper style
+// batching). The request whose event brings its shard's buffer to
+// eventBatchSize replays every shard's buffer itself, on the goroutine that
+// just touched the keys, unless another goroutine is already sweeping (flat
+// combining: whoever holds sweepMu sweeps for everyone). There is no
+// bookkeeper goroutine; the store's one maintenance goroutine sweeps what
+// low-rate tenants leave below the threshold (Store.maintain).
 //
 // Ordering: a key always hashes to the same shard, and a shard's buffer is
 // stolen and applied atomically under that shard's applyMu, so bookkeeping
-// for one key is always applied in arrival order. Across keys, the drain
-// goroutine's sweep merges all shard buffers back into arrival order using
-// per-event sequence stamps, so a settled engine has seen the same global
-// admission/eviction sequence a synchronous one would have; only the
-// inline-help path under overload applies a single shard's backlog slightly
-// ahead of other shards'. An eviction replayed from an old event never
-// clobbers a value the client re-set in the meantime: each item record
-// remembers whether its own admission event is still pending, and dropVictim
-// spares such records (the upcoming re-admission re-establishes their
-// structural entry), so a settled engine holds exactly one value per
-// structural entry.
+// for one key is always applied in arrival order. Across keys, a sweep merges
+// all shard buffers back into arrival order using per-event sequence stamps,
+// so a settled engine has seen the same global admission/eviction sequence a
+// synchronous one would have; only the inline-help path under overload
+// applies a single shard's backlog slightly ahead of other shards'. An
+// eviction replayed from an old event never clobbers a value the client
+// re-set in the meantime: each item record remembers whether its own
+// admission event is still pending, and dropVictim spares such records (the
+// upcoming re-admission re-establishes their structural entry), so a settled
+// engine holds exactly one value per structural entry.
 //
 // Overload behaviour: lookup (GET) events are advisory — they feed hit/miss
 // counters and the shadow queues — and are shed once a shard's buffer hits
-// its high-water mark. Structural events (SET admissions, DELETEs) are never
-// dropped; instead, a producer that finds the buffer past the high-water
-// mark applies the backlog inline, so the value table and the eviction
-// queues cannot diverge without bound and nobody ever blocks on a channel.
+// its high-water mark, which a shard only reaches while sweeps in progress
+// keep its own producers from sweeping. Structural events (SET admissions,
+// DELETEs) are never dropped; instead, a producer that finds the buffer past
+// the high-water mark applies the backlog inline, so the value table and the
+// eviction queues cannot diverge without bound.
 
 // eventKind identifies a bookkeeping event.
 type eventKind uint8
@@ -82,23 +85,24 @@ type event struct {
 }
 
 const (
-	// eventBatchSize is the buffered-event count at which a producer nudges
-	// the drain goroutine.
+	// eventBatchSize is the buffered-event count at which a producer sweeps
+	// every shard's buffer, if no one else is sweeping.
 	eventBatchSize = 32
 	// shardBufferHighWater is the buffered-event count past which advisory
 	// events are shed and producers apply the backlog inline instead of
-	// letting it grow.
+	// letting it grow. A sweep therefore replays at most len(shards) ×
+	// shardBufferHighWater events, plus one per concurrent producer.
 	shardBufferHighWater = 256
-	// sweepInterval bounds the staleness of buffered events on idle or
-	// low-rate tenants: the drain goroutine sweeps all shard buffers this
-	// often even without notifications.
+	// sweepInterval is the maintenance tick: it bounds the staleness of
+	// buffered events on idle or low-rate tenants, whose buffers never reach
+	// eventBatchSize, and paces the reaper, reclaim and live resize.
 	sweepInterval = 10 * time.Millisecond
 	// reapShardsPerTick is how many value shards the background expiry
-	// reaper scans per drain tick; with 64 shards and a 10 ms tick a full
-	// pass over the tenant takes ~160 ms.
+	// reaper scans per maintenance tick; with 64 shards and a 10 ms tick a
+	// full pass over the tenant takes ~160 ms.
 	reapShardsPerTick = 4
 	// reapScanLimit bounds the records examined per shard per reap so a
-	// huge shard never stalls the drain goroutine; Go's randomized map
+	// huge shard never stalls the maintenance tick; Go's randomized map
 	// iteration makes successive passes cover different subsets.
 	reapScanLimit = 512
 	// sweepWindow is how many consecutive sequence stamps a sweep orders at
@@ -111,59 +115,48 @@ const (
 // bookkeeper owns a tenant's structural state (the Tenant with its eviction
 // queues and Cliffhanger manager). All access to the Tenant goes through
 // bk.mu, which is what makes stats and snapshots race-free; in asynchronous
-// mode a drain goroutine replays buffered events, while in synchronous mode
-// callers apply events inline (the deterministic path whose semantics the
-// simulator defines).
+// mode producers sweep the buffered events at the batch boundary, while in
+// synchronous mode every caller applies its own shard's events before
+// returning (the deterministic path whose semantics the simulator defines).
 type bookkeeper struct {
-	tenant      *Tenant
-	entry       *tenantEntry
-	synchronous bool
+	tenant *Tenant
+	entry  *tenantEntry
 	// now supplies the expiry clock (unix seconds) for the reaper.
 	now func() int64
-	// reapCursor is the next shard index the incremental reaper will scan.
+	// reapCursor is the next shard index the incremental reaper will scan;
+	// only the maintenance tick reaps.
 	reapCursor int
 
-	// mu guards tenant. The drain goroutine, snapshot readers and inline
-	// appliers take it; in synchronous mode every request takes it.
+	// mu guards tenant. Sweepers, snapshot readers and inline appliers take
+	// it; in synchronous mode every request takes it.
 	mu sync.Mutex
-
-	notify chan struct{} // capacity 1; coalesced "buffers are filling" nudge
-	stop   chan struct{}
-	done   chan struct{}
-
-	closed atomic.Bool
+	// sweepMu serializes sweeps, which is what lets them share the scratch
+	// below. A producer at the batch boundary only tries it: a held lock
+	// means someone else is sweeping.
+	sweepMu sync.Mutex
+	// inline is set in synchronous mode and once the bookkeeper is closed:
+	// nothing sweeps later, so every producer applies its own shard's events
+	// before returning.
+	inline atomic.Bool
 
 	// seq stamps events with their arrival order across all shards.
 	seq atomic.Uint64
 
 	// dropped counts advisory events shed because bookkeeping was
-	// saturated.
-	dropped atomic.Int64
+	// saturated; sweeps counts sweeps a producer ran at the batch boundary
+	// and inlineApplies the shard backlogs a producer applied at the
+	// high-water mark. Each moves once per shed event, sweep or apply.
+	dropped       atomic.Int64
+	sweeps        atomic.Int64
+	inlineApplies atomic.Int64
 
-	// Sweep scratch, owned by whoever holds every shard's applyMu: the
-	// buffer stolen from each shard, how far into it the replay has got, and
-	// one slot per stamp of the window being ordered. Kept between sweeps so
-	// a sweep allocates nothing; stolen and slots are nil outside a sweep so
-	// they pin no key.
+	// Sweep scratch, owned by whoever holds sweepMu: the buffer stolen from
+	// each shard, how far into it the replay has got, and one slot per stamp
+	// of the window being ordered. Kept between sweeps so a sweep allocates
+	// nothing; stolen and slots are nil outside a sweep so they pin no key.
 	stolen [][]event
 	cursor []int
 	slots  []*event
-}
-
-func newBookkeeper(t *Tenant, e *tenantEntry, synchronous bool, now func() int64) *bookkeeper {
-	b := &bookkeeper{
-		tenant: t, entry: e, synchronous: synchronous, now: now,
-		stolen: make([][]event, len(e.shards)),
-		cursor: make([]int, len(e.shards)),
-		slots:  make([]*event, sweepWindow),
-	}
-	if !synchronous {
-		b.notify = make(chan struct{}, 1)
-		b.stop = make(chan struct{})
-		b.done = make(chan struct{})
-		go b.drainLoop()
-	}
-	return b
 }
 
 // recordAction tells a producer what to do after releasing the shard lock it
@@ -173,12 +166,13 @@ type recordAction uint8
 const (
 	// actNone: nothing further to do.
 	actNone recordAction = iota
-	// actNotify: nudge the drain goroutine.
-	actNotify
+	// actSweep: the shard reached the batch boundary; sweep every shard
+	// unless someone else is already sweeping.
+	actSweep
 	// actApply: apply the shard's backlog inline before returning — used
-	// when the buffer is past its high-water mark, and for every event in
-	// synchronous (or closed) mode, where the same buffered path keeps
-	// per-key events applying in arrival order without a drain goroutine.
+	// when the buffer is past its high-water mark, and for every event of an
+	// inline bookkeeper, where the same buffered path keeps per-key events
+	// applying in arrival order.
 	actApply
 )
 
@@ -189,14 +183,14 @@ const (
 // per-key event order match per-key value order. The returned action must be
 // passed to finish after releasing sh.mu.
 //
-// Synchronous (and closed-bookkeeper) events go through the very same
-// buffer: the producer applies the shard's backlog itself right after
-// releasing sh.mu. Buffering even the inline-applied events is what
-// serializes same-key events from racing goroutines into arrival order — an
-// event applied directly, outside the buffer, could overtake an older
-// buffered event for the same key between the shard unlock and the apply.
+// An inline bookkeeper's events go through the very same buffer: the
+// producer applies the shard's backlog itself right after releasing sh.mu.
+// Buffering even the inline-applied events is what serializes same-key
+// events from racing goroutines into arrival order — an event applied
+// directly, outside the buffer, could overtake an older buffered event for
+// the same key between the shard unlock and the apply.
 func (b *bookkeeper) bufferLocked(sh *valueShard, ev *event) recordAction {
-	if b.synchronous || b.closed.Load() {
+	if b.inline.Load() {
 		ev.seq = b.seq.Add(1)
 		sh.pending = append(sh.pending, *ev)
 		return actApply
@@ -210,23 +204,25 @@ func (b *bookkeeper) bufferLocked(sh *valueShard, ev *event) recordAction {
 	switch n := len(sh.pending); {
 	case n >= shardBufferHighWater:
 		// Structural backlog: help out inline rather than queue further.
+		b.inlineApplies.Add(1)
 		return actApply
-	case n == eventBatchSize:
-		return actNotify
+	case n >= eventBatchSize:
+		return actSweep
 	}
 	return actNone
 }
 
 // finish performs the deferred half of bufferLocked. The caller must NOT
-// hold any shard lock.
+// hold any shard lock, applyMu, bk.mu or sweepMu: the replay takes them all.
 func (b *bookkeeper) finish(sh *valueShard, ev event, act recordAction) {
 	switch act {
 	case actApply:
 		b.applyShard(sh)
-	case actNotify:
-		select {
-		case b.notify <- struct{}{}:
-		default:
+	case actSweep:
+		if b.sweepMu.TryLock() {
+			b.sweeps.Add(1)
+			b.sweepLocked()
+			b.sweepMu.Unlock()
 		}
 	}
 }
@@ -314,60 +310,31 @@ func (b *bookkeeper) applyEventLocked(ev *event) {
 	}
 }
 
-// drainLoop sweeps the shard buffers when nudged by producers and on a
-// timer, so low-rate tenants settle within sweepInterval even though their
-// buffers never reach a notification boundary.
-func (b *bookkeeper) drainLoop() {
-	defer close(b.done)
-	ticker := time.NewTicker(sweepInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-b.stop:
-			return
-		case <-b.notify:
-			b.sweep()
-		case <-ticker.C:
-			b.reap()
-			b.sweep()
-			b.reclaimArena()
-			b.reconfigure()
-		}
-	}
-}
-
-// reclaimArena is the background half of epoch-based chunk reclamation: each
-// drain tick it advances the global epoch and recycles quarantined chunks
-// that every pinned reader has moved past. Skipped entirely while the
-// quarantine is empty so an idle tenant's tick stays cheap. Synchronous
-// stores have no drain goroutine and rely on the free-pressure reclaim in
-// the arena's refill path instead.
-func (b *bookkeeper) reclaimArena() {
-	a := b.entry.arena
-	if a == nil || a.quarantinedChunks() == 0 {
-		return
-	}
-	a.advanceEpoch()
-	a.reclaim()
-}
-
-// reconfigure advances any pending live-resize work — structural capacity
-// steps and page migrations — by one bounded step per drain tick, so a
-// tenant_resize executes incrementally off the drain loop and traffic is
-// never stalled behind it. The needed check keeps idle ticks at a few atomic
+// tick is one tenant's share of the store's maintenance pass (Store.maintain):
+// expire, sweep what stayed below the batch boundary, so low-rate tenants
+// settle within sweepInterval, recycle the quarantined chunks every pinned
+// reader has moved past (synchronous stores rely on the arena's free-pressure
+// reclaim instead), and advance any live resize by one bounded step, so a
+// tenant_resize never stalls traffic. An idle tenant's tick is a few atomic
 // loads.
-func (b *bookkeeper) reconfigure() {
+func (b *bookkeeper) tick() {
+	b.reap()
+	b.sweep()
+	if a := b.entry.arena; a.quarantinedChunks() > 0 {
+		a.advanceEpoch()
+		a.reclaim()
+	}
 	if b.entry.reconfigureNeeded() {
 		b.entry.reconfigureTick()
 	}
 }
 
-// reap is the incremental background expiry pass: each drain tick it scans
-// the next few value shards, drops records whose TTL lapsed (or that a
+// reap is the incremental background expiry pass: each maintenance tick it
+// scans the next few value shards, drops records whose TTL lapsed (or that a
 // delayed flush_all deadline killed), and buffers an expiry event for each
 // so the structural removal replays in arrival order with the shard's other
-// pending events. Synchronous stores have no drain goroutine and rely on the
-// lazy dead check on the read path alone.
+// pending events. Synchronous stores have no maintenance goroutine and rely
+// on the lazy dead check on the read path alone.
 //
 // A tenant that never stored a TTL and has no delayed flush armed has
 // nothing that can die, so its tick stops here without taking a shard lock.
@@ -402,15 +369,26 @@ func (b *bookkeeper) reap() {
 	}
 }
 
-// sweep steals every shard's buffer and replays the union in arrival order,
-// so a settled engine has seen the same admission/eviction sequence a
+// sweep waits for any sweep in progress and then sweeps, so every event
+// recorded before the call has been applied when it returns: an application
+// already in flight on another goroutine completes before the sweep passes
+// its shard (applyMu). It is how Flush and the snapshot APIs settle the
+// engine, in synchronous mode too, where a concurrent operation may be caught
+// between buffering and applying.
+func (b *bookkeeper) sweep() {
+	b.sweepMu.Lock()
+	b.sweepLocked()
+	b.sweepMu.Unlock()
+}
+
+// sweepLocked steals every shard's buffer and replays the union in arrival
+// order, so a settled engine has seen the same admission/eviction sequence a
 // synchronous one would have. All applyMu locks are held (in index order)
 // until the union is applied, so a concurrent inline applier cannot replay a
-// shard's newer events ahead of the stolen older ones — and so sweeps are
-// serialized, which is what lets them share the bookkeeper's scratch. Buffers
-// are stolen and handed back the way applyShard does it, so a sweep copies no
-// event and allocates nothing.
-func (b *bookkeeper) sweep() {
+// shard's newer events ahead of the stolen older ones. Buffers are stolen and
+// handed back the way applyShard does it, so a sweep copies no event and
+// allocates nothing. The caller must hold sweepMu.
+func (b *bookkeeper) sweepLocked() {
 	shards := b.entry.shards
 	n := 0
 	for i := range shards {
@@ -436,8 +414,8 @@ func (b *bookkeeper) sweep() {
 // few holes (events an inline applier took, or that arrived on a shard
 // already stolen): the events of sweepWindow consecutive stamps are scattered
 // into slots by stamp and the slots replayed left to right, window after
-// window from the lowest stamp not yet replayed. The caller must hold b.mu
-// and every applyMu.
+// window from the lowest stamp not yet replayed. The caller must hold
+// sweepMu, b.mu and every applyMu.
 func (b *bookkeeper) replayInOrder(n int) {
 	clear(b.cursor)
 	for n > 0 {
@@ -467,24 +445,9 @@ func (b *bookkeeper) replayInOrder(n int) {
 	}
 }
 
-// flush blocks until every event recorded before the call has been applied:
-// buffered events are swept here, and an application already in flight on
-// another goroutine completes before the sweep passes its shard (applyMu).
-// In synchronous mode each operation applies its own events before
-// returning, but the sweep still runs so a concurrent operation caught
-// between buffering and applying cannot be missed.
-func (b *bookkeeper) flush() {
-	b.sweep()
-}
-
-// close settles outstanding events and stops the drain goroutine. Events
-// recorded after close are applied inline by their callers; close is
-// idempotent.
+// close settles outstanding events. Nothing sweeps a closed bookkeeper
+// later, so events recorded after close are applied inline by their callers.
 func (b *bookkeeper) close() {
-	if b.synchronous || b.closed.Swap(true) {
-		return
-	}
-	close(b.stop)
-	<-b.done
+	b.inline.Store(true)
 	b.sweep()
 }

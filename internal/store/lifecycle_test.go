@@ -279,8 +279,8 @@ func TestTenantResizeShrinkUnderLoad(t *testing.T) {
 		if l := s.PageStats().Leases["hot"]; l > peakLeases {
 			peakLeases = l
 		}
-		// The sampled mid-resize audit: traffic is quiesced, but the drain
-		// loop's reconfigure tick still runs every 10ms — holding reconfMu
+		// The sampled mid-resize audit: traffic is quiesced, but the
+		// maintenance tick's reconfigure still runs every 10ms — holding reconfMu
 		// excludes it so the walk observes one consistent in-flight state.
 		e.reconfMu.Lock()
 		auditArena(t, s, "hot")

@@ -157,11 +157,11 @@ func (a *arena) maybeFinishMigration(m *migration) {
 }
 
 // resizeStepBytes bounds how much structural capacity one reconfigure tick
-// claws back, so the bookkeeper's drain loop never stalls traffic behind one
-// huge shrink (growth is applied in one go — it evicts nothing).
+// claws back, so a maintenance tick never stalls traffic behind one huge
+// shrink (growth is applied in one go — it evicts nothing).
 const resizeStepBytes int64 = 8 << 20
 
-// reconfigureNeeded is the drain tick's cheap is-there-work probe: a few
+// reconfigureNeeded is the maintenance tick's cheap is-there-work probe: a few
 // atomic loads in the steady state. Physical page retirement is only ever
 // pending on tenants that have been explicitly resized.
 func (e *tenantEntry) reconfigureNeeded() bool {
@@ -183,8 +183,8 @@ func (e *tenantEntry) reconfigureNeeded() bool {
 // reconfigureTick advances the tenant toward its target reservation by one
 // bounded step — first structural capacity (under bk.mu, dropping the
 // victims like any eviction replay), then physical page retirement — and
-// reports whether work remains. Serialized by reconfMu so the drain loop and
-// synchronous ResizeTenant callers never interleave steps.
+// reports whether work remains. Serialized by reconfMu so the maintenance
+// tick and synchronous ResizeTenant callers never interleave steps.
 func (e *tenantEntry) reconfigureTick() bool {
 	e.reconfMu.Lock()
 	defer e.reconfMu.Unlock()

@@ -29,17 +29,18 @@ type Config struct {
 	// ValueShards is the number of striped-lock value shards per tenant
 	// (rounded up to a power of two). Zero uses defaultValueShards.
 	ValueShards int
-	// SyncBookkeeping applies structural bookkeeping inline on the request
-	// path instead of through the per-tenant event channel. Synchronous
-	// mode is deterministic and is what tests and the simulator semantics
-	// are defined against; asynchronous mode (the default) is faster.
+	// SyncBookkeeping makes every request apply its own events before it
+	// returns, where asynchronous mode (the default, faster) leaves them
+	// buffered until a shard reaches the batch boundary and one request
+	// sweeps them all. Synchronous mode is deterministic, has no background
+	// reaper or reclaim, and defines what tests and the simulator expect.
 	SyncBookkeeping bool
 	// Now supplies the expiry clock in unix seconds; nil uses time.Now.
 	// Tests stub it to drive TTL expiry deterministically.
 	Now func() int64
 	// Arbiter configures cross-tenant Memshare arbitration (arbiter.go).
-	// A positive Interval starts the background tick loop; with Interval
-	// zero the arbiter only runs when ArbiterTick is called explicitly.
+	// A positive Interval makes the maintenance goroutine tick it; with
+	// Interval zero the arbiter only runs when ArbiterTick is called.
 	Arbiter ArbiterConfig
 }
 
@@ -52,7 +53,7 @@ const defaultValueShards = 64
 // key-hash-sharded table with striped locks, so operations on independent
 // keys proceed in parallel even within one tenant; structural bookkeeping
 // (eviction queues, Cliffhanger shadow queues) is owned by a per-tenant
-// bookkeeper off the request path.
+// bookkeeper and replayed in batches by the requests themselves.
 type Store struct {
 	cfg Config
 
@@ -69,12 +70,15 @@ type Store struct {
 	// waits for them so no teardown goroutine outlives the store.
 	teardowns sync.WaitGroup
 
+	// stop and done bound the maintenance goroutine (nil when none runs);
+	// tickMu is held for each of its passes over the registry.
+	stop, done chan struct{}
+	tickMu     sync.Mutex
+
 	// arb is the cross-tenant Memshare arbiter's decision engine, guarded
-	// by arbMu; arbStop/arbDone bound the optional background tick loop.
-	arbMu   sync.Mutex
-	arb     *ArbiterState
-	arbStop chan struct{}
-	arbDone chan struct{}
+	// by arbMu.
+	arbMu sync.Mutex
+	arb   *ArbiterState
 }
 
 // item is one entry of the per-shard metadata directory: the value plus the
@@ -204,9 +208,9 @@ type tenantEntry struct {
 
 	// Live-reconfiguration state (migrate.go). targetBytes is the
 	// reservation the tenant should converge to; appliedBytes mirrors the
-	// structural reservation already applied (a lock-free hint for the drain
-	// tick's is-there-work probe — the authoritative value lives in the
-	// Tenant under bk.mu). resized latches once a ResizeTenant has ever run:
+	// structural reservation already applied (a lock-free hint for the
+	// maintenance tick's is-there-work probe — the authoritative value lives
+	// in the Tenant under bk.mu). resized latches once a ResizeTenant has ever run:
 	// physical page retirement only happens on explicitly resized tenants,
 	// so a static deployment stays byte-for-byte identical to the
 	// pre-lifecycle engine (the sim-vs-wire parity check depends on that).
@@ -217,8 +221,8 @@ type tenantEntry struct {
 	// then (and while no delayed flush is armed) nothing in the tenant can
 	// die, and the background reaper does not scan it.
 	everTTL atomic.Bool
-	// reconfMu serializes reconfigure ticks (drain loop vs. synchronous
-	// ResizeTenant callers).
+	// reconfMu serializes reconfigure ticks (maintenance tick vs.
+	// synchronous ResizeTenant callers).
 	reconfMu sync.Mutex
 	// dying fences record creation once DeleteTenant has unregistered the
 	// tenant: a straggler holding this entry from before the copy-on-write
@@ -415,12 +419,45 @@ func New(cfg Config) *Store {
 	empty := make(map[string]*tenantEntry)
 	s.tenants.Store(&empty)
 	s.arb = NewArbiterState(cfg.Arbiter, s.pa.pageSize)
-	if cfg.Arbiter.Interval > 0 {
-		s.arbStop = make(chan struct{})
-		s.arbDone = make(chan struct{})
-		go s.arbiterLoop(cfg.Arbiter.Interval)
+	if !cfg.SyncBookkeeping || cfg.Arbiter.Interval > 0 {
+		s.stop, s.done = make(chan struct{}), make(chan struct{})
+		go s.maintain()
 	}
 	return s
+}
+
+// maintain is the store's one background goroutine, whatever its tenant
+// count, as memcached runs one LRU maintainer thread. With asynchronous
+// bookkeeping it gives every tenant a tick each sweepInterval (bookkeeper.tick:
+// reap, sweep what low-rate traffic left below the batch boundary, reclaim,
+// resize); with a positive Config.Arbiter.Interval it runs the arbiter.
+func (s *Store) maintain() {
+	defer close(s.done)
+	var ticks, arbTicks <-chan time.Time
+	if !s.cfg.SyncBookkeeping {
+		t := time.NewTicker(sweepInterval)
+		defer t.Stop()
+		ticks = t.C
+	}
+	if s.cfg.Arbiter.Interval > 0 {
+		t := time.NewTicker(s.cfg.Arbiter.Interval)
+		defer t.Stop()
+		arbTicks = t.C
+	}
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-ticks:
+			s.tickMu.Lock()
+			for _, e := range *s.tenants.Load() {
+				e.bk.tick()
+			}
+			s.tickMu.Unlock()
+		case <-arbTicks:
+			s.ArbiterTick()
+		}
+	}
 }
 
 // nextPow2 rounds n up to a power of two.
@@ -485,7 +522,9 @@ func (s *Store) RegisterTenantConfig(cfg TenantConfig) error {
 		e.shards[i].items = make(map[string]*item)
 		e.shards[i].idx = i
 	}
-	e.bk = newBookkeeper(tenant, e, s.cfg.SyncBookkeeping, s.cfg.Now)
+	e.bk = &bookkeeper{tenant: tenant, entry: e, now: s.cfg.Now,
+		stolen: make([][]event, n), cursor: make([]int, n), slots: make([]*event, sweepWindow)}
+	e.bk.inline.Store(s.cfg.SyncBookkeeping)
 	next := make(map[string]*tenantEntry, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -496,13 +535,12 @@ func (s *Store) RegisterTenantConfig(cfg TenantConfig) error {
 }
 
 // ResizeTenant retargets a live tenant's memory reservation at newBytes. The
-// call only records the target: the resize executes incrementally off the
-// tenant's bookkeeper drain loop — structural capacity moves in bounded
-// steps, and surplus pages are retired one at a time through the migration
-// machinery — so traffic is never stalled or dropped. With synchronous
-// bookkeeping (no drain goroutine) the work is driven here instead, bounded
-// so a long-held reader pin cannot wedge the caller; Flush drives any
-// remainder.
+// call only records the target: the resize executes incrementally on the
+// store's maintenance ticks — structural capacity moves in bounded steps, and
+// surplus pages are retired one at a time through the migration machinery —
+// so traffic is never stalled or dropped. With synchronous bookkeeping (no
+// maintenance tick) the work is driven here instead, bounded so a long-held
+// reader pin cannot wedge the caller; Flush drives any remainder.
 func (s *Store) ResizeTenant(name string, newBytes int64) error {
 	if newBytes <= 0 {
 		return fmt.Errorf("store: tenant %q needs a positive memory reservation", name)
@@ -553,13 +591,17 @@ func (s *Store) DeleteTenant(name string) error {
 	return nil
 }
 
-// teardownTenant drains a deleted tenant: stop its bookkeeper, flush every
-// record through the normal event path, then spin the epoch clock until
-// every chunk has left quarantine (a pinned reader of the dying tenant
-// blocks this exactly as long as it holds its view) and any in-flight page
-// migration has completed. Only a fully drained arena returns its pages.
+// teardownTenant drains a deleted tenant: wait out a maintenance pass that
+// loaded the registry before the delete (no later one can reap, sweep or
+// migrate behind the teardown), close its bookkeeper, flush every record
+// through the normal event path, then spin the epoch clock until every chunk
+// has left quarantine (a pinned reader of the dying tenant blocks this exactly
+// as long as it holds its view) and any in-flight page migration has
+// completed. Only a fully drained arena returns its pages.
 func (s *Store) teardownTenant(e *tenantEntry) {
 	defer s.teardowns.Done()
+	s.tickMu.Lock()
+	s.tickMu.Unlock()
 	e.bk.close()
 	s.flushNow(e)
 	for {
@@ -810,15 +852,16 @@ func (s *Store) SetItemBytes(tenant string, key, value []byte, flags uint32, exp
 	return s.storeMutation(e, sh, tenant, ev, event{}, actNone, false)
 }
 
-// admitOutcome reports the does-not-fit error of a settled synchronous
-// admission: by the time finish has returned, a bounced key's record has
-// been dropped by the replay (dropVictim), so a missing record means the
-// key did not fit its tenant. Asynchronous admissions settle off the
-// request path and always report nil (the value is shed shortly after; see
-// SetItemBytes). Under concurrent synchronous use the check is best-effort — a
-// racing delete of the same key can be indistinguishable from a bounce.
+// admitOutcome reports the does-not-fit error of an admission its producer
+// applied (synchronous mode, or after Close): by the time finish has
+// returned, a bounced key's record has been dropped by the replay
+// (dropVictim), so a missing record means the key did not fit its tenant.
+// Asynchronous admissions settle later and always report nil (the value is
+// shed shortly after; see SetItemBytes). Under concurrent use the check is
+// best-effort — a racing delete of the same key can be indistinguishable
+// from a bounce.
 func (e *tenantEntry) admitOutcome(tenant string, sh *valueShard, ev event) error {
-	if !e.bk.synchronous {
+	if !e.bk.inline.Load() {
 		return nil
 	}
 	sh.mu.Lock()
@@ -1131,7 +1174,7 @@ func (s *Store) flushNow(e *tenantEntry) error {
 	e.flushAt.Store(0)
 	// Settle in-flight bookkeeping first to keep the flush's own event burst
 	// small; correctness comes from the per-shard buffer order alone.
-	e.bk.flush()
+	e.bk.sweep()
 	var (
 		evs  []event
 		acts []recordAction
@@ -1157,12 +1200,13 @@ func (s *Store) flushNow(e *tenantEntry) error {
 // been applied, so stats and snapshots reflect all completed operations.
 func (s *Store) Flush() {
 	for _, e := range *s.tenants.Load() {
-		e.bk.flush()
+		e.bk.sweep()
 	}
 }
 
-// Close settles and stops every tenant's bookkeeper. Operations issued after
-// Close fall back to inline bookkeeping; Close is idempotent.
+// Close stops the maintenance goroutine and settles every tenant's
+// bookkeeper. Operations issued after Close fall back to inline bookkeeping;
+// Close is idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1171,7 +1215,10 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	s.stopArbiter()
+	if s.stop != nil {
+		close(s.stop)
+		<-s.done
+	}
 	for _, e := range *s.tenants.Load() {
 		e.bk.close()
 	}
@@ -1179,16 +1226,21 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Stats returns the tenant's counters, settling in-flight bookkeeping first.
+// Stats returns the tenant's counters, settling in-flight bookkeeping first,
+// with its bookkeeper's shed events, producer sweeps and inline applies.
 func (s *Store) Stats(tenant string) (TenantStats, error) {
 	e, ok := s.entry(tenant)
 	if !ok {
 		return TenantStats{}, ErrNoTenant{tenant}
 	}
-	e.bk.flush()
+	e.bk.sweep()
 	e.bk.mu.Lock()
-	defer e.bk.mu.Unlock()
-	return e.tenant.Stats(), nil
+	st := e.tenant.Stats()
+	e.bk.mu.Unlock()
+	st.DroppedEvents = e.bk.dropped.Load()
+	st.Sweeps = e.bk.sweeps.Load()
+	st.InlineApplies = e.bk.inlineApplies.Load()
+	return st, nil
 }
 
 // SlabStats returns the tenant's per-class arena occupancy: chunk size,
@@ -1225,7 +1277,7 @@ func (s *Store) QueueSnapshots(tenant string) (queues []core.QueueSnapshot, free
 	if !ok {
 		return nil, 0, ErrNoTenant{tenant}
 	}
-	e.bk.flush()
+	e.bk.sweep()
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
 	p, ok := e.tenant.policy.(*managedPolicy)
@@ -1242,7 +1294,7 @@ func (s *Store) ClassCapacities(tenant string) (map[int]int64, error) {
 	if !ok {
 		return nil, ErrNoTenant{tenant}
 	}
-	e.bk.flush()
+	e.bk.sweep()
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
 	return e.tenant.ClassCapacities(), nil
@@ -1256,7 +1308,7 @@ func (s *Store) Items(tenant string) (int, error) {
 	if !ok {
 		return 0, ErrNoTenant{tenant}
 	}
-	e.bk.flush()
+	e.bk.sweep()
 	n := 0
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -1274,7 +1326,7 @@ func (s *Store) UsedBytes(tenant string) (int64, error) {
 	if !ok {
 		return 0, ErrNoTenant{tenant}
 	}
-	e.bk.flush()
+	e.bk.sweep()
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
 	return e.tenant.UsedBytes(), nil
@@ -1288,9 +1340,9 @@ func (s *Store) UsedBytes(tenant string) (int64, error) {
 // pages * chunks-per-page); the arena's used counts match the directory
 // walk; and UsedBytes matches the structural charge of the resident records.
 // The caller must quiesce traffic on the tenant. The tenant's own background
-// work need not be: the whole audit is one critical section against the drain
-// tick's reaper and page migration (auditSealed), retried until it finds no
-// bookkeeping event in flight. The chaos and shutdown suites run this after
+// work need not be: the whole audit is one critical section against the
+// maintenance tick's reaper and page migration (auditSealed), retried until
+// it finds no bookkeeping event in flight. The chaos and shutdown suites run this after
 // every fault storm: a fault that leaks or double-frees a chunk fails here.
 func (s *Store) AuditConservation(tenant string) error {
 	e, ok := s.entry(tenant)
@@ -1298,7 +1350,7 @@ func (s *Store) AuditConservation(tenant string) error {
 		return ErrNoTenant{tenant}
 	}
 	for {
-		e.bk.flush()
+		e.bk.sweep()
 		if settled, err := e.auditSealed(); settled {
 			return err
 		}

@@ -1060,8 +1060,8 @@ func TestStoreExpiry(t *testing.T) {
 }
 
 // TestStoreExpiryReaper checks that the background reaper reclaims expired
-// items without any client access: the drain loop's incremental scan must
-// shed them within a few sweep intervals.
+// items without any client access: the maintenance tick's incremental scan
+// must shed them within a few sweep intervals.
 func TestStoreExpiryReaper(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1_000_000)
@@ -1084,8 +1084,8 @@ func TestStoreExpiryReaper(t *testing.T) {
 		t.Fatalf("expected 500 live items, got %d", n)
 	}
 	now.Add(11)
-	// Generous deadline: under -race on a loaded single-CPU box the drain
-	// goroutine's ticks (and with them the reaper passes) can be starved
+	// Generous deadline: under -race on a loaded single-CPU box the
+	// maintenance ticks (and with them the reaper passes) can be starved
 	// for whole seconds.
 	deadline := time.Now().Add(20 * time.Second)
 	for {

@@ -32,12 +32,14 @@
 //   - bookkeeper (bookkeeper.go) is the accounting plane. All structural
 //     consequences of a request — shadow-queue updates, hill-climbing credit
 //     transfers, cliff-pointer walks, evictions — are described by small
-//     events, batched per value shard, and drained by one background
-//     goroutine per tenant, so Cliffhanger's bookkeeping is off the request
-//     hot path. A synchronous mode (Config.SyncBookkeeping) applies events
+//     events, batched per value shard, and replayed in arrival order by the
+//     request that fills a shard to the batch boundary, so Cliffhanger's
+//     bookkeeping is out of every other request's critical section. The
+//     store's one maintenance goroutine sweeps what low-rate tenants leave
+//     behind. A synchronous mode (Config.SyncBookkeeping) applies events
 //     inline for deterministic tests; Store.Flush settles in-flight events
 //     so snapshots and stats observe a quiesced engine, and Store.Close
-//     stops the drain goroutines.
+//     stops the maintenance goroutine.
 //
 // Concurrency contract: Tenant and everything it owns (core.Manager,
 // core.Queue) are not safe for concurrent use; the bookkeeper serializes all
@@ -175,6 +177,11 @@ type TenantStats struct {
 	Touches   int64
 	TouchHits int64
 	Classes   []ClassStats
+	// DroppedEvents, Sweeps and InlineApplies are the Store bookkeeper's
+	// counters (bookkeeper.dropped and so on); Tenant.Stats leaves them 0.
+	DroppedEvents int64
+	Sweeps        int64
+	InlineApplies int64
 }
 
 // HitRate returns hits / (hits + misses).
