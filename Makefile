@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race4 stable benchcheck benchquick vet fmt count bench bins conformance fits alloccheck fuzz replay churn verify arbiter chaos drain connscale clean
+.PHONY: build test race race4 stable benchcheck benchquick vet fmt count bench bins conformance fits alloccheck fuzz replay churn verify arbiter chaos drain connscale profile clean
 
 build:
 	$(GO) build ./...
@@ -85,10 +85,12 @@ count:
 # write), then runs the shipped-defaults smoke: a -mode cliffhanger,
 # default:64 store is loaded with 8192 keys that fit thirty times over, and
 # `stats` must report no miss and `stats cliffhanger` no eviction, no relaxed
-# pointer and even partitions. Last, the stats schema: every group's field
-# names, in wire order, for a fixed store state.
+# pointer and even partitions. Then the stats schema: every group's field
+# names, in wire order, for a fixed store state. Last, replay_probes stays flat
+# over settled GET hits at shipped defaults: each replay goes through the
+# queue node its record remembers.
 conformance:
-	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits|TestServerStatsSchema' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits|TestServerStatsSchema|TestServerSettledHitsProbeNothing' -v ./internal/server/
 
 # fits repeats the keeps-what-fits tests where they used to flake: the
 # store-level twins (a load that fits evicts nothing, a fill of twice the
@@ -101,7 +103,9 @@ conformance:
 # three apply-regime tests ride along (one maintenance goroutine per store,
 # the producer sweep and its bound, the backlog bound under overload): at one
 # and two Ps a request's sweep and the maintenance tick interleave differently.
-FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestProducerSweepsAtTheBatchBoundary|TestBacklogBoundedUnderOverload
+# So does the stale-node test: GETs whose records' queue nodes go stale behind
+# a held sweep must settle to what a synchronous store reads.
+FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestProducerSweepsAtTheBatchBoundary|TestBacklogBoundedUnderOverload|TestStaleNodesThroughStore
 FITS_COUNT ?= 200
 FITS_RACE_COUNT ?= 20
 fits:
@@ -120,7 +124,8 @@ fits:
 # loop whose own requests sweep at the batch boundary; streaming client
 # pipelined GET <= 1 amortized over a real socket; a tenant switch between registered
 # tenants = 0 in the server, switch + GET <= 1 through client and server; in a
-# full, split class queue a hit = 0 and an evicting admission <= 1, the
+# full, split class queue a hit = 0, by key or through the remembered node
+# that a replayed GET hit carries, and an evicting admission <= 1, the
 # victims it returns). An accidental allocation on the mutation path fails the
 # build, not a future benchmark run.
 alloccheck:
@@ -235,6 +240,27 @@ connscale: bins
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	sleep 1; \
 	./bin/cliffbench -addr $$addr -conns $(CONNS) -conn-rate $(CONN_RATE) -duration 3s -conns-json BENCH_conns.json -conns-gate
+
+# profile is how a performance change's ledger hypothesis is measured (the
+# replayed GET hit's second queue probe, core.(*Queue).find, was found this
+# way): it starts cliffhangerd at shipped defaults with -pprof-addr on
+# loopback, drives it for 20 s with 64-deep pipelined zipf GETs from two
+# connections, takes a 10 s CPU profile from the middle of the run into a
+# temporary directory outside the tree and prints its top entries. Not in CI.
+profile: bins
+	@set -e; \
+	dir=$$(mktemp -d); \
+	addr=127.0.0.1:13227; paddr=127.0.0.1:13228; \
+	./bin/cliffhangerd -addr $$addr -pprof-addr $$paddr 2>$$dir/daemon.log & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null || true' EXIT; \
+	sleep 1; \
+	./bin/cliffbench -addr $$addr -tenant default -keys 8192 -zipf 0.99 -get-ratio 1 -pipeline 64 -conns 2 -duration 20s > $$dir/bench.log & bench=$$!; \
+	sleep 5; \
+	$(GO) tool pprof -proto -output $$dir/cpu.pb.gz "http://$$paddr/debug/pprof/profile?seconds=10" 2>/dev/null; \
+	wait $$bench; \
+	cat $$dir/bench.log; \
+	$(GO) tool pprof -top -nodecount=40 bin/cliffhangerd $$dir/cpu.pb.gz; \
+	echo "profile: $$dir/cpu.pb.gz"
 
 clean:
 	rm -rf bin

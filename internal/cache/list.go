@@ -36,7 +36,8 @@ type Node struct {
 	Key        string
 	Cost       int64
 	// Aux is scratch space for the owner's per-entry metadata (the Facebook
-	// policy's half marker, the segment a core.Queue entry is linked in).
+	// policy's half marker; for a core.Queue entry, the queue and segment it
+	// is linked in).
 	Aux int64
 }
 

@@ -18,7 +18,8 @@
 // cliff shadow, hill shadow, forgotten) that a key ages down, and one index
 // over both chains. The segments are cache.List recency lists with a capacity
 // each; a key's node stays the same from admission to removal and is tagged
-// with the segment it is linked in, so a lookup is one map probe and nothing
+// with the segment it is linked in, so a lookup is one map probe, a caller
+// that remembers the node (the store's item record) needs none, and nothing
 // outside the queue ever sees a node die at a segment boundary.
 //
 // None of the types in this package are safe for concurrent use; callers

@@ -51,7 +51,7 @@ func (pm *pagedManager) admit(i int, key string) AccessOutcome {
 		q.Grow(fitsPage)
 		victims = append(victims, q.ForceApplyResize()...)
 	}
-	out := pm.AccessAt(i, key, fitsUnit)
+	out, _ := pm.AccessAt(i, key, fitsUnit)
 	out.Evicted = append(victims, out.Evicted...)
 	return out
 }
@@ -88,7 +88,7 @@ func TestWorkingSetThatFitsMissesOnce(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				for i := 0; i < keys; i++ {
 					q, k := key(i)
-					if out, ok := pm.AccessResidentAt(q, k, fitsUnit); !ok || !out.Hit {
+					if hit, _, _ := pm.QueueAt(q).AccessResident(k, nil, fitsUnit); !hit {
 						t.Fatalf("pass %d: key %d missed although the working set fits twice", pass, i)
 					}
 				}
@@ -151,7 +151,7 @@ func TestNoRelaxationWhileOwnerHasSpare(t *testing.T) {
 func TestGrowCarriesHomePointers(t *testing.T) {
 	cfg := DefaultConfig().CliffScalingOnly()
 	const start = 2 * fitsPage
-	q := newQueue("q", cfg, start, fitsUnit)
+	q := newQueue("q", cfg, 0, start, fitsUnit)
 	if !q.Split() {
 		t.Fatalf("a %d-item queue should be split", start/fitsUnit)
 	}
@@ -168,14 +168,14 @@ func TestGrowCarriesHomePointers(t *testing.T) {
 
 	// A pointer that cliff scaling has moved away is evidence, not a default:
 	// it stays where it is.
-	moved := newQueue("q", cfg, start, fitsUnit)
+	moved := newQueue("q", cfg, 0, start, fitsUnit)
 	moved.leftPointer = start - 8*cfg.CreditBytes
 	moved.Grow(fitsPage)
 	if lp, _ := moved.Pointers(); lp != start-8*cfg.CreditBytes {
 		t.Fatalf("a grant carried a left pointer that was not home: %d", lp)
 	}
 
-	plain := newQueue("q", cfg, start, fitsUnit)
+	plain := newQueue("q", cfg, 0, start, fitsUnit)
 	plain.SetCapacity(start + fitsPage)
 	if lp, _ := plain.Pointers(); lp != start {
 		t.Fatalf("SetCapacity moved the left pointer to %d; that changes hill climbing and needs its own PR", lp)
@@ -188,7 +188,7 @@ func TestGrowCarriesHomePointers(t *testing.T) {
 // sibling had slack.
 func TestHasRoomAsksTheRoutedPartition(t *testing.T) {
 	cfg := DefaultConfig().CliffScalingOnly()
-	q := newQueue("q", cfg, 2*fitsPage, fitsUnit)
+	q := newQueue("q", cfg, 0, 2*fitsPage, fitsUnit)
 	var leftKey, rightKey string
 	for i := 0; leftKey == "" || rightKey == ""; i++ {
 		if k := fmt.Sprintf("probe-%d", i); q.routesLeft(k) {
@@ -230,7 +230,7 @@ func TestSplitActivationMovesResidents(t *testing.T) {
 		grant  = 64
 		half   = (before + grant) / 2
 	)
-	q := newQueue("q", cfg, before*fitsUnit, fitsUnit)
+	q := newQueue("q", cfg, 0, before*fitsUnit, fitsUnit)
 	for i := 0; i < before; i++ {
 		q.Access(fmt.Sprintf("key-%d", i), fitsUnit)
 	}

@@ -103,7 +103,7 @@ func NewManager(cfg Config, totalBytes int64, specs []QueueSpec) (*Manager, erro
 		if capacity < cfg.MinQueueBytes {
 			capacity = cfg.MinQueueBytes
 		}
-		q := newQueue(s.ID, cfg, capacity, s.UnitCost)
+		q := newQueue(s.ID, cfg, len(m.queues), capacity, s.UnitCost)
 		m.byID[s.ID] = len(m.queues)
 		m.queues = append(m.queues, q)
 	}
@@ -150,29 +150,22 @@ func (m *Manager) Access(queueID, key string, cost int64) (AccessOutcome, bool) 
 	if !ok {
 		return AccessOutcome{}, false
 	}
-	return m.AccessAt(i, key, cost), true
+	out, _ := m.AccessAt(i, key, cost)
+	return out, true
 }
 
 // AccessAt is Access addressed by queue index (see QueueAt), for callers
 // that already know it and should not pay a string-keyed lookup per request.
-func (m *Manager) AccessAt(i int, key string, cost int64) AccessOutcome {
-	return m.climb(i, m.queues[i].Access(key, cost))
-}
-
-// AccessResidentAt is AccessAt for a request that must not admit: it does
-// nothing, and reports false, unless key is physically resident in queue i
-// (Queue.AccessResident).
-func (m *Manager) AccessResidentAt(i int, key string, cost int64) (AccessOutcome, bool) {
-	out, ok := m.queues[i].AccessResident(key, cost)
-	return m.climb(i, out), ok
-}
-
-// climb runs hill climbing on the outcome of an access to queue i.
-func (m *Manager) climb(i int, out AccessOutcome) AccessOutcome {
+// It also returns the node key was placed under, which the caller may
+// remember and hand to the queue's AccessResident so that a later hit probes
+// nothing. (A resident access is never a shadow hit, so AccessResident needs
+// no hill climbing and is called on the queue directly.)
+func (m *Manager) AccessAt(i int, key string, cost int64) (AccessOutcome, *cache.Node) {
+	out, n := m.queues[i].access(key, cost)
 	if out.ShadowHit && m.cfg.EnableHillClimbing && len(m.queues) > 1 {
 		m.transferCredit(i)
 	}
-	return out
+	return out, n
 }
 
 // transferCredit implements Algorithm 1: the queue whose shadow queue was

@@ -41,7 +41,9 @@ func (s *segment) remove(n *cache.Node) {
 type partition struct {
 	segs [numSegs]segment
 	// tag is what Node.Aux reads for an entry in this partition's front
-	// segment; the other segments follow (Queue.segmentOf).
+	// segment; the other segments follow (Queue.segmentOf). The tags of a
+	// Manager's queues do not overlap (newQueue's owner), so a tag also says
+	// which queue a node belongs to (Queue.owns).
 	tag int64
 
 	physCapacity int64 // target capacity of front+tail, in cost units
@@ -207,8 +209,10 @@ type Queue struct {
 
 // newQueue builds a queue with the given initial capacity. unitCost is the
 // typical per-item cost (the slab chunk size) used to convert the item-based
-// window parameters into cost units.
-func newQueue(id string, cfg Config, capacity, unitCost int64) *Queue {
+// window parameters into cost units. owner numbers the queue among its
+// Manager's (its index there): the segment tags its nodes carry start at
+// owner × 2 × numSegs, so no two queues of one manager share a tag.
+func newQueue(id string, cfg Config, owner int, capacity, unitCost int64) *Queue {
 	if unitCost <= 0 {
 		unitCost = 1
 	}
@@ -228,8 +232,9 @@ func newQueue(id string, cfg Config, capacity, unitCost int64) *Queue {
 	tailCap := cfg.TailWindowItems * unitCost
 	cliffCap := cfg.CliffShadowItems * unitCost
 	// Unsplit layout: everything lives in the left partition.
-	q.left.init(0, capacity, tailCap, cliffCap, cfg.ShadowBytes)
-	q.right.init(numSegs, 0, tailCap, cliffCap, 0)
+	tag := int64(owner) * 2 * numSegs
+	q.left.init(tag, capacity, tailCap, cliffCap, cfg.ShadowBytes)
+	q.right.init(tag+numSegs, 0, tailCap, cliffCap, 0)
 	q.leftPointer = capacity
 	q.rightPointer = capacity
 	// Apply the initial layout immediately (splitting the capacity in half
@@ -340,8 +345,15 @@ func (q *Queue) find(key string) (n *cache.Node, p *partition, seg int) {
 
 // segmentOf reads the partition and segment n is linked in off its tag.
 func (q *Queue) segmentOf(n *cache.Node) (*partition, int) {
-	return &q.parts[n.Aux/numSegs], int(n.Aux % numSegs)
+	i := n.Aux - q.left.tag
+	return &q.parts[i/numSegs], int(i % numSegs)
 }
+
+// owns reports whether n is one of this queue's nodes: its tag is one of the
+// queue's eight. A node keeps its queue for life (forget keeps it on the
+// queue's own free list), so together with n.Key this says whether n is the
+// index's node for that key.
+func (q *Queue) owns(n *cache.Node) bool { return uint64(n.Aux-q.left.tag) < 2*numSegs }
 
 // unlink takes n out of the segment that holds it; the index keeps it.
 func (q *Queue) unlink(n *cache.Node) {
@@ -389,18 +401,18 @@ func (q *Queue) drain(p *partition, seg int, victims []cache.Victim) []cache.Vic
 	return victims
 }
 
-// admit gives a key the queue does not know its node and places it at the
-// head of p's chain.
-func (q *Queue) admit(key string, cost int64, p *partition) []cache.Victim {
+// newNode gives a key the queue does not know its node, in the index and in
+// no segment.
+func (q *Queue) newNode(key string) *cache.Node {
 	n := q.free.Front()
 	if n != nil {
 		q.free.Remove(n)
 	} else {
 		n = &cache.Node{}
 	}
-	n.Key, n.Cost = key, cost
+	n.Key = key
 	q.index[key] = n
-	return q.place(n, p, segFront, nil)
+	return n
 }
 
 // forget drops an unlinked node from the index and keeps it for a later
@@ -450,6 +462,15 @@ func (q *Queue) Remove(key string) bool {
 // outcome. On a miss the key is admitted (demand fill); the caller stores
 // the value and drops the values of any Evicted keys.
 func (q *Queue) Access(key string, cost int64) AccessOutcome {
+	out, _ := q.access(key, cost)
+	return out
+}
+
+// access is Access that also returns the node the key was placed under, for a
+// caller to remember and hand back to AccessResident. The node may already
+// have been forgotten (an entry that no segment can hold passes straight
+// through); AccessResident tells.
+func (q *Queue) access(key string, cost int64) (AccessOutcome, *cache.Node) {
 	q.stats.Requests++
 	n, found, seg := q.find(key)
 	return q.settle(key, cost, n, found, seg)
@@ -457,23 +478,42 @@ func (q *Queue) Access(key string, cost int64) AccessOutcome {
 
 // AccessResident is exactly `if q.Contains(key) { q.Access(key, cost) }` —
 // the GET path of a store whose misses must not admit — reporting whether the
-// access happened. Either way it costs the one probe.
-func (q *Queue) AccessResident(key string, cost int64) (AccessOutcome, bool) {
-	n, found, seg := q.find(key)
+// access happened and what a resize it applied evicted (the caller drops
+// their values). n is the node the caller remembers for key, nil if none. It
+// is used while it still holds key in this queue; otherwise (nil, forgotten,
+// recycled for another key, or another queue's) the key is probed in the
+// index, and probed says so. Both give the same answer, because a node of this
+// queue that holds key is the index's node for it, whichever segment it has
+// aged into.
+func (q *Queue) AccessResident(key string, n *cache.Node, cost int64) (hit bool, evicted []cache.Victim, probed bool) {
+	if n == nil || n.Key != key || !q.owns(n) {
+		if n, probed = q.index[key], true; n == nil {
+			return false, nil, true
+		}
+	}
+	p, seg := q.segmentOf(n)
 	if seg != segFront && seg != segTail {
-		return AccessOutcome{}, false
+		return false, nil, probed
 	}
 	q.stats.Requests++
-	return q.settle(key, cost, n, found, seg), true
+	out, _ := q.settle(key, cost, n, p, seg)
+	return true, out.Evicted, probed
 }
 
 // settle finishes an access once the key has been looked up: n is its node,
 // linked in segment seg of partition found (nil, nil and segNone if the queue
-// does not know the key).
-func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, seg int) AccessOutcome {
-	// Routed before the pointer updates below move the ratio.
-	target := q.route(key)
+// does not know the key). It returns the node the key ends up under.
+func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, seg int) (AccessOutcome, *cache.Node) {
+	if seg == segFront && (q.cfg.ResizeOnMissOnly || !q.pendingResize) {
+		// All the rest would do: a front hit moves no pointer, keeps its
+		// cost, and applies no resize unless one is pending and every
+		// access applies them.
+		q.stats.Hits++
+		found.segs[segFront].list.MoveToFront(n)
+		return AccessOutcome{Hit: true}, n
+	}
 	var out AccessOutcome
+	target := found
 	switch seg {
 	case segFront, segTail:
 		out.Hit = true
@@ -485,6 +525,10 @@ func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, 
 	case segHill:
 		out.ShadowHit = true
 		q.stats.ShadowHits++
+	}
+	if !out.Hit {
+		// Routed before the pointer updates below move the ratio.
+		target = q.route(key)
 	}
 
 	// Cliff-scaling pointer updates (Algorithm 2): driven by hits at the
@@ -500,18 +544,16 @@ func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, 
 	// it is resident in, a shadow hit or a miss that of the partition the key
 	// routes to, so that ratio changes migrate keys instead of losing them.
 	var evicted []cache.Victim
-	switch {
-	case seg == segFront:
+	if seg == segFront {
 		found.segs[segFront].list.MoveToFront(n)
-	case n != nil:
-		q.unlink(n)
-		n.Cost = cost
-		if out.Hit {
-			target = found
+	} else {
+		if n == nil {
+			n = q.newNode(key)
+		} else {
+			q.unlink(n)
 		}
+		n.Cost = cost
 		evicted = q.place(n, target, segFront, nil)
-	default:
-		evicted = q.admit(key, cost, target)
 	}
 	// Relax pointers toward "just full" partition sizes. A partition that is
 	// underfull by a clear margin has more memory than its key subset needs,
@@ -559,7 +601,7 @@ func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, 
 	}
 	out.Evicted = evicted
 	q.stats.Evictions += int64(len(evicted))
-	return out
+	return out, n
 }
 
 // ownerHasSpare asks the owner whether it still holds memory no queue has been

@@ -127,13 +127,16 @@ func opStream(seed int64) []streamOp {
 }
 
 // apply runs one op on q the way a store would: a GET touches the queue only
-// if the key is resident. It returns the outcome of an access (served is
-// false for a GET that found nothing), the victims of a forced resize and the
-// answer of a remove.
+// if the key is resident (Contains, then Access: the by-key form of
+// AccessResident, which TestAccessResidentMatchesContainsThenAccess holds it
+// to). It returns the outcome of an access (served is false for a GET that
+// found nothing), the victims of a forced resize and the answer of a remove.
 func (o streamOp) apply(q *Queue) (out AccessOutcome, served bool, victims []cache.Victim, removed bool) {
 	switch o.kind {
 	case "get":
-		out, served = q.AccessResident(o.key, o.cost)
+		if served = q.Contains(o.key); served {
+			out = q.Access(o.key, o.cost)
+		}
 	case "access":
 		out, served = q.Access(o.key, o.cost), true
 	case "remove":
@@ -149,59 +152,121 @@ func (o streamOp) apply(q *Queue) (out AccessOutcome, served bool, victims []cac
 }
 
 // TestAccessResidentMatchesContainsThenAccess drives two identical queues
-// with the op stream, serving the GETs of one with Contains followed by
-// Access and of the other with AccessResident, and requires the same outcome
-// and the same state after every op.
+// with the op stream, one by key and one by remembered node. The first serves
+// its GETs with Contains followed by Access. The second serves them with
+// AccessResident, handing it the node its last admission of the key returned,
+// which goes stale the ways a store's does (forgotten, recycled for another
+// key, aged into a shadow segment); one GET in ten gets no node instead, one
+// the node of the same key in a sibling class queue driven by the same ops,
+// and one another key's. Hit, victims and state must be the same after every
+// op, and AccessResident must probe exactly when its node does not hold the
+// key.
 func TestAccessResidentMatchesContainsThenAccess(t *testing.T) {
 	forEachStreamConfig(t, func(t *testing.T, _ string, cfg Config, ops []streamOp) {
-		pair := newQueue("pair", cfg, 150, 1)
-		fused := newQueue("fused", cfg, 150, 1)
+		byKey := newQueue("by-key", cfg, 0, 150, 1)
+		byNode := newQueue("by-node", cfg, 0, 150, 1)
+		sibling := newQueue("sibling", cfg, 1, 150, 1)
+		remembered := map[string]*cache.Node{}
+		var admitted []string // remembered's keys
+		rng := rand.New(rand.NewSource(11))
+		nodes := map[string]int{} // GETs by what their node was
 		var gets, residentGets, tailHits, shadowAdmits, toggles int
 		for i, op := range ops {
-			wasSplit := pair.Split()
-			var want AccessOutcome
-			var wantServed, wantRemoved bool
-			var wantVictims []cache.Victim
-			if op.kind == "get" {
-				if wantServed = pair.Contains(op.key); wantServed {
-					want = pair.Access(op.key, op.cost)
-				}
-			} else {
-				want, wantServed, wantVictims, wantRemoved = op.apply(pair)
-			}
-			got, served, victims, removed := op.apply(fused)
-			if served != wantServed || removed != wantRemoved || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(victims, wantVictims) {
-				t.Fatalf("op %d %s: fused = %+v, %v, %v, %v; pair = %+v, %v, %v, %v",
-					i, op, got, served, victims, removed, want, wantServed, wantVictims, wantRemoved)
-			}
+			wasSplit := byKey.Split()
 			switch op.kind {
 			case "get":
+				var want AccessOutcome
+				wantHit := byKey.Contains(op.key)
+				if wantHit {
+					want = byKey.Access(op.key, op.cost)
+				}
+				n := remembered[op.key]
+				switch rng.Intn(10) {
+				case 0:
+					n = nil
+				case 1:
+					n = sibling.index[op.key]
+				case 2:
+					if len(admitted) > 0 {
+						n = remembered[admitted[rng.Intn(len(admitted))]]
+					}
+				}
+				what := nodeKind(byNode, n, op.key)
+				nodes[what]++
+				hit, evicted, probed := byNode.AccessResident(op.key, n, op.cost)
+				if hit != wantHit || !reflect.DeepEqual(evicted, want.Evicted) || probed != (what != "live" && what != "shadowed") {
+					t.Fatalf("op %d %s with a %s node: by node = %v, %v, probed %v; by key = %v, %v",
+						i, op, what, hit, evicted, probed, wantHit, want.Evicted)
+				}
+				op.apply(sibling)
 				gets++
-				if served {
+				if wantHit {
 					residentGets++
 				}
-				if got.TailWindowHit {
+				if want.TailWindowHit {
 					tailHits++
 				}
 			case "access":
+				want := byKey.Access(op.key, op.cost)
+				got, n := byNode.access(op.key, op.cost)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d %s: by node = %+v; by key = %+v", i, op, got, want)
+				}
+				if _, ok := remembered[op.key]; !ok {
+					admitted = append(admitted, op.key)
+				}
+				remembered[op.key] = n
+				op.apply(sibling)
 				if got.ShadowHit || got.CliffShadowHit {
 					shadowAdmits++
 				}
+			default:
+				want, _, wantVictims, wantRemoved := op.apply(byKey)
+				got, _, victims, removed := op.apply(byNode)
+				if removed != wantRemoved || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(victims, wantVictims) {
+					t.Fatalf("op %d %s: by node = %v, %v; by key = %v, %v", i, op, victims, removed, wantVictims, wantRemoved)
+				}
+				op.apply(sibling)
 			}
-			ps, fs := stateOf(pair), stateOf(fused)
-			if !reflect.DeepEqual(ps, fs) {
-				t.Fatalf("op %d %s: states diverged:\npair  %+v\nfused %+v", i, op, ps, fs)
+			ks, ns := stateOf(byKey), stateOf(byNode)
+			if !reflect.DeepEqual(ks, ns) {
+				t.Fatalf("op %d %s: states diverged:\nby key  %+v\nby node %+v", i, op, ks, ns)
 			}
-			if ps.Split != wasSplit {
+			if ks.Split != wasSplit {
 				toggles++
 			}
 		}
-		t.Logf("%d GETs (%d resident, %d tail-window hits), %d shadow admissions, %d split toggles",
-			gets, residentGets, tailHits, shadowAdmits, toggles)
+		t.Logf("%d GETs (%d resident, %d tail-window hits; nodes %v), %d shadow admissions, %d split toggles",
+			gets, residentGets, tailHits, nodes, shadowAdmits, toggles)
 		if residentGets == 0 || residentGets == gets || tailHits == 0 || shadowAdmits == 0 || toggles == 0 {
 			t.Fatalf("op stream too narrow to tell the two paths apart")
 		}
+		for _, what := range []string{"live", "shadowed", "forgotten", "recycled", "sibling's", "no"} {
+			if nodes[what] == 0 {
+				t.Fatalf("no GET was handed a %s node", what)
+			}
+		}
 	})
+}
+
+// nodeKind says what n is to q for a GET of key: "no" node, "sibling's" (not
+// q's), "forgotten" (on q's free list), "recycled" (holding another key), or
+// key's own node, "live" in a physical segment or "shadowed" in a shadow one.
+func nodeKind(q *Queue, n *cache.Node, key string) string {
+	switch {
+	case n == nil:
+		return "no"
+	case !q.owns(n):
+		return "sibling's"
+	case n.Key == "":
+		return "forgotten"
+	case n.Key != key:
+		return "recycled"
+	}
+	if _, seg := q.segmentOf(n); seg == segFront || seg == segTail {
+		return "live"
+	}
+	return "shadowed"
 }
 
 // TestQueueOpStreamFingerprint pins the queue op for op: a hash over every
@@ -216,7 +281,7 @@ func TestQueueOpStreamFingerprint(t *testing.T) {
 		"splitter=0/resizeOnMissOnly=false": 0xac9d72374655e823,
 	}
 	forEachStreamConfig(t, func(t *testing.T, name string, cfg Config, ops []streamOp) {
-		q := newQueue("q", cfg, 150, 1)
+		q := newQueue("q", cfg, 0, 150, 1)
 		h := fnv.New64a()
 		var passedThrough, recosted bool
 		for i, op := range ops {
@@ -251,7 +316,7 @@ func TestQueueOpStreamFingerprint(t *testing.T) {
 // capacity once the op has drained it.
 func TestQueueIndexAgreesWithSegments(t *testing.T) {
 	forEachStreamConfig(t, func(t *testing.T, _ string, cfg Config, ops []streamOp) {
-		q := newQueue("q", cfg, 150, 1)
+		q := newQueue("q", cfg, 0, 150, 1)
 		for i, op := range ops {
 			op.apply(q)
 			linked := 0
@@ -288,7 +353,7 @@ func TestQueueIndexAgreesWithSegments(t *testing.T) {
 // it returns (the entry that falls off the hill shadow lends its node to the
 // next admission). `make alloccheck` runs it.
 func TestAllocGateQueueAccess(t *testing.T) {
-	q := newQueue("q", itemCfg(), 4000, 1)
+	q := newQueue("q", itemCfg(), 0, 4000, 1)
 	key := make([]string, 20000)
 	for i := range key {
 		key[i] = fmt.Sprintf("k%d", i)
@@ -321,8 +386,14 @@ func TestAllocGateQueueAccess(t *testing.T) {
 		}
 	})
 	gate("a resident re-access", 0, func() {
-		if _, ok := q.AccessResident(hot, 1); !ok {
+		if hit, _, _ := q.AccessResident(hot, nil, 1); !hit {
 			t.Fatal("the hot key is not resident")
+		}
+	})
+	node := q.index[hot]
+	gate("a resident re-access by node", 0, func() {
+		if hit, _, probed := q.AccessResident(hot, node, 1); !hit || probed {
+			t.Fatalf("hit=%v probed=%v, want a hit through the node", hit, probed)
 		}
 	})
 	gate("a tail-window hit", 0, func() {

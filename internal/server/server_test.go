@@ -710,7 +710,7 @@ func TestServerStatsSchema(t *testing.T) {
 		"conn_panics", "parked_connections", "active_sessions", "buffer_pool_bytes", "worker_count", "mem_inuse_bytes",
 		"arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees",
 		"page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte",
-		"arbiter_moves", "dropped_events", "producer_sweeps", "inline_applies", "get_p99_us", "set_p99_us"}
+		"arbiter_moves", "dropped_events", "producer_sweeps", "inline_applies", "replay_probes", "get_p99_us", "set_p99_us"}
 	// A cliffhanger tenant's queues all hold their floor capacity, so every
 	// class of the default geometry (15) has a hit rate line.
 	var classHitRates []string
@@ -1126,6 +1126,62 @@ func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
 			num("left_capacity") != capacity/2 || num("right_capacity") != capacity/2 || num("applied_capacity") != capacity {
 			t.Fatalf("queue %s acted on a working set that fits: %v", id, cs)
 		}
+	}
+}
+
+// TestServerSettledHitsProbeNothing reads replay_probes around an all-hit GET
+// loop at shipped defaults: once every record's admission has replayed (the
+// first stats call settles them), each record remembers its queue node and
+// the replay of a GET hit goes through it, so five more passes over the keys
+// add five passes of hits and not one probe.
+func TestServerSettledHitsProbeNothing(t *testing.T) {
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	if err := st.RegisterTenant("default", 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default"}, st)
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); st.Close() })
+	c := dialTest(t, srv)
+
+	const keys = 1024
+	getAll := func() {
+		t.Helper()
+		for i := 0; i < keys; i++ {
+			if _, ok, err := c.Get(fmt.Sprintf("hot-%d", i)); err != nil || !ok {
+				t.Fatalf("GET hot-%d: ok=%v err=%v", i, ok, err)
+			}
+		}
+	}
+	read := func() (hits, probes int64) {
+		t.Helper()
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, err1 := stats.Int("get_hits")
+		probes, err2 := stats.Int("replay_probes")
+		if err1 != nil || err2 != nil {
+			t.Fatalf("stats get_hits=%q replay_probes=%q", stats["get_hits"], stats["replay_probes"])
+		}
+		return hits, probes
+	}
+	for i := 0; i < keys; i++ {
+		if err := c.Set(fmt.Sprintf("hot-%d", i), make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	getAll()
+	hits, probes := read()
+	for pass := 0; pass < 5; pass++ {
+		getAll()
+	}
+	hitsAfter, probesAfter := read()
+	if hitsAfter-hits != 5*keys || probesAfter != probes {
+		t.Fatalf("five settled passes over %d keys: %d hits (want %d), replay_probes %d -> %d (want flat)",
+			keys, hitsAfter-hits, 5*keys, probes, probesAfter)
 	}
 }
 

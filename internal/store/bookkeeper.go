@@ -75,13 +75,16 @@ const (
 // recency matches what a synchronous engine would have seen. oldSize carries
 // the previous charged size of a re-admitted key. A lookup event with an
 // empty key is a GET the directory answered with a miss: size is the key
-// length and the replay only counts it (Tenant.Lookup).
+// length and the replay only counts it (Tenant.Lookup). node is what a lookup
+// or touch of a resident record carries of it (item.node), so the replay can
+// promote the key without probing its queue.
 type event struct {
 	kind    eventKind
 	key     string
 	size    int64
 	oldSize int64
 	seq     uint64
+	node    *cache.Node
 }
 
 const (
@@ -286,15 +289,16 @@ func (b *bookkeeper) applyEvents(batch []event) {
 // hold b.mu.
 func (b *bookkeeper) applyEventLocked(ev *event) {
 	var evicted []cache.Victim
+	var node *cache.Node
 	switch ev.kind {
 	case evLookup:
-		b.tenant.Lookup(ev.key, ev.size)
+		_, evicted = b.tenant.Lookup(ev.key, ev.node, ev.size)
 	case evTouch:
-		b.tenant.Touch(ev.key, ev.size)
+		_, evicted = b.tenant.Touch(ev.key, ev.node, ev.size)
 	case evAdmit:
-		evicted = b.tenant.Admit(ev.key, ev.size)
+		evicted, node = b.tenant.admit(ev.key, ev.size)
 	case evReAdmit:
-		evicted = b.tenant.ReAdmit(ev.key, ev.oldSize, ev.size)
+		evicted, node = b.tenant.ReAdmit(ev.key, ev.oldSize, ev.size)
 	case evRemove:
 		b.tenant.Delete(ev.key, ev.size)
 	case evExpire:
@@ -303,7 +307,7 @@ func (b *bookkeeper) applyEventLocked(ev *event) {
 		b.tenant.EvictMigrated(ev.key, ev.size)
 	}
 	if ev.kind == evAdmit || ev.kind == evReAdmit {
-		b.entry.markAdmitted(ev.key, ev.seq)
+		b.entry.markAdmitted(ev.key, ev.seq, node)
 	}
 	for _, v := range evicted {
 		b.entry.dropVictim(v.Key)

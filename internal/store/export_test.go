@@ -19,6 +19,18 @@ func BufferedEvents(s *Store, tenant string) []int {
 	return n
 }
 
+// HoldSweep keeps every sweep of the tenant's buffered events from running
+// until release is called: a request that fills a shard to the batch boundary
+// finds the sweep held and leaves its event buffered, and the maintenance tick
+// waits. Events are still applied by a request that takes its shard past the
+// high-water mark, and every event of a synchronous store is applied by the
+// request that made it, neither of which needs the sweep.
+func HoldSweep(s *Store, tenant string) (release func()) {
+	e, _ := s.entry(tenant)
+	e.bk.sweepMu.Lock()
+	return e.bk.sweepMu.Unlock
+}
+
 // HoldMaintenance keeps the store's maintenance goroutine from starting its
 // next pass over the tenants until release is called, so a test can count
 // what the requests alone swept.

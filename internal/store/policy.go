@@ -33,13 +33,18 @@ type partitionPolicy interface {
 	cost(class int, size int64) int64
 	// promoteResident is the GET/touch path: it re-accesses key if it is
 	// resident and reports whether that was a hit; a key that is not
-	// resident is left alone (a GET miss does not admit). Eviction side
-	// effects of lazily applied resizes are deliberately dropped.
-	promoteResident(class int, key string, cost int64) bool
+	// resident is left alone (a GET miss does not admit). node is the queue
+	// node admit returned for key, nil if none: while it still holds key the
+	// access goes through it, and otherwise the key is probed, which probed
+	// reports. The victims of a pending resize the hit applied (with
+	// ResizeOnMissOnly off) are returned for the caller to drop, as admit's
+	// are.
+	promoteResident(class int, key string, node *cache.Node, cost int64) (hit bool, victims []cache.Victim, probed bool)
 	// admit inserts (or promotes) key, growing the queue first while the
 	// reservation has unassigned memory, and returns the accompanying
-	// evictions.
-	admit(class int, key string, cost int64) (bool, []cache.Victim)
+	// evictions and the queue node key was placed under (nil in the
+	// unmanaged modes, whose queues give out none).
+	admit(class int, key string, cost int64) (bool, []cache.Victim, *cache.Node)
 	// remove drops key's structural entry.
 	remove(class int, key string) bool
 	// resize retargets the reservation from oldBytes to newBytes and
@@ -112,23 +117,25 @@ func (p *classQueues) cost(class int, size int64) int64 {
 }
 
 // promoteResident touches the queue only when the key is already resident:
-// cache.Policy couples lookup and fill.
-func (p *classQueues) promoteResident(class int, key string, cost int64) bool {
+// cache.Policy couples lookup and fill. It has no node to go through, so every
+// call probes.
+func (p *classQueues) promoteResident(class int, key string, _ *cache.Node, cost int64) (bool, []cache.Victim, bool) {
 	q := p.queues[class]
 	if !q.Contains(key) {
-		return false
+		return false, nil, true
 	}
-	hit, _ := q.Access(key, cost)
-	return hit
+	hit, victims := q.Access(key, cost)
+	return hit, victims, true
 }
 
-func (p *classQueues) admit(class int, key string, cost int64) (bool, []cache.Victim) {
+func (p *classQueues) admit(class int, key string, cost int64) (bool, []cache.Victim, *cache.Node) {
 	q, page := p.queues[class], p.geom.PageSize
 	for q.Used()+cost > q.Capacity() && p.free >= page {
 		p.free -= page
 		q.Resize(q.Capacity() + page)
 	}
-	return q.Access(key, cost)
+	hit, victims := q.Access(key, cost)
+	return hit, victims, nil
 }
 
 func (p *classQueues) remove(class int, key string) bool { return p.queues[class].Remove(key) }
@@ -214,15 +221,14 @@ func (p *managedPolicy) classFor(size int64) (int, bool) { return p.geom.ClassFo
 
 func (p *managedPolicy) cost(class int, size int64) int64 { return p.geom.ChunkSize(class) }
 
-func (p *managedPolicy) promoteResident(class int, key string, cost int64) bool {
-	out, _ := p.mgr.AccessResidentAt(class, key, cost)
-	return out.Hit
+func (p *managedPolicy) promoteResident(class int, key string, node *cache.Node, cost int64) (bool, []cache.Victim, bool) {
+	return p.mgr.QueueAt(class).AccessResident(key, node, cost)
 }
 
-func (p *managedPolicy) admit(class int, key string, cost int64) (bool, []cache.Victim) {
+func (p *managedPolicy) admit(class int, key string, cost int64) (bool, []cache.Victim, *cache.Node) {
 	victims := p.growIfNeeded(class, key, cost)
-	out := p.mgr.AccessAt(class, key, cost)
-	return out.Hit, append(victims, out.Evicted...)
+	out, node := p.mgr.AccessAt(class, key, cost)
+	return out.Hit, append(victims, out.Evicted...), node
 }
 
 func (p *managedPolicy) remove(class int, key string) bool {

@@ -125,6 +125,14 @@ type item struct {
 	// dropVictim).
 	seq          uint64
 	pendingAdmit bool
+	// node is the class queue node the replay of that admission placed the
+	// key under (markAdmitted); GET and touch events carry it so their replay
+	// need not probe the queue for the key (core.Queue.AccessResident). It is
+	// nil while the admission is pending, since a mutation clears it
+	// (bufferMutationLocked), and in the unmanaged modes, whose queues give
+	// out no node. Read and written under the shard lock; the node itself is
+	// the accounting plane's and is only dereferenced by a replay.
+	node *cache.Node
 	// next links the record into its shard's freelist while pooled.
 	next *item
 }
@@ -291,13 +299,15 @@ func (e *tenantEntry) dropVictim(key string) {
 }
 
 // markAdmitted records that the admission event stamped seq reached the
-// tenant. Only the record written by that same mutation is marked: if a
-// newer mutation owns the record its own admission is still pending.
-func (e *tenantEntry) markAdmitted(key string, seq uint64) {
+// tenant and placed key under node. Only the record written by that same
+// mutation is marked: if a newer mutation owns the record its own admission
+// is still pending.
+func (e *tenantEntry) markAdmitted(key string, seq uint64, node *cache.Node) {
 	sh := shardFor(e, key)
 	sh.mu.Lock()
 	if it := sh.items[key]; it != nil && it.seq == seq {
 		it.pendingAdmit = false
+		it.node = node
 	}
 	sh.mu.Unlock()
 }
@@ -371,7 +381,9 @@ func (e *tenantEntry) removeLocked(sh *valueShard, it *item, kind eventKind) eve
 // bufferMutationLocked buffers a mutation event and stamps the freshly
 // written record with the assigned sequence so eviction replay can tell it
 // apart from the older record the event supersedes (see dropVictim). The
-// caller must hold sh.mu.
+// record forgets its queue node until the admission replays and names the
+// one it placed the key under: a cross-class re-set moves the key to another
+// queue. The caller must hold sh.mu.
 func (e *tenantEntry) bufferMutationLocked(sh *valueShard, ev *event) recordAction {
 	act := e.bk.bufferLocked(sh, ev)
 	if it := sh.items[ev.key]; it != nil {
@@ -381,6 +393,7 @@ func (e *tenantEntry) bufferMutationLocked(sh *valueShard, ev *event) recordActi
 		// shields the record from a concurrent eviction's victim drop in
 		// the window before this mutation's own apply runs.
 		it.pendingAdmit = ev.seq != 0
+		it.node = nil
 	}
 	return act
 }
@@ -794,7 +807,7 @@ func (s *Store) GetItemView(tenant string, key []byte) (ItemView, bool, error) {
 	ev := event{kind: evLookup, size: int64(len(key))}
 	var out ItemView
 	if it != nil {
-		ev.key, ev.size = it.key, it.size
+		ev.key, ev.size, ev.node = it.key, it.size, it.node
 		// Pin before unlocking: the pin-store happens-before any retirement
 		// of this chunk (retires run under this same shard mutex), which is
 		// what makes the borrowed Value safe to read after the unlock.
@@ -1060,7 +1073,7 @@ func (s *Store) Touch(tenant, key string, exptime int64) (bool, error) {
 	ev := event{kind: evTouch, key: key, size: int64(len(key))}
 	if it != nil {
 		e.setExpiresLocked(it, expires)
-		ev.size = it.size
+		ev.size, ev.node = it.size, it.node
 	}
 	act := e.bk.bufferLocked(sh, &ev)
 	sh.mu.Unlock()

@@ -186,21 +186,21 @@ func TestTenantLookupDoesNotAdmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tenant.Lookup("ghost", 64) {
+		if hit, _ := tenant.Lookup("ghost", nil, 64); hit {
 			t.Fatalf("%v: lookup of unknown key should miss", mode)
 		}
 		// A second lookup must still miss: GETs never admit.
-		if tenant.Lookup("ghost", 64) {
+		if hit, _ := tenant.Lookup("ghost", nil, 64); hit {
 			t.Fatalf("%v: GET must not admit keys", mode)
 		}
 		tenant.Admit("real", 64)
-		if !tenant.Lookup("real", 64) {
+		if hit, _ := tenant.Lookup("real", nil, 64); !hit {
 			t.Fatalf("%v: admitted key should hit", mode)
 		}
 		if !tenant.Delete("real", 64) {
 			t.Fatalf("%v: delete of resident key should succeed", mode)
 		}
-		if tenant.Lookup("real", 64) {
+		if hit, _ := tenant.Lookup("real", nil, 64); hit {
 			t.Fatalf("%v: deleted key should miss", mode)
 		}
 	}
@@ -564,28 +564,33 @@ func TestStoreValueConsistencyWithQueues(t *testing.T) {
 				type kv struct {
 					key  string
 					size int64
+					node *cache.Node
 				}
 				var held []kv
 				for i := range e.shards {
 					sh := &e.shards[i]
 					sh.mu.Lock()
 					for key, it := range sh.items {
-						held = append(held, kv{key, it.size})
+						held = append(held, kv{key, it.size, it.node})
 					}
 					sh.mu.Unlock()
 				}
 				e.bk.mu.Lock()
 				defer e.bk.mu.Unlock()
 				// Every stored value's key must still be resident in some
-				// queue.
-				missing := 0
+				// queue, and under a managed policy found through the node
+				// the record remembers, without a probe.
+				missing, probes := 0, e.tenant.probes
 				for _, h := range held {
-					if !e.tenant.Lookup(h.key, h.size) {
+					if hit, _ := e.tenant.Lookup(h.key, h.node, h.size); !hit {
 						missing++
 					}
 				}
 				if missing > 0 {
 					t.Fatalf("%d stored values are not resident in the tenant queues", missing)
+				}
+				if probes = e.tenant.probes - probes; mode == AllocCliffhanger && probes != 0 {
+					t.Fatalf("%d of %d settled records had to be probed for", probes, len(held))
 				}
 				// With the item directory emitting re-admit events, a re-set
 				// key never leaves a stale entry in its old class queue, so

@@ -176,7 +176,13 @@ type TenantStats struct {
 	// rate the hill climber and the stats consumers read.
 	Touches   int64
 	TouchHits int64
-	Classes   []ClassStats
+	// ReplayProbes counts the lookups and touches with a key whose promotion
+	// had to probe the class queue for it because the node the record
+	// remembered was stale or missing: its admission had not replayed yet,
+	// the touched key was absent, or the mode is unmanaged and remembers
+	// none.
+	ReplayProbes int64
+	Classes      []ClassStats
 	// DroppedEvents, Sweeps and InlineApplies are the Store bookkeeper's
 	// counters (bookkeeper.dropped and so on); Tenant.Stats leaves them 0.
 	DroppedEvents int64
@@ -208,7 +214,7 @@ type Tenant struct {
 
 	// Counters.
 	requests, hits, misses, sets, deletes, expired int64
-	touches, touchHits                             int64
+	touches, touchHits, probes                     int64
 	classReq, classHit, classMiss, classEvict      []int64
 }
 
@@ -300,15 +306,23 @@ func (t *Tenant) cost(class int, size int64) int64 {
 // promotes it if so. It never admits the key (admission happens on the SET
 // that follows a miss, as in Memcached). An empty key stands for a key the
 // caller already knows is not resident (the store's directory said so): the
-// miss is counted against the class of size and no queue is probed.
-func (t *Tenant) Lookup(key string, size int64) bool {
+// miss is counted against the class of size and no queue is probed. node is
+// the queue node the admission of key returned (nil if the caller has none):
+// while it still holds key the promotion goes through it instead of probing
+// the queue's index. Keys a resize applied by the hit evicts are returned so
+// the caller can drop their values, as after Admit.
+func (t *Tenant) Lookup(key string, node *cache.Node, size int64) (bool, []cache.Victim) {
 	class, ok := t.ClassFor(size)
 	if !ok {
-		return false
+		return false, nil
 	}
 	t.requests++
 	t.classReq[class]++
-	hit := key != "" && t.policy.promoteResident(class, key, t.cost(class, size))
+	var hit bool
+	var victims []cache.Victim
+	if key != "" {
+		hit, victims = t.promote(class, key, node, size)
+	}
 	if hit {
 		t.hits++
 		t.classHit[class]++
@@ -316,20 +330,39 @@ func (t *Tenant) Lookup(key string, size int64) bool {
 		t.misses++
 		t.classMiss[class]++
 	}
-	return hit
+	return hit, victims
+}
+
+// promote is the queue half of Lookup and Touch, counting the promotions that
+// had to probe for key (replay_probes) and the keys it evicted.
+func (t *Tenant) promote(class int, key string, node *cache.Node, size int64) (bool, []cache.Victim) {
+	hit, victims, probed := t.policy.promoteResident(class, key, node, t.cost(class, size))
+	if probed {
+		t.probes++
+	}
+	t.classEvict[class] += evictedOthers(key, victims)
+	return hit, victims
 }
 
 // Admit performs the SET path: the key becomes resident (if it fits) and any
 // evicted keys are returned so the caller can drop their values.
 func (t *Tenant) Admit(key string, size int64) []cache.Victim {
+	victims, _ := t.admit(key, size)
+	return victims
+}
+
+// admit is Admit that also returns the queue node key was placed under, for
+// the caller to hand back to Lookup and Touch (nil in the unmanaged modes and
+// for a key no chunk can hold).
+func (t *Tenant) admit(key string, size int64) ([]cache.Victim, *cache.Node) {
 	class, ok := t.ClassFor(size)
 	if !ok {
-		return []cache.Victim{{Key: key, Cost: size}}
+		return []cache.Victim{{Key: key, Cost: size}}, nil
 	}
 	t.sets++
-	_, victims := t.policy.admit(class, key, t.cost(class, size))
+	_, victims, node := t.policy.admit(class, key, t.cost(class, size))
 	t.classEvict[class] += evictedOthers(key, victims)
-	return victims
+	return victims, node
 }
 
 // ReAdmit performs the SET path for a key that already has a resident entry
@@ -337,30 +370,30 @@ func (t *Tenant) Admit(key string, size int64) []cache.Victim {
 // different cost, as under the exact-size global-LRU accounting) the stale
 // entry is removed from its old queue first, so a re-set key never occupies
 // two queues or double-charges UsedBytes. The removal is not counted as a
-// delete.
-func (t *Tenant) ReAdmit(key string, oldSize, newSize int64) []cache.Victim {
+// delete. It returns what admit does.
+func (t *Tenant) ReAdmit(key string, oldSize, newSize int64) ([]cache.Victim, *cache.Node) {
 	oldClass, okOld := t.ClassFor(oldSize)
 	newClass, okNew := t.ClassFor(newSize)
 	if okOld && (!okNew || oldClass != newClass || t.cost(oldClass, oldSize) != t.cost(newClass, newSize)) {
 		t.removeFrom(oldClass, key)
 	}
-	return t.Admit(key, newSize)
+	return t.admit(key, newSize)
 }
 
 // Touch promotes key like a GET without the hit/miss accounting: touches
 // count into their own counters (memcached's cmd_touch/touch_hits), so TTL
-// refreshes do not skew the GET hit rate.
-func (t *Tenant) Touch(key string, size int64) bool {
+// refreshes do not skew the GET hit rate. node and the victims are Lookup's.
+func (t *Tenant) Touch(key string, node *cache.Node, size int64) (bool, []cache.Victim) {
 	class, ok := t.ClassFor(size)
 	if !ok {
-		return false
+		return false, nil
 	}
 	t.touches++
-	hit := t.policy.promoteResident(class, key, t.cost(class, size))
+	hit, victims := t.promote(class, key, node, size)
 	if hit {
 		t.touchHits++
 	}
-	return hit
+	return hit, victims
 }
 
 // EvictMigrated removes key's structural entry on behalf of a page
@@ -434,7 +467,7 @@ func (t *Tenant) Access(key string, size int64) (bool, []cache.Victim) {
 	}
 	t.requests++
 	t.classReq[class]++
-	hit, victims := t.policy.admit(class, key, t.cost(class, size))
+	hit, victims, _ := t.policy.admit(class, key, t.cost(class, size))
 	if hit {
 		t.hits++
 		t.classHit[class]++
@@ -487,15 +520,16 @@ func (t *Tenant) UsedBytes() int64 {
 // have seen traffic or hold memory in class order.
 func (t *Tenant) Stats() TenantStats {
 	st := TenantStats{
-		Name:      t.cfg.Name,
-		Requests:  t.requests,
-		Hits:      t.hits,
-		Misses:    t.misses,
-		Sets:      t.sets,
-		Deletes:   t.deletes,
-		Expired:   t.expired,
-		Touches:   t.touches,
-		TouchHits: t.touchHits,
+		Name:         t.cfg.Name,
+		Requests:     t.requests,
+		Hits:         t.hits,
+		Misses:       t.misses,
+		Sets:         t.sets,
+		Deletes:      t.deletes,
+		Expired:      t.expired,
+		Touches:      t.touches,
+		TouchHits:    t.touchHits,
+		ReplayProbes: t.probes,
 	}
 	for c := 0; c < t.policy.numQueues(); c++ {
 		capacity, used, items := t.policy.queueView(c)
