@@ -62,9 +62,9 @@ fmt:
 # count prints the numbers ROADMAP tracks for aim 2, so a re-anchor reads them
 # instead of recounting by hand: non-blank Go lines per package with the
 # _test.go share in parentheses, the package count, the accounting plane's
-# surface, and the non-test `wc -l` figures issues quote. "Exported" counts
-# top-level declarations, methods, struct fields and const-block entries of
-# the non-test files, by their gofmt shape.
+# surface, the non-test `wc -l` figures ROADMAP quotes and the daemon's flag
+# definitions. "Exported" counts top-level declarations, methods, struct
+# fields and const-block entries of the non-test files, by their gofmt shape.
 NONTEST = ls $(1) | grep -v _test.go
 count:
 	@for d in $$(find cmd internal bench -name '*.go' -printf '%h\n' | sort -u); do \
@@ -79,6 +79,9 @@ count:
 	@echo "exported identifiers, internal/slab + internal/core: $$($(call NONTEST,internal/slab/*.go internal/core/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
 	@echo "non-test wc -l, internal/server + internal/client + internal/protocol + cmd/cliffhangerd + cmd/cliffbench: $$($(call NONTEST,internal/server/*.go internal/client/*.go internal/protocol/*.go cmd/cliffhangerd/*.go cmd/cliffbench/*.go) | xargs cat | wc -l)"
 	@echo "exported identifiers, internal/client + internal/server + internal/protocol: $$($(call NONTEST,internal/client/*.go internal/server/*.go internal/protocol/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
+	@echo "non-test wc -l, internal/cache: $$($(call NONTEST,internal/cache/*.go) | xargs cat | wc -l)"
+	@echo "exported identifiers, internal/cache: $$($(call NONTEST,internal/cache/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
+	@echo "cliffhangerd flags: $$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/cliffhangerd/main.go)"
 
 # conformance walks every verb over a real socket, checks that both front
 # ends answer a tenant-switching batch in order (the classic one in a single

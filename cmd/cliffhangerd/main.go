@@ -104,7 +104,6 @@ import (
 	"syscall"
 	"time"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/protocol"
 	"cliffhanger/internal/server"
 	"cliffhanger/internal/store"
@@ -116,7 +115,6 @@ func main() {
 		tenants   = flag.String("tenants", "default:64", "comma-separated name:MB tenant reservations")
 		mode      = flag.String("mode", "cliffhanger", "allocation mode: default, cliffhanger, global-lru, memshare")
 		arbIntv   = flag.Duration("arbiter-interval", time.Second, "cross-tenant arbiter tick period for memshare mode (0 disables the background arbiter)")
-		policy    = flag.String("policy", "lru", "eviction policy for non-cliffhanger modes: lru, lfu, arc, facebook")
 		shards    = flag.Int("shards", 0, "value shards per tenant (0 = default)")
 		syncBk    = flag.Bool("sync-bookkeeping", false, "apply Cliffhanger bookkeeping inline on the request path (slower, deterministic)")
 		statsIntv = flag.Duration("stats-interval", 0, "interval for logging throughput and hit rates (0 disables)")
@@ -141,13 +139,8 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	p, ok := cache.ParsePolicyKind(*policy)
-	if !ok {
-		logger.Fatalf("unknown policy %q", *policy)
-	}
 	cfg := store.Config{
 		DefaultMode:     m,
-		DefaultPolicy:   p,
 		ValueShards:     *shards,
 		SyncBookkeeping: *syncBk,
 	}

@@ -8,11 +8,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/client"
 	"cliffhanger/internal/server"
 	"cliffhanger/internal/store"
@@ -24,7 +25,7 @@ import (
 // arbiter object is the arbiter group, and the rate is the commands driven
 // between the ticks over the time between them.
 func TestStatsTick(t *testing.T) {
-	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, SyncBookkeeping: true})
 	for name, mb := range map[string]int64{"default": 8, "app2": 4} {
 		if err := st.RegisterTenant(name, mb<<20); err != nil {
 			t.Fatal(err)
@@ -136,16 +137,57 @@ func TestStatsJSONNeedsInterval(t *testing.T) {
 		main()
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
 	path := filepath.Join(t.TempDir(), "stats.jsonl")
-	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestStatsJSONNeedsInterval$")
-	cmd.Env = append(os.Environ(), "CLIFFHANGERD_ARGS=-addr 127.0.0.1:0 -stats-json "+path)
-	out, err := cmd.CombinedOutput()
-	if ctx.Err() != nil {
-		t.Fatalf("daemon started and served with -stats-json and no -stats-interval:\n%s", out)
-	}
+	out, err := runDaemon(t, "TestStatsJSONNeedsInterval", "-addr 127.0.0.1:0 -stats-json "+path)
 	if err == nil || !strings.Contains(string(out), "-stats-json needs -stats-interval") {
 		t.Fatalf("daemon exit %v, output:\n%s", err, out)
+	}
+}
+
+// runDaemon runs main with args in this test binary re-executed under test,
+// a test whose first lines hand CLIFFHANGERD_ARGS to main, and returns what it
+// printed. It fails the test if the daemon is still running after 20s.
+func runDaemon(t *testing.T, test, args string) ([]byte, error) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), "CLIFFHANGERD_ARGS="+args)
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("daemon started and served with %s:\n%s", args, out)
+	}
+	return out, err
+}
+
+// TestDaemonFlagSurface pins the daemon's flag set: the names -h prints must
+// be exactly this list, so a new knob means editing it here. There is no
+// -policy: every unmanaged mode evicts by memcached's per-class LRU.
+func TestDaemonFlagSurface(t *testing.T) {
+	if args := os.Getenv("CLIFFHANGERD_ARGS"); args != "" {
+		os.Args = append([]string{"cliffhangerd"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	want := []string{
+		"addr", "arbiter-interval", "conn-buffers", "drain-timeout", "idle-timeout",
+		"max-conns", "mode", "pprof-addr", "read-timeout", "shards", "stats-interval",
+		"stats-json", "sync-bookkeeping", "tenants", "workers", "write-timeout",
+	}
+	out, _ := runDaemon(t, "TestDaemonFlagSurface", "-h")
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(string(out), -1) {
+		// The re-executed test binary also carries the testing package's flags.
+		if !strings.HasPrefix(m[1], "test.") {
+			got = append(got, m[1])
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("daemon flags:\n got %v\nwant %v", got, want)
+	}
+	out, err := runDaemon(t, "TestDaemonFlagSurface", "-policy lru")
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -policy") {
+		t.Fatalf("-policy lru: exit %v, output:\n%s", err, out)
 	}
 }

@@ -3,16 +3,14 @@
 //
 // What each type is for:
 //
-//   - List and Node are the only linked list in the repository. LRU and
-//     FacebookLRU link their entries with it, and so does core.Queue, whose
-//     eight segments (front, tail window, cliff shadow and hill shadow of two
-//     partitions) are Lists over nodes that the queue's one index owns.
-//   - LRU is the eviction queue of the unmanaged allocation modes (default,
-//     static, global-LRU: one LRU per slab class, or one per tenant) and the
-//     building block of ARC. It has its own index and recycles its own nodes.
-//     The Cliffhanger-managed modes do not use it.
-//   - LFU, ARC and FacebookLRU are the baseline policies the paper compares
-//     against, behind the Policy interface.
+//   - List and Node are the only linked list in the repository. LRU links
+//     its entries with it, and so does core.Queue, whose eight segments
+//     (front, tail window, cliff shadow and hill shadow of two partitions)
+//     are Lists over nodes that the queue's one index owns.
+//   - LRU is memcached's eviction queue and the only policy the unmanaged
+//     allocation modes have (default, static, global-LRU: one LRU per slab
+//     class, or one per tenant). It has its own index and recycles its own
+//     nodes. The Cliffhanger-managed modes do not use it.
 //   - Shadow is a stand-alone key-only queue. The product no longer uses it:
 //     a managed queue's shadow segments are Lists in core.Queue. It stays
 //     because the repository benchmark's cache.shadow_access_ns row is pinned
@@ -35,9 +33,8 @@ type Node struct {
 	prev, next *Node
 	Key        string
 	Cost       int64
-	// Aux is scratch space for the owner's per-entry metadata (the Facebook
-	// policy's half marker; for a core.Queue entry, the queue and segment it
-	// is linked in).
+	// Aux is scratch space for the owner's per-entry metadata (for a
+	// core.Queue entry, the queue and segment it is linked in).
 	Aux int64
 }
 
@@ -79,18 +76,8 @@ func (l *List) Back() *Node {
 
 // PushFront inserts n at the front of the list.
 func (l *List) PushFront(n *Node) {
-	l.insert(n, &l.root)
-}
-
-// PushBack inserts n at the back of the list.
-func (l *List) PushBack(n *Node) {
-	l.insert(n, l.root.prev)
-}
-
-// insert places n after at.
-func (l *List) insert(n, at *Node) {
-	n.prev = at
-	n.next = at.next
+	n.prev = &l.root
+	n.next = l.root.next
 	n.prev.next = n
 	n.next.prev = n
 	l.len++
@@ -112,13 +99,7 @@ func (l *List) MoveToFront(n *Node) {
 		return
 	}
 	l.Remove(n)
-	l.insert(n, &l.root)
-}
-
-// InsertBefore inserts n immediately before mark, which must be an element of
-// the list.
-func (l *List) InsertBefore(n, mark *Node) {
-	l.insert(n, mark.prev)
+	l.PushFront(n)
 }
 
 // Next returns the element after n, or nil if n is the last one. n must be an

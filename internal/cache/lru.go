@@ -45,16 +45,6 @@ func (l *LRU) Contains(key string) bool {
 	return ok
 }
 
-// Cost returns the stored cost of key and whether it is present, without
-// updating recency.
-func (l *LRU) Cost(key string) (int64, bool) {
-	n, ok := l.items[key]
-	if !ok {
-		return 0, false
-	}
-	return n.Cost, true
-}
-
 // Get looks up key and, if present, promotes it to the most-recently-used
 // position. It reports whether the key was found.
 func (l *LRU) Get(key string) bool {
@@ -63,6 +53,17 @@ func (l *LRU) Get(key string) bool {
 		l.ll.MoveToFront(n)
 	}
 	return ok
+}
+
+// Access is a combined lookup-and-fill, the way a demand-filled web cache
+// behaves (a GET miss is followed by a database read and a SET of the same
+// key): a resident key is promoted and hit is true; otherwise the key is
+// inserted with cost and the entries evicted to make room are returned.
+func (l *LRU) Access(key string, cost int64) (hit bool, victims []Victim) {
+	if l.Get(key) {
+		return true, nil
+	}
+	return false, l.Add(key, cost)
 }
 
 // Add inserts key with the given cost at the most-recently-used position,
@@ -96,18 +97,6 @@ func (l *LRU) Remove(key string) bool {
 	}
 	l.unlink(n)
 	return true
-}
-
-// RemoveOldest evicts the least-recently-used entry and returns it. The
-// second return value is false if the queue is empty.
-func (l *LRU) RemoveOldest() (Victim, bool) {
-	n := l.ll.Back()
-	if n == nil {
-		return Victim{}, false
-	}
-	v := Victim{Key: n.Key, Cost: n.Cost}
-	l.unlink(n)
-	return v, true
 }
 
 // Resize changes the queue capacity and returns entries evicted to fit the
@@ -146,7 +135,6 @@ func (l *LRU) newNode(key string, cost int64) *Node {
 		n.next = nil
 		n.Key = key
 		n.Cost = cost
-		n.Aux = 0
 		return n
 	}
 	return &Node{Key: key, Cost: cost}

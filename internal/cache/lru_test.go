@@ -113,21 +113,6 @@ func TestLRURemove(t *testing.T) {
 	}
 }
 
-func TestLRUOldestAccessors(t *testing.T) {
-	l := NewLRU(3)
-	if _, ok := l.RemoveOldest(); ok {
-		t.Fatalf("RemoveOldest on empty queue should report false")
-	}
-	l.Add("a", 1)
-	l.Add("b", 1)
-	if v, ok := l.RemoveOldest(); !ok || v.Key != "a" {
-		t.Fatalf("RemoveOldest = %v,%v want a", v, ok)
-	}
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d after RemoveOldest, want 1", l.Len())
-	}
-}
-
 // TestLRUStackProperty verifies the LRU inclusion (stack) property: the
 // contents of a smaller LRU are always a subset of a larger LRU processing
 // the same request stream. This property underpins stack-distance analysis
@@ -265,16 +250,15 @@ func TestLRUInvariantLenMatchesKeys(t *testing.T) {
 			default:
 				l.Access(key, int64(1+rng.Intn(8)))
 			}
-			if l.Len() != len(l.Keys()) {
+			if l.Len() != len(l.Keys()) || l.Len() != len(l.items) {
 				return false
 			}
 			var sum int64
-			for _, k := range l.Keys() {
-				c, ok := l.Cost(k)
-				if !ok {
+			for n := l.ll.Front(); n != nil; n = l.ll.Next(n) {
+				if l.items[n.Key] != n {
 					return false
 				}
-				sum += c
+				sum += n.Cost
 			}
 			if sum != l.Used() {
 				return false
@@ -285,6 +269,23 @@ func TestLRUInvariantLenMatchesKeys(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPoliciesRespectCapacityProperty drives the queue NewPolicy builds (the
+// repository benchmark's constructor) with a random workload and asserts the
+// capacity invariant.
+func TestPoliciesRespectCapacityProperty(t *testing.T) {
+	t.Run("lru", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		p := NewPolicy(PolicyLRU, 128)
+		for i := 0; i < 5000; i++ {
+			key := fmt.Sprintf("k%d", rng.Intn(400))
+			p.Access(key, int64(1+rng.Intn(5)))
+			if p.Used() > p.Capacity() {
+				t.Fatalf("exceeded capacity at iteration %d: used=%d", i, p.Used())
+			}
+		}
+	})
 }
 
 func BenchmarkLRUAccessHit(b *testing.B) {

@@ -1,101 +1,12 @@
 package cache
 
-// Policy is the interface shared by all eviction queues in this package.
-// Access performs a combined lookup-and-fill: if key is present it is
-// promoted according to the policy and hit is true; otherwise the key is
-// inserted with the given cost and any entries evicted to make room are
-// returned as victims.
-//
-// This lookup-and-fill semantic matches how a demand-filled web cache behaves
-// (a GET miss is followed by a database read and a SET of the same key) and is
-// what the trace-driven simulator exercises.
-type Policy interface {
-	// Access looks up key, inserting it with cost on a miss. It reports
-	// whether the access was a hit and returns evicted entries.
-	Access(key string, cost int64) (hit bool, victims []Victim)
-	// Contains reports whether key is resident without updating recency or
-	// frequency state.
-	Contains(key string) bool
-	// Remove deletes key, reporting whether it was present.
-	Remove(key string) bool
-	// Resize changes the capacity, returning entries evicted to fit.
-	Resize(capacity int64) []Victim
-	// Capacity is the queue capacity in cost units.
-	Capacity() int64
-	// Used is the total cost currently stored.
-	Used() int64
-	// Len is the number of entries currently stored.
-	Len() int
-}
-
-// Access implements the Policy interface for LRU.
-func (l *LRU) Access(key string, cost int64) (bool, []Victim) {
-	if l.Get(key) {
-		return true, nil
-	}
-	return false, l.Add(key, cost)
-}
-
-// PolicyKind identifies one of the eviction policies implemented by this
-// package. It is used by the simulator and the server configuration.
+// PolicyKind names an eviction policy. LRU is the only one: the repository
+// benchmark still selects it by name.
 type PolicyKind int
 
-const (
-	// PolicyLRU is plain least-recently-used eviction (Memcached default).
-	PolicyLRU PolicyKind = iota
-	// PolicyLFU is least-frequently-used eviction.
-	PolicyLFU
-	// PolicyARC is the Adaptive Replacement Cache of Megiddo and Modha.
-	PolicyARC
-	// PolicyFacebook is Facebook's mid-point insertion LRU variant: on the
-	// first access an item is inserted at the middle of the queue; on a
-	// subsequent hit it moves to the top (§5.5 of the paper).
-	PolicyFacebook
-)
+// PolicyLRU is plain least-recently-used eviction (memcached's default).
+const PolicyLRU PolicyKind = 0
 
-// String returns the conventional name of the policy.
-func (k PolicyKind) String() string {
-	switch k {
-	case PolicyLRU:
-		return "lru"
-	case PolicyLFU:
-		return "lfu"
-	case PolicyARC:
-		return "arc"
-	case PolicyFacebook:
-		return "facebook"
-	default:
-		return "unknown"
-	}
-}
-
-// ParsePolicyKind converts a policy name ("lru", "lfu", "arc", "facebook")
-// into a PolicyKind. Unknown names return PolicyLRU and false.
-func ParsePolicyKind(s string) (PolicyKind, bool) {
-	switch s {
-	case "lru":
-		return PolicyLRU, true
-	case "lfu":
-		return PolicyLFU, true
-	case "arc":
-		return PolicyARC, true
-	case "facebook", "fb", "midpoint":
-		return PolicyFacebook, true
-	default:
-		return PolicyLRU, false
-	}
-}
-
-// NewPolicy constructs an eviction queue of the given kind and capacity.
-func NewPolicy(kind PolicyKind, capacity int64) Policy {
-	switch kind {
-	case PolicyLFU:
-		return NewLFU(capacity)
-	case PolicyARC:
-		return NewARC(capacity)
-	case PolicyFacebook:
-		return NewFacebookLRU(capacity)
-	default:
-		return NewLRU(capacity)
-	}
-}
+// NewPolicy returns an LRU queue of the given capacity. It exists for the
+// repository benchmark, which constructs its queue through it.
+func NewPolicy(_ PolicyKind, capacity int64) *LRU { return NewLRU(capacity) }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/client"
 	"cliffhanger/internal/server"
 	"cliffhanger/internal/store"
@@ -17,7 +16,6 @@ func dialGate(t *testing.T, cfg server.Config, tenants ...string) (*store.Store,
 	t.Helper()
 	st := store.New(store.Config{
 		DefaultMode:     store.AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 	})
 	t.Cleanup(func() { st.Close() })

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/client"
 	"cliffhanger/internal/server"
 	"cliffhanger/internal/store"
@@ -16,7 +15,7 @@ import (
 
 func startServer(t *testing.T) *server.Server {
 	t.Helper()
-	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
 	if err := st.RegisterTenant("default", 8<<20); err != nil {
 		t.Fatal(err)
 	}

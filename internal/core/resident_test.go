@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cliffhanger/internal/cache"
@@ -247,6 +248,63 @@ func TestAccessResidentMatchesContainsThenAccess(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestQueueWithAlgorithmOffIsLRU drives a queue with hill climbing, cliff
+// scaling and resize-on-miss off next to a cache.LRU of the same capacity,
+// every cost 1 as in one slab class where every item is one chunk. Capacity
+// changes apply at once on both, the way classQueues grants pages. Victims,
+// Used and residency must agree after every op: with the algorithm off a
+// class queue is memcached's LRU. (With the stream's mixed costs they part
+// within a few hundred ops: the 16-unit tail window cannot hold a cost-20
+// entry, so the queue evicts it early.)
+func TestQueueWithAlgorithmOffIsLRU(t *testing.T) {
+	cfg := streamConfig(false)
+	cfg.EnableCliffScaling, cfg.EnableHillClimbing = false, false
+	q, lru := newQueue("q", cfg, 0, 200, 1), cache.NewLRU(200)
+	var hits, evictions int
+	for i, op := range opStream(7) {
+		var got, want []cache.Victim
+		var gotHit, wantHit bool
+		switch op.kind {
+		case "get":
+			if q.Contains(op.key) {
+				out := q.Access(op.key, 1)
+				gotHit, got = out.Hit, out.Evicted
+			}
+			wantHit = lru.Get(op.key)
+		case "access":
+			out := q.Access(op.key, 1)
+			gotHit, got = out.Hit, out.Evicted
+			wantHit, want = lru.Access(op.key, 1)
+		case "remove":
+			// The queue's Remove also answers true for a shadowed key.
+			gotHit, wantHit = q.Contains(op.key), lru.Remove(op.key)
+			q.Remove(op.key)
+		case "capacity":
+			q.SetCapacity(op.bytes)
+			got, want = q.ForceApplyResize(), lru.Resize(op.bytes)
+		case "grow":
+			q.Grow(op.bytes)
+			got, want = q.ForceApplyResize(), lru.Resize(lru.Capacity()+op.bytes)
+		case "apply":
+			got = q.ForceApplyResize()
+		}
+		if gotHit != wantHit || !slices.Equal(got, want) {
+			t.Fatalf("op %d %s: queue %v, %v; LRU %v, %v", i, op, gotHit, got, wantHit, want)
+		}
+		if q.Used() != lru.Used() || q.Contains(op.key) != lru.Contains(op.key) {
+			t.Fatalf("op %d %s: queue used %d, holds %s %v; LRU used %d, holds it %v",
+				i, op, q.Used(), op.key, q.Contains(op.key), lru.Used(), lru.Contains(op.key))
+		}
+		if wantHit && op.kind != "remove" {
+			hits++
+		}
+		evictions += len(want)
+	}
+	if hits == 0 || evictions == 0 {
+		t.Fatalf("op stream too narrow: %d hits, %d evictions", hits, evictions)
+	}
 }
 
 // nodeKind says what n is to q for a GET of key: "no" node, "sibling's" (not

@@ -7,7 +7,6 @@ import (
 	"io"
 	"testing"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/store"
 )
 
@@ -20,7 +19,6 @@ func newGateSession(t *testing.T, payload []byte) (c *session, reset func()) {
 	t.Helper()
 	st := store.New(store.Config{
 		DefaultMode:     store.AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 	})
 	t.Cleanup(func() { st.Close() })
@@ -153,7 +151,6 @@ func TestAllocGateServerTenantSwitch(t *testing.T) {
 func TestSessionClosesOnOversizedLine(t *testing.T) {
 	st := store.New(store.Config{
 		DefaultMode:     store.AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 	})
 	t.Cleanup(func() { st.Close() })
@@ -218,7 +215,6 @@ func TestSessionClosesOnOversizedLine(t *testing.T) {
 func TestSessionStreamedMultiGet(t *testing.T) {
 	st := store.New(store.Config{
 		DefaultMode:     store.AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 	})
 	t.Cleanup(func() { st.Close() })

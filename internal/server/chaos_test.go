@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/chaos"
 	"cliffhanger/internal/client"
 	"cliffhanger/internal/protocol"
@@ -33,7 +32,7 @@ import (
 // registered as a backstop, it is idempotent).
 func startGovernedServer(t *testing.T, cfg Config) (*Server, *store.Store) {
 	t.Helper()
-	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
 	if err := st.RegisterTenant("default", 32<<20); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/client"
 	"cliffhanger/internal/core"
 	"cliffhanger/internal/store"
@@ -21,7 +20,7 @@ import (
 
 func startTestServer(t *testing.T, mode store.AllocationMode) (*Server, *store.Store) {
 	t.Helper()
-	st := store.New(store.Config{DefaultMode: mode, DefaultPolicy: cache.PolicyLRU})
+	st := store.New(store.Config{DefaultMode: mode})
 	if err := st.RegisterTenant("default", 8<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +310,7 @@ func BenchmarkServerPipelined(b *testing.B) {
 		for _, mode := range modes {
 			b.Run(fmt.Sprintf("depth=%d/%s", depth, mode.name), func(b *testing.B) {
 				b.ReportAllocs()
-				st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+				st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
 				defer st.Close()
 				if err := st.RegisterTenant("default", 64<<20); err != nil {
 					b.Fatal(err)
@@ -652,7 +651,7 @@ func TestServerProtocolConformance(t *testing.T) {
 // field is named, so a rename, a reorder or a new field fails here first.
 // CI's conformance lane runs it.
 func TestServerStatsSchema(t *testing.T) {
-	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, SyncBookkeeping: true})
 	t.Cleanup(func() { st.Close() })
 	for name, mb := range map[string]int64{"default": 8, "app2": 4} {
 		if err := st.RegisterTenant(name, mb<<20); err != nil {
@@ -872,7 +871,6 @@ func TestServerDelayedFlushAllEndToEnd(t *testing.T) {
 	var offset atomic.Int64
 	st := store.New(store.Config{
 		DefaultMode:     store.AllocDefault,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 		Now:             func() int64 { return clock + offset.Load() },
 	})
@@ -933,9 +931,8 @@ func TestServerExpiryEndToEnd(t *testing.T) {
 	clock := time.Now().Unix()
 	var offset atomic.Int64
 	st := store.New(store.Config{
-		DefaultMode:   store.AllocDefault,
-		DefaultPolicy: cache.PolicyLRU,
-		Now:           func() int64 { return clock + offset.Load() },
+		DefaultMode: store.AllocDefault,
+		Now:         func() int64 { return clock + offset.Load() },
 	})
 	if err := st.RegisterTenant("default", 8<<20); err != nil {
 		t.Fatal(err)
@@ -1051,7 +1048,7 @@ func TestServerArbiterStats(t *testing.T) {
 // act — pages still free, nothing evicted, no pointer relaxed, both pointers
 // home and the partitions even.
 func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
-	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
 	if err := st.RegisterTenant("default", 64<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -1135,7 +1132,7 @@ func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
 // the replay of a GET hit goes through it, so five more passes over the keys
 // add five passes of hits and not one probe.
 func TestServerSettledHitsProbeNothing(t *testing.T) {
-	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
 	if err := st.RegisterTenant("default", 64<<20); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"math"
 	"sort"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/core"
 	"cliffhanger/internal/metrics"
 	"cliffhanger/internal/slab"
@@ -32,8 +31,6 @@ type Config struct {
 	Geometry *slab.Geometry
 	// Mode selects the allocation policy under test.
 	Mode store.AllocationMode
-	// Policy selects the eviction policy for non-Cliffhanger modes.
-	Policy cache.PolicyKind
 	// Cliffhanger configures Cliffhanger tenants (zero value = paper
 	// defaults).
 	Cliffhanger core.Config
@@ -187,7 +184,6 @@ func TenantConfigs(cfg Config) (map[int]store.TenantConfig, error) {
 			MemoryBytes: memory,
 			Geometry:    geom,
 			Mode:        cfg.Mode,
-			Policy:      cfg.Policy,
 			Cliffhanger: ch,
 		}
 		if cfg.Mode == store.AllocStatic {

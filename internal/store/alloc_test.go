@@ -3,8 +3,6 @@ package store
 import (
 	"fmt"
 	"testing"
-
-	"cliffhanger/internal/cache"
 )
 
 // TestAllocGateStoreGet pins the allocation floor of the byte-keyed GET path
@@ -22,7 +20,6 @@ import (
 func TestAllocGateStoreGet(t *testing.T) {
 	s := New(Config{
 		DefaultMode:     AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 	})
 	defer s.Close()
@@ -72,7 +69,6 @@ func TestAllocGateStoreGet(t *testing.T) {
 func TestAllocGateStoreSet(t *testing.T) {
 	s := New(Config{
 		DefaultMode:     AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 	})
 	defer s.Close()
@@ -101,7 +97,6 @@ func TestAllocGateStoreSet(t *testing.T) {
 func TestAllocGateStoreSetCrossClass(t *testing.T) {
 	s := New(Config{
 		DefaultMode:     AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 	})
 	defer s.Close()
@@ -143,7 +138,6 @@ func TestAllocGateStoreSetCrossClass(t *testing.T) {
 func TestAllocGateStoreAppend(t *testing.T) {
 	s := New(Config{
 		DefaultMode:     AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 	})
 	defer s.Close()
@@ -182,7 +176,6 @@ func TestAllocGateStoreAppend(t *testing.T) {
 func TestAllocGateStoreDelete(t *testing.T) {
 	s := New(Config{
 		DefaultMode:     AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 	})
 	defer s.Close()
@@ -220,7 +213,6 @@ func TestColdClassFirstAdmissionSticks(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := New(Config{
 				DefaultMode:     AllocCliffhanger,
-				DefaultPolicy:   cache.PolicyLRU,
 				SyncBookkeeping: syncBk,
 			})
 			defer s.Close()
@@ -263,7 +255,7 @@ func TestColdClassFirstAdmissionSticks(t *testing.T) {
 // retain the caller's (reusable) key and value buffers.
 func TestSetItemBytesCopiesValue(t *testing.T) {
 	for _, syncBk := range []bool{true, false} {
-		s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: syncBk})
+		s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: syncBk})
 		if err := s.RegisterTenant("app", 8<<20); err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +285,7 @@ func TestSetItemBytesCopiesValue(t *testing.T) {
 // is a default-mode one so that the replay itself is a plain LRU promotion,
 // which never allocates.
 func TestAllocGateSweep(t *testing.T) {
-	s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: true})
 	defer s.Close()
 	if err := s.RegisterTenant("hot", 64<<20); err != nil {
 		t.Fatal(err)
@@ -336,7 +328,7 @@ func TestAllocGateSweep(t *testing.T) {
 // boundary, so requests inside the measured loop replay every shard's events
 // themselves. The maintenance tick is held off so every sweep is a request's.
 func TestAllocGateAsyncGetSweeps(t *testing.T) {
-	s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
 	if err := s.RegisterTenant("hot", 64<<20); err != nil {
 		t.Fatal(err)

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"cliffhanger/internal/cache"
 )
 
 // TestPlanArbiterMove pins the decision rule: lowest-density eligible donor,
@@ -215,11 +213,11 @@ func TestArbiterConvergence(t *testing.T) {
 		// thins as the hot tenant grows, and this test wants convergence all
 		// the way to the floor (the production default trades the last pages
 		// of convergence for noise immunity; the head-to-head bench covers it).
-		s := New(Config{DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true,
+		s := New(Config{SyncBookkeeping: true,
 			Arbiter: ArbiterConfig{MinRateDelta: 4.0 / (1 << 20)}})
 		for _, name := range []string{"hot", "cold"} {
 			if err := s.RegisterTenantConfig(TenantConfig{
-				Name: name, MemoryBytes: partition, Mode: mode, Policy: cache.PolicyLRU,
+				Name: name, MemoryBytes: partition, Mode: mode,
 			}); err != nil {
 				t.Fatal(err)
 			}

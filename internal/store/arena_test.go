@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/slab"
 )
 
@@ -149,7 +148,6 @@ func TestArenaConservationProperty(t *testing.T) {
 			)
 			s := New(Config{
 				DefaultMode:     AllocCliffhanger,
-				DefaultPolicy:   cache.PolicyLRU,
 				SyncBookkeeping: syncBk,
 				Now: func() int64 {
 					mu.Lock()
@@ -190,8 +188,7 @@ func TestArenaConservationConcurrent(t *testing.T) {
 		clock = int64(1000)
 	)
 	s := New(Config{
-		DefaultMode:   AllocCliffhanger,
-		DefaultPolicy: cache.PolicyLRU,
+		DefaultMode: AllocCliffhanger,
 		Now: func() int64 {
 			mu.Lock()
 			defer mu.Unlock()
@@ -303,7 +300,6 @@ func TestArenaReadersVsFrees(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := New(Config{
 				DefaultMode:     AllocCliffhanger,
-				DefaultPolicy:   cache.PolicyLRU,
 				SyncBookkeeping: syncBk,
 			})
 			defer s.Close()
@@ -426,7 +422,7 @@ func TestArenaLeasesFollowResidency(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			const reservation = 2 << 20
-			s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: syncBk})
+			s := New(Config{DefaultMode: AllocCliffhanger, SyncBookkeeping: syncBk})
 			defer s.Close()
 			if err := s.RegisterTenant("app", reservation); err != nil {
 				t.Fatal(err)
@@ -508,7 +504,7 @@ func assertPagesFollowPeak(t *testing.T, tenant string, classes []ArenaClassStat
 // harvests, and overwrites 30 KiB values; with no reader pinned the stripe
 // may never hold more than the high-water mark.
 func TestArenaQuarantineBoundedInBytes(t *testing.T) {
-	s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	s := New(Config{DefaultMode: AllocCliffhanger, SyncBookkeeping: true})
 	defer s.Close()
 	if err := s.RegisterTenant("app", 16<<20); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"cliffhanger/internal/cache"
 )
 
 // BenchmarkStoreWriteHeavy measures the mutation path under churn: 50% SET /
@@ -32,7 +30,7 @@ var writeHeavySizes = [4]int{100, 400, 900, 3800}
 
 func benchmarkWriteHeavy(b *testing.B, goroutines int) {
 	b.ReportAllocs()
-	s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
 	if err := s.RegisterTenant("hot", 64<<20); err != nil {
 		b.Fatal(err)

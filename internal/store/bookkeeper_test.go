@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/slab"
 )
 
@@ -21,7 +20,7 @@ import (
 // left in ascending stamp order: the class queue's recency order must be the
 // order the model applied the keys in.
 func TestSweepReplaysInStampOrder(t *testing.T) {
-	s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: true})
 	defer s.Close()
 	if err := s.RegisterTenant("app", 64<<20); err != nil {
 		t.Fatal(err)
@@ -82,7 +81,7 @@ func TestSweepReplaysInStampOrder(t *testing.T) {
 	}
 
 	class, _ := e.tenant.ClassFor(size)
-	got := e.tenant.policy.(*classQueues).queues[class].(*cache.LRU).Keys() // most recent first
+	got := e.tenant.policy.(*classQueues).queues[class].Keys() // most recent first
 	slices.Reverse(got)
 	if !slices.Equal(got, want) {
 		for i := range want {

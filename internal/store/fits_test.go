@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/core"
 	"cliffhanger/internal/slab"
 )
@@ -23,7 +22,7 @@ func bookkeepingModes(t *testing.T, f func(t *testing.T, s *Store)) {
 			name = "sync"
 		}
 		t.Run(name, func(t *testing.T) {
-			s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: inline})
+			s := New(Config{DefaultMode: AllocCliffhanger, SyncBookkeeping: inline})
 			defer s.Close()
 			f(t, s)
 		})

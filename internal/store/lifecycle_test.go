@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/slab"
 )
 
@@ -123,7 +122,7 @@ func TestArenaConservationDuringMigration(t *testing.T) {
 // Releasing the pins must then let the retirement finish and the lease count
 // come down to the shrunken footprint.
 func TestArenaConservationDuringMigrationPinned(t *testing.T) {
-	s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	s := New(Config{DefaultMode: AllocCliffhanger, SyncBookkeeping: true})
 	defer s.Close()
 	if err := s.RegisterTenant("app", 16<<20); err != nil {
 		t.Fatal(err)
@@ -197,7 +196,7 @@ func TestArenaConservationDuringMigrationPinned(t *testing.T) {
 // resize, at sampled quiesce points during it, and after it settles — with
 // the page leases down to the shrunken footprint at the end.
 func TestTenantResizeShrinkUnderLoad(t *testing.T) {
-	s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
 	if err := s.RegisterTenant("hot", 16<<20); err != nil {
 		t.Fatal(err)
@@ -321,7 +320,7 @@ func TestTenantResizeShrinkUnderLoad(t *testing.T) {
 // write may ever land in a chunk still pinned by a dying reader; the
 // self-describing pattern check (and -race) would catch one torn view.
 func TestReadersVsTenantDelete(t *testing.T) {
-	s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
 	if err := s.RegisterTenant("dying", 8<<20); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,8 @@ package store
 // depends on its AllocationMode. The seam is "managed by the paper's algorithm
 // or not", so there are two implementations of one interface. classQueues is
 // every baseline the paper compares against (stock memcached, the Dynacache
-// solver's fixed split, Table 2's global LRU): plain eviction queues that
-// differ only in where the reservation starts. managedPolicy is Cliffhanger,
+// solver's fixed split, Table 2's global LRU): memcached's per-class LRU,
+// differing only in where the reservation starts. managedPolicy is Cliffhanger,
 // and Memshare within a tenant; what distinguishes AllocMemshare is the
 // store-level arbiter (arbiter.go) moving memory *between* tenants. A Tenant
 // owns exactly one partitionPolicy and keeps only the mode-independent parts
@@ -59,9 +59,9 @@ type partitionPolicy interface {
 	manager() *core.Manager
 }
 
-// classQueues is every unmanaged mode: one eviction queue per slab class
-// charged by the chunk, or (global) a single queue over all sizes charged by
-// the byte, which emulates a log-structured cache at 100 % utilization
+// classQueues is every unmanaged mode: memcached's per-class LRU, one queue
+// per slab class charged by the chunk, or (global) a single LRU over all sizes
+// charged by the byte, which emulates a log-structured cache at 100 % utilization
 // (Table 2). Its ledger is one number, the bytes of the reservation no queue
 // holds yet; the queues' capacities say who holds the rest. A queue with no
 // room takes a whole page of it, first come first served, as stock memcached
@@ -74,7 +74,7 @@ type partitionPolicy interface {
 //   - AllocGlobalLRU: the one queue holds the whole reservation, nothing free.
 type classQueues struct {
 	geom   *slab.Geometry
-	queues []cache.Policy
+	queues []*cache.LRU
 	free   int64
 	// global: a single queue, charged by the byte.
 	global bool
@@ -82,10 +82,10 @@ type classQueues struct {
 
 func newClassQueues(cfg TenantConfig, geom *slab.Geometry) *classQueues {
 	if cfg.Mode == AllocGlobalLRU {
-		one := cache.NewPolicy(cfg.Policy, cfg.MemoryBytes)
-		return &classQueues{geom: geom, queues: []cache.Policy{one}, global: true}
+		one := cache.NewLRU(cfg.MemoryBytes)
+		return &classQueues{geom: geom, queues: []*cache.LRU{one}, global: true}
 	}
-	p := &classQueues{geom: geom, queues: make([]cache.Policy, geom.NumClasses())}
+	p := &classQueues{geom: geom, queues: make([]*cache.LRU, geom.NumClasses())}
 	for c := range p.queues {
 		budget := int64(0)
 		if cfg.Mode == AllocStatic {
@@ -93,7 +93,7 @@ func newClassQueues(cfg TenantConfig, geom *slab.Geometry) *classQueues {
 				budget = geom.ChunkSize(c) // room for at least one item
 			}
 		}
-		p.queues[c] = cache.NewPolicy(cfg.Policy, budget)
+		p.queues[c] = cache.NewLRU(budget)
 	}
 	if cfg.Mode != AllocStatic {
 		p.free = cfg.MemoryBytes
@@ -116,16 +116,11 @@ func (p *classQueues) cost(class int, size int64) int64 {
 	return p.geom.ChunkSize(class)
 }
 
-// promoteResident touches the queue only when the key is already resident:
-// cache.Policy couples lookup and fill. It has no node to go through, so every
-// call probes.
-func (p *classQueues) promoteResident(class int, key string, _ *cache.Node, cost int64) (bool, []cache.Victim, bool) {
-	q := p.queues[class]
-	if !q.Contains(key) {
-		return false, nil, true
-	}
-	hit, victims := q.Access(key, cost)
-	return hit, victims, true
+// promoteResident is one probe: Get promotes key only if it is resident. An
+// LRU gives out no node to go through, so every call probes, and a hit
+// evicts nothing.
+func (p *classQueues) promoteResident(class int, key string, _ *cache.Node, _ int64) (bool, []cache.Victim, bool) {
+	return p.queues[class].Get(key), nil, true
 }
 
 func (p *classQueues) admit(class int, key string, cost int64) (bool, []cache.Victim, *cache.Node) {
@@ -147,7 +142,7 @@ func (p *classQueues) resize(oldBytes, newBytes int64) []cache.Victim {
 	p.free += newBytes - oldBytes
 	var victims []cache.Victim
 	for p.free < 0 {
-		var largest cache.Policy
+		var largest *cache.LRU
 		most := int64(0)
 		for _, q := range p.queues {
 			if c := q.Capacity(); c > most {

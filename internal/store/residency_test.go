@@ -3,7 +3,6 @@ package store_test
 import (
 	"testing"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/store"
 	"cliffhanger/internal/trace"
 	"cliffhanger/internal/workload"
@@ -32,7 +31,7 @@ func TestArenaLeasesFollowResidencyMemcachier(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer wl.Close()
-			s := store.New(store.Config{DefaultMode: store.AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: syncBk})
+			s := store.New(store.Config{DefaultMode: store.AllocCliffhanger, SyncBookkeeping: syncBk})
 			defer s.Close()
 			peak := make(map[string][]int64, len(wl.Apps))
 			for _, app := range wl.Apps {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"cliffhanger/internal/cache"
 	"cliffhanger/internal/slab"
 )
 
@@ -47,7 +46,7 @@ func TestUnmanagedTenantResizeUnderLoad(t *testing.T) {
 				name = mode.String() + "/sync"
 			}
 			t.Run(name, func(t *testing.T) {
-				s := New(Config{DefaultMode: mode, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: syncBk})
+				s := New(Config{DefaultMode: mode, SyncBookkeeping: syncBk})
 				defer s.Close()
 				if err := s.RegisterTenant("app", full); err != nil {
 					t.Fatal(err)
@@ -215,7 +214,7 @@ func TestClassQueuesLedgerMatchesPageArithmetic(t *testing.T) {
 		{"under one page", 1<<20 - 1, []int64{2 << 20, 512 << 10, 4<<20 + 1}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			p := newClassQueues(TenantConfig{MemoryBytes: row.initial, Mode: AllocDefault, Policy: cache.PolicyLRU}, geom)
+			p := newClassQueues(TenantConfig{MemoryBytes: row.initial, Mode: AllocDefault}, geom)
 			l := &pageLedger{total: row.initial / page, free: row.initial / page, pages: make([]int64, geom.NumClasses())}
 			agree := func(step string) {
 				t.Helper()

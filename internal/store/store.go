@@ -22,7 +22,8 @@ type Config struct {
 	// DefaultMode is the allocation mode for tenants registered without an
 	// explicit mode.
 	DefaultMode AllocationMode
-	// DefaultPolicy is the eviction policy for non-Cliffhanger tenants.
+	// DefaultPolicy is read by nothing: every unmanaged tenant evicts by
+	// memcached's LRU. It stays because the repository benchmark sets it.
 	DefaultPolicy cache.PolicyKind
 	// Cliffhanger configures Cliffhanger-managed tenants.
 	Cliffhanger core.Config
@@ -483,13 +484,12 @@ func nextPow2(n int) int {
 }
 
 // RegisterTenant creates a tenant with the given memory reservation using
-// the store's default mode and policy.
+// the store's default mode.
 func (s *Store) RegisterTenant(name string, memoryBytes int64) error {
 	return s.RegisterTenantConfig(TenantConfig{
 		Name:        name,
 		MemoryBytes: memoryBytes,
 		Mode:        s.cfg.DefaultMode,
-		Policy:      s.cfg.DefaultPolicy,
 	})
 }
 

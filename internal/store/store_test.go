@@ -18,7 +18,6 @@ func testConfig(mode AllocationMode, memoryMB int64) TenantConfig {
 		Name:        "app",
 		MemoryBytes: memoryMB << 20,
 		Mode:        mode,
-		Policy:      cache.PolicyLRU,
 		Cliffhanger: core.DefaultConfig(),
 	}
 }
@@ -252,7 +251,7 @@ func TestTenantStatsShape(t *testing.T) {
 }
 
 func TestStoreBasicOperations(t *testing.T) {
-	s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU})
+	s := New(Config{DefaultMode: AllocDefault})
 	if err := s.RegisterTenant("app1", 4<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +297,7 @@ func TestStoreBasicOperations(t *testing.T) {
 }
 
 func TestStoreEvictionDropsValues(t *testing.T) {
-	s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU})
+	s := New(Config{DefaultMode: AllocDefault})
 	if err := s.RegisterTenant("app", 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +335,7 @@ func TestStoreEvictionDropsValues(t *testing.T) {
 func TestStoreRejectsOversizedValues(t *testing.T) {
 	for _, mode := range []AllocationMode{AllocDefault, AllocCliffhanger, AllocGlobalLRU, AllocMemshare} {
 		t.Run(mode.String(), func(t *testing.T) {
-			s := New(Config{DefaultMode: mode, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+			s := New(Config{DefaultMode: mode, SyncBookkeeping: true})
 			defer s.Close()
 			s.RegisterTenant("app", 8<<20)
 			huge := make([]byte, (1<<20)+1-len("big")) // one byte past the largest chunk
@@ -544,7 +543,7 @@ func TestStoreValueConsistencyWithQueues(t *testing.T) {
 	for _, mode := range []AllocationMode{AllocDefault, AllocCliffhanger, AllocGlobalLRU} {
 		for _, syncBk := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/sync=%v", mode, syncBk), func(t *testing.T) {
-				s := New(Config{DefaultMode: mode, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: syncBk})
+				s := New(Config{DefaultMode: mode, SyncBookkeeping: syncBk})
 				defer s.Close()
 				if err := s.RegisterTenant("app", 1<<20); err != nil {
 					t.Fatal(err)
@@ -607,7 +606,7 @@ func TestStoreValueConsistencyWithQueues(t *testing.T) {
 // TestStoreSyncBookkeeping exercises the deterministic inline path: the
 // does-not-fit error is reported synchronously and no settling is needed.
 func TestStoreSyncBookkeeping(t *testing.T) {
-	s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: true})
 	defer s.Close()
 	if err := s.RegisterTenant("app", 1<<20); err != nil {
 		t.Fatal(err)
@@ -631,7 +630,7 @@ func TestStoreAsyncDoesNotFitDropsValue(t *testing.T) {
 	// A tiny tenant whose largest class cannot hold a near-1-MiB object
 	// within its reservation: the admission bounces.
 	geom := slab.DefaultGeometry()
-	s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU, Geometry: geom})
+	s := New(Config{DefaultMode: AllocDefault, Geometry: geom})
 	defer s.Close()
 	if err := s.RegisterTenant("tiny", 128<<10); err != nil {
 		t.Fatal(err)
@@ -650,7 +649,7 @@ func TestStoreAsyncDoesNotFitDropsValue(t *testing.T) {
 // goroutines while concurrently taking stats and queue snapshots; run under
 // -race this verifies the bookkeeper serializes all structural access.
 func TestStoreSnapshotsRaceWithTraffic(t *testing.T) {
-	s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
 	if err := s.RegisterTenant("hot", 4<<20); err != nil {
 		t.Fatal(err)
@@ -720,7 +719,7 @@ func BenchmarkStoreGetSet(b *testing.B) {
 	for _, g := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
 			b.ReportAllocs()
-			s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+			s := New(Config{DefaultMode: AllocCliffhanger})
 			defer s.Close()
 			if err := s.RegisterTenant("hot", 256<<20); err != nil {
 				b.Fatal(err)
@@ -779,7 +778,7 @@ func BenchmarkStoreReadMostly(b *testing.B) {
 	for _, g := range []int{1, 4} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
 			b.ReportAllocs()
-			s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU})
+			s := New(Config{DefaultMode: AllocCliffhanger})
 			defer s.Close()
 			if err := s.RegisterTenant("hot", 256<<20); err != nil {
 				b.Fatal(err)
@@ -832,7 +831,7 @@ func BenchmarkStoreSetGetCliffhanger(b *testing.B) {
 }
 
 func benchmarkStore(b *testing.B, mode AllocationMode) {
-	s := New(Config{DefaultMode: mode, DefaultPolicy: cache.PolicyLRU})
+	s := New(Config{DefaultMode: mode})
 	if err := s.RegisterTenant("app", 64<<20); err != nil {
 		b.Fatal(err)
 	}
@@ -861,7 +860,7 @@ func TestStoreCrossClassReSet(t *testing.T) {
 	for _, syncBk := range []bool{true, false} {
 		for _, mode := range []AllocationMode{AllocDefault, AllocCliffhanger, AllocGlobalLRU} {
 			t.Run(fmt.Sprintf("%s/sync=%v", mode, syncBk), func(t *testing.T) {
-				s := New(Config{DefaultMode: mode, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: syncBk})
+				s := New(Config{DefaultMode: mode, SyncBookkeeping: syncBk})
 				defer s.Close()
 				if err := s.RegisterTenant("app", 4<<20); err != nil {
 					t.Fatal(err)
@@ -915,7 +914,7 @@ func TestStoreCrossClassReSet(t *testing.T) {
 func TestStoreCrossClassReSetConcurrent(t *testing.T) {
 	for _, syncBk := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sync=%v", syncBk), func(t *testing.T) {
-			s := New(Config{DefaultMode: AllocCliffhanger, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: syncBk})
+			s := New(Config{DefaultMode: AllocCliffhanger, SyncBookkeeping: syncBk})
 			defer s.Close()
 			if err := s.RegisterTenant("app", 16<<20); err != nil {
 				t.Fatal(err)
@@ -982,7 +981,6 @@ func TestStoreExpiry(t *testing.T) {
 			now.Store(1_000_000)
 			s := New(Config{
 				DefaultMode:     AllocDefault,
-				DefaultPolicy:   cache.PolicyLRU,
 				SyncBookkeeping: syncBk,
 				Now:             func() int64 { return now.Load() },
 			})
@@ -1071,9 +1069,8 @@ func TestStoreExpiryReaper(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1_000_000)
 	s := New(Config{
-		DefaultMode:   AllocDefault,
-		DefaultPolicy: cache.PolicyLRU,
-		Now:           func() int64 { return now.Load() },
+		DefaultMode: AllocDefault,
+		Now:         func() int64 { return now.Load() },
 	})
 	defer s.Close()
 	if err := s.RegisterTenant("app", 4<<20); err != nil {
@@ -1115,7 +1112,7 @@ func TestStoreExpiryReaper(t *testing.T) {
 // TestStoreVerbSemantics exercises the memcached storage-verb semantics at
 // the store layer with deterministic synchronous bookkeeping.
 func TestStoreVerbSemantics(t *testing.T) {
-	s := New(Config{DefaultMode: AllocDefault, DefaultPolicy: cache.PolicyLRU, SyncBookkeeping: true})
+	s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: true})
 	defer s.Close()
 	if err := s.RegisterTenant("app", 4<<20); err != nil {
 		t.Fatal(err)

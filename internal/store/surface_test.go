@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"cliffhanger/internal/cache"
 )
 
 // TestStoreSurface pins the exported method set of *Store: one entry point
@@ -38,7 +36,6 @@ func TestGetItemViewOutcomes(t *testing.T) {
 	clock := int64(1000)
 	s := New(Config{
 		DefaultMode:     AllocCliffhanger,
-		DefaultPolicy:   cache.PolicyLRU,
 		SyncBookkeeping: true,
 		Now:             func() int64 { return clock },
 	})

@@ -129,9 +129,6 @@ type TenantConfig struct {
 	Geometry *slab.Geometry
 	// Mode selects the allocation policy.
 	Mode AllocationMode
-	// Policy selects the eviction policy for the per-class queues in the
-	// non-Cliffhanger modes (LRU, LFU, ARC, Facebook mid-point insertion).
-	Policy cache.PolicyKind
 	// Cliffhanger configures the AllocCliffhanger and AllocMemshare modes.
 	Cliffhanger core.Config
 	// StaticClassBytes gives fixed per-class budgets for AllocStatic,
