@@ -81,6 +81,7 @@ count:
 	@echo "exported identifiers, internal/client + internal/server + internal/protocol: $$($(call NONTEST,internal/client/*.go internal/server/*.go internal/protocol/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
 	@echo "non-test wc -l, internal/cache: $$($(call NONTEST,internal/cache/*.go) | xargs cat | wc -l)"
 	@echo "exported identifiers, internal/cache: $$($(call NONTEST,internal/cache/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
+	@echo "exported identifiers, internal/store: $$($(call NONTEST,internal/store/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
 	@echo "cliffhangerd flags: $$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/cliffhangerd/main.go)"
 
 # conformance walks every verb over a real socket, checks that both front
@@ -176,10 +177,12 @@ churn: bins
 	./bin/cliffbench -addr $$addr -churn -duration 8s -conns 4 -keys 60000 -value 900 -tenant-mb 64 -churn-mb 32
 
 # verify cross-checks wire-replay hit rates against internal/sim for the
-# same seeded Memcachier trace (also covered by the Go test
-# TestCrossCheckMemcachierSimVsWire).
+# same seeded Memcachier trace and for the facebook generator, whose keys
+# change value size from one request to the next (also covered by the Go
+# tests TestCrossCheckMemcachierSimVsWire and TestCrossCheckFacebookSimVsWire).
 verify: bins
 	./bin/cliffbench -trace memcachier -verify -requests 100000 -scale 0.25
+	./bin/cliffbench -trace facebook -verify -requests 100000
 
 # arbiter is the memshare smoke: the default/cliffhanger/memshare
 # head-to-head on the Memcachier trace with every app naively granted an

@@ -17,8 +17,8 @@
 //
 // -verify runs the sim-vs-wire cross-check instead of a load test: the same
 // seeded trace is replayed through internal/sim and against an in-process
-// server over a real socket, and per-application hit rates must match
-// within -tolerance. -print-tenants prints the cliffhangerd -tenants value
+// server over a real socket, and per-application hit rates must be equal.
+// -print-tenants prints the cliffhangerd -tenants value
 // matching the chosen trace.
 //
 // -conn-rate switches to the connection-scale scenario: ramp -conns
@@ -62,6 +62,7 @@ import (
 	"cliffhanger/internal/client"
 	"cliffhanger/internal/metrics"
 	"cliffhanger/internal/protocol"
+	"cliffhanger/internal/sim"
 	"cliffhanger/internal/store"
 	"cliffhanger/internal/trace"
 	"cliffhanger/internal/workload"
@@ -88,10 +89,9 @@ func main() {
 		mutate    = flag.Float64("mutate", 0, "fraction of GETs replaced by mutation verbs (touch/append/incr)")
 		rate      = flag.Float64("rate", 0, "open-loop injection rate in req/s (0 = closed loop)")
 		verify    = flag.Bool("verify", false, "cross-check wire-replay hit rates against internal/sim and exit")
-		tolerance = flag.Float64("tolerance", 0.02, "largest acceptable per-app |wire-sim| hit-rate delta for -verify")
 		modeFlag  = flag.String("mode", "cliffhanger", "allocation mode for -verify: default, cliffhanger, global-lru, memshare")
 		hitrate   = flag.String("hitrate-json", "", "run the default/cliffhanger/memshare head-to-head over the wire, write per-app + aggregate hit rates to this JSON file, and exit")
-		hitGate   = flag.Bool("hitrate-gate", false, "with -hitrate-json: exit non-zero unless memshare's wire aggregate beats the cliffhanger static split")
+		hitGate   = flag.Bool("hitrate-gate", false, "with -hitrate-json: exit non-zero unless sim equals wire in every mode and memshare's wire aggregate beats the cliffhanger static split")
 		printTen  = flag.Bool("print-tenants", false, "print the cliffhangerd -tenants value for the chosen trace and exit")
 		churn     = flag.Bool("churn", false, "run the tenant-churn lifecycle scenario (create/shrink/recover) and exit")
 		tenantMB  = flag.Int64("tenant-mb", 64, "primary tenant reservation in MB; -churn uses it to compute resize targets")
@@ -145,7 +145,7 @@ func main() {
 		if opts.Requests <= 0 {
 			opts.Requests = 200000
 		}
-		runVerify(logger, *traceSpec, opts, *modeFlag, *tolerance)
+		runVerify(logger, *traceSpec, opts, *modeFlag)
 		return
 	}
 
@@ -227,7 +227,7 @@ func main() {
 		for i := range keyspace {
 			keyspace[i] = workload.ZipfKey(i)
 		}
-		// Warm values are sized like the replay's own fills (PadValue:
+		// Warm values are sized like the replay's own fills (sim.PadValue:
 		// len(key)+len(value) == valueSize), so a warmed key's first re-set
 		// charges the same slab class it was warmed into. Runs of keys that
 		// share a length share one padded value per pipelined batch.
@@ -526,7 +526,7 @@ func (w *worker) processBatch(b reqBatch) error {
 // workload legitimately contains such items and they behave as permanent
 // misses, exactly as in the simulator.
 func (w *worker) set(r trace.Request) error {
-	if err := w.c.SetWithOptions(r.Key, workload.PadValue(w.payload, r), 0, w.ttl); err != nil {
+	if err := w.c.SetWithOptions(r.Key, sim.PadValue(w.payload, r), 0, w.ttl); err != nil {
 		if errors.Is(err, protocol.ErrRemote) {
 			w.rejected.Add(1)
 			return nil
@@ -582,20 +582,15 @@ func (w *worker) runMutation(r trace.Request) error {
 }
 
 // runVerify executes the sim-vs-wire cross-check and exits non-zero when
-// any application's hit rates diverge past the tolerance.
-func runVerify(logger *log.Logger, spec string, opts workload.Options, modeName string, tolerance float64) {
+// any application's sim and wire hit rates differ at all.
+func runVerify(logger *log.Logger, spec string, opts workload.Options, modeName string) {
 	mode, err := store.ParseAllocationMode(modeName)
 	if err != nil {
 		logger.Fatal(err)
 	}
 	logger.Printf("cross-checking %s (requests=%d seed=%d mode=%s) against internal/sim",
 		spec, opts.Requests, opts.Seed, mode)
-	res, err := workload.CrossCheck(workload.VerifyConfig{
-		Spec:      spec,
-		Options:   opts,
-		Mode:      mode,
-		Tolerance: tolerance,
-	})
+	res, err := workload.CrossCheck(workload.VerifyConfig{Spec: spec, Options: opts, Mode: mode})
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -603,8 +598,8 @@ func runVerify(logger *log.Logger, spec string, opts workload.Options, modeName 
 		fmt.Printf("app%-2d gets=%-8d sim=%.4f wire=%.4f delta=%.4f\n",
 			a.App, a.Requests, a.Sim, a.Wire, a.Delta())
 	}
-	fmt.Printf("overall: sim=%.4f wire=%.4f max_delta=%.4f tolerance=%.4f fills=%d rejected_sets=%d",
-		res.SimOverall, res.WireOverall, res.MaxDelta, res.Tolerance, res.Fills, res.RejectedSets)
+	fmt.Printf("overall: sim=%.4f wire=%.4f max_delta=%.4f fills=%d rejected_sets=%d",
+		res.SimOverall, res.WireOverall, res.MaxDelta, res.Fills, res.RejectedSets)
 	if mode == store.AllocMemshare {
 		fmt.Printf(" arbiter_moves=%d", res.ArbiterMoves)
 	}
@@ -659,8 +654,8 @@ type hitrateReport struct {
 // All three modes run with the trace's total memory split evenly across the
 // apps, so the only difference between cliffhanger and memshare is whether
 // memory can migrate between tenants at runtime. With gate set it exits
-// non-zero unless memshare's wire aggregate beats the cliffhanger static
-// split.
+// non-zero unless sim equals wire in every mode and memshare's wire aggregate
+// beats the cliffhanger static split.
 func runHitrate(logger *log.Logger, spec string, opts workload.Options, path string, gate bool) {
 	wl := open(logger, spec, opts)
 	if wl.Apps == nil {
@@ -696,12 +691,13 @@ func runHitrate(logger *log.Logger, spec string, opts workload.Options, path str
 		res, err := workload.CrossCheck(workload.VerifyConfig{
 			Spec: spec, Options: opts, Mode: mode,
 			AppMemoryOverride: override,
-			// The head-to-head reports rates rather than enforcing sim-wire
-			// agreement; the real tolerance gate is cliffbench -verify.
-			Tolerance: 1,
 		})
 		if err != nil {
 			logger.Fatal(err)
+		}
+		if gate && !res.OK() {
+			fmt.Printf("hitrate gate: FAIL (%s: sim and wire differ by up to %.4f)\n", mode, res.MaxDelta)
+			os.Exit(1)
 		}
 		m := hitrateMode{
 			SimOverall:   res.SimOverall,

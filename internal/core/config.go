@@ -8,8 +8,8 @@
 //
 // The package is written against abstract eviction queues that hold keys and
 // per-key costs; values are owned by the caller (internal/store keeps them in
-// a hash table and drops whatever the queues evict, while internal/sim runs
-// the queues value-less to replay traces). One Manager instance governs the
+// a hash table and drops whatever the queues evict; internal/sim replays
+// traces through that same store). One Manager instance governs the
 // set of queues sharing a memory budget — all slab classes of an application,
 // or all applications on a server — exactly as one Cliffhanger instance runs
 // per Memcached server in the paper.

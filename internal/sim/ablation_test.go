@@ -15,6 +15,11 @@ import (
 // or to internal/core can say what it did to each algorithm by itself:
 //
 //	go test -count=1 -run TestAblationTable -v ./internal/sim/
+//
+// Run replays through the store, so the table measures the engine the daemon
+// runs: 0.6831 / 0.7658 / 0.7634 / 0.7689 on Memcachier and 0.4335 / 0.5093 /
+// 0.4339 / 0.4845 on facebook, whose generator gives a key a new value size
+// on every request (a GET hit keeps the size the key was filled at).
 func TestAblationTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight simulations of 400 000 requests")

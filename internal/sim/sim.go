@@ -13,7 +13,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"cliffhanger/internal/core"
 	"cliffhanger/internal/metrics"
@@ -51,13 +50,14 @@ type Config struct {
 	// windows of WindowSize requests (Figure 9).
 	WindowSize int64
 	// Arbiter configures the cross-tenant Memshare arbiter for
-	// store.AllocMemshare runs (zero value = store defaults).
+	// store.AllocMemshare runs (zero value = store defaults). Its Interval is
+	// ignored: Run ticks the arbiter at a request cadence instead.
 	Arbiter store.ArbiterConfig
 	// ArbiterEvery is the arbiter tick cadence in demand-fill GET requests
 	// across all apps; 0 uses store.DefaultArbiterEvery. Only meaningful in
-	// store.AllocMemshare mode. The wire-replay cross-check drives the real
-	// store's arbiter at the same request counts, which is what keeps a
-	// memshare simulation and a memshare server replay comparable.
+	// store.AllocMemshare mode. The wire-replay cross-check ticks its server's
+	// store at the same request counts, which is what makes a memshare
+	// simulation and a memshare server replay agree exactly.
 	ArbiterEvery int64
 }
 
@@ -149,10 +149,9 @@ func TenantName(id int) string { return fmt.Sprintf("app%d", id) }
 
 // TenantConfigs returns the per-application tenant configuration Run builds:
 // name TenantName(ID), the scaled/overridden memory reservation, shared
-// geometry, allocation mode, eviction policy and Cliffhanger settings. It is
-// exported so the wire-replay cross-check harness (internal/workload) can
-// register tenants on a real server that are configured identically to the
-// simulator's.
+// geometry, allocation mode and Cliffhanger settings. It is exported so the
+// wire-replay cross-check harness (internal/workload) can register tenants on
+// a real server that are configured identically to the simulator's.
 func TenantConfigs(cfg Config) (map[int]store.TenantConfig, error) {
 	if len(cfg.Apps) == 0 {
 		return nil, fmt.Errorf("sim: no applications configured")
@@ -194,153 +193,175 @@ func TenantConfigs(cfg Config) (map[int]store.TenantConfig, error) {
 	return out, nil
 }
 
-// Run replays src through tenants configured per cfg.
+// Run replays src through the engine the daemon runs: one synchronous store
+// with a tenant per application (TenantConfigs). A GET is Store.GetItemView,
+// followed on a miss by a Store.SetItemBytes of a value padded to the
+// request's size (PadValue); a SET is that fill alone, a DELETE Store.Delete,
+// and memshare ticks Store.ArbiterTick every ArbiterEvery GETs. The store's
+// clock is a constant, so a replay reads no wall clock.
 func Run(cfg Config, src trace.Source) (*Result, error) {
 	tcfgs, err := TenantConfigs(cfg)
 	if err != nil {
 		return nil, err
 	}
+	geom := tcfgs[cfg.Apps[0].ID].Geometry
+	arbCfg := cfg.Arbiter
+	arbCfg.Interval = 0 // ticked below at a request cadence; no goroutine
+	st := store.New(store.Config{
+		Geometry:        geom,
+		SyncBookkeeping: true,
+		Arbiter:         arbCfg,
+		Now:             func() int64 { return 0 },
+	})
+	defer st.Close()
 
-	tenants := make(map[int]*store.Tenant, len(cfg.Apps))
+	type appRun struct {
+		name   string
+		res    *AppResult
+		window *metrics.WindowedHitRate
+	}
+	apps := make(map[int]*appRun, len(cfg.Apps))
 	results := make(map[int]*AppResult, len(cfg.Apps))
-	windows := make(map[int]*metrics.WindowedHitRate)
 	for _, app := range cfg.Apps {
 		tcfg := tcfgs[app.ID]
-		tenant, err := store.NewTenant(tcfg)
-		if err != nil {
+		if err := st.RegisterTenantConfig(tcfg); err != nil {
 			return nil, fmt.Errorf("sim: app %d: %v", app.ID, err)
 		}
-		tenants[app.ID] = tenant
-		results[app.ID] = &AppResult{
+		a := &appRun{name: tcfg.Name, res: &AppResult{
 			App:         app.ID,
 			MemoryBytes: tcfg.MemoryBytes,
 			Classes:     make(map[int]*ClassResult),
-		}
+		}}
 		if cfg.WindowSize > 0 {
-			windows[app.ID] = metrics.NewWindowedHitRate(cfg.WindowSize)
+			a.window = metrics.NewWindowedHitRate(cfg.WindowSize)
 		}
+		apps[app.ID], results[app.ID] = a, a.res
 	}
-
-	// In memshare mode the simulator runs the same arbiter decision engine
-	// the Store does, at a deterministic request cadence, over observations
-	// ordered exactly as the Store orders them (sorted by tenant name).
-	var arb *store.ArbiterState
-	var arbIDs []int
 	arbEvery := cfg.ArbiterEvery
-	if cfg.Mode == store.AllocMemshare {
-		geom := cfg.Geometry
-		if geom == nil {
-			geom = slab.DefaultGeometry()
-		}
-		arb = store.NewArbiterState(cfg.Arbiter, geom.PageSize)
-		if arbEvery <= 0 {
-			arbEvery = store.DefaultArbiterEvery
-		}
-		for _, app := range cfg.Apps {
-			arbIDs = append(arbIDs, app.ID)
-		}
-		sort.Slice(arbIDs, func(i, j int) bool {
-			return TenantName(arbIDs[i]) < TenantName(arbIDs[j])
-		})
-	}
-	arbiterTick := func() {
-		obs := make([]store.ArbiterObservation, 0, len(arbIDs))
-		for _, id := range arbIDs {
-			tenant := tenants[id]
-			var shadow int64
-			if m := tenant.Manager(); m != nil {
-				shadow = m.TotalStats().ShadowHits
-			}
-			obs = append(obs, store.ArbiterObservation{
-				Name:          TenantName(id),
-				ShadowHits:    shadow,
-				Hits:          tenant.Hits(),
-				ShadowBytes:   tenant.ShadowBytes(),
-				TargetBytes:   tenant.MemoryBytes(),
-				ReservedBytes: tenant.ReservedBytes(),
-			})
-		}
-		mv, ok := arb.Tick(obs)
-		if !ok {
-			return
-		}
-		for _, id := range arbIDs {
-			switch TenantName(id) {
-			case mv.Donor:
-				tenants[id].Resize(mv.DonorBytes)
-			case mv.Recipient:
-				tenants[id].Resize(mv.RecipientBytes)
-			}
-		}
+	if arbEvery <= 0 {
+		arbEvery = store.DefaultArbiterEvery
 	}
 
+	// A fill's error is dropped: a value no chunk can hold, or one that bounces
+	// off a full tenant, is refused by the store as it is over the wire, and
+	// the key stays a permanent miss.
+	payload := make([]byte, geom.PageSize)
+	var key []byte
 	res := &Result{Mode: cfg.Mode, Apps: results}
 	for {
 		req, ok := src.Next()
 		if !ok {
 			break
 		}
-		tenant, ok := tenants[req.App]
-		if !ok {
+		a := apps[req.App]
+		if a == nil {
 			continue // request for an app outside this experiment
 		}
-		ar := results[req.App]
+		key = append(key[:0], req.Key...)
 		switch req.Op {
 		case trace.OpDelete:
-			tenant.Delete(req.Key, req.Size)
+			if _, err := st.Delete(a.name, req.Key); err != nil {
+				return nil, err
+			}
 			continue
 		case trace.OpSet:
-			tenant.Admit(req.Key, req.Size)
+			_ = st.SetItemBytes(a.name, key, PadValue(payload, req), 0, 0)
 			continue
-		default:
-			hit, _ := tenant.Access(req.Key, req.Size)
-			ar.Requests++
-			res.TotalRequests++
+		}
+		view, hit, err := st.GetItemView(a.name, key)
+		if err != nil {
+			return nil, err
+		}
+		view.Release()
+		if !hit {
+			_ = st.SetItemBytes(a.name, key, PadValue(payload, req), 0, 0)
+		}
+		ar := a.res
+		ar.Requests++
+		res.TotalRequests++
+		if hit {
+			ar.Hits++
+			res.TotalHits++
+		} else {
+			ar.Misses++
+			res.TotalMisses++
+		}
+		// The store counts a miss against the class of the key's length (it has
+		// no value size to go by), so the per-class counts are the request's.
+		// That holds for hits too: a hit on a key asked for at a new size is
+		// credited to the new size's class, while the key and its bytes stay in
+		// the class its last fill chose (Evictions and FinalBytes are the
+		// store's). Traces whose keys keep one size are unaffected.
+		if class, ok := geom.ClassFor(req.Size); ok {
+			chunk := geom.ChunkSize(class)
+			if cfg.Mode == store.AllocGlobalLRU {
+				class, chunk = 0, 0
+			}
+			cr := ar.Classes[class]
+			if cr == nil {
+				cr = &ClassResult{Class: class, ChunkSize: chunk}
+				ar.Classes[class] = cr
+			}
+			cr.Requests++
 			if hit {
-				ar.Hits++
-				res.TotalHits++
+				cr.Hits++
 			} else {
-				ar.Misses++
-				res.TotalMisses++
+				cr.Misses++
 			}
-			if w := windows[req.App]; w != nil {
-				w.Record(hit)
+		}
+		if a.window != nil {
+			a.window.Record(hit)
+		}
+		if cfg.Mode == store.AllocMemshare && res.TotalRequests%arbEvery == 0 {
+			st.ArbiterTick()
+		}
+		if cfg.TimelineInterval > 0 && ar.Requests%cfg.TimelineInterval == 0 {
+			capacities, err := st.ClassCapacities(a.name)
+			if err != nil {
+				return nil, err
 			}
-			if arb != nil && res.TotalRequests%arbEvery == 0 {
-				arbiterTick()
-			}
-			if cfg.TimelineInterval > 0 && ar.Requests%cfg.TimelineInterval == 0 {
-				ar.Timeline = append(ar.Timeline, TimelineSample{
-					Request:    ar.Requests,
-					Time:       req.Time,
-					ClassBytes: tenant.ClassCapacities(),
-				})
-			}
+			ar.Timeline = append(ar.Timeline, TimelineSample{
+				Request:    ar.Requests,
+				Time:       req.Time,
+				ClassBytes: capacities,
+			})
 		}
 	}
 
-	// Fold per-class tenant statistics into the results. MemoryBytes is
-	// re-read so a memshare run reports each app's final reservation after
-	// arbitration (identical to the initial one in every other mode).
-	for id, tenant := range tenants {
-		ar := results[id]
-		ar.MemoryBytes = tenant.MemoryBytes()
-		for _, cs := range tenant.Stats().Classes {
-			ar.Classes[cs.Class] = &ClassResult{
-				Class:      cs.Class,
-				ChunkSize:  cs.ChunkSize,
-				Requests:   cs.Requests,
-				Hits:       cs.Hits,
-				Misses:     cs.Misses,
-				Evictions:  cs.Evictions,
-				FinalBytes: cs.CapacityBytes,
+	// MemoryBytes is re-read so a memshare run reports each app's final
+	// reservation after arbitration (the initial one in every other mode).
+	arb := st.ArbiterStats()
+	for _, a := range apps {
+		ar := a.res
+		ar.MemoryBytes = arb.Tenants[a.name].TargetBytes
+		ts, err := st.Stats(a.name)
+		if err != nil {
+			return nil, err
+		}
+		for _, cs := range ts.Classes {
+			cr := ar.Classes[cs.Class]
+			if cr == nil && cs.CapacityBytes > 0 {
+				cr = &ClassResult{Class: cs.Class, ChunkSize: cs.ChunkSize}
+				ar.Classes[cs.Class] = cr
+			}
+			if cr != nil {
+				cr.Evictions, cr.FinalBytes = cs.Evictions, cs.CapacityBytes
 			}
 		}
-		if w := windows[id]; w != nil {
-			ar.Window = w.Samples()
+		if a.window != nil {
+			ar.Window = a.window.Samples()
 		}
 	}
 	return res, nil
+}
+
+// PadValue sizes a stored value so the store's charged size
+// (len(key)+len(value)) equals the trace's Size, clamped to [0,
+// len(payload)]. Run, the wire replay of the cross-check and cliffbench's
+// fills all size their values with it, so every engine admits a key into the
+// same slab class.
+func PadValue(payload []byte, r trace.Request) []byte {
+	return payload[:min(max(r.Size-int64(len(r.Key)), 0), int64(len(payload)))]
 }
 
 // RunWithGenerator builds the standard Memcachier-like generator over

@@ -78,11 +78,49 @@ func TestRunCountsAreConsistent(t *testing.T) {
 			t.Fatalf("app %d class requests %d != app requests %d", ar.App, classReqs, ar.Requests)
 		}
 	}
+	// Misses count under the class of the request's size. The store would put
+	// them under the class of the key's length (~10 bytes), which would leave
+	// app 1's 16 KiB class with hits only.
+	big, _ := slab.DefaultGeometry().ClassFor(16 << 10)
+	if cr := res.App(1).Classes[big]; cr == nil || cr.Misses == 0 {
+		t.Fatalf("app 1's 16 KiB class recorded no misses: %+v", cr)
+	}
 	if perApp != res.TotalRequests {
 		t.Fatalf("per-app requests do not sum to total")
 	}
 	if res.HitRate() <= 0 || res.HitRate() > 1 {
 		t.Fatalf("implausible hit rate %v", res.HitRate())
+	}
+}
+
+// TestResizedKeyIsOneRecord replays one key asked for at 64 bytes and then at
+// 16 KiB, as the facebook generator does when it draws a new value size for a
+// key. A GET names no size, so the second request finds the first fill and
+// hits, as it does over the wire. A replay that admitted by (key, size) would
+// count a miss and hold the key in two classes at once. Per-class counts go by
+// the requested size, so the hit is credited to the 16 KiB class, while the
+// key's bytes stay in the 64-byte class its fill chose.
+func TestResizedKeyIsOneRecord(t *testing.T) {
+	src := trace.NewSliceSource([]trace.Request{
+		{App: 1, Key: "resized", Size: 64, Op: trace.OpGet},
+		{App: 1, Key: "resized", Size: 16 << 10, Op: trace.OpGet},
+	})
+	res, err := Run(Config{Apps: []trace.AppSpec{{ID: 1, MemoryMB: 4, RequestShare: 1}}}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar := res.App(1)
+	if ar.Requests != 2 || ar.Hits != 1 {
+		t.Fatalf("got %d hits of %d requests, want the second request to hit", ar.Hits, ar.Requests)
+	}
+	geom := slab.DefaultGeometry()
+	small, _ := geom.ClassFor(64)
+	large, _ := geom.ClassFor(16 << 10)
+	if c := ar.Classes[small]; c == nil || c.Requests != 1 || c.Misses != 1 || c.FinalBytes == 0 {
+		t.Fatalf("64-byte class %d: %+v, want the one miss and the key's bytes", small, c)
+	}
+	if c := ar.Classes[large]; c == nil || c.Requests != 1 || c.Hits != 1 || c.FinalBytes != 0 {
+		t.Fatalf("16 KiB class %d: %+v, want the one hit and no bytes", large, c)
 	}
 }
 

@@ -20,11 +20,12 @@ package store
 //     ordinary ResizeTenant → reconfigure-tick → page-migration machinery,
 //     so zero-copy readers and the chunk-conservation audit see nothing new.
 //
-// The decision engine (ArbiterState) is separated from the Store so the
-// trace-driven simulator can run the identical policy over its value-less
-// tenants: internal/sim drives one ArbiterState per run at a deterministic
-// request cadence, which is what lets CrossCheck compare a memshare wire
-// replay against a memshare simulation.
+// The decision engine (arbiterState) is private to the Store. The
+// deterministic harnesses reach it the way the maintenance goroutine does,
+// through ArbiterTick: internal/sim and the wire replay of CrossCheck each
+// call it on their own synchronous store at the same request cadence, which
+// is what makes a memshare simulation and a memshare wire replay agree
+// exactly.
 
 import (
 	"fmt"
@@ -89,72 +90,72 @@ func (c ArbiterConfig) withDefaults(pageSize int64) ArbiterConfig {
 	return c
 }
 
-// ArbiterObservation is one memshare tenant's state as seen at a tick:
+// arbiterObservation is one memshare tenant's state as seen at a tick:
 // cumulative shadow-queue hits and real lookup hits, the shadow capacity
 // the former are measured against, the reservation the tenant is converging
 // to, and its floor.
-type ArbiterObservation struct {
-	Name          string
-	ShadowHits    int64
-	Hits          int64
-	ShadowBytes   int64
-	TargetBytes   int64
-	ReservedBytes int64
+type arbiterObservation struct {
+	name          string
+	shadowHits    int64
+	hits          int64
+	shadowBytes   int64
+	targetBytes   int64
+	reservedBytes int64
 }
 
-// ArbiterMove is one decided transfer: shrink Donor to DonorBytes and grow
-// Recipient to RecipientBytes (both are absolute new targets, StepBytes
+// arbiterMove is one decided transfer: shrink donor to donorBytes and grow
+// recipient to recipientBytes (both are absolute new targets, stepBytes
 // apart from the old ones).
-type ArbiterMove struct {
-	Donor, Recipient           string
-	DonorBytes, RecipientBytes int64
-	StepBytes                  int64
+type arbiterMove struct {
+	donor, recipient           string
+	donorBytes, recipientBytes int64
+	stepBytes                  int64
 }
 
-// ArbiterInput is one tenant's digest for PlanArbiterMove: the two
+// arbiterInput is one tenant's digest for planArbiterMove: the two
 // hit-rate-per-byte estimates plus the constraints (floor, role cooldowns).
-// Marginal is the shadow-queue gain estimate — the extra hits per byte per
-// tick the tenant would earn from more memory. Density is the realized
+// marginal is the shadow-queue gain estimate — the extra hits per byte per
+// tick the tenant would earn from more memory. density is the realized
 // hits per byte per tick over the tenant's current reservation; for a
-// concave hit curve the coldest StepBytes of a tenant's memory serve at
-// most its average density, so Density upper-bounds what shrinking the
-// tenant by one step can cost. NoDonate/NoReceive are the directional
+// concave hit curve the coldest stepBytes of a tenant's memory serve at
+// most its average density, so density upper-bounds what shrinking the
+// tenant by one step can cost. noDonate/noReceive are the directional
 // cooldowns: a tenant that just received must not immediately donate and
 // vice versa.
-type ArbiterInput struct {
-	Name          string
-	Marginal      float64
-	Density       float64
-	TargetBytes   int64
-	ReservedBytes int64
-	NoDonate      bool
-	NoReceive     bool
+type arbiterInput struct {
+	name          string
+	marginal      float64
+	density       float64
+	targetBytes   int64
+	reservedBytes int64
+	noDonate      bool
+	noReceive     bool
 }
 
-// PlanArbiterMove picks the single bounded move for one tick: the donor is
+// planArbiterMove picks the single bounded move for one tick: the donor is
 // the lowest-density tenant that can shed stepBytes without breaching its
 // reserved floor, the recipient the tenant with the highest marginal gain
 // estimate; no move unless both exist, differ, are out of cooldown, and the
 // recipient's estimated gain exceeds the donor's density loss bound by at
 // least minDelta — so every move has positive expected value even if the
 // donor loses the most its curve allows. Ties resolve to the earliest
-// input, so a deterministic input order (sorted by name in the Store, the
-// same in the simulator) makes the decision deterministic.
-func PlanArbiterMove(ins []ArbiterInput, stepBytes int64, minDelta float64) (donor, recipient int, ok bool) {
+// input, so the Store's input order (sorted by name) makes the decision
+// deterministic.
+func planArbiterMove(ins []arbiterInput, stepBytes int64, minDelta float64) (donor, recipient int, ok bool) {
 	donor, recipient = -1, -1
 	for i, in := range ins {
-		if !in.NoDonate && in.TargetBytes-stepBytes >= in.ReservedBytes &&
-			(donor < 0 || in.Density < ins[donor].Density) {
+		if !in.noDonate && in.targetBytes-stepBytes >= in.reservedBytes &&
+			(donor < 0 || in.density < ins[donor].density) {
 			donor = i
 		}
-		if !in.NoReceive && (recipient < 0 || in.Marginal > ins[recipient].Marginal) {
+		if !in.noReceive && (recipient < 0 || in.marginal > ins[recipient].marginal) {
 			recipient = i
 		}
 	}
 	if donor < 0 || recipient < 0 || donor == recipient {
 		return -1, -1, false
 	}
-	if ins[recipient].Marginal-ins[donor].Density < minDelta {
+	if ins[recipient].marginal-ins[donor].density < minDelta {
 		return -1, -1, false
 	}
 	return donor, recipient, true
@@ -170,7 +171,7 @@ func ewma(old, sample float64) float64 {
 	return old*(1-arbiterEwmaAlpha) + sample*arbiterEwmaAlpha
 }
 
-// arbiterTenant is the per-tenant window state ArbiterState keeps between
+// arbiterTenant is the per-tenant window state arbiterState keeps between
 // ticks. The cooldown is directional: a tenant may donate (or receive)
 // repeatedly on consecutive ticks — that is convergence, bounded by the
 // reserved floors — but may not flip roles until the cooldown expires,
@@ -188,79 +189,53 @@ type arbiterTenant struct {
 	density   float64
 }
 
-// ArbiterState is the arbiter's decision engine: it differences each
+// arbiterState is the arbiter's decision engine: it differences each
 // tenant's cumulative shadow-hit counter into per-tick windows, tracks
 // cooldowns, and plans at most one move per tick. It is not safe for
-// concurrent use; the Store guards its instance with a mutex and the
-// simulator drives its own from one goroutine.
-type ArbiterState struct {
+// concurrent use; the Store guards its instance with arbMu.
+type arbiterState struct {
 	cfg      ArbiterConfig
-	tick     int64
+	ticks    int64
 	moves    int64
 	lastMove string
 	tenants  map[string]*arbiterTenant
 }
 
-// NewArbiterState builds a decision engine; pageSize supplies the default
+// newArbiterState builds a decision engine; pageSize supplies the default
 // move step.
-func NewArbiterState(cfg ArbiterConfig, pageSize int64) *ArbiterState {
-	return &ArbiterState{
+func newArbiterState(cfg ArbiterConfig, pageSize int64) *arbiterState {
+	return &arbiterState{
 		cfg:     cfg.withDefaults(pageSize),
 		tenants: make(map[string]*arbiterTenant),
 	}
 }
 
-// Moves returns the number of moves decided so far.
-func (a *ArbiterState) Moves() int64 { return a.moves }
-
-// LastMove describes the most recent move ("donor->recipient:bytes"), empty
-// before the first.
-func (a *ArbiterState) LastMove() string { return a.lastMove }
-
-// Marginal returns the tenant's marginal hit-rate-per-byte estimate from
-// the last completed tick (0 for unknown tenants).
-func (a *ArbiterState) Marginal(name string) float64 {
-	if st := a.tenants[name]; st != nil {
-		return st.marginal
-	}
-	return 0
-}
-
-// Density returns the tenant's realized hits-per-byte-per-tick from the
-// last completed tick (0 for unknown tenants).
-func (a *ArbiterState) Density(name string) float64 {
-	if st := a.tenants[name]; st != nil {
-		return st.density
-	}
-	return 0
-}
-
-// Tick ingests one observation per memshare tenant — in a deterministic
-// order chosen by the caller — and returns the move to apply, if any. A
-// tenant's first-ever observation only primes its window (no marginal yet);
-// tenants absent from obs are forgotten.
-func (a *ArbiterState) Tick(obs []ArbiterObservation) (ArbiterMove, bool) {
-	a.tick++
+// tick ingests one observation per memshare tenant, in name order, and
+// returns the move to apply, if any. A tenant's first-ever observation only
+// primes its window (no marginal yet); tenants absent from obs are
+// forgotten.
+func (a *arbiterState) tick(obs []arbiterObservation) (arbiterMove, bool) {
+	a.ticks++
 	seen := make(map[string]bool, len(obs))
-	inputs := make([]ArbiterInput, 0, len(obs))
+	inputs := make([]arbiterInput, 0, len(obs))
 	for _, o := range obs {
-		seen[o.Name] = true
-		st := a.tenants[o.Name]
+		seen[o.name] = true
+		st := a.tenants[o.name]
 		if st == nil {
 			st = &arbiterTenant{}
-			a.tenants[o.Name] = st
+			a.tenants[o.name] = st
 		}
-		delta := o.ShadowHits - st.lastShadow
-		hitDelta := o.Hits - st.lastHits
-		st.lastShadow = o.ShadowHits
-		st.lastHits = o.Hits
+		delta := o.shadowHits - st.lastShadow
+		hitDelta := o.hits - st.lastHits
+		st.lastShadow = o.shadowHits
+		st.lastHits = o.hits
 		if !st.primed {
 			st.primed = true
 			st.marginal = 0
 			st.density = 0
 			continue
 		}
-		sb := o.ShadowBytes
+		sb := o.shadowBytes
 		if sb <= 0 {
 			sb = 1 << 20
 		}
@@ -268,19 +243,19 @@ func (a *ArbiterState) Tick(obs []ArbiterObservation) (ArbiterMove, bool) {
 		// is a few thousand requests split across tenants, so the raw
 		// per-tick rates are noisy enough to misrank tenants.
 		density := float64(0)
-		if o.TargetBytes > 0 {
-			density = float64(hitDelta) / float64(o.TargetBytes)
+		if o.targetBytes > 0 {
+			density = float64(hitDelta) / float64(o.targetBytes)
 		}
 		st.marginal = ewma(st.marginal, float64(delta)/float64(sb))
 		st.density = ewma(st.density, density)
-		inputs = append(inputs, ArbiterInput{
-			Name:          o.Name,
-			Marginal:      st.marginal,
-			Density:       st.density,
-			TargetBytes:   o.TargetBytes,
-			ReservedBytes: o.ReservedBytes,
-			NoDonate:      a.tick <= st.recvUntil,
-			NoReceive:     a.tick <= st.donUntil,
+		inputs = append(inputs, arbiterInput{
+			name:          o.name,
+			marginal:      st.marginal,
+			density:       st.density,
+			targetBytes:   o.targetBytes,
+			reservedBytes: o.reservedBytes,
+			noDonate:      a.ticks <= st.recvUntil,
+			noReceive:     a.ticks <= st.donUntil,
 		})
 	}
 	for name := range a.tenants {
@@ -288,22 +263,22 @@ func (a *ArbiterState) Tick(obs []ArbiterObservation) (ArbiterMove, bool) {
 			delete(a.tenants, name)
 		}
 	}
-	d, r, ok := PlanArbiterMove(inputs, a.cfg.StepBytes, a.cfg.MinRateDelta)
+	d, r, ok := planArbiterMove(inputs, a.cfg.StepBytes, a.cfg.MinRateDelta)
 	if !ok {
-		return ArbiterMove{}, false
+		return arbiterMove{}, false
 	}
 	don, rec := inputs[d], inputs[r]
-	a.tenants[don.Name].donUntil = a.tick + int64(a.cfg.CooldownTicks)
-	a.tenants[rec.Name].recvUntil = a.tick + int64(a.cfg.CooldownTicks)
+	a.tenants[don.name].donUntil = a.ticks + int64(a.cfg.CooldownTicks)
+	a.tenants[rec.name].recvUntil = a.ticks + int64(a.cfg.CooldownTicks)
 	a.moves++
-	mv := ArbiterMove{
-		Donor:          don.Name,
-		Recipient:      rec.Name,
-		DonorBytes:     don.TargetBytes - a.cfg.StepBytes,
-		RecipientBytes: rec.TargetBytes + a.cfg.StepBytes,
-		StepBytes:      a.cfg.StepBytes,
+	mv := arbiterMove{
+		donor:          don.name,
+		recipient:      rec.name,
+		donorBytes:     don.targetBytes - a.cfg.StepBytes,
+		recipientBytes: rec.targetBytes + a.cfg.StepBytes,
+		stepBytes:      a.cfg.StepBytes,
 	}
-	a.lastMove = fmt.Sprintf("%s->%s:%d", mv.Donor, mv.Recipient, mv.StepBytes)
+	a.lastMove = fmt.Sprintf("%s->%s:%d", mv.donor, mv.recipient, mv.stepBytes)
 	return mv, true
 }
 
@@ -322,7 +297,7 @@ func (s *Store) ArbiterTick() bool {
 		}
 	}
 	sort.Strings(names)
-	obs := make([]ArbiterObservation, 0, len(names))
+	obs := make([]arbiterObservation, 0, len(names))
 	for _, n := range names {
 		e := reg[n]
 		var shadow, hits int64
@@ -330,27 +305,27 @@ func (s *Store) ArbiterTick() bool {
 		if m := e.tenant.Manager(); m != nil {
 			shadow = m.TotalStats().ShadowHits
 		}
-		hits = e.tenant.Hits()
+		hits = e.tenant.hits
 		e.bk.mu.Unlock()
-		obs = append(obs, ArbiterObservation{
-			Name:          n,
-			ShadowHits:    shadow,
-			Hits:          hits,
-			ShadowBytes:   e.tenant.ShadowBytes(),
-			TargetBytes:   e.targetBytes.Load(),
-			ReservedBytes: e.tenant.ReservedBytes(),
+		obs = append(obs, arbiterObservation{
+			name:          n,
+			shadowHits:    shadow,
+			hits:          hits,
+			shadowBytes:   e.tenant.shadowBytes(),
+			targetBytes:   e.targetBytes.Load(),
+			reservedBytes: e.tenant.reserved,
 		})
 	}
 	s.arbMu.Lock()
-	mv, ok := s.arb.Tick(obs)
+	mv, ok := s.arb.tick(obs)
 	s.arbMu.Unlock()
 	if !ok {
 		return false
 	}
 	// A tenant deleted between the snapshot and here just voids its half of
 	// the move; the next tick replans from fresh observations.
-	_ = s.ResizeTenant(mv.Donor, mv.DonorBytes)
-	_ = s.ResizeTenant(mv.Recipient, mv.RecipientBytes)
+	_ = s.ResizeTenant(mv.donor, mv.donorBytes)
+	_ = s.ResizeTenant(mv.recipient, mv.recipientBytes)
 	return true
 }
 
@@ -389,25 +364,22 @@ func (s *Store) ArbiterStats() ArbiterStats {
 	reg := *s.tenants.Load()
 	out := ArbiterStats{Tenants: make(map[string]ArbiterTenantStats, len(reg))}
 	s.arbMu.Lock()
-	out.Moves = s.arb.Moves()
-	out.LastMove = s.arb.LastMove()
-	marginals := make(map[string]float64, len(reg))
-	densities := make(map[string]float64, len(reg))
-	for n := range reg {
-		marginals[n] = s.arb.Marginal(n)
-		densities[n] = s.arb.Density(n)
+	out.Moves, out.LastMove = s.arb.moves, s.arb.lastMove
+	signals := make(map[string]arbiterTenant, len(s.arb.tenants))
+	for n, st := range s.arb.tenants {
+		signals[n] = *st
 	}
 	s.arbMu.Unlock()
 	for n, e := range reg {
-		res := e.tenant.ReservedBytes()
+		res := e.tenant.reserved
 		out.Tenants[n] = ArbiterTenantStats{
 			Arbitrated:         e.tenant.Mode() == AllocMemshare,
 			LeasePages:         ps.Leases[n],
 			ReservedBytes:      res,
 			ReservedPages:      (res + s.pa.pageSize - 1) / s.pa.pageSize,
 			TargetBytes:        e.targetBytes.Load(),
-			MarginalHitPerByte: marginals[n],
-			HitDensityPerByte:  densities[n],
+			MarginalHitPerByte: signals[n].marginal,
+			HitDensityPerByte:  signals[n].density,
 		}
 	}
 	return out

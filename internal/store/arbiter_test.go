@@ -13,61 +13,61 @@ import (
 // hysteresis threshold.
 func TestPlanArbiterMove(t *testing.T) {
 	const step = 1 << 20
-	mk := func(name string, marginal, density float64, target, reserved int64) ArbiterInput {
-		return ArbiterInput{Name: name, Marginal: marginal, Density: density,
-			TargetBytes: target, ReservedBytes: reserved}
+	mk := func(name string, marginal, density float64, target, reserved int64) arbiterInput {
+		return arbiterInput{name: name, marginal: marginal, density: density,
+			targetBytes: target, reservedBytes: reserved}
 	}
 	t.Run("basic", func(t *testing.T) {
-		ins := []ArbiterInput{
+		ins := []arbiterInput{
 			mk("a", 5e-6, 40e-6, 8<<20, 4<<20),
 			mk("b", 90e-6, 10e-6, 8<<20, 4<<20),
 			mk("c", 2e-6, 5e-6, 8<<20, 4<<20),
 		}
-		d, r, ok := PlanArbiterMove(ins, step, 24.0/(1<<20))
-		if !ok || ins[d].Name != "c" || ins[r].Name != "b" {
+		d, r, ok := planArbiterMove(ins, step, 24.0/(1<<20))
+		if !ok || ins[d].name != "c" || ins[r].name != "b" {
 			t.Fatalf("got donor=%d recipient=%d ok=%v, want c->b", d, r, ok)
 		}
 	})
 	t.Run("floor blocks donor", func(t *testing.T) {
-		ins := []ArbiterInput{
+		ins := []arbiterInput{
 			mk("floor", 0, 0, 4<<20, 4<<20), // lowest density but at its floor
 			mk("next", 1e-6, 5e-6, 8<<20, 4<<20),
 			mk("hot", 90e-6, 50e-6, 8<<20, 4<<20),
 		}
-		d, r, ok := PlanArbiterMove(ins, step, 0)
-		if !ok || ins[d].Name != "next" || ins[r].Name != "hot" {
+		d, r, ok := planArbiterMove(ins, step, 0)
+		if !ok || ins[d].name != "next" || ins[r].name != "hot" {
 			t.Fatalf("got donor=%d recipient=%d ok=%v, want next->hot", d, r, ok)
 		}
 	})
 	t.Run("hysteresis threshold", func(t *testing.T) {
-		ins := []ArbiterInput{
+		ins := []arbiterInput{
 			mk("cold", 0, 10.0/(1<<20), 8<<20, 4<<20),
 			mk("warm", 30.0/(1<<20), 50.0/(1<<20), 8<<20, 4<<20),
 		}
 		// Gap is 20 hits/MiB: below a 24 hits/MiB threshold, above a 16.
-		if _, _, ok := PlanArbiterMove(ins, step, 24.0/(1<<20)); ok {
+		if _, _, ok := planArbiterMove(ins, step, 24.0/(1<<20)); ok {
 			t.Fatal("moved on a gap below the threshold")
 		}
-		if _, _, ok := PlanArbiterMove(ins, step, 16.0/(1<<20)); !ok {
+		if _, _, ok := planArbiterMove(ins, step, 16.0/(1<<20)); !ok {
 			t.Fatal("refused a gap above the threshold")
 		}
 	})
 	t.Run("cooldown", func(t *testing.T) {
 		cold := mk("cold", 0, 0, 8<<20, 4<<20)
 		hot := mk("hot", 90e-6, 50e-6, 8<<20, 4<<20)
-		cold.NoDonate = true
-		if _, _, ok := PlanArbiterMove([]ArbiterInput{cold, hot}, step, 0); ok {
+		cold.noDonate = true
+		if _, _, ok := planArbiterMove([]arbiterInput{cold, hot}, step, 0); ok {
 			t.Fatal("cooled-down donor still donated")
 		}
-		cold.NoDonate = false
-		hot.NoReceive = true
-		if _, _, ok := PlanArbiterMove([]ArbiterInput{cold, hot}, step, 0); ok {
+		cold.noDonate = false
+		hot.noReceive = true
+		if _, _, ok := planArbiterMove([]arbiterInput{cold, hot}, step, 0); ok {
 			t.Fatal("cooled-down recipient still received")
 		}
 	})
 	t.Run("self move rejected", func(t *testing.T) {
-		only := []ArbiterInput{mk("solo", 90e-6, 0, 8<<20, 4<<20)}
-		if _, _, ok := PlanArbiterMove(only, step, 0); ok {
+		only := []arbiterInput{mk("solo", 90e-6, 0, 8<<20, 4<<20)}
+		if _, _, ok := planArbiterMove(only, step, 0); ok {
 			t.Fatal("single tenant arbitraged against itself")
 		}
 	})
@@ -89,7 +89,7 @@ func TestArbiterStateThrash(t *testing.T) {
 		ticks     = 96
 		shadowBig = 400 // shadow-hit delta of whichever tenant is hot
 	)
-	st := NewArbiterState(ArbiterConfig{CooldownTicks: cooldown, MinRateDelta: 24.0 / (1 << 20)}, mib)
+	st := newArbiterState(ArbiterConfig{CooldownTicks: cooldown, MinRateDelta: 24.0 / (1 << 20)}, mib)
 	target := map[string]int64{"a": 8 * mib, "b": 8 * mib}
 	shadow := map[string]int64{}
 	hits := map[string]int64{}
@@ -103,7 +103,7 @@ func TestArbiterStateThrash(t *testing.T) {
 		if (i/period)%2 == 1 {
 			hot = "b"
 		}
-		obs := make([]ArbiterObservation, 0, 2)
+		obs := make([]arbiterObservation, 0, 2)
 		for _, n := range []string{"a", "b"} {
 			if n == hot {
 				shadow[n] += shadowBig
@@ -111,15 +111,15 @@ func TestArbiterStateThrash(t *testing.T) {
 			} else {
 				hits[n] += 50
 			}
-			obs = append(obs, ArbiterObservation{
-				Name: n, ShadowHits: shadow[n], Hits: hits[n],
-				ShadowBytes: mib, TargetBytes: target[n], ReservedBytes: 4 * mib,
+			obs = append(obs, arbiterObservation{
+				name: n, shadowHits: shadow[n], hits: hits[n],
+				shadowBytes: mib, targetBytes: target[n], reservedBytes: 4 * mib,
 			})
 		}
-		if mv, ok := st.Tick(obs); ok {
-			target[mv.Donor] = mv.DonorBytes
-			target[mv.Recipient] = mv.RecipientBytes
-			moves = append(moves, rec{tick: i, donor: mv.Donor})
+		if mv, ok := st.tick(obs); ok {
+			target[mv.donor] = mv.donorBytes
+			target[mv.recipient] = mv.recipientBytes
+			moves = append(moves, rec{tick: i, donor: mv.donor})
 		}
 	}
 	if len(moves) == 0 {
@@ -150,8 +150,8 @@ func TestArbiterStateThrash(t *testing.T) {
 	if flips >= phases {
 		t.Errorf("%d direction reversals in %d phases: more than one per workload flip", flips, phases)
 	}
-	if st.Moves() != int64(len(moves)) {
-		t.Errorf("Moves() = %d, want %d", st.Moves(), len(moves))
+	if st.moves != int64(len(moves)) {
+		t.Errorf("moves = %d, want %d", st.moves, len(moves))
 	}
 	t.Logf("%d moves over %d ticks: %v", len(moves), ticks, moves)
 }
@@ -160,18 +160,18 @@ func TestArbiterStateThrash(t *testing.T) {
 // tenants whose signals differ by less than MinRateDelta never trade pages.
 func TestArbiterStateQuietWorkload(t *testing.T) {
 	const mib = int64(1 << 20)
-	st := NewArbiterState(ArbiterConfig{}, mib)
+	st := newArbiterState(ArbiterConfig{}, mib)
 	var shadowA, shadowB int64
 	for i := 0; i < 50; i++ {
 		// Both tenants see ~the same small shadow signal, below the default
 		// 24 hits/MiB threshold.
 		shadowA += 10
 		shadowB += 12
-		obs := []ArbiterObservation{
-			{Name: "a", ShadowHits: shadowA, ShadowBytes: mib, TargetBytes: 8 * mib, ReservedBytes: 4 * mib},
-			{Name: "b", ShadowHits: shadowB, ShadowBytes: mib, TargetBytes: 8 * mib, ReservedBytes: 4 * mib},
+		obs := []arbiterObservation{
+			{name: "a", shadowHits: shadowA, shadowBytes: mib, targetBytes: 8 * mib, reservedBytes: 4 * mib},
+			{name: "b", shadowHits: shadowB, shadowBytes: mib, targetBytes: 8 * mib, reservedBytes: 4 * mib},
 		}
-		if mv, ok := st.Tick(obs); ok {
+		if mv, ok := st.tick(obs); ok {
 			t.Fatalf("tick %d: moved %+v on a sub-threshold gap", i, mv)
 		}
 	}

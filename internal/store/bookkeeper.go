@@ -120,7 +120,7 @@ const (
 // bk.mu, which is what makes stats and snapshots race-free; in asynchronous
 // mode producers sweep the buffered events at the batch boundary, while in
 // synchronous mode every caller applies its own shard's events before
-// returning (the deterministic path whose semantics the simulator defines).
+// returning (the deterministic path the simulator replays through).
 type bookkeeper struct {
 	tenant *Tenant
 	entry  *tenantEntry

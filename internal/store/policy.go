@@ -11,8 +11,8 @@ package store
 // owns exactly one partitionPolicy and keeps only the mode-independent parts
 // for itself: hit/miss/set counters and the class-indexed stat arrays.
 //
-// Like Tenant itself, policies are single-threaded; the bookkeeper (or the
-// simulator's one goroutine) serializes access.
+// Like Tenant itself, policies are single-threaded; the bookkeeper serializes
+// access.
 
 import (
 	"cliffhanger/internal/cache"
@@ -270,9 +270,11 @@ const grantsPerPage = 4
 // routes left has room only after the next one. (A partition that cliff
 // scaling is shrinking never gets room this way and takes what is left of
 // the reservation.) A key that is already resident asks for nothing, since
-// re-accessing it takes no room; the simulator sends hits through admit as
-// well, and would otherwise grow a full queue on a hit where the store,
-// whose hits never come here, waits for the next miss.
+// re-accessing it takes no room. The store's GET hits never come here, but a
+// re-set of a resident key in the same class does, and so does every hit of
+// Tenant.Access, the combined lookup and fill that only the repository
+// benchmark still calls; without the guard either would grow a full queue
+// where a GET hit waits for the next miss.
 //
 // Hill-climbing capacity changes are applied lazily (on the next miss, per
 // the paper's thrash-avoidance rule), but a grant is applied eagerly here:

@@ -3,6 +3,7 @@ package store_test
 import (
 	"testing"
 
+	"cliffhanger/internal/sim"
 	"cliffhanger/internal/store"
 	"cliffhanger/internal/trace"
 	"cliffhanger/internal/workload"
@@ -50,7 +51,7 @@ func TestArenaLeasesFollowResidencyMemcachier(t *testing.T) {
 			fill := func(tenant string, r trace.Request) {
 				// A value beyond the largest class, or one admission bounces,
 				// is an outcome of the trace, not a failure.
-				_ = s.SetItemBytes(tenant, []byte(r.Key), workload.PadValue(payload, r), 0, 0)
+				_ = s.SetItemBytes(tenant, []byte(r.Key), sim.PadValue(payload, r), 0, 0)
 				classes, err := s.SlabStats(tenant)
 				if err != nil {
 					t.Fatal(err)

@@ -34,7 +34,7 @@ type Config struct {
 	// returns, where asynchronous mode (the default, faster) leaves them
 	// buffered until a shard reaches the batch boundary and one request
 	// sweeps them all. Synchronous mode is deterministic, has no background
-	// reaper or reclaim, and defines what tests and the simulator expect.
+	// reaper or reclaim, and is what tests and the simulator run.
 	SyncBookkeeping bool
 	// Now supplies the expiry clock in unix seconds; nil uses time.Now.
 	// Tests stub it to drive TTL expiry deterministically.
@@ -79,7 +79,7 @@ type Store struct {
 	// arb is the cross-tenant Memshare arbiter's decision engine, guarded
 	// by arbMu.
 	arbMu sync.Mutex
-	arb   *ArbiterState
+	arb   *arbiterState
 }
 
 // item is one entry of the per-shard metadata directory: the value plus the
@@ -432,7 +432,7 @@ func New(cfg Config) *Store {
 	s := &Store{cfg: cfg, pa: newPageAllocator(cfg.Geometry.PageSize)}
 	empty := make(map[string]*tenantEntry)
 	s.tenants.Store(&empty)
-	s.arb = NewArbiterState(cfg.Arbiter, s.pa.pageSize)
+	s.arb = newArbiterState(cfg.Arbiter, s.pa.pageSize)
 	if !cfg.SyncBookkeeping || cfg.Arbiter.Interval > 0 {
 		s.stop, s.done = make(chan struct{}), make(chan struct{})
 		go s.maintain()

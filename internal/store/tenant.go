@@ -12,9 +12,11 @@
 //   - Tenant (this file, with the two policies in policy.go) tracks one
 //     application's cache *structure* — which keys are resident in which
 //     slab class and how memory is divided — without holding values. It is
-//     single-threaded by design: the trace-driven simulator (internal/sim)
-//     drives Tenants directly so that replaying hundreds of millions of
-//     requests is deterministic and does not require materializing values.
+//     single-threaded by design; in a Store only the bookkeeper calls it.
+//     The trace-driven simulator (internal/sim) replays through a
+//     synchronous Store like any other caller, so a simulation holds its
+//     values in the arena too: a Memcachier replay at scale 1 (192 MiB of
+//     reservations) leases 204 one-MiB pages after two million requests.
 //
 //   - Store (store.go) is the data plane the network server runs on. Each
 //     tenant's values live in an N-way key-hash-sharded table with striped
@@ -199,14 +201,16 @@ func (s TenantStats) HitRate() float64 {
 // grown and charged lives in the partitionPolicy (policy.go: classQueues or
 // managedPolicy); the Tenant owns the mode-independent counters. It is not
 // safe for concurrent use; in the Store each tenant's bookkeeper serializes
-// access, and the simulator drives it from a single goroutine.
+// access, and the repository benchmark drives a bare one from a single
+// goroutine.
 type Tenant struct {
 	cfg    TenantConfig
 	geom   *slab.Geometry
 	policy partitionPolicy
 
-	// reserved is the arbiter floor, fixed at construction (the reservation
-	// itself changes as the tenant is resized).
+	// reserved is the arbiter floor: the part of the original reservation
+	// cross-tenant arbitration can never take away, fixed at construction
+	// (the reservation itself changes as the tenant is resized).
 	reserved int64
 
 	// Counters.
@@ -259,32 +263,19 @@ func (t *Tenant) Mode() AllocationMode { return t.cfg.Mode }
 // MemoryBytes returns the tenant's reservation.
 func (t *Tenant) MemoryBytes() int64 { return t.cfg.MemoryBytes }
 
-// ReservedBytes returns the arbiter floor: the part of the original
-// reservation cross-tenant arbitration can never take away. Zero for modes
-// the arbiter does not manage (unless the config set one explicitly).
-func (t *Tenant) ReservedBytes() int64 { return t.reserved }
-
-// ShadowBytes returns the capacity of the tenant's hill-climbing shadow
+// shadowBytes returns the capacity of the tenant's hill-climbing shadow
 // queues after config defaulting — the denominator that converts the
 // shadow-hit count into the marginal hit-rate-per-byte estimate the arbiter
 // ranks tenants by.
-func (t *Tenant) ShadowBytes() int64 {
+func (t *Tenant) shadowBytes() int64 {
 	if sb := t.cfg.Cliffhanger.ShadowBytes; sb > 0 {
 		return sb
 	}
 	return core.DefaultConfig().ShadowBytes
 }
 
-// Hits returns the tenant's cumulative lookup hits — the cheap counter
-// behind Stats().Hits. The arbiter differences it into a per-tick realized
-// hit rate, whose per-byte density bounds what shrinking the tenant can
-// cost (for a concave hit curve the coldest step of memory serves at most
-// the average hits-per-byte).
-func (t *Tenant) Hits() int64 { return t.hits }
-
-// Manager exposes the Cliffhanger manager (nil in unmanaged modes); used by
-// the experiment harness to snapshot per-class capacities over time
-// (Figure 8) and by the arbiter to read the shadow-queue credit signal.
+// Manager exposes the Cliffhanger manager (nil in unmanaged modes); the
+// arbiter reads the shadow-queue credit signal from it.
 func (t *Tenant) Manager() *core.Manager { return t.policy.manager() }
 
 // ClassFor returns the slab class for an item of the given size.
@@ -453,10 +444,11 @@ func evictedOthers(key string, victims []cache.Victim) int64 {
 	return n
 }
 
-// Access performs the demand-fill GET used by the trace-driven simulator: a
-// lookup that, on a miss, immediately admits the key (modelling the
-// application's read-through fill). It returns whether the access hit and
-// any evicted keys.
+// Access performs a demand-fill GET on a bare tenant: a lookup that, on a
+// miss, immediately admits the key (modelling the application's read-through
+// fill). It returns whether the access hit and any evicted keys. The store
+// never calls it (its GET is Lookup, its fill a separate admission); the
+// repository benchmark times it.
 func (t *Tenant) Access(key string, size int64) (bool, []cache.Victim) {
 	class, ok := t.ClassFor(size)
 	if !ok {

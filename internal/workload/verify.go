@@ -14,23 +14,19 @@ import (
 	"cliffhanger/internal/trace"
 )
 
-// This file is the sim-vs-wire cross-check: the proof that the full
-// protocol/server/store stack reproduces the hit-rate curves internal/sim
-// computes, rather than the simulator alone. The same seeded workload is
-// replayed twice — once through sim.Run's trace-driven engine, once over a
-// real TCP socket against an in-process server whose tenants are configured
-// identically (sim.TenantConfigs) — and per-application GET hit rates are
-// compared.
+// This file is the sim-vs-wire cross-check: the proof that the protocol and
+// server layers in front of the store change no hit. The same seeded workload
+// is replayed twice — once through sim.Run, which drives a synchronous store
+// directly, once over a real TCP socket against an in-process server whose
+// synchronous store has identically configured tenants (sim.TenantConfigs) —
+// and per-application GET hit rates are compared.
 //
-// The wire replay mirrors the simulator's demand-fill semantics: a GET miss
-// is followed by a SET of the same key, and values are padded so the charged
-// size (len(key)+len(value)) equals the trace's Size — the size the
-// simulator accounts — so both engines map every item to the same slab
-// class. Replay is a single connection against a SyncBookkeeping store, so
-// the wire side is deterministic. The two paths are not bit-identical by
-// construction (the simulator's combined lookup+fill applies pending page
-// grants on hits during warm-up, where the wire path grows only on the SET
-// that follows a miss), hence a tolerance rather than equality.
+// Both replays issue the same store calls: a GET, a SET of the same key after
+// a miss with the value padded to the trace's Size (sim.PadValue), a SET and
+// a DELETE as the trace has them, and in memshare mode an arbiter tick every
+// store.DefaultArbiterEvery GETs. Replay is a single connection, so the wire
+// side is deterministic too, and the two engines agree exactly in every mode:
+// any nonzero max delta is a bug, and OK reports false on it.
 
 // VerifyConfig configures CrossCheck.
 type VerifyConfig struct {
@@ -48,9 +44,6 @@ type VerifyConfig struct {
 	// same partition — which is the operating point the memshare arbiter is
 	// meant to rescue.
 	AppMemoryOverride map[int]int64
-	// Tolerance is the largest acceptable |wire - sim| per-application
-	// hit-rate difference (default 0.02).
-	Tolerance float64
 }
 
 // VerifyApp is one application's pair of hit rates.
@@ -70,29 +63,24 @@ type VerifyResult struct {
 	SimOverall, WireOverall float64
 	// MaxDelta is the largest per-app hit-rate difference (apps that saw no
 	// GETs are skipped).
-	MaxDelta  float64
-	Tolerance float64
+	MaxDelta float64
 	// Fills counts the wire replay's demand fills (one per GET miss);
 	// RejectedSets counts SETs the server refused as larger than every slab
 	// class — the simulator treats such items as permanent misses, and so,
 	// by construction, does the wire replay.
 	Fills, RejectedSets int64
 	// ArbiterMoves counts the wire store's cross-tenant arbiter moves
-	// (memshare mode only; zero otherwise). The sim side runs the same
-	// decision engine at the same request cadence.
+	// (memshare mode only; zero otherwise). The sim side ticks its own store's
+	// arbiter at the same request cadence.
 	ArbiterMoves int64
 }
 
-// OK reports whether every application matched within tolerance.
-func (r *VerifyResult) OK() bool { return r.MaxDelta <= r.Tolerance }
+// OK reports whether every application's sim and wire hit rates are equal.
+func (r *VerifyResult) OK() bool { return r.MaxDelta == 0 }
 
 // CrossCheck replays the same seeded workload through internal/sim and over
 // a real socket, returning the per-application hit-rate comparison.
 func CrossCheck(cfg VerifyConfig) (*VerifyResult, error) {
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 0.02
-	}
-
 	// Simulator side.
 	wl, err := Open(cfg.Spec, cfg.Options)
 	if err != nil {
@@ -142,13 +130,13 @@ func CrossCheck(cfg VerifyConfig) (*VerifyResult, error) {
 	for _, app := range wl.Apps {
 		counts[app.ID] = &counter{}
 	}
-	res := &VerifyResult{Tolerance: cfg.Tolerance}
+	res := &VerifyResult{}
 	payload := make([]byte, protocol.MaxValueLength)
 	for i := range payload {
 		payload[i] = byte('a' + i%26)
 	}
 	fill := func(r trace.Request) error {
-		err := c.SetWithOptions(r.Key, PadValue(payload, r), 0, 0)
+		err := c.SetWithOptions(r.Key, sim.PadValue(payload, r), 0, 0)
 		if errors.Is(err, protocol.ErrRemote) {
 			// Too large for every slab class: a permanent miss on both
 			// engines, not a replay failure.
@@ -253,19 +241,4 @@ func CrossCheck(cfg VerifyConfig) (*VerifyResult, error) {
 		res.WireOverall = float64(totalHits) / float64(totalReqs)
 	}
 	return res, nil
-}
-
-// PadValue sizes a stored value so the server's charged size
-// (len(key)+len(value)) equals the trace's Size — the size the simulator
-// accounts — clamped to [0, len(payload)]. The replayers share it so wire
-// admissions land in the same slab class as the simulator's.
-func PadValue(payload []byte, r trace.Request) []byte {
-	n := r.Size - int64(len(r.Key))
-	if n < 0 {
-		n = 0
-	}
-	if n > int64(len(payload)) {
-		n = int64(len(payload))
-	}
-	return payload[:n]
 }

@@ -4,80 +4,105 @@ import (
 	"testing"
 
 	"cliffhanger/internal/store"
+	"cliffhanger/internal/trace"
 )
 
 // TestCrossCheckMemcachierSimVsWire is the end-to-end proof the ROADMAP asks
 // for: replaying the seeded Memcachier generator over a real TCP socket
 // (protocol parse, server handlers, sharded store, synchronous bookkeeping)
 // reproduces the per-application hit rates internal/sim computes for the
-// same stream, within the stated tolerance. The two classQueues modes a
-// binary can start are held to exactly equal hit rates: they share one
-// admission path, and nothing else in tier-1 runs them over the wire. The CLI
+// same stream. sim.Run drives the same synchronous store without the socket,
+// so every mode a binary can start must agree exactly. The memshare row runs
+// at the quarter scale and equal split `make arbiter` uses, where the arbiter
+// moves a page, so the two engines' arbiter ticks are compared too. The CLI
 // equivalent is `cliffbench -trace memcachier -verify [-mode ...]`.
 func TestCrossCheckMemcachierSimVsWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays tens of thousands of requests over a socket")
 	}
-	for _, in := range []struct {
-		mode      store.AllocationMode
-		tolerance float64 // 0: sim and wire must agree exactly
-	}{
-		{store.AllocCliffhanger, 0.03},
-		{store.AllocDefault, 0},
-		{store.AllocGlobalLRU, 0},
+	small := VerifyConfig{Spec: "memcachier", Options: Options{Requests: 40000, Seed: 7, Scale: 0.05}}
+	// Every app gets the layout's mean reservation, as cliffbench -hitrate-json
+	// splits it.
+	apps := trace.MemcachierApps(0.25)
+	var totalMB int64
+	for _, a := range apps {
+		totalMB += a.MemoryMB
+	}
+	equal := make(map[int]int64, len(apps))
+	for _, a := range apps {
+		equal[a.ID] = totalMB / int64(len(apps)) << 20
+	}
+	arbitrated := VerifyConfig{Spec: "memcachier", Options: Options{Requests: 100000, Seed: 7, Scale: 0.25},
+		Mode: store.AllocMemshare, AppMemoryOverride: equal}
+	for _, cfg := range []VerifyConfig{
+		withMode(small, store.AllocCliffhanger), withMode(small, store.AllocDefault),
+		withMode(small, store.AllocGlobalLRU), arbitrated,
 	} {
-		t.Run(in.mode.String(), func(t *testing.T) {
-			res, err := CrossCheck(VerifyConfig{
-				Spec:      "memcachier",
-				Options:   Options{Requests: 40000, Seed: 7, Scale: 0.05},
-				Mode:      in.mode,
-				Tolerance: in.tolerance,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(cfg.Mode.String(), func(t *testing.T) {
+			res := crossCheckExact(t, cfg)
 			if len(res.Apps) != 20 {
 				t.Fatalf("compared %d apps, want 20", len(res.Apps))
 			}
-			var reqs int64
-			for _, a := range res.Apps {
-				reqs += a.Requests
-				t.Logf("app%-2d gets=%-6d sim=%.4f wire=%.4f delta=%.4f", a.App, a.Requests, a.Sim, a.Wire, a.Delta())
-			}
-			t.Logf("overall sim=%.4f wire=%.4f maxDelta=%.4f fills=%d rejected=%d",
-				res.SimOverall, res.WireOverall, res.MaxDelta, res.Fills, res.RejectedSets)
-			if reqs == 0 {
-				t.Fatal("wire replay saw no GETs")
-			}
-			// CrossCheck reads a zero tolerance as "use the default", so exact
-			// agreement is asked of MaxDelta itself.
-			if !res.OK() || (in.tolerance == 0 && res.MaxDelta != 0) {
-				t.Fatalf("wire hit rates diverged from sim: max delta %v, tolerance %v", res.MaxDelta, in.tolerance)
+			if cfg.Mode == store.AllocMemshare && res.ArbiterMoves == 0 {
+				t.Fatal("the arbiter never moved a page, so its ticks were not compared")
 			}
 		})
 	}
 }
 
+func withMode(cfg VerifyConfig, mode store.AllocationMode) VerifyConfig {
+	cfg.Mode = mode
+	return cfg
+}
+
+// TestCrossCheckFacebookSimVsWire replays the facebook generator, which draws
+// a new value size for a key on every request, so a key's fills move it
+// between slab classes. Sim and wire must agree exactly: both re-admit a
+// resized key through the store's directory, never holding it twice.
+func TestCrossCheckFacebookSimVsWire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays tens of thousands of requests over a socket")
+	}
+	for _, mode := range []store.AllocationMode{store.AllocDefault, store.AllocCliffhanger} {
+		t.Run(mode.String(), func(t *testing.T) {
+			crossCheckExact(t, VerifyConfig{Spec: "facebook", Mode: mode,
+				Options: Options{Requests: 40000, Seed: 7, Keys: 1 << 14, MemoryMB: 4}})
+		})
+	}
+}
+
+// crossCheckExact runs CrossCheck and fails unless every application's sim
+// and wire hit rates are equal.
+func crossCheckExact(t *testing.T, cfg VerifyConfig) *VerifyResult {
+	t.Helper()
+	res, err := CrossCheck(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs int64
+	for _, a := range res.Apps {
+		reqs += a.Requests
+		t.Logf("app%-2d gets=%-6d sim=%.4f wire=%.4f delta=%.4f", a.App, a.Requests, a.Sim, a.Wire, a.Delta())
+	}
+	t.Logf("overall sim=%.4f wire=%.4f maxDelta=%.4f fills=%d rejected=%d moves=%d",
+		res.SimOverall, res.WireOverall, res.MaxDelta, res.Fills, res.RejectedSets, res.ArbiterMoves)
+	if reqs == 0 {
+		t.Fatal("wire replay saw no GETs")
+	}
+	if !res.OK() {
+		t.Fatalf("wire hit rates diverged from sim: max delta %v", res.MaxDelta)
+	}
+	return res
+}
+
 // TestCrossCheckZipfLowSkew drives the sub-critical zipf source (s = 0.9,
 // impossible with math/rand.Zipf) through the same harness: one tenant, sim
-// and wire must agree.
+// and wire must agree exactly.
 func TestCrossCheckZipfLowSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays tens of thousands of requests over a socket")
 	}
-	res, err := CrossCheck(VerifyConfig{
-		Spec:      "zipf",
-		Options:   Requests20kZipf(),
-		Mode:      store.AllocCliffhanger,
-		Tolerance: 0.02,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("overall sim=%.4f wire=%.4f maxDelta=%.4f", res.SimOverall, res.WireOverall, res.MaxDelta)
-	if !res.OK() {
-		t.Fatalf("zipf wire hit rate diverged: max delta %.4f > tolerance %.4f", res.MaxDelta, res.Tolerance)
-	}
+	res := crossCheckExact(t, VerifyConfig{Spec: "zipf", Options: Requests20kZipf(), Mode: store.AllocCliffhanger})
 	if res.SimOverall <= 0 || res.WireOverall <= 0 {
 		t.Fatalf("implausible hit rates: sim=%.4f wire=%.4f", res.SimOverall, res.WireOverall)
 	}
