@@ -21,7 +21,8 @@ race:
 # keeps-what-fits property, whose store-level twins are in here. The second
 # line is the tenant switch on both sides of the socket: the client's
 # deferred tenant line against scripted and real servers, the server's
-# one-write answer on both front ends, and the two switch alloc gates.
+# one-write answer on both of the front end's wait paths, and the two switch
+# alloc gates.
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/ ./internal/server/
@@ -84,9 +85,10 @@ count:
 	@echo "exported identifiers, internal/store: $$($(call NONTEST,internal/store/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
 	@echo "cliffhangerd flags: $$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/cliffhangerd/main.go)"
 
-# conformance walks every verb over a real socket, checks that both front
-# ends answer a tenant-switching batch in order (the classic one in a single
-# write), then runs the shipped-defaults smoke: a -mode cliffhanger,
+# conformance walks every verb over a real socket, checks that a
+# tenant-switching batch is answered in order and in a single write, whether
+# the connection parks between batches or waits holding a session, then runs the
+# shipped-defaults smoke: a -mode cliffhanger,
 # default:64 store is loaded with 8192 keys that fit thirty times over, and
 # `stats` must report no miss and `stats cliffhanger` no eviction, no relaxed
 # pointer and even partitions. Then the stats schema: every group's field
@@ -118,7 +120,8 @@ fits:
 	GOMAXPROCS=4 $(GO) test -timeout 30m -race -count=$(FITS_RACE_COUNT) -run '$(FITS)' ./internal/store/
 
 # alloccheck runs the testing.AllocsPerRun gates that pin the hot-path
-# allocation floors (GetItemView hit = 0 through protocol+server+store with
+# allocation floors (a batch boundary's session release, netpoller wait and
+# lease = 0 amortized; GetItemView hit = 0 through protocol+server+store with
 # the value streamed zero-copy from an epoch-pinned arena view; GetItemView
 # miss = 0 — the lookup event carries no key;
 # SetItemBytes, cross-class re-set and AppendBytes/PrependBytes = 0 — value
@@ -201,7 +204,9 @@ arbiter: bins
 # driven through resets mid-payload, slow-loris dribbles, half-closed
 # sockets, accept storms and panicking handlers, asserting no panics, no
 # goroutine leaks, exact arena conservation and zero failed requests for the
-# healthy cohort.
+# healthy cohort. Each scenario runs on both wait paths of the front end:
+# connections that park in the netpoller without a session, and connections
+# with no descriptor, which keep theirs.
 chaos:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestChaos' ./internal/server/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/chaos/ ./internal/client/
@@ -225,27 +230,21 @@ drain: bins
 	wait $$bench || true
 
 # connscale is the connection-scale smoke: hold CONNS mostly-idle
-# connections against the classic goroutine-per-connection front end and
-# then against the event-driven parked front end (-workers), a hot cohort
-# measuring p50/p99 all the while, and record both halves in
-# BENCH_conns.json. The gate on the second run requires zero failed
-# requests and >= 8x lower resident bytes per idle connection in parked
-# mode — the number the epoll front end exists for.
+# connections against a daemon at shipped defaults (plus no connection cap and
+# a long idle timeout), a hot cohort measuring p50/p99 and ops/s all the while,
+# and write the run to the git-ignored .bench_build/conns.json. The gate
+# requires zero failed requests and at most 16 KiB resident per connection:
+# an idle connection holds its goroutine but no session buffers.
 CONNS ?= 10000
 CONN_RATE ?= 2000
 connscale: bins
 	@set -e; \
 	addr=127.0.0.1:13225; \
+	mkdir -p .bench_build; \
 	./bin/cliffhangerd -addr $$addr -tenants default:64 -max-conns 0 -idle-timeout 10m & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	sleep 1; \
-	./bin/cliffbench -addr $$addr -conns $(CONNS) -conn-rate $(CONN_RATE) -duration 3s -conns-json BENCH_conns.json; \
-	kill $$pid; wait $$pid || true; \
-	addr=127.0.0.1:13226; \
-	./bin/cliffhangerd -addr $$addr -tenants default:64 -max-conns 0 -idle-timeout 10m -workers 16 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	sleep 1; \
-	./bin/cliffbench -addr $$addr -conns $(CONNS) -conn-rate $(CONN_RATE) -duration 3s -conns-json BENCH_conns.json -conns-gate
+	./bin/cliffbench -addr $$addr -conns $(CONNS) -conn-rate $(CONN_RATE) -duration 3s -conns-json .bench_build/conns.json -conns-gate
 
 # profile is how a performance change's ledger hypothesis is measured (the
 # replayed GET hit's second queue probe, core.(*Queue).find, was found this

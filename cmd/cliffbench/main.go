@@ -24,10 +24,9 @@
 // -conn-rate switches to the connection-scale scenario: ramp -conns
 // mostly-idle connections at that many dials per second, keep a -hot cohort
 // of closed-loop GET clients running, and report their p50/p99 next to the
-// server's resident bytes per connection (from the stats verb). Driving the
-// same run at a -workers 0 daemon and a -workers N daemon fills both halves
-// of the -conns-json report; -conns-gate then enforces the event-driven
-// front end's >= 8x idle-memory reduction and zero failed requests.
+// server's resident bytes per connection (from the stats verb). -conns-json
+// writes the run as JSON; -conns-gate fails it unless every request
+// succeeded and an idle connection cost the server at most 16 KiB.
 //
 // -chaos <spec> replays the workload through an in-process fault-injecting
 // proxy (internal/chaos) between cliffbench and the server: latency, jitter,
@@ -40,7 +39,7 @@
 // Examples:
 //
 //	cliffbench -addr 127.0.0.1:11211 -conns 8 -duration 30s -zipf 0.9
-//	cliffbench -addr 127.0.0.1:11211 -conns 10000 -conn-rate 2000 -conns-json BENCH_conns.json
+//	cliffbench -addr 127.0.0.1:11211 -conns 10000 -conn-rate 2000 -conns-json conns.json
 //	cliffbench -trace memcachier -duration 30s -rate 50000
 //	cliffbench -trace memcachier -verify
 //	cliffbench -duration 10s -chaos 'latency=1ms,chunk=7,reset-prob=0.0002' -tolerate-faults
@@ -98,8 +97,8 @@ func main() {
 		churnMB   = flag.Int64("churn-mb", 32, "reservation in MB for the tenant -churn creates and deletes")
 		connRate  = flag.Float64("conn-rate", 0, "run the connection-scale scenario instead of a load test: ramp -conns mostly-idle connections at this many dials/s (0 disables)")
 		hotConns  = flag.Int("hot", 32, "hot-cohort size for -conn-rate: connections doing closed-loop GETs while the rest idle")
-		connsJSON = flag.String("conns-json", "", "append the -conn-rate run to this JSON report, keyed by front-end mode (empty = log only)")
-		connsGate = flag.Bool("conns-gate", false, "with -conn-rate: exit non-zero unless requests all succeeded and the report shows >= 8x idle bytes/conn reduction")
+		connsJSON = flag.String("conns-json", "", "write the -conn-rate run to this JSON file (empty = log only)")
+		connsGate = flag.Bool("conns-gate", false, "with -conn-rate: exit non-zero unless requests all succeeded and the server held <= 16 KiB per connection")
 		chaosSpec = flag.String("chaos", "", "replay through an in-process fault proxy with this spec, e.g. latency=1ms,chunk=7,reset-prob=0.0002 (empty disables)")
 		tolerate  = flag.Bool("tolerate-faults", false, "count transport failures as graceful worker stops instead of aborting (for -chaos and drain testing)")
 	)

@@ -14,7 +14,7 @@
 // A connection past -max-conns is answered "SERVER_ERROR too many
 // connections" and closed — the daemon sheds load at the accept edge rather
 // than letting the kernel backlog time clients out invisibly. -idle-timeout
-// reaps connections parked between commands (including half-closed sockets
+// reaps connections idle between commands (including half-closed sockets
 // whose FIN never arrived); -read-timeout bounds delivery of a single
 // command once its first byte arrives, so a slow-loris client dribbling a
 // storage payload tears only its own connection; -write-timeout unwedges
@@ -57,22 +57,18 @@
 // every group a name-to-value object of the strings the stats verb sends.
 // The verb's own ops_per_sec is the average since the daemon started.
 //
-// Pass -workers to switch the front end from goroutine-per-connection to
-// the event-driven parked model: a fixed worker pool serves whichever
-// connections have bytes pending while every idle connection is parked on an
-// epoll registration — no goroutine, no buffers — until its next request
-// arrives. -conn-buffers bounds the pool of 64 KiB session buffer pairs the
-// workers lease (default = -workers), so resident memory is O(active
-// sessions) rather than O(connections) and a box can hold hundreds of
-// thousands of mostly-idle connections:
+// One goroutine serves each connection, but a connection holds its 64 KiB
+// session buffers only while it has a batch to answer: between batches its
+// goroutine waits in the runtime's netpoller and the buffers go back to a
+// pool, so an idle connection costs a few KiB (its goroutine's stack) and a
+// box can hold a great many mostly-idle ones:
 //
-//	cliffhangerd -addr :11211 -max-conns 200000 -workers 64 -conn-buffers 64
+//	cliffhangerd -addr :11211 -max-conns 200000 -idle-timeout 10m
 //
 // The front end's live state is visible in stats (and on each -stats-json
-// tick) as parked_connections, active_sessions, buffer_pool_bytes and
-// worker_count. Idle reaping, read/write deadlines and drain semantics are
-// identical in both modes; with -workers 0 (the default) the classic
-// goroutine-per-connection front end is used.
+// tick) as parked_connections (waiting with no session), active_sessions
+// (sessions leased) and buffer_pool_bytes (every session built, leased or
+// pooled).
 //
 // Pass -pprof-addr to expose the net/http/pprof profiling endpoints on a
 // side HTTP listener, e.g.:
@@ -122,8 +118,6 @@ func main() {
 		pprofAddr = flag.String("pprof-addr", "", "HTTP listen address for net/http/pprof profiling endpoints (empty disables)")
 
 		maxConns     = flag.Int("max-conns", 1024, "max simultaneous connections; extras are shed with SERVER_ERROR (0 = unlimited)")
-		workers      = flag.Int("workers", 0, "serve with this many event-driven workers, parking idle connections off goroutines (0 = classic goroutine per connection)")
-		connBuffers  = flag.Int("conn-buffers", 0, "bound on pooled 64 KiB session buffer pairs for -workers mode (0 = same as -workers)")
 		idleTimeout  = flag.Duration("idle-timeout", 5*time.Minute, "close connections idle between commands for this long (0 disables)")
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "max time to deliver one command once its first byte arrives; tears slow-loris clients (0 disables)")
 		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "per-write deadline toward the client; unwedges stuck-reader peers (0 disables)")
@@ -168,18 +162,11 @@ func main() {
 		IdleTimeout:   *idleTimeout,
 		ReadTimeout:   *readTimeout,
 		WriteTimeout:  *writeTimeout,
-		Workers:       *workers,
-		ConnBuffers:   *connBuffers,
 	}, st)
 	if err := srv.Start(); err != nil {
 		logger.Fatal(err)
 	}
-	if *workers > 0 {
-		logger.Printf("listening on %s (max-conns %d, idle-timeout %v, %d event-driven workers)",
-			srv.Addr(), *maxConns, *idleTimeout, *workers)
-	} else {
-		logger.Printf("listening on %s (max-conns %d, idle-timeout %v)", srv.Addr(), *maxConns, *idleTimeout)
-	}
+	logger.Printf("listening on %s (max-conns %d, idle-timeout %v)", srv.Addr(), *maxConns, *idleTimeout)
 
 	if *pprofAddr != "" {
 		go func() {

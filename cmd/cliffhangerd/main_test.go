@@ -162,7 +162,8 @@ func runDaemon(t *testing.T, test, args string) ([]byte, error) {
 
 // TestDaemonFlagSurface pins the daemon's flag set: the names -h prints must
 // be exactly this list, so a new knob means editing it here. There is no
-// -policy: every unmanaged mode evicts by memcached's per-class LRU.
+// -policy: every unmanaged mode evicts by memcached's per-class LRU. There is
+// no -workers either: there is one front end.
 func TestDaemonFlagSurface(t *testing.T) {
 	if args := os.Getenv("CLIFFHANGERD_ARGS"); args != "" {
 		os.Args = append([]string{"cliffhangerd"}, strings.Fields(args)...)
@@ -170,9 +171,9 @@ func TestDaemonFlagSurface(t *testing.T) {
 		return
 	}
 	want := []string{
-		"addr", "arbiter-interval", "conn-buffers", "drain-timeout", "idle-timeout",
-		"max-conns", "mode", "pprof-addr", "read-timeout", "shards", "stats-interval",
-		"stats-json", "sync-bookkeeping", "tenants", "workers", "write-timeout",
+		"addr", "arbiter-interval", "drain-timeout", "idle-timeout", "max-conns", "mode",
+		"pprof-addr", "read-timeout", "shards", "stats-interval", "stats-json",
+		"sync-bookkeeping", "tenants", "write-timeout",
 	}
 	out, _ := runDaemon(t, "TestDaemonFlagSurface", "-h")
 	var got []string
@@ -186,8 +187,10 @@ func TestDaemonFlagSurface(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("daemon flags:\n got %v\nwant %v", got, want)
 	}
-	out, err := runDaemon(t, "TestDaemonFlagSurface", "-policy lru")
-	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -policy") {
-		t.Fatalf("-policy lru: exit %v, output:\n%s", err, out)
+	for _, args := range []string{"-policy lru", "-workers 4"} {
+		out, err := runDaemon(t, "TestDaemonFlagSurface", args)
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+strings.Fields(args)[0]) {
+			t.Fatalf("%s: exit %v, output:\n%s", args, err, out)
+		}
 	}
 }

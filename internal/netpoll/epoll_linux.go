@@ -12,7 +12,7 @@ import (
 // (EPOLLONESHOT): after a readiness event is delivered the fd stays in the
 // interest list but disarmed until Arm issues EPOLL_CTL_MOD. Level-triggered
 // semantics mean a re-arm with bytes already pending fires immediately, so a
-// wake can never be lost to the park/arm race.
+// wake can never be lost to the race between a read and the re-arm.
 //
 // The token travels inside the epoll event itself, packed into the Fd+Pad
 // fields of the user-data union, so the event loop needs no lookup to

@@ -8,9 +8,9 @@ import (
 // goPoller is the portable fallback: one watcher goroutine per registration,
 // blocked inside the runtime's own read-readiness wait (the RawConn.Read
 // return-false-once trick observes readability without consuming a byte).
-// It costs a goroutine per parked connection again — the thing the epoll
-// poller exists to avoid — but it needs nothing platform-specific, so darwin
-// builds and every test of the park/wake state machine can run against it.
+// It costs a goroutine per registration — the thing the epoll poller exists
+// to avoid — but it needs nothing platform-specific, so darwin builds and the
+// package's tests can run against it.
 type goPoller struct {
 	onReady func(uint64)
 
@@ -119,7 +119,7 @@ func (p *goPoller) watch(reg *goReg, token uint64) {
 				return true
 			}
 			checked = true
-			return DataPending(fd)
+			return dataPending(fd)
 		})
 		select {
 		case <-reg.stop:
@@ -128,7 +128,7 @@ func (p *goPoller) watch(reg *goReg, token uint64) {
 		}
 		if err != nil {
 			// The fd was closed or errored underneath us. Deliver one last
-			// wake — the worker's own read surfaces the real error — then
+			// wake — the caller's own read surfaces the real error — then
 			// wait for teardown instead of spinning.
 			p.onReady(token)
 			<-reg.stop
@@ -143,12 +143,11 @@ func (p *goPoller) watch(reg *goReg, token uint64) {
 	}
 }
 
-// DataPending reports whether a read on the (non-blocking) fd would not
+// dataPending reports whether a read on the (non-blocking) fd would not
 // block: buffered bytes, EOF, or a socket error all count as readable. The
-// peek consumes nothing, so callers can probe a socket they are about to
-// hand back to a poller (or have just taken from one) without perturbing
-// the byte stream. It never allocates.
-func DataPending(fd uintptr) bool {
+// peek consumes nothing, so the watcher can probe a socket without
+// perturbing the byte stream. It never allocates.
+func dataPending(fd uintptr) bool {
 	var buf [1]byte
 	n, _, err := syscall.Recvfrom(int(fd), buf[:], syscall.MSG_PEEK)
 	if n > 0 {

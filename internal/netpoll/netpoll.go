@@ -1,14 +1,16 @@
-// Package netpoll is a minimal readiness notifier for parked connections.
-// The server hands it a connection's syscall.RawConn plus an opaque token;
-// when the peer sends data (or half-closes), the poller calls the onReady
-// callback with that token and disarms the registration until Arm re-arms it
-// (one-shot semantics, so a wake is delivered exactly once per park and the
-// poller never races the worker that is busy serving the connection).
+// Package netpoll is a minimal one-shot readiness notifier. It is kept
+// for the benchmark under bench/, whose netpoll.wake_us and
+// netpoll.rearm_ns rows time it; the server waits for its connections in the
+// runtime's own netpoller and does not use it. A caller hands it a
+// connection's syscall.RawConn plus an opaque token; when the peer sends data
+// (or half-closes), the poller calls the onReady callback with that token and
+// disarms the registration until Arm re-arms it (one-shot semantics, so a
+// wake is delivered exactly once per arm).
 //
 // On Linux the implementation is a raw epoll instance (EPOLLIN|EPOLLRDHUP,
-// EPOLLONESHOT) driven by one event-loop goroutine, so a parked connection
-// costs one epoll registration and zero goroutines. Everywhere else — and on
-// Linux for tests, via NewPortable — a goroutine-backed fallback blocks each
+// EPOLLONESHOT) driven by one event-loop goroutine, so a registration costs
+// one epoll entry and zero goroutines. Everywhere else — and on Linux for
+// tests, via NewPortable — a goroutine-backed fallback blocks each
 // registration in RawConn.Read's readiness wait; it is O(goroutines) again
 // but keeps the package and its callers building and testable on any
 // platform.
@@ -30,7 +32,6 @@ package netpoll
 import (
 	"errors"
 	"syscall"
-	"time"
 )
 
 // Poller delivers one readiness event per armed registration.
@@ -51,18 +52,6 @@ type Poller interface {
 
 // ErrClosed is returned by operations on a closed poller.
 var ErrClosed = errors.New("netpoll: poller closed")
-
-// ReadWaiter is a reusable bounded wait for readability on one fd at a time
-// — the primitive behind the server's park linger. Unlike Poller it is
-// synchronous: Wait blocks the caller (in the kernel on Linux) until the fd
-// has pending bytes, EOF, or an error, or the timeout passes, and allocates
-// nothing either way. A waiter is single-threaded: one Wait at a time.
-type ReadWaiter interface {
-	// Wait reports whether fd became readable within timeout.
-	Wait(fd uintptr, timeout time.Duration) bool
-	// Close releases the waiter's resources.
-	Close() error
-}
 
 // New builds the platform poller: epoll on Linux, the goroutine-backed
 // fallback elsewhere.

@@ -32,23 +32,54 @@ import (
 // registered as a backstop, it is idempotent).
 func startGovernedServer(t *testing.T, cfg Config) (*Server, *store.Store) {
 	t.Helper()
+	return chaosMode{Config: cfg}.start(t)
+}
+
+// chaosMode is a governor config and the wait path its connections take.
+type chaosMode struct {
+	Config
+	// fdless hides each accepted connection's descriptor, so the connection
+	// does not wait in the netpoller: it leases a session at once and its
+	// batch's first Read waits holding it, under the idle deadline Read arms.
+	fdless bool
+}
+
+// start boots a server in mode as startGovernedServer does.
+func (m chaosMode) start(t *testing.T) (*Server, *store.Store) {
+	t.Helper()
 	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
 	if err := st.RegisterTenant("default", 32<<20); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Addr = "127.0.0.1:0"
+	cfg := m.Config
 	if cfg.DefaultTenant == "" {
 		cfg.DefaultTenant = "default"
 	}
 	srv := New(cfg, st)
-	if err := srv.Start(); err != nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
+	if m.fdless {
+		ln = fdlessListener{ln}
+	}
+	srv.serve(ln)
 	t.Cleanup(func() {
 		srv.Close()
 		st.Close()
 	})
 	return srv, st
+}
+
+// fdlessListener accepts connections whose descriptors are hidden.
+type fdlessListener struct{ net.Listener }
+
+func (l fdlessListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return struct{ net.Conn }{conn}, nil
 }
 
 // waitGoroutinesBelow asserts the goroutine count settles back to at most
@@ -81,16 +112,17 @@ func waitCond(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// chaosModes runs a chaos scenario against both front ends: the classic
-// goroutine-per-connection model and the event-driven parked model, so every
-// fault shape (RST, slow-loris, half-close, storm, drain) is proven
-// survivable on the polled path too. The scenario receives the mode's base
-// Config and layers its own governor settings on top.
-func chaosModes(t *testing.T, scenario func(t *testing.T, mode Config)) {
-	t.Run("classic", func(t *testing.T) { scenario(t, Config{}) })
-	t.Run("parked", func(t *testing.T) {
-		scenario(t, Config{Workers: 4, ParkLinger: 200 * time.Microsecond})
-	})
+// chaosModes runs a chaos scenario on both wait paths of the front end:
+// "parked", where a connection waits for its next batch in the netpoller with
+// no session, and "classic", where a connection with no descriptor waits in
+// its batch's first Read holding one. Every fault shape (RST, slow-loris,
+// half-close, storm, drain) must be survivable on both, since their idle
+// deadlines, timeouts and drain wake-ups are armed and counted in different
+// places (await, or governedConn.Read and step). The scenario layers its own
+// governor settings on top of the mode.
+func chaosModes(t *testing.T, scenario func(t *testing.T, mode chaosMode)) {
+	t.Run("classic", func(t *testing.T) { scenario(t, chaosMode{fdless: true}) })
+	t.Run("parked", func(t *testing.T) { scenario(t, chaosMode{}) })
 }
 
 // TestChaosStormHealthyCohort is the headline acceptance test: a chaotic
@@ -104,13 +136,13 @@ func TestChaosStormHealthyCohort(t *testing.T) {
 	chaosModes(t, chaosStormHealthyCohort)
 }
 
-func chaosStormHealthyCohort(t *testing.T, mode Config) {
+func chaosStormHealthyCohort(t *testing.T, mode chaosMode) {
 	baseline := runtime.NumGoroutine()
 	mode.MaxConns = 128
 	mode.IdleTimeout = 2 * time.Second
 	mode.ReadTimeout = 2 * time.Second
 	mode.WriteTimeout = 2 * time.Second
-	srv, st := startGovernedServer(t, mode)
+	srv, st := mode.start(t)
 
 	proxy := chaos.New(chaos.Config{
 		Target:          srv.Addr(),
@@ -225,11 +257,11 @@ func TestChaosTornStorageEveryByteBoundary(t *testing.T) {
 	chaosModes(t, chaosTornStorageEveryByteBoundary)
 }
 
-func chaosTornStorageEveryByteBoundary(t *testing.T, mode Config) {
+func chaosTornStorageEveryByteBoundary(t *testing.T, mode chaosMode) {
 	baseline := runtime.NumGoroutine()
 	mode.IdleTimeout = time.Second
 	mode.ReadTimeout = time.Second
-	srv, st := startGovernedServer(t, mode)
+	srv, st := mode.start(t)
 
 	for i := 0; i < len(tornStorageCommand); i++ {
 		conn, err := net.Dial("tcp", srv.Addr())
@@ -276,10 +308,10 @@ func TestChaosTornMidPayloadViaProxy(t *testing.T) {
 	chaosModes(t, chaosTornMidPayloadViaProxy)
 }
 
-func chaosTornMidPayloadViaProxy(t *testing.T, mode Config) {
+func chaosTornMidPayloadViaProxy(t *testing.T, mode chaosMode) {
 	mode.IdleTimeout = time.Second
 	mode.ReadTimeout = time.Second
-	srv, _ := startGovernedServer(t, mode)
+	srv, _ := mode.start(t)
 
 	// Budgets chosen to tear inside the header, at the header/payload seam,
 	// and inside the data block.
@@ -318,11 +350,11 @@ func TestChaosSlowLoris(t *testing.T) {
 	chaosModes(t, chaosSlowLoris)
 }
 
-func chaosSlowLoris(t *testing.T, mode Config) {
+func chaosSlowLoris(t *testing.T, mode chaosMode) {
 	baseline := runtime.NumGoroutine()
 	mode.IdleTimeout = 5 * time.Second
 	mode.ReadTimeout = 300 * time.Millisecond
-	srv, st := startGovernedServer(t, mode)
+	srv, st := mode.start(t)
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -364,9 +396,9 @@ func TestChaosIdleTimeout(t *testing.T) {
 	chaosModes(t, chaosIdleTimeout)
 }
 
-func chaosIdleTimeout(t *testing.T, mode Config) {
+func chaosIdleTimeout(t *testing.T, mode chaosMode) {
 	mode.IdleTimeout = 250 * time.Millisecond
-	srv, _ := startGovernedServer(t, mode)
+	srv, _ := mode.start(t)
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -400,10 +432,10 @@ func TestChaosAcceptStormMaxConns(t *testing.T) {
 	chaosModes(t, chaosAcceptStormMaxConns)
 }
 
-func chaosAcceptStormMaxConns(t *testing.T, mode Config) {
+func chaosAcceptStormMaxConns(t *testing.T, mode chaosMode) {
 	mode.MaxConns = 2
 	mode.IdleTimeout = 10 * time.Second
-	srv, _ := startGovernedServer(t, mode)
+	srv, _ := mode.start(t)
 
 	// Fill both slots with round-tripped (therefore registered) sessions.
 	admitted := make([]*client.Client, 2)
@@ -463,8 +495,8 @@ func TestChaosPanicRecovery(t *testing.T) {
 	chaosModes(t, chaosPanicRecovery)
 }
 
-func chaosPanicRecovery(t *testing.T, mode Config) {
-	srv, _ := startGovernedServer(t, mode)
+func chaosPanicRecovery(t *testing.T, mode chaosMode) {
+	srv, _ := mode.start(t)
 	srv.testHookCommand = func(cmd *protocol.Command) {
 		if len(cmd.Keys) == 1 && string(cmd.Keys[0]) == "boom" {
 			panic("injected handler fault")
@@ -508,9 +540,9 @@ func TestChaosHalfClosedSocket(t *testing.T) {
 	chaosModes(t, chaosHalfClosedSocket)
 }
 
-func chaosHalfClosedSocket(t *testing.T, mode Config) {
+func chaosHalfClosedSocket(t *testing.T, mode chaosMode) {
 	mode.IdleTimeout = 300 * time.Millisecond
-	srv, _ := startGovernedServer(t, mode)
+	srv, _ := mode.start(t)
 
 	proxy := chaos.New(chaos.Config{Target: srv.Addr(), HalfClose: true})
 	if err := proxy.Start(); err != nil {
@@ -545,10 +577,10 @@ func TestChaosShutdownDrainsInFlight(t *testing.T) {
 	chaosModes(t, chaosShutdownDrainsInFlight)
 }
 
-func chaosShutdownDrainsInFlight(t *testing.T, mode Config) {
+func chaosShutdownDrainsInFlight(t *testing.T, mode chaosMode) {
 	baseline := runtime.NumGoroutine()
 	mode.IdleTimeout = 30 * time.Second
-	srv, _ := startGovernedServer(t, mode)
+	srv, _ := mode.start(t)
 
 	// Gate the first command of the batch so Shutdown provably begins while
 	// the batch is in flight: the hook signals when the session is mid-
@@ -622,10 +654,10 @@ func TestChaosShutdownWakesIdleConns(t *testing.T) {
 	chaosModes(t, chaosShutdownWakesIdleConns)
 }
 
-func chaosShutdownWakesIdleConns(t *testing.T, mode Config) {
+func chaosShutdownWakesIdleConns(t *testing.T, mode chaosMode) {
 	baseline := runtime.NumGoroutine()
 	mode.IdleTimeout = time.Hour
-	srv, _ := startGovernedServer(t, mode)
+	srv, _ := mode.start(t)
 
 	conns := make([]net.Conn, 4)
 	for i := range conns {
@@ -670,10 +702,10 @@ func TestChaosShutdownForcesStragglers(t *testing.T) {
 	chaosModes(t, chaosShutdownForcesStragglers)
 }
 
-func chaosShutdownForcesStragglers(t *testing.T, mode Config) {
+func chaosShutdownForcesStragglers(t *testing.T, mode chaosMode) {
 	baseline := runtime.NumGoroutine()
 	mode.IdleTimeout = time.Hour
-	srv, _ := startGovernedServer(t, mode)
+	srv, _ := mode.start(t)
 
 	// Store one value big enough that a deep pipelined GET overfills the
 	// socket buffers of a non-reading client, wedging the session in a write.

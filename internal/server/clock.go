@@ -7,12 +7,3 @@ import "time"
 func nowNano() time.Duration {
 	return time.Duration(time.Now().UnixNano())
 }
-
-// clock is the stubbable wall clock the park reaper compares idle deadlines
-// against (Config.now); everything else keeps using the real clock.
-func (s *Server) clock() time.Time {
-	if s.cfg.now != nil {
-		return s.cfg.now()
-	}
-	return time.Now()
-}

@@ -1,11 +1,13 @@
 package server
 
-// Park/wake torture for the event-driven front end: correctness of the
-// state machine under pipelined batches racing park decisions, torn
-// commands dribbling across park/wake cycles, tenant stickiness, idle
-// reaping through the timer wheel (with a stubbed clock), shutdown with
-// thousands of connections parked, and the allocation gate proving a
-// park/wake cycle costs nothing amortized.
+// Wait/lease torture for the front end: a connection parks at every batch
+// boundary (its session back in the pool, its goroutine in the netpoller)
+// and leases a session again when bytes arrive. These tests pin the cycle
+// under pipelined batches racing the release, torn commands dribbling across
+// waits, tenant stickiness, an idle deadline that a wake which read nothing
+// must not move, shutdown with a thousand connections parked, the pool
+// shrinking as connections close, the gauges, and the allocation gate proving
+// a release/lease cycle costs nothing amortized.
 
 import (
 	"bufio"
@@ -19,39 +21,26 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
+
+	"cliffhanger/internal/protocol"
 )
 
-// parkedConfig is the standard parked-mode governor config for these tests:
-// a small worker pool and a short linger so tests reach the park point fast.
-func parkedConfig() Config {
-	return Config{
-		Workers:    4,
-		ParkLinger: 200 * time.Microsecond,
-	}
-}
-
-// waitParks blocks until the server's lifetime park counter reaches n.
-func waitParks(t *testing.T, srv *Server, n int64) {
-	t.Helper()
-	waitCond(t, func() bool { return srv.parks.Load() >= n }, fmt.Sprintf("parks >= %d", n))
-}
-
-// waitParked blocks until exactly n connections are currently parked. This
-// is the right pre-send barrier: after a response, the park lands one linger
-// later, so "the conn is parked right now" is the state to wait for before
-// poking it awake again.
+// waitParked blocks until exactly n connections wait without a session. A
+// response reaches the client just before its connection releases the
+// session, so this is the barrier to pass before poking a quiet connection.
 func waitParked(t *testing.T, srv *Server, n int64) {
 	t.Helper()
-	waitCond(t, func() bool { return srv.parked.Load() == n }, fmt.Sprintf("parked == %d", n))
+	waitCond(t, func() bool { return srv.ConnStats().ParkedConnections == n }, fmt.Sprintf("parked == %d", n))
 }
 
-// TestParkWakeBasic: one connection cycles park -> wake -> park across
-// requests separated by silence, answering correctly every time, with the
-// parked gauge and park counter moving as the model predicts.
+// TestParkWakeBasic: one connection parks and wakes across requests
+// separated by silence, answering correctly every time, holding no session
+// while quiet, and reusing the one session the pool built.
 func TestParkWakeBasic(t *testing.T) {
-	srv, _ := startGovernedServer(t, parkedConfig())
+	srv, _ := startGovernedServer(t, Config{})
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -68,13 +57,10 @@ func TestParkWakeBasic(t *testing.T) {
 	}
 
 	for i := 1; i <= 5; i++ {
-		// Quiet period: the connection must park (no goroutine, no session).
-		waitParks(t, srv, int64(i))
-		waitCond(t, func() bool { return srv.ConnStats().ParkedConnections == 1 }, "parked gauge")
+		waitParked(t, srv, 1)
 		if got := srv.ConnStats().ActiveSessions; got != 0 {
 			t.Fatalf("active_sessions = %d while parked, want 0", got)
 		}
-		// Wake it: the same session semantics keep working.
 		if _, err := io.WriteString(conn, "get k\r\n"); err != nil {
 			t.Fatal(err)
 		}
@@ -89,22 +75,22 @@ func TestParkWakeBasic(t *testing.T) {
 			t.Fatalf("wake %d: end = %q", i, end)
 		}
 	}
-	if got := srv.ConnStats().WorkerCount; got != 4 {
-		t.Fatalf("worker_count = %d, want 4", got)
-	}
-	if got := srv.ConnStats().BufferPoolBytes; got <= 0 || got > 4*2*sessionBufSize {
-		t.Fatalf("buffer_pool_bytes = %d, want (0, %d]", got, 4*2*sessionBufSize)
+	if got := srv.ConnStats().BufferPoolBytes; got != 2*sessionBufSize {
+		t.Fatalf("buffer_pool_bytes = %d, want one session's %d", got, 2*sessionBufSize)
 	}
 }
 
 // TestParkTenantStickiness: the tenant a connection selected must survive
-// park/wake cycles even though the session serving it is a different pooled
-// object each time.
+// waits even though the session serving each batch comes from the pool.
 func TestParkTenantStickiness(t *testing.T) {
-	srv, st := startGovernedServer(t, parkedConfig())
+	srv, st := startGovernedServer(t, Config{})
 	if err := st.RegisterTenant("app1", 8<<20); err != nil {
 		t.Fatal(err)
 	}
+	// A second connection's batches take sessions from the same pool, so
+	// whatever tenant a pooled session last served, the first connection
+	// must get its own back.
+	other := dialTest(t, srv)
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -124,34 +110,31 @@ func TestParkTenantStickiness(t *testing.T) {
 	}
 
 	roundTrip("tenant app1\r\n", "TENANT")
-	waitParked(t, srv, 1) // park with app1 selected
+	waitParked(t, srv, 2) // park with app1 selected
+	if err := other.Set("sticky", []byte("no")); err != nil {
+		t.Fatal(err)
+	}
 	roundTrip("set sticky 0 0 2\r\nok\r\n", "STORED")
-	waitParked(t, srv, 1) // park again
+	waitParked(t, srv, 2) // park again
 
-	// The key must be visible in app1 (via the store) and the woken session
-	// must still resolve it.
 	v, ok, err := st.GetItemView("app1", []byte("sticky"))
-	v.Release()
-	if err != nil || !ok {
+	if err != nil || !ok || string(v.Value) != "ok" {
 		t.Fatalf("key not in app1: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := st.GetItemView("default", []byte("sticky")); err != nil || ok {
-		t.Fatalf("key leaked to default tenant: ok=%v err=%v", ok, err)
-	}
+	v.Release()
 	roundTrip("get sticky\r\n", "VALUE sticky 0 2")
-	r.ReadString('\n')
+	if data, _ := r.ReadString('\n'); strings.TrimRight(data, "\r\n") != "ok" {
+		t.Fatalf("woken connection read %q from the wrong tenant", data)
+	}
 	r.ReadString('\n')
 }
 
-// TestParkTornCommandAcrossWakes dribbles complete commands byte by byte
-// with inter-byte gaps far beyond the linger, so every command's first byte
-// wakes a parked connection and the remainder arrives while a worker holds
-// it mid-command. Every response must be exact and the connection must have
-// parked between commands.
+// TestParkTornCommandAcrossWakes dribbles complete commands byte by byte,
+// so every command's first byte wakes a parked connection and the rest
+// arrives while it holds a session mid-command. Every response must be exact
+// and the connection must park between commands.
 func TestParkTornCommandAcrossWakes(t *testing.T) {
-	cfg := parkedConfig()
-	cfg.ReadTimeout = 10 * time.Second // mid-command dribble must survive
-	srv, _ := startGovernedServer(t, cfg)
+	srv, _ := startGovernedServer(t, Config{ReadTimeout: 10 * time.Second})
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -168,14 +151,13 @@ func TestParkTornCommandAcrossWakes(t *testing.T) {
 			if _, err := conn.Write([]byte{cmd[j]}); err != nil {
 				t.Fatalf("round %d byte %d: %v", i, j, err)
 			}
-			time.Sleep(2 * time.Millisecond) // >> linger
+			time.Sleep(2 * time.Millisecond)
 		}
 		line, err := r.ReadString('\n')
 		if err != nil || strings.TrimRight(line, "\r\n") != "STORED" {
 			t.Fatalf("round %d: %q, %v", i, line, err)
 		}
 	}
-	// All values landed intact.
 	c := dialTest(t, srv)
 	defer c.Close()
 	for i := 0; i < rounds; i++ {
@@ -187,13 +169,11 @@ func TestParkTornCommandAcrossWakes(t *testing.T) {
 }
 
 // TestParkWakeRaceBatches is the torture race: concurrent connections fire
-// pipelined batches with randomized gaps straddling the linger window, so
-// batches land while connections are parking, just-parked, and waking.
-// Every response must come back exact, under -race.
+// pipelined batches with randomized gaps, so batches land while connections
+// are releasing their sessions, waiting, and leasing again. Every response
+// must come back exact, under -race.
 func TestParkWakeRaceBatches(t *testing.T) {
-	cfg := parkedConfig()
-	cfg.ParkLinger = 100 * time.Microsecond
-	srv, _ := startGovernedServer(t, cfg)
+	srv, _ := startGovernedServer(t, Config{})
 
 	const (
 		conns  = 8
@@ -230,9 +210,6 @@ func TestParkWakeRaceBatches(t *testing.T) {
 						return
 					}
 				}
-				// Gap straddling the linger: sometimes the next batch lands
-				// while still lingering, sometimes just as the park happens,
-				// sometimes well after.
 				time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
 			}
 			errs <- nil
@@ -249,80 +226,200 @@ func TestParkWakeRaceBatches(t *testing.T) {
 	}
 }
 
-// TestParkIdleReapStubClock is the satellite bugfix regression: a parked
-// connection has no goroutine watching a read deadline, so only the timer
-// wheel can enforce IdleTimeout. Advance the stubbed clock past the idle
-// deadline and the reaper must close the parked connection and count it in
-// conn_timeouts — it must not live forever just because it parked.
-func TestParkIdleReapStubClock(t *testing.T) { testParkIdleReap(t, false) }
+// TestIdleConnectionsHoldNoSession: connections that pipelined a set and a
+// get as two segments and then went quiet must all be parked, holding no
+// session: stats counts every one in parked_connections and leases only the
+// stats connection's own session. (That a wake which finds nothing to read
+// leases no session either is pinned by TestParkIdleReapNoDataWake.)
+func TestIdleConnectionsHoldNoSession(t *testing.T) {
+	srv, _ := startGovernedServer(t, Config{})
+	const n = 200
+	for i := 0; i < n; i++ {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		key := fmt.Sprintf("quiet-%d", i)
+		if _, err := fmt.Fprintf(conn, "set %s 0 0 1\r\nx\r\n", key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmt.Fprintf(conn, "get %s\r\n", key); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(conn)
+		for _, want := range []string{"STORED", "VALUE " + key + " 0 1", "x", "END"} {
+			if line, err := r.ReadString('\n'); err != nil || strings.TrimRight(line, "\r\n") != want {
+				t.Fatalf("conn %d: %q (%v), want %q", i, line, err, want)
+			}
+		}
+	}
+	waitParked(t, srv, n)
 
-// TestParkIdleReapNoDataWake: a wake that reads no bytes (spurious readiness)
-// halfway through the idle window re-parks the connection under an already
-// advanced clock. The idle window runs from the last completed command, so
-// the re-park must not restart it.
-func TestParkIdleReapNoDataWake(t *testing.T) { testParkIdleReap(t, true) }
+	stats, err := dialTest(t, srv).Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{"parked_connections": n, "active_sessions": 1, "curr_connections": n + 1} {
+		if got, err := stats.Int(name); err != nil || got != want {
+			t.Errorf("%s = %d (%v), want %d", name, got, err, want)
+		}
+	}
+}
 
-func testParkIdleReap(t *testing.T, noDataWake bool) {
-	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	var fake atomic.Int64
-	fake.Store(start.UnixNano())
-	cfg := parkedConfig()
-	cfg.IdleTimeout = time.Minute
-	cfg.now = func() time.Time { return time.Unix(0, fake.Load()) }
-	srv, _ := startGovernedServer(t, cfg)
+// TestSessionPoolShrinksOnClose: connections serving batches at the same
+// moment each build a session; the pool keeps them while those connections
+// stay open, and sheds them as the connections close, so a burst does not pin
+// 128 KiB per batch for the life of the process.
+func TestSessionPoolShrinksOnClose(t *testing.T) {
+	srv, _ := startGovernedServer(t, Config{})
+	const n = 16
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	srv.testHookCommand = func(*protocol.Command) {
+		if arrived.Add(1) == n {
+			close(all)
+		}
+		<-all
+	}
+	conns := make([]net.Conn, n)
+	for i := range conns {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "version\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = conn
+	}
+	<-all
+	for i, conn := range conns {
+		if line, err := bufio.NewReader(conn).ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION") {
+			t.Fatalf("conn %d: %q (%v)", i, line, err)
+		}
+	}
+	waitParked(t, srv, n)
+	pooled := func(sessions int64) func() bool {
+		return func() bool { return srv.ConnStats().BufferPoolBytes == sessions*2*sessionBufSize }
+	}
+	if !pooled(n)() {
+		t.Fatalf("buffer_pool_bytes = %d after %d concurrent batches, want %d sessions", srv.ConnStats().BufferPoolBytes, n, n)
+	}
 
-	conn, err := net.Dial("tcp", srv.Addr())
+	for _, conn := range conns[n/2:] {
+		conn.Close()
+	}
+	waitCond(t, pooled(n/2), fmt.Sprintf("buffer_pool_bytes to fall to %d sessions with %d connections open", n/2, n/2))
+	for _, conn := range conns[:n/2] {
+		conn.Close()
+	}
+	waitCond(t, pooled(0), "buffer_pool_bytes to fall to 0 with every connection closed")
+}
+
+// probedConn is an accepted connection whose readiness waits a test can
+// count and hold off, and whose read-deadline arms it counts.
+type probedConn struct {
+	net.Conn
+	rc syscall.RawConn
+	// looks counts the wait's looks at the socket, each counted before it
+	// takes hold; a locked hold keeps the look from happening.
+	looks     atomic.Int32
+	hold      sync.Mutex
+	deadlines atomic.Int32
+}
+
+func (c *probedConn) SetReadDeadline(t time.Time) error {
+	c.deadlines.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *probedConn) SyscallConn() (syscall.RawConn, error) { return probedRawConn{c}, nil }
+
+type probedRawConn struct{ c *probedConn }
+
+func (r probedRawConn) Read(f func(uintptr) bool) error {
+	return r.c.rc.Read(func(fd uintptr) bool {
+		r.c.looks.Add(1)
+		r.c.hold.Lock()
+		defer r.c.hold.Unlock()
+		return f(fd)
+	})
+}
+
+func (r probedRawConn) Write(f func(uintptr) bool) error { return r.c.rc.Write(f) }
+func (r probedRawConn) Control(f func(uintptr)) error    { return r.c.rc.Control(f) }
+
+// TestParkIdleReapNoDataWake: a connection woken for a byte that is gone by
+// the time it looks (here a byte the test reads off the socket underneath
+// it) must go back to waiting without a session and without re-arming its
+// idle deadline, which runs from the last batch boundary; when it expires the
+// connection closes and counts in conn_timeouts.
+func TestParkIdleReapNoDataWake(t *testing.T) {
+	const idle = 600 * time.Millisecond
+	srv, _ := startGovernedServer(t, Config{IdleTimeout: idle})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := accepted.(*net.TCPConn).SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed := &probedConn{Conn: accepted, rc: rc}
+	srv.curr.Add(1)
+	srv.wg.Add(1)
+	go srv.serveConn(probed)
+
 	r := bufio.NewReader(conn)
 	io.WriteString(conn, "version\r\n")
 	if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION") {
 		t.Fatalf("version = %q, %v", line, err)
 	}
-	// The response is out, so the gauge can only reach 1 through the park
-	// that follows the command (an earlier accept-time park was undone by
-	// the wake that served it).
 	waitParked(t, srv, 1)
+	time.Sleep(idle / 3) // well inside the wait
+	armed := probed.deadlines.Load()
 
-	// The wheel's deadline for the conn is what the reaper acts on; it must
-	// sit one idle window after the version command whatever happens next.
-	checkDeadline := func(when string) {
-		t.Helper()
-		w := &srv.pr.wheel
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.head == nil || w.head != w.tail {
-			t.Fatalf("%s: wheel does not hold exactly the one parked conn", when)
-		}
-		if want := start.Add(cfg.IdleTimeout); !w.head.deadline.Equal(want) {
-			t.Fatalf("%s: wheel deadline = %v, want %v", when, w.head.deadline, want)
-		}
+	// The byte wakes the wait, which stops at hold before it looks; the test
+	// reads the byte off the socket, then lets the look happen.
+	looked := probed.looks.Load()
+	probed.hold.Lock()
+	if _, err := conn.Write([]byte{'x'}); err != nil {
+		t.Fatal(err)
 	}
-	checkDeadline("after the command")
-
-	// Not yet expired: half the idle window passes, the conn must survive.
-	fake.Add(int64(30 * time.Second))
-	if got := srv.pr.wheel.popExpired(srv.clock(), nil); len(got) != 0 {
-		t.Fatalf("%d conns expired after half the idle window, want 0", len(got))
+	waitCond(t, func() bool { return probed.looks.Load() > looked }, "the byte to wake the wait")
+	var stolen bool
+	for deadline := time.Now().Add(time.Second); !stolen && time.Now().Before(deadline); {
+		rc.Control(func(fd uintptr) {
+			var b [1]byte
+			n, _, _ := syscall.Recvfrom(int(fd), b[:], syscall.MSG_DONTWAIT)
+			stolen = n == 1
+		})
 	}
-	if noDataWake {
-		parks := srv.parks.Load()
-		srv.pr.mu.Lock()
-		var token uint64
-		for token = range srv.pr.conns {
-		}
-		srv.pr.mu.Unlock()
-		srv.connReady(srv.pr, token)
-		waitParks(t, srv, parks+1)
-		checkDeadline("after the no-data wake")
+	probed.hold.Unlock()
+	if !stolen {
+		t.Fatal("the byte never reached the server's socket")
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := srv.ConnStats().ActiveSessions; got != 0 {
+		t.Fatalf("active_sessions = %d after a wake that read nothing, want 0", got)
+	}
+	if got := probed.deadlines.Load(); got != armed {
+		t.Fatalf("a wake that read nothing armed %d read deadlines, want none", got-armed)
 	}
 
-	// Expired: the wheel must reap it even though it parked "just before"
-	// its deadline and owns no goroutine.
-	fake.Add(int64(31 * time.Second))
-	waitCond(t, func() bool { return srv.ConnStats().ConnTimeouts == 1 }, "wheel reap -> conn_timeouts")
+	waitCond(t, func() bool { return srv.ConnStats().ConnTimeouts == 1 }, "idle reap -> conn_timeouts")
 	waitCond(t, func() bool { return srv.ConnStats().CurrConnections == 0 }, "reaped conn released")
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := r.ReadByte(); err == nil {
@@ -330,40 +427,13 @@ func testParkIdleReap(t *testing.T, noDataWake bool) {
 	}
 }
 
-// TestParkWheelDeadlineOrder: the reaper only looks at the head, so add must
-// keep the list in deadline order even when conns arrive out of order (a
-// re-park that served nothing carries an old deadline).
-func TestParkWheelDeadlineOrder(t *testing.T) {
-	base := time.Unix(1000, 0)
-	var w parkWheel
-	conns := make([]*parkedConn, 5)
-	for i, sec := range []int{3, 1, 4, 2, 3} {
-		conns[i] = &parkedConn{token: uint64(sec)}
-		w.add(conns[i], base.Add(time.Duration(sec)*time.Second))
-	}
-	w.remove(conns[3]) // unlink from the middle: deadline 2
-	var got []uint64
-	for _, pc := range w.popExpired(base.Add(3*time.Second), nil) {
-		got = append(got, pc.token)
-	}
-	if fmt.Sprint(got) != "[1 3 3]" {
-		t.Fatalf("popExpired order = %v, want [1 3 3]", got)
-	}
-	if w.head != conns[2] || w.tail != conns[2] || conns[2].prev != nil || conns[2].next != nil {
-		t.Fatalf("wheel should hold only the deadline-4 conn")
-	}
-}
-
 // TestParkShutdownThousandsParked: Shutdown with a thousand-plus parked
 // connections must drain clean — nil error, every peer sees EOF, zero
-// conn_timeouts, zero leaked goroutines — proving the sweep releases parked
-// connections without needing a goroutine per conn to notice the drain.
+// conn_timeouts, zero leaked goroutines — with no session ever leased for
+// them.
 func TestParkShutdownThousandsParked(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	cfg := parkedConfig()
-	cfg.ParkLinger = 100 * time.Microsecond
-	cfg.IdleTimeout = time.Hour
-	srv, _ := startGovernedServer(t, cfg)
+	srv, _ := startGovernedServer(t, Config{IdleTimeout: time.Hour})
 
 	const n = 1200
 	conns := make([]net.Conn, 0, n)
@@ -379,11 +449,9 @@ func TestParkShutdownThousandsParked(t *testing.T) {
 		}
 		conns = append(conns, conn)
 	}
-	waitCond(t, func() bool { return srv.ConnStats().ParkedConnections == n }, "all conns parked")
-	// The whole fleet is parked on the poller: no per-conn goroutines. The
-	// runtime floor is workers + reaper + poller + accept + test plumbing.
-	if g := runtime.NumGoroutine(); g > baseline+16 {
-		t.Fatalf("%d goroutines with %d conns parked, want O(workers)", g, n)
+	waitParked(t, srv, n)
+	if cs := srv.ConnStats(); cs.BufferPoolBytes != 0 {
+		t.Fatalf("buffer_pool_bytes = %d with every conn parked since accept, want 0", cs.BufferPoolBytes)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -403,16 +471,12 @@ func TestParkShutdownThousandsParked(t *testing.T) {
 	waitGoroutinesBelow(t, baseline)
 }
 
-// TestAllocGateParkWake pins the satellite CI gate: a full park/wake cycle —
-// linger timeout, poller re-arm, readiness wake, session lease, serve, park
-// again — allocates nothing amortized. The reaper is off (IdleTimeout 0) so
-// the measurement isn't polluted by ticker wakeups, and the conn is forced
-// through a real park (parks counter) every iteration.
+// TestAllocGateParkWake pins the CI gate on the cycle every batch boundary
+// runs — release the session, arm the idle deadline, wait in the netpoller,
+// lease a session, serve — at 0 allocations amortized. Each iteration waits
+// for the connection to have released its session first.
 func TestAllocGateParkWake(t *testing.T) {
-	cfg := parkedConfig()
-	cfg.Workers = 1
-	cfg.ParkLinger = 100 * time.Microsecond
-	srv, _ := startGovernedServer(t, cfg)
+	srv, _ := startGovernedServer(t, Config{IdleTimeout: time.Minute, ReadTimeout: time.Minute})
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -437,51 +501,46 @@ func TestAllocGateParkWake(t *testing.T) {
 		}
 	}
 	awaitPark := func() {
-		for srv.parked.Load() != 1 {
+		for srv.ConnStats().ParkedConnections != 1 {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
 
-	// Warm up: first wake materializes the session, first park registers
-	// with the poller, the ready queue and scratch buffers size themselves.
+	// Warm up: the first lease builds the session, the scratch buffers size
+	// themselves.
 	for i := 0; i < 10; i++ {
 		awaitPark()
 		roundTrip()
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		awaitPark() // previous iteration's conn must actually park
-		roundTrip() // poller wake -> lease session -> serve batch
+		awaitPark()
+		roundTrip()
 	})
 	if allocs > 0.5 {
-		t.Fatalf("park/wake cycle allocates %.2f/op, want 0 amortized", allocs)
+		t.Fatalf("release/lease cycle allocates %.2f/op, want 0 amortized", allocs)
 	}
 }
 
 // TestParkStatsServed: the front-end gauges travel the whole distance —
-// server atomics -> "stats" wire lines -> the client's reader — and
-// report a truthful picture while three connections sit parked and a fourth
-// is mid-session asking for the stats.
+// pool and connection counts -> "stats" wire lines -> the client's reader —
+// and report a truthful picture while three connections sit parked and a
+// fourth is mid-batch asking for the stats.
 func TestParkStatsServed(t *testing.T) {
-	srv, _ := startGovernedServer(t, parkedConfig())
+	srv, _ := startGovernedServer(t, Config{})
 
-	idle := make([]net.Conn, 3)
-	for i := range idle {
+	for i := 0; i < 3; i++ {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		// A round trip forces the conn through admission and onto a
-		// worker; the following silence parks it.
 		if _, err := fmt.Fprintf(conn, "set statskey%d 0 0 1\r\nx\r\n", i); err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, 16)
-		if _, err := conn.Read(buf); err != nil {
+		if _, err := conn.Read(make([]byte, 16)); err != nil {
 			t.Fatal(err)
 		}
-		idle[i] = conn
 	}
 	waitParked(t, srv, 3)
 
@@ -501,18 +560,15 @@ func TestParkStatsServed(t *testing.T) {
 	if n := gauge("parked_connections"); n != 3 {
 		t.Fatalf("parked_connections = %d, want 3", n)
 	}
-	// The stats request itself is being served, so its session is live.
-	if n := gauge("active_sessions"); n < 1 {
-		t.Fatalf("active_sessions = %d, want >= 1", n)
-	}
-	if n := gauge("worker_count"); n != 4 {
-		t.Fatalf("worker_count = %d, want 4", n)
+	// The stats request itself is being served, so its session is leased.
+	if n := gauge("active_sessions"); n != 1 {
+		t.Fatalf("active_sessions = %d, want 1", n)
 	}
 	if curr, total := gauge("curr_connections"), gauge("total_connections"); curr != 4 || total != 4 {
 		t.Fatalf("curr/total connections = %d/%d, want 4/4", curr, total)
 	}
-	if n, max := gauge("buffer_pool_bytes"), int64(4*2*sessionBufSize); n < 0 || n > max {
-		t.Fatalf("buffer_pool_bytes = %d, want within [0, %d]", n, max)
+	if n, max := gauge("buffer_pool_bytes"), int64(4*2*sessionBufSize); n < 2*sessionBufSize || n > max {
+		t.Fatalf("buffer_pool_bytes = %d, want within [%d, %d]", n, 2*sessionBufSize, max)
 	}
 	if n := gauge("mem_inuse_bytes"); n <= 0 {
 		t.Fatalf("mem_inuse_bytes = %d, want > 0", n)
@@ -521,10 +577,9 @@ func TestParkStatsServed(t *testing.T) {
 		t.Fatalf("panics/rejected = %d/%d, want 0/0", panics, rejected)
 	}
 
-	// Once the stats client falls silent it parks too and the pool holds
-	// every released buffer.
+	// Once the stats client falls silent it parks too.
 	waitParked(t, srv, 4)
-	if got := srv.parked.Load(); got != 4 {
-		t.Fatalf("parked gauge = %d after stats client idles, want 4", got)
+	if got := srv.ConnStats().ActiveSessions; got != 0 {
+		t.Fatalf("active_sessions = %d after the stats client idles, want 0", got)
 	}
 }

@@ -7,8 +7,18 @@
 // hitting the same hot application still proceed in parallel, mirroring how
 // one Cliffhanger instance serves many applications on a Memcachier server.
 //
-// The request path is allocation-free in the steady state: each connection
-// owns a session with a zero-copy protocol.Parser (one reusable Command, keys
+// A connection holds a session (two 64 KiB bufio buffers, the parser and the
+// response scratch) only while it has a batch to serve. At each batch
+// boundary its goroutine puts the session back in a pool and waits for the
+// next byte in the runtime's netpoller, so an idle connection costs its
+// goroutine (a few KiB of stack) and its connection state, not 128 KiB of
+// buffers. The pool grows to the most batches served at once and shrinks as
+// connections close, so there are never more sessions than connections once
+// one has closed. The stats gauges parked_connections and active_sessions
+// count the connections waiting without a session and the sessions leased.
+//
+// The request path is allocation-free in the steady state: each batch runs
+// on a session with a zero-copy protocol.Parser (one reusable Command, keys
 // as []byte), a response scratch buffer that VALUE headers and numeric
 // replies are assembled into with strconv.Append*, and GET responses are
 // streamed one VALUE block at a time as keys are looked up (no []Value
@@ -38,10 +48,10 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"cliffhanger/internal/metrics"
-	"cliffhanger/internal/netpoll"
 	"cliffhanger/internal/protocol"
 	"cliffhanger/internal/store"
 )
@@ -65,8 +75,8 @@ type Config struct {
 	MaxConns int
 	// IdleTimeout bounds how long a connection may sit between commands
 	// waiting for the first byte of the next one. An expired wait closes
-	// the connection and counts in conn_timeouts, freeing the session's
-	// goroutine and buffers. 0 disables the idle check.
+	// the connection and counts in conn_timeouts, freeing its goroutine.
+	// 0 disables the idle check.
 	IdleTimeout time.Duration
 	// ReadTimeout bounds delivery of a single command once its first byte
 	// has arrived: the rest of the line and any storage data block must
@@ -80,27 +90,9 @@ type Config struct {
 	// responses forever. 0 disables it.
 	WriteTimeout time.Duration
 
-	// Workers > 0 enables the event-driven front end: that many worker
-	// goroutines serve ready connections, and a connection with no pending
-	// bytes is parked — registered with an epoll-backed poller while its
-	// goroutine and 64 KiB session buffers return to their pools — so
-	// front-end memory is O(active connections) instead of O(connections).
-	// 0 keeps the classic goroutine-per-connection model.
+	// Workers is ignored: there is one front end. It stays because the
+	// benchmark under bench/ still sets it.
 	Workers int
-	// ConnBuffers caps how many sessions (two 64 KiB bufio buffers each)
-	// the parked front end may materialize; workers block for a free
-	// session past the cap. 0 defaults to Workers. Ignored in classic mode.
-	ConnBuffers int
-	// ParkLinger is how long a worker waits at an empty batch boundary for
-	// the next command before parking the connection (parked mode only).
-	// 0 picks a default tuned to keep closed-loop pipelining on the
-	// blocking fast path (~200µs).
-	ParkLinger time.Duration
-
-	// now is the clock the park reaper compares idle deadlines against;
-	// tests stub it to age parked connections without sleeping. nil means
-	// time.Now.
-	now func() time.Time
 }
 
 // Server serves the memcached-style protocol over TCP.
@@ -128,13 +120,8 @@ type Server struct {
 	timeouts atomic.Int64
 	panics   atomic.Int64
 
-	// Event-driven front end (nil when cfg.Workers == 0). parked and
-	// activeSessions are gauges; parks counts lifetime park transitions
-	// (tests assert park/wake cycling actually happened).
-	pr             *parkedRuntime
-	parked         atomic.Int64
-	activeSessions atomic.Int64
-	parks          atomic.Int64
+	// sessions holds the sessions no connection is serving a batch on.
+	sessions sessionPool
 
 	// testHookCommand, when set by a test, runs after dispatch accounting
 	// for every command. It exists so the per-connection panic recovery can
@@ -164,36 +151,34 @@ type ConnStats struct {
 	// ConnPanics counts sessions torn down by the per-connection panic
 	// recovery (each one would previously have killed the daemon).
 	ConnPanics int64
-	// ParkedConnections is the number of connections currently parked on
-	// the poller (no goroutine, no session buffers). Always 0 in classic
-	// goroutine-per-connection mode.
+	// ParkedConnections is the number of connections waiting for their
+	// next command without a session.
 	ParkedConnections int64
-	// ActiveSessions is the number of sessions currently leased to workers
-	// serving a connection.
+	// ActiveSessions is the number of sessions leased to connections.
 	ActiveSessions int64
-	// BufferPoolBytes is the session pool's buffer footprint (sessions
-	// materialized × two 64 KiB bufio buffers).
+	// BufferPoolBytes is the footprint of every session built, leased or
+	// pooled: two 64 KiB bufio buffers each.
 	BufferPoolBytes int64
-	// WorkerCount is the configured worker-pool size (0 in classic mode).
-	WorkerCount int64
 }
 
-// ConnStats returns the governor's counter snapshot.
+// ConnStats returns the governor's counter snapshot. The session gauges are
+// derived from the pool and the connection count, so serving a batch updates
+// no counter for them.
 func (s *Server) ConnStats() ConnStats {
-	cs := ConnStats{
-		CurrConnections:     s.curr.Load(),
+	s.sessions.mu.Lock()
+	built, pooled := s.sessions.built, int64(len(s.sessions.free))
+	s.sessions.mu.Unlock()
+	curr := s.curr.Load()
+	return ConnStats{
+		CurrConnections:     curr,
 		TotalConnections:    s.total.Load(),
 		RejectedConnections: s.rejected.Load(),
 		ConnTimeouts:        s.timeouts.Load(),
 		ConnPanics:          s.panics.Load(),
-		ParkedConnections:   s.parked.Load(),
-		ActiveSessions:      s.activeSessions.Load(),
+		ParkedConnections:   max(curr-(built-pooled), 0),
+		ActiveSessions:      built - pooled,
+		BufferPoolBytes:     built * 2 * sessionBufSize,
 	}
-	if s.pr != nil {
-		cs.WorkerCount = int64(s.pr.workers)
-		cs.BufferPoolBytes = s.pr.sessions.bytes()
-	}
-	return cs
 }
 
 // New creates a server for the given store.
@@ -217,18 +202,17 @@ func (s *Server) Start() error {
 	if err != nil {
 		return err
 	}
-	if s.cfg.Workers > 0 && s.pr == nil {
-		if err := s.startParkedRuntime(); err != nil {
-			ln.Close()
-			return err
-		}
-	}
+	s.serve(ln)
+	return nil
+}
+
+// serve accepts connections from ln in the background.
+func (s *Server) serve(ln net.Listener) {
 	s.mu.Lock()
 	s.listener = ln
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	return nil
 }
 
 // Addr returns the listener address (useful with ":0").
@@ -250,7 +234,6 @@ func (s *Server) Close() error {
 	if s.closed {
 		s.mu.Unlock()
 		s.wg.Wait()
-		s.closePoller()
 		return nil
 	}
 	s.closed = true
@@ -258,17 +241,11 @@ func (s *Server) Close() error {
 	if s.listener != nil {
 		err = s.listener.Close()
 	}
-	s.mu.Unlock()
-	// Parked connections first (they have no goroutine to notice a close),
-	// then whatever is still actively served.
-	s.stopParkedRuntime()
-	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	s.closePoller()
 	return err
 }
 
@@ -290,15 +267,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.listener.Close()
 	}
 	s.mu.Unlock()
-	// Parked connections sit at a command boundary with nothing buffered in
-	// either direction — every answered batch was already flushed — so
-	// closing them IS their graceful drain. Wakes already queued are still
-	// served: workers drain the ready queue before exiting.
-	s.stopParkedRuntime()
-	// Wake sessions blocked in a read: the expired deadline surfaces as a
-	// timeout, which step() treats as the drain signal (responses already
-	// queued are flushed on the way out). Sessions mid-batch notice the
-	// drain flag at their next batch boundary instead and are not torn.
+	// Wake connections waiting for their next command: the expired deadline
+	// ends the wait as a timeout, which a drain does not count (responses
+	// already queued are flushed on the way out). Sessions mid-batch notice
+	// the drain flag at their next batch boundary instead and are not torn.
 	s.mu.Lock()
 	for c := range s.conns {
 		c.SetReadDeadline(time.Now())
@@ -322,7 +294,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.closePoller()
 	s.store.Flush()
 	if err := s.store.Close(); err != nil {
 		return err
@@ -364,12 +335,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.mu.Unlock()
 		s.total.Add(1)
 		s.curr.Add(1)
-		if s.pr != nil {
-			// Event-driven mode: no goroutine per connection — queue it
-			// for a worker, which serves it and parks it when it idles.
-			s.admitParked(conn)
-			continue
-		}
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
@@ -392,12 +357,12 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // governedConn enforces the governor's deadlines at the transport layer, so
-// neither the parser nor the handlers need to know about time. Reads at a
-// command boundary get the idle deadline; once a command's first byte has
-// arrived, the rest of the command (line and data block) must land by an
-// absolute per-command deadline — re-arming per read would let a slow-loris
-// client stay alive forever at one byte per interval. Writes get a fresh
-// write deadline each call. The session goroutine is the only reader and
+// neither the parser nor the handlers need to know about time. The wait for a
+// command's first byte gets the idle deadline; once that byte has arrived,
+// the rest of the command (line and data block) must land by an absolute
+// per-command deadline — re-arming per read would let a slow-loris client
+// stay alive forever at one byte per interval. Writes get a fresh write
+// deadline each call. The connection's goroutine is the only reader and
 // writer, so the fields need no locking; arming a deadline does not
 // allocate, which keeps the governed path inside the hot-path alloc gates.
 type governedConn struct {
@@ -409,77 +374,36 @@ type governedConn struct {
 	inCommand   bool
 	cmdDeadline time.Time
 	armed       bool
-	// linger > 0 marks the parked-mode transport: a boundary read waits
-	// only this long for the next command's first byte before giving up
-	// with errLingerExpired, which means "park me", not "close me".
-	// Long-term idleness is the park reaper's job there. The wait runs on
-	// the worker's ReadWaiter against the raw fd rather than an armed read
-	// deadline, because a deadline expiry makes the net package allocate an
-	// OpError — which would put one allocation on every park and break the
-	// park/wake alloc gate.
-	linger time.Duration
-	fd     uintptr
-	waiter netpoll.ReadWaiter
-	// lastCmd is the server clock at the parked-mode connection's last batch
-	// boundary: the instant its idle timeout runs from (see Server.park).
-	lastCmd time.Time
+	// ready says await has just seen a byte to read, under the idle
+	// deadline it armed: the read that takes it cannot block, so it arms
+	// nothing.
+	ready bool
 }
 
-// errLingerExpired is the cached sentinel a boundary read returns when the
-// linger window closed with no bytes pending. It satisfies net.Error (it is
-// a timeout in spirit) so generic error handling stays honest, but step
-// matches it by identity before any such handling.
-var errLingerExpired error = lingerExpiredError{}
-
-type lingerExpiredError struct{}
-
-func (lingerExpiredError) Error() string   { return "park linger expired" }
-func (lingerExpiredError) Timeout() bool   { return true }
-func (lingerExpiredError) Temporary() bool { return true }
-
-// lingerWait blocks until the socket has pending bytes (true) or the linger
-// window closes or a drain begins (false). The waiter blocks in the kernel
-// (epoll on one fd), so the scheduler reclaims this worker's P for the
-// goroutines producing those bytes — a userspace spin here would starve an
-// in-process client at GOMAXPROCS=1 and turn every batch into a full
-// park/wake round trip.
-func (g *governedConn) lingerWait() bool {
-	if g.srv != nil && (g.srv.draining.Load() || g.srv.closing.Load()) {
-		return false
+// armIdle arms the wait for a command's first byte: the idle deadline, or
+// none. Shutdown wakes such waits by expiring the deadline; if the drain
+// began after the connection's last look at the flag, the arm just erased
+// that wake-up, so it is expired again.
+func (g *governedConn) armIdle() {
+	if g.idle > 0 {
+		g.Conn.SetReadDeadline(time.Now().Add(g.idle))
+		g.armed = true
+	} else if g.armed {
+		g.Conn.SetReadDeadline(time.Time{})
+		g.armed = false
 	}
-	if g.waiter != nil {
-		return g.waiter.Wait(g.fd, g.linger)
+	if g.srv.draining.Load() {
+		g.Conn.SetReadDeadline(time.Now())
+		g.armed = true
 	}
-	return netpoll.DataPending(g.fd)
 }
 
 func (g *governedConn) Read(p []byte) (int, error) {
 	if !g.inCommand {
-		if g.linger > 0 {
-			// Parked-mode boundary: never block in the kernel here. Either
-			// bytes are already pending (the poller woke us, or the next
-			// pipelined batch landed within the linger) and the read below
-			// returns immediately, or the connection is quiet and the
-			// caller should park it.
-			if g.armed {
-				g.Conn.SetReadDeadline(time.Time{})
-				g.armed = false
-			}
-			if !g.lingerWait() {
-				return 0, errLingerExpired
-			}
-		} else if g.idle > 0 {
-			g.Conn.SetReadDeadline(time.Now().Add(g.idle))
-			g.armed = true
-		} else if g.armed {
-			g.Conn.SetReadDeadline(time.Time{})
-			g.armed = false
-		}
-		// Shutdown wakes blocked readers by expiring their deadline; if
-		// the drain began between the session's batch-boundary check and
-		// the arm above, the arm just erased the wake-up — re-expire.
-		if g.armed && g.srv != nil && g.srv.draining.Load() {
-			g.Conn.SetReadDeadline(time.Now())
+		if g.ready {
+			g.ready = false
+		} else {
+			g.armIdle()
 		}
 		n, err := g.Conn.Read(p)
 		if n > 0 {
@@ -507,12 +431,12 @@ func (g *governedConn) Write(p []byte) (int, error) {
 	return g.Conn.Write(p)
 }
 
-// session is the per-connection state: the buffered reader/writer, the
-// zero-copy parser with its reusable Command, the selected tenant and the
-// response scratch buffer. Value bytes are never copied into the session:
-// GET streams them from an epoch-pinned arena view. Everything a command
-// needs in the steady state is reused across commands, so the request path
-// does not allocate.
+// session is the state a connection serves a batch with: the buffered
+// reader/writer, the zero-copy parser with its reusable Command, the selected
+// tenant and the response scratch buffer. Value bytes are never copied into
+// the session: GET streams them from an epoch-pinned arena view. Everything a
+// command needs in the steady state is reused across commands and, through
+// the pool, across connections, so the request path does not allocate.
 type session struct {
 	srv    *Server
 	r      *bufio.Reader
@@ -520,14 +444,9 @@ type session struct {
 	parser *protocol.Parser
 	tenant string
 	// gc is the governed transport under r and w; nil for in-memory
-	// sessions (tests). step toggles its command/idle phase. In parked
-	// mode gc is rebound per lease (bind/unbind in park.go).
+	// sessions (tests). step toggles its command/idle phase.
 	gc      *governedConn
 	scratch []byte
-	// wantPark is step's signal to the worker's batch loop that the
-	// boundary linger expired with no data — park the connection instead
-	// of closing it.
-	wantPark bool
 	// ops counts commands handled since the last batch boundary, where
 	// publishOps adds them to the server's meter: one shared atomic per
 	// batch, not per command.
@@ -587,24 +506,89 @@ func newSession(s *Server, r *bufio.Reader, w *bufio.Writer) *session {
 	}
 }
 
+// sessionBufSize is the per-direction bufio size of a session.
+const sessionBufSize = 64 << 10
+
+// sessionPool holds the sessions no connection is serving a batch on, the
+// most recently released on top, whose buffers are the likeliest to be in
+// cache. A lease from an empty pool builds a session, so it never waits; a
+// closing connection drops pooled sessions while more exist than connections.
+type sessionPool struct {
+	mu   sync.Mutex
+	free []*session
+	// built counts the sessions that exist, leased or pooled.
+	built int64
+}
+
+// lease hands the connection behind g a session with tenant selected.
+func (s *Server) lease(g *governedConn, tenant string) *session {
+	p := &s.sessions
+	var c *session
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		c = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		p.built++
+	}
+	p.mu.Unlock()
+	if c == nil {
+		c = newSession(s, bufio.NewReaderSize(g, sessionBufSize), bufio.NewWriterSize(g, sessionBufSize))
+	} else {
+		c.r.Reset(g)
+		c.w.Reset(g)
+	}
+	c.gc, c.tenant = g, tenant
+	return c
+}
+
+// release puts c back in the pool. Whatever c still buffers is discarded by
+// the next lease.
+func (s *Server) release(c *session) {
+	s.sessions.mu.Lock()
+	s.sessions.free = append(s.sessions.free, c)
+	s.sessions.mu.Unlock()
+}
+
+// retire is release for a connection that has closed (and left
+// curr_connections): it pools c, if the connection held one, then drops
+// pooled sessions while more exist than connections. The sessions a burst of
+// concurrent batches built so go with the connections that made them.
+func (s *Server) retire(c *session) {
+	p := &s.sessions
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if c != nil {
+		p.free = append(p.free, c)
+	}
+	for n := len(p.free); n > 0 && p.built > s.curr.Load(); n-- {
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.built--
+	}
+}
+
+// serveConn serves one connection on its own goroutine, leasing a session
+// for each batch and waiting for the next one without it.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	var c *session
 	// One poisoned session must never take the daemon down: recover, count,
-	// log, and let the cleanup defer below close the connection. Other
-	// sessions and the store are untouched — the panicking goroutine held
-	// no lock here (store-internal locks are released before values cross
-	// the API boundary).
+	// log, and close the connection. Other sessions and the store are
+	// untouched — the panicking goroutine held no lock here (store-internal
+	// locks are released before values cross the API boundary) — and the
+	// session is safe to pool again, since a lease resets its buffers and the
+	// parser resets per command.
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
 			s.logf("server: panic serving %v: %v\n%s", conn.RemoteAddr(), r, debug.Stack())
 		}
-	}()
-	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		s.curr.Add(-1)
+		s.retire(c)
 		conn.Close()
 	}()
 
@@ -615,12 +599,76 @@ func (s *Server) serveConn(conn net.Conn) {
 		read:  s.cfg.ReadTimeout,
 		write: s.cfg.WriteTimeout,
 	}
-	c := newSession(s,
-		bufio.NewReaderSize(g, sessionBufSize),
-		bufio.NewWriterSize(g, sessionBufSize))
-	c.gc = g
-	for c.step() {
+	rc := rawConn(conn)
+	tenant := s.cfg.DefaultTenant
+	for s.await(g, rc) {
+		c = s.lease(g, tenant)
+		if !c.serveBatch() {
+			return
+		}
+		tenant = c.tenant
+		s.release(c)
+		c = nil
 	}
+}
+
+// rawConn returns the descriptor await waits on, or nil if conn has none.
+func rawConn(conn net.Conn) syscall.RawConn {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return nil
+	}
+	rc, err := sc.SyscallConn()
+	if err != nil {
+		return nil
+	}
+	return rc
+}
+
+// await parks the connection's goroutine in the runtime's netpoller, holding
+// no session, until a byte (or EOF, or an error) is there to read, under the
+// idle deadline armed from this batch boundary. The netpoller is
+// edge-triggered and may report bytes the last batch already read, so every
+// wake peeks again and one that finds nothing goes back to waiting, the
+// deadline unchanged. await reports false when the deadline, a drain or Close
+// ends the wait; an idle expiry outside a drain counts in conn_timeouts. A
+// connection with no descriptor (rc nil) does not wait here: its batch's
+// first Read arms the idle deadline and waits holding the session.
+func (s *Server) await(g *governedConn, rc syscall.RawConn) bool {
+	if rc == nil {
+		return true
+	}
+	g.armIdle()
+	err := rc.Read(readable)
+	if err == nil {
+		g.ready = true
+		return true
+	}
+	if ne, ok := asNetError(err); ok && ne.Timeout() && !s.draining.Load() {
+		s.timeouts.Add(1)
+	}
+	return false
+}
+
+// readable reports whether a read on the non-blocking socket fd would return
+// at once: a byte waiting, EOF or an error. It peeks, so it consumes nothing,
+// and it does not allocate.
+func readable(fd uintptr) bool {
+	var b [1]byte
+	n, _, err := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK)
+	return n > 0 || (err != syscall.EAGAIN && err != syscall.EWOULDBLOCK)
+}
+
+// serveBatch runs commands to the batch boundary (every response flushed,
+// nothing buffered, no command in flight) and reports whether the
+// connection stays open.
+func (c *session) serveBatch() bool {
+	for c.step() {
+		if c.r.Buffered() == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // step reads and executes one command, reporting whether the connection
@@ -639,17 +687,6 @@ func (c *session) step() bool {
 	if err != nil {
 		if errors.Is(err, protocol.ErrQuit) || errors.Is(err, io.EOF) {
 			return false
-		}
-		if errors.Is(err, errLingerExpired) {
-			// Parked mode: the boundary linger closed with no bytes pending —
-			// the connection is quiet, the parser untouched, every response
-			// flushed. Signal the worker to park it rather than close it.
-			// (During a drain the linger aborts early instead; fall through
-			// to the timeout arm below, which flushes and closes.)
-			if !c.srv.draining.Load() {
-				c.wantPark = true
-				return false
-			}
 		}
 		netErr, isNet := asNetError(err)
 		if isNet && netErr.Timeout() {
@@ -691,9 +728,6 @@ func (c *session) step() bool {
 		if err := c.w.Flush(); err != nil {
 			return false
 		}
-		if c.gc != nil && c.gc.linger > 0 {
-			c.gc.lastCmd = c.srv.clock()
-		}
 		// Batch answered and flushed: if a graceful shutdown is in
 		// progress, this is the drain point — exit before blocking on a
 		// next command that may never come.
@@ -707,8 +741,8 @@ func (c *session) step() bool {
 // asNetError is errors.As(err, &netErr) with a fast path: transport errors
 // arrive from the net package unwrapped, so a direct type assertion almost
 // always suffices. The errors.As fallback (whose target escapes, costing an
-// allocation) only runs for wrapped errors, which keeps the per-park linger
-// expiry and other hot error paths allocation-free.
+// allocation) only runs for wrapped errors, which keeps the hot error paths
+// allocation-free.
 func asNetError(err error) (net.Error, bool) {
 	if ne, ok := err.(net.Error); ok {
 		return ne, true
@@ -1058,7 +1092,6 @@ func (s *Server) plainStats(tenant string) (statList, error) {
 	l.num("parked_connections", cs.ParkedConnections)
 	l.num("active_sessions", cs.ActiveSessions)
 	l.num("buffer_pool_bytes", cs.BufferPoolBytes)
-	l.num("worker_count", cs.WorkerCount)
 	l.add("mem_inuse_bytes", strconv.FormatUint(ms.HeapInuse+ms.StackInuse, 10))
 	l.num("arena_bytes", arenaBytes)
 	l.ratio("arena_occupancy", occupancy)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -294,64 +295,51 @@ func TestServerConcurrentClients(t *testing.T) {
 // per operation by amortizing flush syscalls across the batch. allocs/op
 // covers client and server together (they share the process here); the
 // server-side floor is pinned separately by TestAllocGateServerGet.
-// Each depth runs against both front ends: classic goroutine-per-connection
-// and the event-driven parked model, whose linger must keep a closed-loop
-// pipelined client on the blocking fast path. On GOMAXPROCS=1 the parked
-// mode still pays one kernel-blocking readability wait per batch boundary
-// (the worker's thread must hand its P to the client goroutine and win it
-// back), so expect a constant per-batch scheduler-handoff tax there; with
-// spare Ps the wait returns in microseconds and the modes converge.
 func BenchmarkServerPipelined(b *testing.B) {
-	modes := []struct {
-		name    string
-		workers int
-	}{{"classic", 0}, {"parked", 2}}
 	for _, depth := range []int{1, 64} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("depth=%d/%s", depth, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
-				defer st.Close()
-				if err := st.RegisterTenant("default", 64<<20); err != nil {
-					b.Fatal(err)
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
+			defer st.Close()
+			if err := st.RegisterTenant("default", 64<<20); err != nil {
+				b.Fatal(err)
+			}
+			srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default"}, st)
+			if err := srv.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := client.Dial(srv.Addr(), 2*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			const nKeys = 1 << 12
+			keys := make([]string, nKeys)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key-%d", i)
+			}
+			if err := c.PipelineSet(keys, make([]byte, 128)); err != nil {
+				b.Fatal(err)
+			}
+			batch := make([]string, depth)
+			discard := func(int, []byte, uint32, uint64, []byte) {}
+			b.ResetTimer()
+			for done := 0; done < b.N; done += depth {
+				for j := range batch {
+					batch[j] = keys[(done+j)&(nKeys-1)]
 				}
-				srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default", Workers: mode.workers}, st)
-				if err := srv.Start(); err != nil {
-					b.Fatal(err)
-				}
-				defer srv.Close()
-				c, err := client.Dial(srv.Addr(), 2*time.Second)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				const nKeys = 1 << 12
-				keys := make([]string, nKeys)
-				for i := range keys {
-					keys[i] = fmt.Sprintf("key-%d", i)
-				}
-				if err := c.PipelineSet(keys, make([]byte, 128)); err != nil {
-					b.Fatal(err)
-				}
-				batch := make([]string, depth)
-				discard := func(int, []byte, uint32, uint64, []byte) {}
-				b.ResetTimer()
-				for done := 0; done < b.N; done += depth {
-					for j := range batch {
-						batch[j] = keys[(done+j)&(nKeys-1)]
-					}
-					if depth == 1 {
-						if _, _, err := c.Get(batch[0]); err != nil {
-							b.Fatal(err)
-						}
-						continue
-					}
-					if err := c.PipelineGetFunc(batch, discard); err != nil {
+				if depth == 1 {
+					if _, _, err := c.Get(batch[0]); err != nil {
 						b.Fatal(err)
 					}
+					continue
 				}
-			})
-		}
+				if err := c.PipelineGetFunc(batch, discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -706,7 +694,7 @@ func TestServerStatsSchema(t *testing.T) {
 	}
 	plain := []string{"tenant", "cmd_get", "get_hits", "get_misses", "hit_rate", "cmd_set", "cmd_touch", "touch_hits",
 		"expired", "ops_per_sec", "curr_connections", "total_connections", "rejected_connections", "conn_timeouts",
-		"conn_panics", "parked_connections", "active_sessions", "buffer_pool_bytes", "worker_count", "mem_inuse_bytes",
+		"conn_panics", "parked_connections", "active_sessions", "buffer_pool_bytes", "mem_inuse_bytes",
 		"arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees",
 		"page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte",
 		"arbiter_moves", "dropped_events", "producer_sweeps", "inline_applies", "replay_probes", "get_p99_us", "set_p99_us"}
@@ -768,13 +756,15 @@ func (c *writeCountingConn) Write(p []byte) (int, error) {
 }
 
 // TestServerProtocolConformanceTenantPipeline pins the server half of the
-// client's free tenant switch on both front ends: tenant lines and the
-// commands behind them, arriving in one segment, are answered in order, each
-// value from the tenant selected just before it. The classic front end must
-// put all four answers in one Write (a client that lets the tenant line ride
-// its command's flush pays one round trip only if the acknowledgement rides
-// the response's); the parked one must also keep the last selection across
-// a park and wake.
+// client's free tenant switch: tenant lines and the commands behind them,
+// arriving in one segment, are answered in order, each value from the tenant
+// selected just before it, and all four answers go out in one Write (a
+// client that lets the tenant line ride its command's flush pays one round
+// trip only if the acknowledgement rides the response's). It runs on both
+// wait paths of the front end: "parked", where the connection puts its
+// session back after the batch and must find its last selection on the next
+// one it leases, and "classic", where a connection with no descriptor leases
+// a session before it waits.
 func TestServerProtocolConformanceTenantPipeline(t *testing.T) {
 	const batch = "tenant a\r\nget k\r\ntenant b\r\nget k\r\n"
 	answers := []string{
@@ -789,17 +779,6 @@ func TestServerProtocolConformanceTenantPipeline(t *testing.T) {
 		"TENANT", `SERVER_ERROR store: unknown tenant "ghost"`,
 		"TENANT", "VALUE k 0 6", "from-a", "END",
 	}
-	load := func(t *testing.T, st *store.Store) {
-		t.Helper()
-		for _, name := range []string{"a", "b"} {
-			if err := st.RegisterTenant(name, 8<<20); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.SetItemBytes(name, []byte("k"), []byte("from-"+name), 0, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	exchange := func(t *testing.T, conn net.Conn, r *bufio.Reader, req string, want ...string) {
 		t.Helper()
 		if _, err := conn.Write([]byte(req)); err != nil {
@@ -813,53 +792,61 @@ func TestServerProtocolConformanceTenantPipeline(t *testing.T) {
 		}
 	}
 
-	t.Run("classic", func(t *testing.T) {
-		srv, st := startGovernedServer(t, Config{})
-		load(t, st)
-		// serveConn is handed the accepted connection through the counter,
-		// as acceptLoop would hand it the bare one.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// serveConn returns on EOF, and srv.Close, which runs later, waits
-		// for it.
-		defer conn.Close()
-		accepted, err := ln.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		counted := &writeCountingConn{Conn: accepted}
-		srv.curr.Add(1)
-		srv.wg.Add(1)
-		go srv.serveConn(counted)
-		r := bufio.NewReader(conn)
-		exchange(t, conn, r, batch, answers...)
-		if n := counted.writes.Load(); n != 1 {
-			t.Errorf("the batch was answered in %d writes, want 1", n)
-		}
-		exchange(t, conn, r, ghost, ghostAnswers...)
-	})
-
-	t.Run("parked", func(t *testing.T) {
-		srv, st := startGovernedServer(t, Config{Workers: 2, ParkLinger: 200 * time.Microsecond})
-		load(t, st)
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		r := bufio.NewReader(conn)
-		exchange(t, conn, r, batch, answers...)
-		waitParked(t, srv, 1)
-		exchange(t, conn, r, "get k\r\n", "VALUE k 0 6", "from-b", "END")
-		exchange(t, conn, r, ghost, ghostAnswers...)
-	})
+	for _, mode := range []struct {
+		name   string
+		fdless bool
+	}{{"classic", true}, {"parked", false}} {
+		t.Run(mode.name, func(t *testing.T) {
+			srv, st := startGovernedServer(t, Config{})
+			for _, name := range []string{"a", "b"} {
+				if err := st.RegisterTenant(name, 8<<20); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.SetItemBytes(name, []byte("k"), []byte("from-"+name), 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// serveConn is handed the accepted connection through the
+			// counter, as acceptLoop would hand it the bare one.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// serveConn returns on EOF, and srv.Close, which runs later,
+			// waits for it.
+			defer conn.Close()
+			accepted, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			counted := &writeCountingConn{Conn: accepted}
+			var served net.Conn = counted
+			if !mode.fdless {
+				served = struct {
+					*writeCountingConn
+					syscall.Conn
+				}{counted, accepted.(*net.TCPConn)}
+			}
+			srv.curr.Add(1)
+			srv.wg.Add(1)
+			go srv.serveConn(served)
+			r := bufio.NewReader(conn)
+			exchange(t, conn, r, batch, answers...)
+			if n := counted.writes.Load(); n != 1 {
+				t.Errorf("the batch was answered in %d writes, want 1", n)
+			}
+			if !mode.fdless {
+				waitParked(t, srv, 1)
+			}
+			exchange(t, conn, r, "get k\r\n", "VALUE k 0 6", "from-b", "END")
+			exchange(t, conn, r, ghost, ghostAnswers...)
+		})
+	}
 }
 
 // TestServerDelayedFlushAllEndToEnd drives the delayed flush_all semantics
