@@ -22,10 +22,14 @@ race:
 # line is the tenant switch on both sides of the socket: the client's
 # deferred tenant line against scripted and real servers, the server's
 # one-write answer on both of the front end's wait paths, and the two switch
-# alloc gates.
+# alloc gates. On internal/server it also runs the wait/lease cycle
+# (TestPark*: a spurious wake leases, reads nothing and waits again) and the
+# lazy deadlines (TestGoverned*: a stale deadline that fires early is re-armed
+# on both wait paths).
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/ ./internal/server/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant|TestPark|TestGoverned' ./internal/server/
 
 # stable is the flake hunt for the packages with real concurrency (in
 # internal/store that includes the asynchronous halves of the
@@ -249,9 +253,14 @@ connscale: bins
 # profile is how a performance change's ledger hypothesis is measured (the
 # replayed GET hit's second queue probe, core.(*Queue).find, was found this
 # way): it starts cliffhangerd at shipped defaults with -pprof-addr on
-# loopback, drives it for 20 s with 64-deep pipelined zipf GETs from two
+# loopback, drives it for 20 s with PIPELINE-deep pipelined zipf GETs from two
 # connections, takes a 10 s CPU profile from the middle of the run into a
-# temporary directory outside the tree and prints its top entries. Not in CI.
+# temporary directory outside the tree and prints its top entries. The
+# default, 64, profiles the store and the replay; `make profile PIPELINE=1`
+# profiles the front end, where each GET is a batch (the wait's peek, the
+# read, the write: server.readable and internal/poll's deadline code show
+# there). PIPELINE is a knob of this recipe, not of the daemon. Not in CI.
+PIPELINE ?= 64
 profile: bins
 	@set -e; \
 	dir=$$(mktemp -d); \
@@ -259,7 +268,7 @@ profile: bins
 	./bin/cliffhangerd -addr $$addr -pprof-addr $$paddr 2>$$dir/daemon.log & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	sleep 1; \
-	./bin/cliffbench -addr $$addr -tenant default -keys 8192 -zipf 0.99 -get-ratio 1 -pipeline 64 -conns 2 -duration 20s > $$dir/bench.log & bench=$$!; \
+	./bin/cliffbench -addr $$addr -tenant default -keys 8192 -zipf 0.99 -get-ratio 1 -pipeline $(PIPELINE) -conns 2 -duration 20s > $$dir/bench.log & bench=$$!; \
 	sleep 5; \
 	$(GO) tool pprof -proto -output $$dir/cpu.pb.gz "http://$$paddr/debug/pprof/profile?seconds=10" 2>/dev/null; \
 	wait $$bench; \

@@ -16,6 +16,9 @@
 // connections close, so there are never more sessions than connections once
 // one has closed. The stats gauges parked_connections and active_sessions
 // count the connections waiting without a session and the sessions leased.
+// At depth 1 a batch costs three syscalls (a peek that finds nothing before
+// the wait, the read after the wake, the write) and, in the steady state, no
+// deadline move: see governedConn and await.
 //
 // The request path is allocation-free in the steady state: each batch runs
 // on a session with a zero-copy protocol.Parser (one reusable Command, keys
@@ -42,6 +45,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -119,6 +123,7 @@ type Server struct {
 	rejected atomic.Int64
 	timeouts atomic.Int64
 	panics   atomic.Int64
+	spurious atomic.Int64
 
 	// sessions holds the sessions no connection is serving a batch on.
 	sessions sessionPool
@@ -154,6 +159,9 @@ type ConnStats struct {
 	// ParkedConnections is the number of connections waiting for their
 	// next command without a session.
 	ParkedConnections int64
+	// SpuriousWakes counts netpoller wakes whose read found nothing: the
+	// connection leased a session for nothing and went back to waiting.
+	SpuriousWakes int64
 	// ActiveSessions is the number of sessions leased to connections.
 	ActiveSessions int64
 	// BufferPoolBytes is the footprint of every session built, leased or
@@ -176,6 +184,7 @@ func (s *Server) ConnStats() ConnStats {
 		ConnTimeouts:        s.timeouts.Load(),
 		ConnPanics:          s.panics.Load(),
 		ParkedConnections:   max(curr-(built-pooled), 0),
+		SpuriousWakes:       s.spurious.Load(),
 		ActiveSessions:      built - pooled,
 		BufferPoolBytes:     built * 2 * sessionBufSize,
 	}
@@ -358,77 +367,194 @@ func (s *Server) logf(format string, args ...any) {
 
 // governedConn enforces the governor's deadlines at the transport layer, so
 // neither the parser nor the handlers need to know about time. The wait for a
-// command's first byte gets the idle deadline; once that byte has arrived,
-// the rest of the command (line and data block) must land by an absolute
-// per-command deadline — re-arming per read would let a slow-loris client
-// stay alive forever at one byte per interval. Writes get a fresh write
-// deadline each call. The connection's goroutine is the only reader and
-// writer, so the fields need no locking; arming a deadline does not
-// allocate, which keeps the governed path inside the hot-path alloc gates.
+// command's first byte is owed the idle deadline, last batch boundary + idle;
+// once that byte has arrived, the rest of the command (line and data block)
+// is owed an absolute per-command deadline, first byte + read — re-arming per
+// read would let a slow-loris client stay alive forever at one byte per
+// interval. Each Write is owed its own start + write.
+//
+// Deadlines are armed lazily. Moving one is a timer-heap operation in the
+// runtime, and at the shipped defaults every batch would move two, so the
+// connection remembers the deadlines it last armed and moves one only when
+// it would fire late: none is armed, or the armed one is later than owed. An
+// armed deadline that fires early (a busy connection's stale idle deadline,
+// say) surfaces as a timeout that never leaves governedConn: it arms the one
+// owed and reads or writes on. A busy connection so arms about one deadline
+// of each kind per period instead of two per batch, and no deadline fires
+// before it is owed.
+//
+// The connection's goroutine is the only reader and writer, so the fields
+// need no locking; nothing here allocates, which keeps the governed path
+// inside the hot-path alloc gates.
 type governedConn struct {
 	net.Conn
-	srv         *Server
-	idle        time.Duration
-	read        time.Duration
-	write       time.Duration
-	inCommand   bool
-	cmdDeadline time.Time
-	armed       bool
-	// ready says await has just seen a byte to read, under the idle
-	// deadline it armed: the read that takes it cannot block, so it arms
-	// nothing.
-	ready bool
+	srv   *Server
+	idle  time.Duration
+	read  time.Duration
+	write time.Duration
+	// rc is the descriptor await waits on; nil for a connection without one.
+	rc        syscall.RawConn
+	inCommand bool
+	// owed is the read deadline the current wait or command is owed; rd and
+	// wd are the read and write deadlines last armed. Zero means none.
+	owed, rd, wd time.Time
+	// looked says await's readiness callback has made its one peek. woken
+	// says await has just returned: the batch's first read does not wait.
+	// spurious says that read found nothing, so the next wait keeps owed.
+	looked, woken, spurious bool
+	// lookFn and readFn are look and readNow, bound once so that a wait and a
+	// read through rc allocate nothing; buf, n and err carry readNow's buffer
+	// and result across the callback.
+	lookFn, readFn func(uintptr) bool
+	buf            []byte
+	n              int
+	err            error
 }
 
-// armIdle arms the wait for a command's first byte: the idle deadline, or
-// none. Shutdown wakes such waits by expiring the deadline; if the drain
-// began after the connection's last look at the flag, the arm just erased
-// that wake-up, so it is expired again.
-func (g *governedConn) armIdle() {
-	if g.idle > 0 {
-		g.Conn.SetReadDeadline(time.Now().Add(g.idle))
-		g.armed = true
-	} else if g.armed {
-		g.Conn.SetReadDeadline(time.Time{})
-		g.armed = false
+// newGovernedConn wraps conn in the server's deadlines.
+func (s *Server) newGovernedConn(conn net.Conn) *governedConn {
+	g := &governedConn{
+		Conn:  conn,
+		srv:   s,
+		idle:  s.cfg.IdleTimeout,
+		read:  s.cfg.ReadTimeout,
+		write: s.cfg.WriteTimeout,
+		rc:    rawConn(conn),
 	}
-	if g.srv.draining.Load() {
-		g.Conn.SetReadDeadline(time.Now())
-		g.armed = true
+	g.lookFn, g.readFn = g.look, g.readNow
+	return g
+}
+
+// after returns the deadline d from now, or none for d = 0.
+func after(d time.Duration) time.Time {
+	if d <= 0 {
+		return time.Time{}
 	}
+	return time.Now().Add(d)
+}
+
+// armLate arms owed if the armed read deadline would fire late.
+func (g *governedConn) armLate() {
+	if !g.owed.IsZero() && (g.rd.IsZero() || g.rd.After(g.owed)) {
+		g.armRead(g.owed)
+	}
+}
+
+// armRead moves the read deadline to t. Shutdown wakes a wait for a command's
+// first byte by expiring its deadline; if the drain began after the
+// connection's last look at the flag, the arm just erased that wake-up, so it
+// is expired again.
+func (g *governedConn) armRead(t time.Time) {
+	g.Conn.SetReadDeadline(t)
+	g.rd = t
+	if !g.inCommand && g.srv.draining.Load() {
+		g.rd = time.Now()
+		g.Conn.SetReadDeadline(g.rd)
+	}
+}
+
+// early reports whether err is an armed read deadline that fired before the
+// one owed, and if so arms owed, so the caller reads again. A drain's expired
+// deadline is never early.
+func (g *governedConn) early(err error) bool {
+	if !errors.Is(err, os.ErrDeadlineExceeded) || g.srv.draining.Load() {
+		return false
+	}
+	if !g.owed.IsZero() && !time.Now().Before(g.owed) {
+		return false
+	}
+	g.armRead(g.owed)
+	return true
 }
 
 func (g *governedConn) Read(p []byte) (int, error) {
-	if !g.inCommand {
-		if g.ready {
-			g.ready = false
-		} else {
-			g.armIdle()
-		}
-		n, err := g.Conn.Read(p)
-		if n > 0 {
-			g.inCommand = true
-			if g.read > 0 {
-				g.cmdDeadline = time.Now().Add(g.read)
+	if !g.inCommand && !g.woken {
+		g.owed = after(g.idle)
+	}
+	for {
+		g.armLate()
+		var n int
+		var err error
+		if g.woken {
+			g.buf = p
+			err = g.rc.Read(g.readFn)
+			if err == nil {
+				n, err = g.n, g.err
 			}
+			g.buf = nil // p is the session's buffer, which the pool may drop
+		} else {
+			n, err = g.Conn.Read(p)
+		}
+		if err != nil && g.early(err) {
+			continue
+		}
+		if g.woken {
+			g.woken = false
+			if err == errSpuriousWake {
+				g.spurious = true
+				g.srv.spurious.Add(1)
+			}
+		}
+		if n > 0 && !g.inCommand {
+			g.inCommand = true
+			g.owed = after(g.read)
 		}
 		return n, err
 	}
-	if g.read > 0 {
-		g.Conn.SetReadDeadline(g.cmdDeadline)
-		g.armed = true
-	} else if g.armed {
-		g.Conn.SetReadDeadline(time.Time{})
-		g.armed = false
-	}
-	return g.Conn.Read(p)
 }
 
-func (g *governedConn) Write(p []byte) (int, error) {
-	if g.write > 0 {
-		g.Conn.SetWriteDeadline(time.Now().Add(g.write))
+// errSpuriousWake is the batch's first read after a netpoller wake that
+// found nothing to read: step ends the batch and the connection waits again.
+var errSpuriousWake = errors.New("server: woken with nothing to read")
+
+// readNow is the RawConn.Read callback of the batch's first read: one read(2)
+// that never waits, since a wake that finds nothing must not hold the
+// session while it waits again.
+func (g *governedConn) readNow(fd uintptr) bool {
+	n, err := syscall.Read(int(fd), g.buf)
+	for err == syscall.EINTR {
+		n, err = syscall.Read(int(fd), g.buf)
 	}
-	return g.Conn.Write(p)
+	switch {
+	case err == syscall.EAGAIN || err == syscall.EWOULDBLOCK:
+		g.n, g.err = 0, errSpuriousWake
+	case err != nil:
+		g.n, g.err = 0, os.NewSyscallError("read", err)
+	case n == 0:
+		g.n, g.err = 0, io.EOF
+	default:
+		g.n, g.err = n, nil
+	}
+	return true
+}
+
+// Write arms start + write only once the armed write deadline has passed.
+// Until then the armed one is earlier, and if it fires first Write arms its
+// own and carries on with the bytes not yet written. That has to happen here,
+// below bufio, whose write errors are sticky.
+func (g *governedConn) Write(p []byte) (int, error) {
+	if g.write <= 0 {
+		return g.Conn.Write(p)
+	}
+	start := time.Now()
+	owed := start.Add(g.write)
+	if !start.Before(g.wd) {
+		g.armWrite(owed)
+	}
+	n := 0
+	for {
+		m, err := g.Conn.Write(p[n:])
+		n += m
+		if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) || !time.Now().Before(owed) {
+			return n, err
+		}
+		g.armWrite(owed)
+	}
+}
+
+func (g *governedConn) armWrite(t time.Time) {
+	g.Conn.SetWriteDeadline(t)
+	g.wd = t
 }
 
 // session is the state a connection serves a batch with: the buffered
@@ -592,16 +718,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	g := &governedConn{
-		Conn:  conn,
-		srv:   s,
-		idle:  s.cfg.IdleTimeout,
-		read:  s.cfg.ReadTimeout,
-		write: s.cfg.WriteTimeout,
-	}
-	rc := rawConn(conn)
+	g := s.newGovernedConn(conn)
 	tenant := s.cfg.DefaultTenant
-	for s.await(g, rc) {
+	for s.await(g) {
 		c = s.lease(g, tenant)
 		if !c.serveBatch() {
 			return
@@ -627,32 +746,61 @@ func rawConn(conn net.Conn) syscall.RawConn {
 
 // await parks the connection's goroutine in the runtime's netpoller, holding
 // no session, until a byte (or EOF, or an error) is there to read, under the
-// idle deadline armed from this batch boundary. The netpoller is
-// edge-triggered and may report bytes the last batch already read, so every
-// wake peeks again and one that finds nothing goes back to waiting, the
-// deadline unchanged. await reports false when the deadline, a drain or Close
-// ends the wait; an idle expiry outside a drain counts in conn_timeouts. A
-// connection with no descriptor (rc nil) does not wait here: its batch's
-// first Read arms the idle deadline and waits holding the session.
-func (s *Server) await(g *governedConn, rc syscall.RawConn) bool {
-	if rc == nil {
+// idle deadline owed from this batch boundary. RawConn.Read clears the
+// readiness the netpoller recorded before it calls look, so look peeks once,
+// for bytes that landed since the last read; after a wake it returns at once
+// and the batch's first read, which does not wait, takes what woke it. The
+// netpoller is edge-triggered and may report bytes the last batch already
+// read: that read then finds nothing (errSpuriousWake, counted in
+// spurious_wakes), the session goes back to the pool and the connection waits
+// here again, still owed the deadline of its last batch boundary. await
+// reports false when the deadline, a drain or Close ends the wait; an idle
+// expiry outside a drain counts in conn_timeouts. A connection with no
+// descriptor does not wait here: its batch's first Read waits holding the
+// session, under the same deadlines.
+func (s *Server) await(g *governedConn) bool {
+	if g.rc == nil {
 		return true
 	}
-	g.armIdle()
-	err := rc.Read(readable)
-	if err == nil {
-		g.ready = true
+	g.inCommand = false
+	if g.spurious {
+		g.spurious = false
+	} else {
+		g.owed = after(g.idle)
+	}
+	for {
+		g.armLate()
+		g.looked = false
+		err := g.rc.Read(g.lookFn)
+		if err == nil {
+			g.woken = true
+			return true
+		}
+		if g.early(err) {
+			continue
+		}
+		if ne, ok := asNetError(err); ok && ne.Timeout() && !s.draining.Load() {
+			s.timeouts.Add(1)
+		}
+		return false
+	}
+}
+
+// look is await's RawConn.Read callback: on its first call it reports
+// whether the socket is readable, and on the call after a wake it reports
+// true without looking.
+func (g *governedConn) look(fd uintptr) bool {
+	if g.looked {
 		return true
 	}
-	if ne, ok := asNetError(err); ok && ne.Timeout() && !s.draining.Load() {
-		s.timeouts.Add(1)
-	}
-	return false
+	g.looked = true
+	return readable(fd)
 }
 
 // readable reports whether a read on the non-blocking socket fd would return
 // at once: a byte waiting, EOF or an error. It peeks, so it consumes nothing,
-// and it does not allocate.
+// and it does not allocate. A wait calls it once, before it parks, and again
+// only after re-arming a deadline that fired early; a wake does not call it.
 func readable(fd uintptr) bool {
 	var b [1]byte
 	n, _, err := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK)
@@ -685,6 +833,11 @@ func (c *session) step() bool {
 	}
 	cmd, err := c.parser.ReadCommand()
 	if err != nil {
+		if errors.Is(err, errSpuriousWake) {
+			// Nothing was read and nothing is buffered, so serveBatch ends
+			// the batch here and the connection waits again.
+			return true
+		}
 		if errors.Is(err, protocol.ErrQuit) || errors.Is(err, io.EOF) {
 			return false
 		}
@@ -1090,6 +1243,7 @@ func (s *Server) plainStats(tenant string) (statList, error) {
 	l.num("conn_timeouts", cs.ConnTimeouts)
 	l.num("conn_panics", cs.ConnPanics)
 	l.num("parked_connections", cs.ParkedConnections)
+	l.num("spurious_wakes", cs.SpuriousWakes)
 	l.num("active_sessions", cs.ActiveSessions)
 	l.num("buffer_pool_bytes", cs.BufferPoolBytes)
 	l.add("mem_inuse_bytes", strconv.FormatUint(ms.HeapInuse+ms.StackInuse, 10))

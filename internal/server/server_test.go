@@ -694,7 +694,7 @@ func TestServerStatsSchema(t *testing.T) {
 	}
 	plain := []string{"tenant", "cmd_get", "get_hits", "get_misses", "hit_rate", "cmd_set", "cmd_touch", "touch_hits",
 		"expired", "ops_per_sec", "curr_connections", "total_connections", "rejected_connections", "conn_timeouts",
-		"conn_panics", "parked_connections", "active_sessions", "buffer_pool_bytes", "mem_inuse_bytes",
+		"conn_panics", "parked_connections", "spurious_wakes", "active_sessions", "buffer_pool_bytes", "mem_inuse_bytes",
 		"arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees",
 		"page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte",
 		"arbiter_moves", "dropped_events", "producer_sweeps", "inline_applies", "replay_probes", "get_p99_us", "set_p99_us"}
