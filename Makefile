@@ -67,9 +67,11 @@ fmt:
 # count prints the numbers ROADMAP tracks for aim 2, so a re-anchor reads them
 # instead of recounting by hand: non-blank Go lines per package with the
 # _test.go share in parentheses, the package count, the accounting plane's
-# surface, the non-test `wc -l` figures ROADMAP quotes and the daemon's flag
-# definitions. "Exported" counts top-level declarations, methods, struct
-# fields and const-block entries of the non-test files, by their gofmt shape.
+# surface, the non-test `wc -l` figures ROADMAP quotes (the replay side:
+# internal/sim + internal/workload + cmd/cliffbench, with its exported
+# identifiers, last) and the daemon's flag definitions. "Exported" counts
+# top-level declarations, methods, struct fields and const-block entries of
+# the non-test files, by their gofmt shape.
 NONTEST = ls $(1) | grep -v _test.go
 count:
 	@for d in $$(find cmd internal bench -name '*.go' -printf '%h\n' | sort -u); do \
@@ -87,6 +89,8 @@ count:
 	@echo "non-test wc -l, internal/cache: $$($(call NONTEST,internal/cache/*.go) | xargs cat | wc -l)"
 	@echo "exported identifiers, internal/cache: $$($(call NONTEST,internal/cache/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
 	@echo "exported identifiers, internal/store: $$($(call NONTEST,internal/store/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
+	@echo "non-test wc -l, internal/sim + internal/workload + cmd/cliffbench: $$($(call NONTEST,internal/sim/*.go internal/workload/*.go cmd/cliffbench/*.go) | xargs cat | wc -l)"
+	@echo "exported identifiers, internal/sim + internal/workload: $$($(call NONTEST,internal/sim/*.go internal/workload/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
 	@echo "cliffhangerd flags: $$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/cliffhangerd/main.go)"
 
 # conformance walks every verb over a real socket, checks that a
@@ -183,10 +187,12 @@ churn: bins
 	sleep 1; \
 	./bin/cliffbench -addr $$addr -churn -duration 8s -conns 4 -keys 60000 -value 900 -tenant-mb 64 -churn-mb 32
 
-# verify cross-checks wire-replay hit rates against internal/sim for the
-# same seeded Memcachier trace and for the facebook generator, whose keys
-# change value size from one request to the next (also covered by the Go
-# tests TestCrossCheckMemcachierSimVsWire and TestCrossCheckFacebookSimVsWire).
+# verify cross-checks a wire replay against internal/sim for the same seeded
+# Memcachier trace and for the facebook generator, whose keys change value
+# size from one request to the next: both halves run sim.Replay, and their
+# results must be equal in every count, per class included (also covered by
+# the Go tests TestCrossCheckMemcachierSimVsWire and
+# TestCrossCheckFacebookSimVsWire).
 verify: bins
 	./bin/cliffbench -trace memcachier -verify -requests 100000 -scale 0.25
 	./bin/cliffbench -trace facebook -verify -requests 100000

@@ -16,8 +16,12 @@
 // omission.
 //
 // -verify runs the sim-vs-wire cross-check instead of a load test: the same
-// seeded trace is replayed through internal/sim and against an in-process
-// server over a real socket, and per-application hit rates must be equal.
+// seeded trace is replayed by sim.Replay, the one replay loop, twice: over a
+// store called directly and, through workload.Wire, over a real socket
+// against an in-process server. It prints per-application hit rates and
+// fails unless the two results are equal in every count, per class included;
+// -mode picks the allocation mode. The load test fills and deletes through
+// the same Wire.
 // -print-tenants prints the cliffhangerd -tenants value
 // matching the chosen trace.
 //
@@ -51,8 +55,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,12 +213,12 @@ func main() {
 	defer wl.Close()
 	// Map multi-app traces onto app<N> server tenants unless the caller
 	// pinned a single tenant.
-	mapApps := len(wl.Apps) > 1 && *tenant == ""
-
-	// payload backs every stored value; content is irrelevant to the cache.
-	payload := make([]byte, protocol.MaxValueLength)
-	for i := range payload {
-		payload[i] = byte('a' + i%26)
+	var tenants map[int]string
+	if len(wl.Apps) > 1 && *tenant == "" {
+		tenants = make(map[int]string, len(wl.Apps))
+		for _, a := range wl.Apps {
+			tenants[a.ID] = workload.TenantName(a.ID)
+		}
 	}
 
 	if *warm && wl.Name == "zipf" {
@@ -237,7 +243,7 @@ func main() {
 			for hi < len(keyspace) && hi-lo < batch && len(keyspace[hi]) == klen {
 				hi++
 			}
-			v := payload[:max(0, *valueSize-klen)]
+			v := sim.PadValue(trace.Request{Key: keyspace[lo], Size: int64(*valueSize)})
 			if err := c.PipelineSetOptions(keyspace[lo:hi], v, 0, *ttl); err != nil {
 				logger.Fatalf("warmup: %v", err)
 			}
@@ -306,13 +312,14 @@ func main() {
 				copts.OpTimeout = 2 * *timeout
 				copts.MaxRetries = 3
 			}
+			c := dialOptions(logger, dialAddr, *tenant, copts)
 			w := &worker{
 				logger:    logger,
-				c:         dialOptions(logger, dialAddr, *tenant, copts),
+				c:         c,
+				wire:      workload.NewWire(c, *ttl),
 				rng:       rand.New(rand.NewSource(*seed + int64(id))),
-				payload:   payload,
 				pipeline:  *pipeline,
-				mapApps:   mapApps,
+				tenants:   tenants,
 				ttl:       *ttl,
 				mutate:    *mutate,
 				tolerate:  *tolerate,
@@ -367,7 +374,7 @@ func main() {
 		fmt.Printf("open loop: target=%.0f req/s achieved=%.0f req/s (latency measured from scheduled send times)\n",
 			*rate, float64(total-fills.Load())/elapsed.Seconds())
 	}
-	if mapApps {
+	if tenants != nil {
 		for _, label := range perApp.Labels() {
 			c := perApp.Counter(label)
 			fmt.Printf("%s gets=%d hit_rate=%.4f\n", label, c.Total(), c.HitRate())
@@ -387,19 +394,21 @@ type reqBatch struct {
 	due  time.Time
 }
 
-// worker owns one connection and its reusable batch state.
+// worker owns one connection and its reusable batch state. Fills and
+// deletes go through wire; pipelined GETs and mutation verbs use c directly.
 type worker struct {
 	logger   *log.Logger
 	c        *client.Client
+	wire     *workload.Wire
 	rng      *rand.Rand
-	payload  []byte
 	pipeline int
-	mapApps  bool
+	// tenants maps an app to its tenant; nil sends everything to the
+	// connection's own tenant.
+	tenants  map[int]string
 	ttl      int64
 	mutate   float64
 	tolerate bool
 
-	curApp  int
 	keys    []string
 	hitbuf  []bool
 	onValue client.IndexedValueFunc
@@ -426,9 +435,7 @@ func (w *worker) processBatch(b reqBatch) error {
 	for i < len(b.reqs) {
 		r := b.reqs[i]
 		if r.Op == trace.OpGet && w.mutate > 0 && w.rng.Float64() < w.mutate {
-			if err := w.selectApp(r.App); err != nil {
-				return err
-			}
+			w.wire.Select(w.tenants[r.App])
 			start := time.Now()
 			if err := w.runMutation(r); err != nil {
 				return err
@@ -452,9 +459,7 @@ func (w *worker) processBatch(b reqBatch) error {
 				w.hitbuf = append(w.hitbuf, false)
 				j++
 			}
-			if err := w.selectApp(r.App); err != nil {
-				return err
-			}
+			w.wire.Select(w.tenants[r.App])
 			start := time.Now()
 			if err := w.c.PipelineGetFunc(w.keys, w.onValue); err != nil {
 				return fmt.Errorf("get: %w", err)
@@ -473,23 +478,20 @@ func (w *worker) processBatch(b reqBatch) error {
 				w.misses.Add(1)
 				w.fills.Add(1)
 				w.ops.Add(1)
-				if err := w.set(b.reqs[i+idx]); err != nil {
+				if err := w.fill(b.reqs[i+idx]); err != nil {
 					return err
 				}
 			}
 			w.hits.Add(batchHits)
-			if w.mapApps {
-				c := w.perApp.Counter(workload.TenantName(r.App))
+			if w.tenants != nil {
+				c := w.perApp.Counter(w.tenants[r.App])
 				c.AddHits(batchHits)
 				c.AddMisses(int64(len(w.keys)) - batchHits)
 			}
 			i = j
 		case trace.OpSet:
-			if err := w.selectApp(r.App); err != nil {
-				return err
-			}
 			start := time.Now()
-			if err := w.set(r); err != nil {
+			if err := w.fill(r); err != nil {
 				return err
 			}
 			if closedLoop {
@@ -498,12 +500,9 @@ func (w *worker) processBatch(b reqBatch) error {
 			w.ops.Add(1)
 			i++
 		case trace.OpDelete:
-			if err := w.selectApp(r.App); err != nil {
-				return err
-			}
 			start := time.Now()
-			if _, err := w.c.Delete(r.Key); err != nil {
-				return fmt.Errorf("delete: %w", err)
+			if err := w.wire.Delete(w.tenants[r.App], r.Key); err != nil {
+				return err
 			}
 			if closedLoop {
 				w.lat.Record(time.Since(start))
@@ -520,31 +519,15 @@ func (w *worker) processBatch(b reqBatch) error {
 	return nil
 }
 
-// set stores r's key with a value sized to the trace's Size; SETs the server
-// rejects (larger than every slab class) are counted, not fatal — the
-// workload legitimately contains such items and they behave as permanent
-// misses, exactly as in the simulator.
-func (w *worker) set(r trace.Request) error {
-	if err := w.c.SetWithOptions(r.Key, sim.PadValue(w.payload, r), 0, w.ttl); err != nil {
-		if errors.Is(err, protocol.ErrRemote) {
-			w.rejected.Add(1)
-			return nil
-		}
-		return fmt.Errorf("set: %w", err)
+// fill is the Wire's padded fill of r's key; a fill the server refuses is
+// counted, not fatal: the workload legitimately contains values larger than
+// every slab class, and they behave as permanent misses, as in the simulator.
+func (w *worker) fill(r trace.Request) error {
+	refused, err := w.wire.Fill(w.tenants[r.App], r)
+	if refused {
+		w.rejected.Add(1)
 	}
-	return nil
-}
-
-// selectApp switches the connection to r's tenant when app mapping is on.
-func (w *worker) selectApp(app int) error {
-	if !w.mapApps || app == w.curApp {
-		return nil
-	}
-	if err := w.c.SelectTenant(workload.TenantName(app)); err != nil {
-		return fmt.Errorf("tenant app%d: %w", app, err)
-	}
-	w.curApp = app
-	return nil
+	return err
 }
 
 // runMutation issues one mutation verb against r's key: a TTL refresh
@@ -562,7 +545,7 @@ func (w *worker) runMutation(r trace.Request) error {
 		if _, err := w.c.Append(r.Key, []byte("+")); err != nil {
 			if errors.Is(err, protocol.ErrRemote) {
 				// Likely grown past the largest slab class: reset the key.
-				return w.set(r)
+				return w.fill(r)
 			}
 			return fmt.Errorf("append: %w", err)
 		}
@@ -580,8 +563,8 @@ func (w *worker) runMutation(r trace.Request) error {
 	return nil
 }
 
-// runVerify executes the sim-vs-wire cross-check and exits non-zero when
-// any application's sim and wire hit rates differ at all.
+// runVerify executes the sim-vs-wire cross-check and exits non-zero when the
+// two results differ in any count.
 func runVerify(logger *log.Logger, spec string, opts workload.Options, modeName string) {
 	mode, err := store.ParseAllocationMode(modeName)
 	if err != nil {
@@ -589,29 +572,30 @@ func runVerify(logger *log.Logger, spec string, opts workload.Options, modeName 
 	}
 	logger.Printf("cross-checking %s (requests=%d seed=%d mode=%s) against internal/sim",
 		spec, opts.Requests, opts.Seed, mode)
-	res, err := workload.CrossCheck(workload.VerifyConfig{Spec: spec, Options: opts, Mode: mode})
+	res, err := workload.CrossCheck(workload.VerifyConfig{Spec: spec, Options: opts, Config: sim.Config{Mode: mode}})
 	if err != nil {
 		logger.Fatal(err)
 	}
-	for _, a := range res.Apps {
+	apps, maxDelta := compareApps(res)
+	for _, a := range apps {
 		fmt.Printf("app%-2d gets=%-8d sim=%.4f wire=%.4f delta=%.4f\n",
-			a.App, a.Requests, a.Sim, a.Wire, a.Delta())
+			a.App, a.Gets, a.Sim, a.Wire, math.Abs(a.Wire-a.Sim))
 	}
-	fmt.Printf("overall: sim=%.4f wire=%.4f max_delta=%.4f fills=%d rejected_sets=%d",
-		res.SimOverall, res.WireOverall, res.MaxDelta, res.Fills, res.RejectedSets)
+	fmt.Printf("overall: sim=%.4f wire=%.4f max_delta=%.4f fills=%d refused=%d",
+		res.Sim.HitRate(), res.Wire.HitRate(), maxDelta, res.Wire.Fills, res.Wire.Refused)
 	if mode == store.AllocMemshare {
-		fmt.Printf(" arbiter_moves=%d", res.ArbiterMoves)
+		fmt.Printf(" arbiter_moves=%d", len(res.Wire.ArbiterMoves))
 	}
 	fmt.Println()
 	if !res.OK() {
-		fmt.Println("verify: FAIL")
+		fmt.Printf("verify: FAIL (%v)\n", res.Mismatch)
 		os.Exit(1)
 	}
 	fmt.Println("verify: PASS")
 }
 
 // hitrateApp is one application's wire/sim hit-rate pair in the head-to-head
-// report.
+// report and in -verify's listing.
 type hitrateApp struct {
 	App  int     `json:"app"`
 	Gets int64   `json:"gets"`
@@ -688,28 +672,25 @@ func runHitrate(logger *log.Logger, spec string, opts workload.Options, path str
 		logger.Printf("head-to-head: replaying %s (requests=%d seed=%d equal_split=%dMiB) under %s",
 			spec, opts.Requests, opts.Seed, equalMB, mode)
 		res, err := workload.CrossCheck(workload.VerifyConfig{
-			Spec: spec, Options: opts, Mode: mode,
-			AppMemoryOverride: override,
+			Spec: spec, Options: opts,
+			Config: sim.Config{Mode: mode, AppMemoryOverride: override},
 		})
 		if err != nil {
 			logger.Fatal(err)
 		}
 		if gate && !res.OK() {
-			fmt.Printf("hitrate gate: FAIL (%s: sim and wire differ by up to %.4f)\n", mode, res.MaxDelta)
+			fmt.Printf("hitrate gate: FAIL (%s: %v)\n", mode, res.Mismatch)
 			os.Exit(1)
 		}
 		m := hitrateMode{
-			SimOverall:   res.SimOverall,
-			WireOverall:  res.WireOverall,
-			MaxDelta:     res.MaxDelta,
-			ArbiterMoves: res.ArbiterMoves,
+			SimOverall:   res.Sim.HitRate(),
+			WireOverall:  res.Wire.HitRate(),
+			ArbiterMoves: int64(len(res.Wire.ArbiterMoves)),
 		}
-		for _, a := range res.Apps {
-			m.Apps = append(m.Apps, hitrateApp{App: a.App, Gets: a.Requests, Sim: a.Sim, Wire: a.Wire})
-		}
+		m.Apps, m.MaxDelta = compareApps(res)
 		report.Modes[mode.String()] = m
 		fmt.Printf("%-11s sim=%.4f wire=%.4f arbiter_moves=%d\n",
-			mode, res.SimOverall, res.WireOverall, res.ArbiterMoves)
+			mode, m.SimOverall, m.WireOverall, m.ArbiterMoves)
 	}
 	report.MemshareGain = report.Modes[store.AllocMemshare.String()].WireOverall -
 		report.Modes[store.AllocCliffhanger.String()].WireOverall
@@ -729,6 +710,24 @@ func runHitrate(logger *log.Logger, spec string, opts workload.Options, path str
 	if gate {
 		fmt.Println("hitrate gate: PASS")
 	}
+}
+
+// compareApps lists each application's GETs and sim and wire hit rates in ID
+// order, with the largest difference between the two.
+func compareApps(res *workload.VerifyResult) ([]hitrateApp, float64) {
+	ids := make([]int, 0, len(res.Sim.Apps))
+	for id := range res.Sim.Apps {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	apps := make([]hitrateApp, 0, len(ids))
+	var maxDelta float64
+	for _, id := range ids {
+		s, w := res.Sim.Apps[id], res.Wire.Apps[id]
+		apps = append(apps, hitrateApp{App: id, Gets: w.Requests, Sim: s.HitRate(), Wire: w.HitRate()})
+		maxDelta = max(maxDelta, math.Abs(w.HitRate()-s.HitRate()))
+	}
+	return apps, maxDelta
 }
 
 func open(logger *log.Logger, spec string, opts workload.Options) *workload.Workload {

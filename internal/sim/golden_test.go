@@ -85,11 +85,11 @@ func TestPolicyGoldenHitRates(t *testing.T) {
 			if tc.mutate != nil {
 				tc.mutate(t, &cfg)
 			}
-			res, err := RunWithGenerator(cfg, tc.requests, 42)
+			res, err := runGenerated(cfg, tc.requests, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			app1 := res.App(1)
+			app1 := res.Apps[1]
 			t.Logf("overall %d hits (%.4f), app1 %d hits (%.4f)",
 				res.TotalHits, res.HitRate(), app1.Hits, app1.HitRate())
 			if res.TotalHits != tc.hits || app1.Hits != tc.app1Hits {

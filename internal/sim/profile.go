@@ -135,11 +135,11 @@ func DynacacheAllocations(profiles map[int]map[int]*ClassProfile, apps []trace.A
 	return out, nil
 }
 
-// AppCurve builds an application-level hit-rate curve (hit rate as a
+// appCurve builds an application-level hit-rate curve (hit rate as a
 // function of the application's total memory in bytes) by running the
 // within-app solver at each sampled budget. This is the two-level Dynacache
 // construction used for cross-application optimization (Table 3).
-func AppCurve(classes map[int]*ClassProfile, budgets []int64, opts solver.Options) (*stackdist.Curve, error) {
+func appCurve(classes map[int]*ClassProfile, budgets []int64, opts solver.Options) (*stackdist.Curve, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("sim: no class profiles")
 	}
@@ -177,7 +177,7 @@ func AppCurve(classes map[int]*ClassProfile, budgets []int64, opts solver.Option
 }
 
 // CrossAppAllocations runs the solver across applications sharing a server:
-// each application is one queue whose curve is its AppCurve, weighted by its
+// each application is one queue whose curve is its appCurve, weighted by its
 // share of requests, and the budget is the sum of the apps' reservations.
 // It returns per-app byte budgets (Table 3).
 func CrossAppAllocations(profiles map[int]map[int]*ClassProfile, apps []trace.AppSpec, opts solver.Options) (map[int]int64, error) {
@@ -196,7 +196,7 @@ func CrossAppAllocations(profiles map[int]map[int]*ClassProfile, apps []trace.Ap
 			budget / 8, budget / 4, budget / 2, budget,
 			budget * 3 / 2, budget * 2, budget * 3, budget * 4,
 		}
-		curve, err := AppCurve(classes, budgets, opts)
+		curve, err := appCurve(classes, budgets, opts)
 		if err != nil {
 			return nil, fmt.Errorf("sim: app curve for app %d: %v", app.ID, err)
 		}

@@ -8,6 +8,9 @@
 // The simulator uses demand-fill semantics: a GET miss is immediately
 // followed by an admission of the same key, modelling the application's
 // read-through fill, which is the standard way to replay cache traces.
+// Replay is that loop, written once: Run drives it over a store called
+// directly, and the sim-vs-wire cross-check (internal/workload) and
+// cliffbench drive the same loop, or its fill, over a client.
 package sim
 
 import (
@@ -51,14 +54,25 @@ type Config struct {
 	WindowSize int64
 	// Arbiter configures the cross-tenant Memshare arbiter for
 	// store.AllocMemshare runs (zero value = store defaults). Its Interval is
-	// ignored: Run ticks the arbiter at a request cadence instead.
+	// ignored: Replay ticks the arbiter at a request cadence instead.
 	Arbiter store.ArbiterConfig
-	// ArbiterEvery is the arbiter tick cadence in demand-fill GET requests
-	// across all apps; 0 uses store.DefaultArbiterEvery. Only meaningful in
-	// store.AllocMemshare mode. The wire-replay cross-check ticks its server's
-	// store at the same request counts, which is what makes a memshare
-	// simulation and a memshare server replay agree exactly.
+	// ArbiterEvery is the arbiter tick cadence in GETs across all apps; 0
+	// uses store.DefaultArbiterEvery. Only meaningful in store.AllocMemshare
+	// mode. Replay ticks whichever store it was handed, so the simulator and
+	// the wire half of a cross-check, which run the same Config, tick at the
+	// same request counts.
 	ArbiterEvery int64
+}
+
+// defaultGeometry is the geometry of every run that names none. A geometry
+// is never written, so runs and their tenants share it.
+var defaultGeometry = slab.DefaultGeometry()
+
+func (cfg Config) geometry() *slab.Geometry {
+	if cfg.Geometry != nil {
+		return cfg.Geometry
+	}
+	return defaultGeometry
 }
 
 // TimelineSample is one snapshot of an application's per-class memory
@@ -84,14 +98,6 @@ type ClassResult struct {
 	FinalBytes int64
 }
 
-// HitRate returns the class hit rate.
-func (c *ClassResult) HitRate() float64 {
-	if c.Requests == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Requests)
-}
-
 // AppResult accumulates per-application results.
 type AppResult struct {
 	App         int
@@ -112,13 +118,18 @@ func (a *AppResult) HitRate() float64 {
 	return float64(a.Hits) / float64(a.Requests)
 }
 
-// Result is the outcome of one simulation run.
+// Result is the outcome of one replay. Requests, hits and misses count GETs.
 type Result struct {
 	Mode          store.AllocationMode
 	Apps          map[int]*AppResult
 	TotalRequests int64
 	TotalHits     int64
 	TotalMisses   int64
+	// Fills counts the replay's writes, one per GET miss and one per SET;
+	// Refused counts those the engine refused.
+	Fills, Refused int64
+	// ArbiterMoves is TotalRequests at each arbiter tick that moved memory.
+	ArbiterMoves []int64
 }
 
 // HitRate returns the overall hit rate across applications.
@@ -128,9 +139,6 @@ func (r *Result) HitRate() float64 {
 	}
 	return float64(r.TotalHits) / float64(r.TotalRequests)
 }
-
-// App returns the result for one application (nil if absent).
-func (r *Result) App(id int) *AppResult { return r.Apps[id] }
 
 // MissReduction returns the relative reduction in misses of this result
 // compared to a baseline: (baseMisses - misses) / baseMisses. Negative values
@@ -142,24 +150,20 @@ func MissReduction(baseline, result *AppResult) float64 {
 	return float64(baseline.Misses-result.Misses) / float64(baseline.Misses)
 }
 
-// TenantName is the canonical tenant name for application id: the name Run
-// gives its tenants and the wire-replay cross-check registers on a real
-// server.
+// TenantName is the canonical tenant name for application id: the name
+// NewStore gives its tenants and Replay hands its Engine.
 func TenantName(id int) string { return fmt.Sprintf("app%d", id) }
 
-// TenantConfigs returns the per-application tenant configuration Run builds:
-// name TenantName(ID), the scaled/overridden memory reservation, shared
-// geometry, allocation mode and Cliffhanger settings. It is exported so the
-// wire-replay cross-check harness (internal/workload) can register tenants on
-// a real server that are configured identically to the simulator's.
-func TenantConfigs(cfg Config) (map[int]store.TenantConfig, error) {
+// NewStore builds the store a replay drives: synchronous bookkeeping, a
+// constant clock, no arbiter goroutine (Replay ticks it) and one tenant per
+// application, named TenantName(ID), with the scaled or overridden memory
+// reservation, shared geometry, allocation mode and Cliffhanger settings.
+// Run replays one directly; CrossCheck serves a second one over a socket.
+func NewStore(cfg Config) (*store.Store, error) {
 	if len(cfg.Apps) == 0 {
 		return nil, fmt.Errorf("sim: no applications configured")
 	}
-	geom := cfg.Geometry
-	if geom == nil {
-		geom = slab.DefaultGeometry()
-	}
+	geom := cfg.geometry()
 	scale := cfg.MemoryScale
 	if scale <= 0 {
 		scale = 1
@@ -168,19 +172,22 @@ func TenantConfigs(cfg Config) (map[int]store.TenantConfig, error) {
 	if ch.CreditBytes == 0 {
 		ch = core.DefaultConfig()
 	}
-	out := make(map[int]store.TenantConfig, len(cfg.Apps))
+	arbCfg := cfg.Arbiter
+	arbCfg.Interval = 0 // ticked by Replay at a request cadence; no goroutine
+	st := store.New(store.Config{
+		Geometry:        geom,
+		SyncBookkeeping: true,
+		Arbiter:         arbCfg,
+		Now:             func() int64 { return 0 },
+	})
 	for _, app := range cfg.Apps {
 		memory := app.MemoryMB << 20
 		if override, ok := cfg.AppMemoryOverride[app.ID]; ok {
 			memory = override
 		}
-		memory = int64(math.Round(float64(memory) * scale))
-		if memory < geom.PageSize {
-			memory = geom.PageSize
-		}
 		tcfg := store.TenantConfig{
 			Name:        TenantName(app.ID),
-			MemoryBytes: memory,
+			MemoryBytes: max(int64(math.Round(float64(memory)*scale)), geom.PageSize),
 			Geometry:    geom,
 			Mode:        cfg.Mode,
 			Cliffhanger: ch,
@@ -188,66 +195,83 @@ func TenantConfigs(cfg Config) (map[int]store.TenantConfig, error) {
 		if cfg.Mode == store.AllocStatic {
 			tcfg.StaticClassBytes = cfg.StaticAllocations[app.ID]
 		}
-		out[app.ID] = tcfg
+		if err := st.RegisterTenantConfig(tcfg); err != nil {
+			st.Close()
+			return nil, fmt.Errorf("sim: app %d: %v", app.ID, err)
+		}
 	}
-	return out, nil
+	return st, nil
 }
 
-// Run replays src through the engine the daemon runs: one synchronous store
-// with a tenant per application (TenantConfigs). A GET is Store.GetItemView,
-// followed on a miss by a Store.SetItemBytes of a value padded to the
-// request's size (PadValue); a SET is that fill alone, a DELETE Store.Delete,
-// and memshare ticks Store.ArbiterTick every ArbiterEvery GETs. The store's
-// clock is a constant, so a replay reads no wall clock.
-func Run(cfg Config, src trace.Source) (*Result, error) {
-	tcfgs, err := TenantConfigs(cfg)
-	if err != nil {
-		return nil, err
-	}
-	geom := tcfgs[cfg.Apps[0].ID].Geometry
-	arbCfg := cfg.Arbiter
-	arbCfg.Interval = 0 // ticked below at a request cadence; no goroutine
-	st := store.New(store.Config{
-		Geometry:        geom,
-		SyncBookkeeping: true,
-		Arbiter:         arbCfg,
-		Now:             func() int64 { return 0 },
-	})
-	defer st.Close()
+// Engine is what Replay drives: a store called directly (StoreEngine) or a
+// client in front of a server's store. Get reports whether tenant holds key.
+// Fill stores r's key under a PadValue(r) value and reports whether the
+// engine refused it (no slab class holds it, or it bounced off a full
+// tenant): a refusal is an outcome of the trace, a permanent miss, not an
+// error. Delete removes key.
+type Engine interface {
+	Get(tenant, key string) (hit bool, err error)
+	Fill(tenant string, r trace.Request) (refused bool, err error)
+	Delete(tenant, key string) error
+}
 
+// StoreEngine is the Engine Run replays: st's own read, write and delete.
+func StoreEngine(st *store.Store) Engine { return &direct{st: st} }
+
+// direct calls the store with one reused key buffer, so a replayed request
+// allocates nothing of its own.
+type direct struct {
+	st  *store.Store
+	key []byte
+}
+
+func (d *direct) Get(tenant, key string) (bool, error) {
+	d.key = append(d.key[:0], key...)
+	view, hit, err := d.st.GetItemView(tenant, d.key)
+	view.Release()
+	return hit, err
+}
+
+// Fill counts every error as a refusal: the store refuses a value no chunk
+// can hold, or one that bounces off a full tenant, and a server answers both
+// with the SERVER_ERROR a client reads as one.
+func (d *direct) Fill(tenant string, r trace.Request) (bool, error) {
+	d.key = append(d.key[:0], r.Key...)
+	return d.st.SetItemBytes(tenant, d.key, PadValue(r), 0, 0) != nil, nil
+}
+
+func (d *direct) Delete(tenant, key string) error {
+	_, err := d.st.Delete(tenant, key)
+	return err
+}
+
+// Replay is the one replay loop: it drives e with src as a read-through
+// client would and counts what e answers. st is the store behind e, whose
+// arbiter it ticks and whose evictions, capacities and reservations it reads.
+// A GET is e.Get followed, on a miss, by e.Fill; a SET is that fill alone and
+// a DELETE e.Delete. In memshare mode st.ArbiterTick runs every ArbiterEvery
+// GETs. Only GETs are counted as requests.
+func Replay(cfg Config, st *store.Store, e Engine, src trace.Source) (*Result, error) {
+	geom := cfg.geometry()
 	type appRun struct {
 		name   string
 		res    *AppResult
 		window *metrics.WindowedHitRate
 	}
 	apps := make(map[int]*appRun, len(cfg.Apps))
-	results := make(map[int]*AppResult, len(cfg.Apps))
+	res := &Result{Mode: cfg.Mode, Apps: make(map[int]*AppResult, len(cfg.Apps))}
 	for _, app := range cfg.Apps {
-		tcfg := tcfgs[app.ID]
-		if err := st.RegisterTenantConfig(tcfg); err != nil {
-			return nil, fmt.Errorf("sim: app %d: %v", app.ID, err)
-		}
-		a := &appRun{name: tcfg.Name, res: &AppResult{
-			App:         app.ID,
-			MemoryBytes: tcfg.MemoryBytes,
-			Classes:     make(map[int]*ClassResult),
-		}}
+		a := &appRun{name: TenantName(app.ID), res: &AppResult{App: app.ID, Classes: make(map[int]*ClassResult)}}
 		if cfg.WindowSize > 0 {
 			a.window = metrics.NewWindowedHitRate(cfg.WindowSize)
 		}
-		apps[app.ID], results[app.ID] = a, a.res
+		apps[app.ID], res.Apps[app.ID] = a, a.res
 	}
 	arbEvery := cfg.ArbiterEvery
 	if arbEvery <= 0 {
 		arbEvery = store.DefaultArbiterEvery
 	}
 
-	// A fill's error is dropped: a value no chunk can hold, or one that bounces
-	// off a full tenant, is refused by the store as it is over the wire, and
-	// the key stays a permanent miss.
-	payload := make([]byte, geom.PageSize)
-	var key []byte
-	res := &Result{Mode: cfg.Mode, Apps: results}
 	for {
 		req, ok := src.Next()
 		if !ok {
@@ -257,24 +281,31 @@ func Run(cfg Config, src trace.Source) (*Result, error) {
 		if a == nil {
 			continue // request for an app outside this experiment
 		}
-		key = append(key[:0], req.Key...)
-		switch req.Op {
-		case trace.OpDelete:
-			if _, err := st.Delete(a.name, req.Key); err != nil {
+		if req.Op == trace.OpDelete {
+			if err := e.Delete(a.name, req.Key); err != nil {
 				return nil, err
 			}
 			continue
-		case trace.OpSet:
-			_ = st.SetItemBytes(a.name, key, PadValue(payload, req), 0, 0)
-			continue
 		}
-		view, hit, err := st.GetItemView(a.name, key)
-		if err != nil {
-			return nil, err
+		hit := false
+		if req.Op != trace.OpSet {
+			var err error
+			if hit, err = e.Get(a.name, req.Key); err != nil {
+				return nil, err
+			}
 		}
-		view.Release()
 		if !hit {
-			_ = st.SetItemBytes(a.name, key, PadValue(payload, req), 0, 0)
+			refused, err := e.Fill(a.name, req)
+			if err != nil {
+				return nil, err
+			}
+			res.Fills++
+			if refused {
+				res.Refused++
+			}
+		}
+		if req.Op == trace.OpSet {
+			continue
 		}
 		ar := a.res
 		ar.Requests++
@@ -312,8 +343,8 @@ func Run(cfg Config, src trace.Source) (*Result, error) {
 		if a.window != nil {
 			a.window.Record(hit)
 		}
-		if cfg.Mode == store.AllocMemshare && res.TotalRequests%arbEvery == 0 {
-			st.ArbiterTick()
+		if cfg.Mode == store.AllocMemshare && res.TotalRequests%arbEvery == 0 && st.ArbiterTick() {
+			res.ArbiterMoves = append(res.ArbiterMoves, res.TotalRequests)
 		}
 		if cfg.TimelineInterval > 0 && ar.Requests%cfg.TimelineInterval == 0 {
 			capacities, err := st.ClassCapacities(a.name)
@@ -328,8 +359,9 @@ func Run(cfg Config, src trace.Source) (*Result, error) {
 		}
 	}
 
-	// MemoryBytes is re-read so a memshare run reports each app's final
-	// reservation after arbitration (the initial one in every other mode).
+	// MemoryBytes is read at the end so a memshare run reports each app's
+	// final reservation after arbitration (the initial one in every other
+	// mode).
 	arb := st.ArbiterStats()
 	for _, a := range apps {
 		ar := a.res
@@ -355,25 +387,29 @@ func Run(cfg Config, src trace.Source) (*Result, error) {
 	return res, nil
 }
 
-// PadValue sizes a stored value so the store's charged size
-// (len(key)+len(value)) equals the trace's Size, clamped to [0,
-// len(payload)]. Run, the wire replay of the cross-check and cliffbench's
-// fills all size their values with it, so every engine admits a key into the
-// same slab class.
-func PadValue(payload []byte, r trace.Request) []byte {
-	return payload[:min(max(r.Size-int64(len(r.Key)), 0), int64(len(payload)))]
+// Run replays src through the engine the daemon runs: Replay over
+// StoreEngine of a NewStore, whose clock is a constant, so a replay reads no
+// wall clock.
+func Run(cfg Config, src trace.Source) (*Result, error) {
+	st, err := NewStore(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	return Replay(cfg, st, StoreEngine(st), src)
 }
 
-// RunWithGenerator builds the standard Memcachier-like generator over
-// cfg.Apps and runs the simulation, a convenience wrapper used by the
-// experiment harness and benchmarks.
-func RunWithGenerator(cfg Config, requests int64, seed int64) (*Result, error) {
-	gen := trace.NewGenerator(trace.GeneratorConfig{
-		Apps:     cfg.Apps,
-		Requests: requests,
-		Seed:     seed,
-	})
-	return Run(cfg, gen)
+// padding backs every PadValue; its bytes are never written.
+var padding [slab.DefaultPageSize]byte
+
+// PadValue is the value a replay fills r's key with: sized so the store's
+// charged size (len(key)+len(value)) equals the trace's Size, clamped to [0,
+// 1 MiB], the largest value the wire protocol carries. Both engines of a
+// cross-check and cliffbench's load test fill through it, so every engine
+// admits a key into the same slab class. The bytes are shared and must not
+// be written.
+func PadValue(r trace.Request) []byte {
+	return padding[:min(max(r.Size-int64(len(r.Key)), 0), int64(len(padding)))]
 }
 
 // MemoryScaleToMatch searches for the smallest memory scale at which running

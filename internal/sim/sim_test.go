@@ -36,13 +36,19 @@ func smallApps() []trace.AppSpec {
 	}
 }
 
+// runGenerated runs cfg over the standard Memcachier-like generator of its
+// apps.
+func runGenerated(cfg Config, requests, seed int64) (*Result, error) {
+	return Run(cfg, trace.NewGenerator(trace.GeneratorConfig{Apps: cfg.Apps, Requests: requests, Seed: seed}))
+}
+
 func runMode(t *testing.T, apps []trace.AppSpec, mode store.AllocationMode, requests int64, mutate func(*Config)) *Result {
 	t.Helper()
 	cfg := Config{Apps: apps, Mode: mode}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	res, err := RunWithGenerator(cfg, requests, 42)
+	res, err := runGenerated(cfg, requests, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +88,7 @@ func TestRunCountsAreConsistent(t *testing.T) {
 	// them under the class of the key's length (~10 bytes), which would leave
 	// app 1's 16 KiB class with hits only.
 	big, _ := slab.DefaultGeometry().ClassFor(16 << 10)
-	if cr := res.App(1).Classes[big]; cr == nil || cr.Misses == 0 {
+	if cr := res.Apps[1].Classes[big]; cr == nil || cr.Misses == 0 {
 		t.Fatalf("app 1's 16 KiB class recorded no misses: %+v", cr)
 	}
 	if perApp != res.TotalRequests {
@@ -109,7 +115,7 @@ func TestResizedKeyIsOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar := res.App(1)
+	ar := res.Apps[1]
 	if ar.Requests != 2 || ar.Hits != 1 {
 		t.Fatalf("got %d hits of %d requests, want the second request to hit", ar.Hits, ar.Requests)
 	}
@@ -143,10 +149,10 @@ func TestCliffhangerBeatsDefaultOnSkewedApp(t *testing.T) {
 		c.Cliffhanger.ShadowBytes = 512 << 10
 	})
 	t.Logf("default %.4f cliffhanger %.4f (app1 %.4f vs %.4f)",
-		def.HitRate(), cliff.HitRate(), def.App(1).HitRate(), cliff.App(1).HitRate())
-	if cliff.App(1).HitRate() <= def.App(1).HitRate() {
+		def.HitRate(), cliff.HitRate(), def.Apps[1].HitRate(), cliff.Apps[1].HitRate())
+	if cliff.Apps[1].HitRate() <= def.Apps[1].HitRate() {
 		t.Fatalf("Cliffhanger (%.4f) should beat default FCFS (%.4f) on the size-skewed app",
-			cliff.App(1).HitRate(), def.App(1).HitRate())
+			cliff.Apps[1].HitRate(), def.Apps[1].HitRate())
 	}
 	if cliff.HitRate() <= def.HitRate() {
 		t.Fatalf("Cliffhanger overall (%.4f) should beat default (%.4f)", cliff.HitRate(), def.HitRate())
@@ -171,10 +177,10 @@ func TestStaticSolverAllocationsImproveSkewedApp(t *testing.T) {
 	static := runMode(t, apps, store.AllocStatic, requests, func(c *Config) {
 		c.StaticAllocations = allocs
 	})
-	t.Logf("default app1 %.4f solver app1 %.4f", def.App(1).HitRate(), static.App(1).HitRate())
-	if static.App(1).HitRate() <= def.App(1).HitRate() {
+	t.Logf("default app1 %.4f solver app1 %.4f", def.Apps[1].HitRate(), static.Apps[1].HitRate())
+	if static.Apps[1].HitRate() <= def.Apps[1].HitRate() {
 		t.Fatalf("solver allocation (%.4f) should beat default FCFS (%.4f) on the skewed app",
-			static.App(1).HitRate(), def.App(1).HitRate())
+			static.Apps[1].HitRate(), def.Apps[1].HitRate())
 	}
 	// The small hot class should receive the larger share of app 1's memory.
 	geom := slab.DefaultGeometry()
@@ -199,7 +205,7 @@ func TestTimelineAndWindowCollection(t *testing.T) {
 		c.TimelineInterval = 10000
 		c.WindowSize = 20000
 	})
-	ar := res.App(1)
+	ar := res.Apps[1]
 	if len(ar.Timeline) == 0 {
 		t.Fatalf("timeline samples missing")
 	}
@@ -231,12 +237,12 @@ func TestAppMemoryOverrideAndScale(t *testing.T) {
 		c.AppMemoryOverride = map[int]int64{2: 1 << 20}
 		c.MemoryScale = 0.99
 	})
-	if squeezed.App(2).HitRate() >= base.App(2).HitRate() {
+	if squeezed.Apps[2].HitRate() >= base.Apps[2].HitRate() {
 		t.Fatalf("shrinking app 2's memory should reduce its hit rate (%.4f vs %.4f)",
-			squeezed.App(2).HitRate(), base.App(2).HitRate())
+			squeezed.Apps[2].HitRate(), base.Apps[2].HitRate())
 	}
-	if squeezed.App(2).MemoryBytes >= base.App(2).MemoryBytes {
-		t.Fatalf("override/scale not applied: %d vs %d", squeezed.App(2).MemoryBytes, base.App(2).MemoryBytes)
+	if squeezed.Apps[2].MemoryBytes >= base.Apps[2].MemoryBytes {
+		t.Fatalf("override/scale not applied: %d vs %d", squeezed.Apps[2].MemoryBytes, base.Apps[2].MemoryBytes)
 	}
 }
 
@@ -332,7 +338,7 @@ func BenchmarkSimDefaultMode(b *testing.B) {
 	apps := smallApps()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunWithGenerator(Config{Apps: apps, Mode: store.AllocDefault}, 50000, 1); err != nil {
+		if _, err := runGenerated(Config{Apps: apps, Mode: store.AllocDefault}, 50000, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -342,7 +348,7 @@ func BenchmarkSimCliffhangerMode(b *testing.B) {
 	apps := smallApps()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunWithGenerator(Config{Apps: apps, Mode: store.AllocCliffhanger}, 50000, 1); err != nil {
+		if _, err := runGenerated(Config{Apps: apps, Mode: store.AllocCliffhanger}, 50000, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,48 +46,12 @@ func TestArenaLeasesFollowResidencyMemcachier(t *testing.T) {
 				}
 				peak[tenant] = make([]int64, len(classes))
 			}
-			payload := make([]byte, 1<<20)
-			sets := 0
-			fill := func(tenant string, r trace.Request) {
-				// A value beyond the largest class, or one admission bounces,
-				// is an outcome of the trace, not a failure.
-				_ = s.SetItemBytes(tenant, []byte(r.Key), sim.PadValue(payload, r), 0, 0)
-				classes, err := s.SlabStats(tenant)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, st := range classes {
-					peak[tenant][st.Class] = max(peak[tenant][st.Class], st.UsedChunks)
-				}
-				// Settle like a client that pipelines eight deep, as in the
-				// single-tenant test.
-				if sets++; sets%8 == 0 {
-					s.Flush()
-				}
-			}
-			for {
-				r, ok := wl.Source.Next()
-				if !ok {
-					break
-				}
-				tenant := workload.TenantName(r.App)
-				switch r.Op {
-				case trace.OpDelete:
-					if _, err := s.Delete(tenant, r.Key); err != nil {
-						t.Fatal(err)
-					}
-				case trace.OpSet:
-					fill(tenant, r)
-				default:
-					v, hit, err := s.GetItemView(tenant, []byte(r.Key))
-					if err != nil {
-						t.Fatal(err)
-					}
-					v.Release()
-					if !hit {
-						fill(tenant, r)
-					}
-				}
+			// A fill refused (a value beyond the largest class, or one whose
+			// admission bounces) is an outcome of the trace, not a failure.
+			rec := &peakRecorder{Engine: sim.StoreEngine(s), s: s, peak: peak}
+			cfg := sim.Config{Apps: wl.Apps, Mode: store.AllocCliffhanger}
+			if _, err := sim.Replay(cfg, s, rec, wl.Source); err != nil {
+				t.Fatal(err)
 			}
 			s.Flush()
 			var leased int64
@@ -107,4 +71,32 @@ func TestArenaLeasesFollowResidencyMemcachier(t *testing.T) {
 			}
 		})
 	}
+}
+
+// peakRecorder fills through the store's own engine, then records each
+// class's peak used chunks and settles like a client that pipelines eight
+// deep, as in the single-tenant test.
+type peakRecorder struct {
+	sim.Engine
+	s     *store.Store
+	peak  map[string][]int64
+	fills int
+}
+
+func (p *peakRecorder) Fill(tenant string, r trace.Request) (bool, error) {
+	refused, err := p.Engine.Fill(tenant, r)
+	if err != nil {
+		return false, err
+	}
+	classes, err := p.s.SlabStats(tenant)
+	if err != nil {
+		return false, err
+	}
+	for _, st := range classes {
+		p.peak[tenant][st.Class] = max(p.peak[tenant][st.Class], st.UsedChunks)
+	}
+	if p.fills++; p.fills%8 == 0 {
+		p.s.Flush()
+	}
+	return refused, nil
 }

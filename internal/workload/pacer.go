@@ -36,8 +36,3 @@ func (p *Pacer) Next(n int) time.Time {
 	p.issued += int64(n)
 	return due
 }
-
-// Rate returns the configured rate in requests per second.
-func (p *Pacer) Rate() float64 {
-	return float64(time.Second) / float64(p.interval)
-}

@@ -1,32 +1,34 @@
 package workload
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
+	"reflect"
+	"slices"
 	"time"
 
 	"cliffhanger/internal/client"
 	"cliffhanger/internal/protocol"
 	"cliffhanger/internal/server"
 	"cliffhanger/internal/sim"
-	"cliffhanger/internal/store"
 	"cliffhanger/internal/trace"
 )
 
 // This file is the sim-vs-wire cross-check: the proof that the protocol and
-// server layers in front of the store change no hit. The same seeded workload
-// is replayed twice — once through sim.Run, which drives a synchronous store
-// directly, once over a real TCP socket against an in-process server whose
-// synchronous store has identically configured tenants (sim.TenantConfigs) —
-// and per-application GET hit rates are compared.
+// server layers in front of the store change nothing a replay can count. The
+// same seeded workload is replayed twice through sim.Replay, the one replay
+// loop, over two stores built by sim.NewStore from the same sim.Config: once
+// by sim.Run, which calls its store directly, and once over a real TCP socket
+// through a Wire against an in-process server in front of the second store.
 //
-// Both replays issue the same store calls: a GET, a SET of the same key after
-// a miss with the value padded to the trace's Size (sim.PadValue), a SET and
-// a DELETE as the trace has them, and in memshare mode an arbiter tick every
-// store.DefaultArbiterEvery GETs. Replay is a single connection, so the wire
-// side is deterministic too, and the two engines agree exactly in every mode:
-// any nonzero max delta is a bug, and OK reports false on it.
+// Both halves count through the same code, so equal counts do not depend on
+// two loops staying in step; the hit and miss answers still come from two
+// different stacks. Replay is a single connection, so the wire half is
+// deterministic too, and the two results must be equal field for field:
+// per-app and per-class requests, hits, misses, evictions and final bytes,
+// each app's final reservation, the fills and refusals, and the request count
+// at each arbiter move. Any difference is a bug, and Mismatch names the first.
 
 // VerifyConfig configures CrossCheck.
 type VerifyConfig struct {
@@ -34,54 +36,24 @@ type VerifyConfig struct {
 	// a tenant layout (zipf, facebook, memcachier — not file).
 	Spec    string
 	Options Options
-	// Mode is the allocation policy both engines run. The zero value is
-	// store.AllocDefault (first-come-first-serve slab allocation), like
-	// everywhere else in the repository.
-	Mode store.AllocationMode
-	// AppMemoryOverride replaces selected apps' trace-derived memory sizes
-	// on both engines (sim.Config.AppMemoryOverride). The hit-rate benchmark
-	// uses it to model a naively provisioned cluster — every app granted the
-	// same partition — which is the operating point the memshare arbiter is
-	// meant to rescue.
-	AppMemoryOverride map[int]int64
+	// Config is what both halves run; its Apps are the opened workload's.
+	sim.Config
 }
-
-// VerifyApp is one application's pair of hit rates.
-type VerifyApp struct {
-	App      int
-	Requests int64
-	Sim      float64
-	Wire     float64
-}
-
-// Delta returns |Wire - Sim|.
-func (a VerifyApp) Delta() float64 { return math.Abs(a.Wire - a.Sim) }
 
 // VerifyResult is the outcome of a CrossCheck run.
 type VerifyResult struct {
-	Apps                    []VerifyApp
-	SimOverall, WireOverall float64
-	// MaxDelta is the largest per-app hit-rate difference (apps that saw no
-	// GETs are skipped).
-	MaxDelta float64
-	// Fills counts the wire replay's demand fills (one per GET miss);
-	// RejectedSets counts SETs the server refused as larger than every slab
-	// class — the simulator treats such items as permanent misses, and so,
-	// by construction, does the wire replay.
-	Fills, RejectedSets int64
-	// ArbiterMoves counts the wire store's cross-tenant arbiter moves
-	// (memshare mode only; zero otherwise). The sim side ticks its own store's
-	// arbiter at the same request cadence.
-	ArbiterMoves int64
+	Sim, Wire *sim.Result
+	// Mismatch names the first field in which Wire differs from Sim; nil
+	// when they are equal.
+	Mismatch error
 }
 
-// OK reports whether every application's sim and wire hit rates are equal.
-func (r *VerifyResult) OK() bool { return r.MaxDelta == 0 }
+// OK reports whether the wire replay's result equals the simulator's.
+func (r *VerifyResult) OK() bool { return r.Mismatch == nil }
 
 // CrossCheck replays the same seeded workload through internal/sim and over
-// a real socket, returning the per-application hit-rate comparison.
+// a real socket and compares the two results.
 func CrossCheck(cfg VerifyConfig) (*VerifyResult, error) {
-	// Simulator side.
 	wl, err := Open(cfg.Spec, cfg.Options)
 	if err != nil {
 		return nil, err
@@ -90,30 +62,22 @@ func CrossCheck(cfg VerifyConfig) (*VerifyResult, error) {
 	if wl.Apps == nil {
 		return nil, fmt.Errorf("workload: %s traces carry no tenant layout to verify against", wl.Name)
 	}
-	simCfg := sim.Config{Apps: wl.Apps, Mode: cfg.Mode, AppMemoryOverride: cfg.AppMemoryOverride}
-	simRes, err := sim.Run(simCfg, wl.Source)
+	cfg.Apps = wl.Apps
+	simRes, err := sim.Run(cfg.Config, wl.Source)
 	if err != nil {
 		return nil, err
 	}
 
-	// Wire side: identically-seeded source, identically-configured tenants,
-	// deterministic (synchronous) bookkeeping, one connection.
 	wl2, err := Open(cfg.Spec, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
 	defer wl2.Close()
-	tcfgs, err := sim.TenantConfigs(simCfg)
+	st, err := sim.NewStore(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	st := store.New(store.Config{SyncBookkeeping: true})
 	defer st.Close()
-	for _, app := range wl.Apps {
-		if err := st.RegisterTenantConfig(tcfgs[app.ID]); err != nil {
-			return nil, err
-		}
-	}
 	srv := server.New(server.Config{Addr: "127.0.0.1:0", DefaultTenant: sim.TenantName(wl.Apps[0].ID)}, st)
 	if err := srv.Start(); err != nil {
 		return nil, err
@@ -124,86 +88,9 @@ func CrossCheck(cfg VerifyConfig) (*VerifyResult, error) {
 		return nil, err
 	}
 	defer c.Close()
-
-	type counter struct{ hits, reqs int64 }
-	counts := make(map[int]*counter, len(wl.Apps))
-	for _, app := range wl.Apps {
-		counts[app.ID] = &counter{}
-	}
-	res := &VerifyResult{}
-	payload := make([]byte, protocol.MaxValueLength)
-	for i := range payload {
-		payload[i] = byte('a' + i%26)
-	}
-	fill := func(r trace.Request) error {
-		err := c.SetWithOptions(r.Key, sim.PadValue(payload, r), 0, 0)
-		if errors.Is(err, protocol.ErrRemote) {
-			// Too large for every slab class: a permanent miss on both
-			// engines, not a replay failure.
-			res.RejectedSets++
-			return nil
-		}
-		return err
-	}
-
-	curApp := wl.Apps[0].ID
-	var (
-		found     bool
-		keybuf    = make([]string, 1)
-		onValue   = func(int, []byte, uint32, uint64, []byte) { found = true }
-		totalGets int64
-	)
-	// In memshare mode the wire store's arbiter is driven at the same
-	// deterministic request cadence sim.Run uses, so both engines make the
-	// same sequence of cross-tenant moves.
-	arbitrated := cfg.Mode == store.AllocMemshare
-	for {
-		r, ok := wl2.Source.Next()
-		if !ok {
-			break
-		}
-		cnt := counts[r.App]
-		if cnt == nil {
-			continue // request for an app outside the layout, as in sim.Run
-		}
-		if r.App != curApp {
-			if err := c.SelectTenant(sim.TenantName(r.App)); err != nil {
-				return nil, err
-			}
-			curApp = r.App
-		}
-		switch r.Op {
-		case trace.OpDelete:
-			if _, err := c.Delete(r.Key); err != nil {
-				return nil, err
-			}
-		case trace.OpSet:
-			if err := fill(r); err != nil {
-				return nil, err
-			}
-		default:
-			keybuf[0] = r.Key
-			found = false
-			if err := c.PipelineGetFunc(keybuf, onValue); err != nil {
-				return nil, err
-			}
-			cnt.reqs++
-			totalGets++
-			if found {
-				cnt.hits++
-			} else {
-				// Demand fill, mirroring the simulator's miss semantics.
-				res.Fills++
-				if err := fill(r); err != nil {
-					return nil, err
-				}
-			}
-			if arbitrated && totalGets%store.DefaultArbiterEvery == 0 {
-				if st.ArbiterTick() {
-					res.ArbiterMoves++
-				}
-			}
-		}
+	wireRes, err := sim.Replay(cfg.Config, st, NewWire(c, 0), wl2.Source)
+	if err != nil {
+		return nil, err
 	}
 
 	// Arbitration moves pages between tenants through the migration state
@@ -213,32 +100,109 @@ func CrossCheck(cfg VerifyConfig) (*VerifyResult, error) {
 			return nil, fmt.Errorf("workload: conservation audit after replay: %w", err)
 		}
 	}
+	return &VerifyResult{
+		Sim:      simRes,
+		Wire:     wireRes,
+		Mismatch: diff("Result", reflect.ValueOf(simRes), reflect.ValueOf(wireRes)),
+	}, nil
+}
 
-	var totalHits, totalReqs int64
-	for _, app := range wl.Apps {
-		cnt := counts[app.ID]
-		ar := simRes.App(app.ID)
-		va := VerifyApp{App: app.ID, Requests: cnt.reqs}
-		if ar != nil {
-			va.Sim = ar.HitRate()
-			if ar.Requests != cnt.reqs {
-				return nil, fmt.Errorf("workload: app %d replay diverged: sim saw %d GETs, wire saw %d",
-					app.ID, ar.Requests, cnt.reqs)
+// Wire is the sim.Engine over a client connection: what CrossCheck's wire
+// half replays through, and what cliffbench's load test fills and deletes
+// through beside its own pipelined GETs and mutation verbs.
+type Wire struct {
+	c       *client.Client
+	ttl     int64
+	key     []string
+	found   bool
+	onValue client.IndexedValueFunc
+}
+
+// NewWire returns the engine over c; every fill it sends expires after ttl
+// seconds (0 never expires).
+func NewWire(c *client.Client, ttl int64) *Wire {
+	w := &Wire{c: c, ttl: ttl, key: make([]string, 1)}
+	w.onValue = func(int, []byte, uint32, uint64, []byte) { w.found = true }
+	return w
+}
+
+// Select makes tenant the tenant of the connection's next operation; ""
+// leaves it where it is. The client sends the switch in front of that
+// operation, and only when the tenant changes.
+func (w *Wire) Select(tenant string) {
+	if tenant != "" {
+		_ = w.c.SelectTenant(tenant) // it fails only on ""
+	}
+}
+
+func (w *Wire) Get(tenant, key string) (bool, error) {
+	w.Select(tenant)
+	w.key[0], w.found = key, false
+	if err := w.c.PipelineGetFunc(w.key, w.onValue); err != nil {
+		return false, fmt.Errorf("get: %w", err)
+	}
+	return w.found, nil
+}
+
+// Fill reads a server error as a refusal: the server answers a value no slab
+// class holds, or one that bounces off a full tenant, with SERVER_ERROR.
+func (w *Wire) Fill(tenant string, r trace.Request) (bool, error) {
+	w.Select(tenant)
+	err := w.c.SetWithOptions(r.Key, sim.PadValue(r), 0, w.ttl)
+	if err != nil && !errors.Is(err, protocol.ErrRemote) {
+		return false, fmt.Errorf("set: %w", err)
+	}
+	return err != nil, nil
+}
+
+func (w *Wire) Delete(tenant, key string) error {
+	w.Select(tenant)
+	if _, err := w.c.Delete(key); err != nil {
+		return fmt.Errorf("delete: %w", err)
+	}
+	return nil
+}
+
+// diff names the first place where w differs from s (the sim and wire
+// halves): structs field by field, maps in ascending (integer) key order,
+// slices element by element.
+func diff(path string, s, w reflect.Value) error {
+	switch s.Kind() {
+	case reflect.Pointer:
+		return diff(path, s.Elem(), w.Elem())
+	case reflect.Struct:
+		for i := range s.NumField() {
+			if err := diff(path+"."+s.Type().Field(i).Name, s.Field(i), w.Field(i)); err != nil {
+				return err
 			}
 		}
-		if cnt.reqs > 0 {
-			va.Wire = float64(cnt.hits) / float64(cnt.reqs)
-			if d := va.Delta(); d > res.MaxDelta {
-				res.MaxDelta = d
+	case reflect.Map:
+		keys := append(s.MapKeys(), w.MapKeys()...)
+		slices.SortFunc(keys, func(a, b reflect.Value) int { return cmp.Compare(a.Int(), b.Int()) })
+		keys = slices.CompactFunc(keys, func(a, b reflect.Value) bool { return a.Int() == b.Int() })
+		for _, k := range keys {
+			at := fmt.Sprintf("%s[%d]", path, k.Int())
+			sk, wk := s.MapIndex(k), w.MapIndex(k)
+			if !sk.IsValid() || !wk.IsValid() {
+				return fmt.Errorf("%s: in sim %t, in wire %t", at, sk.IsValid(), wk.IsValid())
+			}
+			if err := diff(at, sk, wk); err != nil {
+				return err
 			}
 		}
-		totalHits += cnt.hits
-		totalReqs += cnt.reqs
-		res.Apps = append(res.Apps, va)
+	case reflect.Slice:
+		for i := range min(s.Len(), w.Len()) {
+			if err := diff(fmt.Sprintf("%s[%d]", path, i), s.Index(i), w.Index(i)); err != nil {
+				return err
+			}
+		}
+		if s.Len() != w.Len() {
+			return fmt.Errorf("%s: sim has %d, wire %d", path, s.Len(), w.Len())
+		}
+	default:
+		if !s.Equal(w) {
+			return fmt.Errorf("%s: sim %v, wire %v", path, s, w)
+		}
 	}
-	res.SimOverall = simRes.HitRate()
-	if totalReqs > 0 {
-		res.WireOverall = float64(totalHits) / float64(totalReqs)
-	}
-	return res, nil
+	return nil
 }

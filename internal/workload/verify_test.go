@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"cliffhanger/internal/sim"
 	"cliffhanger/internal/store"
 	"cliffhanger/internal/trace"
 )
@@ -10,12 +13,13 @@ import (
 // TestCrossCheckMemcachierSimVsWire is the end-to-end proof the ROADMAP asks
 // for: replaying the seeded Memcachier generator over a real TCP socket
 // (protocol parse, server handlers, sharded store, synchronous bookkeeping)
-// reproduces the per-application hit rates internal/sim computes for the
-// same stream. sim.Run drives the same synchronous store without the socket,
-// so every mode a binary can start must agree exactly. The memshare row runs
-// at the quarter scale and equal split `make arbiter` uses, where the arbiter
-// moves a page, so the two engines' arbiter ticks are compared too. The CLI
-// equivalent is `cliffbench -trace memcachier -verify [-mode ...]`.
+// reproduces the result internal/sim computes for the same stream, every
+// per-app and per-class count included. sim.Run drives the same synchronous
+// store without the socket, so every mode a binary can start must agree
+// exactly. The memshare rows run at the quarter scale and equal split `make
+// arbiter` uses, where the arbiter moves a page, so the two engines' arbiter
+// ticks are compared too, at the default cadence and at one of the config's
+// own. The CLI equivalent is `cliffbench -trace memcachier -verify [-mode ...]`.
 func TestCrossCheckMemcachierSimVsWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays tens of thousands of requests over a socket")
@@ -33,17 +37,24 @@ func TestCrossCheckMemcachierSimVsWire(t *testing.T) {
 		equal[a.ID] = totalMB / int64(len(apps)) << 20
 	}
 	arbitrated := VerifyConfig{Spec: "memcachier", Options: Options{Requests: 100000, Seed: 7, Scale: 0.25},
-		Mode: store.AllocMemshare, AppMemoryOverride: equal}
+		Config: sim.Config{Mode: store.AllocMemshare, AppMemoryOverride: equal}}
+	// The same at a tick cadence of its own, which both halves must honour.
+	ticked := arbitrated
+	ticked.ArbiterEvery = 6000
 	for _, cfg := range []VerifyConfig{
 		withMode(small, store.AllocCliffhanger), withMode(small, store.AllocDefault),
-		withMode(small, store.AllocGlobalLRU), arbitrated,
+		withMode(small, store.AllocGlobalLRU), arbitrated, ticked,
 	} {
-		t.Run(cfg.Mode.String(), func(t *testing.T) {
+		name := cfg.Mode.String()
+		if cfg.ArbiterEvery != 0 {
+			name = fmt.Sprintf("%s_every_%d", name, cfg.ArbiterEvery)
+		}
+		t.Run(name, func(t *testing.T) {
 			res := crossCheckExact(t, cfg)
-			if len(res.Apps) != 20 {
-				t.Fatalf("compared %d apps, want 20", len(res.Apps))
+			if len(res.Sim.Apps) != 20 {
+				t.Fatalf("compared %d apps, want 20", len(res.Sim.Apps))
 			}
-			if cfg.Mode == store.AllocMemshare && res.ArbiterMoves == 0 {
+			if cfg.Mode == store.AllocMemshare && len(res.Sim.ArbiterMoves) == 0 {
 				t.Fatal("the arbiter never moved a page, so its ticks were not compared")
 			}
 		})
@@ -65,32 +76,36 @@ func TestCrossCheckFacebookSimVsWire(t *testing.T) {
 	}
 	for _, mode := range []store.AllocationMode{store.AllocDefault, store.AllocCliffhanger} {
 		t.Run(mode.String(), func(t *testing.T) {
-			crossCheckExact(t, VerifyConfig{Spec: "facebook", Mode: mode,
+			crossCheckExact(t, VerifyConfig{Spec: "facebook", Config: sim.Config{Mode: mode},
 				Options: Options{Requests: 40000, Seed: 7, Keys: 1 << 14, MemoryMB: 4}})
 		})
 	}
 }
 
-// crossCheckExact runs CrossCheck and fails unless every application's sim
-// and wire hit rates are equal.
+// crossCheckExact runs CrossCheck and fails unless the wire replay's result
+// equals the simulator's in every field.
 func crossCheckExact(t *testing.T, cfg VerifyConfig) *VerifyResult {
 	t.Helper()
 	res, err := CrossCheck(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs int64
-	for _, a := range res.Apps {
-		reqs += a.Requests
-		t.Logf("app%-2d gets=%-6d sim=%.4f wire=%.4f delta=%.4f", a.App, a.Requests, a.Sim, a.Wire, a.Delta())
+	var ids []int
+	for id := range res.Sim.Apps {
+		ids = append(ids, id)
 	}
-	t.Logf("overall sim=%.4f wire=%.4f maxDelta=%.4f fills=%d rejected=%d moves=%d",
-		res.SimOverall, res.WireOverall, res.MaxDelta, res.Fills, res.RejectedSets, res.ArbiterMoves)
-	if reqs == 0 {
+	slices.Sort(ids)
+	for _, id := range ids {
+		s, w := res.Sim.Apps[id], res.Wire.Apps[id]
+		t.Logf("app%-2d gets=%-6d sim=%.4f wire=%.4f", id, s.Requests, s.HitRate(), w.HitRate())
+	}
+	t.Logf("overall sim=%.4f wire=%.4f fills=%d refused=%d moves=%v",
+		res.Sim.HitRate(), res.Wire.HitRate(), res.Wire.Fills, res.Wire.Refused, res.Wire.ArbiterMoves)
+	if res.Wire.TotalRequests == 0 {
 		t.Fatal("wire replay saw no GETs")
 	}
 	if !res.OK() {
-		t.Fatalf("wire hit rates diverged from sim: max delta %v", res.MaxDelta)
+		t.Fatalf("wire result diverged from sim: %v", res.Mismatch)
 	}
 	return res
 }
@@ -102,9 +117,9 @@ func TestCrossCheckZipfLowSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays tens of thousands of requests over a socket")
 	}
-	res := crossCheckExact(t, VerifyConfig{Spec: "zipf", Options: Requests20kZipf(), Mode: store.AllocCliffhanger})
-	if res.SimOverall <= 0 || res.WireOverall <= 0 {
-		t.Fatalf("implausible hit rates: sim=%.4f wire=%.4f", res.SimOverall, res.WireOverall)
+	res := crossCheckExact(t, VerifyConfig{Spec: "zipf", Options: Requests20kZipf(), Config: sim.Config{Mode: store.AllocCliffhanger}})
+	if res.Sim.HitRate() <= 0 || res.Wire.HitRate() <= 0 {
+		t.Fatalf("implausible hit rates: sim=%.4f wire=%.4f", res.Sim.HitRate(), res.Wire.HitRate())
 	}
 }
 

@@ -28,9 +28,9 @@ import (
 	"cliffhanger/internal/trace"
 )
 
-// DefaultRequests bounds synthetic sources when Options.Requests is unset.
+// defaultRequests bounds synthetic sources when Options.Requests is unset.
 // It is effectively "unbounded" for duration-limited load runs.
-const DefaultRequests = int64(1) << 40
+const defaultRequests = int64(1) << 40
 
 // DefaultZipfKeys is the zipf source's key-space size when Options.Keys is
 // unset.
@@ -39,7 +39,7 @@ const DefaultZipfKeys = 100000
 // Options parameterizes Open. The zero value is usable: each field falls
 // back to the underlying source's default.
 type Options struct {
-	// Requests bounds the stream; <= 0 means DefaultRequests for synthetic
+	// Requests bounds the stream; <= 0 means defaultRequests for synthetic
 	// sources and the whole file for file traces.
 	Requests int64
 	// Seed seeds the deterministic random sources.
@@ -64,7 +64,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Requests <= 0 {
-		o.Requests = DefaultRequests
+		o.Requests = defaultRequests
 	}
 	if o.ZipfS == 0 {
 		o.ZipfS = 1.1
@@ -196,7 +196,7 @@ func openFile(path string, o Options) (*Workload, error) {
 		}
 		w.Source = trace.NewSliceSource(reqs)
 	}
-	if o.Requests > 0 && o.Requests != DefaultRequests {
+	if o.Requests > 0 && o.Requests != defaultRequests {
 		w.Source = trace.NewLimitSource(w.Source, int(o.Requests))
 	}
 	return w, nil

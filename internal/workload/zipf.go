@@ -44,9 +44,6 @@ func NewZipf(rng *rand.Rand, s float64, n uint64) *Zipf {
 	return z
 }
 
-// S returns the sampler's exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // Uint64 returns the next sample as a rank in [0, n), rank 0 being the most
 // popular element.
 func (z *Zipf) Uint64() uint64 {
