@@ -80,7 +80,7 @@ count:
 	@echo "packages: $$($(GO) list ./... | wc -l), plus bench/ (its own module)"
 	@echo "exported *Store methods: $$(grep -hE '^func \(s \*Store\) [A-Z]' $$($(call NONTEST,internal/store/*.go)) | wc -l)"
 	@echo "partitionPolicy methods: $$(sed -n '/^type partitionPolicy interface/,/^}/p' internal/store/policy.go | grep -cE '^[[:blank:]][a-z][A-Za-z]*\(')"
-	@echo "partitionPolicy implementations: $$(grep -hoE '^func \(p \*[A-Za-z]+\) classFor' internal/store/*.go | wc -l)"
+	@echo "partitionPolicy implementations: $$(grep -hoE '^func \(p \*[A-Za-z]+\) resize\(' internal/store/*.go | wc -l)"
 	@echo "policy.go: $$(wc -l < internal/store/policy.go) lines (wc -l)"
 	@echo "non-test wc -l, internal/store + internal/core + internal/slab: $$($(call NONTEST,internal/store/*.go internal/core/*.go internal/slab/*.go) | xargs cat | wc -l)"
 	@echo "exported identifiers, internal/slab + internal/core: $$($(call NONTEST,internal/slab/*.go internal/core/*.go) | xargs cat | grep -cE '^(func (\([^)]*\) )?|type |[[:blank:]])[A-Z][A-Za-z0-9]*[ (,]')"
@@ -188,13 +188,16 @@ churn: bins
 	./bin/cliffbench -addr $$addr -churn -duration 8s -conns 4 -keys 60000 -value 900 -tenant-mb 64 -churn-mb 32
 
 # verify cross-checks a wire replay against internal/sim for the same seeded
-# Memcachier trace and for the facebook generator, whose keys change value
-# size from one request to the next: both halves run sim.Replay, and their
-# results must be equal in every count, per class included (also covered by
-# the Go tests TestCrossCheckMemcachierSimVsWire and
+# Memcachier trace, in the shipped mode and in both unmanaged modes a daemon
+# can start (stock memcached and global LRU), and for the facebook generator,
+# whose keys change value size from one request to the next: both halves run
+# sim.Replay, and their results must be equal in every count, per class
+# included (also covered by the Go tests TestCrossCheckMemcachierSimVsWire and
 # TestCrossCheckFacebookSimVsWire).
 verify: bins
 	./bin/cliffbench -trace memcachier -verify -requests 100000 -scale 0.25
+	./bin/cliffbench -trace memcachier -verify -requests 100000 -scale 0.25 -mode default
+	./bin/cliffbench -trace memcachier -verify -requests 100000 -scale 0.25 -mode global-lru
 	./bin/cliffbench -trace facebook -verify -requests 100000
 
 # arbiter is the memshare smoke: the default/cliffhanger/memshare

@@ -111,8 +111,6 @@ func main() {
 		tenants   = flag.String("tenants", "default:64", "comma-separated name:MB tenant reservations")
 		mode      = flag.String("mode", "cliffhanger", "allocation mode: default, cliffhanger, global-lru, memshare")
 		arbIntv   = flag.Duration("arbiter-interval", time.Second, "cross-tenant arbiter tick period for memshare mode (0 disables the background arbiter)")
-		shards    = flag.Int("shards", 0, "value shards per tenant (0 = default)")
-		syncBk    = flag.Bool("sync-bookkeeping", false, "apply Cliffhanger bookkeeping inline on the request path (slower, deterministic)")
 		statsIntv = flag.Duration("stats-interval", 0, "interval for logging throughput and hit rates (0 disables)")
 		statsJSON = flag.String("stats-json", "", "append one JSON stats line per -stats-interval tick to this file (empty disables)")
 		pprofAddr = flag.String("pprof-addr", "", "HTTP listen address for net/http/pprof profiling endpoints (empty disables)")
@@ -133,11 +131,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	cfg := store.Config{
-		DefaultMode:     m,
-		ValueShards:     *shards,
-		SyncBookkeeping: *syncBk,
-	}
+	cfg := store.Config{DefaultMode: m}
 	if m == store.AllocMemshare {
 		cfg.Arbiter = store.ArbiterConfig{Interval: *arbIntv}
 	}
@@ -221,8 +215,8 @@ func parseTenants(s string) ([]tenantSpec, error) {
 			return nil, fmt.Errorf("bad tenant spec %q, want name:MB", part)
 		}
 		mb, err := strconv.ParseInt(mbStr, 10, 64)
-		if err != nil || mb <= 0 {
-			return nil, fmt.Errorf("bad tenant memory in %q", part)
+		if err != nil || mb <= 0 || mb > server.MaxTenantMB {
+			return nil, fmt.Errorf("bad tenant memory in %q, want 1 to %d MB", part, server.MaxTenantMB)
 		}
 		specs = append(specs, tenantSpec{name: name, mb: mb})
 	}

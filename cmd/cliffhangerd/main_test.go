@@ -144,6 +144,23 @@ func TestStatsJSONNeedsInterval(t *testing.T) {
 	}
 }
 
+// TestParseTenantsBoundsReservations: -tenants takes the same bound as the
+// tenant_create verb, so a reservation whose MB→bytes shift would overflow
+// is refused by name instead of wrapping around. 2^44+1 MB used to register a
+// 1 MiB tenant, and 2^43 MB a negative one that the store refused as "needs a
+// positive memory reservation".
+func TestParseTenantsBoundsReservations(t *testing.T) {
+	for _, spec := range []string{"a:17592186044417", "a:8796093022208", fmt.Sprintf("a:%d", server.MaxTenantMB+1)} {
+		if specs, err := parseTenants(spec); err == nil || !strings.Contains(err.Error(), "bad tenant memory") {
+			t.Errorf("parseTenants(%q) = %v, %v; want the bad-memory error", spec, specs, err)
+		}
+	}
+	specs, err := parseTenants(fmt.Sprintf("a:%d,b:64", server.MaxTenantMB))
+	if err != nil || len(specs) != 2 || specs[0].mb<<20 <= 0 {
+		t.Fatalf("the largest allowed reservation: %v, %v", specs, err)
+	}
+}
+
 // runDaemon runs main with args in this test binary re-executed under test,
 // a test whose first lines hand CLIFFHANGERD_ARGS to main, and returns what it
 // printed. It fails the test if the daemon is still running after 20s.
@@ -163,7 +180,9 @@ func runDaemon(t *testing.T, test, args string) ([]byte, error) {
 // TestDaemonFlagSurface pins the daemon's flag set: the names -h prints must
 // be exactly this list, so a new knob means editing it here. There is no
 // -policy: every unmanaged mode evicts by memcached's per-class LRU. There is
-// no -workers either: there is one front end.
+// no -workers either: there is one front end. Nor -shards (every tenant has
+// the store's one stripe count) or -sync-bookkeeping (synchronous
+// bookkeeping is the simulator's and the tests', through store.Config).
 func TestDaemonFlagSurface(t *testing.T) {
 	if args := os.Getenv("CLIFFHANGERD_ARGS"); args != "" {
 		os.Args = append([]string{"cliffhangerd"}, strings.Fields(args)...)
@@ -172,8 +191,7 @@ func TestDaemonFlagSurface(t *testing.T) {
 	}
 	want := []string{
 		"addr", "arbiter-interval", "drain-timeout", "idle-timeout", "max-conns", "mode",
-		"pprof-addr", "read-timeout", "shards", "stats-interval", "stats-json",
-		"sync-bookkeeping", "tenants", "write-timeout",
+		"pprof-addr", "read-timeout", "stats-interval", "stats-json", "tenants", "write-timeout",
 	}
 	out, _ := runDaemon(t, "TestDaemonFlagSurface", "-h")
 	var got []string
@@ -187,7 +205,7 @@ func TestDaemonFlagSurface(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("daemon flags:\n got %v\nwant %v", got, want)
 	}
-	for _, args := range []string{"-policy lru", "-workers 4"} {
+	for _, args := range []string{"-policy lru", "-workers 4", "-shards 8", "-sync-bookkeeping"} {
 		out, err := runDaemon(t, "TestDaemonFlagSurface", args)
 		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+strings.Fields(args)[0]) {
 			t.Fatalf("%s: exit %v, output:\n%s", args, err, out)

@@ -3,14 +3,17 @@
 //
 // What each type is for:
 //
-//   - List and Node are the only linked list in the repository. LRU links
-//     its entries with it, and so does core.Queue, whose eight segments
-//     (front, tail window, cliff shadow and hill shadow of two partitions)
-//     are Lists over nodes that the queue's one index owns.
-//   - LRU is memcached's eviction queue and the only policy the unmanaged
-//     allocation modes have (default, static, global-LRU: one LRU per slab
-//     class, or one per tenant). It has its own index and recycles its own
-//     nodes. The Cliffhanger-managed modes do not use it.
+//   - List and Node are the only linked list in the repository. core.Queue
+//     links its entries with it: its eight segments (front, tail window,
+//     cliff shadow and hill shadow of two partitions) are Lists over nodes
+//     that the queue's one index owns. LRU links its entries with it too.
+//   - LRU is a stand-alone memcached eviction queue with its own index. The
+//     product no longer uses it: every allocation mode's class queues are
+//     core.Queues, and the unmanaged ones (default, static, global-LRU) are
+//     core.Queues with the algorithm switched off. It stays as the reference
+//     tests hold those queues (core's TestQueueWithAlgorithmOffIsLRU) and the
+//     stack-distance calculator to, and because the repository benchmark
+//     constructs one through NewPolicy.
 //   - Shadow is a stand-alone key-only queue. The product no longer uses it:
 //     a managed queue's shadow segments are Lists in core.Queue. It stays
 //     because the repository benchmark's cache.shadow_access_ns row is pinned

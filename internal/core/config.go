@@ -12,7 +12,9 @@
 // traces through that same store). One Manager instance governs the
 // set of queues sharing a memory budget — all slab classes of an application,
 // or all applications on a server — exactly as one Cliffhanger instance runs
-// per Memcached server in the paper.
+// per Memcached server in the paper. A queue no Manager runs (NewLRUQueue)
+// runs neither algorithm and is memcached's LRU: the store's baselines are
+// that queue, so every allocation mode shares one queue type.
 //
 // A Queue is Figure 5 as drawn: per partition one chain (front, tail window,
 // cliff shadow, hill shadow, forgotten) that a key ages down, and one index

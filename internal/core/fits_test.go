@@ -212,7 +212,7 @@ func TestHasRoomAsksTheRoutedPartition(t *testing.T) {
 	if !q.HasRoom(rightKey, fitsUnit) {
 		t.Fatalf("HasRoom says no for a key routed to the empty right partition")
 	}
-	if out := q.Access(leftKey, fitsUnit); len(out.Evicted) == 0 {
+	if out, _ := q.Access(leftKey, fitsUnit); len(out.Evicted) == 0 {
 		t.Fatalf("admitting where HasRoom said no evicted nothing: HasRoom is asking the wrong question")
 	}
 }
@@ -252,7 +252,8 @@ func TestSplitActivationMovesResidents(t *testing.T) {
 	// the right one's share ended.
 	next := map[bool]int{true: 0, false: before - half}
 	for i := 0; i < 2000; i++ {
-		for _, v := range q.Access(fmt.Sprintf("new-%d", i), fitsUnit).Evicted {
+		out, _ := q.Access(fmt.Sprintf("new-%d", i), fitsUnit)
+		for _, v := range out.Evicted {
 			var n int
 			if _, err := fmt.Sscanf(v.Key, "key-%d", &n); err != nil {
 				continue

@@ -161,7 +161,7 @@ func (m *Manager) Access(queueID, key string, cost int64) (AccessOutcome, bool) 
 // nothing. (A resident access is never a shadow hit, so AccessResident needs
 // no hill climbing and is called on the queue directly.)
 func (m *Manager) AccessAt(i int, key string, cost int64) (AccessOutcome, *cache.Node) {
-	out, n := m.queues[i].access(key, cost)
+	out, n := m.queues[i].Access(key, cost)
 	if out.ShadowHit && m.cfg.EnableHillClimbing && len(m.queues) > 1 {
 		m.transferCredit(i)
 	}

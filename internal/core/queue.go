@@ -210,14 +210,27 @@ type Queue struct {
 // newQueue builds a queue with the given initial capacity. unitCost is the
 // typical per-item cost (the slab chunk size) used to convert the item-based
 // window parameters into cost units. owner numbers the queue among its
-// Manager's (its index there): the segment tags its nodes carry start at
-// owner × 2 × numSegs, so no two queues of one manager share a tag.
+// Manager's (its index there) or its caller's: the segment tags its nodes
+// carry start at owner × 2 × numSegs, so no two queues of one owner share a
+// tag. Only cliff scaling reads the tail window, and only the two algorithms
+// read the shadows, so a queue without cliff scaling has no tail window and a
+// queue running neither algorithm has no shadow segments either: its chain is
+// the front segment alone, memcached's LRU.
 func newQueue(id string, cfg Config, owner int, capacity, unitCost int64) *Queue {
 	if unitCost <= 0 {
 		unitCost = 1
 	}
 	if capacity < 0 {
 		capacity = 0
+	}
+	var tailCap, cliffCap int64
+	if cfg.EnableCliffScaling {
+		tailCap = cfg.TailWindowItems * unitCost
+	}
+	if cfg.EnableCliffScaling || cfg.EnableHillClimbing {
+		cliffCap = cfg.CliffShadowItems * unitCost
+	} else {
+		cfg.ShadowBytes = 0
 	}
 	q := &Queue{
 		id:       id,
@@ -229,8 +242,6 @@ func newQueue(id string, cfg Config, owner int, capacity, unitCost int64) *Queue
 		free:     cache.NewList(),
 	}
 	q.left, q.right = &q.parts[0], &q.parts[1]
-	tailCap := cfg.TailWindowItems * unitCost
-	cliffCap := cfg.CliffShadowItems * unitCost
 	// Unsplit layout: everything lives in the left partition.
 	tag := int64(owner) * 2 * numSegs
 	q.left.init(tag, capacity, tailCap, cliffCap, cfg.ShadowBytes)
@@ -243,6 +254,18 @@ func newQueue(id string, cfg Config, owner int, capacity, unitCost int64) *Queue
 	q.pendingResize = true
 	q.applyResize()
 	return q
+}
+
+// NewLRUQueue builds a queue no Manager runs: neither algorithm, and every
+// capacity change applied by the next access at the latest (the caller may
+// apply it at once with ForceApplyResize). Such a queue is memcached's LRU at
+// any cost mix. owner gives its nodes their tags, as a Manager's index does
+// (newQueue); queues whose nodes may be handed to one another's
+// AccessResident need distinct owners.
+func NewLRUQueue(id string, owner int, capacity, unitCost int64) *Queue {
+	cfg := DefaultConfig()
+	cfg.EnableHillClimbing, cfg.EnableCliffScaling, cfg.ResizeOnMissOnly = false, false, false
+	return newQueue(id, cfg.withDefaults(), owner, capacity, unitCost)
 }
 
 // ID returns the queue's identifier.
@@ -460,17 +483,11 @@ func (q *Queue) Remove(key string) bool {
 
 // Access processes one request for key with the given cost and returns the
 // outcome. On a miss the key is admitted (demand fill); the caller stores
-// the value and drops the values of any Evicted keys.
-func (q *Queue) Access(key string, cost int64) AccessOutcome {
-	out, _ := q.access(key, cost)
-	return out
-}
-
-// access is Access that also returns the node the key was placed under, for a
-// caller to remember and hand back to AccessResident. The node may already
-// have been forgotten (an entry that no segment can hold passes straight
-// through); AccessResident tells.
-func (q *Queue) access(key string, cost int64) (AccessOutcome, *cache.Node) {
+// the value and drops the values of any Evicted keys. It also returns the
+// node the key was placed under, for the caller to remember and hand back to
+// AccessResident. The node may already have been forgotten (an entry that no
+// segment can hold passes straight through); AccessResident tells.
+func (q *Queue) Access(key string, cost int64) (AccessOutcome, *cache.Node) {
 	q.stats.Requests++
 	n, found, seg := q.find(key)
 	return q.settle(key, cost, n, found, seg)

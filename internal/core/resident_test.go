@@ -136,10 +136,11 @@ func (o streamOp) apply(q *Queue) (out AccessOutcome, served bool, victims []cac
 	switch o.kind {
 	case "get":
 		if served = q.Contains(o.key); served {
-			out = q.Access(o.key, o.cost)
+			out, _ = q.Access(o.key, o.cost)
 		}
 	case "access":
-		out, served = q.Access(o.key, o.cost), true
+		out, _ = q.Access(o.key, o.cost)
+		served = true
 	case "remove":
 		removed = q.Remove(o.key)
 	case "capacity":
@@ -179,7 +180,7 @@ func TestAccessResidentMatchesContainsThenAccess(t *testing.T) {
 				var want AccessOutcome
 				wantHit := byKey.Contains(op.key)
 				if wantHit {
-					want = byKey.Access(op.key, op.cost)
+					want, _ = byKey.Access(op.key, op.cost)
 				}
 				n := remembered[op.key]
 				switch rng.Intn(10) {
@@ -208,8 +209,8 @@ func TestAccessResidentMatchesContainsThenAccess(t *testing.T) {
 					tailHits++
 				}
 			case "access":
-				want := byKey.Access(op.key, op.cost)
-				got, n := byNode.access(op.key, op.cost)
+				want, _ := byKey.Access(op.key, op.cost)
+				got, n := byNode.Access(op.key, op.cost)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("op %d %s: by node = %+v; by key = %+v", i, op, got, want)
 				}
@@ -250,60 +251,67 @@ func TestAccessResidentMatchesContainsThenAccess(t *testing.T) {
 	})
 }
 
-// TestQueueWithAlgorithmOffIsLRU drives a queue with hill climbing, cliff
-// scaling and resize-on-miss off next to a cache.LRU of the same capacity,
-// every cost 1 as in one slab class where every item is one chunk. Capacity
-// changes apply at once on both, the way classQueues grants pages. Victims,
-// Used and residency must agree after every op: with the algorithm off a
-// class queue is memcached's LRU. (With the stream's mixed costs they part
-// within a few hundred ops: the 16-unit tail window cannot hold a cost-20
-// entry, so the queue evicts it early.)
+// TestQueueWithAlgorithmOffIsLRU drives the queue the unmanaged store modes
+// run (NewLRUQueue: neither algorithm) next to a cache.LRU of the same
+// capacity, at the op stream's own mixed costs, over twelve seeds. Capacity
+// changes apply at once on both, the way the store grants and sheds pages.
+// Hits, victims, Remove's answers, Used and residency must agree after every
+// op, and no victim may still be known to the queue: with the algorithm off a
+// class queue is memcached's LRU, and a key it evicts leaves no shadow behind.
 func TestQueueWithAlgorithmOffIsLRU(t *testing.T) {
-	cfg := streamConfig(false)
-	cfg.EnableCliffScaling, cfg.EnableHillClimbing = false, false
-	q, lru := newQueue("q", cfg, 0, 200, 1), cache.NewLRU(200)
-	var hits, evictions int
-	for i, op := range opStream(7) {
-		var got, want []cache.Victim
-		var gotHit, wantHit bool
-		switch op.kind {
-		case "get":
-			if q.Contains(op.key) {
-				out := q.Access(op.key, 1)
-				gotHit, got = out.Hit, out.Evicted
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			q, lru := NewLRUQueue("q", 0, 200, 1), cache.NewLRU(200)
+			var hits, evictions, bounced int
+			for i, op := range opStream(seed) {
+				var got, want []cache.Victim
+				var gotHit, wantHit bool
+				switch op.kind {
+				case "get":
+					if q.Contains(op.key) {
+						out, _ := q.Access(op.key, op.cost)
+						gotHit, got = out.Hit, out.Evicted
+					}
+					wantHit = lru.Get(op.key)
+				case "access":
+					out, _ := q.Access(op.key, op.cost)
+					gotHit, got = out.Hit, out.Evicted
+					wantHit, want = lru.Access(op.key, op.cost)
+				case "remove":
+					gotHit, wantHit = q.Remove(op.key), lru.Remove(op.key)
+				case "capacity":
+					q.SetCapacity(op.bytes)
+					got, want = q.ForceApplyResize(), lru.Resize(op.bytes)
+				case "grow":
+					q.Grow(op.bytes)
+					got, want = q.ForceApplyResize(), lru.Resize(lru.Capacity()+op.bytes)
+				case "apply":
+					got = q.ForceApplyResize()
+				}
+				if gotHit != wantHit || !slices.Equal(got, want) {
+					t.Fatalf("op %d %s: queue %v, %v; LRU %v, %v", i, op, gotHit, got, wantHit, want)
+				}
+				if q.Used() != lru.Used() || q.Contains(op.key) != lru.Contains(op.key) {
+					t.Fatalf("op %d %s: queue used %d, holds %s %v; LRU used %d, holds it %v",
+						i, op, q.Used(), op.key, q.Contains(op.key), lru.Used(), lru.Contains(op.key))
+				}
+				for _, v := range got {
+					if q.Remove(v.Key) {
+						t.Fatalf("op %d %s: the queue still knows its victim %s", i, op, v.Key)
+					}
+					if v.Key == op.key {
+						bounced++
+					}
+				}
+				if wantHit && op.kind != "remove" {
+					hits++
+				}
+				evictions += len(want)
 			}
-			wantHit = lru.Get(op.key)
-		case "access":
-			out := q.Access(op.key, 1)
-			gotHit, got = out.Hit, out.Evicted
-			wantHit, want = lru.Access(op.key, 1)
-		case "remove":
-			// The queue's Remove also answers true for a shadowed key.
-			gotHit, wantHit = q.Contains(op.key), lru.Remove(op.key)
-			q.Remove(op.key)
-		case "capacity":
-			q.SetCapacity(op.bytes)
-			got, want = q.ForceApplyResize(), lru.Resize(op.bytes)
-		case "grow":
-			q.Grow(op.bytes)
-			got, want = q.ForceApplyResize(), lru.Resize(lru.Capacity()+op.bytes)
-		case "apply":
-			got = q.ForceApplyResize()
-		}
-		if gotHit != wantHit || !slices.Equal(got, want) {
-			t.Fatalf("op %d %s: queue %v, %v; LRU %v, %v", i, op, gotHit, got, wantHit, want)
-		}
-		if q.Used() != lru.Used() || q.Contains(op.key) != lru.Contains(op.key) {
-			t.Fatalf("op %d %s: queue used %d, holds %s %v; LRU used %d, holds it %v",
-				i, op, q.Used(), op.key, q.Contains(op.key), lru.Used(), lru.Contains(op.key))
-		}
-		if wantHit && op.kind != "remove" {
-			hits++
-		}
-		evictions += len(want)
-	}
-	if hits == 0 || evictions == 0 {
-		t.Fatalf("op stream too narrow: %d hits, %d evictions", hits, evictions)
+			if hits == 0 || evictions == 0 || bounced == 0 {
+				t.Fatalf("op stream too narrow: %d hits, %d evictions, %d entries too big for the queue", hits, evictions, bounced)
+			}
+		})
 	}
 }
 
@@ -418,7 +426,7 @@ func TestAllocGateQueueAccess(t *testing.T) {
 	}
 	next := 0
 	admit := func() {
-		if out := q.Access(key[next], 1); out.Hit || len(out.Evicted) == 0 {
+		if out, _ := q.Access(key[next], 1); out.Hit || len(out.Evicted) == 0 {
 			t.Fatalf("access to the new key %s: %+v, want an admission that evicts", key[next], out)
 		}
 		next++
@@ -439,7 +447,7 @@ func TestAllocGateQueueAccess(t *testing.T) {
 	gate("an evicting admission", 1, admit)
 	hot := q.left.segs[segFront].list.Front().Key
 	gate("a front hit", 0, func() {
-		if out := q.Access(hot, 1); !out.Hit || out.TailWindowHit {
+		if out, _ := q.Access(hot, 1); !out.Hit || out.TailWindowHit {
 			t.Fatalf("%+v, want a front hit", out)
 		}
 	})
@@ -456,7 +464,7 @@ func TestAllocGateQueueAccess(t *testing.T) {
 	})
 	gate("a tail-window hit", 0, func() {
 		cold := q.right.coldest()
-		if out := q.Access(cold.Key, 1); !out.TailWindowHit || len(out.Evicted) != 0 {
+		if out, _ := q.Access(cold.Key, 1); !out.TailWindowHit || len(out.Evicted) != 0 {
 			t.Fatalf("%+v, want a tail-window hit that evicts nothing", out)
 		}
 	})

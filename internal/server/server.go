@@ -958,9 +958,11 @@ func (s *Server) handle(c *session, cmd *protocol.Command) error {
 	}
 }
 
-// maxTenantMB bounds the admin-verb size argument so the MB→bytes shift can
-// never overflow int64 (2^30 MB is 1 PiB — far past any real reservation).
-const maxTenantMB = 1 << 30
+// MaxTenantMB bounds a tenant reservation given in megabytes — the admin
+// verbs' size argument and the daemon's -tenants flag — so the MB→bytes shift
+// can never overflow int64 (2^30 MB is 1 PiB — far past any real
+// reservation).
+const MaxTenantMB = 1 << 30
 
 // handleTenantAdmin executes the runtime tenant lifecycle verbs. create and
 // resize carry the reservation in cmd.Delta (megabytes); delete takes just a
@@ -971,7 +973,7 @@ func (s *Server) handleTenantAdmin(c *session, cmd *protocol.Command) error {
 	name := string(cmd.Tenant)
 	switch cmd.Name {
 	case protocol.VerbTenantCreate, protocol.VerbTenantResize:
-		if cmd.Delta > maxTenantMB {
+		if cmd.Delta > MaxTenantMB {
 			return protocol.WriteLine(c.w, "CLIENT_ERROR tenant size out of range")
 		}
 		bytes := int64(cmd.Delta) << 20

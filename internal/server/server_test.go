@@ -1114,58 +1114,63 @@ func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
 }
 
 // TestServerSettledHitsProbeNothing reads replay_probes around an all-hit GET
-// loop at shipped defaults: once every record's admission has replayed (the
+// loop, once per daemon mode: once every record's admission has replayed (the
 // first stats call settles them), each record remembers its queue node and
 // the replay of a GET hit goes through it, so five more passes over the keys
-// add five passes of hits and not one probe.
+// add five passes of hits and not one probe. The unmanaged modes' queues are
+// core.Queues too and give out nodes like the managed ones.
 func TestServerSettledHitsProbeNothing(t *testing.T) {
-	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
-	if err := st.RegisterTenant("default", 64<<20); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default"}, st)
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); st.Close() })
-	c := dialTest(t, srv)
-
-	const keys = 1024
-	getAll := func() {
-		t.Helper()
-		for i := 0; i < keys; i++ {
-			if _, ok, err := c.Get(fmt.Sprintf("hot-%d", i)); err != nil || !ok {
-				t.Fatalf("GET hot-%d: ok=%v err=%v", i, ok, err)
+	for _, mode := range []store.AllocationMode{store.AllocDefault, store.AllocGlobalLRU, store.AllocCliffhanger, store.AllocMemshare} {
+		t.Run(mode.String(), func(t *testing.T) {
+			st := store.New(store.Config{DefaultMode: mode})
+			if err := st.RegisterTenant("default", 64<<20); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	read := func() (hits, probes int64) {
-		t.Helper()
-		stats, err := c.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits, err1 := stats.Int("get_hits")
-		probes, err2 := stats.Int("replay_probes")
-		if err1 != nil || err2 != nil {
-			t.Fatalf("stats get_hits=%q replay_probes=%q", stats["get_hits"], stats["replay_probes"])
-		}
-		return hits, probes
-	}
-	for i := 0; i < keys; i++ {
-		if err := c.Set(fmt.Sprintf("hot-%d", i), make([]byte, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	getAll()
-	hits, probes := read()
-	for pass := 0; pass < 5; pass++ {
-		getAll()
-	}
-	hitsAfter, probesAfter := read()
-	if hitsAfter-hits != 5*keys || probesAfter != probes {
-		t.Fatalf("five settled passes over %d keys: %d hits (want %d), replay_probes %d -> %d (want flat)",
-			keys, hitsAfter-hits, 5*keys, probes, probesAfter)
+			srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default"}, st)
+			if err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close(); st.Close() })
+			c := dialTest(t, srv)
+
+			const keys = 1024
+			getAll := func() {
+				t.Helper()
+				for i := 0; i < keys; i++ {
+					if _, ok, err := c.Get(fmt.Sprintf("hot-%d", i)); err != nil || !ok {
+						t.Fatalf("GET hot-%d: ok=%v err=%v", i, ok, err)
+					}
+				}
+			}
+			read := func() (hits, probes int64) {
+				t.Helper()
+				stats, err := c.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits, err1 := stats.Int("get_hits")
+				probes, err2 := stats.Int("replay_probes")
+				if err1 != nil || err2 != nil {
+					t.Fatalf("stats get_hits=%q replay_probes=%q", stats["get_hits"], stats["replay_probes"])
+				}
+				return hits, probes
+			}
+			for i := 0; i < keys; i++ {
+				if err := c.Set(fmt.Sprintf("hot-%d", i), make([]byte, 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			getAll()
+			hits, probes := read()
+			for pass := 0; pass < 5; pass++ {
+				getAll()
+			}
+			hitsAfter, probesAfter := read()
+			if hitsAfter-hits != 5*keys || probesAfter != probes {
+				t.Fatalf("five settled passes over %d keys: %d hits (want %d), replay_probes %d -> %d (want flat)",
+					keys, hitsAfter-hits, 5*keys, probes, probesAfter)
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cliffhanger/internal/core"
 	"cliffhanger/internal/slab"
 )
 
@@ -81,8 +82,7 @@ func TestSweepReplaysInStampOrder(t *testing.T) {
 	}
 
 	class, _ := e.tenant.ClassFor(size)
-	got := e.tenant.policy.(*classQueues).queues[class].Keys() // most recent first
-	slices.Reverse(got)
+	got := recencyOrder(e.tenant.queues[class])
 	if !slices.Equal(got, want) {
 		for i := range want {
 			if i >= len(got) || got[i] != want[i] {
@@ -99,6 +99,18 @@ func TestSweepReplaysInStampOrder(t *testing.T) {
 	if i := slices.IndexFunc(bk.slots, func(ev *event) bool { return ev != nil }); i >= 0 {
 		t.Fatalf("sweep left slot %d pointing at an event", i)
 	}
+}
+
+// recencyOrder empties q and returns the keys it held, least recently used
+// first: a queue that runs neither algorithm, shrunk to nothing, evicts every
+// resident in that order.
+func recencyOrder(q *core.Queue) []string {
+	q.SetCapacity(0)
+	var keys []string
+	for _, v := range q.ForceApplyResize() {
+		keys = append(keys, v.Key)
+	}
+	return keys
 }
 
 // TestReaperSkipsTenantsWithoutTTL checks the reaper's latch from both sides:

@@ -38,3 +38,13 @@ func HoldMaintenance(s *Store) (release func()) {
 	s.tickMu.Lock()
 	return s.tickMu.Unlock
 }
+
+// numQueues and queueView let the page-ledger test read an unmanaged
+// policy's queues without a tenant around them: queue i's capacity and charge
+// in bytes and its resident item count.
+func (p *classQueues) numQueues() int { return len(p.queues) }
+
+func (p *classQueues) queueView(i int) (capacity, used int64, items int) {
+	q := p.queues[i]
+	return q.Capacity(), q.Used(), q.Items()
+}

@@ -1,15 +1,21 @@
 package store
 
-// This file is the allocation-policy layer: everything about a tenant that
-// depends on its AllocationMode. The seam is "managed by the paper's algorithm
-// or not", so there are two implementations of one interface. classQueues is
-// every baseline the paper compares against (stock memcached, the Dynacache
-// solver's fixed split, Table 2's global LRU): memcached's per-class LRU,
-// differing only in where the reservation starts. managedPolicy is Cliffhanger,
-// and Memshare within a tenant; what distinguishes AllocMemshare is the
-// store-level arbiter (arbiter.go) moving memory *between* tenants. A Tenant
-// owns exactly one partitionPolicy and keeps only the mode-independent parts
-// for itself: hit/miss/set counters and the class-indexed stat arrays.
+// This file is the allocation-policy layer: the two rules by which the
+// allocation modes really differ, who gets the unassigned part of a tenant's
+// reservation and who gives memory back when it shrinks. Everything else is
+// the Tenant's and the same in every mode: the class queues are core.Queues
+// (in the unmanaged modes with the paper's algorithm switched off, which
+// makes each one memcached's LRU), and the tenant maps items to queues and
+// charges, promotes, removes and reports on them itself.
+//
+// There are two implementations. classQueues is every baseline the paper
+// compares against (stock memcached, the Dynacache solver's fixed split,
+// Table 2's global LRU): whole pages, first come first served, taken back a
+// page at a time from the largest queue. managedPolicy is Cliffhanger, and
+// Memshare within a tenant: quarter-page grants, shrinks through the
+// core.Manager, and admissions through that manager, which runs hill climbing
+// between the queues. What distinguishes AllocMemshare is the store-level
+// arbiter (arbiter.go) moving memory *between* tenants.
 //
 // Like Tenant itself, policies are single-threaded; the bookkeeper serializes
 // access.
@@ -20,53 +26,26 @@ import (
 	"cliffhanger/internal/slab"
 )
 
-// partitionPolicy is how a tenant divides its reservation across queues and
-// charges items against it. The hooks mirror the tenant's public surface:
-// classFor/cost map an item to a queue and a charge, promoteResident/admit/
-// remove mutate the structure, resize retargets the reservation, and
-// numQueues/queueView feed Stats/ClassCapacities/UsedBytes.
+// partitionPolicy is how a tenant's reservation reaches its class queues.
 type partitionPolicy interface {
-	// classFor returns the queue an item of the given size belongs to. It
-	// reports false for an item no chunk can hold, in every mode.
-	classFor(size int64) (int, bool)
-	// cost returns the bytes charged for an item of the given size.
-	cost(class int, size int64) int64
-	// promoteResident is the GET/touch path: it re-accesses key if it is
-	// resident and reports whether that was a hit; a key that is not
-	// resident is left alone (a GET miss does not admit). node is the queue
-	// node admit returned for key, nil if none: while it still holds key the
-	// access goes through it, and otherwise the key is probed, which probed
-	// reports. The victims of a pending resize the hit applied (with
-	// ResizeOnMissOnly off) are returned for the caller to drop, as admit's
-	// are.
-	promoteResident(class int, key string, node *cache.Node, cost int64) (hit bool, victims []cache.Victim, probed bool)
-	// admit inserts (or promotes) key, growing the queue first while the
-	// reservation has unassigned memory, and returns the accompanying
-	// evictions and the queue node key was placed under (nil in the
-	// unmanaged modes, whose queues give out none).
-	admit(class int, key string, cost int64) (bool, []cache.Victim, *cache.Node)
-	// remove drops key's structural entry.
-	remove(class int, key string) bool
+	// admit inserts (or promotes) key in queue class, granting the queue
+	// unassigned memory first while it has no room for key, and returns the
+	// outcome, whose Evicted includes what the grants evicted, and the node
+	// key was placed under.
+	admit(class int, key string, cost int64) (core.AccessOutcome, *cache.Node)
 	// resize retargets the reservation from oldBytes to newBytes and
 	// returns the victims a shrink evicted.
 	resize(oldBytes, newBytes int64) []cache.Victim
-	// numQueues and queueView are the snapshot side: queue i's capacity and
-	// charge in bytes and its resident item count, in class order (a global
-	// LRU has one queue, reported as class 0).
-	numQueues() int
-	queueView(i int) (capacity, used int64, items int)
-	// manager exposes the Cliffhanger manager, nil for classQueues.
-	manager() *core.Manager
 }
 
-// classQueues is every unmanaged mode: memcached's per-class LRU, one queue
-// per slab class charged by the chunk, or (global) a single LRU over all sizes
-// charged by the byte, which emulates a log-structured cache at 100 % utilization
-// (Table 2). Its ledger is one number, the bytes of the reservation no queue
-// holds yet; the queues' capacities say who holds the rest. A queue with no
-// room takes a whole page of it, first come first served, as stock memcached
-// does (§2), and nothing but a live resize ever takes a page back. The modes
-// differ only in where that starts:
+// classQueues is every unmanaged mode: one queue per slab class charged by
+// the chunk, or (global) a single queue over all sizes charged by the byte,
+// which emulates a log-structured cache at 100 % utilization (Table 2). Its
+// ledger is one number, the bytes of the reservation no queue holds yet; the
+// queues' capacities say who holds the rest. A queue with no room takes a
+// whole page of it, first come first served, as stock memcached does (§2),
+// and nothing but a live resize ever takes a page back. The modes differ only
+// in where that starts:
 //
 //   - AllocDefault: every queue at 0, the whole reservation free.
 //   - AllocStatic: every queue at its solver-provided budget, nothing free,
@@ -74,18 +53,18 @@ type partitionPolicy interface {
 //   - AllocGlobalLRU: the one queue holds the whole reservation, nothing free.
 type classQueues struct {
 	geom   *slab.Geometry
-	queues []*cache.LRU
+	queues []*core.Queue
 	free   int64
-	// global: a single queue, charged by the byte.
-	global bool
 }
 
+// newClassQueues builds the queues of an unmanaged mode. Each is numbered by
+// its class, so the tags of their nodes never collide.
 func newClassQueues(cfg TenantConfig, geom *slab.Geometry) *classQueues {
 	if cfg.Mode == AllocGlobalLRU {
-		one := cache.NewLRU(cfg.MemoryBytes)
-		return &classQueues{geom: geom, queues: []*cache.LRU{one}, global: true}
+		one := core.NewLRUQueue(classQueueID(0), 0, cfg.MemoryBytes, 1)
+		return &classQueues{geom: geom, queues: []*core.Queue{one}}
 	}
-	p := &classQueues{geom: geom, queues: make([]*cache.LRU, geom.NumClasses())}
+	p := &classQueues{geom: geom, queues: make([]*core.Queue, geom.NumClasses())}
 	for c := range p.queues {
 		budget := int64(0)
 		if cfg.Mode == AllocStatic {
@@ -93,7 +72,7 @@ func newClassQueues(cfg TenantConfig, geom *slab.Geometry) *classQueues {
 				budget = geom.ChunkSize(c) // room for at least one item
 			}
 		}
-		p.queues[c] = cache.NewLRU(budget)
+		p.queues[c] = core.NewLRUQueue(classQueueID(c), c, budget, geom.ChunkSize(c))
 	}
 	if cfg.Mode != AllocStatic {
 		p.free = cfg.MemoryBytes
@@ -101,39 +80,17 @@ func newClassQueues(cfg TenantConfig, geom *slab.Geometry) *classQueues {
 	return p
 }
 
-func (p *classQueues) classFor(size int64) (int, bool) {
-	class, ok := p.geom.ClassFor(size)
-	if p.global {
-		class = 0
-	}
-	return class, ok
-}
-
-func (p *classQueues) cost(class int, size int64) int64 {
-	if p.global {
-		return max(size, 1)
-	}
-	return p.geom.ChunkSize(class)
-}
-
-// promoteResident is one probe: Get promotes key only if it is resident. An
-// LRU gives out no node to go through, so every call probes, and a hit
-// evicts nothing.
-func (p *classQueues) promoteResident(class int, key string, _ *cache.Node, _ int64) (bool, []cache.Victim, bool) {
-	return p.queues[class].Get(key), nil, true
-}
-
-func (p *classQueues) admit(class int, key string, cost int64) (bool, []cache.Victim, *cache.Node) {
+// admit grants the queue whole pages while it has no room for key and one is
+// free. Growth evicts nothing, so applying the grants returns no victims.
+func (p *classQueues) admit(class int, key string, cost int64) (core.AccessOutcome, *cache.Node) {
 	q, page := p.queues[class], p.geom.PageSize
 	for q.Used()+cost > q.Capacity() && p.free >= page {
 		p.free -= page
-		q.Resize(q.Capacity() + page)
+		q.Grow(page)
 	}
-	hit, victims := q.Access(key, cost)
-	return hit, victims, nil
+	q.ForceApplyResize()
+	return q.Access(key, cost)
 }
-
-func (p *classQueues) remove(class int, key string) bool { return p.queues[class].Remove(key) }
 
 // resize moves the difference into or out of the free count. Growth reaches
 // the queues through admit; a shrink that leaves the count negative takes a
@@ -142,7 +99,7 @@ func (p *classQueues) resize(oldBytes, newBytes int64) []cache.Victim {
 	p.free += newBytes - oldBytes
 	var victims []cache.Victim
 	for p.free < 0 {
-		var largest *cache.LRU
+		var largest *core.Queue
 		most := int64(0)
 		for _, q := range p.queues {
 			if c := q.Capacity(); c > most {
@@ -154,19 +111,11 @@ func (p *classQueues) resize(oldBytes, newBytes int64) []cache.Victim {
 		}
 		take := min(p.geom.PageSize, most)
 		p.free += take
-		victims = append(victims, largest.Resize(most-take)...)
+		largest.SetCapacity(most - take)
+		victims = append(victims, largest.ForceApplyResize()...)
 	}
 	return victims
 }
-
-func (p *classQueues) numQueues() int { return len(p.queues) }
-
-func (p *classQueues) queueView(i int) (capacity, used int64, items int) {
-	q := p.queues[i]
-	return q.Capacity(), q.Used(), q.Len()
-}
-
-func (p *classQueues) manager() *core.Manager { return nil }
 
 // managedPolicy runs the paper's algorithm: one Cliffhanger manager per
 // tenant moves memory between slab-class queues using shadow-queue hill
@@ -212,22 +161,16 @@ func newManagedPolicy(cfg TenantConfig, geom *slab.Geometry) (*managedPolicy, er
 	return p, nil
 }
 
-func (p *managedPolicy) classFor(size int64) (int, bool) { return p.geom.ClassFor(size) }
-
-func (p *managedPolicy) cost(class int, size int64) int64 { return p.geom.ChunkSize(class) }
-
-func (p *managedPolicy) promoteResident(class int, key string, node *cache.Node, cost int64) (bool, []cache.Victim, bool) {
-	return p.mgr.QueueAt(class).AccessResident(key, node, cost)
-}
-
-func (p *managedPolicy) admit(class int, key string, cost int64) (bool, []cache.Victim, *cache.Node) {
+// admit runs the access through the manager, so that a shadow hit moves a
+// credit. A grant's victims go in front of the access's; when no grant
+// evicted anything the access's slice is returned as it is.
+func (p *managedPolicy) admit(class int, key string, cost int64) (core.AccessOutcome, *cache.Node) {
 	victims := p.growIfNeeded(class, key, cost)
 	out, node := p.mgr.AccessAt(class, key, cost)
-	return out.Hit, append(victims, out.Evicted...), node
-}
-
-func (p *managedPolicy) remove(class int, key string) bool {
-	return p.mgr.QueueAt(class).Remove(key)
+	if len(victims) > 0 {
+		out.Evicted = append(victims, out.Evicted...)
+	}
+	return out, node
 }
 
 // resize retargets the reservation. The manager claws a shrink back from the
@@ -299,21 +242,4 @@ func (p *managedPolicy) growIfNeeded(class int, key string, cost int64) []cache.
 		victims = append(victims, q.ForceApplyResize()...)
 	}
 	return victims
-}
-
-func (p *managedPolicy) numQueues() int { return p.mgr.NumQueues() }
-
-func (p *managedPolicy) queueView(i int) (capacity, used int64, items int) {
-	q := p.mgr.QueueAt(i)
-	return q.Capacity(), q.Used(), q.Items()
-}
-
-func (p *managedPolicy) manager() *core.Manager { return p.mgr }
-
-// newPartitionPolicy builds the policy for cfg's mode.
-func newPartitionPolicy(cfg TenantConfig, geom *slab.Geometry) (partitionPolicy, error) {
-	if cfg.Mode == AllocCliffhanger || cfg.Mode == AllocMemshare {
-		return newManagedPolicy(cfg, geom)
-	}
-	return newClassQueues(cfg, geom), nil
 }

@@ -27,9 +27,6 @@ type Config struct {
 	DefaultPolicy cache.PolicyKind
 	// Cliffhanger configures Cliffhanger-managed tenants.
 	Cliffhanger core.Config
-	// ValueShards is the number of striped-lock value shards per tenant
-	// (rounded up to a power of two). Zero uses defaultValueShards.
-	ValueShards int
 	// SyncBookkeeping makes every request apply its own events before it
 	// returns, where asynchronous mode (the default, faster) leaves them
 	// buffered until a shard reaches the batch boundary and one request
@@ -45,9 +42,10 @@ type Config struct {
 	Arbiter ArbiterConfig
 }
 
-// defaultValueShards is the per-tenant lock stripe count: enough that a
-// server's worth of worker goroutines rarely collide on one stripe.
-const defaultValueShards = 64
+// valueShards is the per-tenant lock stripe count, a power of two: enough
+// that a server's worth of connection goroutines rarely collide on one
+// stripe.
+const valueShards = 64
 
 // Store is a multi-tenant in-memory key-value cache: the value-holding layer
 // over Tenant. It is safe for concurrent use. Values live in an N-way
@@ -128,11 +126,11 @@ type item struct {
 	pendingAdmit bool
 	// node is the class queue node the replay of that admission placed the
 	// key under (markAdmitted); GET and touch events carry it so their replay
-	// need not probe the queue for the key (core.Queue.AccessResident). It is
-	// nil while the admission is pending, since a mutation clears it
-	// (bufferMutationLocked), and in the unmanaged modes, whose queues give
-	// out no node. Read and written under the shard lock; the node itself is
-	// the accounting plane's and is only dereferenced by a replay.
+	// need not probe the queue for the key (core.Queue.AccessResident), in
+	// every mode. It is nil while the admission is pending, since a mutation
+	// clears it (bufferMutationLocked). Read and written under the shard
+	// lock; the node itself is the accounting plane's and is only
+	// dereferenced by a replay.
 	node *cache.Node
 	// next links the record into its shard's freelist while pooled.
 	next *item
@@ -423,9 +421,6 @@ func New(cfg Config) *Store {
 	if cfg.Cliffhanger.CreditBytes == 0 {
 		cfg.Cliffhanger = core.DefaultConfig()
 	}
-	if cfg.ValueShards <= 0 {
-		cfg.ValueShards = defaultValueShards
-	}
 	if cfg.Now == nil {
 		cfg.Now = func() int64 { return time.Now().Unix() }
 	}
@@ -474,15 +469,6 @@ func (s *Store) maintain() {
 	}
 }
 
-// nextPow2 rounds n up to a power of two.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // RegisterTenant creates a tenant with the given memory reservation using
 // the store's default mode.
 func (s *Store) RegisterTenant(name string, memoryBytes int64) error {
@@ -522,7 +508,7 @@ func (s *Store) RegisterTenantConfig(cfg TenantConfig) error {
 		return fmt.Errorf("store: tenant %q page size %d does not match the store's page pool (%d)",
 			cfg.Name, cfg.Geometry.PageSize, s.pa.pageSize)
 	}
-	n := nextPow2(s.cfg.ValueShards)
+	n := valueShards
 	e := &tenantEntry{
 		tenant: tenant,
 		shards: make([]valueShard, n),

@@ -1251,9 +1251,8 @@ func TestTenantSelfBounceNotCountedAsEviction(t *testing.T) {
 // caller must hold the bookkeeper's mutex or have quiesced the store.
 func queuedItems(t *Tenant) int {
 	total := 0
-	for c := 0; c < t.policy.numQueues(); c++ {
-		_, _, items := t.policy.queueView(c)
-		total += items
+	for _, q := range t.queues {
+		total += q.Items()
 	}
 	return total
 }

@@ -1,18 +1,20 @@
 // Package store implements the multi-tenant, slab-allocated cache engine the
 // experiments and the server run on: a Memcached-style key-value store with
-// per-application memory reservations, per-slab-class LRU queues, and an
-// allocation mode that is one of two things: plain eviction queues (the
-// default first-come-first-serve page allocation, a static solver-provided
-// split, or a global LRU, which differ only in where the reservation starts),
-// or queues managed by the paper's algorithm (Cliffhanger, and Memshare, which
-// is Cliffhanger within each tenant plus cross-tenant arbitration).
+// per-application memory reservations, one core.Queue per slab class, and an
+// allocation mode that is one of two things: queues with the paper's
+// algorithm switched off, which makes each one memcached's LRU (the default
+// first-come-first-serve page allocation, a static solver-provided split, or
+// a global LRU, which differ only in where the reservation starts), or queues
+// managed by the paper's algorithm (Cliffhanger, and Memshare, which is
+// Cliffhanger within each tenant plus cross-tenant arbitration).
 //
 // The engine is split in three layers:
 //
-//   - Tenant (this file, with the two policies in policy.go) tracks one
-//     application's cache *structure* — which keys are resident in which
-//     slab class and how memory is divided — without holding values. It is
-//     single-threaded by design; in a Store only the bookkeeper calls it.
+//   - Tenant (this file, with the two allocation policies in policy.go)
+//     tracks one application's cache *structure* — which keys are resident
+//     in which slab class and how memory is divided — without holding
+//     values. It is single-threaded by design; in a Store only the
+//     bookkeeper calls it.
 //     The trace-driven simulator (internal/sim) replays through a
 //     synchronous Store like any other caller, so a simulation holds its
 //     values in the arena too: a Memcachier replay at scale 1 (192 MiB of
@@ -178,8 +180,7 @@ type TenantStats struct {
 	// ReplayProbes counts the lookups and touches with a key whose promotion
 	// had to probe the class queue for it because the node the record
 	// remembered was stale or missing: its admission had not replayed yet,
-	// the touched key was absent, or the mode is unmanaged and remembers
-	// none.
+	// or the touched key was absent.
 	ReplayProbes int64
 	Classes      []ClassStats
 	// DroppedEvents, Sweeps and InlineApplies are the Store bookkeeper's
@@ -197,16 +198,21 @@ func (s TenantStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Tenant tracks one application's cache structure. How memory is divided,
-// grown and charged lives in the partitionPolicy (policy.go: classQueues or
-// managedPolicy); the Tenant owns the mode-independent counters. It is not
-// safe for concurrent use; in the Store each tenant's bookkeeper serializes
+// Tenant tracks one application's cache structure. It owns the class queues
+// and does everything with them that is the same in every mode: mapping an
+// item to a queue and a charge, promoting, removing, and the views. Who
+// gets the unassigned part of the reservation and who gives memory back lives
+// in the partitionPolicy (policy.go: classQueues or managedPolicy). It is not
+// safe for concurrent use; in a Store each tenant's bookkeeper serializes
 // access, and the repository benchmark drives a bare one from a single
 // goroutine.
 type Tenant struct {
 	cfg    TenantConfig
 	geom   *slab.Geometry
 	policy partitionPolicy
+	// queues are the class queues in class order; a global LRU has one,
+	// reported as class 0.
+	queues []*core.Queue
 
 	// reserved is the arbiter floor: the part of the original reservation
 	// cross-tenant arbitration can never take away, fixed at construction
@@ -244,11 +250,19 @@ func NewTenant(cfg TenantConfig) (*Tenant, error) {
 			cfg.Name, t.reserved, cfg.MemoryBytes)
 	}
 
-	p, err := newPartitionPolicy(cfg, geom)
+	if cfg.Mode != AllocCliffhanger && cfg.Mode != AllocMemshare {
+		p := newClassQueues(cfg, geom)
+		t.policy, t.queues = p, p.queues
+		return t, nil
+	}
+	p, err := newManagedPolicy(cfg, geom)
 	if err != nil {
 		return nil, fmt.Errorf("store: tenant %q: %v", cfg.Name, err)
 	}
 	t.policy = p
+	for c := 0; c < p.mgr.NumQueues(); c++ {
+		t.queues = append(t.queues, p.mgr.QueueAt(c))
+	}
 	return t, nil
 }
 
@@ -276,18 +290,32 @@ func (t *Tenant) shadowBytes() int64 {
 
 // Manager exposes the Cliffhanger manager (nil in unmanaged modes); the
 // arbiter reads the shadow-queue credit signal from it.
-func (t *Tenant) Manager() *core.Manager { return t.policy.manager() }
+func (t *Tenant) Manager() *core.Manager {
+	if p, ok := t.policy.(*managedPolicy); ok {
+		return p.mgr
+	}
+	return nil
+}
 
-// ClassFor returns the slab class for an item of the given size.
+// ClassFor returns the queue an item of the given size belongs to: its slab
+// class, or 0 under the global-LRU layout. It reports false for an item no
+// chunk can hold, in every mode.
 func (t *Tenant) ClassFor(size int64) (int, bool) {
-	return t.policy.classFor(size)
+	class, ok := t.geom.ClassFor(size)
+	if t.cfg.Mode == AllocGlobalLRU {
+		class = 0
+	}
+	return class, ok
 }
 
 // cost returns the cost charged for an item of the given size in the given
 // class: the full chunk size in slab modes (Memcached's real memory
 // accounting) and the exact item size under the global-LRU layout.
 func (t *Tenant) cost(class int, size int64) int64 {
-	return t.policy.cost(class, size)
+	if t.cfg.Mode == AllocGlobalLRU {
+		return max(size, 1)
+	}
+	return t.geom.ChunkSize(class)
 }
 
 // Lookup performs the GET path: it reports whether key is resident and
@@ -321,10 +349,12 @@ func (t *Tenant) Lookup(key string, node *cache.Node, size int64) (bool, []cache
 	return hit, victims
 }
 
-// promote is the queue half of Lookup and Touch, counting the promotions that
-// had to probe for key (replay_probes) and the keys it evicted.
+// promote is the queue half of Lookup and Touch: it re-accesses key only if
+// it is resident (a GET miss does not admit), through node while node still
+// holds key, counting the promotions that had to probe for key
+// (replay_probes) and the keys a resize the hit applied evicted.
 func (t *Tenant) promote(class int, key string, node *cache.Node, size int64) (bool, []cache.Victim) {
-	hit, victims, probed := t.policy.promoteResident(class, key, node, t.cost(class, size))
+	hit, victims, probed := t.queues[class].AccessResident(key, node, t.cost(class, size))
 	if probed {
 		t.probes++
 	}
@@ -340,17 +370,17 @@ func (t *Tenant) Admit(key string, size int64) []cache.Victim {
 }
 
 // admit is Admit that also returns the queue node key was placed under, for
-// the caller to hand back to Lookup and Touch (nil in the unmanaged modes and
-// for a key no chunk can hold).
+// the caller to hand back to Lookup and Touch (nil for a key no chunk can
+// hold).
 func (t *Tenant) admit(key string, size int64) ([]cache.Victim, *cache.Node) {
 	class, ok := t.ClassFor(size)
 	if !ok {
 		return []cache.Victim{{Key: key, Cost: size}}, nil
 	}
 	t.sets++
-	_, victims, node := t.policy.admit(class, key, t.cost(class, size))
-	t.classEvict[class] += evictedOthers(key, victims)
-	return victims, node
+	out, node := t.policy.admit(class, key, t.cost(class, size))
+	t.classEvict[class] += evictedOthers(key, out.Evicted)
+	return out.Evicted, node
 }
 
 // ReAdmit performs the SET path for a key that already has a resident entry
@@ -456,16 +486,16 @@ func (t *Tenant) Access(key string, size int64) (bool, []cache.Victim) {
 	}
 	t.requests++
 	t.classReq[class]++
-	hit, victims, _ := t.policy.admit(class, key, t.cost(class, size))
-	if hit {
+	out, _ := t.policy.admit(class, key, t.cost(class, size))
+	if out.Hit {
 		t.hits++
 		t.classHit[class]++
 	} else {
 		t.misses++
 		t.classMiss[class]++
 	}
-	t.classEvict[class] += evictedOthers(key, victims)
-	return hit, victims
+	t.classEvict[class] += evictedOthers(key, out.Evicted)
+	return out.Hit, out.Evicted
 }
 
 // Delete removes key (of the given size class) from the tenant.
@@ -481,16 +511,16 @@ func (t *Tenant) Delete(key string, size int64) bool {
 // removeFrom drops key's structural entry from the given class queue without
 // touching any counter.
 func (t *Tenant) removeFrom(class int, key string) bool {
-	return t.policy.remove(class, key)
+	return t.queues[class].Remove(key)
 }
 
 // ClassCapacities returns the current per-class capacities in bytes, keyed
 // by slab class. For global-LRU tenants the single queue is reported as
 // class 0.
 func (t *Tenant) ClassCapacities() map[int]int64 {
-	out := make(map[int]int64, t.policy.numQueues())
-	for c := 0; c < t.policy.numQueues(); c++ {
-		out[c], _, _ = t.policy.queueView(c)
+	out := make(map[int]int64, len(t.queues))
+	for c, q := range t.queues {
+		out[c] = q.Capacity()
 	}
 	return out
 }
@@ -498,9 +528,8 @@ func (t *Tenant) ClassCapacities() map[int]int64 {
 // UsedBytes returns the tenant's resident bytes.
 func (t *Tenant) UsedBytes() int64 {
 	var sum int64
-	for c := 0; c < t.policy.numQueues(); c++ {
-		_, used, _ := t.policy.queueView(c)
-		sum += used
+	for _, q := range t.queues {
+		sum += q.Used()
 	}
 	return sum
 }
@@ -520,8 +549,8 @@ func (t *Tenant) Stats() TenantStats {
 		TouchHits:    t.touchHits,
 		ReplayProbes: t.probes,
 	}
-	for c := 0; c < t.policy.numQueues(); c++ {
-		capacity, used, items := t.policy.queueView(c)
+	for c, q := range t.queues {
+		capacity, used, items := q.Capacity(), q.Used(), q.Items()
 		if t.classReq[c] == 0 && capacity == 0 && used == 0 {
 			continue
 		}
