@@ -23,13 +23,16 @@ race:
 # deferred tenant line against scripted and real servers, the server's
 # one-write answer on both of the front end's wait paths, and the two switch
 # alloc gates. On internal/server it also runs the wait/lease cycle
-# (TestPark*: a spurious wake leases, reads nothing and waits again) and the
+# (TestPark*: a spurious wake leases, reads nothing and waits again), the
 # lazy deadlines (TestGoverned*: a stale deadline that fires early is re-armed
-# on both wait paths).
+# on both wait paths) and a run of GETs that holds its one epoch pin across
+# the writer's mid-run flushes while writers re-set and delete its keys
+# (TestGetRunPinnedAcrossFlushes; its store-level twin,
+# TestArenaRunReadersVsFrees, rides in the store line).
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant|TestPark|TestGoverned' ./internal/server/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant|TestPark|TestGoverned|TestGetRun' ./internal/server/
 
 # stable is the flake hunt for the packages with real concurrency (in
 # internal/store that includes the asynchronous halves of the
@@ -131,7 +134,8 @@ fits:
 # allocation floors (a batch boundary's session release, netpoller wait and
 # lease = 0 amortized; GetItemView hit = 0 through protocol+server+store with
 # the value streamed zero-copy from an epoch-pinned arena view; GetItemView
-# miss = 0 — the lookup event carries no key;
+# miss = 0 — the lookup event carries no key; a 64-deep pipelined run of GET
+# hits, and one of misses, = 0 per command (one tenant resolve, one pin);
 # SetItemBytes, cross-class re-set and AppendBytes/PrependBytes = 0 — value
 # chunks recycled through the slab arena, item records pooled per shard;
 # SetItemBytes+Delete churn <= 1; the bookkeeper's sweep = 0 — buffers stolen
@@ -151,6 +155,7 @@ alloccheck:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParser$$ -fuzztime=20s ./internal/protocol/
 	$(GO) test -run=NONE -fuzz=FuzzParserPipelineSync -fuzztime=20s ./internal/protocol/
+	$(GO) test -run=NONE -fuzz=FuzzNextGet -fuzztime=20s ./internal/protocol/
 
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkStoreGetSet -benchmem ./internal/store/
@@ -268,7 +273,11 @@ connscale: bins
 # default, 64, profiles the store and the replay; `make profile PIPELINE=1`
 # profiles the front end, where each GET is a batch (the wait's peek, the
 # read, the write: server.readable and internal/poll's deadline code show
-# there). PIPELINE is a knob of this recipe, not of the daemon. Not in CI.
+# there). PIPELINE is a knob of this recipe, not of the daemon. The last line
+# is the daemon's CPU per command over the whole cliffbench run (its utime +
+# stime ticks from /proc/<pid>/stat, over the ops= cliffbench prints), so a
+# before/after pair reads in ns per GET: a profile line's flat % of it is that
+# function's ns per GET. Not in CI.
 PIPELINE ?= 64
 profile: bins
 	@set -e; \
@@ -277,13 +286,19 @@ profile: bins
 	./bin/cliffhangerd -addr $$addr -pprof-addr $$paddr 2>$$dir/daemon.log & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	sleep 1; \
+	ticks() { awk '{print $$14 + $$15}' /proc/$$pid/stat; }; \
+	t0=$$(ticks); \
 	./bin/cliffbench -addr $$addr -tenant default -keys 8192 -zipf 0.99 -get-ratio 1 -pipeline $(PIPELINE) -conns 2 -duration 20s > $$dir/bench.log & bench=$$!; \
 	sleep 5; \
 	$(GO) tool pprof -proto -output $$dir/cpu.pb.gz "http://$$paddr/debug/pprof/profile?seconds=10" 2>/dev/null; \
 	wait $$bench; \
+	t1=$$(ticks); \
 	cat $$dir/bench.log; \
 	$(GO) tool pprof -top -nodecount=40 bin/cliffhangerd $$dir/cpu.pb.gz; \
-	echo "profile: $$dir/cpu.pb.gz"
+	echo "profile: $$dir/cpu.pb.gz"; \
+	ops=$$(sed -n 's/^ops=\([0-9]*\) .*/\1/p' $$dir/bench.log); \
+	awk -v t=$$((t1 - t0)) -v hz=$$(getconf CLK_TCK) -v ops=$$ops \
+		'BEGIN { printf "daemon CPU per command: %.0f ns (%d ticks at %d Hz over %d commands)\n", t * 1e9 / hz / ops, t, hz, ops }'
 
 clean:
 	rm -rf bin

@@ -64,6 +64,11 @@ var fuzzCorpus = []string{
 	"set tornkey 0 0 5\r\nhello\r",
 	"get tornk",
 	"cas k 0 0 3 4",
+	// Runs of GETs, canonical and not, for NextGet.
+	"get a\r\nget b c\r\nget d\r\n",
+	"gets a\r\ngets b\r\nget c\r\ngets d\r\n",
+	"get a\r\nget  b\r\nget c \r\nGET d\r\nget e\nget\r\nget f\r\n",
+	"get a\r\ntenant b\r\nget c\r\nget d\r",
 }
 
 // FuzzParser feeds arbitrary byte streams to the zero-copy parser and checks
@@ -139,5 +144,53 @@ func FuzzParserPipelineSync(f *testing.F) {
 		if err != nil || cmd.Name != VerbVersion {
 			t.Fatalf("pipeline desynced after %q: %+v %v", first, cmd, err)
 		}
+	})
+}
+
+// FuzzNextGet checks that serving a run of GETs through NextGet parses the
+// stream exactly as ReadCommand alone does: after every ReadCommand, whatever
+// it returned, a second parser takes each following line NextGet accepts,
+// and each must be the command the first parser's ReadCommand returns;
+// whatever NextGet declines, the second parser's ReadCommand must read as the
+// first's does.
+func FuzzNextGet(f *testing.F) {
+	for _, seed := range fuzzCorpus {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		ref := NewParser(bufio.NewReaderSize(bytes.NewReader(in), 128))
+		run := NewParser(bufio.NewReaderSize(bytes.NewReader(in), 128))
+		same := func(want, got *Command) {
+			t.Helper()
+			if got.Name != want.Name || len(got.Keys) != len(want.Keys) {
+				t.Fatalf("run parsed %s %q, ReadCommand %s %q", got.Name, got.Keys, want.Name, want.Keys)
+			}
+			for i := range want.Keys {
+				if !bytes.Equal(got.Keys[i], want.Keys[i]) {
+					t.Fatalf("run parsed %s %q, ReadCommand %s %q", got.Name, got.Keys, want.Name, want.Keys)
+				}
+			}
+		}
+		for i := 0; i < len(in)+2; i++ {
+			want, werr := ref.ReadCommand()
+			got, gerr := run.ReadCommand()
+			if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+				t.Fatalf("ReadCommand: %v vs %v", werr, gerr)
+			}
+			if werr != nil && (werr == io.EOF || strings.Contains(werr.Error(), "EOF")) {
+				return
+			}
+			if werr == nil {
+				same(want, got)
+			}
+			for next := run.NextGet(); next != nil; next = run.NextGet() {
+				want, werr := ref.ReadCommand()
+				if werr != nil {
+					t.Fatalf("NextGet took %s %q where ReadCommand fails: %v", next.Name, next.Keys, werr)
+				}
+				same(want, next)
+			}
+		}
+		t.Fatalf("parser made no forward progress on a %d-byte input", len(in))
 	})
 }

@@ -319,6 +319,62 @@ func (p *Parser) ReadCommand() (*Command, error) {
 	return cmd, nil
 }
 
+// NextGet continues a run of the get or gets just parsed: it parses the next
+// command only when that command is already whole in the reader's buffer and
+// is exactly "<verb> <key>[ <key>...]\r\n", with the same verb in lower case,
+// single spaces, valid keys and a CRLF. Otherwise, or when the command just
+// parsed was not a get or gets, it consumes nothing and returns nil, and
+// ReadCommand parses whatever comes next, so every line NextGet declines gets
+// the answer it always got. Like ReadCommand it returns the parser's one
+// Command and invalidates the previous one. It never reads from the
+// connection. The server serves a pipelined run of GETs through it.
+func (p *Parser) NextGet() *Command {
+	verb := p.cmd.Name
+	if verb != VerbGet && verb != VerbGets {
+		return nil
+	}
+	buf, _ := p.r.Peek(p.r.Buffered())
+	n := len(verb)
+	if len(buf) <= n || string(buf[:n]) != verb || buf[n] != ' ' {
+		return nil
+	}
+	// A get's Command has only its Name and Keys set, so the Keys are all
+	// that change.
+	keys := p.keys[:0]
+	for i := n + 1; ; i++ {
+		start := i
+		for i < len(buf) && keyByte[buf[i]] {
+			i++
+		}
+		if i == len(buf) || i == start || i-start > MaxKeyLength {
+			return nil
+		}
+		keys = append(keys, buf[start:i])
+		switch buf[i] {
+		case ' ':
+			continue
+		case '\r':
+			if i+1 == len(buf) || buf[i+1] != '\n' {
+				return nil
+			}
+			p.keys = keys[:0]
+			p.cmd.Keys = keys
+			p.r.Discard(i + 2)
+			return &p.cmd
+		}
+		return nil
+	}
+}
+
+// keyByte reports which bytes a key may hold: none of the control
+// characters, space or DEL.
+var keyByte = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c > ' ' && c != 127
+	}
+	return t
+}()
+
 // keyArg parses the common "<key> <arg> [noreply]" shape of touch/incr/decr,
 // setting cmd.NoReply. ok is false when either token is missing.
 func (p *Parser) keyArg(cmd *Command, rest []byte) (key, arg []byte, ok bool) {
@@ -542,8 +598,8 @@ func validateKey(k []byte) error {
 	if len(k) == 0 || len(k) > MaxKeyLength {
 		return fmt.Errorf("protocol: invalid key length %d", len(k))
 	}
-	for i := 0; i < len(k); i++ {
-		if k[i] <= ' ' || k[i] == 127 {
+	for _, c := range k {
+		if !keyByte[c] {
 			return fmt.Errorf("protocol: key contains control or space characters")
 		}
 	}

@@ -607,3 +607,105 @@ func TestReadCommandMalformedStorageConsumesPayload(t *testing.T) {
 		t.Fatalf("payload leaked into the command stream: %+v %v", cmd, err)
 	}
 }
+
+// TestNextGetTakesOnlyTheCanonicalLine checks what NextGet accepts after a
+// get: the next line of the same verb, whole in the buffer, with single
+// spaces, valid keys and a CRLF. Every other line is left, unconsumed, for
+// ReadCommand.
+func TestNextGetTakesOnlyTheCanonicalLine(t *testing.T) {
+	long := strings.Repeat("k", MaxKeyLength)
+	for _, tc := range []struct {
+		verb, line string
+		keys       []string // nil: declined
+	}{
+		{VerbGet, "get a\r\n", []string{"a"}},
+		{VerbGet, "get a bb " + long + "\r\n", []string{"a", "bb", long}},
+		{VerbGets, "gets a b\r\n", []string{"a", "b"}},
+		{VerbGet, "gets a\r\n", nil},
+		{VerbGets, "get a\r\n", nil},
+		{VerbGet, "GET a\r\n", nil},
+		{VerbGet, "get  a\r\n", nil},
+		{VerbGet, "get a \r\n", nil},
+		{VerbGet, "get\ta\r\n", nil},
+		{VerbGet, "get a\tb\r\n", nil},
+		{VerbGet, "get a\n", nil},
+		{VerbGet, "get a\rb\r\n", nil},
+		{VerbGet, "get\r\n", nil},
+		{VerbGet, "get \r\n", nil},
+		{VerbGet, "get " + long + "k\r\n", nil},
+		{VerbGet, "get a\x7f\r\n", nil},
+		{VerbGet, "get a\r", nil},
+		{VerbGet, "set a 0 0 1\r\nx\r\n", nil},
+	} {
+		in := "get first\r\n" + tc.line + "version\r\n"
+		if tc.verb == VerbGets {
+			in = "gets first\r\n" + tc.line + "version\r\n"
+		}
+		p := parser(in)
+		if cmd, err := p.ReadCommand(); err != nil || cmd.Name != tc.verb {
+			t.Fatalf("%q: first command %+v, %v", in, cmd, err)
+		}
+		cmd := p.NextGet()
+		if tc.keys == nil {
+			if cmd != nil {
+				t.Errorf("%q: NextGet took %q, want it declined", tc.line, cmd.Keys)
+			}
+			if n := p.r.Buffered(); n != len(in)-len(tc.verb)-len(" first\r\n") {
+				t.Errorf("%q: NextGet consumed %d bytes of a line it declined", tc.line, len(in)-len(tc.verb)-len(" first\r\n")-n)
+			}
+			continue
+		}
+		if cmd == nil || cmd.Name != tc.verb || len(cmd.Keys) != len(tc.keys) {
+			t.Fatalf("%q: NextGet = %+v, want %s %q", tc.line, cmd, tc.verb, tc.keys)
+		}
+		for i, k := range tc.keys {
+			if string(cmd.Keys[i]) != k {
+				t.Errorf("%q: key %d = %q, want %q", tc.line, i, cmd.Keys[i], k)
+			}
+		}
+		if next, err := p.ReadCommand(); err != nil || next.Name != VerbVersion {
+			t.Errorf("%q: after NextGet the stream reads %+v, %v; want version", tc.line, next, err)
+		}
+	}
+}
+
+// TestNextGetContinuesOnlyARunOfGets checks that NextGet takes nothing after
+// a command that is not a get or gets, even when the next line is a get.
+func TestNextGetContinuesOnlyARunOfGets(t *testing.T) {
+	for _, first := range []string{"version\r\n", "delete a\r\n", "set a 0 0 1\r\nx\r\n", "tenant get\r\n"} {
+		p := parser(first + "get b\r\n")
+		if _, err := p.ReadCommand(); err != nil {
+			t.Fatal(err)
+		}
+		if cmd := p.NextGet(); cmd != nil {
+			t.Errorf("after %q NextGet took %+v", first, cmd)
+		}
+		if cmd, err := p.ReadCommand(); err != nil || cmd.Name != VerbGet || string(cmd.Keys[0]) != "b" {
+			t.Errorf("after %q the stream reads %+v, %v; want get b", first, cmd, err)
+		}
+	}
+	if cmd := parser("get a\r\n").NextGet(); cmd != nil {
+		t.Errorf("NextGet before any command took %+v", cmd)
+	}
+}
+
+// TestNextGetKeepsEarlierKeys checks that a run's keys stay valid: NextGet
+// never reads from the connection, so the keys of the command before it still
+// point at their bytes.
+func TestNextGetKeepsEarlierKeys(t *testing.T) {
+	p := parser("get a b\r\nget c\r\nget d")
+	first, err := p.ReadCommand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := first.Keys[0], first.Keys[1]
+	if cmd := p.NextGet(); cmd == nil || string(cmd.Keys[0]) != "c" {
+		t.Fatalf("NextGet = %+v, want get c", cmd)
+	}
+	if cmd := p.NextGet(); cmd != nil {
+		t.Fatalf("NextGet took a line that is not whole: %+v", cmd)
+	}
+	if string(a) != "a" || string(b) != "b" {
+		t.Fatalf("the first command's keys read %q %q after the run, want a b", a, b)
+	}
+}

@@ -67,6 +67,32 @@ func TestAllocGateServerGet(t *testing.T) {
 	}
 }
 
+// TestAllocGateServerGetRun is the same gate for a pipelined run: 64 GET
+// lines arriving in one segment are served by one step (one tenant resolve,
+// one epoch pin) with 0 allocations per command, for hits and for misses.
+func TestAllocGateServerGetRun(t *testing.T) {
+	const depth = 64
+	for _, tc := range []struct{ name, line string }{
+		{"hit", "get key-1\r\n"},
+		{"miss", "get no-such-key\r\n"},
+	} {
+		c, reset := newGateSession(t, bytes.Repeat([]byte(tc.line), depth))
+		step := func() {
+			reset()
+			if !c.step() {
+				t.Fatalf("session stopped on a healthy run of GET %ss", tc.name)
+			}
+			if n := c.r.Buffered(); n != 0 {
+				t.Fatalf("one step left %d bytes of a %d-deep run of GET %ss buffered", n, depth, tc.name)
+			}
+		}
+		step()
+		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+			t.Errorf("a %d-deep run of GET %ss allocates %.2f objects, want 0", depth, tc.name, allocs)
+		}
+	}
+}
+
 // TestAllocGateServerSet pins the SET floor through the same full path: with
 // the slab arena a steady-state re-set allocates NOTHING — the value bytes
 // are copied from the parse buffer into the record's recycled chunk under

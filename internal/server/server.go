@@ -26,14 +26,19 @@
 // replies are assembled into with strconv.Append*, and GET responses are
 // streamed one VALUE block at a time as keys are looked up (no []Value
 // buffering). Keys cross into the store as []byte via the byte-key entry
-// points (GetItemView, SetItemBytes, AppendBytes/PrependBytes). Value bytes
-// live in the store's recycled slab-arena chunks and are streamed zero-copy:
-// a GET pins the arena epoch (store.GetItemView) and writes the borrowed
-// chunk view straight into the connection writer before releasing the pin —
-// epoch-based quarantine guarantees the chunk cannot be recycled while the
-// view is live — and a SET copies the parse buffer into a recycled chunk, so
-// the only steady-state allocation anywhere on the path is the interned key
-// string of a first-time SET. The TestAllocGate tests pin this with
+// points (store.Reader, SetItemBytes, AppendBytes/PrependBytes). A get or
+// gets is served with every following command of the same verb already
+// whole in the read buffer as one run (handleGet): the lines are scanned
+// once (Parser.NextGet), the tenant is resolved once (store.BeginRead) and
+// the arena epoch is pinned once, at the run's first hit, and each command
+// still gets the answer it would get alone. Value bytes live in the store's
+// recycled slab-arena chunks and are streamed zero-copy: the run writes each
+// borrowed chunk view straight into the connection writer and releases the
+// pin after its last VALUE block is queued — epoch-based quarantine
+// guarantees no chunk the run read can be recycled while the pin is held —
+// and a SET copies the parse buffer into a recycled chunk, so the only
+// steady-state allocation anywhere on the path is the interned key string of
+// a first-time SET. The TestAllocGate tests pin this with
 // testing.AllocsPerRun.
 package server
 
@@ -907,12 +912,17 @@ func asNetError(err error) (net.Error, bool) {
 	return nil, false
 }
 
-// handle executes one command and writes its response.
-func (s *Server) handle(c *session, cmd *protocol.Command) error {
+// count accounts for one command about to be executed.
+func (s *Server) count(c *session, cmd *protocol.Command) {
 	c.ops++
 	if s.testHookCommand != nil {
 		s.testHookCommand(cmd)
 	}
+}
+
+// handle executes one command and writes its response.
+func (s *Server) handle(c *session, cmd *protocol.Command) error {
+	s.count(c, cmd)
 	switch cmd.Name {
 	case protocol.VerbTenant:
 		// The verb cannot fail: an unknown name is stored like any other and
@@ -991,36 +1001,62 @@ func (s *Server) handleTenantAdmin(c *session, cmd *protocol.Command) error {
 	return protocol.WriteLine(c.w, "OK")
 }
 
-// handleGet streams one VALUE block per present key as it is looked up —
-// no []Value is buffered — and terminates with END. The value bytes are
-// written zero-copy from an epoch-pinned arena view (store.GetItemView):
-// the pin holds the chunk out of recycling while it is on loan to the
-// writer and is released as soon as the block is queued. The VALUE header
-// is assembled into the session scratch with strconv appends.
+// maxRunKeys bounds the keys a run of GETs (handleGet) reads under one
+// epoch pin: a run stops taking buffered commands once it has served this
+// many keys.
+const maxRunKeys = 1024
+
+// handleGet serves cmd and, as one run, every following command of the same
+// verb that is already whole in the read buffer in its canonical form
+// (protocol.Parser.NextGet): the tenant is resolved once (store.BeginRead)
+// and the arena epoch is pinned once, at the run's first hit, and released
+// after the run's last VALUE block is queued. Each command gets the answer it
+// would get alone: its VALUE blocks in key order, streamed as each key is
+// looked up — no []Value is buffered — and its END, or one SERVER_ERROR when
+// the tenant is unknown. The value bytes are written zero-copy from the
+// pinned arena chunk; the VALUE header is assembled into the session scratch
+// with strconv appends.
 func (s *Server) handleGet(c *session, cmd *protocol.Command) error {
+	r, rerr := s.store.BeginRead(c.tenant)
+	defer r.End()
+	for n := 0; ; {
+		if err := s.serveGet(c, &r, rerr, cmd); err != nil {
+			return err
+		}
+		if n += len(cmd.Keys); n >= maxRunKeys {
+			return nil
+		}
+		if cmd = c.parser.NextGet(); cmd == nil {
+			return nil
+		}
+		s.count(c, cmd)
+	}
+}
+
+// serveGet answers one command of a run of GETs read through r; rerr is the
+// error BeginRead returned for the run, if any.
+func (s *Server) serveGet(c *session, r *store.Reader, rerr error, cmd *protocol.Command) error {
 	withCAS := cmd.Name == protocol.VerbGets
 	timed := c.getSample.next()
+	if rerr != nil {
+		return protocol.WriteLine(c.w, "SERVER_ERROR "+rerr.Error())
+	}
 	for _, key := range cmd.Keys {
 		start := startTimer(timed)
-		view, ok, err := s.store.GetItemView(c.tenant, key)
+		view, ok := r.Get(key)
 		stopTimer(s.GetLatency, start)
-		if err != nil {
-			return protocol.WriteLine(c.w, "SERVER_ERROR "+err.Error())
-		}
 		if !ok {
 			continue
 		}
 		c.scratch = protocol.AppendValueHeader(c.scratch[:0], key, view.Flags, len(view.Value), view.CAS, withCAS)
-		_, werr := c.w.Write(c.scratch)
-		if werr == nil {
-			_, werr = c.w.Write(view.Value)
+		if _, err := c.w.Write(c.scratch); err != nil {
+			return err
 		}
-		if werr == nil {
-			_, werr = c.w.WriteString("\r\n")
+		if _, err := c.w.Write(view.Value); err != nil {
+			return err
 		}
-		view.Release()
-		if werr != nil {
-			return werr
+		if _, err := c.w.WriteString("\r\n"); err != nil {
+			return err
 		}
 	}
 	_, err := c.w.WriteString("END\r\n")

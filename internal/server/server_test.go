@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
 	"strconv"
 	"strings"
@@ -779,6 +781,11 @@ func TestServerProtocolConformanceTenantPipeline(t *testing.T) {
 		"TENANT", `SERVER_ERROR store: unknown tenant "ghost"`,
 		"TENANT", "VALUE k 0 6", "from-a", "END",
 	}
+	const ghostRun = "tenant ghost\r\nget a\r\nget b\r\ngets c\r\n"
+	ghostRunAnswers := []string{
+		"TENANT", `SERVER_ERROR store: unknown tenant "ghost"`,
+		`SERVER_ERROR store: unknown tenant "ghost"`, `SERVER_ERROR store: unknown tenant "ghost"`,
+	}
 	exchange := func(t *testing.T, conn net.Conn, r *bufio.Reader, req string, want ...string) {
 		t.Helper()
 		if _, err := conn.Write([]byte(req)); err != nil {
@@ -845,8 +852,227 @@ func TestServerProtocolConformanceTenantPipeline(t *testing.T) {
 			}
 			exchange(t, conn, r, "get k\r\n", "VALUE k 0 6", "from-b", "END")
 			exchange(t, conn, r, ghost, ghostAnswers...)
+			// A run of GETs behind an unknown tenant answers one
+			// SERVER_ERROR per command, as each command would alone, and
+			// the connection stays in step.
+			exchange(t, conn, r, ghostRun, ghostRunAnswers...)
+			exchange(t, conn, r, "tenant a\r\nget k\r\n", "TENANT", "VALUE k 0 6", "from-a", "END")
 		})
 	}
+}
+
+// TestServerProtocolConformanceGetRuns sends one segment that mixes runs of
+// get and gets with every line shape a run must not take (two spaces, a
+// 251-byte key, an LF-only line, an upper-case verb, a bare get) and tenant
+// switches between runs, and requires the exact bytes the same server answers
+// when each command arrives alone, which serves every GET as a run of one.
+func TestServerProtocolConformanceGetRuns(t *testing.T) {
+	srv, st := startGovernedServer(t, Config{})
+	for _, name := range []string{"a", "b"} {
+		if err := st.RegisterTenant(name, 8<<20); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"k", "k2"} {
+			if err := st.SetItemBytes(name, []byte(k), []byte(k+"-from-"+name), 3, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stream := strings.Join([]string{
+		"tenant a",
+		"get k k2 miss", "get k", "get miss", "get k2 k",
+		"gets k k2", "gets k", "gets miss k2",
+		"get k", "get  k", "get k",
+		"get " + strings.Repeat("x", 251), "get k",
+		"get k\nget k2", "GET k k2", "get k2", "get", "get k",
+		"tenant b",
+		"get k", "get k2 miss k", "gets k2",
+		"tenant ghost", "get k", "gets k", "get k2",
+		"tenant a", "get k",
+	}, "\r\n") + "\r\n"
+
+	// The reference: the same server fed one line per read, so every GET is
+	// a run of one and answers as it would alone.
+	var alone bytes.Buffer
+	w := bufio.NewWriter(&alone)
+	lines := bytes.SplitAfter([]byte(stream), []byte("\n"))
+	c := newSession(srv, bufio.NewReaderSize(&lineReader{lines: lines}, 64<<10), w)
+	for c.step() {
+	}
+	w.Flush()
+	want := alone.String()
+	for _, line := range []string{"CLIENT_ERROR", "SERVER_ERROR", "VALUE k2 3 9 1\r\n", "VALUE k 3 8\r\nk-from-b"} {
+		if !strings.Contains(want, line) {
+			t.Fatalf("the reference answer has no %q: %q", line, want)
+		}
+	}
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte(stream + "version\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want)+len("VERSION cliffhanger-1.0\r\n"))
+	if _, err := io.ReadFull(conn, got); err != nil {
+		t.Fatalf("reading the answer: %v (got %q)", err, got)
+	}
+	if string(got) != want+"VERSION cliffhanger-1.0\r\n" {
+		t.Fatalf("one segment was answered\n%q\nwant, command by command,\n%q", got, want)
+	}
+}
+
+// TestGetRunPinnedAcrossFlushes sends runs of 300 GETs of ~1 KiB values in
+// one segment, so each run's answer overflows the 64 KiB writer and is
+// flushed mid-run while the run holds its one epoch pin, against writers that
+// re-set, delete and re-set across classes the same keys. Every value encodes
+// its key and version, and every VALUE must be one its key held: a chunk
+// recycled under the run would carry another key's or another version's
+// bytes. make race4 runs it at GOMAXPROCS=4 under the race detector.
+func TestGetRunPinnedAcrossFlushes(t *testing.T) {
+	srv, st := startGovernedServer(t, Config{})
+	const numKeys = 300
+	sizes := []int{1024, 1024, 3000, 200} // 1 KiB, and re-sets across classes
+	value := func(buf []byte, k, ver int) []byte {
+		v := buf[:sizes[ver%len(sizes)]]
+		head := fmt.Appendf(buf[:0], "k%d:v%d:", k, ver)
+		for j := len(head); j < len(v); j++ {
+			v[j] = byte(k*31 + ver*7 + j)
+		}
+		return v
+	}
+	check := func(key string, v []byte) error {
+		var k, ver int
+		if _, err := fmt.Sscanf(string(v), "k%d:v%d:", &k, &ver); err != nil {
+			return fmt.Errorf("value of %s has no header: %q", key, v[:min(len(v), 24)])
+		}
+		if "k"+strconv.Itoa(k) != key {
+			return fmt.Errorf("a VALUE of %s holds k%d's bytes", key, k)
+		}
+		want := value(make([]byte, 3000), k, ver)
+		if !bytes.Equal(v, want) {
+			return fmt.Errorf("%s version %d: %d bytes do not match the %d it was set with", key, ver, len(v), len(want))
+		}
+		return nil
+	}
+	buf := make([]byte, 3000)
+	for k := 0; k < numKeys; k++ {
+		if err := st.SetItemBytes("default", []byte("k"+strconv.Itoa(k)), value(buf, k, 0), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var req bytes.Buffer
+	for k := 0; k < numKeys; k++ {
+		fmt.Fprintf(&req, "get k%d\r\n", k)
+	}
+
+	rounds := 60
+	if testing.Short() {
+		rounds = 15
+	}
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	var versions atomic.Int64
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			buf := make([]byte, 3000)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := rng.Intn(numKeys)
+				key := []byte("k" + strconv.Itoa(k))
+				if rng.Intn(10) < 8 {
+					_ = st.SetItemBytes("default", key, value(buf, k, int(versions.Add(1))), 0, 0)
+				} else if _, err := st.Delete("default", string(key)); err != nil {
+					t.Errorf("delete: %v", err)
+				}
+			}
+		}(int64(w + 1))
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			br := bufio.NewReader(conn)
+			for i := 0; i < rounds; i++ {
+				conn.SetDeadline(time.Now().Add(10 * time.Second))
+				if _, err := conn.Write(req.Bytes()); err != nil {
+					t.Error(err)
+					return
+				}
+				for k := 0; k < numKeys; k++ {
+					if err := readGetAnswer(br, "k"+strconv.Itoa(k), check); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+}
+
+// readGetAnswer reads one get's answer for key, a VALUE block or none, and
+// its END, checking the block's bytes with check.
+func readGetAnswer(br *bufio.Reader, key string, check func(key string, v []byte) error) error {
+	line, err := br.ReadString('\n')
+	if err != nil {
+		return err
+	}
+	if strings.HasPrefix(line, "VALUE ") {
+		var k string
+		var flags, size int
+		if _, err := fmt.Sscanf(line, "VALUE %s %d %d\r\n", &k, &flags, &size); err != nil || k != key {
+			return fmt.Errorf("answer for %s: %q (%v)", key, line, err)
+		}
+		v := make([]byte, size+2)
+		if _, err := io.ReadFull(br, v); err != nil {
+			return err
+		}
+		if err := check(key, v[:size]); err != nil {
+			return err
+		}
+		if line, err = br.ReadString('\n'); err != nil {
+			return err
+		}
+	}
+	if line != "END\r\n" {
+		return fmt.Errorf("answer for %s ends %q, want END", key, line)
+	}
+	return nil
+}
+
+// lineReader returns one line per Read, so a bufio.Reader over it never
+// holds more than one command.
+type lineReader struct{ lines [][]byte }
+
+func (l *lineReader) Read(p []byte) (int, error) {
+	if len(l.lines) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, l.lines[0])
+	if l.lines[0] = l.lines[0][n:]; len(l.lines[0]) == 0 {
+		l.lines = l.lines[1:]
+	}
+	return n, nil
 }
 
 // TestServerDelayedFlushAllEndToEnd drives the delayed flush_all semantics

@@ -41,7 +41,11 @@ package store
 // either the pin (stamp >= pinned epoch => not harvested) or the unpin (the
 // reader is done with the view). Sealing first is load-bearing: scanning
 // slots before taking the stripe lock could miss a pin published after the
-// scan while harvesting a chunk retired before it.
+// scan while harvesting a chunk retired before it. A run of reads (Reader)
+// pins once, at its first hit, and reads every later key's chunk under that
+// key's shard mutex after the pin was published: the same argument holds for
+// those chunks with the pin on another stripe, because the reclaimer scans
+// every stripe's slot (minPinned).
 //
 // The epoch advances on the store's maintenance tick (async mode), on free
 // pressure (an alloc that finds its class's freelist and tail both empty

@@ -391,6 +391,122 @@ func TestArenaReadersVsFrees(t *testing.T) {
 	}
 }
 
+// TestArenaRunReadersVsFrees is TestArenaReadersVsFrees for runs of reads:
+// each reader holds one BeginRead across 64 Gets, keeps every view, and
+// checks them all only after the run's last Get, while writers overwrite
+// (often across classes), delete and flush the same keys. The run pins once,
+// at its first hit, so a view taken early must survive the later Gets, their
+// events and the sweeps they trigger. Every value encodes its key and a
+// version, so a chunk recycled under the run shows up as another key's bytes
+// or a broken pattern, and under -race (make race4 runs it at GOMAXPROCS=4)
+// as a write into a chunk a reader still holds.
+func TestArenaRunReadersVsFrees(t *testing.T) {
+	for _, syncBk := range []bool{true, false} {
+		name := "async"
+		if syncBk {
+			name = "sync"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := New(Config{
+				DefaultMode:     AllocCliffhanger,
+				SyncBookkeeping: syncBk,
+			})
+			defer s.Close()
+			if err := s.RegisterTenant("app", 8<<20); err != nil {
+				t.Fatal(err)
+			}
+			const numKeys, runLen = 256, 64
+			sizes := []int{40, 100, 400, 900, 1800}
+			keys := make([][]byte, numKeys)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("run-%d", i))
+			}
+			// A value is its key's index (two bytes), a version byte and a
+			// pattern derived from both.
+			pattern := func(k int, ver byte, j int) byte { return byte(k) ^ ver ^ byte(j*7+3) }
+			fill := func(buf []byte, k int, ver byte) {
+				buf[0], buf[1], buf[2] = byte(k>>8), byte(k), ver
+				for j := 3; j < len(buf); j++ {
+					buf[j] = pattern(k, ver, j)
+				}
+			}
+			writerOps, runs := 4000, 300
+			if testing.Short() {
+				writerOps, runs = 1000, 80
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					buf := make([]byte, sizes[len(sizes)-1])
+					for i := 0; i < writerOps; i++ {
+						k := rng.Intn(numKeys)
+						switch r := rng.Intn(100); {
+						case r < 80:
+							v := buf[:sizes[rng.Intn(len(sizes))]]
+							fill(v, k, byte(rng.Intn(256)))
+							_ = s.SetItemBytes("app", keys[k], v, 0, 0)
+						case r < 97:
+							if _, err := s.Delete("app", string(keys[k])); err != nil {
+								t.Errorf("delete: %v", err)
+							}
+						default:
+							if err := s.FlushAll("app", 0); err != nil {
+								t.Errorf("flush: %v", err)
+							}
+						}
+					}
+				}(int64(w + 1))
+			}
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					views := make([]ItemView, 0, runLen)
+					asked := make([]int, 0, runLen)
+					for i := 0; i < runs; i++ {
+						run, err := s.BeginRead("app")
+						if err != nil {
+							t.Errorf("begin read: %v", err)
+							return
+						}
+						views, asked = views[:0], asked[:0]
+						for j := 0; j < runLen; j++ {
+							k := rng.Intn(numKeys)
+							if v, ok := run.Get(keys[k]); ok {
+								views = append(views, v)
+								asked = append(asked, k)
+							}
+						}
+						for j, v := range views {
+							k := asked[j]
+							if got := int(v.Value[0])<<8 | int(v.Value[1]); got != k {
+								t.Errorf("a view of key %d holds key %d's value", k, got)
+								continue
+							}
+							for b := 3; b < len(v.Value); b++ {
+								if v.Value[b] != pattern(k, v.Value[2], b) {
+									t.Errorf("view %d of a run torn at byte %d of %d (key %d)", j, b, len(v.Value), k)
+									break
+								}
+							}
+						}
+						run.End()
+					}
+				}(int64(100 + r))
+			}
+			wg.Wait()
+			s.Flush()
+			auditArena(t, s, "app")
+			drainQuarantine(t, s, "app")
+			auditArena(t, s, "app")
+		})
+	}
+}
+
 // keysOnEveryShard returns perShard keys for each of the tenant's value
 // shards, so a test's traffic reaches every arena stripe.
 func keysOnEveryShard(e *tenantEntry, perShard int) [][]byte {

@@ -217,7 +217,7 @@ func (b *bookkeeper) bufferLocked(sh *valueShard, ev *event) recordAction {
 
 // finish performs the deferred half of bufferLocked. The caller must NOT
 // hold any shard lock, applyMu, bk.mu or sweepMu: the replay takes them all.
-func (b *bookkeeper) finish(sh *valueShard, ev event, act recordAction) {
+func (b *bookkeeper) finish(sh *valueShard, act recordAction) {
 	switch act {
 	case actApply:
 		b.applyShard(sh)
@@ -352,7 +352,6 @@ func (b *bookkeeper) reap() {
 	for n := 0; n < reapShardsPerTick && n < len(shards); n++ {
 		sh := &shards[b.reapCursor]
 		b.reapCursor = (b.reapCursor + 1) % len(shards)
-		var evs []event
 		var acts []recordAction
 		sh.mu.Lock()
 		scanned := 0
@@ -360,15 +359,14 @@ func (b *bookkeeper) reap() {
 			if it.deadAt(now, flushAt) {
 				ev := b.entry.removeLocked(sh, it, evExpire)
 				acts = append(acts, b.bufferLocked(sh, &ev))
-				evs = append(evs, ev)
 			}
 			if scanned++; scanned >= reapScanLimit {
 				break
 			}
 		}
 		sh.mu.Unlock()
-		for i := range evs {
-			b.finish(sh, evs[i], acts[i])
+		for _, act := range acts {
+			b.finish(sh, act)
 		}
 	}
 }

@@ -304,13 +304,10 @@ func (e *tenantEntry) pickColdestPage() (pageRange, bool) {
 // Idempotent: the alloc intercept guarantees no new resident can land on the
 // page after the migration published, so repeat walks find nothing.
 func (e *tenantEntry) evictMigrating(m *migration) {
-	var (
-		evs  []event
-		acts []recordAction
-	)
+	var acts []recordAction
 	for i := range e.shards {
 		sh := &e.shards[i]
-		evs, acts = evs[:0], acts[:0]
+		acts = acts[:0]
 		sh.mu.Lock()
 		for _, it := range sh.items {
 			if it.value == nil || !m.contains(it.value) {
@@ -318,11 +315,10 @@ func (e *tenantEntry) evictMigrating(m *migration) {
 			}
 			ev := e.removeLocked(sh, it, evMigrate)
 			acts = append(acts, e.bk.bufferLocked(sh, &ev))
-			evs = append(evs, ev)
 		}
 		sh.mu.Unlock()
-		for j := range evs {
-			e.bk.finish(sh, evs[j], acts[j])
+		for _, act := range acts {
+			e.bk.finish(sh, act)
 		}
 	}
 }

@@ -110,17 +110,29 @@ func TestUnmanagedTenantResizeUnderLoad(t *testing.T) {
 						t.Fatalf("reservation %d after the resize settled, want %d", mem, target)
 					}
 				}
+				// quiet runs check with the maintenance tick held and every
+				// buffered event applied: after a resize the tick goes on
+				// retiring pages (a migration evicts through the event
+				// buffers), so only then is the store quiet.
+				quiet := func(check func()) {
+					t.Helper()
+					defer HoldMaintenance(s)()
+					s.Flush()
+					check()
+				}
 				// settled checks what holds whenever the store is quiet.
 				settled := func(when string) {
 					t.Helper()
-					auditArena(t, s, "app")
-					records, _ := s.Items("app")
-					e.bk.mu.Lock()
-					entries := queuedItems(e.tenant)
-					e.bk.mu.Unlock()
-					if entries != records {
-						t.Fatalf("%s: the directory holds %d records, the queues %d entries", when, records, entries)
-					}
+					quiet(func() {
+						auditArena(t, s, "app")
+						records, _ := s.Items("app")
+						e.bk.mu.Lock()
+						entries := queuedItems(e.tenant)
+						e.bk.mu.Unlock()
+						if entries != records {
+							t.Fatalf("%s: the directory holds %d records, the queues %d entries", when, records, entries)
+						}
+					})
 				}
 
 				fillAll()
@@ -159,8 +171,10 @@ func TestUnmanagedTenantResizeUnderLoad(t *testing.T) {
 					t.Fatalf("after growing back only %d bytes are resident; the growth did not reach the queues", used)
 				}
 				settled("after growing back")
-				drainQuarantine(t, s, "app")
-				auditArena(t, s, "app")
+				quiet(func() {
+					drainQuarantine(t, s, "app")
+					auditArena(t, s, "app")
+				})
 			})
 		}
 	}

@@ -98,8 +98,8 @@ type item struct {
 	key string
 	// value is a view into an arena chunk. It is valid while the shard lock is
 	// held, and — thanks to epoch-based reclamation — also after the lock
-	// drops for any reader that pinned the shard's epoch slot before
-	// unlocking (GetItemView): a retired chunk sits in quarantine until every
+	// drops for any reader that had pinned an epoch slot by the time it
+	// unlocked (Reader.Get): a retired chunk sits in quarantine until every
 	// pin has advanced past it. Mutations never write a live chunk in place;
 	// they install a fresh chunk and retire the old one (copy-on-write), so a
 	// pinned view is immutable for its lifetime.
@@ -714,74 +714,104 @@ func (s *Store) deadNow(e *tenantEntry, it *item) bool {
 
 // liveLocked is the one directory probe: it returns key's record if present
 // and not dead (TTL lapsed or flushed). A dead record is removed, its chunk
-// and record recycled, and its buffered expiry event returned with hasExp
-// true; the caller must hold sh.mu, and after unlocking must finish exp
-// before finishing any event it buffers itself (per-key arrival order).
-// Everything is passed by value so the no-expiry steady state allocates
-// nothing, and a byte key rides Go's allocation-free m[string(b)] lookup. The
-// clock is only consulted for records that can die at all.
-func liveLocked[K ~string | ~[]byte](s *Store, e *tenantEntry, sh *valueShard, key K) (it *item, exp event, expAct recordAction, hasExp bool) {
+// and record recycled, and its expiry event buffered, whose action comes
+// back as expAct (actNone when nothing died); the caller must hold sh.mu, and
+// after unlocking must finish expAct before finishing any event it buffers
+// itself (per-key arrival order). A byte key rides Go's allocation-free
+// m[string(b)] lookup. The clock is only consulted for records that can die
+// at all.
+func liveLocked[K ~string | ~[]byte](s *Store, e *tenantEntry, sh *valueShard, key K) (it *item, expAct recordAction) {
 	it = sh.items[string(key)]
 	if it == nil || !s.deadNow(e, it) {
-		return it, event{}, actNone, false
+		return it, actNone
 	}
-	exp = e.removeLocked(sh, it, evExpire)
-	expAct = e.bk.bufferLocked(sh, &exp)
-	return nil, exp, expAct, true
-}
-
-// finishExpiry completes a liveLocked expiry after the shard lock dropped.
-func finishExpiry(e *tenantEntry, sh *valueShard, exp event, expAct recordAction, hasExp bool) {
-	if hasExp {
-		e.bk.finish(sh, exp, expAct)
-	}
+	exp := e.removeLocked(sh, it, evExpire)
+	return nil, e.bk.bufferLocked(sh, &exp)
 }
 
 // ItemView is a borrowed read of a resident item: Value points straight into
-// the record's arena chunk, kept immutable and un-recycled by an epoch pin
-// until Release is called. The holder may read Value — e.g. stream it to a
-// connection writer — but must not retain it past Release, and must Release
+// the record's arena chunk, kept immutable and un-recycled by an epoch pin.
+// A view from GetItemView holds its own pin until Release is called; a view
+// from Reader.Get is covered by the run's pin until Reader.End. The holder
+// may read Value — e.g. stream it to a connection writer — but must not
+// retain it past that point. A view from GetItemView must be Released
 // exactly once (a zero-value ItemView's Release is a no-op, so misses need no
-// special casing). Copy-on-write mutations and the epoch
-// quarantine together guarantee the bytes cannot change or be reused while
-// the pin is held.
+// special casing). Copy-on-write mutations and the epoch quarantine together
+// guarantee the bytes cannot change or be reused while the pin is held.
 type ItemView struct {
-	Value  []byte
-	Flags  uint32
-	CAS    uint64
-	arena  *arena
-	stripe int
+	Value []byte
+	Flags uint32
+	CAS   uint64
+	pin   epochPin
 }
 
 // Release unpins the view's epoch slot, allowing the chunk to be recycled
 // once every older pin has also released. Idempotent on the zero value only;
 // a pinned view must be released exactly once.
 func (v *ItemView) Release() {
-	if v.arena != nil {
-		v.arena.unpin(v.stripe)
-		v.arena = nil
-		v.Value = nil
+	v.pin.release()
+	v.Value = nil
+}
+
+// epochPin is a reader's hold on one stripe's pin slot of a tenant's arena;
+// the zero value holds nothing.
+type epochPin struct {
+	arena  *arena
+	stripe int
+}
+
+func (p *epochPin) release() {
+	if p.arena != nil {
+		p.arena.unpin(p.stripe)
+		p.arena = nil
 	}
 }
 
-// GetItemView is the read path, and it is zero-copy: a byte-keyed lookup
-// whose critical section is just the directory probe, the event append and an
-// epoch pin — no value bytes move under the shard lock. On a hit the returned view borrows
-// the record's chunk directly; the caller streams or copies it and then MUST
-// call Release. On a miss (ok false) the view is zero and needs no Release.
+// Reader is a run of reads of one tenant, the shape a pipelined run of GETs
+// is served in: BeginRead resolves the tenant once, Get reads one key, and
+// End releases the one epoch pin the run's first hit took. Every view Get
+// returns stays readable until End. A Reader is a small value owned by one
+// goroutine; the zero value (what BeginRead returns with an error) must not
+// be read from, and End on it is a no-op.
+type Reader struct {
+	s   *Store
+	e   *tenantEntry
+	pin epochPin
+}
+
+// BeginRead starts a run of reads of tenant. The caller MUST call End once it
+// is done with every view the run returned; nothing else is held meanwhile,
+// so a run may interleave with any other store call.
+func (s *Store) BeginRead(tenant string) (Reader, error) {
+	e, ok := s.entry(tenant)
+	if !ok {
+		return Reader{}, ErrNoTenant{tenant}
+	}
+	return Reader{s: s, e: e}, nil
+}
+
+// Get is the read path, and it is zero-copy: a byte-keyed lookup whose
+// critical section is just the directory probe, the event append and, at the
+// run's first hit, the epoch pin — no value bytes move under the shard lock.
+// On a hit the returned view borrows the record's chunk directly; on a miss
+// (ok false) the view is zero.
+//
+// One pin covers the whole run. The first hit pins its shard's stripe before
+// that shard unlocks, as a one-key read must. Every later view is of a chunk
+// the run read under its shard's lock after the pin was published, so that
+// chunk is retired, if ever, after the pin, at an epoch no older than the
+// pinned one; and the reclaimer's minPinned scans every stripe's slot, so it
+// holds the chunk in quarantine until End whichever stripe the pin is on.
 //
 // The map lookup rides Go's allocation-free m[string(b)] optimization; a hit
 // reuses the record's interned key string for the bookkeeping event, and a
 // miss sends an event with no key at all — so both outcomes perform zero heap
 // allocations in this layer (the alloc gates pin hit = 0 and miss = 0).
-func (s *Store) GetItemView(tenant string, key []byte) (ItemView, bool, error) {
-	e, ok := s.entry(tenant)
-	if !ok {
-		return ItemView{}, false, ErrNoTenant{tenant}
-	}
+func (r *Reader) Get(key []byte) (ItemView, bool) {
+	e := r.e
 	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
+	it, expAct := liveLocked(r.s, e, sh, key)
 	// Drive the eviction/shadow structures with the charged size recorded at
 	// admission, so the lookup lands on the slab class that actually holds the
 	// key. Buffered in the same critical section as the record read, so
@@ -794,17 +824,41 @@ func (s *Store) GetItemView(tenant string, key []byte) (ItemView, bool, error) {
 	var out ItemView
 	if it != nil {
 		ev.key, ev.size, ev.node = it.key, it.size, it.node
-		// Pin before unlocking: the pin-store happens-before any retirement
-		// of this chunk (retires run under this same shard mutex), which is
-		// what makes the borrowed Value safe to read after the unlock.
-		e.arena.pin(sh.idx)
-		out = ItemView{Value: it.value, Flags: it.flags, CAS: it.cas, arena: e.arena, stripe: sh.idx}
+		if r.pin.arena == nil {
+			// Pin before unlocking: the pin-store happens-before any
+			// retirement of this chunk (retires run under this same shard
+			// mutex), which is what makes the borrowed Value safe to read
+			// after the unlock.
+			e.arena.pin(sh.idx)
+			r.pin = epochPin{arena: e.arena, stripe: sh.idx}
+		}
+		out = ItemView{Value: it.value, Flags: it.flags, CAS: it.cas}
 	}
 	act := e.bk.bufferLocked(sh, &ev)
 	sh.mu.Unlock()
-	finishExpiry(e, sh, exp, expAct, hasExp)
-	e.bk.finish(sh, ev, act)
-	return out, it != nil, nil
+	e.bk.finish(sh, expAct)
+	e.bk.finish(sh, act)
+	return out, it != nil
+}
+
+// End releases the run's epoch pin, if its first hit took one: every view the
+// run returned is invalid from here on.
+func (r *Reader) End() {
+	r.pin.release()
+}
+
+// GetItemView is a run of one read: the Reader.Get body, with the pin of a
+// hit handed to the view, so the caller streams or copies the value and then
+// MUST call Release. On a miss (ok false) the view is zero and needs no
+// Release. sim, the tests and the benchmark read through it.
+func (s *Store) GetItemView(tenant string, key []byte) (ItemView, bool, error) {
+	r, err := s.BeginRead(tenant)
+	if err != nil {
+		return ItemView{}, false, err
+	}
+	v, ok := r.Get(key)
+	v.pin = r.pin
+	return v, ok, nil
 }
 
 // SetItemBytes stores value under key with the given flags and exptime
@@ -848,7 +902,7 @@ func (s *Store) SetItemBytes(tenant string, key, value []byte, flags uint32, exp
 		ks = string(key)
 	}
 	ev := e.setLocked(sh, ks, prev, value, flags, s.deadline(exptime), s.cfg.Now())
-	return s.storeMutation(e, sh, tenant, ev, event{}, actNone, false)
+	return s.storeMutation(e, sh, tenant, ev, actNone)
 }
 
 // admitOutcome reports the does-not-fit error of an admission its producer
@@ -875,13 +929,13 @@ func (e *tenantEntry) admitOutcome(tenant string, sh *valueShard, ev event) erro
 // storeMutation finishes a mutation that produced a new record: the event is
 // buffered, and its application is either deferred to the bookkeeper (async)
 // or performed before returning (sync). The caller must hold sh.mu with
-// exp/expAct/hasExp carrying any expiry liveLocked buffered in the same
-// critical section; storeMutation unlocks sh.mu.
-func (s *Store) storeMutation(e *tenantEntry, sh *valueShard, tenant string, ev event, exp event, expAct recordAction, hasExp bool) error {
+// expAct carrying any expiry liveLocked buffered in the same critical
+// section; storeMutation unlocks sh.mu.
+func (s *Store) storeMutation(e *tenantEntry, sh *valueShard, tenant string, ev event, expAct recordAction) error {
 	act := e.bufferMutationLocked(sh, &ev)
 	sh.mu.Unlock()
-	finishExpiry(e, sh, exp, expAct, hasExp)
-	e.bk.finish(sh, ev, act)
+	e.bk.finish(sh, expAct)
+	e.bk.finish(sh, act)
 	return e.admitOutcome(tenant, sh, ev)
 }
 
@@ -905,23 +959,23 @@ func (s *Store) mutate(tenant, key string, decide func(live *item) (value []byte
 		sh.mu.Unlock()
 		return false, ErrNoTenant{tenant}
 	}
-	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
+	it, expAct := liveLocked(s, e, sh, key)
 	value, flags, expires, doStore, err := decide(it)
 	if err != nil || !doStore {
 		sh.mu.Unlock()
-		finishExpiry(e, sh, exp, expAct, hasExp)
+		e.bk.finish(sh, expAct)
 		return false, err
 	}
 	if _, fits := e.tenant.ClassFor(int64(len(key) + len(value))); !fits {
 		sh.mu.Unlock()
-		finishExpiry(e, sh, exp, expAct, hasExp)
+		e.bk.finish(sh, expAct)
 		return false, errTooLarge(key, int64(len(key)+len(value)))
 	}
 	// A record liveLocked shed is already structurally re-admitted via its
 	// expiry event plus this fresh admit; a surviving one is re-admitted
 	// with its old charge attached.
 	ev := e.setLocked(sh, key, it, value, flags, expires, s.cfg.Now())
-	if err := s.storeMutation(e, sh, tenant, ev, exp, expAct, hasExp); err != nil {
+	if err := s.storeMutation(e, sh, tenant, ev, expAct); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -976,10 +1030,10 @@ func (s *Store) concat(tenant string, key, extra []byte, front bool) (bool, erro
 	}
 	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
+	it, expAct := liveLocked(s, e, sh, key)
 	if it == nil {
 		sh.mu.Unlock()
-		finishExpiry(e, sh, exp, expAct, hasExp)
+		e.bk.finish(sh, expAct)
 		return false, nil
 	}
 	// liveLocked only buffers an expiry when it returns nil, so a live record
@@ -1014,7 +1068,7 @@ func (s *Store) concat(tenant string, key, extra []byte, front bool) (bool, erro
 	if oldSize != newSize {
 		ev = event{kind: evReAdmit, key: it.key, size: newSize, oldSize: oldSize}
 	}
-	if err := s.storeMutation(e, sh, tenant, ev, event{}, actNone, false); err != nil {
+	if err := s.storeMutation(e, sh, tenant, ev, actNone); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -1051,7 +1105,7 @@ func (s *Store) Touch(tenant, key string, exptime int64) (bool, error) {
 	expires := s.deadline(exptime)
 	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
+	it, expAct := liveLocked(s, e, sh, key)
 	// A touch refreshes recency in the eviction queues but is accounted
 	// into its own counters (cmd_touch/touch_hits), never the GET hit rate.
 	// Like a GET it is sized by the resident record's charge, or by the key
@@ -1063,8 +1117,8 @@ func (s *Store) Touch(tenant, key string, exptime int64) (bool, error) {
 	}
 	act := e.bk.bufferLocked(sh, &ev)
 	sh.mu.Unlock()
-	finishExpiry(e, sh, exp, expAct, hasExp)
-	e.bk.finish(sh, ev, act)
+	e.bk.finish(sh, expAct)
+	e.bk.finish(sh, act)
 	return it != nil, nil
 }
 
@@ -1120,20 +1174,15 @@ func (s *Store) Delete(tenant, key string) (bool, error) {
 	}
 	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, exp, expAct, hasExp := liveLocked(s, e, sh, key)
-	var (
-		rm    event
-		rmAct recordAction
-	)
+	it, expAct := liveLocked(s, e, sh, key)
+	rmAct := actNone
 	if it != nil {
-		rm = e.removeLocked(sh, it, evRemove)
+		rm := e.removeLocked(sh, it, evRemove)
 		rmAct = e.bk.bufferLocked(sh, &rm)
 	}
 	sh.mu.Unlock()
-	finishExpiry(e, sh, exp, expAct, hasExp)
-	if it != nil {
-		e.bk.finish(sh, rm, rmAct)
-	}
+	e.bk.finish(sh, expAct)
+	e.bk.finish(sh, rmAct)
 	return it != nil, nil
 }
 
@@ -1174,22 +1223,18 @@ func (s *Store) flushNow(e *tenantEntry) error {
 	// Settle in-flight bookkeeping first to keep the flush's own event burst
 	// small; correctness comes from the per-shard buffer order alone.
 	e.bk.sweep()
-	var (
-		evs  []event
-		acts []recordAction
-	)
+	var acts []recordAction
 	for i := range e.shards {
 		sh := &e.shards[i]
-		evs, acts = evs[:0], acts[:0]
+		acts = acts[:0]
 		sh.mu.Lock()
 		for _, it := range sh.items {
 			ev := e.removeLocked(sh, it, evRemove)
 			acts = append(acts, e.bk.bufferLocked(sh, &ev))
-			evs = append(evs, ev)
 		}
 		sh.mu.Unlock()
-		for j := range evs {
-			e.bk.finish(sh, evs[j], acts[j])
+		for _, act := range acts {
+			e.bk.finish(sh, act)
 		}
 	}
 	return nil

@@ -8,11 +8,12 @@ import (
 
 // TestStoreSurface pins the exported method set of *Store: one entry point
 // per verb, the ones internal/server and bench/ call. A string/byte twin or a
-// second read path has to edit this list to arrive.
+// second read path has to edit this list to arrive. BeginRead is the read
+// path (a run of Reader.Get); GetItemView is its one-key case.
 func TestStoreSurface(t *testing.T) {
 	want := []string{
 		"Add", "AppendBytes", "ArbiterStats", "ArbiterTick", "AuditConservation",
-		"ClassCapacities", "Close", "CompareAndSwap", "Decr", "Delete",
+		"BeginRead", "ClassCapacities", "Close", "CompareAndSwap", "Decr", "Delete",
 		"DeleteTenant", "DroppedEvents", "Flush", "FlushAll", "GetItemView",
 		"Incr", "Items", "PageStats", "PrependBytes", "QueueSnapshots",
 		"ReclaimStats", "RegisterTenant", "RegisterTenantConfig", "Replace",
