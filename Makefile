@@ -21,14 +21,14 @@ race:
 # keeps-what-fits property, whose store-level twins are in here. The second
 # line is the tenant switch on both sides of the socket: the client's
 # deferred tenant line against scripted and real servers, the server's
-# one-write answer on both of the front end's wait paths, and the two switch
-# alloc gates. On internal/server it also runs the wait/lease cycle
-# (TestPark*: a spurious wake leases, reads nothing and waits again), the
-# lazy deadlines (TestGoverned*: a stale deadline that fires early is re-armed
-# on both wait paths) and a run of GETs that holds its one epoch pin across
-# the writer's mid-run flushes while writers re-set and delete its keys
-# (TestGetRunPinnedAcrossFlushes; its store-level twin,
-# TestArenaRunReadersVsFrees, rides in the store line).
+# one-write answer, and the two switch alloc gates. On internal/server it
+# also runs the wait/lease cycle (TestPark*: a spurious wake leases, reads
+# nothing and waits again), the lazy deadlines (TestGoverned*: a stale
+# deadline that fires early is re-armed, and a command whose start arrived
+# behind another's is cut at the command deadline) and a run of GETs that
+# holds its one epoch pin across the writer's mid-run flushes while writers
+# re-set and delete its keys (TestGetRunPinnedAcrossFlushes; its store-level
+# twin, TestArenaRunReadersVsFrees, rides in the store line).
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/
@@ -97,9 +97,9 @@ count:
 	@echo "cliffhangerd flags: $$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/cliffhangerd/main.go)"
 
 # conformance walks every verb over a real socket, checks that a
-# tenant-switching batch is answered in order and in a single write, whether
-# the connection parks between batches or waits holding a session, then runs the
-# shipped-defaults smoke: a -mode cliffhanger,
+# tenant-switching batch is answered in order and in a single write, and that
+# the connection finds its tenant again after parking between batches, then
+# runs the shipped-defaults smoke: a -mode cliffhanger,
 # default:64 store is loaded with 8192 keys that fit thirty times over, and
 # `stats` must report no miss and `stats cliffhanger` no eviction, no relaxed
 # pointer and even partitions. Then the stats schema: every group's field
@@ -222,9 +222,8 @@ arbiter: bins
 # driven through resets mid-payload, slow-loris dribbles, half-closed
 # sockets, accept storms and panicking handlers, asserting no panics, no
 # goroutine leaks, exact arena conservation and zero failed requests for the
-# healthy cohort. Each scenario runs on both wait paths of the front end:
-# connections that park in the netpoller without a session, and connections
-# with no descriptor, which keep theirs.
+# healthy cohort. Every connection parks in the netpoller without a session
+# between batches; there is one wait path, so each scenario runs once.
 chaos:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestChaos' ./internal/server/
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/chaos/ ./internal/client/

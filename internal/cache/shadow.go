@@ -39,25 +39,3 @@ func (s *Shadow) Hit(key string) bool {
 	s.lru.Remove(key)
 	return true
 }
-
-// Contains reports whether key is present without modifying the queue.
-func (s *Shadow) Contains(key string) bool { return s.lru.Contains(key) }
-
-// Remove deletes key from the shadow queue if present.
-func (s *Shadow) Remove(key string) bool { return s.lru.Remove(key) }
-
-// Resize changes the shadow queue capacity, forgetting overflowed keys.
-func (s *Shadow) Resize(capacity int64) []Victim { return s.lru.Resize(capacity) }
-
-// Len reports the number of keys remembered.
-func (s *Shadow) Len() int { return s.lru.Len() }
-
-// Used reports the total cost of keys remembered.
-func (s *Shadow) Used() int64 { return s.lru.Used() }
-
-// Capacity reports the shadow queue capacity in cost units.
-func (s *Shadow) Capacity() int64 { return s.lru.Capacity() }
-
-// Keys returns remembered keys from most to least recently evicted. It is
-// intended for tests.
-func (s *Shadow) Keys() []string { return s.lru.Keys() }

@@ -9,14 +9,11 @@ func TestShadowPushHit(t *testing.T) {
 	s := NewShadow(3)
 	s.Push("a", 1)
 	s.Push("b", 1)
-	if !s.Contains("a") || !s.Contains("b") {
+	if !s.Hit("a") || !s.Hit("b") {
 		t.Fatalf("shadow should remember pushed keys")
 	}
-	if !s.Hit("a") {
-		t.Fatalf("Hit(a) = false, want true")
-	}
 	// A hit removes the key (it re-enters the physical queue).
-	if s.Contains("a") {
+	if s.Hit("a") {
 		t.Fatalf("a should be removed from the shadow after a hit")
 	}
 	if s.Hit("zzz") {
@@ -32,22 +29,8 @@ func TestShadowOverflowCascades(t *testing.T) {
 	if len(victims) != 1 || victims[0].Key != "a" {
 		t.Fatalf("overflow victims = %v, want [a]", victims)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-}
-
-func TestShadowResize(t *testing.T) {
-	s := NewShadow(4)
-	for i := 0; i < 4; i++ {
-		s.Push(fmt.Sprintf("k%d", i), 1)
-	}
-	victims := s.Resize(2)
-	if len(victims) != 2 {
-		t.Fatalf("Resize victims = %d, want 2", len(victims))
-	}
-	if s.Len() != 2 || s.Used() != 2 {
-		t.Fatalf("Len=%d Used=%d after Resize(2), want 2,2", s.Len(), s.Used())
+	if s.Hit("a") || !s.Hit("b") || !s.Hit("c") {
+		t.Fatalf("shadow should remember b and c, not a")
 	}
 }
 

@@ -88,10 +88,10 @@ func TestQueueBasicHitMissEvict(t *testing.T) {
 	if _, ok := m.Access("nope", "a", 1); ok {
 		t.Fatalf("unknown queue ID should report ok=false")
 	}
-	if !m.Queue(q).Contains("a") || m.Queue(q).Contains("zzz") {
+	if !m.QueueAt(0).Contains("a") || m.QueueAt(0).Contains("zzz") {
 		t.Fatalf("Contains misbehaving")
 	}
-	if !m.Queue(q).Remove("a") || m.Queue(q).Remove("a") {
+	if !m.QueueAt(0).Remove("a") || m.QueueAt(0).Remove("a") {
 		t.Fatalf("Remove misbehaving")
 	}
 }
@@ -101,12 +101,12 @@ func TestQueueRespectsCapacity(t *testing.T) {
 	m, q := singleQueue(t, cfg, 2000)
 	for i := 0; i < 10000; i++ {
 		m.Access(q, fmt.Sprintf("k%d", i%4000), 1)
-		used := m.Queue(q).Used()
+		used := m.QueueAt(0).Used()
 		if used > 2000+1 {
 			t.Fatalf("physical usage %d exceeds capacity 2000", used)
 		}
 	}
-	if m.Queue(q).Items() == 0 {
+	if m.QueueAt(0).Items() == 0 {
 		t.Fatalf("queue should hold items")
 	}
 }
@@ -128,11 +128,11 @@ func TestQueueEvictionReportsVictims(t *testing.T) {
 		}
 	}
 	// The caller-tracked resident set must match the queue's view.
-	if len(resident) != m.Queue(q).Items() {
-		t.Fatalf("caller tracks %d resident keys, queue reports %d", len(resident), m.Queue(q).Items())
+	if len(resident) != m.QueueAt(0).Items() {
+		t.Fatalf("caller tracks %d resident keys, queue reports %d", len(resident), m.QueueAt(0).Items())
 	}
 	for k := range resident {
-		if !m.Queue(q).Contains(k) {
+		if !m.QueueAt(0).Contains(k) {
 			t.Fatalf("key %q tracked resident but not in queue", k)
 		}
 	}
@@ -156,7 +156,7 @@ func TestShadowHitDetection(t *testing.T) {
 	if !out.ShadowHit && !out.CliffShadowHit {
 		t.Fatalf("k100 should hit a shadow queue, got %+v", out)
 	}
-	if m.Queue(q).Stats().ShadowHits == 0 && m.Queue(q).Stats().CliffShadowHits == 0 {
+	if m.QueueAt(0).Stats().ShadowHits == 0 && m.QueueAt(0).Stats().CliffShadowHits == 0 {
 		t.Fatalf("shadow hit counters not incremented")
 	}
 }
@@ -181,8 +181,8 @@ func TestHillClimbingShiftsMemoryToHotQueue(t *testing.T) {
 			m.Access("cold", fmt.Sprintf("c%d", rng.Intn(50)), 1)
 		}
 	}
-	hotCap := m.Queue("hot").Capacity()
-	coldCap := m.Queue("cold").Capacity()
+	hotCap := m.QueueAt(0).Capacity()
+	coldCap := m.QueueAt(1).Capacity()
 	if hotCap <= 1800 {
 		t.Fatalf("hill climbing should have grown the hot queue well past its 1500 start, got %d (cold %d)", hotCap, coldCap)
 	}
@@ -269,7 +269,7 @@ func TestCliffScalingBeatsPlainLRUOnCliffWorkload(t *testing.T) {
 				}
 			}
 		}
-		return float64(hits) / float64(reqs), m.Queue("q").Stats().RelaxEvents
+		return float64(hits) / float64(reqs), m.QueueAt(0).Stats().RelaxEvents
 	}
 
 	plain := itemCfg()
@@ -421,7 +421,7 @@ func TestRatioAndPointerInvariants(t *testing.T) {
 	keys := cliffWorkload(13, 200000, 9000, 1000, 0.8)
 	for _, k := range keys {
 		m.Access(q, k, 1)
-		qu := m.Queue(q)
+		qu := m.QueueAt(0)
 		if r := qu.Ratio(); r < 0 || r > 1 {
 			t.Fatalf("ratio %v out of range", r)
 		}
@@ -436,10 +436,10 @@ func TestRatioAndPointerInvariants(t *testing.T) {
 	// at least one pointer moves away from the operating point (the left
 	// anchor drops toward the concave region and/or the right anchor hunts
 	// for the top of the cliff), leaving the partitions asymmetric.
-	lp, rp := m.Queue(q).Pointers()
-	lc, rc := m.Queue(q).PartitionCapacities()
-	if lp >= m.Queue(q).Capacity() && rp <= m.Queue(q).Capacity() {
-		t.Fatalf("neither pointer moved on a cliff workload: lp=%d rp=%d capacity=%d", lp, rp, m.Queue(q).Capacity())
+	lp, rp := m.QueueAt(0).Pointers()
+	lc, rc := m.QueueAt(0).PartitionCapacities()
+	if lp >= m.QueueAt(0).Capacity() && rp <= m.QueueAt(0).Capacity() {
+		t.Fatalf("neither pointer moved on a cliff workload: lp=%d rp=%d capacity=%d", lp, rp, m.QueueAt(0).Capacity())
 	}
 	if lc == rc {
 		t.Logf("note: partitions still symmetric (%d/%d)", lc, rc)
@@ -451,19 +451,19 @@ func TestSplitActivationThreshold(t *testing.T) {
 	// Below the threshold: no split.
 	small, _ := NewManager(cfg, 500, []QueueSpec{{ID: "q", UnitCost: 1}})
 	small.Access("q", "a", 1)
-	if small.Queue("q").Split() {
+	if small.QueueAt(0).Split() {
 		t.Fatalf("queue of 500 items should not activate cliff scaling (threshold 1000)")
 	}
 	// Above the threshold: split active.
 	big, _ := NewManager(cfg, 5000, []QueueSpec{{ID: "q", UnitCost: 1}})
 	big.Access("q", "a", 1)
-	if !big.Queue("q").Split() {
+	if !big.QueueAt(0).Split() {
 		t.Fatalf("queue of 5000 items should activate cliff scaling")
 	}
 	// With unit cost 8, 5000 bytes is only 625 items: no split.
 	units, _ := NewManager(cfg, 5000, []QueueSpec{{ID: "q", UnitCost: 8}})
 	units.Access("q", "a", 8)
-	if units.Queue("q").Split() {
+	if units.QueueAt(0).Split() {
 		t.Fatalf("625-item queue should not activate cliff scaling")
 	}
 }
@@ -516,8 +516,8 @@ func TestSnapshotAndStats(t *testing.T) {
 	if total.Requests != 1000 {
 		t.Fatalf("TotalStats.Requests = %d", total.Requests)
 	}
-	if m.Queue("zzz") != nil {
-		t.Fatalf("unknown queue should be nil")
+	if _, ok := m.Access("zzz", "k", 1); ok {
+		t.Fatalf("an access to an unknown queue should report false")
 	}
 	if snap[0].Capacity+snap[1].Capacity != m.CapacitySum() {
 		t.Fatalf("snapshot capacities inconsistent with CapacitySum")
@@ -535,7 +535,7 @@ func TestDrain(t *testing.T) {
 		m.Access(q, fmt.Sprintf("k%d", i), 1)
 	}
 	// Draining is a resize to nothing, applied at once, and back.
-	queue := m.Queue(q)
+	queue := m.QueueAt(0)
 	queue.SetCapacity(0)
 	victims := queue.ForceApplyResize()
 	queue.SetCapacity(500)
@@ -543,10 +543,10 @@ func TestDrain(t *testing.T) {
 	if len(victims) != 400 {
 		t.Fatalf("Drain evicted %d, want 400", len(victims))
 	}
-	if m.Queue(q).Items() != 0 {
+	if m.QueueAt(0).Items() != 0 {
 		t.Fatalf("queue not empty after Drain")
 	}
-	if m.Queue(q).Capacity() != 500 {
+	if m.QueueAt(0).Capacity() != 500 {
 		t.Fatalf("capacity should be restored after Drain")
 	}
 }
@@ -645,8 +645,8 @@ func TestVictimPolicies(t *testing.T) {
 			m.Access("cold2", fmt.Sprintf("d%d", rng.Intn(20)), 1)
 		}
 	}
-	if m.Queue("hot").Capacity() <= 1000 {
-		t.Fatalf("hot queue did not grow (capacity %d)", m.Queue("hot").Capacity())
+	if m.QueueAt(0).Capacity() <= 1000 {
+		t.Fatalf("hot queue did not grow (capacity %d)", m.QueueAt(0).Capacity())
 	}
 	if m.CapacitySum() != 3000 {
 		t.Fatalf("capacity not conserved")
@@ -667,7 +667,7 @@ func TestResizeOnMissAblation(t *testing.T) {
 			if out, _ := m.Access("q", k, 1); out.Hit {
 				hits++
 			}
-			if u := m.Queue("q").Used(); u > 5000+1 {
+			if u := m.QueueAt(0).Used(); u > 5000+1 {
 				t.Fatalf("usage %d above capacity", u)
 			}
 		}

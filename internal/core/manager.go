@@ -130,14 +130,6 @@ func (m *Manager) Config() Config { return m.cfg }
 // NumQueues returns the number of managed queues.
 func (m *Manager) NumQueues() int { return len(m.queues) }
 
-// Queue returns the managed queue with the given ID, or nil.
-func (m *Manager) Queue(id string) *Queue {
-	if i, ok := m.byID[id]; ok {
-		return m.queues[i]
-	}
-	return nil
-}
-
 // QueueAt returns the i-th managed queue in creation order (the order of the
 // specs NewManager was given).
 func (m *Manager) QueueAt(i int) *Queue { return m.queues[i] }

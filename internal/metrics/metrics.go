@@ -20,32 +20,11 @@ type HitCounter struct {
 	misses atomic.Int64
 }
 
-// Hit records a hit.
-func (c *HitCounter) Hit() { c.hits.Add(1) }
-
-// Miss records a miss.
-func (c *HitCounter) Miss() { c.misses.Add(1) }
-
 // AddHits records n hits at once (a pipelined batch's worth).
 func (c *HitCounter) AddHits(n int64) { c.hits.Add(n) }
 
 // AddMisses records n misses at once.
 func (c *HitCounter) AddMisses(n int64) { c.misses.Add(n) }
-
-// Record records an access with the given outcome.
-func (c *HitCounter) Record(hit bool) {
-	if hit {
-		c.Hit()
-	} else {
-		c.Miss()
-	}
-}
-
-// Hits returns the number of hits recorded.
-func (c *HitCounter) Hits() int64 { return c.hits.Load() }
-
-// Misses returns the number of misses recorded.
-func (c *HitCounter) Misses() int64 { return c.misses.Load() }
 
 // Total returns the number of accesses recorded.
 func (c *HitCounter) Total() int64 { return c.hits.Load() + c.misses.Load() }

@@ -7,26 +7,20 @@
 // disarms the registration until Arm re-arms it (one-shot semantics, so a
 // wake is delivered exactly once per arm).
 //
-// On Linux the implementation is a raw epoll instance (EPOLLIN|EPOLLRDHUP,
+// The implementation is a raw epoll instance (EPOLLIN|EPOLLRDHUP,
 // EPOLLONESHOT) driven by one event-loop goroutine, so a registration costs
-// one epoll entry and zero goroutines. Everywhere else — and on Linux for
-// tests, via NewPortable — a goroutine-backed fallback blocks each
-// registration in RawConn.Read's readiness wait; it is O(goroutines) again
-// but keeps the package and its callers building and testable on any
-// platform.
+// one epoll entry and zero goroutines. It is Linux only: elsewhere New
+// returns errors.ErrUnsupported. The benchmark reads /proc, so it runs only
+// on Linux anyway.
 //
 // Contract with the caller:
 //   - Add registers and arms in one step; Arm re-arms after a delivered wake.
-//   - onReady runs on the poller's own goroutine(s): keep it tiny and
+//   - onReady runs on the poller's own goroutine: keep it tiny and
 //     non-blocking, and be prepared for a late call racing Remove/Close —
 //     the caller's own state machine must make stale wakes harmless.
 //   - Remove before closing the connection when possible; a registration
-//     whose fd is closed underneath it is cleaned up by the kernel (epoll)
-//     or by the watcher observing the close (fallback), but Remove keeps the
-//     poller's table exact.
-//   - Close requires every registered connection to be either removed or
-//     closed first; the fallback poller's watcher goroutines park inside the
-//     runtime's own read-readiness wait and only a close unblocks them.
+//     whose fd is closed underneath it is cleaned up by the kernel, but
+//     Remove keeps the poller's table exact.
 package netpoll
 
 import (
@@ -53,14 +47,7 @@ type Poller interface {
 // ErrClosed is returned by operations on a closed poller.
 var ErrClosed = errors.New("netpoll: poller closed")
 
-// New builds the platform poller: epoll on Linux, the goroutine-backed
-// fallback elsewhere.
+// New builds the poller: epoll on Linux, errors.ErrUnsupported elsewhere.
 func New(onReady func(token uint64)) (Poller, error) {
 	return newPlatformPoller(onReady)
-}
-
-// NewPortable builds the goroutine-backed fallback poller on any platform.
-// It exists so the fallback stays covered by tests that run on Linux.
-func NewPortable(onReady func(token uint64)) Poller {
-	return newGoPoller(onReady)
 }

@@ -2,8 +2,8 @@
 
 package netpoll
 
-// Platforms without the epoll implementation fall back to the goroutine-backed
-// poller, trading the O(1)-goroutine property for portability.
-func newPlatformPoller(onReady func(uint64)) (Poller, error) {
-	return newGoPoller(onReady), nil
+import "errors"
+
+func newPlatformPoller(func(uint64)) (Poller, error) {
+	return nil, errors.ErrUnsupported
 }

@@ -1,3 +1,5 @@
+//go:build linux
+
 package netpoll
 
 import (
@@ -38,9 +40,9 @@ func rawConn(t *testing.T, c net.Conn) syscall.RawConn {
 	return rc
 }
 
-// eachPoller runs the test against every implementation available on this
-// platform: the platform poller (epoll on Linux) and the portable fallback.
-func eachPoller(t *testing.T, fn func(t *testing.T, mk func(func(uint64)) Poller)) {
+// withPoller runs the test, as the subtest "platform", against the poller New
+// builds.
+func withPoller(t *testing.T, fn func(t *testing.T, mk func(func(uint64)) Poller)) {
 	t.Run("platform", func(t *testing.T) {
 		fn(t, func(cb func(uint64)) Poller {
 			p, err := New(cb)
@@ -48,11 +50,6 @@ func eachPoller(t *testing.T, fn func(t *testing.T, mk func(func(uint64)) Poller
 				t.Fatal(err)
 			}
 			return p
-		})
-	})
-	t.Run("portable", func(t *testing.T) {
-		fn(t, func(cb func(uint64)) Poller {
-			return NewPortable(cb)
 		})
 	})
 }
@@ -79,7 +76,7 @@ func expectQuiet(t *testing.T, ch <-chan uint64, d time.Duration) {
 }
 
 func TestPollerWakeOnData(t *testing.T) {
-	eachPoller(t, func(t *testing.T, mk func(func(uint64)) Poller) {
+	withPoller(t, func(t *testing.T, mk func(func(uint64)) Poller) {
 		ready := make(chan uint64, 16)
 		p := mk(func(tok uint64) { ready <- tok })
 		client, server := tcpPair(t)
@@ -115,7 +112,7 @@ func TestPollerWakeOnData(t *testing.T) {
 }
 
 func TestPollerWakeOnPeerClose(t *testing.T) {
-	eachPoller(t, func(t *testing.T, mk func(func(uint64)) Poller) {
+	withPoller(t, func(t *testing.T, mk func(func(uint64)) Poller) {
 		ready := make(chan uint64, 16)
 		p := mk(func(tok uint64) { ready <- tok })
 		client, server := tcpPair(t)
@@ -134,7 +131,7 @@ func TestPollerWakeOnPeerClose(t *testing.T) {
 }
 
 func TestPollerManyTokens(t *testing.T) {
-	eachPoller(t, func(t *testing.T, mk func(func(uint64)) Poller) {
+	withPoller(t, func(t *testing.T, mk func(func(uint64)) Poller) {
 		ready := make(chan uint64, 64)
 		p := mk(func(tok uint64) { ready <- tok })
 		const n = 16
@@ -179,7 +176,7 @@ func TestPollerManyTokens(t *testing.T) {
 }
 
 func TestPollerClosedOps(t *testing.T) {
-	eachPoller(t, func(t *testing.T, mk func(func(uint64)) Poller) {
+	withPoller(t, func(t *testing.T, mk func(func(uint64)) Poller) {
 		p := mk(func(uint64) {})
 		if err := p.Close(); err != nil {
 			t.Fatal(err)

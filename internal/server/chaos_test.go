@@ -6,7 +6,9 @@ package server
 // poisoned handlers — and asserts the robustness contract: the daemon never
 // panics, never leaks a session goroutine, keeps the arena conservation
 // audit exact, and healthy clients sharing the server with a chaotic cohort
-// complete with zero failed requests.
+// complete with zero failed requests. Each scenario runs as the subtest
+// "parked": its connections wait for every batch in the netpoller holding no
+// session, as every connection the server serves does.
 
 import (
 	"bufio"
@@ -32,26 +34,10 @@ import (
 // registered as a backstop, it is idempotent).
 func startGovernedServer(t *testing.T, cfg Config) (*Server, *store.Store) {
 	t.Helper()
-	return chaosMode{Config: cfg}.start(t)
-}
-
-// chaosMode is a governor config and the wait path its connections take.
-type chaosMode struct {
-	Config
-	// fdless hides each accepted connection's descriptor, so the connection
-	// does not wait in the netpoller: it leases a session at once and its
-	// batch's first Read waits holding it, under the idle deadline Read arms.
-	fdless bool
-}
-
-// start boots a server in mode as startGovernedServer does.
-func (m chaosMode) start(t *testing.T) (*Server, *store.Store) {
-	t.Helper()
 	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
 	if err := st.RegisterTenant("default", 32<<20); err != nil {
 		t.Fatal(err)
 	}
-	cfg := m.Config
 	if cfg.DefaultTenant == "" {
 		cfg.DefaultTenant = "default"
 	}
@@ -60,26 +46,12 @@ func (m chaosMode) start(t *testing.T) (*Server, *store.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.fdless {
-		ln = fdlessListener{ln}
-	}
 	srv.serve(ln)
 	t.Cleanup(func() {
 		srv.Close()
 		st.Close()
 	})
 	return srv, st
-}
-
-// fdlessListener accepts connections whose descriptors are hidden.
-type fdlessListener struct{ net.Listener }
-
-func (l fdlessListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return struct{ net.Conn }{conn}, nil
 }
 
 // waitGoroutinesBelow asserts the goroutine count settles back to at most
@@ -112,19 +84,6 @@ func waitCond(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// chaosModes runs a chaos scenario on both wait paths of the front end:
-// "parked", where a connection waits for its next batch in the netpoller with
-// no session, and "classic", where a connection with no descriptor waits in
-// its batch's first Read holding one. Every fault shape (RST, slow-loris,
-// half-close, storm, drain) must be survivable on both, since their idle
-// deadlines, timeouts and drain wake-ups are armed and counted in different
-// places (await, or governedConn.Read and step). The scenario layers its own
-// governor settings on top of the mode.
-func chaosModes(t *testing.T, scenario func(t *testing.T, mode chaosMode)) {
-	t.Run("classic", func(t *testing.T) { scenario(t, chaosMode{fdless: true}) })
-	t.Run("parked", func(t *testing.T) { scenario(t, chaosMode{}) })
-}
-
 // TestChaosStormHealthyCohort is the headline acceptance test: a chaotic
 // cohort hammers the server through a fault-injecting proxy (latency,
 // single-digit-byte partial writes, connections torn mid-payload by a byte
@@ -133,16 +92,15 @@ func chaosModes(t *testing.T, scenario func(t *testing.T, mode chaosMode)) {
 // neither panic nor leak goroutines, and the arena conservation audit must
 // balance to the byte afterwards.
 func TestChaosStormHealthyCohort(t *testing.T) {
-	chaosModes(t, chaosStormHealthyCohort)
+	t.Run("parked", chaosStormHealthyCohort)
 }
 
-func chaosStormHealthyCohort(t *testing.T, mode chaosMode) {
+func chaosStormHealthyCohort(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	mode.MaxConns = 128
-	mode.IdleTimeout = 2 * time.Second
-	mode.ReadTimeout = 2 * time.Second
-	mode.WriteTimeout = 2 * time.Second
-	srv, st := mode.start(t)
+	srv, st := startGovernedServer(t, Config{
+		MaxConns:    128,
+		IdleTimeout: 2 * time.Second, ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second,
+	})
 
 	proxy := chaos.New(chaos.Config{
 		Target:          srv.Addr(),
@@ -254,14 +212,12 @@ const tornStorageCommand = "set tornkey 0 0 5\r\nhello\r\n"
 // writing the prefix and slamming the connection shut with an RST. The
 // server must survive every one of them and keep serving.
 func TestChaosTornStorageEveryByteBoundary(t *testing.T) {
-	chaosModes(t, chaosTornStorageEveryByteBoundary)
+	t.Run("parked", chaosTornStorageEveryByteBoundary)
 }
 
-func chaosTornStorageEveryByteBoundary(t *testing.T, mode chaosMode) {
+func chaosTornStorageEveryByteBoundary(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	mode.IdleTimeout = time.Second
-	mode.ReadTimeout = time.Second
-	srv, st := mode.start(t)
+	srv, st := startGovernedServer(t, Config{IdleTimeout: time.Second, ReadTimeout: time.Second})
 
 	for i := 0; i < len(tornStorageCommand); i++ {
 		conn, err := net.Dial("tcp", srv.Addr())
@@ -305,13 +261,11 @@ func chaosTornStorageEveryByteBoundary(t *testing.T, mode chaosMode) {
 // tear (partial data block forwarded, then RST) is as survivable as the raw
 // one.
 func TestChaosTornMidPayloadViaProxy(t *testing.T) {
-	chaosModes(t, chaosTornMidPayloadViaProxy)
+	t.Run("parked", chaosTornMidPayloadViaProxy)
 }
 
-func chaosTornMidPayloadViaProxy(t *testing.T, mode chaosMode) {
-	mode.IdleTimeout = time.Second
-	mode.ReadTimeout = time.Second
-	srv, _ := mode.start(t)
+func chaosTornMidPayloadViaProxy(t *testing.T) {
+	srv, _ := startGovernedServer(t, Config{IdleTimeout: time.Second, ReadTimeout: time.Second})
 
 	// Budgets chosen to tear inside the header, at the header/payload seam,
 	// and inside the data block.
@@ -347,14 +301,12 @@ func chaosTornMidPayloadViaProxy(t *testing.T, mode chaosMode) {
 // inside any per-read window — is torn down once the whole command overruns
 // ReadTimeout, freeing the session goroutine and counting a conn timeout.
 func TestChaosSlowLoris(t *testing.T) {
-	chaosModes(t, chaosSlowLoris)
+	t.Run("parked", chaosSlowLoris)
 }
 
-func chaosSlowLoris(t *testing.T, mode chaosMode) {
+func chaosSlowLoris(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	mode.IdleTimeout = 5 * time.Second
-	mode.ReadTimeout = 300 * time.Millisecond
-	srv, st := mode.start(t)
+	srv, st := startGovernedServer(t, Config{IdleTimeout: 5 * time.Second, ReadTimeout: 300 * time.Millisecond})
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -393,12 +345,11 @@ func chaosSlowLoris(t *testing.T, mode chaosMode) {
 // TestChaosIdleTimeout proves a connection that completes a command and then
 // goes silent is reaped by the idle deadline (and only then).
 func TestChaosIdleTimeout(t *testing.T) {
-	chaosModes(t, chaosIdleTimeout)
+	t.Run("parked", chaosIdleTimeout)
 }
 
-func chaosIdleTimeout(t *testing.T, mode chaosMode) {
-	mode.IdleTimeout = 250 * time.Millisecond
-	srv, _ := mode.start(t)
+func chaosIdleTimeout(t *testing.T) {
+	srv, _ := startGovernedServer(t, Config{IdleTimeout: 250 * time.Millisecond})
 
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
@@ -429,13 +380,11 @@ func chaosIdleTimeout(t *testing.T, mode chaosMode) {
 // counted, the admitted ones must keep working, and a freed slot must be
 // reusable.
 func TestChaosAcceptStormMaxConns(t *testing.T) {
-	chaosModes(t, chaosAcceptStormMaxConns)
+	t.Run("parked", chaosAcceptStormMaxConns)
 }
 
-func chaosAcceptStormMaxConns(t *testing.T, mode chaosMode) {
-	mode.MaxConns = 2
-	mode.IdleTimeout = 10 * time.Second
-	srv, _ := mode.start(t)
+func chaosAcceptStormMaxConns(t *testing.T) {
+	srv, _ := startGovernedServer(t, Config{MaxConns: 2, IdleTimeout: 10 * time.Second})
 
 	// Fill both slots with round-tripped (therefore registered) sessions.
 	admitted := make([]*client.Client, 2)
@@ -492,11 +441,11 @@ func chaosAcceptStormMaxConns(t *testing.T, mode chaosMode) {
 // the session serving it must die alone — counted in conn_panics — while
 // the daemon and every other connection keep working.
 func TestChaosPanicRecovery(t *testing.T) {
-	chaosModes(t, chaosPanicRecovery)
+	t.Run("parked", chaosPanicRecovery)
 }
 
-func chaosPanicRecovery(t *testing.T, mode chaosMode) {
-	srv, _ := mode.start(t)
+func chaosPanicRecovery(t *testing.T) {
+	srv, _ := startGovernedServer(t, Config{})
 	srv.testHookCommand = func(cmd *protocol.Command) {
 		if len(cmd.Keys) == 1 && string(cmd.Keys[0]) == "boom" {
 			panic("injected handler fault")
@@ -537,12 +486,11 @@ func chaosPanicRecovery(t *testing.T, mode chaosMode) {
 // the proxy's FIN-swallowing fault: the client is gone but the server never
 // sees EOF. Only the idle deadline can free the session — and it must.
 func TestChaosHalfClosedSocket(t *testing.T) {
-	chaosModes(t, chaosHalfClosedSocket)
+	t.Run("parked", chaosHalfClosedSocket)
 }
 
-func chaosHalfClosedSocket(t *testing.T, mode chaosMode) {
-	mode.IdleTimeout = 300 * time.Millisecond
-	srv, _ := mode.start(t)
+func chaosHalfClosedSocket(t *testing.T) {
+	srv, _ := startGovernedServer(t, Config{IdleTimeout: 300 * time.Millisecond})
 
 	proxy := chaos.New(chaos.Config{Target: srv.Addr(), HalfClose: true})
 	if err := proxy.Start(); err != nil {
@@ -574,13 +522,12 @@ func chaosHalfClosedSocket(t *testing.T, mode chaosMode) {
 // response, then a clean EOF — and Shutdown returns nil well inside its
 // deadline.
 func TestChaosShutdownDrainsInFlight(t *testing.T) {
-	chaosModes(t, chaosShutdownDrainsInFlight)
+	t.Run("parked", chaosShutdownDrainsInFlight)
 }
 
-func chaosShutdownDrainsInFlight(t *testing.T, mode chaosMode) {
+func chaosShutdownDrainsInFlight(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	mode.IdleTimeout = 30 * time.Second
-	srv, _ := mode.start(t)
+	srv, _ := startGovernedServer(t, Config{IdleTimeout: 30 * time.Second})
 
 	// Gate the first command of the batch so Shutdown provably begins while
 	// the batch is in flight: the hook signals when the session is mid-
@@ -651,13 +598,12 @@ func chaosShutdownDrainsInFlight(t *testing.T, mode chaosMode) {
 // command must not stall the drain — Shutdown wakes and retires them
 // immediately, without counting them as timeouts.
 func TestChaosShutdownWakesIdleConns(t *testing.T) {
-	chaosModes(t, chaosShutdownWakesIdleConns)
+	t.Run("parked", chaosShutdownWakesIdleConns)
 }
 
-func chaosShutdownWakesIdleConns(t *testing.T, mode chaosMode) {
+func chaosShutdownWakesIdleConns(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	mode.IdleTimeout = time.Hour
-	srv, _ := mode.start(t)
+	srv, _ := startGovernedServer(t, Config{IdleTimeout: time.Hour})
 
 	conns := make([]net.Conn, 4)
 	for i := range conns {
@@ -699,13 +645,12 @@ func chaosShutdownWakesIdleConns(t *testing.T, mode chaosMode) {
 // that never reads cannot drain; the ctx deadline must force it closed and
 // Shutdown must report the forced exit.
 func TestChaosShutdownForcesStragglers(t *testing.T) {
-	chaosModes(t, chaosShutdownForcesStragglers)
+	t.Run("parked", chaosShutdownForcesStragglers)
 }
 
-func chaosShutdownForcesStragglers(t *testing.T, mode chaosMode) {
+func chaosShutdownForcesStragglers(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	mode.IdleTimeout = time.Hour
-	srv, _ := mode.start(t)
+	srv, _ := startGovernedServer(t, Config{IdleTimeout: time.Hour})
 
 	// Store one value big enough that a deep pipelined GET overfills the
 	// socket buffers of a non-reading client, wedging the session in a write.

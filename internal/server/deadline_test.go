@@ -19,8 +19,8 @@ import (
 // slow-loris cut timed from the first byte, and a write to a peer that stops
 // reading timed from that write's start. The last row keeps a connection busy
 // across three idle periods: it is never reaped, and over 1 000 round trips
-// it arms a handful of deadlines, not one or two per round trip. Every row
-// runs on both wait paths.
+// it arms a handful of deadlines, not one or two per round trip. The rows run
+// as the subtest "parked", on connections that wait in the netpoller.
 func TestGovernedDeadlinesStayExact(t *testing.T) {
 	const (
 		period = 300 * time.Millisecond
@@ -41,49 +41,45 @@ func TestGovernedDeadlinesStayExact(t *testing.T) {
 		{"idle reap", Config{IdleTimeout: period, ReadTimeout: period, WriteTimeout: period}, versionTrip, idleReap},
 		{"slow-loris cut", Config{IdleTimeout: 10 * period, ReadTimeout: period}, tornSetTrip, slowLorisCut},
 		{"stalled write", Config{IdleTimeout: 10 * period, WriteTimeout: period}, versionTrip, stalledWrite},
+		{"command behind a command", Config{IdleTimeout: 10 * period, ReadTimeout: period}, versionTrip, commandBehindCut},
 	}
-	for _, path := range []struct {
-		name   string
-		fdless bool
-	}{{"parked", false}, {"classic", true}} {
-		t.Run(path.name, func(t *testing.T) {
-			for _, row := range rows {
-				t.Run(row.name, func(t *testing.T) {
-					srv, _ := startGovernedServer(t, row.cfg)
-					_, conn := serveProbed(t, srv, path.fdless)
-					r := bufio.NewReader(conn)
-					for start := time.Now(); time.Since(start) < period*3/2; {
-						row.busy(t, conn, r)
-					}
-					from, to, fired := row.event(t, srv, conn, r)
-					if early, late := from.Add(period), to.Add(period+slack); fired.Before(early) || fired.After(late) {
-						t.Fatalf("fired %v after the event began, want within [%v, %v]",
-							fired.Sub(from), period, to.Sub(from)+period+slack)
-					}
-				})
-			}
-
-			t.Run("busy across three periods", func(t *testing.T) {
-				srv, _ := startGovernedServer(t, Config{IdleTimeout: period, ReadTimeout: period, WriteTimeout: period})
-				probed, conn := serveProbed(t, srv, path.fdless)
+	t.Run("parked", func(t *testing.T) {
+		for _, row := range rows {
+			t.Run(row.name, func(t *testing.T) {
+				srv, _ := startGovernedServer(t, row.cfg)
+				_, conn := serveProbed(t, srv)
 				r := bufio.NewReader(conn)
-				const trips = 1000
-				start := time.Now()
-				for i := 0; i < trips; i++ {
-					time.Sleep(time.Until(start.Add(3 * period * time.Duration(i) / trips)))
-					versionTrip(t, conn, r)
+				for start := time.Now(); time.Since(start) < period*3/2; {
+					row.busy(t, conn, r)
 				}
-				if n := srv.ConnStats().ConnTimeouts; n != 0 {
-					t.Fatalf("conn_timeouts = %d on a busy connection, want 0", n)
-				}
-				reads, writes := probed.deadlines.Load(), probed.writeDeadlines.Load()
-				if reads+writes > handful {
-					t.Fatalf("%d round trips over %v armed %d read and %d write deadlines, want at most %d in all",
-						trips, time.Since(start), reads, writes, handful)
+				from, to, fired := row.event(t, srv, conn, r)
+				if early, late := from.Add(period), to.Add(period+slack); fired.Before(early) || fired.After(late) {
+					t.Fatalf("fired %v after the event began, want within [%v, %v]",
+						fired.Sub(from), period, to.Sub(from)+period+slack)
 				}
 			})
+		}
+
+		t.Run("busy across three periods", func(t *testing.T) {
+			srv, _ := startGovernedServer(t, Config{IdleTimeout: period, ReadTimeout: period, WriteTimeout: period})
+			probed, conn := serveProbed(t, srv)
+			r := bufio.NewReader(conn)
+			const trips = 1000
+			start := time.Now()
+			for i := 0; i < trips; i++ {
+				time.Sleep(time.Until(start.Add(3 * period * time.Duration(i) / trips)))
+				versionTrip(t, conn, r)
+			}
+			if n := srv.ConnStats().ConnTimeouts; n != 0 {
+				t.Fatalf("conn_timeouts = %d on a busy connection, want 0", n)
+			}
+			reads, writes := probed.deadlines.Load(), probed.writeDeadlines.Load()
+			if reads+writes > handful {
+				t.Fatalf("%d round trips over %v armed %d read and %d write deadlines, want at most %d in all",
+					trips, time.Since(start), reads, writes, handful)
+			}
 		})
-	}
+	})
 }
 
 func versionTrip(t *testing.T, conn net.Conn, r *bufio.Reader) {
@@ -162,6 +158,21 @@ func slowLorisCut(t *testing.T, srv *Server, conn net.Conn, r *bufio.Reader) (fr
 	fired = awaitClose(t, conn, r, 5*time.Second)
 	close(stop)
 	<-done
+	waitCond(t, func() bool { return srv.ConnStats().ConnTimeouts == 1 }, "conn_timeouts")
+	return from, to, fired
+}
+
+// commandBehindCut sends a command with the start of a second behind it in one
+// segment, then nothing. The second command's first bytes arrived with the
+// first, so the read for its rest is owed the command deadline, not the idle
+// one: the cut is owed a period after the server reads the segment.
+func commandBehindCut(t *testing.T, srv *Server, conn net.Conn, r *bufio.Reader) (from, to, fired time.Time) {
+	from = time.Now()
+	if _, err := io.WriteString(conn, "version\r\nget b"); err != nil {
+		t.Fatal(err)
+	}
+	to = time.Now()
+	fired = awaitClose(t, conn, r, 5*time.Second)
 	waitCond(t, func() bool { return srv.ConnStats().ConnTimeouts == 1 }, "conn_timeouts")
 	return from, to, fired
 }

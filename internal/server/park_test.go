@@ -8,15 +8,16 @@ package server
 // which must release its session and leave the idle deadline alone, shutdown
 // with a thousand connections parked, the pool shrinking as connections
 // close, the gauges, and the allocation gate proving a release/lease cycle and
-// a spurious wake cost nothing amortized.
+// a spurious wake cost nothing amortized. A connection that cannot park,
+// having no descriptor to wait on, is not served at all.
 
 import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net"
 	"runtime"
@@ -320,10 +321,57 @@ func TestSessionPoolShrinksOnClose(t *testing.T) {
 	waitCond(t, pooled(0), "buffer_pool_bytes to fall to 0 with every connection closed")
 }
 
+// TestConnWithoutDescriptorIsNotServed: every connection waits for its
+// batches on its descriptor, so one that hides it is logged and closed before
+// anything is read from it. It gets no reply, leaves curr_connections and
+// leaks no goroutine.
+func TestConnWithoutDescriptorIsNotServed(t *testing.T) {
+	var logged bytes.Buffer
+	srv, _ := startGovernedServer(t, Config{Logger: log.New(&logged, "", 0)})
+	baseline := runtime.NumGoroutine()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden := struct{ net.Conn }{accepted}
+	srv.mu.Lock()
+	srv.conns[hidden] = struct{}{}
+	srv.mu.Unlock()
+	srv.total.Add(1)
+	srv.curr.Add(1)
+	srv.wg.Add(1)
+	done := make(chan struct{})
+	go func() {
+		srv.serveConn(hidden)
+		close(done)
+	}()
+	if _, err := io.WriteString(conn, "version\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	awaitClose(t, conn, bufio.NewReader(conn), 5*time.Second)
+	<-done
+	if n := srv.ConnStats().CurrConnections; n != 0 {
+		t.Fatalf("curr_connections = %d after the connection was closed, want 0", n)
+	}
+	waitGoroutinesBelow(t, baseline)
+	if !strings.Contains(logged.String(), errNoDescriptor.Error()) {
+		t.Fatalf("log = %q, want the connection's closing logged", logged.String())
+	}
+}
+
 // probedConn is an accepted connection whose looks at the socket through
 // RawConn.Read (the wait's, and the first read's after a wake) a test can
-// watch and hold off, and whose deadline arms it counts. With no rc it hides
-// its descriptor, so the connection takes the descriptor-less wait path.
+// watch and hold off, and whose deadline arms it counts.
 type probedConn struct {
 	net.Conn
 	rc syscall.RawConn
@@ -343,9 +391,8 @@ type probedConn struct {
 }
 
 // serveProbed hands srv one end of a loopback connection wrapped in a
-// probedConn, as the accept loop would, and returns the other end. fdless
-// hides the server end's descriptor.
-func serveProbed(t *testing.T, srv *Server, fdless bool) (*probedConn, net.Conn) {
+// probedConn, as the accept loop would, and returns the other end.
+func serveProbed(t *testing.T, srv *Server) (*probedConn, net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -363,10 +410,8 @@ func serveProbed(t *testing.T, srv *Server, fdless bool) (*probedConn, net.Conn)
 	}
 	probed := &probedConn{Conn: accepted}
 	probed.lookFn, probed.stealFn = probed.look, probed.recvOne
-	if !fdless {
-		if probed.rc, err = accepted.(*net.TCPConn).SyscallConn(); err != nil {
-			t.Fatal(err)
-		}
+	if probed.rc, err = accepted.(*net.TCPConn).SyscallConn(); err != nil {
+		t.Fatal(err)
 	}
 	srv.mu.Lock()
 	srv.conns[probed] = struct{}{}
@@ -389,9 +434,6 @@ func (c *probedConn) SetWriteDeadline(t time.Time) error {
 }
 
 func (c *probedConn) SyscallConn() (syscall.RawConn, error) {
-	if c.rc == nil {
-		return nil, errors.New("descriptor hidden")
-	}
 	return probedRawConn{c}, nil
 }
 
@@ -478,7 +520,7 @@ func TestParkIdleReapNoDataWake(t *testing.T) {
 		slack = 150 * time.Millisecond
 	)
 	srv, _ := startGovernedServer(t, Config{IdleTimeout: idle})
-	probed, conn := serveProbed(t, srv, false)
+	probed, conn := serveProbed(t, srv)
 
 	time.Sleep(idle / 4)
 	r := bufio.NewReader(conn)
@@ -568,7 +610,7 @@ func TestParkShutdownThousandsParked(t *testing.T) {
 // each.
 func TestAllocGateParkWake(t *testing.T) {
 	srv, _ := startGovernedServer(t, Config{IdleTimeout: time.Minute, ReadTimeout: time.Minute, WriteTimeout: time.Minute})
-	probed, conn := serveProbed(t, srv, false)
+	probed, conn := serveProbed(t, srv)
 
 	req := []byte("get gatekey\r\nset gatekey 0 0 3\r\nval\r\n")
 	buf := make([]byte, 256)

@@ -10,9 +10,11 @@
 // A connection holds a session (two 64 KiB bufio buffers, the parser and the
 // response scratch) only while it has a batch to serve. At each batch
 // boundary its goroutine puts the session back in a pool and waits for the
-// next byte in the runtime's netpoller, so an idle connection costs its
-// goroutine (a few KiB of stack) and its connection state, not 128 KiB of
-// buffers. The pool grows to the most batches served at once and shrinks as
+// next byte in the runtime's netpoller through the connection's
+// syscall.RawConn, so an idle connection costs its goroutine (a few KiB of
+// stack) and its connection state, not 128 KiB of buffers. Every connection
+// waits there: one whose descriptor cannot be had is logged and closed, not
+// served. The pool grows to the most batches served at once and shrinks as
 // connections close, so there are never more sessions than connections once
 // one has closed. The stats gauges parked_connections and active_sessions
 // count the connections waiting without a session and the sessions leased.
@@ -372,11 +374,13 @@ func (s *Server) logf(format string, args ...any) {
 
 // governedConn enforces the governor's deadlines at the transport layer, so
 // neither the parser nor the handlers need to know about time. The wait for a
-// command's first byte is owed the idle deadline, last batch boundary + idle;
-// once that byte has arrived, the rest of the command (line and data block)
-// is owed an absolute per-command deadline, first byte + read — re-arming per
-// read would let a slow-loris client stay alive forever at one byte per
-// interval. Each Write is owed its own start + write.
+// batch's first byte (await) is owed the idle deadline, last batch boundary +
+// idle; once that byte has arrived, the rest of the command (line and data
+// block) is owed an absolute per-command deadline, first byte + read —
+// re-arming per read would let a slow-loris client stay alive forever at one
+// byte per interval. A command whose first bytes arrived behind another's is
+// owed read from the first read for its rest. Each Write is owed its own
+// start + write.
 //
 // Deadlines are armed lazily. Moving one is a timer-heap operation in the
 // runtime, and at the shipped defaults every batch would move two, so the
@@ -397,7 +401,7 @@ type governedConn struct {
 	idle  time.Duration
 	read  time.Duration
 	write time.Duration
-	// rc is the descriptor await waits on; nil for a connection without one.
+	// rc is the descriptor await waits on.
 	rc        syscall.RawConn
 	inCommand bool
 	// owed is the read deadline the current wait or command is owed; rd and
@@ -416,15 +420,16 @@ type governedConn struct {
 	err            error
 }
 
-// newGovernedConn wraps conn in the server's deadlines.
-func (s *Server) newGovernedConn(conn net.Conn) *governedConn {
+// newGovernedConn wraps conn, with its descriptor rc, in the server's
+// deadlines.
+func (s *Server) newGovernedConn(conn net.Conn, rc syscall.RawConn) *governedConn {
 	g := &governedConn{
 		Conn:  conn,
 		srv:   s,
 		idle:  s.cfg.IdleTimeout,
 		read:  s.cfg.ReadTimeout,
 		write: s.cfg.WriteTimeout,
-		rc:    rawConn(conn),
+		rc:    rc,
 	}
 	g.lookFn, g.readFn = g.look, g.readNow
 	return g
@@ -472,9 +477,13 @@ func (g *governedConn) early(err error) bool {
 	return true
 }
 
+// Read is the batch's first read after a wake, which starts a command, or a
+// read for more of a command: outside one, the read buffer already holds the
+// start of the next command, so its rest is owed the command deadline.
 func (g *governedConn) Read(p []byte) (int, error) {
 	if !g.inCommand && !g.woken {
-		g.owed = after(g.idle)
+		g.inCommand = true
+		g.owed = after(g.read)
 	}
 	for {
 		g.armLate()
@@ -723,7 +732,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	g := s.newGovernedConn(conn)
+	rc, err := rawConn(conn)
+	if err != nil {
+		s.logf("server: %v: %v; closing it", conn.RemoteAddr(), err)
+		return
+	}
+	g := s.newGovernedConn(conn, rc)
 	tenant := s.cfg.DefaultTenant
 	for s.await(g) {
 		c = s.lease(g, tenant)
@@ -736,17 +750,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// rawConn returns the descriptor await waits on, or nil if conn has none.
-func rawConn(conn net.Conn) syscall.RawConn {
+// errNoDescriptor is why serveConn closes a connection it cannot wait on.
+var errNoDescriptor = errors.New("no descriptor to wait on")
+
+// rawConn returns the descriptor await waits on.
+func rawConn(conn net.Conn) (syscall.RawConn, error) {
 	sc, ok := conn.(syscall.Conn)
 	if !ok {
-		return nil
+		return nil, errNoDescriptor
 	}
-	rc, err := sc.SyscallConn()
-	if err != nil {
-		return nil
-	}
-	return rc
+	return sc.SyscallConn()
 }
 
 // await parks the connection's goroutine in the runtime's netpoller, holding
@@ -760,13 +773,9 @@ func rawConn(conn net.Conn) syscall.RawConn {
 // spurious_wakes), the session goes back to the pool and the connection waits
 // here again, still owed the deadline of its last batch boundary. await
 // reports false when the deadline, a drain or Close ends the wait; an idle
-// expiry outside a drain counts in conn_timeouts. A connection with no
-// descriptor does not wait here: its batch's first Read waits holding the
-// session, under the same deadlines.
+// expiry outside a drain counts in conn_timeouts. This is the one place the
+// idle deadline is armed.
 func (s *Server) await(g *governedConn) bool {
-	if g.rc == nil {
-		return true
-	}
 	g.inCommand = false
 	if g.spurious {
 		g.spurious = false
@@ -832,8 +841,8 @@ func (c *session) serveBatch() bool {
 // request at a time) still gets a flush per request.
 func (c *session) step() bool {
 	if c.gc != nil {
-		// Command boundary: the next conn read waits under the idle
-		// deadline until a command's first byte arrives.
+		// Command boundary: a conn read from here on is for the rest of a
+		// command whose start is already buffered.
 		c.gc.inCommand = false
 	}
 	cmd, err := c.parser.ReadCommand()
@@ -848,11 +857,11 @@ func (c *session) step() bool {
 		}
 		netErr, isNet := asNetError(err)
 		if isNet && netErr.Timeout() {
-			// A governor deadline fired — an idle connection, a slow-loris
-			// command, or the shutdown wake-up. Nothing useful can be said
-			// to the peer (it may be gone, and the parser may be mid-
-			// command), but responses already queued for answered commands
-			// are flushed on the way out so a drain never drops them.
+			// A governor deadline fired — a slow-loris command, or the
+			// shutdown wake-up. Nothing useful can be said to the peer (it
+			// may be gone, and the parser may be mid-command), but
+			// responses already queued for answered commands are flushed
+			// on the way out so a drain never drops them.
 			if c.srv.draining.Load() {
 				c.w.Flush()
 			} else {

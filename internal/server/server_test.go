@@ -762,11 +762,9 @@ func (c *writeCountingConn) Write(p []byte) (int, error) {
 // arriving in one segment, are answered in order, each value from the tenant
 // selected just before it, and all four answers go out in one Write (a
 // client that lets the tenant line ride its command's flush pays one round
-// trip only if the acknowledgement rides the response's). It runs on both
-// wait paths of the front end: "parked", where the connection puts its
-// session back after the batch and must find its last selection on the next
-// one it leases, and "classic", where a connection with no descriptor leases
-// a session before it waits.
+// trip only if the acknowledgement rides the response's). It runs as the
+// subtest "parked": the connection puts its session back after the batch and
+// must find its last selection on the next one it leases.
 func TestServerProtocolConformanceTenantPipeline(t *testing.T) {
 	const batch = "tenant a\r\nget k\r\ntenant b\r\nget k\r\n"
 	answers := []string{
@@ -799,66 +797,56 @@ func TestServerProtocolConformanceTenantPipeline(t *testing.T) {
 		}
 	}
 
-	for _, mode := range []struct {
-		name   string
-		fdless bool
-	}{{"classic", true}, {"parked", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			srv, st := startGovernedServer(t, Config{})
-			for _, name := range []string{"a", "b"} {
-				if err := st.RegisterTenant(name, 8<<20); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.SetItemBytes(name, []byte("k"), []byte("from-"+name), 0, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// serveConn is handed the accepted connection through the
-			// counter, as acceptLoop would hand it the bare one.
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
+	t.Run("parked", func(t *testing.T) {
+		srv, st := startGovernedServer(t, Config{})
+		for _, name := range []string{"a", "b"} {
+			if err := st.RegisterTenant(name, 8<<20); err != nil {
 				t.Fatal(err)
 			}
-			defer ln.Close()
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
+			if err := st.SetItemBytes(name, []byte("k"), []byte("from-"+name), 0, 0); err != nil {
 				t.Fatal(err)
 			}
-			// serveConn returns on EOF, and srv.Close, which runs later,
-			// waits for it.
-			defer conn.Close()
-			accepted, err := ln.Accept()
-			if err != nil {
-				t.Fatal(err)
-			}
-			counted := &writeCountingConn{Conn: accepted}
-			var served net.Conn = counted
-			if !mode.fdless {
-				served = struct {
-					*writeCountingConn
-					syscall.Conn
-				}{counted, accepted.(*net.TCPConn)}
-			}
-			srv.curr.Add(1)
-			srv.wg.Add(1)
-			go srv.serveConn(served)
-			r := bufio.NewReader(conn)
-			exchange(t, conn, r, batch, answers...)
-			if n := counted.writes.Load(); n != 1 {
-				t.Errorf("the batch was answered in %d writes, want 1", n)
-			}
-			if !mode.fdless {
-				waitParked(t, srv, 1)
-			}
-			exchange(t, conn, r, "get k\r\n", "VALUE k 0 6", "from-b", "END")
-			exchange(t, conn, r, ghost, ghostAnswers...)
-			// A run of GETs behind an unknown tenant answers one
-			// SERVER_ERROR per command, as each command would alone, and
-			// the connection stays in step.
-			exchange(t, conn, r, ghostRun, ghostRunAnswers...)
-			exchange(t, conn, r, "tenant a\r\nget k\r\n", "TENANT", "VALUE k 0 6", "from-a", "END")
-		})
-	}
+		}
+		// serveConn is handed the accepted connection through the
+		// counter, as acceptLoop would hand it the bare one.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// serveConn returns on EOF, and srv.Close, which runs later,
+		// waits for it.
+		defer conn.Close()
+		accepted, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted := &writeCountingConn{Conn: accepted}
+		served := struct {
+			*writeCountingConn
+			syscall.Conn
+		}{counted, accepted.(*net.TCPConn)}
+		srv.curr.Add(1)
+		srv.wg.Add(1)
+		go srv.serveConn(served)
+		r := bufio.NewReader(conn)
+		exchange(t, conn, r, batch, answers...)
+		if n := counted.writes.Load(); n != 1 {
+			t.Errorf("the batch was answered in %d writes, want 1", n)
+		}
+		waitParked(t, srv, 1)
+		exchange(t, conn, r, "get k\r\n", "VALUE k 0 6", "from-b", "END")
+		exchange(t, conn, r, ghost, ghostAnswers...)
+		// A run of GETs behind an unknown tenant answers one
+		// SERVER_ERROR per command, as each command would alone, and
+		// the connection stays in step.
+		exchange(t, conn, r, ghostRun, ghostRunAnswers...)
+		exchange(t, conn, r, "tenant a\r\nget k\r\n", "TENANT", "VALUE k 0 6", "from-a", "END")
+	})
 }
 
 // TestServerProtocolConformanceGetRuns sends one segment that mixes runs of

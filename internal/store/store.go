@@ -219,8 +219,9 @@ type tenantEntry struct {
 	// maintenance tick's is-there-work probe — the authoritative value lives
 	// in the Tenant under bk.mu). resized latches once a ResizeTenant has ever run:
 	// physical page retirement only happens on explicitly resized tenants,
-	// so a static deployment stays byte-for-byte identical to the
-	// pre-lifecycle engine (the sim-vs-wire parity check depends on that).
+	// so the asynchronous maintenance tick never retires pages of a tenant
+	// that was never resized, although its arena, which has no per-tenant
+	// cap, may lease more pages than its reservation.
 	targetBytes  atomic.Int64
 	appliedBytes atomic.Int64
 	resized      atomic.Bool
@@ -539,7 +540,10 @@ func (s *Store) RegisterTenantConfig(cfg TenantConfig) error {
 // surplus pages are retired one at a time through the migration machinery —
 // so traffic is never stalled or dropped. With synchronous bookkeeping (no
 // maintenance tick) the work is driven here instead, bounded so a long-held
-// reader pin cannot wedge the caller; Flush drives any remainder.
+// reader pin cannot wedge the caller: a shrink behind a pinned reader can
+// return mid-migration. Flush does not finish it (it only sweeps events);
+// the next ResizeTenant goes on with it, and the package's tests that need it
+// finished loop reconfigureTick.
 func (s *Store) ResizeTenant(name string, newBytes int64) error {
 	if newBytes <= 0 {
 		return fmt.Errorf("store: tenant %q needs a positive memory reservation", name)
@@ -1455,6 +1459,3 @@ func (s *Store) DroppedEvents(tenant string) (int64, error) {
 	}
 	return e.bk.dropped.Load(), nil
 }
-
-// Victim re-exports cache.Victim for callers that only import store.
-type Victim = cache.Victim

@@ -152,14 +152,3 @@ func SampleFacebookValueSize(rng *rand.Rand) int64 {
 	}
 	return int64(v)
 }
-
-// GetSetMix returns a FacebookConfig with the given GET fraction, matching
-// the rows of Table 7 (96.7/3.3, 50/50, 10/90).
-func GetSetMix(getFraction float64, requests int64, seed int64) FacebookConfig {
-	return FacebookConfig{
-		GetFraction: getFraction,
-		Requests:    requests,
-		Seed:        seed,
-		Keys:        1 << 18,
-	}
-}

@@ -149,33 +149,8 @@ func (tr *Reader) setErr(err error) {
 	}
 }
 
-// WriteCSV writes requests from src to w in a human-readable CSV format:
-// time,app,op,size,key. It returns the number of requests written.
-func WriteCSV(w io.Writer, src Source) (int64, error) {
-	cw := csv.NewWriter(w)
-	var n int64
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		rec := []string{
-			strconv.FormatFloat(r.Time, 'f', 3, 64),
-			strconv.Itoa(r.App),
-			r.Op.String(),
-			strconv.FormatInt(r.Size, 10),
-			r.Key,
-		}
-		if err := cw.Write(rec); err != nil {
-			return n, err
-		}
-		n++
-	}
-	cw.Flush()
-	return n, cw.Error()
-}
-
-// ReadCSV parses the CSV format produced by WriteCSV.
+// ReadCSV parses a human-readable CSV trace, one request a line:
+// time,app,op,size,key, with op one of get, set and delete.
 func ReadCSV(r io.Reader) ([]Request, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 5

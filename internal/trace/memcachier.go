@@ -247,35 +247,3 @@ func MemcachierApps(scale float64) []AppSpec {
 		},
 	}
 }
-
-// MemcachierTopApps returns the first n applications of the synthetic
-// Memcachier workload (the paper's Table 3 uses the top 5).
-func MemcachierTopApps(scale float64, n int) []AppSpec {
-	apps := MemcachierApps(scale)
-	if n > len(apps) {
-		n = len(apps)
-	}
-	return apps[:n]
-}
-
-// CliffAppIDs returns the IDs of the applications marked as having
-// performance cliffs (the asterisked applications of Figures 2 and 6).
-func CliffAppIDs(apps []AppSpec) []int {
-	var ids []int
-	for _, a := range apps {
-		if a.HasCliff {
-			ids = append(ids, a.ID)
-		}
-	}
-	return ids
-}
-
-// AppByID returns the spec with the given ID and whether it exists.
-func AppByID(apps []AppSpec, id int) (AppSpec, bool) {
-	for _, a := range apps {
-		if a.ID == id {
-			return a, true
-		}
-	}
-	return AppSpec{}, false
-}

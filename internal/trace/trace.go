@@ -133,27 +133,3 @@ func (l *LimitSource) Next() (Request, bool) {
 	l.seen++
 	return r, true
 }
-
-// FilterApp wraps a source and yields only requests belonging to app.
-type FilterApp struct {
-	src Source
-	app int
-}
-
-// NewFilterApp returns a Source containing only requests of the given app.
-func NewFilterApp(src Source, app int) *FilterApp {
-	return &FilterApp{src: src, app: app}
-}
-
-// Next implements Source.
-func (f *FilterApp) Next() (Request, bool) {
-	for {
-		r, ok := f.src.Next()
-		if !ok {
-			return Request{}, false
-		}
-		if r.App == f.app {
-			return r, true
-		}
-	}
-}

@@ -38,11 +38,6 @@ func TestSliceSourceAndHelpers(t *testing.T) {
 		t.Fatalf("LimitSource yielded %d", len(limited))
 	}
 	src.Reset()
-	app1 := Collect(NewFilterApp(src, 1), 0)
-	if len(app1) != 2 || app1[0].Key != "a" || app1[1].Key != "c" {
-		t.Fatalf("FilterApp = %+v", app1)
-	}
-	src.Reset()
 	capped := Collect(src, 1)
 	if len(capped) != 1 {
 		t.Fatalf("Collect with max = %d entries", len(capped))
@@ -146,21 +141,16 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	reqs := []Request{
-		{Time: 1.5, App: 1, Key: "k1", Size: 64, Op: OpGet},
-		{Time: 2.5, App: 2, Key: "k2", Size: 128, Op: OpSet},
-	}
-	var buf bytes.Buffer
-	n, err := WriteCSV(&buf, NewSliceSource(reqs))
-	if err != nil || n != 2 {
-		t.Fatalf("WriteCSV = %d, %v", n, err)
-	}
-	got, err := ReadCSV(&buf)
+	got, err := ReadCSV(strings.NewReader("1.500,1,get,64,k1\n2.500,2,set,128,k2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Key != "k1" || got[1].Op != OpSet || got[1].Size != 128 {
-		t.Fatalf("ReadCSV = %+v", got)
+	want := []Request{
+		{Time: 1.5, App: 1, Key: "k1", Size: 64, Op: OpGet},
+		{Time: 2.5, App: 2, Key: "k2", Size: 128, Op: OpSet},
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("ReadCSV = %+v, want %+v", got, want)
 	}
 	if _, err := ReadCSV(strings.NewReader("bad,line,here,not,valid\n")); err == nil {
 		t.Fatalf("invalid CSV should error")
@@ -295,7 +285,12 @@ func TestMemcachierSpecShape(t *testing.T) {
 			}
 		}
 	}
-	cliffs := CliffAppIDs(apps)
+	var cliffs []int
+	for _, a := range apps {
+		if a.HasCliff {
+			cliffs = append(cliffs, a.ID)
+		}
+	}
 	want := []int{1, 7, 10, 11, 18, 19}
 	if len(cliffs) != len(want) {
 		t.Fatalf("cliff apps = %v, want %v", cliffs, want)
@@ -304,18 +299,6 @@ func TestMemcachierSpecShape(t *testing.T) {
 		if cliffs[i] != want[i] {
 			t.Fatalf("cliff apps = %v, want %v", cliffs, want)
 		}
-	}
-	if _, ok := AppByID(apps, 19); !ok {
-		t.Fatalf("AppByID(19) should exist")
-	}
-	if _, ok := AppByID(apps, 99); ok {
-		t.Fatalf("AppByID(99) should not exist")
-	}
-	if top := MemcachierTopApps(1.0, 5); len(top) != 5 || top[4].ID != 5 {
-		t.Fatalf("MemcachierTopApps(5) = %d apps", len(top))
-	}
-	if top := MemcachierTopApps(1.0, 99); len(top) != 20 {
-		t.Fatalf("MemcachierTopApps should clamp to 20")
 	}
 }
 
@@ -388,13 +371,6 @@ func TestFacebookUniqueKeysAllMiss(t *testing.T) {
 	}
 	if len(seen) != 5000 {
 		t.Fatalf("expected 5000 unique keys, got %d", len(seen))
-	}
-}
-
-func TestGetSetMix(t *testing.T) {
-	cfg := GetSetMix(0.5, 100, 3)
-	if cfg.GetFraction != 0.5 || cfg.Requests != 100 {
-		t.Fatalf("GetSetMix = %+v", cfg)
 	}
 }
 

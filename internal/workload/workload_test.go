@@ -117,14 +117,10 @@ func TestOpenFileBinaryAndCSV(t *testing.T) {
 	bf.Close()
 
 	csv := filepath.Join(dir, "t.csv")
-	cf, err := os.Create(csv)
-	if err != nil {
+	text := "0.500,1,get,100,alpha\n1.000,2,set,200,beta\n1.500,1,delete,300,gamma\n"
+	if err := os.WriteFile(csv, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.WriteCSV(cf, trace.NewSliceSource(want)); err != nil {
-		t.Fatal(err)
-	}
-	cf.Close()
 
 	for _, path := range []string{bin, csv} {
 		w, err := Open("file:"+path, Options{})
