@@ -1203,6 +1203,142 @@ func TestStoreVerbSemantics(t *testing.T) {
 	if after.Touches != before.Touches+2 || after.TouchHits != before.TouchHits+1 {
 		t.Fatalf("touch counters = %d/%d, want %d/%d", after.Touches, after.TouchHits, before.Touches+2, before.TouchHits+1)
 	}
+
+	for _, sync := range []bool{true, false} {
+		name := "states/async"
+		if sync {
+			name = "states/sync"
+		}
+		t.Run(name, func(t *testing.T) { verbStateTable(t, sync) })
+	}
+}
+
+// verbOutcome is what one write verb did to a tenant: its reply as the wire
+// would carry it, the counters it moved and the records held afterwards (each
+// one charged one chunk of the same class).
+type verbOutcome struct {
+	reply                                      string
+	sets, expired, deletes, touches, touchHits int64
+	items                                      int
+}
+
+// verbStateTable runs every write verb against the four states the record of
+// its key can be in when it arrives: absent, live, dead by its TTL, and dead
+// by a delayed flush_all whose deadline has passed. A dead record is still in
+// the directory; every verb but SET sheds it as an expiry and then acts as on
+// an absent key, while SET writes over it without counting an expiry. The
+// asynchronous store is read after Flush (Stats, Items and UsedBytes settle),
+// with the maintenance tick held so the reaper cannot shed a dead record
+// before the verb arrives.
+func verbStateTable(t *testing.T, sync bool) {
+	const key = "k"
+	recordCAS := func(s *Store) uint64 {
+		e, _ := s.entry("app")
+		sh := shardFor(e, key)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if it := sh.items[key]; it != nil {
+			return it.cas
+		}
+		return 0
+	}
+	stored := func(ok bool, err error) string {
+		switch {
+		case err != nil:
+			return "ERROR " + err.Error()
+		case ok:
+			return "STORED"
+		}
+		return "NOT_STORED"
+	}
+	found := func(ok bool, err error, yes string) string {
+		switch {
+		case err != nil:
+			return "ERROR " + err.Error()
+		case ok:
+			return yes
+		}
+		return "NOT_FOUND"
+	}
+	number := func(n uint64, ok bool, err error) string { return found(ok, err, fmt.Sprint(n)) }
+	cas := func(res CASResult, err error) string {
+		if err != nil {
+			return "ERROR " + err.Error()
+		}
+		return [...]string{CASStored: "STORED", CASExists: "EXISTS", CASNotFound: "NOT_FOUND"}[res]
+	}
+	v := []byte("77")
+	states := []string{"absent", "live", "dead by TTL", "dead by flush_all"}
+	rows := []struct {
+		verb string
+		do   func(s *Store) string
+		want [4]verbOutcome
+	}{
+		{"set", func(s *Store) string { return stored(true, setItem(s, "app", key, v, 0, 0)) }, [4]verbOutcome{
+			{"STORED", 1, 0, 0, 0, 0, 1}, {"STORED", 1, 0, 0, 0, 0, 1}, {"STORED", 1, 0, 0, 0, 0, 1}, {"STORED", 1, 0, 0, 0, 0, 1}}},
+		{"add", func(s *Store) string { return stored(s.Add("app", key, v, 0, 0)) }, [4]verbOutcome{
+			{"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 0, 0, 0, 0, 1}, {"STORED", 1, 1, 0, 0, 0, 1}, {"STORED", 1, 1, 0, 0, 0, 1}}},
+		{"replace", func(s *Store) string { return stored(s.Replace("app", key, v, 0, 0)) }, [4]verbOutcome{
+			{"NOT_STORED", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}}},
+		{"cas", func(s *Store) string { return cas(s.CompareAndSwap("app", key, v, 0, 0, recordCAS(s))) }, [4]verbOutcome{
+			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
+		{"cas wrong token", func(s *Store) string { return cas(s.CompareAndSwap("app", key, v, 0, 0, recordCAS(s)+1)) }, [4]verbOutcome{
+			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"EXISTS", 0, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
+		{"append", func(s *Store) string { return stored(appendTo(s, "app", key, []byte("5"), false)) }, [4]verbOutcome{
+			{"NOT_STORED", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}}},
+		{"prepend", func(s *Store) string { return stored(appendTo(s, "app", key, []byte("5"), true)) }, [4]verbOutcome{
+			{"NOT_STORED", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}}},
+		{"incr", func(s *Store) string { return number(s.Incr("app", key, 1)) }, [4]verbOutcome{
+			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"11", 1, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
+		{"decr", func(s *Store) string { return number(s.Decr("app", key, 1)) }, [4]verbOutcome{
+			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"9", 1, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
+		{"touch", func(s *Store) string { ok, err := s.Touch("app", key, 0); return found(ok, err, "TOUCHED") }, [4]verbOutcome{
+			{"NOT_FOUND", 0, 0, 0, 1, 0, 0}, {"TOUCHED", 0, 0, 0, 1, 1, 1}, {"NOT_FOUND", 0, 1, 0, 1, 0, 0}, {"NOT_FOUND", 0, 1, 0, 1, 0, 0}}},
+		{"delete", func(s *Store) string { ok, err := s.Delete("app", key); return found(ok, err, "DELETED") }, [4]verbOutcome{
+			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"DELETED", 0, 0, 1, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
+	}
+	chunk := slab.DefaultGeometry().ChunkSize(0)
+	for _, row := range rows {
+		for i, state := range states {
+			clock := int64(1000)
+			s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: sync, Now: func() int64 { return clock }})
+			release := HoldMaintenance(s)
+			if err := s.RegisterTenant("app", 4<<20); err != nil {
+				t.Fatal(err)
+			}
+			if state != "absent" {
+				exptime := int64(0)
+				if state == "dead by TTL" {
+					exptime = 10
+				}
+				if err := setItem(s, "app", key, []byte("10"), 0, exptime); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if state == "dead by flush_all" {
+				if err := s.FlushAll("app", 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if state == "dead by TTL" || state == "dead by flush_all" {
+				clock += 20
+			}
+			before, _ := s.Stats("app")
+			reply := row.do(s)
+			s.Flush()
+			after, _ := s.Stats("app")
+			items, _ := s.Items("app")
+			used, _ := s.UsedBytes("app")
+			got := verbOutcome{reply, after.Sets - before.Sets, after.Expired - before.Expired,
+				after.Deletes - before.Deletes, after.Touches - before.Touches, after.TouchHits - before.TouchHits, items}
+			if want := row.want[i]; got != want || used != int64(items)*chunk {
+				t.Errorf("%s on a %s record: got %+v, %d bytes used; want %+v, %d bytes used",
+					row.verb, state, got, used, want, int64(want.items)*chunk)
+			}
+			release()
+			s.Close()
+		}
+	}
 }
 
 // TestTenantSelfBounceNotCountedAsEviction pins the fix for classEvict: an
