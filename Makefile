@@ -104,10 +104,11 @@ count:
 # `stats` must report no miss and `stats cliffhanger` no eviction, no relaxed
 # pointer and even partitions. Then the stats schema: every group's field
 # names, in wire order, for a fixed store state. Last, replay_probes stays flat
-# over settled GET hits at shipped defaults: each replay goes through the
-# queue node its record remembers.
+# over settled GET hits at shipped defaults, each replay going through the
+# queue node its record remembers, and over touches of absent keys, whose
+# events carry no key.
 conformance:
-	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits|TestServerStatsSchema|TestServerSettledHitsProbeNothing' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits|TestServerStatsSchema|TestServerSettledHitsProbeNothing|TestServerTouchMissesProbeNothing' -v ./internal/server/
 
 # fits repeats the keeps-what-fits tests where they used to flake: the
 # store-level twins (a load that fits evicts nothing, a fill of twice the
@@ -138,6 +139,11 @@ fits:
 # hits, and one of misses, = 0 per command (one tenant resolve, one pin);
 # SetItemBytes, cross-class re-set and AppendBytes/PrependBytes = 0 — value
 # chunks recycled through the slab arena, item records pooled per shard;
+# through protocol+server+store every other write verb, touch and delete = 0
+# per command (replace, add of a present key, cas with the current and a
+# stale token, touch hit and miss, incr and decr, delete: the key reaches the
+# store as the parser's bytes, a touch miss's event carries no key and the
+# number of incr/decr is formatted on the stack);
 # SetItemBytes+Delete churn <= 1; the bookkeeper's sweep = 0 — buffers stolen
 # and handed back, ordered in kept scratch — and so is an asynchronous GET
 # loop whose own requests sweep at the batch boundary; streaming client

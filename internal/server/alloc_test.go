@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"testing"
 
 	"cliffhanger/internal/store"
@@ -129,6 +130,94 @@ func TestAllocGateServerAppend(t *testing.T) {
 	step()
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Errorf("steady-state SET+APPEND allocates %.2f objects/op, want 0 (in-chunk assembly)", allocs)
+	}
+}
+
+// TestAllocGateServerVerbs extends the SET gate to every other verb that
+// writes or touches a record: through parser, server and store each command
+// allocates nothing. The key reaches the store as the parser's []byte, a
+// resident record's interned key names its event, a touch miss sends an event
+// with no key, and incr and decr format their number on the stack. Every
+// reply is checked, so a case that stopped hitting what it names fails
+// instead of passing on a cheaper path. The cas token and the deleted key
+// change from one command to the next and are written into a kept buffer.
+func TestAllocGateServerVerbs(t *testing.T) {
+	const runs = 1000
+	value := string(make([]byte, 128))
+	block := "\r\n" + value + "\r\n"
+	fixed := func(line string) func([]byte, int, uint64) []byte {
+		return func(dst []byte, _ int, _ uint64) []byte { return append(dst, line...) }
+	}
+	for _, tc := range []struct {
+		name string
+		cmd  func(dst []byte, i int, token uint64) []byte
+		want string // "" is a decimal number
+	}{
+		{"replace", fixed("replace key-1 7 0 128" + block), "STORED\r\n"},
+		{"add of a present key", fixed("add key-1 7 0 128" + block), "NOT_STORED\r\n"},
+		{"cas with the current token", func(dst []byte, i int, token uint64) []byte {
+			dst = strconv.AppendUint(append(dst, "cas key-1 7 0 128 "...), token+uint64(i), 10)
+			return append(dst, block...)
+		}, "STORED\r\n"},
+		{"cas with a stale token", func(dst []byte, _ int, token uint64) []byte {
+			dst = strconv.AppendUint(append(dst, "cas key-1 7 0 128 "...), token-1, 10)
+			return append(dst, block...)
+		}, "EXISTS\r\n"},
+		{"touch hit", fixed("touch key-1 0\r\n"), "TOUCHED\r\n"},
+		{"touch miss", fixed("touch no-such-key 0\r\n"), "NOT_FOUND\r\n"},
+		{"incr", fixed("incr counter 1\r\n"), ""},
+		{"decr", fixed("decr counter 1\r\n"), ""},
+		{"delete", func(dst []byte, i int, _ uint64) []byte {
+			return append(strconv.AppendInt(append(dst, "delete del-"...), int64(i), 10), "\r\n"...)
+		}, "DELETED\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := newGateSession(t, nil)
+			st := c.srv.store
+			if err := st.SetItemBytes("default", []byte("counter"), []byte("1000000"), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= runs; i++ {
+				if err := st.SetItemBytes("default", []byte("del-"+strconv.Itoa(i)), []byte("v"), 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The last write of key-1's shard: each stored cas takes the
+			// shard's next token, so the i-th command's token is token+i.
+			if err := st.SetItemBytes("default", []byte("key-1"), make([]byte, 128), 7, 0); err != nil {
+				t.Fatal(err)
+			}
+			v, _, err := st.GetItemView("default", []byte("key-1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			token := v.CAS
+			v.Release()
+			var line []byte
+			var out bytes.Buffer
+			out.Grow(64 << 10)
+			c.w.Reset(&out)
+			br := bytes.NewReader(nil)
+			i := 0
+			step := func() {
+				line = tc.cmd(line[:0], i, token)
+				i++
+				br.Reset(line)
+				c.r.Reset(br)
+				out.Reset()
+				if !c.step() || c.w.Flush() != nil {
+					t.Fatalf("session stopped on %q", line)
+				}
+				reply := out.Bytes()
+				if tc.want != "" && string(reply) != tc.want ||
+					tc.want == "" && (len(reply) < 3 || reply[0] < '0' || reply[0] > '9') {
+					t.Fatalf("%q answered %q, want %q", line, reply, tc.want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+				t.Errorf("%s allocates %.2f objects/command, want 0", tc.name, allocs)
+			}
+		})
 	}
 }
 

@@ -27,10 +27,10 @@
 // as []byte), a response scratch buffer that VALUE headers and numeric
 // replies are assembled into with strconv.Append*, and GET responses are
 // streamed one VALUE block at a time as keys are looked up (no []Value
-// buffering). Keys cross into the store as []byte via the byte-key entry
-// points (store.Reader, SetItemBytes, AppendBytes/PrependBytes). A get or
-// gets is served with every following command of the same verb already
-// whole in the read buffer as one run (handleGet): the lines are scanned
+// buffering). Keys cross into the store as []byte: every verb but delete,
+// whose string key does not escape the store, has a byte-keyed entry point.
+// A get or gets is served with every following command of the same verb
+// already whole in the read buffer as one run (handleGet): the lines are scanned
 // once (Parser.NextGet), the tenant is resolved once (store.BeginRead) and
 // the arena epoch is pinned once, at the run's first hit, and each command
 // still gets the answer it would get alone. Value bytes live in the store's
@@ -1080,22 +1080,23 @@ func (s *Server) handleSet(c *session, cmd *protocol.Command) error {
 		err    error
 	)
 	// Every storage verb copies the parser-owned data block into an arena
-	// chunk under the shard lock, so the reusable parse buffer can be passed
-	// through without cloning.
+	// chunk under the shard lock, and interns the key only for a fresh
+	// record, so the reusable parse buffer can be passed through without
+	// cloning.
 	switch cmd.Name {
 	case protocol.VerbSet:
 		err = s.store.SetItemBytes(c.tenant, key, cmd.Data, cmd.Flags, cmd.ExpTime)
 		stored = err == nil
 	case protocol.VerbAdd:
-		stored, err = s.store.Add(c.tenant, string(key), cmd.Data, cmd.Flags, cmd.ExpTime)
+		stored, err = s.store.Add(c.tenant, key, cmd.Data, cmd.Flags, cmd.ExpTime)
 	case protocol.VerbReplace:
-		stored, err = s.store.Replace(c.tenant, string(key), cmd.Data, cmd.Flags, cmd.ExpTime)
+		stored, err = s.store.Replace(c.tenant, key, cmd.Data, cmd.Flags, cmd.ExpTime)
 	case protocol.VerbAppend:
 		stored, err = s.store.AppendBytes(c.tenant, key, cmd.Data)
 	case protocol.VerbPrepend:
 		stored, err = s.store.PrependBytes(c.tenant, key, cmd.Data)
 	case protocol.VerbCas:
-		res, cerr := s.store.CompareAndSwap(c.tenant, string(key), cmd.Data, cmd.Flags, cmd.ExpTime, cmd.CAS)
+		res, cerr := s.store.CompareAndSwap(c.tenant, key, cmd.Data, cmd.Flags, cmd.ExpTime, cmd.CAS)
 		stopTimer(s.SetLatency, start)
 		if cmd.NoReply {
 			return nil
@@ -1127,7 +1128,7 @@ func (s *Server) handleSet(c *session, cmd *protocol.Command) error {
 
 func (s *Server) handleTouch(c *session, cmd *protocol.Command) error {
 	start := startTimer(c.setSample.next())
-	found, err := s.store.Touch(c.tenant, string(cmd.Keys[0]), cmd.ExpTime)
+	found, err := s.store.Touch(c.tenant, cmd.Keys[0], cmd.ExpTime)
 	stopTimer(s.SetLatency, start)
 	if cmd.NoReply {
 		return nil
@@ -1149,9 +1150,9 @@ func (s *Server) handleIncrDecr(c *session, cmd *protocol.Command) error {
 	)
 	start := startTimer(c.setSample.next())
 	if cmd.Name == protocol.VerbIncr {
-		val, found, err = s.store.Incr(c.tenant, string(cmd.Keys[0]), cmd.Delta)
+		val, found, err = s.store.Incr(c.tenant, cmd.Keys[0], cmd.Delta)
 	} else {
-		val, found, err = s.store.Decr(c.tenant, string(cmd.Keys[0]), cmd.Delta)
+		val, found, err = s.store.Decr(c.tenant, cmd.Keys[0], cmd.Delta)
 	}
 	stopTimer(s.SetLatency, start)
 	if cmd.NoReply {

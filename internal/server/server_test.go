@@ -1388,6 +1388,58 @@ func TestServerSettledHitsProbeNothing(t *testing.T) {
 	}
 }
 
+// TestServerTouchMissesProbeNothing reads replay_probes around a run of
+// touches of absent keys, once per daemon mode: a touch miss is an event with
+// no key, like a GET miss, so its replay counts it (cmd_touch moves,
+// touch_hits does not) and probes no queue.
+func TestServerTouchMissesProbeNothing(t *testing.T) {
+	for _, mode := range []store.AllocationMode{store.AllocDefault, store.AllocGlobalLRU, store.AllocCliffhanger, store.AllocMemshare} {
+		t.Run(mode.String(), func(t *testing.T) {
+			st := store.New(store.Config{DefaultMode: mode})
+			if err := st.RegisterTenant("default", 64<<20); err != nil {
+				t.Fatal(err)
+			}
+			srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default"}, st)
+			if err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close(); st.Close() })
+			c := dialTest(t, srv)
+			read := func() (touches, hits, probes int64) {
+				t.Helper()
+				stats, err := c.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				touches, err1 := stats.Int("cmd_touch")
+				hits, err2 := stats.Int("touch_hits")
+				probes, err3 := stats.Int("replay_probes")
+				if err1 != nil || err2 != nil || err3 != nil {
+					t.Fatalf("stats cmd_touch=%q touch_hits=%q replay_probes=%q", stats["cmd_touch"], stats["touch_hits"], stats["replay_probes"])
+				}
+				return touches, hits, probes
+			}
+			const keys = 1024
+			for i := 0; i < keys; i++ {
+				if err := c.Set(fmt.Sprintf("hot-%d", i), make([]byte, 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			touches, hits, probes := read()
+			for i := 0; i < keys; i++ {
+				if ok, err := c.Touch(fmt.Sprintf("cold-%d", i), 60); err != nil || ok {
+					t.Fatalf("touch cold-%d: ok=%v err=%v", i, ok, err)
+				}
+			}
+			touchesAfter, hitsAfter, probesAfter := read()
+			if touchesAfter-touches != keys || hitsAfter != hits || probesAfter != probes {
+				t.Fatalf("%d touch misses: cmd_touch +%d, touch_hits +%d, replay_probes %d -> %d (want +%d, +0, flat)",
+					keys, touchesAfter-touches, hitsAfter-hits, probes, probesAfter, keys)
+			}
+		})
+	}
+}
+
 // TestLatencySampling pins the sampler: per session and per histogram, the
 // first command is timed and then every latencySampleEvery-th, whatever the
 // other kind of command does in between (SETs and GETs alternate here, which

@@ -2,7 +2,7 @@ package store
 
 // String-keyed conveniences for the tests: each is a thin wrapper over the one
 // entry point the server calls for that verb, so the tests exercise the same
-// read, write and concat bodies the daemon runs.
+// read and write bodies the daemon runs.
 
 // getItem reads key through GetItemView and returns an owned copy of the
 // record (the returned view holds no pin and needs no Release).

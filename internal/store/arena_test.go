@@ -98,7 +98,7 @@ func arenaStormOps(t *testing.T, s *Store, tenant string, rng *rand.Rand, ops in
 				t.Errorf("get: %v", err)
 			}
 		case r < 94:
-			if _, err := s.Touch(tenant, key, int64(rng.Intn(10))); err != nil {
+			if _, err := s.Touch(tenant, []byte(key), int64(rng.Intn(10))); err != nil {
 				t.Errorf("touch: %v", err)
 			}
 		case r < 99: // advance the expiry clock

@@ -51,13 +51,12 @@ const (
 	// evTouch records a touch: recency promotion accounted separately from
 	// GETs (cmd_touch/touch_hits). Advisory; may be shed under overload.
 	evTouch
-	// evAdmit records a SET: the key becomes resident and evictions may
-	// cascade. Structural; never dropped.
+	// evAdmit records a write of a record (SET and every other verb that
+	// stores one): the key becomes resident and evictions may cascade. Its
+	// oldSize is the charge of the record the write replaced, 0 for a fresh
+	// key; a re-set whose class changed sheds its stale entry from the old
+	// class queue first (Tenant.admit). Structural; never dropped.
 	evAdmit
-	// evReAdmit records a SET of a key that already had a record charged at
-	// a different size: the stale entry is removed from its old class queue
-	// before the new admission (Tenant.ReAdmit). Structural; never dropped.
-	evReAdmit
 	// evRemove records a DELETE of a resident key. Structural; never
 	// dropped.
 	evRemove
@@ -73,11 +72,12 @@ const (
 // event is one deferred bookkeeping operation. seq is a per-tenant arrival
 // stamp: sweeps merge the shard buffers back into arrival order so eviction
 // recency matches what a synchronous engine would have seen. oldSize carries
-// the previous charged size of a re-admitted key. A lookup event with an
-// empty key is a GET the directory answered with a miss: size is the key
-// length and the replay only counts it (Tenant.Lookup). node is what a lookup
-// or touch of a resident record carries of it (item.node), so the replay can
-// promote the key without probing its queue.
+// the previous charged size of a re-admitted key (0 for a fresh one). A
+// lookup or touch event with an empty key is one the directory answered with
+// a miss: size is the key length and the replay only counts it
+// (Tenant.lookup). node is what a lookup or touch of a resident record
+// carries of it (item.node), so the replay can promote the key without
+// probing its queue.
 type event struct {
 	kind    eventKind
 	key     string
@@ -289,25 +289,15 @@ func (b *bookkeeper) applyEvents(batch []event) {
 // hold b.mu.
 func (b *bookkeeper) applyEventLocked(ev *event) {
 	var evicted []cache.Victim
-	var node *cache.Node
 	switch ev.kind {
-	case evLookup:
-		_, evicted = b.tenant.Lookup(ev.key, ev.node, ev.size)
-	case evTouch:
-		_, evicted = b.tenant.Touch(ev.key, ev.node, ev.size)
+	case evLookup, evTouch:
+		_, evicted = b.tenant.lookup(ev.kind, ev.key, ev.node, ev.size)
 	case evAdmit:
-		evicted, node = b.tenant.admit(ev.key, ev.size)
-	case evReAdmit:
-		evicted, node = b.tenant.ReAdmit(ev.key, ev.oldSize, ev.size)
-	case evRemove:
-		b.tenant.Delete(ev.key, ev.size)
-	case evExpire:
-		b.tenant.Expire(ev.key, ev.size)
-	case evMigrate:
-		b.tenant.EvictMigrated(ev.key, ev.size)
-	}
-	if ev.kind == evAdmit || ev.kind == evReAdmit {
+		var node *cache.Node
+		evicted, node = b.tenant.admit(ev.key, ev.oldSize, ev.size)
 		b.entry.markAdmitted(ev.key, ev.seq, node)
+	default:
+		b.tenant.remove(ev.kind, ev.key, ev.size)
 	}
 	for _, v := range evicted {
 		b.entry.dropVictim(v.Key)

@@ -152,7 +152,7 @@ func TestReaperSkipsTenantsWithoutTTL(t *testing.T) {
 	<-done
 
 	for i := 0; i < 200; i++ {
-		if ok, err := s.Touch("app", fmt.Sprintf("k%d", i), 10); !ok || err != nil {
+		if ok, err := s.Touch("app", []byte(fmt.Sprintf("k%d", i)), 10); !ok || err != nil {
 			t.Fatalf("touch k%d = %v, %v", i, ok, err)
 		}
 	}

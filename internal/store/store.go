@@ -255,30 +255,15 @@ func (e *tenantEntry) newValueLocked(sh *valueShard, size int64, vlen int) []byt
 
 // freeValueLocked retires an item's value chunk into the arena's quarantine.
 // The caller must hold sh.mu, the happens-before edge that makes pinned
-// readers visible to the reclaimer, and must not write value afterwards: a
-// pinned reader may still be streaming it, and it is only recycled once every
-// such pin has advanced.
+// readers visible to the reclaimer, and must not touch value afterwards: a
+// pinned reader may still be streaming it, and once every such pin has
+// advanced it is recycled, possibly at once and to another shard.
 func (e *tenantEntry) freeValueLocked(sh *valueShard, size int64, value []byte) {
 	if value == nil {
 		return
 	}
 	class, _ := e.arena.classFor(size)
 	e.arena.freeChunk(sh.idx, class, value)
-}
-
-// reallocValueLocked replaces it's value buffer for a mutation that re-writes
-// the value: a fresh chunk is installed and the old one retired to quarantine
-// — never reused in place, even within a slab class. Copy-on-write is what
-// keeps zero-copy readers sound: a reader holding a pinned view of the old
-// chunk must see those bytes unchanged until it unpins, so every mutation
-// writes somewhere new. The alloc-before-free order means the fresh chunk can
-// never be the one just retired, and the retired chunk's contents stay intact
-// in quarantine (so the new value may be copied FROM the old chunk). The
-// caller must hold sh.mu and must not have updated it.size yet.
-func (e *tenantEntry) reallocValueLocked(sh *valueShard, it *item, newSize int64, vlen int) {
-	old, oldSize := it.value, it.size
-	it.value = e.newValueLocked(sh, newSize, vlen)
-	e.freeValueLocked(sh, oldSize, old)
 }
 
 // dropVictim removes key's record on behalf of a structural eviction, unless
@@ -312,47 +297,48 @@ func (e *tenantEntry) markAdmitted(key string, seq uint64, node *cache.Node) {
 	sh.mu.Unlock()
 }
 
-// setLocked installs value under key and returns the structural event
-// describing it: a plain admit for fresh keys, a re-admit carrying the old
-// charged size when a previous record existed at a different size (this is
-// how a cross-class re-set sheds its stale old-class entry). The caller must
-// hold sh.mu. prev may be an expired record: its structural entry is still
-// resident until an expiry or re-admit event removes it, so its size must be
-// accounted the same way a live one's is.
+// setLocked installs head+tail as key's value, over prev (nil for a fresh
+// key), and returns the record and the admission event describing it. The
+// event carries the old charged size when a previous record existed, 0 for a
+// fresh key: a re-set whose size lands in another class sheds its stale
+// old-class entry in the replay (Tenant.admit). The caller must hold sh.mu.
+// prev may be an expired record: its structural entry is still resident until
+// an expiry or admission event removes it, so its size must be accounted the
+// same way a live one's is.
 //
 // Allocation discipline: a re-set keeps prev's record and interned key but
-// always installs a fresh chunk, retiring the old one to quarantine
+// always installs a fresh chunk and retires the old one to quarantine
 // (copy-on-write — a pinned zero-copy reader may still be streaming the old
-// bytes). The fresh chunk comes off the freelists and the retired one cycles
-// back through epoch reclamation, so a steady-state SET still allocates
-// nothing. A fresh key pops a pooled record and a recycled chunk; only the
-// interned key string is born on the heap. value is copied into the new chunk
-// here, under the lock; it may safely alias prev's chunk, whose contents stay
-// intact in quarantine.
-func (e *tenantEntry) setLocked(sh *valueShard, key string, prev *item, value []byte, flags uint32, expires, now int64) event {
+// bytes). head and tail may alias prev's value (append and prepend pass it),
+// so they are copied into the fresh chunk before the old one is retired: a
+// retired chunk no pin holds may be reclaimed and handed to a writer on
+// another shard at once. The fresh chunk comes off the freelists and the
+// retired one cycles back through epoch reclamation, so a steady-state write
+// allocates nothing. A fresh key pops a pooled record and a recycled chunk;
+// only the interned key string is born on the heap.
+func (e *tenantEntry) setLocked(sh *valueShard, key []byte, prev *item, head, tail []byte, flags uint32, expires, now int64) (*item, event) {
 	sh.casCounter++
-	size := int64(len(key)) + int64(len(value))
+	size := int64(len(key) + len(head) + len(tail))
+	value := e.newValueLocked(sh, size, len(head)+len(tail))
+	copy(value[copy(value, head):], tail)
+	ev := event{kind: evAdmit, size: size}
 	it := prev
-	oldSize := int64(0)
 	if it == nil {
 		it = sh.getItemLocked()
-		it.key = key
-		it.value = e.newValueLocked(sh, size, len(value))
-		sh.items[key] = it
+		it.key = string(key)
+		sh.items[it.key] = it
 	} else {
-		oldSize = it.size
-		e.reallocValueLocked(sh, it, size, len(value))
+		ev.oldSize = it.size
+		e.freeValueLocked(sh, it.size, it.value)
 	}
-	copy(it.value, value)
+	it.value = value
 	it.flags = flags
 	it.cas = sh.casCounter
 	it.size = size
 	e.setExpiresLocked(it, expires)
 	it.setAt = now
-	if prev != nil && oldSize != size {
-		return event{kind: evReAdmit, key: key, size: size, oldSize: oldSize}
-	}
-	return event{kind: evAdmit, key: key, size: size}
+	ev.key = it.key
+	return it, ev
 }
 
 // setExpiresLocked gives it the expiry deadline expires (0 = never), latching
@@ -378,23 +364,21 @@ func (e *tenantEntry) removeLocked(sh *valueShard, it *item, kind eventKind) eve
 	return ev
 }
 
-// bufferMutationLocked buffers a mutation event and stamps the freshly
-// written record with the assigned sequence so eviction replay can tell it
-// apart from the older record the event supersedes (see dropVictim). The
-// record forgets its queue node until the admission replays and names the
-// one it placed the key under: a cross-class re-set moves the key to another
-// queue. The caller must hold sh.mu.
-func (e *tenantEntry) bufferMutationLocked(sh *valueShard, ev *event) recordAction {
+// bufferMutationLocked buffers the admission event of the record it that
+// setLocked just wrote and stamps the record with the assigned sequence, so
+// eviction replay can tell it apart from the older record the event
+// supersedes (see dropVictim). The record forgets its queue node until the
+// admission replays and names the one it placed the key under: a cross-class
+// re-set moves the key to another queue. The caller must hold sh.mu.
+func (e *tenantEntry) bufferMutationLocked(sh *valueShard, it *item, ev *event) recordAction {
 	act := e.bk.bufferLocked(sh, ev)
-	if it := sh.items[ev.key]; it != nil {
-		it.seq = ev.seq
-		// Pending until the admission replays — in synchronous mode that
-		// happens inside the finish call that follows, but the flag still
-		// shields the record from a concurrent eviction's victim drop in
-		// the window before this mutation's own apply runs.
-		it.pendingAdmit = ev.seq != 0
-		it.node = nil
-	}
+	it.seq = ev.seq
+	// Pending until the admission replays — in synchronous mode that happens
+	// inside the finish call that follows, but the flag still shields the
+	// record from a concurrent eviction's victim drop in the window before
+	// this mutation's own apply runs.
+	it.pendingAdmit = ev.seq != 0
+	it.node = nil
 	return act
 }
 
@@ -870,22 +854,107 @@ func (s *Store) GetItemView(tenant string, key []byte) (ItemView, bool, error) {
 // larger is an absolute unix timestamp, negative is immediately expired),
 // evicting older entries as needed. Values too large for any slab class are
 // rejected. Key and value are caller-owned (the server's reusable parse
-// buffers): the value is copied into a recycled arena chunk under the shard
-// lock, and the key string is materialized only at map insertion —
-// re-setting a resident key reuses its interned key and its record, so the
-// steady-state SET allocates nothing.
+// buffers), as they are for every write verb below: the value is copied into
+// a recycled arena chunk under the shard lock, and the key string is
+// materialized only at map insertion — re-setting a resident key reuses its
+// interned key and its record, so the steady-state SET allocates nothing.
 //
 // With asynchronous bookkeeping the admission is settled off the request
 // path: in the rare case that the key does not fit its tenant at all, the
 // value is dropped shortly after the call instead of producing an error.
 func (s *Store) SetItemBytes(tenant string, key, value []byte, flags uint32, exptime int64) error {
+	_, _, err := s.write(tenant, key, verbSet, value, flags, exptime, 0)
+	return err
+}
+
+// Add stores value only if key is absent (or expired), per the memcached add
+// verb. It reports whether the value was stored.
+func (s *Store) Add(tenant string, key, value []byte, flags uint32, exptime int64) (bool, error) {
+	res, _, err := s.write(tenant, key, verbAdd, value, flags, exptime, 0)
+	return res == CASStored && err == nil, err
+}
+
+// Replace stores value only if key is already present and unexpired, per the
+// memcached replace verb. It reports whether the value was stored.
+func (s *Store) Replace(tenant string, key, value []byte, flags uint32, exptime int64) (bool, error) {
+	res, _, err := s.write(tenant, key, verbReplace, value, flags, exptime, 0)
+	return res == CASStored && err == nil, err
+}
+
+// AppendBytes appends suffix to key's existing value, keeping its flags and
+// expiry. It reports whether the key existed.
+func (s *Store) AppendBytes(tenant string, key, suffix []byte) (bool, error) {
+	res, _, err := s.write(tenant, key, verbAppend, suffix, 0, 0, 0)
+	return res == CASStored && err == nil, err
+}
+
+// PrependBytes prepends prefix to key's existing value, keeping its flags
+// and expiry. It reports whether the key existed.
+func (s *Store) PrependBytes(tenant string, key, prefix []byte) (bool, error) {
+	res, _, err := s.write(tenant, key, verbPrepend, prefix, 0, 0, 0)
+	return res == CASStored && err == nil, err
+}
+
+// CompareAndSwap stores value only if key's record still carries the given
+// CAS token (from a previous gets), per the memcached cas verb.
+func (s *Store) CompareAndSwap(tenant string, key, value []byte, flags uint32, exptime int64, cas uint64) (CASResult, error) {
+	res, _, err := s.write(tenant, key, verbCAS, value, flags, exptime, cas)
+	if err != nil {
+		return CASNotFound, err
+	}
+	return res, nil
+}
+
+// Incr adds delta to the decimal unsigned integer stored under key,
+// returning the new value. It reports whether the key existed;
+// ErrNotNumeric is returned for non-numeric values.
+func (s *Store) Incr(tenant string, key []byte, delta uint64) (uint64, bool, error) {
+	res, n, err := s.write(tenant, key, verbIncr, nil, 0, 0, delta)
+	return n, res != CASNotFound, err
+}
+
+// Decr subtracts delta from the decimal unsigned integer stored under key,
+// clamping at zero per the memcached decr verb.
+func (s *Store) Decr(tenant string, key []byte, delta uint64) (uint64, bool, error) {
+	res, n, err := s.write(tenant, key, verbDecr, nil, 0, 0, delta)
+	return n, res != CASNotFound, err
+}
+
+// writeVerb names the verb the one write body serves.
+type writeVerb uint8
+
+const (
+	verbSet writeVerb = iota
+	verbAdd
+	verbReplace
+	verbCAS
+	verbAppend
+	verbPrepend
+	verbIncr
+	verbDecr
+)
+
+// write is the one locked body of every verb that stores a record. Under the
+// shard lock it checks the dying fence, reads the record, lets the verb
+// decide, checks the size against the largest slab class and installs the
+// value (setLocked); the admission event is buffered in the same critical
+// section and finished after the unlock. SET reads the record alive or dead —
+// a dead record's structural entry is still resident, so the admission must
+// shed it — and every other verb reads the live record only (liveLocked),
+// shedding a dead one as an expiry. arg is cas's token or incr and decr's
+// delta.
+//
+// res is what the verb decided: CASNotFound when it needs a record and there
+// is none, CASExists when it declined the one there (add of a present key, a
+// stale cas token, incr or decr of a non-numeric value), CASStored when it
+// stored; err may still follow a stored decision (too large, or in a
+// synchronous store a key that does not fit its tenant). n is incr and
+// decr's new value; its decimal form is built in a stack array, so no verb
+// allocates but for the interned key of a fresh record and an error.
+func (s *Store) write(tenant string, key []byte, verb writeVerb, value []byte, flags uint32, exptime int64, arg uint64) (res CASResult, n uint64, err error) {
 	e, ok := s.entry(tenant)
 	if !ok {
-		return ErrNoTenant{tenant}
-	}
-	size := int64(len(key)) + int64(len(value))
-	if _, fits := e.tenant.ClassFor(size); !fits {
-		return errTooLarge(string(key), size)
+		return CASNotFound, 0, ErrNoTenant{tenant}
 	}
 	sh := shardFor(e, key)
 	sh.mu.Lock()
@@ -894,19 +963,75 @@ func (s *Store) SetItemBytes(tenant string, key, value []byte, flags uint32, exp
 		// check runs under the shard lock, ordered before the teardown's
 		// flush sweep of this shard, so no record can be created behind it.
 		sh.mu.Unlock()
-		return ErrNoTenant{tenant}
+		return CASNotFound, 0, ErrNoTenant{tenant}
 	}
-	// The previous record is consulted even if dead — its structural entry is
-	// still resident, so the re-admit must shed it.
-	prev := sh.items[string(key)]
-	var ks string
-	if prev != nil {
-		ks = prev.key
-	} else {
-		ks = string(key)
+	it, expAct := sh.items[string(key)], actNone
+	if verb != verbSet {
+		it, expAct = liveLocked(s, e, sh, key)
 	}
-	ev := e.setLocked(sh, ks, prev, value, flags, s.deadline(exptime), s.cfg.Now())
-	return s.storeMutation(e, sh, tenant, ev, actNone)
+	var num [20]byte
+	head, tail, expires := value, []byte(nil), s.deadline(exptime)
+	res = CASStored
+	switch {
+	case verb == verbSet:
+	case verb == verbAdd:
+		if it != nil {
+			res = CASExists
+		}
+	case it == nil:
+		res = CASNotFound
+	case verb == verbReplace:
+	case verb == verbCAS:
+		if it.cas != arg {
+			res = CASExists
+		}
+	default:
+		// append, prepend, incr and decr keep the record's flags and expiry.
+		flags, expires = it.flags, it.expires
+		switch verb {
+		case verbAppend:
+			head, tail = it.value, value
+		case verbPrepend:
+			tail = it.value
+		default:
+			if n, ok = addDelta(it.value, arg, verb == verbDecr); ok {
+				head = strconv.AppendUint(num[:0], n, 10)
+			} else {
+				res, err = CASExists, ErrNotNumeric
+			}
+		}
+	}
+	size := int64(len(key) + len(head) + len(tail))
+	if _, fits := e.tenant.ClassFor(size); res == CASStored && !fits {
+		err = errTooLarge(string(key), size)
+	}
+	if res != CASStored || err != nil {
+		sh.mu.Unlock()
+		e.bk.finish(sh, expAct)
+		return res, n, err
+	}
+	it, ev := e.setLocked(sh, key, it, head, tail, flags, expires, s.cfg.Now())
+	act := e.bufferMutationLocked(sh, it, &ev)
+	sh.mu.Unlock()
+	e.bk.finish(sh, expAct)
+	e.bk.finish(sh, act)
+	return res, n, e.admitOutcome(tenant, sh, key)
+}
+
+// addDelta is incr (decr false) or decr of the unsigned decimal value: incr
+// wraps at 2^64 and decr clamps at zero, like memcached. It reports false
+// for a value that is not a number.
+func addDelta(value []byte, delta uint64, decr bool) (uint64, bool) {
+	cur, err := strconv.ParseUint(string(value), 10, 64)
+	switch {
+	case err != nil:
+		return 0, false
+	case !decr:
+		return cur + delta, true
+	case delta > cur:
+		return 0, true
+	}
+	return cur - delta, true
 }
 
 // admitOutcome reports the does-not-fit error of an admission its producer
@@ -917,191 +1042,22 @@ func (s *Store) SetItemBytes(tenant string, key, value []byte, flags uint32, exp
 // shed shortly after; see SetItemBytes). Under concurrent use the check is
 // best-effort — a racing delete of the same key can be indistinguishable
 // from a bounce.
-func (e *tenantEntry) admitOutcome(tenant string, sh *valueShard, ev event) error {
+func (e *tenantEntry) admitOutcome(tenant string, sh *valueShard, key []byte) error {
 	if !e.bk.inline.Load() {
 		return nil
 	}
 	sh.mu.Lock()
-	_, alive := sh.items[ev.key]
+	_, alive := sh.items[string(key)]
 	sh.mu.Unlock()
 	if !alive {
-		return fmt.Errorf("store: object %q does not fit in tenant %q", ev.key, tenant)
+		return fmt.Errorf("store: object %q does not fit in tenant %q", string(key), tenant)
 	}
 	return nil
 }
 
-// storeMutation finishes a mutation that produced a new record: the event is
-// buffered, and its application is either deferred to the bookkeeper (async)
-// or performed before returning (sync). The caller must hold sh.mu with
-// expAct carrying any expiry liveLocked buffered in the same critical
-// section; storeMutation unlocks sh.mu.
-func (s *Store) storeMutation(e *tenantEntry, sh *valueShard, tenant string, ev event, expAct recordAction) error {
-	act := e.bufferMutationLocked(sh, &ev)
-	sh.mu.Unlock()
-	e.bk.finish(sh, expAct)
-	e.bk.finish(sh, act)
-	return e.admitOutcome(tenant, sh, ev)
-}
-
-// mutate is the shared locked read-modify-write path of Add, Replace,
-// CompareAndSwap, Incr and Decr: decide receives the live record (nil when
-// the key is absent or just expired) and returns the new value, flags and
-// expiry, or store=false to leave the record untouched. mutate reports
-// whether a new record was stored.
-//
-// decide runs under the shard lock, so it may read live.value; the value it
-// returns may even alias live.value — setLocked copies it into a FRESH chunk
-// (copy-on-write), and the old chunk's contents stay intact in quarantine.
-func (s *Store) mutate(tenant, key string, decide func(live *item) (value []byte, flags uint32, expires int64, store bool, err error)) (bool, error) {
-	e, ok := s.entry(tenant)
-	if !ok {
-		return false, ErrNoTenant{tenant}
-	}
-	sh := shardFor(e, key)
-	sh.mu.Lock()
-	if e.dying.Load() {
-		sh.mu.Unlock()
-		return false, ErrNoTenant{tenant}
-	}
-	it, expAct := liveLocked(s, e, sh, key)
-	value, flags, expires, doStore, err := decide(it)
-	if err != nil || !doStore {
-		sh.mu.Unlock()
-		e.bk.finish(sh, expAct)
-		return false, err
-	}
-	if _, fits := e.tenant.ClassFor(int64(len(key) + len(value))); !fits {
-		sh.mu.Unlock()
-		e.bk.finish(sh, expAct)
-		return false, errTooLarge(key, int64(len(key)+len(value)))
-	}
-	// A record liveLocked shed is already structurally re-admitted via its
-	// expiry event plus this fresh admit; a surviving one is re-admitted
-	// with its old charge attached.
-	ev := e.setLocked(sh, key, it, value, flags, expires, s.cfg.Now())
-	if err := s.storeMutation(e, sh, tenant, ev, expAct); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Add stores value only if key is absent (or expired), per the memcached add
-// verb. It reports whether the value was stored.
-func (s *Store) Add(tenant, key string, value []byte, flags uint32, exptime int64) (bool, error) {
-	return s.mutate(tenant, key, func(live *item) ([]byte, uint32, int64, bool, error) {
-		if live != nil {
-			return nil, 0, 0, false, nil
-		}
-		return value, flags, s.deadline(exptime), true, nil
-	})
-}
-
-// Replace stores value only if key is already present and unexpired, per the
-// memcached replace verb. It reports whether the value was stored.
-func (s *Store) Replace(tenant, key string, value []byte, flags uint32, exptime int64) (bool, error) {
-	return s.mutate(tenant, key, func(live *item) ([]byte, uint32, int64, bool, error) {
-		if live == nil {
-			return nil, 0, 0, false, nil
-		}
-		return value, flags, s.deadline(exptime), true, nil
-	})
-}
-
-// AppendBytes appends suffix to key's existing value, keeping its flags and
-// expiry. It reports whether the key existed. The key is caller-owned (the
-// server's parse buffer): a hit proceeds under the record's interned key
-// string, so the steady-state append performs zero heap allocations.
-func (s *Store) AppendBytes(tenant string, key, suffix []byte) (bool, error) {
-	return s.concat(tenant, key, suffix, false)
-}
-
-// PrependBytes prepends prefix to key's existing value, keeping its flags
-// and expiry. It reports whether the key existed.
-func (s *Store) PrependBytes(tenant string, key, prefix []byte) (bool, error) {
-	return s.concat(tenant, key, prefix, true)
-}
-
-// concat implements append/prepend by assembling the concatenation in a
-// fresh chunk and retiring the old one — copy-on-write, like every other
-// mutation, so a pinned zero-copy reader of the old value can never observe
-// the bytes shifting under it. The fresh chunk comes off the freelists and
-// the retired one cycles back through epoch reclamation, so a steady-state
-// append loop still allocates nothing.
-func (s *Store) concat(tenant string, key, extra []byte, front bool) (bool, error) {
-	e, ok := s.entry(tenant)
-	if !ok {
-		return false, ErrNoTenant{tenant}
-	}
-	sh := shardFor(e, key)
-	sh.mu.Lock()
-	it, expAct := liveLocked(s, e, sh, key)
-	if it == nil {
-		sh.mu.Unlock()
-		e.bk.finish(sh, expAct)
-		return false, nil
-	}
-	// liveLocked only buffers an expiry when it returns nil, so a live record
-	// means there is nothing pending to finish.
-	if e.dying.Load() {
-		sh.mu.Unlock()
-		return false, ErrNoTenant{tenant}
-	}
-	oldSize := it.size
-	newSize := oldSize + int64(len(extra))
-	if _, fits := e.tenant.ClassFor(newSize); !fits {
-		sh.mu.Unlock()
-		return false, errTooLarge(it.key, newSize)
-	}
-	// Copy-on-write: assemble in a fresh chunk even when the grown size stays
-	// in the same slab class. The old chunk's contents remain intact in
-	// quarantine, so copying from it after the alloc is safe, and any pinned
-	// reader keeps seeing the pre-concat value.
-	nv := e.newValueLocked(sh, newSize, len(it.value)+len(extra))
-	if front {
-		copy(nv[copy(nv, extra):], it.value)
-	} else {
-		copy(nv[copy(nv, it.value):], extra)
-	}
-	e.freeValueLocked(sh, oldSize, it.value)
-	it.value = nv
-	sh.casCounter++
-	it.cas = sh.casCounter
-	it.size = newSize
-	it.setAt = s.cfg.Now()
-	ev := event{kind: evAdmit, key: it.key, size: newSize}
-	if oldSize != newSize {
-		ev = event{kind: evReAdmit, key: it.key, size: newSize, oldSize: oldSize}
-	}
-	if err := s.storeMutation(e, sh, tenant, ev, actNone); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// CompareAndSwap stores value only if key's record still carries the given
-// CAS token (from a previous gets), per the memcached cas verb.
-func (s *Store) CompareAndSwap(tenant, key string, value []byte, flags uint32, exptime int64, cas uint64) (CASResult, error) {
-	res := CASNotFound
-	_, err := s.mutate(tenant, key, func(live *item) ([]byte, uint32, int64, bool, error) {
-		switch {
-		case live == nil:
-			return nil, 0, 0, false, nil
-		case live.cas != cas:
-			res = CASExists
-			return nil, 0, 0, false, nil
-		}
-		res = CASStored
-		return value, flags, s.deadline(exptime), true, nil
-	})
-	if err != nil {
-		return CASNotFound, err
-	}
-	return res, nil
-}
-
 // Touch updates key's expiry deadline without touching the value, promoting
 // it like a GET. It reports whether the key existed.
-func (s *Store) Touch(tenant, key string, exptime int64) (bool, error) {
+func (s *Store) Touch(tenant string, key []byte, exptime int64) (bool, error) {
 	e, ok := s.entry(tenant)
 	if !ok {
 		return false, ErrNoTenant{tenant}
@@ -1112,60 +1068,21 @@ func (s *Store) Touch(tenant, key string, exptime int64) (bool, error) {
 	it, expAct := liveLocked(s, e, sh, key)
 	// A touch refreshes recency in the eviction queues but is accounted
 	// into its own counters (cmd_touch/touch_hits), never the GET hit rate.
-	// Like a GET it is sized by the resident record's charge, or by the key
-	// length when absent.
-	ev := event{kind: evTouch, key: key, size: int64(len(key))}
+	// Like a GET it is sized by the resident record's charge and carries its
+	// queue node, and a miss is an event without a key, sized by the key
+	// length: a record leaves the directory only after its structural
+	// removal, or ahead of it in this shard's buffer, so there is nothing in
+	// any queue for the replay to find.
+	ev := event{kind: evTouch, size: int64(len(key))}
 	if it != nil {
 		e.setExpiresLocked(it, expires)
-		ev.size, ev.node = it.size, it.node
+		ev.key, ev.size, ev.node = it.key, it.size, it.node
 	}
 	act := e.bk.bufferLocked(sh, &ev)
 	sh.mu.Unlock()
 	e.bk.finish(sh, expAct)
 	e.bk.finish(sh, act)
 	return it != nil, nil
-}
-
-// Incr adds delta to the decimal unsigned integer stored under key,
-// returning the new value. It reports whether the key existed;
-// ErrNotNumeric is returned for non-numeric values.
-func (s *Store) Incr(tenant, key string, delta uint64) (uint64, bool, error) {
-	return s.incrDecr(tenant, key, delta, false)
-}
-
-// Decr subtracts delta from the decimal unsigned integer stored under key,
-// clamping at zero per the memcached decr verb.
-func (s *Store) Decr(tenant, key string, delta uint64) (uint64, bool, error) {
-	return s.incrDecr(tenant, key, delta, true)
-}
-
-func (s *Store) incrDecr(tenant, key string, delta uint64, negative bool) (uint64, bool, error) {
-	var (
-		result uint64
-		found  bool
-	)
-	_, err := s.mutate(tenant, key, func(live *item) ([]byte, uint32, int64, bool, error) {
-		if live == nil {
-			return nil, 0, 0, false, nil
-		}
-		found = true
-		cur, perr := strconv.ParseUint(string(live.value), 10, 64)
-		if perr != nil {
-			return nil, 0, 0, false, ErrNotNumeric
-		}
-		if negative {
-			if delta > cur {
-				cur = 0
-			} else {
-				cur -= delta
-			}
-		} else {
-			cur += delta // wraps at 2^64 like memcached
-		}
-		result = cur
-		return strconv.AppendUint(nil, cur, 10), live.flags, live.expires, true, nil
-	})
-	return result, found, err
 }
 
 // Delete removes key from the tenant, reporting whether it was present (an

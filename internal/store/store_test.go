@@ -185,21 +185,21 @@ func TestTenantLookupDoesNotAdmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit, _ := tenant.Lookup("ghost", nil, 64); hit {
+		if hit, _ := tenant.lookup(evLookup, "ghost", nil, 64); hit {
 			t.Fatalf("%v: lookup of unknown key should miss", mode)
 		}
 		// A second lookup must still miss: GETs never admit.
-		if hit, _ := tenant.Lookup("ghost", nil, 64); hit {
+		if hit, _ := tenant.lookup(evLookup, "ghost", nil, 64); hit {
 			t.Fatalf("%v: GET must not admit keys", mode)
 		}
 		tenant.Admit("real", 64)
-		if hit, _ := tenant.Lookup("real", nil, 64); !hit {
+		if hit, _ := tenant.lookup(evLookup, "real", nil, 64); !hit {
 			t.Fatalf("%v: admitted key should hit", mode)
 		}
-		if !tenant.Delete("real", 64) {
+		if !tenant.remove(evRemove, "real", 64) {
 			t.Fatalf("%v: delete of resident key should succeed", mode)
 		}
-		if hit, _ := tenant.Lookup("real", nil, 64); hit {
+		if hit, _ := tenant.lookup(evLookup, "real", nil, 64); hit {
 			t.Fatalf("%v: deleted key should miss", mode)
 		}
 	}
@@ -346,10 +346,10 @@ func TestStoreRejectsOversizedValues(t *testing.T) {
 			if err := set(s, "app", "big", huge); err == nil || err.Error() != want {
 				t.Fatalf("set: err = %v, want %q", err, want)
 			}
-			if _, err := s.Add("app", "other", make([]byte, 2<<20), 0, 0); err == nil {
+			if _, err := s.Add("app", []byte("other"), make([]byte, 2<<20), 0, 0); err == nil {
 				t.Fatalf("add above the largest chunk must be rejected")
 			}
-			if _, err := s.Replace("app", "big", huge, 0, 0); err == nil || err.Error() != want {
+			if _, err := s.Replace("app", []byte("big"), huge, 0, 0); err == nil || err.Error() != want {
 				t.Fatalf("replace: err = %v, want %q", err, want)
 			}
 			if _, err := appendTo(s, "app", "big", []byte("x"), false); err == nil || err.Error() != want {
@@ -581,7 +581,7 @@ func TestStoreValueConsistencyWithQueues(t *testing.T) {
 				// the record remembers, without a probe.
 				missing, probes := 0, e.tenant.probes
 				for _, h := range held {
-					if hit, _ := e.tenant.Lookup(h.key, h.node, h.size); !hit {
+					if hit, _ := e.tenant.lookup(evLookup, h.key, h.node, h.size); !hit {
 						missing++
 					}
 				}
@@ -1048,14 +1048,14 @@ func TestStoreExpiry(t *testing.T) {
 			if err := setItem(s, "app", "t", []byte("v"), 0, 10); err != nil {
 				t.Fatal(err)
 			}
-			if found, _ := s.Touch("app", "t", 500); !found {
+			if found, _ := s.Touch("app", []byte("t"), 500); !found {
 				t.Fatalf("touch should find the key")
 			}
 			now.Add(100)
 			if _, ok, _ := get(s, "app", "t"); !ok {
 				t.Fatalf("touched key should outlive its original TTL")
 			}
-			if found, _ := s.Touch("app", "missing", 500); found {
+			if found, _ := s.Touch("app", []byte("missing"), 500); found {
 				t.Fatalf("touch of a missing key should report false")
 			}
 		})
@@ -1119,10 +1119,10 @@ func TestStoreVerbSemantics(t *testing.T) {
 	}
 
 	// add: stored only when absent.
-	if stored, _ := s.Add("app", "a", []byte("1"), 0, 0); !stored {
+	if stored, _ := s.Add("app", []byte("a"), []byte("1"), 0, 0); !stored {
 		t.Fatalf("add of fresh key should store")
 	}
-	if stored, _ := s.Add("app", "a", []byte("2"), 0, 0); stored {
+	if stored, _ := s.Add("app", []byte("a"), []byte("2"), 0, 0); stored {
 		t.Fatalf("add of existing key should not store")
 	}
 	if v, _, _ := get(s, "app", "a"); string(v) != "1" {
@@ -1130,10 +1130,10 @@ func TestStoreVerbSemantics(t *testing.T) {
 	}
 
 	// replace: stored only when present.
-	if stored, _ := s.Replace("app", "missing", []byte("x"), 0, 0); stored {
+	if stored, _ := s.Replace("app", []byte("missing"), []byte("x"), 0, 0); stored {
 		t.Fatalf("replace of missing key should not store")
 	}
-	if stored, _ := s.Replace("app", "a", []byte("3"), 9, 0); !stored {
+	if stored, _ := s.Replace("app", []byte("a"), []byte("3"), 9, 0); !stored {
 		t.Fatalf("replace of existing key should store")
 	}
 	it, _, _ := getItem(s, "app", "a")
@@ -1159,13 +1159,13 @@ func TestStoreVerbSemantics(t *testing.T) {
 	// cas: stored with the current token, EXISTS after a mutation,
 	// NOT_FOUND for absent keys.
 	cas := it.CAS
-	if res, _ := s.CompareAndSwap("app", "a", []byte("swapped"), 0, 0, cas); res != CASStored {
+	if res, _ := s.CompareAndSwap("app", []byte("a"), []byte("swapped"), 0, 0, cas); res != CASStored {
 		t.Fatalf("cas with current token = %v", res)
 	}
-	if res, _ := s.CompareAndSwap("app", "a", []byte("late"), 0, 0, cas); res != CASExists {
+	if res, _ := s.CompareAndSwap("app", []byte("a"), []byte("late"), 0, 0, cas); res != CASExists {
 		t.Fatalf("cas with stale token = %v", res)
 	}
-	if res, _ := s.CompareAndSwap("app", "missing", []byte("x"), 0, 0, 1); res != CASNotFound {
+	if res, _ := s.CompareAndSwap("app", []byte("missing"), []byte("x"), 0, 0, 1); res != CASNotFound {
 		t.Fatalf("cas of missing key = %v", res)
 	}
 	if v, _, _ := get(s, "app", "a"); string(v) != "swapped" {
@@ -1175,25 +1175,25 @@ func TestStoreVerbSemantics(t *testing.T) {
 	// incr/decr: uint64 arithmetic clamped at zero, NOT_FOUND on missing,
 	// ErrNotNumeric on garbage.
 	set(s, "app", "n", []byte("10"))
-	if v, found, err := s.Incr("app", "n", 5); err != nil || !found || v != 15 {
+	if v, found, err := s.Incr("app", []byte("n"), 5); err != nil || !found || v != 15 {
 		t.Fatalf("incr = %d %v %v", v, found, err)
 	}
-	if v, found, err := s.Decr("app", "n", 100); err != nil || !found || v != 0 {
+	if v, found, err := s.Decr("app", []byte("n"), 100); err != nil || !found || v != 0 {
 		t.Fatalf("decr should clamp at zero: %d %v %v", v, found, err)
 	}
-	if _, found, _ := s.Incr("app", "missing", 1); found {
+	if _, found, _ := s.Incr("app", []byte("missing"), 1); found {
 		t.Fatalf("incr of missing key should report not found")
 	}
-	if _, _, err := s.Incr("app", "a", 1); err != ErrNotNumeric {
+	if _, _, err := s.Incr("app", []byte("a"), 1); err != ErrNotNumeric {
 		t.Fatalf("incr of non-numeric value = %v", err)
 	}
 
 	// touch accounting is separate from the GET hit rate.
 	before, _ := s.Stats("app")
-	if found, _ := s.Touch("app", "n", 0); !found {
+	if found, _ := s.Touch("app", []byte("n"), 0); !found {
 		t.Fatalf("touch should find the key")
 	}
-	if found, _ := s.Touch("app", "missing", 0); found {
+	if found, _ := s.Touch("app", []byte("missing"), 0); found {
 		t.Fatalf("touch of missing key should report false")
 	}
 	after, _ := s.Stats("app")
@@ -1276,23 +1276,23 @@ func verbStateTable(t *testing.T, sync bool) {
 	}{
 		{"set", func(s *Store) string { return stored(true, setItem(s, "app", key, v, 0, 0)) }, [4]verbOutcome{
 			{"STORED", 1, 0, 0, 0, 0, 1}, {"STORED", 1, 0, 0, 0, 0, 1}, {"STORED", 1, 0, 0, 0, 0, 1}, {"STORED", 1, 0, 0, 0, 0, 1}}},
-		{"add", func(s *Store) string { return stored(s.Add("app", key, v, 0, 0)) }, [4]verbOutcome{
+		{"add", func(s *Store) string { return stored(s.Add("app", []byte(key), v, 0, 0)) }, [4]verbOutcome{
 			{"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 0, 0, 0, 0, 1}, {"STORED", 1, 1, 0, 0, 0, 1}, {"STORED", 1, 1, 0, 0, 0, 1}}},
-		{"replace", func(s *Store) string { return stored(s.Replace("app", key, v, 0, 0)) }, [4]verbOutcome{
+		{"replace", func(s *Store) string { return stored(s.Replace("app", []byte(key), v, 0, 0)) }, [4]verbOutcome{
 			{"NOT_STORED", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}}},
-		{"cas", func(s *Store) string { return cas(s.CompareAndSwap("app", key, v, 0, 0, recordCAS(s))) }, [4]verbOutcome{
+		{"cas", func(s *Store) string { return cas(s.CompareAndSwap("app", []byte(key), v, 0, 0, recordCAS(s))) }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
-		{"cas wrong token", func(s *Store) string { return cas(s.CompareAndSwap("app", key, v, 0, 0, recordCAS(s)+1)) }, [4]verbOutcome{
+		{"cas wrong token", func(s *Store) string { return cas(s.CompareAndSwap("app", []byte(key), v, 0, 0, recordCAS(s)+1)) }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"EXISTS", 0, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
 		{"append", func(s *Store) string { return stored(appendTo(s, "app", key, []byte("5"), false)) }, [4]verbOutcome{
 			{"NOT_STORED", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}}},
 		{"prepend", func(s *Store) string { return stored(appendTo(s, "app", key, []byte("5"), true)) }, [4]verbOutcome{
 			{"NOT_STORED", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}}},
-		{"incr", func(s *Store) string { return number(s.Incr("app", key, 1)) }, [4]verbOutcome{
+		{"incr", func(s *Store) string { return number(s.Incr("app", []byte(key), 1)) }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"11", 1, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
-		{"decr", func(s *Store) string { return number(s.Decr("app", key, 1)) }, [4]verbOutcome{
+		{"decr", func(s *Store) string { return number(s.Decr("app", []byte(key), 1)) }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"9", 1, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
-		{"touch", func(s *Store) string { ok, err := s.Touch("app", key, 0); return found(ok, err, "TOUCHED") }, [4]verbOutcome{
+		{"touch", func(s *Store) string { ok, err := s.Touch("app", []byte(key), 0); return found(ok, err, "TOUCHED") }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 1, 0, 0}, {"TOUCHED", 0, 0, 0, 1, 1, 1}, {"NOT_FOUND", 0, 1, 0, 1, 0, 0}, {"NOT_FOUND", 0, 1, 0, 1, 0, 0}}},
 		{"delete", func(s *Store) string { ok, err := s.Delete("app", key); return found(ok, err, "DELETED") }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"DELETED", 0, 0, 1, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},

@@ -177,10 +177,10 @@ type TenantStats struct {
 	// rate the hill climber and the stats consumers read.
 	Touches   int64
 	TouchHits int64
-	// ReplayProbes counts the lookups and touches with a key whose promotion
-	// had to probe the class queue for it because the node the record
-	// remembered was stale or missing: its admission had not replayed yet,
-	// or the touched key was absent.
+	// ReplayProbes counts the GET and touch hits whose promotion had to probe
+	// the class queue for the key because the node the record remembered was
+	// stale or missing: its admission had not replayed yet. Misses carry no
+	// key and probe nothing.
 	ReplayProbes int64
 	Classes      []ClassStats
 	// DroppedEvents, Sweeps and InlineApplies are the Store bookkeeper's
@@ -318,62 +318,73 @@ func (t *Tenant) cost(class int, size int64) int64 {
 	return t.geom.ChunkSize(class)
 }
 
-// Lookup performs the GET path: it reports whether key is resident and
-// promotes it if so. It never admits the key (admission happens on the SET
-// that follows a miss, as in Memcached). An empty key stands for a key the
-// caller already knows is not resident (the store's directory said so): the
-// miss is counted against the class of size and no queue is probed. node is
-// the queue node the admission of key returned (nil if the caller has none):
-// while it still holds key the promotion goes through it instead of probing
-// the queue's index. Keys a resize applied by the hit evicts are returned so
-// the caller can drop their values, as after Admit.
-func (t *Tenant) Lookup(key string, node *cache.Node, size int64) (bool, []cache.Victim) {
+// lookup is the replay of a GET (evLookup) or a touch (evTouch): it promotes
+// key if it is resident, never admitting it (admission happens on the SET
+// that follows a miss, as in Memcached), and counts the outcome, a GET into
+// the hit rate and a touch into its own counters (memcached's
+// cmd_touch/touch_hits), so TTL refreshes do not skew the hit rate. An empty
+// key stands for a key the store's directory already found absent: the miss
+// is counted against the class of size and no queue is probed. node is the
+// queue node the admission of key returned (nil if the caller has none):
+// while it still holds key the promotion goes through it, and a promotion
+// that had to probe the queue's index counts in replay_probes. Keys a resize
+// applied by the hit evicts are returned so the caller can drop their values,
+// as after admit.
+func (t *Tenant) lookup(kind eventKind, key string, node *cache.Node, size int64) (bool, []cache.Victim) {
 	class, ok := t.ClassFor(size)
 	if !ok {
 		return false, nil
 	}
-	t.requests++
-	t.classReq[class]++
-	var hit bool
+	var hit, probed bool
 	var victims []cache.Victim
 	if key != "" {
-		hit, victims = t.promote(class, key, node, size)
+		hit, victims, probed = t.queues[class].AccessResident(key, node, t.cost(class, size))
+		if probed {
+			t.probes++
+		}
+		t.classEvict[class] += evictedOthers(key, victims)
 	}
-	if hit {
+	switch {
+	case kind == evTouch:
+		t.touches++
+		if hit {
+			t.touchHits++
+		}
+		return hit, victims
+	case hit:
 		t.hits++
 		t.classHit[class]++
-	} else {
+	default:
 		t.misses++
 		t.classMiss[class]++
 	}
+	t.requests++
+	t.classReq[class]++
 	return hit, victims
 }
 
-// promote is the queue half of Lookup and Touch: it re-accesses key only if
-// it is resident (a GET miss does not admit), through node while node still
-// holds key, counting the promotions that had to probe for key
-// (replay_probes) and the keys a resize the hit applied evicted.
-func (t *Tenant) promote(class int, key string, node *cache.Node, size int64) (bool, []cache.Victim) {
-	hit, victims, probed := t.queues[class].AccessResident(key, node, t.cost(class, size))
-	if probed {
-		t.probes++
-	}
-	t.classEvict[class] += evictedOthers(key, victims)
-	return hit, victims
-}
-
-// Admit performs the SET path: the key becomes resident (if it fits) and any
-// evicted keys are returned so the caller can drop their values.
+// Admit performs the SET path of a fresh key: the key becomes resident (if it
+// fits) and any evicted keys are returned so the caller can drop their values.
 func (t *Tenant) Admit(key string, size int64) []cache.Victim {
-	victims, _ := t.admit(key, size)
+	victims, _ := t.admit(key, 0, size)
 	return victims
 }
 
-// admit is Admit that also returns the queue node key was placed under, for
-// the caller to hand back to Lookup and Touch (nil for a key no chunk can
-// hold).
-func (t *Tenant) admit(key string, size int64) ([]cache.Victim, *cache.Node) {
+// admit is the replay of a write (evAdmit): key becomes resident at size, if
+// it fits. oldSize is the charge of the record the write replaced, 0 for a
+// fresh key: when the new size maps to a different class (or to a different
+// cost, as under the exact-size global-LRU accounting) the stale entry is
+// removed from its old queue first, so a re-set key never occupies two queues
+// or double-charges UsedBytes; that removal is not counted as a delete. It
+// returns the evicted keys and the queue node key was placed under, for the
+// caller to hand back to lookup (nil for a key no chunk can hold).
+func (t *Tenant) admit(key string, oldSize, size int64) ([]cache.Victim, *cache.Node) {
 	class, ok := t.ClassFor(size)
+	if oldSize != 0 {
+		if old, okOld := t.ClassFor(oldSize); okOld && (!ok || old != class || t.cost(old, oldSize) != t.cost(class, size)) {
+			t.queues[old].Remove(key)
+		}
+	}
 	if !ok {
 		return []cache.Victim{{Key: key, Cost: size}}, nil
 	}
@@ -383,53 +394,29 @@ func (t *Tenant) admit(key string, size int64) ([]cache.Victim, *cache.Node) {
 	return out.Evicted, node
 }
 
-// ReAdmit performs the SET path for a key that already has a resident entry
-// charged at oldSize: when the new size maps to a different class (or to a
-// different cost, as under the exact-size global-LRU accounting) the stale
-// entry is removed from its old queue first, so a re-set key never occupies
-// two queues or double-charges UsedBytes. The removal is not counted as a
-// delete. It returns what admit does.
-func (t *Tenant) ReAdmit(key string, oldSize, newSize int64) ([]cache.Victim, *cache.Node) {
-	oldClass, okOld := t.ClassFor(oldSize)
-	newClass, okNew := t.ClassFor(newSize)
-	if okOld && (!okNew || oldClass != newClass || t.cost(oldClass, oldSize) != t.cost(newClass, newSize)) {
-		t.removeFrom(oldClass, key)
-	}
-	return t.admit(key, newSize)
-}
-
-// Touch promotes key like a GET without the hit/miss accounting: touches
-// count into their own counters (memcached's cmd_touch/touch_hits), so TTL
-// refreshes do not skew the GET hit rate. node and the victims are Lookup's.
-func (t *Tenant) Touch(key string, node *cache.Node, size int64) (bool, []cache.Victim) {
-	class, ok := t.ClassFor(size)
-	if !ok {
-		return false, nil
-	}
-	t.touches++
-	hit, victims := t.promote(class, key, node, size)
-	if hit {
-		t.touchHits++
-	}
-	return hit, victims
-}
-
-// EvictMigrated removes key's structural entry on behalf of a page
-// migration, counting it as an eviction: retiring a page evicts its
-// residents (Memshare semantics), and the hit-rate damage must be visible in
-// the same counters organic evictions land in. Only counted when an entry
-// was actually removed, so a migration event racing an eviction replay of
-// the same key is not double-counted.
-func (t *Tenant) EvictMigrated(key string, size int64) bool {
+// remove is the replay of a structural removal, counted by kind: a client
+// delete (evRemove) always counts in deletes; an expiry (evExpire) counts in
+// expired and a page migration's eviction (evMigrate) in its class's
+// evictions only when an entry was actually removed, so one racing an
+// eviction replay of the same key is not counted twice. Retiring a page
+// evicts its residents (Memshare semantics), so the hit-rate damage shows in
+// the same counters organic evictions land in.
+func (t *Tenant) remove(kind eventKind, key string, size int64) bool {
 	class, ok := t.ClassFor(size)
 	if !ok {
 		return false
 	}
-	if !t.removeFrom(class, key) {
-		return false
+	removed := t.queues[class].Remove(key)
+	switch {
+	case kind == evRemove:
+		t.deletes++
+	case !removed:
+	case kind == evExpire:
+		t.expired++
+	default:
+		t.classEvict[class]++
 	}
-	t.classEvict[class]++
-	return true
+	return removed
 }
 
 // Resize retargets the tenant's reservation at newBytes and returns the
@@ -443,22 +430,6 @@ func (t *Tenant) Resize(newBytes int64) []cache.Victim {
 	old := t.cfg.MemoryBytes
 	t.cfg.MemoryBytes = newBytes
 	return t.policy.resize(old, newBytes)
-}
-
-// Expire removes key's structural entry after its TTL lapsed. Unlike Delete
-// it counts an expiration, not a client delete — and only when an entry was
-// actually removed, so an expiry event racing an eviction replay of the same
-// key is not double-counted.
-func (t *Tenant) Expire(key string, size int64) bool {
-	class, ok := t.ClassFor(size)
-	if !ok {
-		return false
-	}
-	if !t.removeFrom(class, key) {
-		return false
-	}
-	t.expired++
-	return true
 }
 
 // evictedOthers counts victims other than the admitted key itself: an item
@@ -477,7 +448,7 @@ func evictedOthers(key string, victims []cache.Victim) int64 {
 // Access performs a demand-fill GET on a bare tenant: a lookup that, on a
 // miss, immediately admits the key (modelling the application's read-through
 // fill). It returns whether the access hit and any evicted keys. The store
-// never calls it (its GET is Lookup, its fill a separate admission); the
+// never calls it (its GET is lookup, its fill a separate admission); the
 // repository benchmark times it.
 func (t *Tenant) Access(key string, size int64) (bool, []cache.Victim) {
 	class, ok := t.ClassFor(size)
@@ -496,22 +467,6 @@ func (t *Tenant) Access(key string, size int64) (bool, []cache.Victim) {
 	}
 	t.classEvict[class] += evictedOthers(key, out.Evicted)
 	return out.Hit, out.Evicted
-}
-
-// Delete removes key (of the given size class) from the tenant.
-func (t *Tenant) Delete(key string, size int64) bool {
-	class, ok := t.ClassFor(size)
-	if !ok {
-		return false
-	}
-	t.deletes++
-	return t.removeFrom(class, key)
-}
-
-// removeFrom drops key's structural entry from the given class queue without
-// touching any counter.
-func (t *Tenant) removeFrom(class int, key string) bool {
-	return t.queues[class].Remove(key)
 }
 
 // ClassCapacities returns the current per-class capacities in bytes, keyed
