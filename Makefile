@@ -19,9 +19,14 @@ race:
 # event buffers past the high-water mark while requests sweep them
 # (TestBacklogBoundedUnderOverload). internal/core rides along for the
 # keeps-what-fits property, whose store-level twins are in here. The second
-# line is the tenant switch on both sides of the socket: the client's
-# deferred tenant line against scripted and real servers, the server's
-# one-write answer, and the two switch alloc gates. On internal/server it
+# line repeats the concurrent arena storm (TestArenaConservationConcurrent)
+# twenty times (~15 s on two CPUs): one run is not enough to see a chunk
+# retired while a write still copies from it (with setLocked freeing the old
+# value before the copy, two single runs in three passed and twenty
+# iterations failed three). The third line is the tenant switch on both
+# sides of the socket: the client's deferred tenant line against scripted
+# and real servers, the server's one-write answer, and the two switch alloc
+# gates. On internal/server it
 # also runs the wait/lease cycle (TestPark*: a spurious wake leases, reads
 # nothing and waits again), the lazy deadlines (TestGoverned*: a stale
 # deadline that fires early is re-armed, and a command whose start arrived
@@ -31,6 +36,7 @@ race:
 # twin, TestArenaRunReadersVsFrees, rides in the store line).
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestArenaConservationConcurrent$$' ./internal/store/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant|TestPark|TestGoverned|TestGetRun' ./internal/server/
 
@@ -122,7 +128,7 @@ conformance:
 # the producer sweep and its bound, the backlog bound under overload): at one
 # and two Ps a request's sweep and the maintenance tick interleave differently.
 # So does the stale-node test: GETs whose records' queue nodes go stale behind
-# a held sweep must settle to what a synchronous store reads.
+# a held bookkeeper lock must settle to what a synchronous store reads.
 FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestProducerSweepsAtTheBatchBoundary|TestBacklogBoundedUnderOverload|TestStaleNodesThroughStore
 FITS_COUNT ?= 200
 FITS_RACE_COUNT ?= 20

@@ -54,11 +54,6 @@ func runChurn(logger *log.Logger, cfg churnConfig) {
 	if cfg.keys <= 0 {
 		cfg.keys = workload.DefaultZipfKeys
 	}
-	// math/rand's bounded Zipf needs s > 1; clamp the near-uniform range.
-	s := cfg.zipfS
-	if s <= 1 {
-		s = 1.01
-	}
 	payload := make([]byte, cfg.value)
 	for i := range payload {
 		payload[i] = byte('a' + i%26)
@@ -97,7 +92,7 @@ func runChurn(logger *log.Logger, cfg churnConfig) {
 			c := dial(logger, cfg.addr, cfg.tenant, cfg.timeout)
 			defer c.Close()
 			rng := rand.New(rand.NewSource(cfg.seed + int64(id)))
-			z := rand.NewZipf(rng, s, 1, uint64(cfg.keys-1))
+			z := workload.NewZipf(rng, cfg.zipfS, uint64(cfg.keys))
 			for {
 				select {
 				case <-stop:

@@ -16,7 +16,7 @@ package store
 //   - hysteresis: no move unless the marginal gap exceeds MinRateDelta, and
 //     a tenant that just moved sits out CooldownTicks ticks, so an
 //     oscillating workload cannot thrash pages back and forth;
-//   - bounded steps: one StepBytes move per tick, applied through the
+//   - bounded steps: one slab page moved per tick, applied through the
 //     ordinary ResizeTenant → reconfigure-tick → page-migration machinery,
 //     so zero-copy readers and the chunk-conservation audit see nothing new.
 //
@@ -57,9 +57,6 @@ type ArbiterConfig struct {
 	// ticks the arbiter. Zero disables the background tick; ArbiterTick can
 	// still be driven explicitly (the deterministic harnesses do).
 	Interval time.Duration
-	// StepBytes is the memory moved per decision. Zero defaults to one
-	// slab page.
-	StepBytes int64
 	// MinRateDelta is the hysteresis threshold on the marginal
 	// hit-rate-per-byte gap between recipient and donor. Zero defaults to
 	// DefaultArbiterMinRateDelta; negative disables the threshold.
@@ -72,11 +69,8 @@ type ArbiterConfig struct {
 	CooldownTicks int
 }
 
-// withDefaults normalizes zero fields; pageSize supplies the step default.
-func (c ArbiterConfig) withDefaults(pageSize int64) ArbiterConfig {
-	if c.StepBytes <= 0 {
-		c.StepBytes = pageSize
-	}
+// withDefaults normalizes zero fields.
+func (c ArbiterConfig) withDefaults() ArbiterConfig {
 	if c.MinRateDelta == 0 {
 		c.MinRateDelta = DefaultArbiterMinRateDelta
 	} else if c.MinRateDelta < 0 {
@@ -194,19 +188,20 @@ type arbiterTenant struct {
 // cooldowns, and plans at most one move per tick. It is not safe for
 // concurrent use; the Store guards its instance with arbMu.
 type arbiterState struct {
-	cfg      ArbiterConfig
-	ticks    int64
-	moves    int64
-	lastMove string
-	tenants  map[string]*arbiterTenant
+	cfg       ArbiterConfig
+	stepBytes int64 // moved per decision: one slab page
+	ticks     int64
+	moves     int64
+	lastMove  string
+	tenants   map[string]*arbiterTenant
 }
 
-// newArbiterState builds a decision engine; pageSize supplies the default
-// move step.
+// newArbiterState builds a decision engine that moves pageSize bytes a step.
 func newArbiterState(cfg ArbiterConfig, pageSize int64) *arbiterState {
 	return &arbiterState{
-		cfg:     cfg.withDefaults(pageSize),
-		tenants: make(map[string]*arbiterTenant),
+		cfg:       cfg.withDefaults(),
+		stepBytes: pageSize,
+		tenants:   make(map[string]*arbiterTenant),
 	}
 }
 
@@ -263,7 +258,7 @@ func (a *arbiterState) tick(obs []arbiterObservation) (arbiterMove, bool) {
 			delete(a.tenants, name)
 		}
 	}
-	d, r, ok := planArbiterMove(inputs, a.cfg.StepBytes, a.cfg.MinRateDelta)
+	d, r, ok := planArbiterMove(inputs, a.stepBytes, a.cfg.MinRateDelta)
 	if !ok {
 		return arbiterMove{}, false
 	}
@@ -274,9 +269,9 @@ func (a *arbiterState) tick(obs []arbiterObservation) (arbiterMove, bool) {
 	mv := arbiterMove{
 		donor:          don.name,
 		recipient:      rec.name,
-		donorBytes:     don.targetBytes - a.cfg.StepBytes,
-		recipientBytes: rec.targetBytes + a.cfg.StepBytes,
-		stepBytes:      a.cfg.StepBytes,
+		donorBytes:     don.targetBytes - a.stepBytes,
+		recipientBytes: rec.targetBytes + a.stepBytes,
+		stepBytes:      a.stepBytes,
 	}
 	a.lastMove = fmt.Sprintf("%s->%s:%d", mv.donor, mv.recipient, mv.stepBytes)
 	return mv, true
@@ -300,12 +295,12 @@ func (s *Store) ArbiterTick() bool {
 	obs := make([]arbiterObservation, 0, len(names))
 	for _, n := range names {
 		e := reg[n]
-		var shadow, hits int64
+		var shadow int64
 		e.bk.mu.Lock()
 		if m := e.tenant.Manager(); m != nil {
 			shadow = m.TotalStats().ShadowHits
 		}
-		hits = e.tenant.hits
+		hits := sum(e.tenant.classHit)
 		e.bk.mu.Unlock()
 		obs = append(obs, arbiterObservation{
 			name:          n,

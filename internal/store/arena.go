@@ -66,9 +66,10 @@ package store
 // (migrating: captured by the in-flight page retirement, counted on its
 // record).
 //
-// Lock order: bookkeeper.mu > valueShard.mu > arenaStripe.mu >
-// arenaCentral.mu > pageAllocator.mu. The arena never calls back into the
-// store, so the order cannot invert. Alloc takes the class mutex without a
+// Lock order: the package doc (tenant.go) lists it; the arena's locks are its
+// last three, arenaStripe.mu > arenaCentral.mu > pageAllocator.mu, below
+// valueShard.mu. The arena never calls back into the store, so the order
+// cannot invert. Alloc takes the class mutex without a
 // stripe mutex, and only the sealed audit ever holds two stripe mutexes (all
 // of them, in index order), so the pressure harvest may block on each stripe
 // in turn.

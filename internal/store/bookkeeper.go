@@ -15,23 +15,24 @@ import (
 // described by a small event appended to a per-shard buffer (BP-Wrapper style
 // batching). The request whose event brings its shard's buffer to
 // eventBatchSize replays every shard's buffer itself, on the goroutine that
-// just touched the keys, unless another goroutine is already sweeping (flat
-// combining: whoever holds sweepMu sweeps for everyone). There is no
+// just touched the keys, unless another goroutine is already applying (flat
+// combining: whoever holds bk.mu sweeps for everyone). There is no
 // bookkeeper goroutine; the store's one maintenance goroutine sweeps what
 // low-rate tenants leave below the threshold (Store.maintain).
 //
 // Ordering: a key always hashes to the same shard, and a shard's buffer is
-// stolen and applied atomically under that shard's applyMu, so bookkeeping
-// for one key is always applied in arrival order. Across keys, a sweep merges
-// all shard buffers back into arrival order using per-event sequence stamps,
-// so a settled engine has seen the same global admission/eviction sequence a
-// synchronous one would have; only the inline-help path under overload
-// applies a single shard's backlog slightly ahead of other shards'. An
-// eviction replayed from an old event never clobbers a value the client
-// re-set in the meantime: each item record remembers whether its own
-// admission event is still pending, and dropVictim spares such records (the
-// upcoming re-admission re-establishes their structural entry), so a settled
-// engine holds exactly one value per structural entry.
+// only stolen under bk.mu, the accounting plane's one lock, and replayed
+// before it is released, so bookkeeping for one key is always applied in
+// arrival order. Across keys, a sweep merges all shard buffers back into
+// arrival order using per-event sequence stamps, so a settled engine has seen
+// the same global admission/eviction sequence a synchronous one would have;
+// only the inline-help path under overload applies a single shard's backlog
+// slightly ahead of other shards'. An eviction replayed from an old event
+// never clobbers a value the client re-set in the meantime: each item record
+// remembers whether its own admission event is still pending, and dropVictim
+// spares such records (the upcoming re-admission re-establishes their
+// structural entry), so a settled engine holds exactly one value per
+// structural entry.
 //
 // Overload behaviour: lookup (GET) events are advisory — they feed hit/miss
 // counters and the shadow queues — and are shed once a shard's buffer hits
@@ -130,13 +131,12 @@ type bookkeeper struct {
 	// only the maintenance tick reaps.
 	reapCursor int
 
-	// mu guards tenant. Sweepers, snapshot readers and inline appliers take
-	// it; in synchronous mode every request takes it.
+	// mu guards tenant and the sweep scratch below, and every steal of a
+	// shard's buffer is made and replayed under it. Sweepers, snapshot
+	// readers and inline appliers take it; in synchronous mode every request
+	// takes it. A producer at the batch boundary only tries it: a held lock
+	// means someone else is applying.
 	mu sync.Mutex
-	// sweepMu serializes sweeps, which is what lets them share the scratch
-	// below. A producer at the batch boundary only tries it: a held lock
-	// means someone else is sweeping.
-	sweepMu sync.Mutex
 	// inline is set in synchronous mode and once the bookkeeper is closed:
 	// nothing sweeps later, so every producer applies its own shard's events
 	// before returning.
@@ -153,7 +153,7 @@ type bookkeeper struct {
 	sweeps        atomic.Int64
 	inlineApplies atomic.Int64
 
-	// Sweep scratch, owned by whoever holds sweepMu: the buffer stolen from
+	// Sweep scratch, owned by whoever holds mu: the buffer stolen from
 	// each shard, how far into it the replay has got, and one slot per stamp
 	// of the window being ordered. Kept between sweeps so a sweep allocates
 	// nothing; stolen and slots are nil outside a sweep so they pin no key.
@@ -216,35 +216,40 @@ func (b *bookkeeper) bufferLocked(sh *valueShard, ev *event) recordAction {
 }
 
 // finish performs the deferred half of bufferLocked. The caller must NOT
-// hold any shard lock, applyMu, bk.mu or sweepMu: the replay takes them all.
+// hold any shard lock or bk.mu: the replay takes them.
 func (b *bookkeeper) finish(sh *valueShard, act recordAction) {
 	switch act {
 	case actApply:
 		b.applyShard(sh)
 	case actSweep:
-		if b.sweepMu.TryLock() {
+		if b.mu.TryLock() {
 			b.sweeps.Add(1)
 			b.sweepLocked()
-			b.sweepMu.Unlock()
+			b.mu.Unlock()
 		}
 	}
 }
 
-// applyShard atomically steals and replays one shard's buffer. applyMu makes
-// steal+apply a single critical section per shard, so two appliers can never
-// replay one shard's events out of order. The stolen buffer ping-pongs with
-// the shard's spare so steady-state buffering never allocates.
+// applyShard steals and replays one shard's buffer in one critical section
+// of bk.mu, so two appliers can never replay one shard's events out of
+// order. Marks and drops are interleaved with the replay, so "is this
+// record's admission still pending?" — the criterion dropVictim uses to
+// spare values that a later re-set wrote — is evaluated in exact replay
+// order. The stolen buffer ping-pongs with the shard's spare so steady-state
+// buffering never allocates.
 func (b *bookkeeper) applyShard(sh *valueShard) {
-	sh.applyMu.Lock()
+	b.mu.Lock()
 	batch := sh.steal()
-	b.applyEvents(batch)
+	for i := range batch {
+		b.applyEventLocked(&batch[i])
+	}
 	sh.handBack(batch)
-	sh.applyMu.Unlock()
+	b.mu.Unlock()
 }
 
 // steal takes the shard's buffered events, leaving its spare buffer to
 // collect new ones, and returns nil if there are none. The caller must hold
-// sh.applyMu and pass the batch to handBack once it has been replayed.
+// bk.mu and pass the batch to handBack once it has been replayed.
 func (sh *valueShard) steal() []event {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -266,27 +271,10 @@ func (sh *valueShard) handBack(batch []event) {
 	sh.mu.Unlock()
 }
 
-// applyEvents replays events against the tenant, marking each admission as
-// applied on its shard record and dropping the values of any keys the tenant
-// evicted. Marks and drops are interleaved with the replay (all of it
-// serialized by bk.mu), so "is this record's admission still pending?" — the
-// criterion dropVictim uses to spare values that a later re-set wrote — is
-// evaluated in exact replay order. Shard locks are only ever taken inside
-// bk.mu, never the other way around, so the lock order is always bk.mu
-// before shard.mu.
-func (b *bookkeeper) applyEvents(batch []event) {
-	if len(batch) == 0 {
-		return
-	}
-	b.mu.Lock()
-	for i := range batch {
-		b.applyEventLocked(&batch[i])
-	}
-	b.mu.Unlock()
-}
-
-// applyEventLocked replays one event against the tenant. The caller must
-// hold b.mu.
+// applyEventLocked replays one event against the tenant, marking an
+// admission as applied on its shard record and dropping the values of any
+// keys the tenant evicted. The caller must hold b.mu; the shard locks it
+// takes come after it in the lock order.
 func (b *bookkeeper) applyEventLocked(ev *event) {
 	var evicted []cache.Victim
 	switch ev.kind {
@@ -338,65 +326,45 @@ func (b *bookkeeper) reap() {
 		return
 	}
 	now := b.now()
+	dead := func(it *item) bool { return it.deadAt(now, flushAt) }
 	shards := b.entry.shards
 	for n := 0; n < reapShardsPerTick && n < len(shards); n++ {
-		sh := &shards[b.reapCursor]
+		b.entry.removeWhere(&shards[b.reapCursor], evExpire, reapScanLimit, dead)
 		b.reapCursor = (b.reapCursor + 1) % len(shards)
-		var acts []recordAction
-		sh.mu.Lock()
-		scanned := 0
-		for _, it := range sh.items {
-			if it.deadAt(now, flushAt) {
-				ev := b.entry.removeLocked(sh, it, evExpire)
-				acts = append(acts, b.bufferLocked(sh, &ev))
-			}
-			if scanned++; scanned >= reapScanLimit {
-				break
-			}
-		}
-		sh.mu.Unlock()
-		for _, act := range acts {
-			b.finish(sh, act)
-		}
 	}
 }
 
-// sweep waits for any sweep in progress and then sweeps, so every event
-// recorded before the call has been applied when it returns: an application
-// already in flight on another goroutine completes before the sweep passes
-// its shard (applyMu). It is how Flush and the snapshot APIs settle the
-// engine, in synchronous mode too, where a concurrent operation may be caught
-// between buffering and applying.
+// sweep waits for any application in progress and then sweeps, so every
+// event recorded before the call has been applied when it returns: an
+// applier holding stolen events replays them before it releases bk.mu. It is
+// how Flush and the maintenance tick settle the engine, in synchronous mode
+// too, where a concurrent operation may be caught between buffering and
+// applying.
 func (b *bookkeeper) sweep() {
-	b.sweepMu.Lock()
+	b.mu.Lock()
 	b.sweepLocked()
-	b.sweepMu.Unlock()
+	b.mu.Unlock()
 }
 
 // sweepLocked steals every shard's buffer and replays the union in arrival
 // order, so a settled engine has seen the same admission/eviction sequence a
-// synchronous one would have. All applyMu locks are held (in index order)
-// until the union is applied, so a concurrent inline applier cannot replay a
-// shard's newer events ahead of the stolen older ones. Buffers are stolen and
-// handed back the way applyShard does it, so a sweep copies no event and
-// allocates nothing. The caller must hold sweepMu.
+// synchronous one would have. No inline applier can steal a shard's newer
+// events while the union is replayed, since it needs bk.mu too. Buffers are
+// stolen and handed back the way applyShard does it, so a sweep copies no
+// event and allocates nothing. The caller must hold b.mu.
 func (b *bookkeeper) sweepLocked() {
 	shards := b.entry.shards
 	n := 0
 	for i := range shards {
-		shards[i].applyMu.Lock()
 		b.stolen[i] = shards[i].steal()
 		n += len(b.stolen[i])
 	}
 	if n > 0 {
-		b.mu.Lock()
 		b.replayInOrder(n)
-		b.mu.Unlock()
 	}
 	for i := range shards {
 		shards[i].handBack(b.stolen[i])
 		b.stolen[i] = nil
-		shards[i].applyMu.Unlock()
 	}
 }
 
@@ -406,8 +374,7 @@ func (b *bookkeeper) sweepLocked() {
 // few holes (events an inline applier took, or that arrived on a shard
 // already stolen): the events of sweepWindow consecutive stamps are scattered
 // into slots by stamp and the slots replayed left to right, window after
-// window from the lowest stamp not yet replayed. The caller must hold
-// sweepMu, b.mu and every applyMu.
+// window from the lowest stamp not yet replayed. The caller must hold b.mu.
 func (b *bookkeeper) replayInOrder(n int) {
 	clear(b.cursor)
 	for n > 0 {

@@ -270,9 +270,9 @@ func TestOneMaintenanceGoroutine(t *testing.T) {
 // the maintenance tick held off, so every replay is a request's own. The GET
 // whose event brings a shard to eventBatchSize returns with nothing buffered
 // anywhere, and a GET below it sweeps nothing. Then, with every shard but one
-// filled to just under the high-water mark while someone else holds the sweep,
-// one GET replays all of it, no more than len(shards) × shardBufferHighWater
-// events.
+// filled to just under the high-water mark while someone else holds the
+// bookkeeper lock, one GET replays all of it, no more than len(shards) ×
+// shardBufferHighWater events.
 func TestProducerSweepsAtTheBatchBoundary(t *testing.T) {
 	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
@@ -297,7 +297,7 @@ func TestProducerSweepsAtTheBatchBoundary(t *testing.T) {
 	replayed := func() int64 {
 		e.bk.mu.Lock()
 		defer e.bk.mu.Unlock()
-		return e.tenant.requests
+		return sum(e.tenant.classReq)
 	}
 	sum := func(n []int) (total int) {
 		for _, v := range n {
@@ -328,7 +328,7 @@ func TestProducerSweepsAtTheBatchBoundary(t *testing.T) {
 	}
 
 	s.Flush()
-	e.bk.sweepMu.Lock()
+	e.bk.mu.Lock()
 	for idx, k := range keys {
 		want := shardBufferHighWater - 1
 		if idx == 0 {
@@ -338,7 +338,7 @@ func TestProducerSweepsAtTheBatchBoundary(t *testing.T) {
 			get(s, "app", k)
 		}
 	}
-	e.bk.sweepMu.Unlock()
+	e.bk.mu.Unlock()
 	buffered, from := sum(BufferedEvents(s, "app")), replayed()
 	get(s, "app", keys[0])
 	n := replayed() - from
@@ -352,8 +352,8 @@ func TestProducerSweepsAtTheBatchBoundary(t *testing.T) {
 
 // TestBacklogBoundedUnderOverload storms one asynchronous tenant with four
 // producers. First three of them GET keys of one shard while a stand-in for a
-// slow sweep holds the sweep and that shard's apply lock: the GET that fills
-// the shard to the high-water mark waits to apply it inline, and every GET
+// slow sweep holds the bookkeeper lock: the GET that fills the shard to the
+// high-water mark waits to apply it inline, and every GET
 // after it is shed. Then all four mix SETs, DELETEs and GETs over every
 // shard. No shard may ever hold more than shardBufferHighWater events plus one
 // per producer (a producer's event past the mark is applied before it makes
@@ -404,8 +404,7 @@ func TestBacklogBoundedUnderOverload(t *testing.T) {
 	}()
 	var gets atomic.Int64
 
-	e.bk.sweepMu.Lock()
-	e.shards[0].applyMu.Lock()
+	e.bk.mu.Lock()
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for p := 0; p < producers-1; p++ {
@@ -422,8 +421,7 @@ func TestBacklogBoundedUnderOverload(t *testing.T) {
 		runtime.Gosched()
 	}
 	stop.Store(true)
-	e.shards[0].applyMu.Unlock()
-	e.bk.sweepMu.Unlock()
+	e.bk.mu.Unlock()
 	wg.Wait()
 	if n := e.bk.dropped.Load(); n < 1000 {
 		t.Fatalf("only %d GETs shed in 20 s with the sweep held", n)

@@ -19,16 +19,16 @@ func BufferedEvents(s *Store, tenant string) []int {
 	return n
 }
 
-// HoldSweep keeps every sweep of the tenant's buffered events from running
-// until release is called: a request that fills a shard to the batch boundary
-// finds the sweep held and leaves its event buffered, and the maintenance tick
-// waits. Events are still applied by a request that takes its shard past the
-// high-water mark, and every event of a synchronous store is applied by the
-// request that made it, neither of which needs the sweep.
+// HoldSweep holds the tenant's bookkeeper lock until release is called, so
+// none of its buffered events is applied: a request that fills a shard to the
+// batch boundary finds the lock held and leaves its event buffered, and the
+// maintenance tick waits. A request that takes its shard past the high-water
+// mark waits to apply it inline, and so does every request of a synchronous
+// store, so only an asynchronous store's requests below that mark get past.
 func HoldSweep(s *Store, tenant string) (release func()) {
 	e, _ := s.entry(tenant)
-	e.bk.sweepMu.Lock()
-	return e.bk.sweepMu.Unlock
+	e.bk.mu.Lock()
+	return e.bk.mu.Unlock
 }
 
 // HoldMaintenance keeps the store's maintenance goroutine from starting its

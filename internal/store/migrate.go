@@ -304,22 +304,9 @@ func (e *tenantEntry) pickColdestPage() (pageRange, bool) {
 // Idempotent: the alloc intercept guarantees no new resident can land on the
 // page after the migration published, so repeat walks find nothing.
 func (e *tenantEntry) evictMigrating(m *migration) {
-	var acts []recordAction
+	onPage := func(it *item) bool { return it.value != nil && m.contains(it.value) }
 	for i := range e.shards {
-		sh := &e.shards[i]
-		acts = acts[:0]
-		sh.mu.Lock()
-		for _, it := range sh.items {
-			if it.value == nil || !m.contains(it.value) {
-				continue
-			}
-			ev := e.removeLocked(sh, it, evMigrate)
-			acts = append(acts, e.bk.bufferLocked(sh, &ev))
-		}
-		sh.mu.Unlock()
-		for _, act := range acts {
-			e.bk.finish(sh, act)
-		}
+		e.removeWhere(&e.shards[i], evMigrate, 0, onPage)
 	}
 }
 

@@ -168,14 +168,13 @@ type valueShard struct {
 	// reader can still hold it.
 	freeItems *item
 
-	// pending buffers this shard's bookkeeping events (guarded by mu);
-	// applyMu makes stealing and replaying the buffer one atomic step so
-	// per-key event order is preserved (see bookkeeper.applyShard). spare is
-	// the recycled second buffer applyShard ping-pongs with, so steady-state
-	// event buffering never allocates.
+	// pending buffers this shard's bookkeeping events (guarded by mu); it is
+	// only stolen under bk.mu, which makes stealing and replaying it one
+	// atomic step so per-key event order is preserved (see
+	// bookkeeper.applyShard). spare is the recycled second buffer a steal
+	// ping-pongs with, so steady-state event buffering never allocates.
 	pending []event
 	spare   []event
-	applyMu sync.Mutex
 }
 
 // getItemLocked pops a pooled record (or allocates the shard's first). The
@@ -362,6 +361,30 @@ func (e *tenantEntry) removeLocked(sh *valueShard, it *item, kind eventKind) eve
 	e.freeValueLocked(sh, it.size, it.value)
 	sh.putItemLocked(it)
 	return ev
+}
+
+// removeWhere removes every record of sh that drop selects, looking at no
+// more than limit records (0: the whole shard), and buffers a removal event of
+// kind for each (delete, expiry, migration), so the structural removals
+// replay in arrival order with racing mutations of the same keys. The caller
+// must hold neither a shard lock nor bk.mu: the removals' finish may replay.
+func (e *tenantEntry) removeWhere(sh *valueShard, kind eventKind, limit int, drop func(*item) bool) {
+	var acts []recordAction
+	sh.mu.Lock()
+	scanned := 0
+	for _, it := range sh.items {
+		if drop(it) {
+			ev := e.removeLocked(sh, it, kind)
+			acts = append(acts, e.bk.bufferLocked(sh, &ev))
+		}
+		if scanned++; scanned == limit {
+			break
+		}
+	}
+	sh.mu.Unlock()
+	for _, act := range acts {
+		e.bk.finish(sh, act)
+	}
 }
 
 // bufferMutationLocked buffers the admission event of the record it that
@@ -1144,19 +1167,8 @@ func (s *Store) flushNow(e *tenantEntry) error {
 	// Settle in-flight bookkeeping first to keep the flush's own event burst
 	// small; correctness comes from the per-shard buffer order alone.
 	e.bk.sweep()
-	var acts []recordAction
 	for i := range e.shards {
-		sh := &e.shards[i]
-		acts = acts[:0]
-		sh.mu.Lock()
-		for _, it := range sh.items {
-			ev := e.removeLocked(sh, it, evRemove)
-			acts = append(acts, e.bk.bufferLocked(sh, &ev))
-		}
-		sh.mu.Unlock()
-		for _, act := range acts {
-			e.bk.finish(sh, act)
-		}
+		e.removeWhere(&e.shards[i], evRemove, 0, func(*item) bool { return true })
 	}
 	return nil
 }
@@ -1198,8 +1210,8 @@ func (s *Store) Stats(tenant string) (TenantStats, error) {
 	if !ok {
 		return TenantStats{}, ErrNoTenant{tenant}
 	}
-	e.bk.sweep()
 	e.bk.mu.Lock()
+	e.bk.sweepLocked()
 	st := e.tenant.Stats()
 	e.bk.mu.Unlock()
 	st.DroppedEvents = e.bk.dropped.Load()
@@ -1242,9 +1254,9 @@ func (s *Store) QueueSnapshots(tenant string) (queues []core.QueueSnapshot, free
 	if !ok {
 		return nil, 0, ErrNoTenant{tenant}
 	}
-	e.bk.sweep()
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
+	e.bk.sweepLocked()
 	p, ok := e.tenant.policy.(*managedPolicy)
 	if !ok {
 		return nil, 0, nil
@@ -1259,9 +1271,9 @@ func (s *Store) ClassCapacities(tenant string) (map[int]int64, error) {
 	if !ok {
 		return nil, ErrNoTenant{tenant}
 	}
-	e.bk.sweep()
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
+	e.bk.sweepLocked()
 	return e.tenant.ClassCapacities(), nil
 }
 
@@ -1291,9 +1303,9 @@ func (s *Store) UsedBytes(tenant string) (int64, error) {
 	if !ok {
 		return 0, ErrNoTenant{tenant}
 	}
-	e.bk.sweep()
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
+	e.bk.sweepLocked()
 	return e.tenant.UsedBytes(), nil
 }
 
@@ -1315,28 +1327,24 @@ func (s *Store) AuditConservation(tenant string) error {
 		return ErrNoTenant{tenant}
 	}
 	for {
-		e.bk.sweep()
 		if settled, err := e.auditSealed(); settled {
 			return err
 		}
 	}
 }
 
-// auditSealed is AuditConservation's critical section. It holds bk.mu and then
-// every shard lock, in index order (the documented lock order), so nothing
-// can enter or leave the directory and no event can reach the queues while the
-// three counts are compared; taken one after the other, a record the reaper
-// expires between the directory walk and the UsedBytes read is a charge nobody
-// holds. Every applyMu is taken first, as a sweep takes them, so no applier
-// is sitting on events it stole and has not replayed; events still buffered on
-// a shard (the reaper's, since the flush) make the pass report settled = false.
+// auditSealed is AuditConservation's critical section. It holds bk.mu, sweeps,
+// and then takes every shard lock, in index order (the documented lock
+// order), so nothing can enter or leave the directory and no event can reach
+// the queues while the three counts are compared; taken one after the other,
+// a record the reaper expires between the directory walk and the UsedBytes
+// read is a charge nobody holds. Holding bk.mu also means no applier is
+// sitting on events it stole and has not replayed; events buffered on a shard
+// after the sweep (the reaper's) make the pass report settled = false.
 func (e *tenantEntry) auditSealed() (settled bool, err error) {
-	for i := range e.shards {
-		e.shards[i].applyMu.Lock()
-		defer e.shards[i].applyMu.Unlock()
-	}
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
+	e.bk.sweepLocked()
 	for i := range e.shards {
 		e.shards[i].mu.Lock()
 		defer e.shards[i].mu.Unlock()

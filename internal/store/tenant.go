@@ -49,6 +49,18 @@
 // core.Queue) are not safe for concurrent use; the bookkeeper serializes all
 // access to them behind its mutex, which is also what makes Stats,
 // QueueSnapshots and UsedBytes race-free against request traffic.
+//
+// Lock order, for the whole package: a goroutine holding one of these locks
+// takes only locks further down the list.
+//
+//  1. Store.mu, Store.tickMu, Store.arbMu (never held together);
+//  2. tenantEntry.reconfMu (a live resize step);
+//  3. bookkeeper.mu, the accounting plane's one lock: the Tenant, every
+//     steal and replay of a shard's event buffer, the sweep scratch;
+//  4. valueShard.mu (several only in index order, as the sealed audit does);
+//  5. arenaStripe.mu;
+//  6. arenaCentral.mu;
+//  7. pageAllocator.mu.
 package store
 
 import (
@@ -219,10 +231,10 @@ type Tenant struct {
 	// (the reservation itself changes as the tenant is resized).
 	reserved int64
 
-	// Counters.
-	requests, hits, misses, sets, deletes, expired int64
-	touches, touchHits, probes                     int64
-	classReq, classHit, classMiss, classEvict      []int64
+	// Counters. The tenant's requests, hits and misses are the sums of the
+	// per-class ones (Stats, sum).
+	sets, deletes, expired, touches, touchHits, probes int64
+	classReq, classHit, classMiss, classEvict          []int64
 }
 
 // NewTenant builds a tenant from cfg.
@@ -352,13 +364,10 @@ func (t *Tenant) lookup(kind eventKind, key string, node *cache.Node, size int64
 		}
 		return hit, victims
 	case hit:
-		t.hits++
 		t.classHit[class]++
 	default:
-		t.misses++
 		t.classMiss[class]++
 	}
-	t.requests++
 	t.classReq[class]++
 	return hit, victims
 }
@@ -455,14 +464,11 @@ func (t *Tenant) Access(key string, size int64) (bool, []cache.Victim) {
 	if !ok {
 		return false, nil
 	}
-	t.requests++
 	t.classReq[class]++
 	out, _ := t.policy.admit(class, key, t.cost(class, size))
 	if out.Hit {
-		t.hits++
 		t.classHit[class]++
 	} else {
-		t.misses++
 		t.classMiss[class]++
 	}
 	t.classEvict[class] += evictedOthers(key, out.Evicted)
@@ -494,9 +500,9 @@ func (t *Tenant) UsedBytes() int64 {
 func (t *Tenant) Stats() TenantStats {
 	st := TenantStats{
 		Name:         t.cfg.Name,
-		Requests:     t.requests,
-		Hits:         t.hits,
-		Misses:       t.misses,
+		Requests:     sum(t.classReq),
+		Hits:         sum(t.classHit),
+		Misses:       sum(t.classMiss),
 		Sets:         t.sets,
 		Deletes:      t.deletes,
 		Expired:      t.expired,
@@ -526,4 +532,13 @@ func (t *Tenant) Stats() TenantStats {
 		})
 	}
 	return st
+}
+
+// sum totals per-class counters.
+func sum(counts []int64) int64 {
+	var n int64
+	for _, c := range counts {
+		n += c
+	}
+	return n
 }
