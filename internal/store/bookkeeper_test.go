@@ -469,3 +469,96 @@ func TestBacklogBoundedUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFlushIsNotOverload: flush_all of a loaded asynchronous tenant removes
+// each shard's records in one critical section, and that section settles
+// once, so the overload counters move by at most one per shard however many
+// records go, and the flush takes bk.mu once per shard, not once per record.
+// The maintenance tick is held off so every settle counted is the flush's.
+// Afterwards the tenant holds nothing and its conservation audit is clean.
+func TestFlushIsNotOverload(t *testing.T) {
+	s := New(Config{DefaultMode: AllocCliffhanger})
+	defer s.Close()
+	if err := s.RegisterTenant("app", 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	const records = 100000
+	value := make([]byte, 100)
+	for i := 0; i < records; i++ {
+		if err := set(s, "app", fmt.Sprintf("key-%d", i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer HoldMaintenance(s)()
+	if n, _ := s.Items("app"); n != records {
+		t.Fatalf("%d of %d records resident before the flush", n, records)
+	}
+	e, _ := s.entry("app")
+	before, _ := s.Stats("app")
+	if err := s.FlushAll("app", 0); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := s.Stats("app")
+	bound := int64(len(e.shards))
+	if n := after.InlineApplies - before.InlineApplies; n > bound {
+		t.Errorf("one flush of %d records counted %d inline applies, want at most %d", records, n, bound)
+	}
+	if n := after.Sweeps - before.Sweeps; n > bound {
+		t.Errorf("one flush of %d records counted %d producer sweeps, want at most %d", records, n, bound)
+	}
+	if n, _ := s.Items("app"); n != 0 {
+		t.Errorf("%d records survived the flush", n)
+	}
+	if err := s.AuditConservation("app"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneSectionSettlesOnce: an add over a TTL-dead record buffers two events
+// in one critical section, the dead record's expiry and the add's admission.
+// Into a shard one event short of the high-water mark, both land past it, and
+// the section applies the shard's backlog once: one inline apply, not one per
+// event, and nothing left buffered on the shard.
+func TestOneSectionSettlesOnce(t *testing.T) {
+	var now atomic.Int64
+	now.Store(1_000_000)
+	s := New(Config{DefaultMode: AllocCliffhanger, Now: func() int64 { return now.Load() }})
+	defer s.Close()
+	if err := s.RegisterTenant("app", 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	const key = "dying"
+	if err := setItem(s, "app", key, []byte("old"), 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	defer HoldMaintenance(s)()
+	e, _ := s.entry("app")
+	idx := shardFor(e, key).idx
+	release := HoldSweep(s, "app")
+	for BufferedEvents(s, "app")[idx] < shardBufferHighWater-1 {
+		get(s, "app", key)
+	}
+	release()
+	now.Add(10)
+	applies, sweeps := e.bk.inlineApplies.Load(), e.bk.sweeps.Load()
+	if stored, err := s.Add("app", []byte(key), []byte("new"), 0, 0); !stored || err != nil {
+		t.Fatalf("add over a dead record = %v, %v", stored, err)
+	}
+	if n := e.bk.inlineApplies.Load() - applies; n != 1 {
+		t.Errorf("one add that buffered an expiry and an admission counted %d inline applies, want 1", n)
+	}
+	if n := e.bk.sweeps.Load() - sweeps; n != 0 {
+		t.Errorf("the add counted %d producer sweeps, want 0", n)
+	}
+	if n := BufferedEvents(s, "app")[idx]; n != 0 {
+		t.Errorf("the add left %d events buffered on its shard", n)
+	}
+	st, _ := s.Stats("app")
+	if st.Expired != 1 {
+		t.Errorf("Expired = %d, want 1", st.Expired)
+	}
+	if v, ok, _ := get(s, "app", key); !ok || string(v) != "new" {
+		t.Errorf("get after the add = %q, %v", v, ok)
+	}
+}
