@@ -23,7 +23,13 @@ race:
 # twenty times (~15 s on two CPUs): one run is not enough to see a chunk
 # retired while a write still copies from it (with setLocked freeing the old
 # value before the copy, two single runs in three passed and twenty
-# iterations failed three). The third line is the tenant switch on both
+# iterations failed three). The third line runs the store package again in
+# the arena's poison mode (-tags arenapoison): a retired chunk no pin covers
+# is reclaimed the moment it is freed and overwritten with a poison pattern,
+# so a read after retire fails every time instead of one run in many
+# (setLocked retiring the old value before the copy fails
+# TestStoreVerbSemantics on every run; Reader.Get without its pin fails
+# TestArenaRunReadersVsFrees). The fourth line is the tenant switch on both
 # sides of the socket: the client's deferred tenant line against scripted
 # and real servers, the server's one-write answer, and the two switch alloc
 # gates. On internal/server it
@@ -37,6 +43,7 @@ race:
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
 	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestArenaConservationConcurrent$$' ./internal/store/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -tags arenapoison ./internal/store/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant|TestPark|TestGoverned|TestGetRun' ./internal/server/
 

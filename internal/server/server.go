@@ -1313,9 +1313,10 @@ func (s *Server) plainStats(tenant string) (statList, error) {
 	l.add("marginal_hit_per_byte", strconv.FormatFloat(at.MarginalHitPerByte, 'g', -1, 64))
 	l.num("arbiter_moves", as.Moves)
 	// The bookkeeper: GET events it shed, sweeps requests ran at the batch
-	// boundary, shard backlogs requests applied at the high-water mark, and
-	// replayed GETs and touches that had to probe their queue for the key
-	// (flat under settled hits in the managed modes).
+	// boundary, shard backlogs requests applied at the high-water mark (at
+	// most one of those two per critical section), and replayed GETs and
+	// touches that had to probe their queue for the key (flat under settled
+	// hits in the managed modes).
 	l.num("dropped_events", st.DroppedEvents)
 	l.num("producer_sweeps", st.Sweeps)
 	l.num("inline_applies", st.InlineApplies)

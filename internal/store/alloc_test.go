@@ -307,7 +307,8 @@ func TestAllocGateSweep(t *testing.T) {
 			sh := shardFor(e, it.key)
 			ev := event{kind: evLookup, key: it.key, size: it.size}
 			sh.mu.Lock()
-			e.bk.bufferLocked(sh, &ev) // synchronous mode: buffered, left for the sweep
+			e.bk.bufferLocked(sh, &ev)
+			sh.act = actNone // synchronous mode: buffered, left for the sweep
 			sh.mu.Unlock()
 		}
 		e.bk.sweep()

@@ -11,8 +11,9 @@ package store
 // capacity), and moves one bounded step of memory from the lowest-ranked
 // tenant to the highest via ResizeTenant. Three guards keep it stable:
 //
-//   - reserved floors: a tenant is never shrunk below its ReservedBytes
-//     (TenantConfig), the tenant-level analogue of core.Config.MinQueueBytes;
+//   - reserved floors: a tenant is never shrunk below half the reservation
+//     it was registered with, the tenant-level analogue of
+//     core.Config.MinQueueBytes;
 //   - hysteresis: no move unless the marginal gap exceeds MinRateDelta, and
 //     a tenant that just moved sits out CooldownTicks ticks, so an
 //     oscillating workload cannot thrash pages back and forth;

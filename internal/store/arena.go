@@ -95,6 +95,11 @@ const (
 	// of them pinned. 16 bits allow 65535 concurrent readers per shard.
 	pinCountBits = 16
 	pinCountMask = (1 << pinCountBits) - 1
+	// poisonByte is what the test-only poison mode (poisonReclaim, on in
+	// builds tagged arenapoison) writes over every chunk reclaim recycles;
+	// there, a free no pin covers is also reclaimed at once, so a read after
+	// retire sees the pattern every time.
+	poisonByte = 0xdb
 )
 
 // pinSlot is one shard's reader-pin word: epoch<<pinCountBits | count,
@@ -299,6 +304,11 @@ func (a *arena) reclaimStripeLocked(st *arenaStripe) {
 			}
 			q.class = -1
 			moved++
+			if poisonReclaim {
+				for b := range q.chunk {
+					q.chunk[b] = poisonByte
+				}
+			}
 			if m != nil && m.class == class && m.contains(q.chunk) {
 				// The chunk belongs to the retiring page: it has now outlived
 				// every pinned reader, so it joins the migration instead of the
@@ -404,7 +414,7 @@ func (a *arena) freeChunk(stripe, class int, chunk []byte) {
 	st.quar = append(st.quar, quarChunk{chunk: chunk, class: class, epoch: a.epoch.Load()})
 	cl.quarantined.Add(1)
 	a.deferredFrees.Add(1)
-	if len(st.quar) >= cl.quarHighWater {
+	if poisonReclaim || len(st.quar) >= cl.quarHighWater {
 		a.advanceEpoch()
 		a.reclaimStripeLocked(st)
 	}

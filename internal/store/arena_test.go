@@ -649,7 +649,9 @@ func TestArenaQuarantineBoundedInBytes(t *testing.T) {
 	if worst > quarantineHighWaterBytes {
 		t.Fatalf("one stripe's quarantine reached %d bytes of %d-byte chunks, want <= %d", worst, chunkSize, quarantineHighWaterBytes)
 	}
-	if worst == 0 {
+	if worst == 0 && !poisonReclaim {
+		// The poison mode reclaims every free no pin covers at once, so with
+		// no reader pinned nothing waits in quarantine there.
 		t.Fatal("no overwrite ever left a chunk in quarantine")
 	}
 	auditArena(t, s, "app")

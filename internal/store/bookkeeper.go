@@ -40,7 +40,9 @@ import (
 // keep its own producers from sweeping. Structural events (SET admissions,
 // DELETEs) are never dropped; instead, a producer that finds the buffer past
 // the high-water mark applies the backlog inline, so the value table and the
-// eviction queues cannot diverge without bound.
+// eviction queues cannot diverge without bound. A critical section of a shard
+// settles once, at its end (release), however many events it buffered: a
+// flush_all applies each shard once and does not read as overload.
 
 // eventKind identifies a bookkeeping event.
 type eventKind uint8
@@ -148,7 +150,7 @@ type bookkeeper struct {
 	// dropped counts advisory events shed because bookkeeping was
 	// saturated; sweeps counts sweeps a producer ran at the batch boundary
 	// and inlineApplies the shard backlogs a producer applied at the
-	// high-water mark. Each moves once per shed event, sweep or apply.
+	// high-water mark: once per shed event, or per settle release took.
 	dropped       atomic.Int64
 	sweeps        atomic.Int64
 	inlineApplies atomic.Int64
@@ -162,8 +164,9 @@ type bookkeeper struct {
 	slots  []*event
 }
 
-// recordAction tells a producer what to do after releasing the shard lock it
-// held while buffering an event.
+// recordAction is what a shard's critical section owes the accounting plane
+// (valueShard.act): release takes the strongest its events asked for, once,
+// since one apply replays all of them and one sweep replays every shard.
 type recordAction uint8
 
 const (
@@ -172,54 +175,55 @@ const (
 	// actSweep: the shard reached the batch boundary; sweep every shard
 	// unless someone else is already sweeping.
 	actSweep
-	// actApply: apply the shard's backlog inline before returning — used
-	// when the buffer is past its high-water mark, and for every event of an
-	// inline bookkeeper, where the same buffered path keeps per-key events
-	// applying in arrival order.
+	// actApply: apply the shard's backlog inline — used when the buffer is
+	// past its high-water mark, and for every event of an inline
+	// bookkeeper, where the same buffered path keeps per-key events applying
+	// in arrival order.
 	actApply
 )
 
 // bufferLocked stamps ev (writing the assigned sequence back through the
-// pointer so callers can tag the shard record they just wrote) and appends
-// it to sh's buffer. The caller MUST hold sh.mu and must be the same
-// critical section that mutated the shard's items — that is what makes
-// per-key event order match per-key value order. The returned action must be
-// passed to finish after releasing sh.mu.
+// pointer so callers can tag the shard record they just wrote), appends it to
+// sh's buffer and raises the shard's pending action. The caller MUST hold
+// sh.mu, must be the same critical section that mutated the shard's items —
+// that is what makes per-key event order match per-key value order — and
+// must end that section with release.
 //
-// An inline bookkeeper's events go through the very same buffer: the
-// producer applies the shard's backlog itself right after releasing sh.mu.
-// Buffering even the inline-applied events is what serializes same-key
-// events from racing goroutines into arrival order — an event applied
-// directly, outside the buffer, could overtake an older buffered event for
-// the same key between the shard unlock and the apply.
-func (b *bookkeeper) bufferLocked(sh *valueShard, ev *event) recordAction {
-	if b.inline.Load() {
-		ev.seq = b.seq.Add(1)
-		sh.pending = append(sh.pending, *ev)
-		return actApply
-	}
-	if (ev.kind == evLookup || ev.kind == evTouch) && len(sh.pending) >= shardBufferHighWater {
+// An inline bookkeeper's events go through the very same buffer: release
+// applies the shard's backlog right after unlocking. Buffering even the
+// inline-applied events is what serializes same-key events from racing
+// goroutines into arrival order — an event applied directly, outside the
+// buffer, could overtake an older buffered event for the same key between
+// the shard unlock and the apply.
+func (b *bookkeeper) bufferLocked(sh *valueShard, ev *event) {
+	inline := b.inline.Load()
+	if !inline && (ev.kind == evLookup || ev.kind == evTouch) && len(sh.pending) >= shardBufferHighWater {
 		b.dropped.Add(1)
-		return actNone
+		return
 	}
 	ev.seq = b.seq.Add(1)
 	sh.pending = append(sh.pending, *ev)
 	switch n := len(sh.pending); {
-	case n >= shardBufferHighWater:
+	case inline || n >= shardBufferHighWater:
 		// Structural backlog: help out inline rather than queue further.
-		b.inlineApplies.Add(1)
-		return actApply
+		sh.act = actApply
 	case n >= eventBatchSize:
-		return actSweep
+		sh.act = max(sh.act, actSweep)
 	}
-	return actNone
 }
 
-// finish performs the deferred half of bufferLocked. The caller must NOT
-// hold any shard lock or bk.mu: the replay takes them.
-func (b *bookkeeper) finish(sh *valueShard, act recordAction) {
+// release ends a critical section of sh: it unlocks sh.mu and takes, and
+// counts, the action the section's events raised. The caller must hold no
+// other shard lock, nor bk.mu: the replay takes them.
+func (b *bookkeeper) release(sh *valueShard) {
+	act := sh.act
+	sh.act = actNone
+	sh.mu.Unlock()
 	switch act {
 	case actApply:
+		if !b.inline.Load() {
+			b.inlineApplies.Add(1)
+		}
 		b.applyShard(sh)
 	case actSweep:
 		if b.mu.TryLock() {

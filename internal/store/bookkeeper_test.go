@@ -55,7 +55,8 @@ func TestSweepReplaysInStampOrder(t *testing.T) {
 			sh := shardFor(e, key)
 			ev := event{kind: evAdmit, key: key, size: size}
 			sh.mu.Lock()
-			bk.bufferLocked(sh, &ev) // synchronous mode: stamped, buffered, left for us to apply
+			bk.bufferLocked(sh, &ev)
+			sh.act = actNone // synchronous mode: stamped, buffered, left for us to apply
 			sh.mu.Unlock()
 			waiting = append(waiting, buffered{key, sh})
 		case r < 990:

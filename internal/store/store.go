@@ -128,9 +128,8 @@ type item struct {
 	// key under (markAdmitted); GET and touch events carry it so their replay
 	// need not probe the queue for the key (core.Queue.AccessResident), in
 	// every mode. It is nil while the admission is pending, since a mutation
-	// clears it (bufferMutationLocked). Read and written under the shard
-	// lock; the node itself is the accounting plane's and is only
-	// dereferenced by a replay.
+	// clears it (setLocked). Read and written under the shard lock; the node
+	// itself is the accounting plane's and is only dereferenced by a replay.
 	node *cache.Node
 	// next links the record into its shard's freelist while pooled.
 	next *item
@@ -175,6 +174,9 @@ type valueShard struct {
 	// ping-pongs with, so steady-state event buffering never allocates.
 	pending []event
 	spare   []event
+	// act is what the critical section in progress owes (guarded by mu);
+	// bookkeeper.release takes and resets it.
+	act recordAction
 }
 
 // getItemLocked pops a pooled record (or allocates the shard's first). The
@@ -297,13 +299,15 @@ func (e *tenantEntry) markAdmitted(key string, seq uint64, node *cache.Node) {
 }
 
 // setLocked installs head+tail as key's value, over prev (nil for a fresh
-// key), and returns the record and the admission event describing it. The
-// event carries the old charged size when a previous record existed, 0 for a
-// fresh key: a re-set whose size lands in another class sheds its stale
-// old-class entry in the replay (Tenant.admit). The caller must hold sh.mu.
-// prev may be an expired record: its structural entry is still resident until
-// an expiry or admission event removes it, so its size must be accounted the
-// same way a live one's is.
+// key), and buffers the admission event describing it. The event carries the
+// old charged size when a previous record existed, 0 for a fresh key: a
+// re-set whose size lands in another class sheds its stale old-class entry in
+// the replay (Tenant.admit). The caller must hold sh.mu and end the section
+// with release. prev may be an expired record: its structural entry is still
+// resident until an expiry or admission event removes it, so its size must be
+// accounted the same way a live one's is. The record is stamped and pending
+// until the admission replays (see dropVictim), and forgets its queue node: a
+// cross-class re-set moves it.
 //
 // Allocation discipline: a re-set keeps prev's record and interned key but
 // always installs a fresh chunk and retires the old one to quarantine
@@ -315,7 +319,7 @@ func (e *tenantEntry) markAdmitted(key string, seq uint64, node *cache.Node) {
 // retired one cycles back through epoch reclamation, so a steady-state write
 // allocates nothing. A fresh key pops a pooled record and a recycled chunk;
 // only the interned key string is born on the heap.
-func (e *tenantEntry) setLocked(sh *valueShard, key []byte, prev *item, head, tail []byte, flags uint32, expires, now int64) (*item, event) {
+func (e *tenantEntry) setLocked(sh *valueShard, key []byte, prev *item, head, tail []byte, flags uint32, expires, now int64) {
 	sh.casCounter++
 	size := int64(len(key) + len(head) + len(tail))
 	value := e.newValueLocked(sh, size, len(head)+len(tail))
@@ -337,7 +341,10 @@ func (e *tenantEntry) setLocked(sh *valueShard, key []byte, prev *item, head, ta
 	e.setExpiresLocked(it, expires)
 	it.setAt = now
 	ev.key = it.key
-	return it, ev
+	e.bk.bufferLocked(sh, &ev)
+	it.seq = ev.seq
+	it.pendingAdmit = true
+	it.node = nil
 }
 
 // setExpiresLocked gives it the expiry deadline expires (0 = never), latching
@@ -352,57 +359,36 @@ func (e *tenantEntry) setExpiresLocked(it *item, expires int64) {
 }
 
 // removeLocked drops it from the directory, recycles its chunk and record,
-// and returns the structural event (kind: delete, expiry, migration) that
+// and buffers the structural event (kind: delete, expiry, migration) that
 // tells the bookkeeper, keyed by the record's interned key. The caller must
-// hold sh.mu and must not touch it afterwards.
-func (e *tenantEntry) removeLocked(sh *valueShard, it *item, kind eventKind) event {
+// hold sh.mu, must end the section with release and must not touch it
+// afterwards.
+func (e *tenantEntry) removeLocked(sh *valueShard, it *item, kind eventKind) {
 	ev := event{kind: kind, key: it.key, size: it.size}
 	delete(sh.items, it.key)
 	e.freeValueLocked(sh, it.size, it.value)
 	sh.putItemLocked(it)
-	return ev
+	e.bk.bufferLocked(sh, &ev)
 }
 
 // removeWhere removes every record of sh that drop selects, looking at no
-// more than limit records (0: the whole shard), and buffers a removal event of
-// kind for each (delete, expiry, migration), so the structural removals
-// replay in arrival order with racing mutations of the same keys. The caller
-// must hold neither a shard lock nor bk.mu: the removals' finish may replay.
+// more than limit records (0: the whole shard), in one critical section that
+// buffers a removal event of kind for each (delete, expiry, migration), so the
+// structural removals replay in arrival order with racing mutations of the
+// same keys, and settles once. The caller must hold neither a shard lock nor
+// bk.mu: release may replay.
 func (e *tenantEntry) removeWhere(sh *valueShard, kind eventKind, limit int, drop func(*item) bool) {
-	var acts []recordAction
 	sh.mu.Lock()
 	scanned := 0
 	for _, it := range sh.items {
 		if drop(it) {
-			ev := e.removeLocked(sh, it, kind)
-			acts = append(acts, e.bk.bufferLocked(sh, &ev))
+			e.removeLocked(sh, it, kind)
 		}
 		if scanned++; scanned == limit {
 			break
 		}
 	}
-	sh.mu.Unlock()
-	for _, act := range acts {
-		e.bk.finish(sh, act)
-	}
-}
-
-// bufferMutationLocked buffers the admission event of the record it that
-// setLocked just wrote and stamps the record with the assigned sequence, so
-// eviction replay can tell it apart from the older record the event
-// supersedes (see dropVictim). The record forgets its queue node until the
-// admission replays and names the one it placed the key under: a cross-class
-// re-set moves the key to another queue. The caller must hold sh.mu.
-func (e *tenantEntry) bufferMutationLocked(sh *valueShard, it *item, ev *event) recordAction {
-	act := e.bk.bufferLocked(sh, ev)
-	it.seq = ev.seq
-	// Pending until the admission replays — in synchronous mode that happens
-	// inside the finish call that follows, but the flag still shields the
-	// record from a concurrent eviction's victim drop in the window before
-	// this mutation's own apply runs.
-	it.pendingAdmit = ev.seq != 0
-	it.node = nil
-	return act
+	e.bk.release(sh)
 }
 
 // fnv1a64 is the FNV-1a hash used to stripe keys across value shards; the
@@ -725,19 +711,18 @@ func (s *Store) deadNow(e *tenantEntry, it *item) bool {
 
 // liveLocked is the one directory probe: it returns key's record if present
 // and not dead (TTL lapsed or flushed). A dead record is removed, its chunk
-// and record recycled, and its expiry event buffered, whose action comes
-// back as expAct (actNone when nothing died); the caller must hold sh.mu, and
-// after unlocking must finish expAct before finishing any event it buffers
-// itself (per-key arrival order). A byte key rides Go's allocation-free
+// and record recycled, and its expiry event buffered ahead of any event the
+// caller buffers (per-key arrival order); the caller must hold sh.mu and end
+// the section with release. A byte key rides Go's allocation-free
 // m[string(b)] lookup. The clock is only consulted for records that can die
 // at all.
-func liveLocked[K ~string | ~[]byte](s *Store, e *tenantEntry, sh *valueShard, key K) (it *item, expAct recordAction) {
-	it = sh.items[string(key)]
+func liveLocked[K ~string | ~[]byte](s *Store, e *tenantEntry, sh *valueShard, key K) *item {
+	it := sh.items[string(key)]
 	if it == nil || !s.deadNow(e, it) {
-		return it, actNone
+		return it
 	}
-	exp := e.removeLocked(sh, it, evExpire)
-	return nil, e.bk.bufferLocked(sh, &exp)
+	e.removeLocked(sh, it, evExpire)
+	return nil
 }
 
 // ItemView is a borrowed read of a resident item: Value points straight into
@@ -822,7 +807,7 @@ func (r *Reader) Get(key []byte) (ItemView, bool) {
 	e := r.e
 	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, expAct := liveLocked(r.s, e, sh, key)
+	it := liveLocked(r.s, e, sh, key)
 	// Drive the eviction/shadow structures with the charged size recorded at
 	// admission, so the lookup lands on the slab class that actually holds the
 	// key. Buffered in the same critical section as the record read, so
@@ -845,10 +830,8 @@ func (r *Reader) Get(key []byte) (ItemView, bool) {
 		}
 		out = ItemView{Value: it.value, Flags: it.flags, CAS: it.cas}
 	}
-	act := e.bk.bufferLocked(sh, &ev)
-	sh.mu.Unlock()
-	e.bk.finish(sh, expAct)
-	e.bk.finish(sh, act)
+	e.bk.bufferLocked(sh, &ev)
+	e.bk.release(sh)
 	return out, it != nil
 }
 
@@ -960,8 +943,8 @@ const (
 // write is the one locked body of every verb that stores a record. Under the
 // shard lock it checks the dying fence, reads the record, lets the verb
 // decide, checks the size against the largest slab class and installs the
-// value (setLocked); the admission event is buffered in the same critical
-// section and finished after the unlock. SET reads the record alive or dead —
+// value (setLocked), which buffers the admission event in the same critical
+// section; release ends it. SET reads the record alive or dead —
 // a dead record's structural entry is still resident, so the admission must
 // shed it — and every other verb reads the live record only (liveLocked),
 // shedding a dead one as an expiry. arg is cas's token or incr and decr's
@@ -988,9 +971,9 @@ func (s *Store) write(tenant string, key []byte, verb writeVerb, value []byte, f
 		sh.mu.Unlock()
 		return CASNotFound, 0, ErrNoTenant{tenant}
 	}
-	it, expAct := sh.items[string(key)], actNone
+	it := sh.items[string(key)]
 	if verb != verbSet {
-		it, expAct = liveLocked(s, e, sh, key)
+		it = liveLocked(s, e, sh, key)
 	}
 	var num [20]byte
 	head, tail, expires := value, []byte(nil), s.deadline(exptime)
@@ -1029,15 +1012,11 @@ func (s *Store) write(tenant string, key []byte, verb writeVerb, value []byte, f
 		err = errTooLarge(string(key), size)
 	}
 	if res != CASStored || err != nil {
-		sh.mu.Unlock()
-		e.bk.finish(sh, expAct)
+		e.bk.release(sh)
 		return res, n, err
 	}
-	it, ev := e.setLocked(sh, key, it, head, tail, flags, expires, s.cfg.Now())
-	act := e.bufferMutationLocked(sh, it, &ev)
-	sh.mu.Unlock()
-	e.bk.finish(sh, expAct)
-	e.bk.finish(sh, act)
+	e.setLocked(sh, key, it, head, tail, flags, expires, s.cfg.Now())
+	e.bk.release(sh)
 	return res, n, e.admitOutcome(tenant, sh, key)
 }
 
@@ -1058,7 +1037,7 @@ func addDelta(value []byte, delta uint64, decr bool) (uint64, bool) {
 }
 
 // admitOutcome reports the does-not-fit error of an admission its producer
-// applied (synchronous mode, or after Close): by the time finish has
+// applied (synchronous mode, or after Close): by the time release has
 // returned, a bounced key's record has been dropped by the replay
 // (dropVictim), so a missing record means the key did not fit its tenant.
 // Asynchronous admissions settle later and always report nil (the value is
@@ -1088,7 +1067,7 @@ func (s *Store) Touch(tenant string, key []byte, exptime int64) (bool, error) {
 	expires := s.deadline(exptime)
 	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, expAct := liveLocked(s, e, sh, key)
+	it := liveLocked(s, e, sh, key)
 	// A touch refreshes recency in the eviction queues but is accounted
 	// into its own counters (cmd_touch/touch_hits), never the GET hit rate.
 	// Like a GET it is sized by the resident record's charge and carries its
@@ -1101,10 +1080,8 @@ func (s *Store) Touch(tenant string, key []byte, exptime int64) (bool, error) {
 		e.setExpiresLocked(it, expires)
 		ev.key, ev.size, ev.node = it.key, it.size, it.node
 	}
-	act := e.bk.bufferLocked(sh, &ev)
-	sh.mu.Unlock()
-	e.bk.finish(sh, expAct)
-	e.bk.finish(sh, act)
+	e.bk.bufferLocked(sh, &ev)
+	e.bk.release(sh)
 	return it != nil, nil
 }
 
@@ -1118,15 +1095,11 @@ func (s *Store) Delete(tenant, key string) (bool, error) {
 	}
 	sh := shardFor(e, key)
 	sh.mu.Lock()
-	it, expAct := liveLocked(s, e, sh, key)
-	rmAct := actNone
+	it := liveLocked(s, e, sh, key)
 	if it != nil {
-		rm := e.removeLocked(sh, it, evRemove)
-		rmAct = e.bk.bufferLocked(sh, &rm)
+		e.removeLocked(sh, it, evRemove)
 	}
-	sh.mu.Unlock()
-	e.bk.finish(sh, expAct)
-	e.bk.finish(sh, rmAct)
+	e.bk.release(sh)
 	return it != nil, nil
 }
 
@@ -1161,12 +1134,10 @@ func (s *Store) FlushAll(tenant string, exptime int64) error {
 // arrival order with racing mutations on the same keys. (A direct replay
 // used to let a concurrent SET's still-buffered admission apply after the
 // flush's removal, leaving a structural entry whose record the flush had
-// already dropped — a permanent UsedBytes leak.)
+// already dropped — a permanent UsedBytes leak.) Each shard is one critical
+// section that settles once, so a flush applies each shard at most once.
 func (s *Store) flushNow(e *tenantEntry) error {
 	e.flushAt.Store(0)
-	// Settle in-flight bookkeeping first to keep the flush's own event burst
-	// small; correctness comes from the per-shard buffer order alone.
-	e.bk.sweep()
 	for i := range e.shards {
 		e.removeWhere(&e.shards[i], evRemove, 0, func(*item) bool { return true })
 	}

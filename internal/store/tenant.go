@@ -150,14 +150,6 @@ type TenantConfig struct {
 	// StaticClassBytes gives fixed per-class budgets for AllocStatic,
 	// indexed by slab class. Classes without an entry get a minimal budget.
 	StaticClassBytes map[int]int64
-	// ReservedBytes is the floor below which the cross-tenant arbiter never
-	// shrinks this tenant — Memshare's reserved memory, with the remainder
-	// of the reservation pooled. Zero defaults to half the reservation for
-	// AllocMemshare tenants; other modes are never arbitrated, so the value
-	// is informational there. It extends core.Config.MinQueueBytes one
-	// level up: MinQueueBytes floors a queue within a tenant, ReservedBytes
-	// floors the tenant within the server.
-	ReservedBytes int64
 }
 
 // ClassStats reports per-slab-class counters.
@@ -227,8 +219,9 @@ type Tenant struct {
 	queues []*core.Queue
 
 	// reserved is the arbiter floor: the part of the original reservation
-	// cross-tenant arbitration can never take away, fixed at construction
-	// (the reservation itself changes as the tenant is resized).
+	// cross-tenant arbitration can never take away, half of it for an
+	// AllocMemshare tenant and 0 otherwise, fixed at construction (the
+	// reservation itself changes as the tenant is resized).
 	reserved int64
 
 	// Counters. The tenant's requests, hits and misses are the sums of the
@@ -253,13 +246,8 @@ func NewTenant(cfg TenantConfig) (*Tenant, error) {
 	t.classMiss = make([]int64, n)
 	t.classEvict = make([]int64, n)
 
-	t.reserved = cfg.ReservedBytes
-	if t.reserved <= 0 && cfg.Mode == AllocMemshare {
+	if cfg.Mode == AllocMemshare {
 		t.reserved = cfg.MemoryBytes / 2
-	}
-	if t.reserved > cfg.MemoryBytes {
-		return nil, fmt.Errorf("store: tenant %q reserved floor %d exceeds its %d-byte reservation",
-			cfg.Name, t.reserved, cfg.MemoryBytes)
 	}
 
 	if cfg.Mode != AllocCliffhanger && cfg.Mode != AllocMemshare {
