@@ -165,8 +165,9 @@ type bookkeeper struct {
 }
 
 // recordAction is what a shard's critical section owes the accounting plane
-// (valueShard.act): release takes the strongest its events asked for, once,
-// since one apply replays all of them and one sweep replays every shard.
+// (valueShard.act), the constants in ascending strength: release takes the
+// strongest its events asked for, once, since one apply replays all of them
+// and one sweep replays every shard.
 type recordAction uint8
 
 const (
