@@ -29,7 +29,11 @@ race:
 # so a read after retire fails every time instead of one run in many
 # (setLocked retiring the old value before the copy fails
 # TestStoreVerbSemantics on every run; Reader.Get without its pin fails
-# TestArenaRunReadersVsFrees). The fourth line is the tenant switch on both
+# TestArenaRunReadersVsFrees). Both store lines run the differential oracle:
+# FuzzStoreMatchesReference's seed corpus (a synchronous store against a naive
+# reference cache, every mode within capacity and both unmanaged modes under
+# eviction pressure) and TestStoreMatchesReferenceAsync, its asynchronous
+# twin. The fourth line is the tenant switch on both
 # sides of the socket: the client's deferred tenant line against scripted
 # and real servers, the server's one-write answer, and the two switch alloc
 # gates. On internal/server it
@@ -134,12 +138,14 @@ conformance:
 # three apply-regime tests ride along (one maintenance goroutine per store,
 # the producer sweep and its bound, the backlog bound under overload): at one
 # and two Ps a request's sweep and the maintenance tick interleave differently.
-# So does the stale-node test: GETs whose records' queue nodes go stale behind
-# a held bookkeeper lock must settle to what a synchronous store reads. The
+# So does the stale-node test: GETs, deletes, expiries and re-sets whose
+# records' queue nodes go stale, or whose admissions are still pending, behind
+# a held bookkeeper lock must settle to what a synchronous store holds, and so
+# does the asynchronous run of the differential oracle. The
 # last two pin one settle per critical section: a flush_all of 100 000 records
 # moves inline_applies and producer_sweeps by at most one per shard, and an
 # add that sheds a dead record past the high-water mark applies once.
-FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestProducerSweepsAtTheBatchBoundary|TestBacklogBoundedUnderOverload|TestStaleNodesThroughStore|TestFlushIsNotOverload|TestOneSectionSettlesOnce
+FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestProducerSweepsAtTheBatchBoundary|TestBacklogBoundedUnderOverload|TestStaleNodesThroughStore|TestStoreMatchesReferenceAsync|TestFlushIsNotOverload|TestOneSectionSettlesOnce
 FITS_COUNT ?= 200
 FITS_RACE_COUNT ?= 20
 fits:

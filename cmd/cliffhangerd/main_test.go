@@ -58,6 +58,14 @@ func TestStatsTick(t *testing.T) {
 		}
 	}
 	// The server counts a command before it answers it, so all are counted.
+	// It puts the session back in the pool only after the answer is out, so
+	// the tick waits for the connection to park: taken earlier, it could
+	// read active_sessions 1 where the later stats read gives 0.
+	for deadline := time.Now().Add(5 * time.Second); srv.ConnStats().ActiveSessions != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the connection has not parked after 5s: %+v", srv.ConnStats())
+		}
+	}
 	second := tk.next(t0.Add(3 * time.Second))
 
 	var buf bytes.Buffer

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cliffhanger/internal/cache"
@@ -59,8 +60,8 @@ func TestHitResizeVictimsAreDropped(t *testing.T) {
 	}
 }
 
-// TestStaleNodesThroughStore holds the sweep while GETs are made whose
-// records' queue nodes go stale, or have none, before the GETs replay:
+// TestStaleNodesThroughStore holds the sweep while requests are made whose
+// records' queue nodes go stale, or have none, before the requests replay:
 //
 //   - a GET between a cross-class re-set and the replay of its re-admission
 //     (the record has forgotten its old class's node and has no new one yet);
@@ -68,11 +69,16 @@ func TestHitResizeVictimsAreDropped(t *testing.T) {
 //     which has no node until the re-admission replays);
 //   - a GET of a record whose key the replay of earlier SETs evicts and
 //     pushes off the end of its queue, and whose node the next admission
-//     reuses for another key.
+//     reuses for another key;
+//   - a delete of a record whose admission is pending;
+//   - a TTL expiry of such a record (a GET past its deadline);
+//   - a cross-class re-set of such a record;
+//   - a set, a GET and a delete of one key, all inside one pending window.
 //
-// Each must leave per-class hits and misses, Items and the audit as a
-// synchronous store running the same ops does, and the asynchronous run must
-// have probed where the synchronous one went through the node.
+// Each must settle to what a synchronous store running the same ops holds:
+// per-class hits and misses, Items, UsedBytes, the removal counters and a
+// clean conservation audit, with no resident queue entry left that has no
+// record.
 func TestStaleNodesThroughStore(t *testing.T) {
 	// A queue small enough that a key falls off the end of its chain after
 	// a few dozen admissions: 18 class-0 items, tail window and cliff shadow
@@ -85,12 +91,13 @@ func TestStaleNodesThroughStore(t *testing.T) {
 	cfg.CliffShadowItems = 2
 	small, big := make([]byte, 10), make([]byte, 100)
 	const key = "key"
+	var clock atomic.Int64 // each run starts it at 1000
 
 	type script struct {
 		name string
-		// before runs with the sweep free and ops with it held (on the
-		// asynchronous run). held checks the key's record as it was when the
-		// sweep was released, after the node it had before the hold
+		// before, if any, runs with the sweep free and ops with it held (on
+		// the asynchronous run). held checks the key's record as it was when
+		// the sweep was released, after the node it had before the hold
 		// (asynchronous run only).
 		before, ops func(t *testing.T, s *Store)
 		held        func(t *testing.T, it item)
@@ -141,27 +148,70 @@ func TestStaleNodesThroughStore(t *testing.T) {
 				}
 			},
 		},
+		{
+			name: "delete of a pending admission",
+			ops: func(t *testing.T, s *Store) {
+				mustSet(t, s, key, small)
+				s.Delete("app", key)
+			},
+		},
+		{
+			name: "expiry of a pending admission",
+			ops: func(t *testing.T, s *Store) {
+				if err := setItem(s, "app", key, small, 0, 1); err != nil {
+					t.Fatal(err)
+				}
+				clock.Add(2)
+				get(s, "app", key) // sheds it as an expiry, then misses
+			},
+		},
+		{
+			name: "cross-class re-set of a pending admission",
+			ops: func(t *testing.T, s *Store) {
+				mustSet(t, s, key, small)
+				mustSet(t, s, key, big)
+				get(s, "app", key)
+			},
+			held: func(t *testing.T, it item) {
+				if !it.pendingAdmit || it.node != nil {
+					t.Fatalf("re-set record: pending=%v node=%p, want a pending record without a node", it.pendingAdmit, it.node)
+				}
+			},
+		},
+		{
+			name: "set, get and delete in one window",
+			ops: func(t *testing.T, s *Store) {
+				mustSet(t, s, key, small)
+				get(s, "app", key)
+				s.Delete("app", key)
+			},
+		},
 	}
 	type outcome struct {
-		classes      [][4]int64 // class, requests, hits, misses
-		items        int
-		replayProbes int64
+		classes                [][4]int64 // class, requests, hits, misses
+		items                  int
+		used                   int64
+		sets, deletes, expired int64
 	}
 	run := func(t *testing.T, sc script, syncBk bool) outcome {
-		s := New(Config{DefaultMode: AllocCliffhanger, Cliffhanger: cfg, SyncBookkeeping: syncBk})
+		clock.Store(1000)
+		s := New(Config{DefaultMode: AllocCliffhanger, Cliffhanger: cfg, SyncBookkeeping: syncBk, Now: clock.Load})
 		defer s.Close()
 		if err := s.RegisterTenant("app", 16*64); err != nil {
 			t.Fatal(err)
 		}
-		sc.before(t, s)
-		s.Flush()
 		e, _ := s.entry("app")
 		sh := shardFor(e, key)
-		sh.mu.Lock()
-		stale := sh.items[key].node
-		sh.mu.Unlock()
-		if stale == nil {
-			t.Fatal("a settled record remembers no node")
+		var stale *cache.Node
+		if sc.before != nil {
+			sc.before(t, s)
+			s.Flush()
+			sh.mu.Lock()
+			stale = sh.items[key].node
+			sh.mu.Unlock()
+			if stale == nil {
+				t.Fatal("a settled record remembers no node")
+			}
 		}
 		// Only the asynchronous side holds the sweep: a synchronous request
 		// applies its own events, and would wait on the held lock. Released
@@ -193,24 +243,27 @@ func TestStaleNodesThroughStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out outcome
+		out := outcome{sets: st.Sets, deletes: st.Deletes, expired: st.Expired}
 		for _, c := range st.Classes {
 			out.classes = append(out.classes, [4]int64{int64(c.Class), c.Requests, c.Hits, c.Misses})
 		}
 		out.items, _ = s.Items("app")
-		out.replayProbes = st.ReplayProbes
+		out.used, _ = s.UsedBytes("app")
+		e.bk.mu.Lock()
+		queued := queuedItems(e.tenant)
+		e.bk.mu.Unlock()
+		if queued != out.items {
+			t.Fatalf("the queues hold %d resident entries, the directory %d records", queued, out.items)
+		}
 		return out
 	}
 	for _, sc := range cases {
 		t.Run(sc.name, func(t *testing.T) {
 			want, got := run(t, sc, true), run(t, sc, false)
-			if !reflect.DeepEqual(got.classes, want.classes) || got.items != want.items {
-				t.Fatalf("async: classes %v, %d items; sync: classes %v, %d items", got.classes, got.items, want.classes, want.items)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("async: %+v; sync: %+v", got, want)
 			}
-			if got.replayProbes <= want.replayProbes {
-				t.Fatalf("async replay probed %d times, sync %d: the held GETs did not fall back", got.replayProbes, want.replayProbes)
-			}
-			t.Logf("classes %v, %d items; replay probes async %d, sync %d", got.classes, got.items, got.replayProbes, want.replayProbes)
+			t.Logf("%+v", got)
 		})
 	}
 }

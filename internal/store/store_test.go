@@ -1209,7 +1209,16 @@ func TestStoreVerbSemantics(t *testing.T) {
 		if sync {
 			name = "states/sync"
 		}
-		t.Run(name, func(t *testing.T) { verbStateTable(t, sync) })
+		t.Run(name, func(t *testing.T) {
+			verbStateTable(t, func(now func() int64) (verbCache, func()) {
+				s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: sync, Now: now})
+				release := HoldMaintenance(s)
+				if err := s.RegisterTenant("app", 4<<20); err != nil {
+					t.Fatal(err)
+				}
+				return s, func() { release(); s.Close() }
+			})
+		})
 	}
 }
 
@@ -1229,19 +1238,11 @@ type verbOutcome struct {
 // an absent key, while SET writes over it without counting an expiry. The
 // asynchronous store is read after Flush (Stats, Items and UsedBytes settle),
 // with the maintenance tick held so the reaper cannot shed a dead record
-// before the verb arrives.
-func verbStateTable(t *testing.T, sync bool) {
+// before the verb arrives. open gives a fresh 4 MiB AllocDefault tenant "app"
+// on the clock now, a Store's or the reference's, and the func that closes it.
+func verbStateTable(t *testing.T, open func(now func() int64) (verbCache, func())) {
 	const key = "k"
-	recordCAS := func(s *Store) uint64 {
-		e, _ := s.entry("app")
-		sh := shardFor(e, key)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if it := sh.items[key]; it != nil {
-			return it.cas
-		}
-		return 0
-	}
+	recordCAS := func(s verbCache) uint64 { return casOf(s, key) }
 	stored := func(ok bool, err error) string {
 		switch {
 		case err != nil:
@@ -1271,41 +1272,37 @@ func verbStateTable(t *testing.T, sync bool) {
 	states := []string{"absent", "live", "dead by TTL", "dead by flush_all"}
 	rows := []struct {
 		verb string
-		do   func(s *Store) string
+		do   func(s verbCache) string
 		want [4]verbOutcome
 	}{
-		{"set", func(s *Store) string { return stored(true, setItem(s, "app", key, v, 0, 0)) }, [4]verbOutcome{
+		{"set", func(s verbCache) string { return stored(true, setItem(s, "app", key, v, 0, 0)) }, [4]verbOutcome{
 			{"STORED", 1, 0, 0, 0, 0, 1}, {"STORED", 1, 0, 0, 0, 0, 1}, {"STORED", 1, 0, 0, 0, 0, 1}, {"STORED", 1, 0, 0, 0, 0, 1}}},
-		{"add", func(s *Store) string { return stored(s.Add("app", []byte(key), v, 0, 0)) }, [4]verbOutcome{
+		{"add", func(s verbCache) string { return stored(s.Add("app", []byte(key), v, 0, 0)) }, [4]verbOutcome{
 			{"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 0, 0, 0, 0, 1}, {"STORED", 1, 1, 0, 0, 0, 1}, {"STORED", 1, 1, 0, 0, 0, 1}}},
-		{"replace", func(s *Store) string { return stored(s.Replace("app", []byte(key), v, 0, 0)) }, [4]verbOutcome{
+		{"replace", func(s verbCache) string { return stored(s.Replace("app", []byte(key), v, 0, 0)) }, [4]verbOutcome{
 			{"NOT_STORED", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}}},
-		{"cas", func(s *Store) string { return cas(s.CompareAndSwap("app", []byte(key), v, 0, 0, recordCAS(s))) }, [4]verbOutcome{
+		{"cas", func(s verbCache) string { return cas(s.CompareAndSwap("app", []byte(key), v, 0, 0, recordCAS(s))) }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
-		{"cas wrong token", func(s *Store) string { return cas(s.CompareAndSwap("app", []byte(key), v, 0, 0, recordCAS(s)+1)) }, [4]verbOutcome{
+		{"cas wrong token", func(s verbCache) string { return cas(s.CompareAndSwap("app", []byte(key), v, 0, 0, recordCAS(s)+1)) }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"EXISTS", 0, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
-		{"append", func(s *Store) string { return stored(appendTo(s, "app", key, []byte("5"), false)) }, [4]verbOutcome{
+		{"append", func(s verbCache) string { return stored(appendTo(s, "app", key, []byte("5"), false)) }, [4]verbOutcome{
 			{"NOT_STORED", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}}},
-		{"prepend", func(s *Store) string { return stored(appendTo(s, "app", key, []byte("5"), true)) }, [4]verbOutcome{
+		{"prepend", func(s verbCache) string { return stored(appendTo(s, "app", key, []byte("5"), true)) }, [4]verbOutcome{
 			{"NOT_STORED", 0, 0, 0, 0, 0, 0}, {"STORED", 1, 0, 0, 0, 0, 1}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}, {"NOT_STORED", 0, 1, 0, 0, 0, 0}}},
-		{"incr", func(s *Store) string { return number(s.Incr("app", []byte(key), 1)) }, [4]verbOutcome{
+		{"incr", func(s verbCache) string { return number(s.Incr("app", []byte(key), 1)) }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"11", 1, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
-		{"decr", func(s *Store) string { return number(s.Decr("app", []byte(key), 1)) }, [4]verbOutcome{
+		{"decr", func(s verbCache) string { return number(s.Decr("app", []byte(key), 1)) }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"9", 1, 0, 0, 0, 0, 1}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
-		{"touch", func(s *Store) string { ok, err := s.Touch("app", []byte(key), 0); return found(ok, err, "TOUCHED") }, [4]verbOutcome{
+		{"touch", func(s verbCache) string { ok, err := s.Touch("app", []byte(key), 0); return found(ok, err, "TOUCHED") }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 1, 0, 0}, {"TOUCHED", 0, 0, 0, 1, 1, 1}, {"NOT_FOUND", 0, 1, 0, 1, 0, 0}, {"NOT_FOUND", 0, 1, 0, 1, 0, 0}}},
-		{"delete", func(s *Store) string { ok, err := s.Delete("app", key); return found(ok, err, "DELETED") }, [4]verbOutcome{
+		{"delete", func(s verbCache) string { ok, err := s.Delete("app", key); return found(ok, err, "DELETED") }, [4]verbOutcome{
 			{"NOT_FOUND", 0, 0, 0, 0, 0, 0}, {"DELETED", 0, 0, 1, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}, {"NOT_FOUND", 0, 1, 0, 0, 0, 0}}},
 	}
 	chunk := slab.DefaultGeometry().ChunkSize(0)
 	for _, row := range rows {
 		for i, state := range states {
 			clock := int64(1000)
-			s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: sync, Now: func() int64 { return clock }})
-			release := HoldMaintenance(s)
-			if err := s.RegisterTenant("app", 4<<20); err != nil {
-				t.Fatal(err)
-			}
+			s, done := open(func() int64 { return clock })
 			if state != "absent" {
 				exptime := int64(0)
 				if state == "dead by TTL" {
@@ -1335,8 +1332,7 @@ func verbStateTable(t *testing.T, sync bool) {
 				t.Errorf("%s on a %s record: got %+v, %d bytes used; want %+v, %d bytes used",
 					row.verb, state, got, used, want, int64(want.items)*chunk)
 			}
-			release()
-			s.Close()
+			done()
 		}
 	}
 }
