@@ -120,10 +120,10 @@ count:
 # default:64 store is loaded with 8192 keys that fit thirty times over, and
 # `stats` must report no miss and `stats cliffhanger` no eviction, no relaxed
 # pointer and even partitions. Then the stats schema: every group's field
-# names, in wire order, for a fixed store state. Last, replay_probes stays flat
-# over settled GET hits at shipped defaults, each replay going through the
-# queue node its record remembers, and over touches of absent keys, whose
-# events carry no key.
+# names, in wire order, for a fixed store state. Last, settled GET hits at
+# shipped defaults all hit, each replay going through the queue node its
+# record remembers (no class queue indexes resident keys), and touches of
+# absent keys, whose events carry no key, move only the touch counters.
 conformance:
 	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits|TestServerStatsSchema|TestServerSettledHitsProbeNothing|TestServerTouchMissesProbeNothing' -v ./internal/server/
 
@@ -171,9 +171,9 @@ fits:
 # loop whose own requests sweep at the batch boundary; streaming client
 # pipelined GET <= 1 amortized over a real socket; a tenant switch between registered
 # tenants = 0 in the server, switch + GET <= 1 through client and server; in a
-# full, split class queue a hit = 0, by key or through the remembered node
-# that a replayed GET hit carries, and an evicting admission <= 1, the
-# victims it returns). An accidental allocation on the mutation path fails the
+# full, split class queue a hit = 0 through the remembered node that a
+# replayed GET hit carries, and an evicting admission <= 1, the victims it
+# returns). An accidental allocation on the mutation path fails the
 # build, not a future benchmark run.
 alloccheck:
 	$(GO) test -count=1 -run 'TestAllocGate' -v ./internal/server/ ./internal/store/ ./internal/client/ ./internal/core/

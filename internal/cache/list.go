@@ -5,8 +5,9 @@
 //
 //   - List and Node are the only linked list in the repository. core.Queue
 //     links its entries with it: its eight segments (front, tail window,
-//     cliff shadow and hill shadow of two partitions) are Lists over nodes
-//     that the queue's one index owns. LRU links its entries with it too.
+//     cliff shadow and hill shadow of two partitions) are Lists over its
+//     nodes, which hold their keys only while resident. LRU links its
+//     entries with it too.
 //   - LRU is a stand-alone memcached eviction queue with its own index. The
 //     product no longer uses it: every allocation mode's class queues are
 //     core.Queues, and the unmanaged ones (default, static, global-LRU) are
@@ -34,11 +35,23 @@ package cache
 // and linked into another, keeping its identity.
 type Node struct {
 	prev, next *Node
-	Key        string
-	Cost       int64
+	// Key is the entry's key while it is resident; Hash(Key) stays.
+	Key  string
+	Hash uint64
+	Cost int64
 	// Aux is scratch space for the owner's per-entry metadata (for a
 	// core.Queue entry, the queue and segment it is linked in).
 	Aux int64
+}
+
+// Hash is the repository's one key hash, 64-bit FNV-1a, generic so that
+// string- and byte-keyed callers agree.
+func Hash[K ~string | ~[]byte](key K) uint64 {
+	h := uint64(14695981039346656037) // the FNV-64 offset basis
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211 // the FNV-64 prime
+	}
+	return h
 }
 
 // List is a doubly-linked list with a sentinel root, modelled after

@@ -4,6 +4,7 @@ package cache
 // queue overflowed or because it was resized below its current usage.
 type Victim struct {
 	Key  string
+	Hash uint64 // the key's Hash, from a core.Queue only
 	Cost int64
 }
 

@@ -123,18 +123,3 @@ func (c Config) CliffScalingOnly() Config {
 	c.EnableHillClimbing = false
 	return c
 }
-
-// fnv1a is a tiny inline FNV-1a hash used for request splitting; it avoids
-// allocating a hash.Hash64 per request.
-func fnv1a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"cliffhanger/internal/cache"
 )
 
 // itemCfg returns a config scaled to unit-cost-1 items for compact tests:
@@ -88,10 +90,10 @@ func TestQueueBasicHitMissEvict(t *testing.T) {
 	if _, ok := m.Access("nope", "a", 1); ok {
 		t.Fatalf("unknown queue ID should report ok=false")
 	}
-	if !m.QueueAt(0).Contains("a") || m.QueueAt(0).Contains("zzz") {
-		t.Fatalf("Contains misbehaving")
+	if !m.holds(0, "a") || m.holds(0, "zzz") {
+		t.Fatalf("Holds misbehaving")
 	}
-	if !m.QueueAt(0).Remove("a") || m.QueueAt(0).Remove("a") {
+	if n := m.placed[0]["a"]; !m.QueueAt(0).Remove("a", n) || m.QueueAt(0).Remove("a", n) {
 		t.Fatalf("Remove misbehaving")
 	}
 }
@@ -132,7 +134,7 @@ func TestQueueEvictionReportsVictims(t *testing.T) {
 		t.Fatalf("caller tracks %d resident keys, queue reports %d", len(resident), m.QueueAt(0).Items())
 	}
 	for k := range resident {
-		if !m.QueueAt(0).Contains(k) {
+		if !m.holds(0, k) {
 			t.Fatalf("key %q tracked resident but not in queue", k)
 		}
 	}
@@ -681,16 +683,16 @@ func TestResizeOnMissAblation(t *testing.T) {
 }
 
 func TestFNV1aStability(t *testing.T) {
-	// The splitter depends on fnv1a being deterministic and well spread.
-	if fnv1a("hello") == fnv1a("world") {
+	// The splitter depends on cache.Hash being deterministic and well spread.
+	if cache.Hash("hello") == cache.Hash("world") {
 		t.Fatalf("suspicious collision")
 	}
-	if fnv1a("abc") != fnv1a("abc") {
+	if cache.Hash("abc") != cache.Hash("abc") {
 		t.Fatalf("hash must be deterministic")
 	}
 	buckets := [16]int{}
 	for i := 0; i < 10000; i++ {
-		buckets[fnv1a(fmt.Sprintf("key-%d", i))%16]++
+		buckets[cache.Hash(fmt.Sprintf("key-%d", i))%16]++
 	}
 	for b, c := range buckets {
 		if c < 300 || c > 1000 {

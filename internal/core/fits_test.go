@@ -46,12 +46,13 @@ func newPagedManager(t *testing.T, cfg Config, pages int64, queues int) *pagedMa
 func (pm *pagedManager) admit(i int, key string) AccessOutcome {
 	q := pm.QueueAt(i)
 	var victims []cache.Victim
-	for pm.free > 0 && !q.HasRoom(key, fitsUnit) {
+	for pm.free > 0 && !q.HasRoom(cache.Hash(key), fitsUnit) {
 		pm.free--
 		q.Grow(fitsPage)
 		victims = append(victims, q.ForceApplyResize()...)
 	}
-	out, _ := pm.AccessAt(i, key, fitsUnit)
+	out, n := pm.AccessAt(i, key, cache.Hash(key), pm.placed[i][key], fitsUnit)
+	pm.placed[i][key] = n
 	out.Evicted = append(victims, out.Evicted...)
 	return out
 }
@@ -88,7 +89,7 @@ func TestWorkingSetThatFitsMissesOnce(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				for i := 0; i < keys; i++ {
 					q, k := key(i)
-					if hit, _, _ := pm.QueueAt(q).AccessResident(k, nil, fitsUnit); !hit {
+					if hit, _ := pm.QueueAt(q).AccessResident(k, pm.placed[q][k], fitsUnit); !hit {
 						t.Fatalf("pass %d: key %d missed although the working set fits twice", pass, i)
 					}
 				}
@@ -188,7 +189,7 @@ func TestGrowCarriesHomePointers(t *testing.T) {
 // sibling had slack.
 func TestHasRoomAsksTheRoutedPartition(t *testing.T) {
 	cfg := DefaultConfig().CliffScalingOnly()
-	q := newQueue("q", cfg, 0, 2*fitsPage, fitsUnit)
+	q := keyedQueue(newQueue("q", cfg, 0, 2*fitsPage, fitsUnit))
 	var leftKey, rightKey string
 	for i := 0; leftKey == "" || rightKey == ""; i++ {
 		if k := fmt.Sprintf("probe-%d", i); q.routesLeft(k) {
@@ -230,7 +231,7 @@ func TestSplitActivationMovesResidents(t *testing.T) {
 		grant  = 64
 		half   = (before + grant) / 2
 	)
-	q := newQueue("q", cfg, 0, before*fitsUnit, fitsUnit)
+	q := keyedQueue(newQueue("q", cfg, 0, before*fitsUnit, fitsUnit))
 	for i := 0; i < before; i++ {
 		q.Access(fmt.Sprintf("key-%d", i), fitsUnit)
 	}

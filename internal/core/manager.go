@@ -53,6 +53,7 @@ type Manager struct {
 	byID    map[string]int
 	credits []int64
 	rng     *rand.Rand
+	placed  []map[string]*cache.Node // Access's directory, per queue
 }
 
 // NewManager creates a manager distributing totalBytes across the given
@@ -106,6 +107,7 @@ func NewManager(cfg Config, totalBytes int64, specs []QueueSpec) (*Manager, erro
 		q := newQueue(s.ID, cfg, len(m.queues), capacity, s.UnitCost)
 		m.byID[s.ID] = len(m.queues)
 		m.queues = append(m.queues, q)
+		m.placed = append(m.placed, make(map[string]*cache.Node))
 	}
 	return m, nil
 }
@@ -136,24 +138,25 @@ func (m *Manager) QueueAt(i int) *Queue { return m.queues[i] }
 
 // Access processes one request for key belonging to the queue with the given
 // ID. cost is the item's cost in bytes (its chunk size). It returns the
-// access outcome; unknown queue IDs return a zero outcome and false.
+// access outcome; unknown queue IDs return a zero outcome and false. The
+// manager remembers the nodes it placed keys under for it (the benchmark and
+// the tests keep no directory of their own).
 func (m *Manager) Access(queueID, key string, cost int64) (AccessOutcome, bool) {
 	i, ok := m.byID[queueID]
 	if !ok {
 		return AccessOutcome{}, false
 	}
-	out, _ := m.AccessAt(i, key, cost)
+	out, n := m.AccessAt(i, key, cache.Hash(key), m.placed[i][key], cost)
+	m.placed[i][key] = n
 	return out, true
 }
 
-// AccessAt is Access addressed by queue index (see QueueAt), for callers
-// that already know it and should not pay a string-keyed lookup per request.
-// It also returns the node key was placed under, which the caller may
-// remember and hand to the queue's AccessResident so that a later hit probes
-// nothing. (A resident access is never a shadow hit, so AccessResident needs
-// no hill climbing and is called on the queue directly.)
-func (m *Manager) AccessAt(i int, key string, cost int64) (AccessOutcome, *cache.Node) {
-	out, n := m.queues[i].Access(key, cost)
+// AccessAt is Queue.Access on queue i (see QueueAt) with hill climbing, for
+// callers that keep their own directory. (A resident access is never a
+// shadow hit, so AccessResident needs no hill climbing and is called on the
+// queue directly.)
+func (m *Manager) AccessAt(i int, key string, hash uint64, n *cache.Node, cost int64) (AccessOutcome, *cache.Node) {
+	out, n := m.queues[i].Access(key, hash, n, cost)
 	if out.ShadowHit && m.cfg.EnableHillClimbing && len(m.queues) > 1 {
 		m.transferCredit(i)
 	}

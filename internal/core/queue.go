@@ -15,7 +15,7 @@ const (
 )
 
 // segment is one capacity-bounded stretch of a partition's chain: a recency
-// list over nodes that the queue's index owns, with the cost it holds.
+// list over the queue's nodes, with the cost it holds.
 type segment struct {
 	list     *cache.List
 	capacity int64
@@ -166,14 +166,17 @@ func relaxMargin(p *partition, credit int64) int64 {
 // from the Manager's hill climbing (or from the caller when hill climbing is
 // disabled).
 //
-// The queue has one index. A key gets one node when it is first admitted and
-// keeps it, relinked from segment to segment and tagged with the one that
-// holds it, until it is removed or falls off the end of a hill shadow; so one
-// probe (find) answers whether the key is known, resident or only remembered,
-// and in which partition. Every way an entry can move (promotion, admission,
-// shadow hit, a capacity change, the move of the colder residents when the
-// queue first splits) is the same step: put the node at the head of a segment
-// and let what no longer fits fall onto the segment below (place, drain).
+// The queue indexes only its shadow. A key gets one node when it is admitted
+// and keeps it, relinked from segment to segment and tagged with the one that
+// holds it, until it is removed or falls off the end of a hill shadow. A
+// resident node holds its key and is reached only through the caller's
+// directory; a shadow node holds none, and the index finds it by the key's
+// cache.Hash, which also routes a split queue. So a hash collision can only
+// cost a shadow hit (place) and never makes a wrong resident. Every way an
+// entry can move (promotion, admission, shadow hit, a capacity change, the
+// move of the colder residents when the queue first splits) is the same step:
+// put the node at the head of a segment and let what no longer fits fall onto
+// the segment below (place, drain).
 type Queue struct {
 	id       string
 	cfg      Config
@@ -181,7 +184,7 @@ type Queue struct {
 
 	capacity int64 // target total physical capacity (cost units)
 
-	index       map[string]*cache.Node
+	index       map[uint64]*cache.Node // the shadow segments' nodes, by hash
 	parts       [2]partition
 	left, right *partition  // &parts[0], &parts[1]
 	free        *cache.List // the nodes of forgotten keys, for the next admissions
@@ -238,7 +241,7 @@ func newQueue(id string, cfg Config, owner int, capacity, unitCost int64) *Queue
 		unitCost: unitCost,
 		capacity: capacity,
 		ratio:    1.0,
-		index:    make(map[string]*cache.Node),
+		index:    make(map[uint64]*cache.Node),
 		free:     cache.NewList(),
 	}
 	q.left, q.right = &q.parts[0], &q.parts[1]
@@ -260,16 +263,13 @@ func newQueue(id string, cfg Config, owner int, capacity, unitCost int64) *Queue
 // capacity change applied by the next access at the latest (the caller may
 // apply it at once with ForceApplyResize). Such a queue is memcached's LRU at
 // any cost mix. owner gives its nodes their tags, as a Manager's index does
-// (newQueue); queues whose nodes may be handed to one another's
-// AccessResident need distinct owners.
+// (newQueue); queues whose nodes may be handed to one another (a store's
+// class queues, whose records move between them) need distinct owners.
 func NewLRUQueue(id string, owner int, capacity, unitCost int64) *Queue {
 	cfg := DefaultConfig()
 	cfg.EnableHillClimbing, cfg.EnableCliffScaling, cfg.ResizeOnMissOnly = false, false, false
 	return newQueue(id, cfg.withDefaults(), owner, capacity, unitCost)
 }
-
-// ID returns the queue's identifier.
-func (q *Queue) ID() string { return q.id }
 
 // Capacity returns the queue's target physical capacity in cost units.
 func (q *Queue) Capacity() int64 { return q.capacity }
@@ -340,30 +340,25 @@ func (q *Queue) Grow(delta int64) {
 	}
 }
 
-// HasRoom reports whether admitting key at cost would evict nothing. Eviction
-// is per partition, so the question is put to the partition key routes to: a
-// full partition evicts even while its sibling has slack.
-func (q *Queue) HasRoom(key string, cost int64) bool {
+// HasRoom reports whether admitting a key of the given hash at cost would
+// evict nothing. Eviction is per partition, so the question is put to the
+// partition the key routes to: a full partition evicts even while its sibling
+// has slack.
+func (q *Queue) HasRoom(hash uint64, cost int64) bool {
 	if !q.split {
 		return q.left.hasRoom(cost)
 	}
-	// Hash the key only when the partitions disagree.
 	l, r := q.left.hasRoom(cost), q.right.hasRoom(cost)
 	if l == r {
 		return l
 	}
-	return q.routesLeft(key) == l
+	return q.routesLeft(hash) == l
 }
 
-// find is the queue's one probe: the partition and segment key is linked in
-// (seg is segNone and n nil if the queue does not know the key).
-func (q *Queue) find(key string) (n *cache.Node, p *partition, seg int) {
-	n, ok := q.index[key]
-	if !ok {
-		return nil, nil, segNone
-	}
-	p, seg = q.segmentOf(n)
-	return n, p, seg
+// Holds reports whether n, which may be anything a caller remembers (nil, a
+// forgotten node, another queue's), holds key resident in this queue.
+func (q *Queue) Holds(key string, n *cache.Node) bool {
+	return n != nil && q.owns(n) && n.Key == key && (n.Aux-q.left.tag)%numSegs < segCliff
 }
 
 // segmentOf reads the partition and segment n is linked in off its tag.
@@ -372,37 +367,44 @@ func (q *Queue) segmentOf(n *cache.Node) (*partition, int) {
 	return &q.parts[i/numSegs], int(i % numSegs)
 }
 
-// owns reports whether n is one of this queue's nodes: its tag is one of the
-// queue's eight. A node keeps its queue for life (forget keeps it on the
-// queue's own free list), so together with n.Key this says whether n is the
-// index's node for that key.
+// owns reports whether n is linked in one of this queue's segments: its tag
+// is one of the queue's eight (a forgotten node's, -1, is no queue's).
 func (q *Queue) owns(n *cache.Node) bool { return uint64(n.Aux-q.left.tag) < 2*numSegs }
 
-// unlink takes n out of the segment that holds it; the index keeps it.
+// unlink takes n out of the segment that holds it; an index entry stays.
 func (q *Queue) unlink(n *cache.Node) {
 	p, seg := q.segmentOf(n)
 	p.segs[seg].remove(n)
 }
 
-// place puts n, which is in the index and in no segment, at the head of
-// segment seg of p, and drains the segment. An entry the segment can never
-// hold (it costs more than the whole segment) passes through it to the one
-// below instead of flushing it. Entries that cross the tail-window boundary
-// on the way are physical evictions and are appended to victims; an entry
-// that runs off the end of the chain is forgotten.
+// place puts n, which is in no segment, at the head of segment seg of p, and
+// drains the segment. An entry the segment can never hold (it costs more than
+// the whole segment) passes through it to the one below instead of flushing
+// it. Entries that cross the tail-window boundary on the way are physical
+// evictions, appended to victims, and enter the shadow keyless, under the
+// index (one placed below the cliff shadow is there already); an entry that
+// runs off the end of the chain, or whose hash a shadow entry holds, is
+// forgotten.
 func (q *Queue) place(n *cache.Node, p *partition, seg int, victims []cache.Victim) []cache.Victim {
+	shadow := seg > segCliff
 	for ; seg < numSegs; seg++ {
 		s := &p.segs[seg]
 		if n.Cost <= s.capacity {
+			if seg >= segCliff && !shadow {
+				if q.index[n.Hash] != nil {
+					break // a collision: a lost shadow hit
+				}
+				q.index[n.Hash], n.Key, shadow = n, "", true
+			}
 			n.Aux = p.tag + int64(seg)
 			s.pushFront(n)
 			return q.drain(p, seg, victims)
 		}
 		if seg == segTail {
-			victims = append(victims, cache.Victim{Key: n.Key, Cost: n.Cost})
+			victims = append(victims, cache.Victim{Key: n.Key, Hash: n.Hash, Cost: n.Cost})
 		}
 	}
-	q.forget(n)
+	q.forget(n, shadow)
 	return victims
 }
 
@@ -417,34 +419,33 @@ func (q *Queue) drain(p *partition, seg int, victims []cache.Victim) []cache.Vic
 		}
 		s.remove(n)
 		if seg == segTail {
-			victims = append(victims, cache.Victim{Key: n.Key, Cost: n.Cost})
+			victims = append(victims, cache.Victim{Key: n.Key, Hash: n.Hash, Cost: n.Cost})
 		}
 		victims = q.place(n, p, seg+1, victims)
 	}
 	return victims
 }
 
-// newNode gives a key the queue does not know its node, in the index and in
-// no segment.
-func (q *Queue) newNode(key string) *cache.Node {
+// newNode returns a node in no segment for a key the queue does not know.
+func (q *Queue) newNode() *cache.Node {
 	n := q.free.Front()
 	if n != nil {
 		q.free.Remove(n)
 	} else {
 		n = &cache.Node{}
 	}
-	n.Key = key
-	q.index[key] = n
 	return n
 }
 
-// forget drops an unlinked node from the index and keeps it for a later
-// admission: at steady state the next one, which pushes another key off the
-// end, and under delete-and-set churn the re-set, so that neither makes
-// garbage.
-func (q *Queue) forget(n *cache.Node) {
-	delete(q.index, n.Key)
-	n.Key = ""
+// forget drops an unlinked node from the index if it is there (indexed) and
+// keeps it for a later admission: at steady state the next one, which pushes
+// another key off the end, and under delete-and-set churn the re-set, so that
+// neither makes garbage. Its tag becomes no queue's (Holds).
+func (q *Queue) forget(n *cache.Node, indexed bool) {
+	if indexed {
+		delete(q.index, n.Hash)
+	}
+	n.Key, n.Aux = "", -1
 	q.free.PushFront(n)
 }
 
@@ -465,62 +466,52 @@ func (q *Queue) setHillCapacity(p *partition, capacity int64) {
 	q.drain(p, segHill, nil)
 }
 
-// Contains reports whether key is physically resident.
-func (q *Queue) Contains(key string) bool {
-	_, _, seg := q.find(key)
-	return seg == segFront || seg == segTail
-}
-
-// Remove deletes key from the queue entirely (physical and shadow segments).
-func (q *Queue) Remove(key string) bool {
-	n, ok := q.index[key]
-	if ok {
-		q.unlink(n)
-		q.forget(n)
+// Remove deletes key from the queue if n holds it resident (Holds), and
+// reports whether it did.
+func (q *Queue) Remove(key string, n *cache.Node) bool {
+	if !q.Holds(key, n) {
+		return false
 	}
-	return ok
+	q.unlink(n)
+	q.forget(n, false)
+	return true
 }
 
-// Access processes one request for key with the given cost and returns the
-// outcome. On a miss the key is admitted (demand fill); the caller stores
-// the value and drops the values of any Evicted keys. It also returns the
-// node the key was placed under, for the caller to remember and hand back to
-// AccessResident. The node may already have been forgotten (an entry that no
-// segment can hold passes straight through); AccessResident tells.
-func (q *Queue) Access(key string, cost int64) (AccessOutcome, *cache.Node) {
+// Access processes one request for key with the given hash and cost, through
+// n, the node the caller remembers for it, while n holds it (Holds), and
+// otherwise by hash among the shadow entries. On a miss the key is admitted
+// (demand fill); the caller stores the value and drops the values of any
+// Evicted keys. It returns the node the key was placed under, for the caller
+// to remember (one no segment could hold is already forgotten).
+func (q *Queue) Access(key string, hash uint64, n *cache.Node, cost int64) (AccessOutcome, *cache.Node) {
 	q.stats.Requests++
-	n, found, seg := q.find(key)
-	return q.settle(key, cost, n, found, seg)
-}
-
-// AccessResident is exactly `if q.Contains(key) { q.Access(key, cost) }` —
-// the GET path of a store whose misses must not admit — reporting whether the
-// access happened and what a resize it applied evicted (the caller drops
-// their values). n is the node the caller remembers for key, nil if none. It
-// is used while it still holds key in this queue; otherwise (nil, forgotten,
-// recycled for another key, or another queue's) the key is probed in the
-// index, and probed says so. Both give the same answer, because a node of this
-// queue that holds key is the index's node for it, whichever segment it has
-// aged into.
-func (q *Queue) AccessResident(key string, n *cache.Node, cost int64) (hit bool, evicted []cache.Victim, probed bool) {
-	if n == nil || n.Key != key || !q.owns(n) {
-		if n, probed = q.index[key], true; n == nil {
-			return false, nil, true
+	if !q.Holds(key, n) {
+		if n = q.index[hash]; n == nil {
+			return q.settle(key, hash, cost, nil, nil, segNone)
 		}
 	}
 	p, seg := q.segmentOf(n)
-	if seg != segFront && seg != segTail {
-		return false, nil, probed
+	return q.settle(key, hash, cost, n, p, seg)
+}
+
+// AccessResident is exactly `if q.Holds(key, n) { q.Access(key, hash, n,
+// cost) }` — the GET path of a store whose misses must not admit — reporting
+// whether the access happened and what a resize it applied evicted (the
+// caller drops their values). A hit routes nothing, so it needs no hash.
+func (q *Queue) AccessResident(key string, n *cache.Node, cost int64) (hit bool, evicted []cache.Victim) {
+	if !q.Holds(key, n) {
+		return false, nil
 	}
 	q.stats.Requests++
-	out, _ := q.settle(key, cost, n, p, seg)
-	return true, out.Evicted, probed
+	p, seg := q.segmentOf(n)
+	out, _ := q.settle(key, n.Hash, cost, n, p, seg)
+	return true, out.Evicted
 }
 
 // settle finishes an access once the key has been looked up: n is its node,
 // linked in segment seg of partition found (nil, nil and segNone if the queue
 // does not know the key). It returns the node the key ends up under.
-func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, seg int) (AccessOutcome, *cache.Node) {
+func (q *Queue) settle(key string, hash uint64, cost int64, n *cache.Node, found *partition, seg int) (AccessOutcome, *cache.Node) {
 	if seg == segFront && (q.cfg.ResizeOnMissOnly || !q.pendingResize) {
 		// All the rest would do: a front hit moves no pointer, keeps its
 		// cost, and applies no resize unless one is pending and every
@@ -545,7 +536,7 @@ func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, 
 	}
 	if !out.Hit {
 		// Routed before the pointer updates below move the ratio.
-		target = q.route(key)
+		target = q.route(hash)
 	}
 
 	// Cliff-scaling pointer updates (Algorithm 2): driven by hits at the
@@ -559,17 +550,22 @@ func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, 
 	// and keeps the cost it was stored with. Everything else enters the head
 	// of a chain at the caller's cost: a tail-window hit that of the partition
 	// it is resident in, a shadow hit or a miss that of the partition the key
-	// routes to, so that ratio changes migrate keys instead of losing them.
+	// routes to, so that ratio changes migrate keys instead of losing them. A
+	// shadow hit's entry leaves the index and takes the requesting key.
 	var evicted []cache.Victim
 	if seg == segFront {
 		found.segs[segFront].list.MoveToFront(n)
 	} else {
-		if n == nil {
-			n = q.newNode(key)
-		} else {
+		switch {
+		case n == nil:
+			n = q.newNode()
+		case seg >= segCliff:
+			delete(q.index, n.Hash)
+			fallthrough
+		default:
 			q.unlink(n)
 		}
-		n.Cost = cost
+		n.Key, n.Hash, n.Cost = key, hash, cost
 		evicted = q.place(n, target, segFront, nil)
 	}
 	// Relax pointers toward "just full" partition sizes. A partition that is
@@ -625,18 +621,18 @@ func (q *Queue) settle(key string, cost int64, n *cache.Node, found *partition, 
 // given (Manager.SetSpare).
 func (q *Queue) ownerHasSpare() bool { return q.spare != nil && q.spare() }
 
-// route returns the partition the key is routed to.
-func (q *Queue) route(key string) *partition {
-	if !q.split || q.routesLeft(key) {
+// route returns the partition a key of the given hash is routed to.
+func (q *Queue) route(hash uint64) *partition {
+	if !q.split || q.routesLeft(hash) {
 		return q.left
 	}
 	return q.right
 }
 
-// routesLeft reports whether a request for key on a split queue goes to the
-// left partition: by key hash, in proportion to the ratio.
-func (q *Queue) routesLeft(key string) bool {
-	return float64(fnv1a(key)%(1<<20))/float64(1<<20) < q.ratio
+// routesLeft reports whether a request for a key of the given hash goes to
+// the left partition of a split queue, in proportion to the ratio.
+func (q *Queue) routesLeft(hash uint64) bool {
+	return float64(hash%(1<<20))/float64(1<<20) < q.ratio
 }
 
 // updatePointers implements Algorithm 2. The "shadow queue" of each
@@ -893,7 +889,7 @@ func (q *Queue) maybeToggleSplit() bool {
 // every queue is born that way.)
 func (q *Queue) splitResidents() []cache.Victim {
 	half := q.capacity / 2
-	var colder []*cache.Node // coldest first, in the index but in no segment
+	var colder []*cache.Node // coldest first, in no segment
 	for q.left.used() > half {
 		n := q.left.coldest()
 		if n == nil {

@@ -27,6 +27,65 @@ type queueState struct {
 	Stats         QueueStats
 }
 
+// keyed drives a queue by key alone, the way a store does: its directory
+// (nodes) remembers the node the queue last placed each key under and hands
+// it back, and every key goes in with its cache.Hash. It also records each
+// key's name under its hash (keyNames), so that stateOf can print a shadow
+// entry, which holds only its hash, by name.
+type keyed struct {
+	*Queue
+	nodes map[string]*cache.Node
+}
+
+func keyedQueue(q *Queue) keyed { return keyed{q, map[string]*cache.Node{}} }
+
+// keyNames is every key a keyed queue has been driven with, by hash.
+var keyNames = map[uint64]string{}
+
+func (k keyed) Access(key string, cost int64) (AccessOutcome, *cache.Node) {
+	h := cache.Hash(key)
+	keyNames[h] = key
+	out, n := k.Queue.Access(key, h, k.nodes[key], cost)
+	k.nodes[key] = n
+	return out, n
+}
+
+func (k keyed) Contains(key string) bool { return k.Holds(key, k.nodes[key]) }
+
+// Remove removes key, resident through its node, or else its shadow entry:
+// the op stream removes keys the store would hold no record of, and the
+// queue the fingerprint was recorded from forgot those too.
+func (k keyed) Remove(key string) bool {
+	if k.Queue.Remove(key, k.nodes[key]) {
+		return true
+	}
+	n := k.index[cache.Hash(key)]
+	if n != nil {
+		k.unlink(n)
+		k.forget(n, true)
+	}
+	return n != nil
+}
+
+func (k keyed) HasRoom(key string, cost int64) bool { return k.Queue.HasRoom(cache.Hash(key), cost) }
+
+func (k keyed) routesLeft(key string) bool { return k.Queue.routesLeft(cache.Hash(key)) }
+
+// holds reports whether key is resident in queue i, through the node the
+// manager's Access directory remembers for it.
+func (m *Manager) holds(i int, key string) bool {
+	return m.QueueAt(i).Holds(key, m.placed[i][key])
+}
+
+// nameOf is n's key: its own while it is resident, and by its hash while it
+// is a shadow entry.
+func nameOf(n *cache.Node) string {
+	if n.Key != "" {
+		return n.Key
+	}
+	return keyNames[n.Hash]
+}
+
 func stateOf(q *Queue) queueState {
 	s := queueState{
 		Caps:          [4]int64{q.left.physCapacity, q.right.physCapacity, q.left.segs[segHill].capacity, q.right.segs[segHill].capacity},
@@ -39,7 +98,12 @@ func stateOf(q *Queue) queueState {
 	s.Left, s.Right = q.Pointers()
 	for i := range q.parts {
 		for j := range q.parts[i].segs {
-			s.Segments[numSegs*i+j] = q.parts[i].segs[j].list.Keys()
+			l := q.parts[i].segs[j].list
+			keys := []string{}
+			for n := l.Front(); n != nil; n = l.Next(n) {
+				keys = append(keys, nameOf(n))
+			}
+			s.Segments[numSegs*i+j] = keys
 		}
 	}
 	return s
@@ -128,11 +192,12 @@ func opStream(seed int64) []streamOp {
 }
 
 // apply runs one op on q the way a store would: a GET touches the queue only
-// if the key is resident (Contains, then Access: the by-key form of
-// AccessResident, which TestAccessResidentMatchesContainsThenAccess holds it
-// to). It returns the outcome of an access (served is false for a GET that
-// found nothing), the victims of a forced resize and the answer of a remove.
-func (o streamOp) apply(q *Queue) (out AccessOutcome, served bool, victims []cache.Victim, removed bool) {
+// if the key is resident (Contains, then Access, through the directory's
+// node: the two steps AccessResident is, which
+// TestAccessResidentMatchesContainsThenAccess holds it to). It returns the
+// outcome of an access (served is false for a GET that found nothing), the
+// victims of a forced resize and the answer of a remove.
+func (o streamOp) apply(q keyed) (out AccessOutcome, served bool, victims []cache.Victim, removed bool) {
 	switch o.kind {
 	case "get":
 		if served = q.Contains(o.key); served {
@@ -154,87 +219,88 @@ func (o streamOp) apply(q *Queue) (out AccessOutcome, served bool, victims []cac
 }
 
 // TestAccessResidentMatchesContainsThenAccess drives two identical queues
-// with the op stream, one by key and one by remembered node. The first serves
-// its GETs with Contains followed by Access. The second serves them with
-// AccessResident, handing it the node its last admission of the key returned,
+// with the op stream, each through its own directory. The first serves its
+// GETs with Contains followed by Access, through the node its directory
+// remembers. The second serves them with AccessResident, handing it that node,
 // which goes stale the ways a store's does (forgotten, recycled for another
 // key, aged into a shadow segment); one GET in ten gets no node instead, one
 // the node of the same key in a sibling class queue driven by the same ops,
-// and one another key's. Hit, victims and state must be the same after every
-// op, and AccessResident must probe exactly when its node does not hold the
-// key.
+// and one another key's, and the first queue is handed the same. Hit, victims
+// and state must be the same after every op, and AccessResident must hit
+// exactly when its node holds the key in a physical segment: it never looks
+// the key up anywhere else.
 func TestAccessResidentMatchesContainsThenAccess(t *testing.T) {
 	forEachStreamConfig(t, func(t *testing.T, _ string, cfg Config, ops []streamOp) {
-		byKey := newQueue("by-key", cfg, 0, 150, 1)
-		byNode := newQueue("by-node", cfg, 0, 150, 1)
-		sibling := newQueue("sibling", cfg, 1, 150, 1)
-		remembered := map[string]*cache.Node{}
-		var admitted []string // remembered's keys
+		byDir := keyedQueue(newQueue("by-directory", cfg, 0, 150, 1))
+		byNode := keyedQueue(newQueue("by-node", cfg, 0, 150, 1))
+		sibling := keyedQueue(newQueue("sibling", cfg, 1, 150, 1))
+		var admitted []string // keys the directories hold
 		rng := rand.New(rand.NewSource(11))
 		nodes := map[string]int{} // GETs by what their node was
 		var gets, residentGets, tailHits, shadowAdmits, toggles int
 		for i, op := range ops {
-			wasSplit := byKey.Split()
+			wasSplit := byDir.Split()
 			switch op.kind {
 			case "get":
-				var want AccessOutcome
-				wantHit := byKey.Contains(op.key)
-				if wantHit {
-					want, _ = byKey.Access(op.key, op.cost)
-				}
-				n := remembered[op.key]
+				other := op.key
+				nd, nn := byDir.nodes[op.key], byNode.nodes[op.key]
 				switch rng.Intn(10) {
 				case 0:
-					n = nil
+					nd, nn = nil, nil
 				case 1:
-					n = sibling.index[op.key]
+					nd, nn = sibling.nodes[op.key], sibling.nodes[op.key]
 				case 2:
 					if len(admitted) > 0 {
-						n = remembered[admitted[rng.Intn(len(admitted))]]
+						other = admitted[rng.Intn(len(admitted))]
+						nd, nn = byDir.nodes[other], byNode.nodes[other]
 					}
 				}
-				what := nodeKind(byNode, n, op.key)
+				var want AccessOutcome
+				wantHit := byDir.Holds(op.key, nd)
+				if wantHit {
+					want, _ = byDir.Queue.Access(op.key, cache.Hash(op.key), nd, op.cost)
+				}
+				what := nodeKind(byNode.Queue, nn, op.key)
 				nodes[what]++
-				hit, evicted, probed := byNode.AccessResident(op.key, n, op.cost)
-				if hit != wantHit || !reflect.DeepEqual(evicted, want.Evicted) || probed != (what != "live" && what != "shadowed") {
-					t.Fatalf("op %d %s with a %s node: by node = %v, %v, probed %v; by key = %v, %v",
-						i, op, what, hit, evicted, probed, wantHit, want.Evicted)
+				hit, evicted := byNode.AccessResident(op.key, nn, op.cost)
+				if hit != wantHit || !reflect.DeepEqual(evicted, want.Evicted) || hit != (what == "live") {
+					t.Fatalf("op %d %s with a %s node: by node = %v, %v; by directory = %v, %v",
+						i, op, what, hit, evicted, wantHit, want.Evicted)
 				}
 				op.apply(sibling)
 				gets++
-				if wantHit {
+				if wantHit && other == op.key {
 					residentGets++
 				}
 				if want.TailWindowHit {
 					tailHits++
 				}
 			case "access":
-				want, _ := byKey.Access(op.key, op.cost)
-				got, n := byNode.Access(op.key, op.cost)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d %s: by node = %+v; by key = %+v", i, op, got, want)
-				}
-				if _, ok := remembered[op.key]; !ok {
+				if _, known := byNode.nodes[op.key]; !known {
 					admitted = append(admitted, op.key)
 				}
-				remembered[op.key] = n
+				want, _ := byDir.Access(op.key, op.cost)
+				got, _ := byNode.Access(op.key, op.cost)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d %s: by node = %+v; by directory = %+v", i, op, got, want)
+				}
 				op.apply(sibling)
 				if got.ShadowHit || got.CliffShadowHit {
 					shadowAdmits++
 				}
 			default:
-				want, _, wantVictims, wantRemoved := op.apply(byKey)
+				want, _, wantVictims, wantRemoved := op.apply(byDir)
 				got, _, victims, removed := op.apply(byNode)
 				if removed != wantRemoved || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(victims, wantVictims) {
-					t.Fatalf("op %d %s: by node = %v, %v; by key = %v, %v", i, op, victims, removed, wantVictims, wantRemoved)
+					t.Fatalf("op %d %s: by node = %v, %v; by directory = %v, %v", i, op, victims, removed, wantVictims, wantRemoved)
 				}
 				op.apply(sibling)
 			}
-			ks, ns := stateOf(byKey), stateOf(byNode)
-			if !reflect.DeepEqual(ks, ns) {
-				t.Fatalf("op %d %s: states diverged:\nby key  %+v\nby node %+v", i, op, ks, ns)
+			ds, ns := stateOf(byDir.Queue), stateOf(byNode.Queue)
+			if !reflect.DeepEqual(ds, ns) {
+				t.Fatalf("op %d %s: states diverged:\nby directory %+v\nby node      %+v", i, op, ds, ns)
 			}
-			if ks.Split != wasSplit {
+			if ds.Split != wasSplit {
 				toggles++
 			}
 		}
@@ -256,12 +322,12 @@ func TestAccessResidentMatchesContainsThenAccess(t *testing.T) {
 // capacity, at the op stream's own mixed costs, over twelve seeds. Capacity
 // changes apply at once on both, the way the store grants and sheds pages.
 // Hits, victims, Remove's answers, Used and residency must agree after every
-// op, and no victim may still be known to the queue: with the algorithm off a
+// op, and the queue's shadow index must stay empty: with the algorithm off a
 // class queue is memcached's LRU, and a key it evicts leaves no shadow behind.
 func TestQueueWithAlgorithmOffIsLRU(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			q, lru := NewLRUQueue("q", 0, 200, 1), cache.NewLRU(200)
+			q, lru := keyedQueue(NewLRUQueue("q", 0, 200, 1)), cache.NewLRU(200)
 			var hits, evictions, bounced int
 			for i, op := range opStream(seed) {
 				var got, want []cache.Victim
@@ -288,6 +354,7 @@ func TestQueueWithAlgorithmOffIsLRU(t *testing.T) {
 				case "apply":
 					got = q.ForceApplyResize()
 				}
+				got = withoutHashes(got)
 				if gotHit != wantHit || !slices.Equal(got, want) {
 					t.Fatalf("op %d %s: queue %v, %v; LRU %v, %v", i, op, gotHit, got, wantHit, want)
 				}
@@ -295,10 +362,10 @@ func TestQueueWithAlgorithmOffIsLRU(t *testing.T) {
 					t.Fatalf("op %d %s: queue used %d, holds %s %v; LRU used %d, holds it %v",
 						i, op, q.Used(), op.key, q.Contains(op.key), lru.Used(), lru.Contains(op.key))
 				}
+				if len(q.index) != 0 {
+					t.Fatalf("op %d %s: the queue shadows %d evicted entries", i, op, len(q.index))
+				}
 				for _, v := range got {
-					if q.Remove(v.Key) {
-						t.Fatalf("op %d %s: the queue still knows its victim %s", i, op, v.Key)
-					}
 					if v.Key == op.key {
 						bounced++
 					}
@@ -315,24 +382,58 @@ func TestQueueWithAlgorithmOffIsLRU(t *testing.T) {
 	}
 }
 
-// nodeKind says what n is to q for a GET of key: "no" node, "sibling's" (not
-// q's), "forgotten" (on q's free list), "recycled" (holding another key), or
-// key's own node, "live" in a physical segment or "shadowed" in a shadow one.
+// nodeKind says what n is to q for a GET of key: "no" node, "forgotten" (on
+// a free list), "sibling's" (another queue's), "shadowed" (in a shadow
+// segment, keyless), "recycled" (holding another key), or key's own node,
+// "live" in a physical segment.
 func nodeKind(q *Queue, n *cache.Node, key string) string {
 	switch {
 	case n == nil:
 		return "no"
+	case n.Aux == -1:
+		return "forgotten"
 	case !q.owns(n):
 		return "sibling's"
-	case n.Key == "":
-		return "forgotten"
-	case n.Key != key:
+	}
+	if _, seg := q.segmentOf(n); seg >= segCliff {
+		return "shadowed"
+	}
+	if n.Key != key {
 		return "recycled"
 	}
-	if _, seg := q.segmentOf(n); seg == segFront || seg == segTail {
-		return "live"
+	return "live"
+}
+
+// withoutHashes returns vs with each victim's Hash cleared, as a cache.LRU
+// leaves it.
+func withoutHashes(vs []cache.Victim) []cache.Victim {
+	for i := range vs {
+		vs[i].Hash = 0
 	}
-	return "shadowed"
+	return vs
+}
+
+// printedVictim and printedOutcome print a victim and an access outcome with
+// %+v the way they printed before a victim carried its key's hash, which is
+// how TestQueueOpStreamFingerprint's constants were recorded.
+type printedVictim struct {
+	Key  string
+	Cost int64
+}
+
+func printedVictims(vs []cache.Victim) []printedVictim {
+	var out []printedVictim
+	for _, v := range vs {
+		out = append(out, printedVictim{v.Key, v.Cost})
+	}
+	return out
+}
+
+func printedOutcome(o AccessOutcome) any {
+	return struct {
+		Hit, ShadowHit, CliffShadowHit, TailWindowHit bool
+		Evicted                                       []printedVictim
+	}{o.Hit, o.ShadowHit, o.CliffShadowHit, o.TailWindowHit, printedVictims(o.Evicted)}
 }
 
 // TestQueueOpStreamFingerprint pins the queue op for op: a hash over every
@@ -340,20 +441,23 @@ func nodeKind(q *Queue, n *cache.Node, key string) string {
 // and the final state of the op stream. The constants were recorded from the
 // queue of eight separate LRUs that this one replaced (commit 09ed3e6), which
 // it therefore matches bit for bit and not only through the simulator's
-// goldens.
+// goldens. The queue is driven by hash and node (keyed), its shadow entries
+// are printed by the name of the key they were (nameOf) and its victims
+// without their hashes (printedOutcome), so the printed form is the one the
+// constants were recorded from.
 func TestQueueOpStreamFingerprint(t *testing.T) {
 	want := map[string]uint64{
 		"splitter=0/resizeOnMissOnly=true":  0x4bc43ebc40b722ff,
 		"splitter=0/resizeOnMissOnly=false": 0xac9d72374655e823,
 	}
 	forEachStreamConfig(t, func(t *testing.T, name string, cfg Config, ops []streamOp) {
-		q := newQueue("q", cfg, 0, 150, 1)
+		q := keyedQueue(newQueue("q", cfg, 0, 150, 1))
 		h := fnv.New64a()
 		var passedThrough, recosted bool
 		for i, op := range ops {
 			room := q.HasRoom(op.key, op.cost)
 			out, served, victims, removed := op.apply(q)
-			fmt.Fprintf(h, "%d %v %+v %v %+v %v\n", i, room, out, served, victims, removed)
+			fmt.Fprintf(h, "%d %v %+v %v %+v %v\n", i, room, printedOutcome(out), served, printedVictims(victims), removed)
 			for _, v := range out.Evicted {
 				if v.Key == op.key {
 					passedThrough = true
@@ -363,7 +467,7 @@ func TestQueueOpStreamFingerprint(t *testing.T) {
 				}
 			}
 		}
-		fmt.Fprintf(h, "%+v", stateOf(q))
+		fmt.Fprintf(h, "%+v", stateOf(q.Queue))
 		if !passedThrough || !recosted {
 			t.Fatalf("op stream too narrow: an entry passed straight through to eviction: %v, an evicted entry had a cost other than 1 and 20: %v",
 				passedThrough, recosted)
@@ -375,30 +479,38 @@ func TestQueueOpStreamFingerprint(t *testing.T) {
 }
 
 // TestQueueIndexAgreesWithSegments checks, after every op of the stream, that
-// the one index and the eight segments describe the same entries: every node
-// linked in a segment is the index's node for its key and is tagged with that
-// segment, the index holds nothing else (so no key is in two segments), every
-// segment's used is the sum of its nodes' costs, and no segment is over its
-// capacity once the op has drained it.
+// the index holds exactly the shadow segments' nodes: every node linked in a
+// shadow segment is keyless and the index's node for its hash, every node
+// linked in a physical segment holds a key no other resident holds, the index
+// holds nothing else, every node is tagged with the segment it is linked in,
+// every segment's used is the sum of its nodes' costs, and no segment is over
+// its capacity once the op has drained it.
 func TestQueueIndexAgreesWithSegments(t *testing.T) {
 	forEachStreamConfig(t, func(t *testing.T, _ string, cfg Config, ops []streamOp) {
-		q := newQueue("q", cfg, 0, 150, 1)
+		q := keyedQueue(newQueue("q", cfg, 0, 150, 1))
 		for i, op := range ops {
 			op.apply(q)
-			linked := 0
+			shadows, resident := 0, map[string]bool{}
 			for pi := range q.parts {
 				p := &q.parts[pi]
 				for si := range p.segs {
 					seg := &p.segs[si]
 					var used int64
 					for n := seg.list.Front(); n != nil; n = seg.list.Next(n) {
-						linked++
 						used += n.Cost
-						if q.index[n.Key] != n {
-							t.Fatalf("op %d %s: %q is linked in segment %d/%d but the index has another node for it, or none", i, op, n.Key, pi, si)
+						switch {
+						case si < segCliff && (n.Key == "" || resident[n.Key]):
+							t.Fatalf("op %d %s: a resident node in segment %d/%d holds %q, which is empty or another resident's", i, op, pi, si, n.Key)
+						case si < segCliff:
+							resident[n.Key] = true
+						case n.Key != "" || q.index[n.Hash] != n:
+							t.Fatalf("op %d %s: the shadow node of %q in segment %d/%d holds key %q, or the index has another node for its hash, or none",
+								i, op, nameOf(n), pi, si, n.Key)
+						default:
+							shadows++
 						}
 						if gp, gs := q.segmentOf(n); gp != p || gs != si {
-							t.Fatalf("op %d %s: %q is linked in segment %d/%d but tagged %d", i, op, n.Key, pi, si, n.Aux)
+							t.Fatalf("op %d %s: %q is linked in segment %d/%d but tagged %d", i, op, nameOf(n), pi, si, n.Aux)
 						}
 					}
 					if used != seg.used || seg.used > seg.capacity {
@@ -406,8 +518,8 @@ func TestQueueIndexAgreesWithSegments(t *testing.T) {
 					}
 				}
 			}
-			if linked != len(q.index) {
-				t.Fatalf("op %d %s: %d nodes linked in segments, %d keys in the index", i, op, linked, len(q.index))
+			if shadows != len(q.index) {
+				t.Fatalf("op %d %s: %d nodes linked in shadow segments, %d in the index", i, op, shadows, len(q.index))
 			}
 		}
 	})
@@ -415,9 +527,10 @@ func TestQueueIndexAgreesWithSegments(t *testing.T) {
 
 // TestAllocGateQueueAccess pins what an access allocates on a full, split
 // queue at steady state: nothing for a front hit, a tail-window hit or a
-// resident re-access, and for an admission that evicts only the victims slice
-// it returns (the entry that falls off the hill shadow lends its node to the
-// next admission). `make alloccheck` runs it.
+// resident re-access, each through the entry's node, and for an admission
+// that evicts only the victims slice it returns (the entry that falls off the
+// hill shadow lends its node to the next admission). `make alloccheck` runs
+// it.
 func TestAllocGateQueueAccess(t *testing.T) {
 	q := newQueue("q", itemCfg(), 0, 4000, 1)
 	key := make([]string, 20000)
@@ -426,13 +539,13 @@ func TestAllocGateQueueAccess(t *testing.T) {
 	}
 	next := 0
 	admit := func() {
-		if out, _ := q.Access(key[next], 1); out.Hit || len(out.Evicted) == 0 {
+		if out, _ := q.Access(key[next], cache.Hash(key[next]), nil, 1); out.Hit || len(out.Evicted) == 0 {
 			t.Fatalf("access to the new key %s: %+v, want an admission that evicts", key[next], out)
 		}
 		next++
 	}
 	for i := 0; i < 10000; i++ { // fill both chains to the end of their hill shadows
-		q.Access(key[next], 1)
+		q.Access(key[next], cache.Hash(key[next]), nil, 1)
 		next++
 	}
 	if !q.Split() || q.Used() != q.Capacity() {
@@ -445,26 +558,20 @@ func TestAllocGateQueueAccess(t *testing.T) {
 		}
 	}
 	gate("an evicting admission", 1, admit)
-	hot := q.left.segs[segFront].list.Front().Key
+	hot := q.left.segs[segFront].list.Front()
 	gate("a front hit", 0, func() {
-		if out, _ := q.Access(hot, 1); !out.Hit || out.TailWindowHit {
+		if out, _ := q.Access(hot.Key, hot.Hash, hot, 1); !out.Hit || out.TailWindowHit {
 			t.Fatalf("%+v, want a front hit", out)
 		}
 	})
-	gate("a resident re-access", 0, func() {
-		if hit, _, _ := q.AccessResident(hot, nil, 1); !hit {
-			t.Fatal("the hot key is not resident")
-		}
-	})
-	node := q.index[hot]
 	gate("a resident re-access by node", 0, func() {
-		if hit, _, probed := q.AccessResident(hot, node, 1); !hit || probed {
-			t.Fatalf("hit=%v probed=%v, want a hit through the node", hit, probed)
+		if hit, _ := q.AccessResident(hot.Key, hot, 1); !hit {
+			t.Fatal("the hot key is not resident through its node")
 		}
 	})
 	gate("a tail-window hit", 0, func() {
 		cold := q.right.coldest()
-		if out, _ := q.Access(cold.Key, 1); !out.TailWindowHit || len(out.Evicted) != 0 {
+		if out, _ := q.Access(cold.Key, cold.Hash, cold, 1); !out.TailWindowHit || len(out.Evicted) != 0 {
 			t.Fatalf("%+v, want a tail-window hit that evicts nothing", out)
 		}
 	})

@@ -1313,14 +1313,11 @@ func (s *Server) plainStats(tenant string) (statList, error) {
 	l.add("marginal_hit_per_byte", strconv.FormatFloat(at.MarginalHitPerByte, 'g', -1, 64))
 	l.num("arbiter_moves", as.Moves)
 	// The bookkeeper: GET events it shed, sweeps requests ran at the batch
-	// boundary, shard backlogs requests applied at the high-water mark (at
-	// most one of those two per critical section), and replayed GETs and
-	// touches that had to probe their queue for the key (flat under settled
-	// hits in the managed modes).
+	// boundary and shard backlogs requests applied at the high-water mark (at
+	// most one of those two per critical section).
 	l.num("dropped_events", st.DroppedEvents)
 	l.num("producer_sweeps", st.Sweeps)
 	l.num("inline_applies", st.InlineApplies)
-	l.num("replay_probes", st.ReplayProbes)
 	// Sampled (latencySampleEvery) store-call latencies, process-wide.
 	l.num("get_p99_us", s.GetLatency.Quantile(0.99).Microseconds())
 	l.num("set_p99_us", s.SetLatency.Quantile(0.99).Microseconds())

@@ -699,7 +699,7 @@ func TestServerStatsSchema(t *testing.T) {
 		"conn_panics", "parked_connections", "spurious_wakes", "active_sessions", "buffer_pool_bytes", "mem_inuse_bytes",
 		"arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees",
 		"page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte",
-		"arbiter_moves", "dropped_events", "producer_sweeps", "inline_applies", "replay_probes", "get_p99_us", "set_p99_us"}
+		"arbiter_moves", "dropped_events", "producer_sweeps", "inline_applies", "get_p99_us", "set_p99_us"}
 	// A cliffhanger tenant's queues all hold their floor capacity, so every
 	// class of the default geometry (15) has a hit rate line.
 	var classHitRates []string
@@ -1327,12 +1327,13 @@ func TestServerShippedDefaultsKeepWhatFits(t *testing.T) {
 	}
 }
 
-// TestServerSettledHitsProbeNothing reads replay_probes around an all-hit GET
-// loop, once per daemon mode: once every record's admission has replayed (the
-// first stats call settles them), each record remembers its queue node and
-// the replay of a GET hit goes through it, so five more passes over the keys
-// add five passes of hits and not one probe. The unmanaged modes' queues are
-// core.Queues too and give out nodes like the managed ones.
+// TestServerSettledHitsProbeNothing runs an all-hit GET loop once per daemon
+// mode: once every record's admission has replayed (the first stats call
+// settles them), each record remembers its queue node and the replay of a GET
+// hit goes through it, the only way a replay reaches a resident entry (no
+// class queue indexes resident keys, so there is nothing to probe), and five
+// more passes over the keys add five passes of hits. The unmanaged modes'
+// queues are core.Queues too and give out nodes like the managed ones.
 func TestServerSettledHitsProbeNothing(t *testing.T) {
 	for _, mode := range []store.AllocationMode{store.AllocDefault, store.AllocGlobalLRU, store.AllocCliffhanger, store.AllocMemshare} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -1356,18 +1357,18 @@ func TestServerSettledHitsProbeNothing(t *testing.T) {
 					}
 				}
 			}
-			read := func() (hits, probes int64) {
+			read := func() (hits, misses int64) {
 				t.Helper()
 				stats, err := c.Stats()
 				if err != nil {
 					t.Fatal(err)
 				}
 				hits, err1 := stats.Int("get_hits")
-				probes, err2 := stats.Int("replay_probes")
+				misses, err2 := stats.Int("get_misses")
 				if err1 != nil || err2 != nil {
-					t.Fatalf("stats get_hits=%q replay_probes=%q", stats["get_hits"], stats["replay_probes"])
+					t.Fatalf("stats get_hits=%q get_misses=%q", stats["get_hits"], stats["get_misses"])
 				}
-				return hits, probes
+				return hits, misses
 			}
 			for i := 0; i < keys; i++ {
 				if err := c.Set(fmt.Sprintf("hot-%d", i), make([]byte, 100)); err != nil {
@@ -1375,23 +1376,23 @@ func TestServerSettledHitsProbeNothing(t *testing.T) {
 				}
 			}
 			getAll()
-			hits, probes := read()
+			hits, misses := read()
 			for pass := 0; pass < 5; pass++ {
 				getAll()
 			}
-			hitsAfter, probesAfter := read()
-			if hitsAfter-hits != 5*keys || probesAfter != probes {
-				t.Fatalf("five settled passes over %d keys: %d hits (want %d), replay_probes %d -> %d (want flat)",
-					keys, hitsAfter-hits, 5*keys, probes, probesAfter)
+			hitsAfter, missesAfter := read()
+			if hitsAfter-hits != 5*keys || missesAfter != misses {
+				t.Fatalf("five settled passes over %d keys: %d hits (want %d), get_misses %d -> %d (want flat)",
+					keys, hitsAfter-hits, 5*keys, misses, missesAfter)
 			}
 		})
 	}
 }
 
-// TestServerTouchMissesProbeNothing reads replay_probes around a run of
-// touches of absent keys, once per daemon mode: a touch miss is an event with
-// no key, like a GET miss, so its replay counts it (cmd_touch moves,
-// touch_hits does not) and probes no queue.
+// TestServerTouchMissesProbeNothing runs touches of absent keys once per
+// daemon mode: a touch miss is an event with no key, like a GET miss, so its
+// replay counts it (cmd_touch moves, touch_hits does not) and touches no
+// queue, and the GET counters do not move.
 func TestServerTouchMissesProbeNothing(t *testing.T) {
 	for _, mode := range []store.AllocationMode{store.AllocDefault, store.AllocGlobalLRU, store.AllocCliffhanger, store.AllocMemshare} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -1405,7 +1406,7 @@ func TestServerTouchMissesProbeNothing(t *testing.T) {
 			}
 			t.Cleanup(func() { srv.Close(); st.Close() })
 			c := dialTest(t, srv)
-			read := func() (touches, hits, probes int64) {
+			read := func() (touches, hits, gets int64) {
 				t.Helper()
 				stats, err := c.Stats()
 				if err != nil {
@@ -1413,11 +1414,11 @@ func TestServerTouchMissesProbeNothing(t *testing.T) {
 				}
 				touches, err1 := stats.Int("cmd_touch")
 				hits, err2 := stats.Int("touch_hits")
-				probes, err3 := stats.Int("replay_probes")
+				gets, err3 := stats.Int("cmd_get")
 				if err1 != nil || err2 != nil || err3 != nil {
-					t.Fatalf("stats cmd_touch=%q touch_hits=%q replay_probes=%q", stats["cmd_touch"], stats["touch_hits"], stats["replay_probes"])
+					t.Fatalf("stats cmd_touch=%q touch_hits=%q cmd_get=%q", stats["cmd_touch"], stats["touch_hits"], stats["cmd_get"])
 				}
-				return touches, hits, probes
+				return touches, hits, gets
 			}
 			const keys = 1024
 			for i := 0; i < keys; i++ {
@@ -1425,16 +1426,16 @@ func TestServerTouchMissesProbeNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			touches, hits, probes := read()
+			touches, hits, gets := read()
 			for i := 0; i < keys; i++ {
 				if ok, err := c.Touch(fmt.Sprintf("cold-%d", i), 60); err != nil || ok {
 					t.Fatalf("touch cold-%d: ok=%v err=%v", i, ok, err)
 				}
 			}
-			touchesAfter, hitsAfter, probesAfter := read()
-			if touchesAfter-touches != keys || hitsAfter != hits || probesAfter != probes {
-				t.Fatalf("%d touch misses: cmd_touch +%d, touch_hits +%d, replay_probes %d -> %d (want +%d, +0, flat)",
-					keys, touchesAfter-touches, hitsAfter-hits, probes, probesAfter, keys)
+			touchesAfter, hitsAfter, getsAfter := read()
+			if touchesAfter-touches != keys || hitsAfter != hits || getsAfter != gets {
+				t.Fatalf("%d touch misses: cmd_touch +%d, touch_hits +%d, cmd_get %d -> %d (want +%d, +0, flat)",
+					keys, touchesAfter-touches, hitsAfter-hits, gets, getsAfter, keys)
 			}
 		})
 	}

@@ -28,11 +28,10 @@ import (
 // the same global admission/eviction sequence a synchronous one would have;
 // only the inline-help path under overload applies a single shard's backlog
 // slightly ahead of other shards'. An eviction replayed from an old event
-// never clobbers a value the client re-set in the meantime: each item record
-// remembers whether its own admission event is still pending, and dropVictim
-// spares such records (the upcoming re-admission re-establishes their
-// structural entry), so a settled engine holds exactly one value per
-// structural entry.
+// never clobbers a value the client re-set in the meantime: a record has no
+// queue node while its own admission event is pending, and dropVictim spares
+// such records (the upcoming re-admission re-establishes their structural
+// entry), so a settled engine holds exactly one value per structural entry.
 //
 // Overload behaviour: lookup (GET) events are advisory — they feed hit/miss
 // counters and the shadow queues — and are shed once a shard's buffer hits
@@ -78,15 +77,26 @@ const (
 // the previous charged size of a re-admitted key (0 for a fresh one). A
 // lookup or touch event with an empty key is one the directory answered with
 // a miss: size is the key length and the replay only counts it
-// (Tenant.lookup). node is what a lookup or touch of a resident record
-// carries of it (item.node), so the replay can promote the key without
-// probing its queue.
+// (Tenant.lookup). node is the record's queue node (item.node), the only way
+// to a resident entry; a re-set's admission carries the previous record's.
+// An admission's hash routes the key and finds its shadow entry and record,
+// so no replay hashes a key (victims carry theirs). An event buffered while
+// its record's admission is pending carries no node, and two rules settle
+// it (a synchronous store never meets them):
+//
+//  1. An admission whose record is gone, or was rewritten, by the time it
+//     replays is unlinked as soon as it is placed. The removal or
+//     re-admission that superseded it finds nothing of it and counts as it
+//     would have (a removal with no node counts as one that removed).
+//  2. A GET or touch hit with no node counts its hit and promotes nothing:
+//     its admission has just placed the key at the head of its queue.
 type event struct {
 	kind    eventKind
 	key     string
 	size    int64
 	oldSize int64
 	seq     uint64
+	hash    uint64
 	node    *cache.Node
 }
 
@@ -287,13 +297,15 @@ func (b *bookkeeper) applyEventLocked(ev *event) {
 		_, evicted = b.tenant.lookup(ev.kind, ev.key, ev.node, ev.size)
 	case evAdmit:
 		var node *cache.Node
-		evicted, node = b.tenant.admit(ev.key, ev.oldSize, ev.size)
-		b.entry.markAdmitted(ev.key, ev.seq, node)
+		evicted, node = b.tenant.admit(ev.key, ev.hash, ev.node, ev.oldSize, ev.size)
+		if !b.entry.markAdmitted(ev.key, ev.hash, ev.seq, node) {
+			b.tenant.remove(evAdmit, ev.key, node, ev.size) // rule 1 of event
+		}
 	default:
-		b.tenant.remove(ev.kind, ev.key, ev.size)
+		b.tenant.remove(ev.kind, ev.key, ev.node, ev.size)
 	}
 	for _, v := range evicted {
-		b.entry.dropVictim(v.Key)
+		b.entry.dropVictim(v.Key, v.Hash)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cliffhanger/internal/cache"
 	"cliffhanger/internal/core"
 	"cliffhanger/internal/slab"
 )
@@ -52,11 +53,16 @@ func TestSweepReplaysInStampOrder(t *testing.T) {
 		switch r := rng.Intn(1000); {
 		case r < 960:
 			key := fmt.Sprintf("key-%d", i)
-			sh := shardFor(e, key)
-			ev := event{kind: evAdmit, key: key, size: size}
+			hash := cache.Hash(key)
+			sh := e.shard(hash)
+			ev := event{kind: evAdmit, key: key, size: size, hash: hash}
 			sh.mu.Lock()
 			bk.bufferLocked(sh, &ev)
 			sh.act = actNone // synchronous mode: stamped, buffered, left for us to apply
+			// The record the admission is of, or its replay unlinks it.
+			it := sh.getItemLocked()
+			it.key, it.size, it.seq = key, size, ev.seq
+			sh.items[key] = it
 			sh.mu.Unlock()
 			waiting = append(waiting, buffered{key, sh})
 		case r < 990:

@@ -1,5 +1,7 @@
 package store
 
+import "cliffhanger/internal/cache"
+
 // AssertPagesFollowPeak shares the leases-follow-residency check with the
 // external test package, which drives the store from internal/workload (a
 // package this one cannot import: workload imports store).
@@ -37,6 +39,18 @@ func HoldSweep(s *Store, tenant string) (release func()) {
 func HoldMaintenance(s *Store) (release func()) {
 	s.tickMu.Lock()
 	return s.tickMu.Unlock
+}
+
+// shardFor returns the stripe key hashes to.
+func shardFor[K ~string | ~[]byte](e *tenantEntry, key K) *valueShard {
+	return e.shard(cache.Hash(key))
+}
+
+// nodeOf is the node the tenant's string-keyed wrappers last placed key
+// under, at size (nil if none).
+func (t *Tenant) nodeOf(key string, size int64) *cache.Node {
+	class, _ := t.ClassFor(size)
+	return t.placed[placedKey{class, key}]
 }
 
 // numQueues and queueView let the page-ledger test read an unmanaged

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cliffhanger/internal/cache"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -215,7 +216,7 @@ func TestGrantThatSplitsAQueueStillMakesRoom(t *testing.T) {
 		q := tn.Manager().QueueAt(class)
 		for i := 0; ; i++ {
 			key := fmt.Sprintf("key-%d", i)
-			if !q.Split() && !q.HasRoom(key, chunk) && (q.Capacity()+step)/chunk >= tn.Manager().Config().CliffMinItems {
+			if !q.Split() && !q.HasRoom(cache.Hash(key), chunk) && (q.Capacity()+step)/chunk >= tn.Manager().Config().CliffMinItems {
 				return tn, q
 			}
 			if victims := tn.Admit(key, size); len(victims) != 0 {
@@ -233,7 +234,7 @@ func TestGrantThatSplitsAQueueStillMakesRoom(t *testing.T) {
 	}
 	var left, right string
 	for i := 0; left == "" || right == ""; i++ {
-		if key := fmt.Sprintf("trigger-%d", i); twin.HasRoom(key, chunk) {
+		if key := fmt.Sprintf("trigger-%d", i); twin.HasRoom(cache.Hash(key), chunk) {
 			right = key
 		} else {
 			left = key
@@ -242,9 +243,10 @@ func TestGrantThatSplitsAQueueStillMakesRoom(t *testing.T) {
 	for _, key := range []string{left, right} {
 		tn, q := fill()
 		victims := tn.Admit(key, size)
-		if len(victims) != 0 || q.Stats().Evictions != 0 || !q.Contains(key) || !q.Split() {
+		resident := q.Holds(key, tn.nodeOf(key, size))
+		if len(victims) != 0 || q.Stats().Evictions != 0 || !resident || !q.Split() {
 			t.Errorf("%s: victims %v, %d evictions, resident=%v, split=%v with %d bytes free",
-				key, victims, q.Stats().Evictions, q.Contains(key), q.Split(), tn.policy.(*managedPolicy).free)
+				key, victims, q.Stats().Evictions, resident, q.Split(), tn.policy.(*managedPolicy).free)
 		}
 	}
 }

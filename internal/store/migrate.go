@@ -201,7 +201,7 @@ func (e *tenantEntry) reconfigureTick() bool {
 			next = cur - resizeStepBytes
 		}
 		for _, v := range e.tenant.Resize(next) {
-			e.dropVictim(v.Key)
+			e.dropVictim(v.Key, v.Hash)
 		}
 		cur = next
 		e.appliedBytes.Store(next)

@@ -113,8 +113,8 @@ func TestStaleNodesThroughStore(t *testing.T) {
 				get(s, "app", key) // class 1, no node yet
 			},
 			held: func(t *testing.T, it item) {
-				if !it.pendingAdmit || it.node != nil {
-					t.Fatalf("re-set record: pending=%v node=%p, want a pending record without a node", it.pendingAdmit, it.node)
+				if it.node != nil {
+					t.Fatalf("re-set record remembers node %p, want none while its admission is pending", it.node)
 				}
 			},
 		},
@@ -173,8 +173,8 @@ func TestStaleNodesThroughStore(t *testing.T) {
 				get(s, "app", key)
 			},
 			held: func(t *testing.T, it item) {
-				if !it.pendingAdmit || it.node != nil {
-					t.Fatalf("re-set record: pending=%v node=%p, want a pending record without a node", it.pendingAdmit, it.node)
+				if it.node != nil {
+					t.Fatalf("re-set record remembers node %p, want none while its admission is pending", it.node)
 				}
 			},
 		},

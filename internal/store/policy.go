@@ -28,11 +28,12 @@ import (
 
 // partitionPolicy is how a tenant's reservation reaches its class queues.
 type partitionPolicy interface {
-	// admit inserts (or promotes) key in queue class, granting the queue
+	// admit inserts key in queue class, or promotes it through n
+	// (core.Queue.Access takes both with the key's hash), granting the queue
 	// unassigned memory first while it has no room for key, and returns the
 	// outcome, whose Evicted includes what the grants evicted, and the node
 	// key was placed under.
-	admit(class int, key string, cost int64) (core.AccessOutcome, *cache.Node)
+	admit(class int, key string, hash uint64, n *cache.Node, cost int64) (core.AccessOutcome, *cache.Node)
 	// resize retargets the reservation from oldBytes to newBytes and
 	// returns the victims a shrink evicted.
 	resize(oldBytes, newBytes int64) []cache.Victim
@@ -82,14 +83,14 @@ func newClassQueues(cfg TenantConfig, geom *slab.Geometry) *classQueues {
 
 // admit grants the queue whole pages while it has no room for key and one is
 // free. Growth evicts nothing, so applying the grants returns no victims.
-func (p *classQueues) admit(class int, key string, cost int64) (core.AccessOutcome, *cache.Node) {
+func (p *classQueues) admit(class int, key string, hash uint64, n *cache.Node, cost int64) (core.AccessOutcome, *cache.Node) {
 	q, page := p.queues[class], p.geom.PageSize
 	for q.Used()+cost > q.Capacity() && p.free >= page {
 		p.free -= page
 		q.Grow(page)
 	}
 	q.ForceApplyResize()
-	return q.Access(key, cost)
+	return q.Access(key, hash, n, cost)
 }
 
 // resize moves the difference into or out of the free count. Growth reaches
@@ -164,9 +165,9 @@ func newManagedPolicy(cfg TenantConfig, geom *slab.Geometry) (*managedPolicy, er
 // admit runs the access through the manager, so that a shadow hit moves a
 // credit. A grant's victims go in front of the access's; when no grant
 // evicted anything the access's slice is returned as it is.
-func (p *managedPolicy) admit(class int, key string, cost int64) (core.AccessOutcome, *cache.Node) {
-	victims := p.growIfNeeded(class, key, cost)
-	out, node := p.mgr.AccessAt(class, key, cost)
+func (p *managedPolicy) admit(class int, key string, hash uint64, n *cache.Node, cost int64) (core.AccessOutcome, *cache.Node) {
+	victims := p.growIfNeeded(class, key, hash, n, cost)
+	out, node := p.mgr.AccessAt(class, key, hash, n, cost)
 	if len(victims) > 0 {
 		out.Evicted = append(victims, out.Evicted...)
 	}
@@ -213,11 +214,11 @@ const grantsPerPage = 4
 // routes left has room only after the next one. (A partition that cliff
 // scaling is shrinking never gets room this way and takes what is left of
 // the reservation.) A key that is already resident asks for nothing, since
-// re-accessing it takes no room. The store's GET hits never come here, but a
-// re-set of a resident key in the same class does, and so does every hit of
-// Tenant.Access, the combined lookup and fill that only the repository
-// benchmark still calls; without the guard either would grow a full queue
-// where a GET hit waits for the next miss.
+// re-accessing it takes no room (n holds it, core.Queue.Holds). The store's
+// GET hits never come here, but a re-set of a resident key in the same class
+// does, and so does every hit of Tenant.Access, the combined lookup and fill
+// that only the repository benchmark still calls; without the guard either
+// would grow a full queue where a GET hit waits for the next miss.
 //
 // Hill-climbing capacity changes are applied lazily (on the next miss, per
 // the paper's thrash-avoidance rule), but a grant is applied eagerly here:
@@ -228,11 +229,11 @@ const grantsPerPage = 4
 // the memory already granted. Stock Memcached grows immediately, so the
 // eager apply is also the faithful behavior. Any victims of the applied
 // resizes are returned for the caller to drop.
-func (p *managedPolicy) growIfNeeded(class int, key string, cost int64) []cache.Victim {
+func (p *managedPolicy) growIfNeeded(class int, key string, hash uint64, n *cache.Node, cost int64) []cache.Victim {
 	q := p.mgr.QueueAt(class)
 	step := max(p.geom.PageSize/grantsPerPage, p.geom.ChunkSize(class))
 	var victims []cache.Victim
-	for p.free > 0 && !q.HasRoom(key, cost) && !q.Contains(key) {
+	for p.free > 0 && !q.HasRoom(hash, cost) && !q.Holds(key, n) {
 		grant := min(step, p.free)
 		p.free -= grant
 		q.Grow(grant)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cliffhanger/internal/cache"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -252,7 +253,8 @@ func TestClassQueuesLedgerMatchesPageArithmetic(t *testing.T) {
 						l.free--
 						l.pages[c]++
 					}
-					p.admit(c, fmt.Sprintf("k%d", next), cost)
+					key := fmt.Sprintf("k%d", next)
+					p.admit(c, key, cache.Hash(key), nil, cost)
 					next++
 					agree(fmt.Sprintf("admission %d", next))
 				}

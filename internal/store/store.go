@@ -116,20 +116,16 @@ type item struct {
 	// a delayed flush_all compares against (items last written before the
 	// flush deadline die once it passes; later writes survive).
 	setAt int64
-	// seq is the bookkeeping sequence of the record's last mutation and
-	// pendingAdmit is true while that mutation's admission event has not
-	// been replayed yet. Eviction replay spares records with a pending
-	// admission: the upcoming replay will re-establish their structural
-	// entry, so the newer value must survive (see markAdmitted and
-	// dropVictim).
-	seq          uint64
-	pendingAdmit bool
-	// node is the class queue node the replay of that admission placed the
-	// key under (markAdmitted); GET and touch events carry it so their replay
-	// need not probe the queue for the key (core.Queue.AccessResident), in
-	// every mode. It is nil while the admission is pending, since a mutation
-	// clears it (setLocked). Read and written under the shard lock; the node
-	// itself is the accounting plane's and is only dereferenced by a replay.
+	// seq is the bookkeeping sequence of the record's last mutation, and
+	// node the class queue node the replay of its admission placed the key
+	// under (markAdmitted), nil while that admission is pending. The record
+	// is the only index of its resident entry: every event that reaches the
+	// entry carries node, and eviction replay spares a record whose
+	// admission is pending, whose replay will re-establish the entry
+	// (dropVictim; event has the rules for what is buffered meanwhile). Read
+	// and written under the shard lock; the node itself is the accounting
+	// plane's and is only dereferenced by a replay.
+	seq  uint64
 	node *cache.Node
 	// next links the record into its shard's freelist while pooled.
 	next *item
@@ -239,11 +235,8 @@ type tenantEntry struct {
 	dying atomic.Bool
 }
 
-// shardFor returns the stripe key hashes to; one generic body, like fnv1a64,
-// so string- and byte-keyed callers cannot disagree.
-func shardFor[K ~string | ~[]byte](e *tenantEntry, key K) *valueShard {
-	return &e.shards[fnv1a64(key)&e.mask]
-}
+// shard returns the stripe of a key whose cache.Hash is hash.
+func (e *tenantEntry) shard(hash uint64) *valueShard { return &e.shards[hash&e.mask] }
 
 // newValueLocked returns a buffer of vlen bytes for an item charged at size,
 // backed by a recycled arena chunk of the matching slab class. Every storage
@@ -273,10 +266,10 @@ func (e *tenantEntry) freeValueLocked(sh *valueShard, size int64, value []byte) 
 // the newer value must survive. A dropped record is pooled immediately; its
 // chunk is retired to quarantine, where any reader that pinned a view under
 // this same shard lock keeps it alive until it unpins.
-func (e *tenantEntry) dropVictim(key string) {
-	sh := shardFor(e, key)
+func (e *tenantEntry) dropVictim(key string, hash uint64) {
+	sh := e.shard(hash)
 	sh.mu.Lock()
-	if it, ok := sh.items[key]; ok && !it.pendingAdmit {
+	if it, ok := sh.items[key]; ok && it.node != nil {
 		delete(sh.items, key)
 		e.freeValueLocked(sh, it.size, it.value)
 		sh.putItemLocked(it)
@@ -284,25 +277,26 @@ func (e *tenantEntry) dropVictim(key string) {
 	sh.mu.Unlock()
 }
 
-// markAdmitted records that the admission event stamped seq reached the
-// tenant and placed key under node. Only the record written by that same
-// mutation is marked: if a newer mutation owns the record its own admission
-// is still pending.
-func (e *tenantEntry) markAdmitted(key string, seq uint64, node *cache.Node) {
-	sh := shardFor(e, key)
+// markAdmitted records that the admission event stamped seq placed key under
+// node. Only the record written by that same mutation is marked, and it
+// reports whether there was one: if the record is gone, or a newer mutation
+// owns it, the caller unlinks node.
+func (e *tenantEntry) markAdmitted(key string, hash, seq uint64, node *cache.Node) bool {
+	sh := e.shard(hash)
 	sh.mu.Lock()
+	ok := false
 	if it := sh.items[key]; it != nil && it.seq == seq {
-		it.pendingAdmit = false
-		it.node = node
+		it.node, ok = node, true
 	}
 	sh.mu.Unlock()
+	return ok
 }
 
 // setLocked installs head+tail as key's value, over prev (nil for a fresh
-// key), and buffers the admission event describing it. The event carries the
-// old charged size when a previous record existed, 0 for a fresh key: a
-// re-set whose size lands in another class sheds its stale old-class entry in
-// the replay (Tenant.admit). The caller must hold sh.mu and end the section
+// key), and buffers the admission event describing it, with key's hash. The
+// event carries prev's charged size and queue node, 0 and nil for a fresh
+// key: a re-set admits through the node, or, when its size lands in another
+// class, sheds it from the old class in the replay (Tenant.admit). The caller must hold sh.mu and end the section
 // with release. prev may be an expired record: its structural entry is still
 // resident until an expiry or admission event removes it, so its size must be
 // accounted the same way a live one's is. The record is stamped and pending
@@ -319,19 +313,19 @@ func (e *tenantEntry) markAdmitted(key string, seq uint64, node *cache.Node) {
 // retired one cycles back through epoch reclamation, so a steady-state write
 // allocates nothing. A fresh key pops a pooled record and a recycled chunk;
 // only the interned key string is born on the heap.
-func (e *tenantEntry) setLocked(sh *valueShard, key []byte, prev *item, head, tail []byte, flags uint32, expires, now int64) {
+func (e *tenantEntry) setLocked(sh *valueShard, key []byte, hash uint64, prev *item, head, tail []byte, flags uint32, expires, now int64) {
 	sh.casCounter++
 	size := int64(len(key) + len(head) + len(tail))
 	value := e.newValueLocked(sh, size, len(head)+len(tail))
 	copy(value[copy(value, head):], tail)
-	ev := event{kind: evAdmit, size: size}
+	ev := event{kind: evAdmit, size: size, hash: hash}
 	it := prev
 	if it == nil {
 		it = sh.getItemLocked()
 		it.key = string(key)
 		sh.items[it.key] = it
 	} else {
-		ev.oldSize = it.size
+		ev.oldSize, ev.node = it.size, it.node
 		e.freeValueLocked(sh, it.size, it.value)
 	}
 	it.value = value
@@ -343,7 +337,6 @@ func (e *tenantEntry) setLocked(sh *valueShard, key []byte, prev *item, head, ta
 	ev.key = it.key
 	e.bk.bufferLocked(sh, &ev)
 	it.seq = ev.seq
-	it.pendingAdmit = true
 	it.node = nil
 }
 
@@ -360,11 +353,11 @@ func (e *tenantEntry) setExpiresLocked(it *item, expires int64) {
 
 // removeLocked drops it from the directory, recycles its chunk and record,
 // and buffers the structural event (kind: delete, expiry, migration) that
-// tells the bookkeeper, keyed by the record's interned key. The caller must
-// hold sh.mu, must end the section with release and must not touch it
-// afterwards.
+// tells the bookkeeper, with the record's interned key and queue node. The
+// caller must hold sh.mu, must end the section with release and must not
+// touch it afterwards.
 func (e *tenantEntry) removeLocked(sh *valueShard, it *item, kind eventKind) {
-	ev := event{kind: kind, key: it.key, size: it.size}
+	ev := event{kind: kind, key: it.key, size: it.size, node: it.node}
 	delete(sh.items, it.key)
 	e.freeValueLocked(sh, it.size, it.value)
 	sh.putItemLocked(it)
@@ -389,22 +382,6 @@ func (e *tenantEntry) removeWhere(sh *valueShard, kind eventKind, limit int, dro
 		}
 	}
 	e.bk.release(sh)
-}
-
-// fnv1a64 is the FNV-1a hash used to stripe keys across value shards; the
-// single generic body guarantees string- and byte-keyed lookups land on the
-// same shard.
-func fnv1a64[T ~string | ~[]byte](key T) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime
-	}
-	return h
 }
 
 // New returns an empty store.
@@ -805,7 +782,7 @@ func (s *Store) BeginRead(tenant string) (Reader, error) {
 // allocations in this layer (the alloc gates pin hit = 0 and miss = 0).
 func (r *Reader) Get(key []byte) (ItemView, bool) {
 	e := r.e
-	sh := shardFor(e, key)
+	sh := e.shard(cache.Hash(key))
 	sh.mu.Lock()
 	it := liveLocked(r.s, e, sh, key)
 	// Drive the eviction/shadow structures with the charged size recorded at
@@ -962,7 +939,8 @@ func (s *Store) write(tenant string, key []byte, verb writeVerb, value []byte, f
 	if !ok {
 		return CASNotFound, 0, ErrNoTenant{tenant}
 	}
-	sh := shardFor(e, key)
+	hash := cache.Hash(key)
+	sh := e.shard(hash)
 	sh.mu.Lock()
 	if e.dying.Load() {
 		// The tenant was deleted after this caller resolved the entry: the
@@ -1015,7 +993,7 @@ func (s *Store) write(tenant string, key []byte, verb writeVerb, value []byte, f
 		e.bk.release(sh)
 		return res, n, err
 	}
-	e.setLocked(sh, key, it, head, tail, flags, expires, s.cfg.Now())
+	e.setLocked(sh, key, hash, it, head, tail, flags, expires, s.cfg.Now())
 	e.bk.release(sh)
 	return res, n, e.admitOutcome(tenant, sh, key)
 }
@@ -1065,7 +1043,7 @@ func (s *Store) Touch(tenant string, key []byte, exptime int64) (bool, error) {
 		return false, ErrNoTenant{tenant}
 	}
 	expires := s.deadline(exptime)
-	sh := shardFor(e, key)
+	sh := e.shard(cache.Hash(key))
 	sh.mu.Lock()
 	it := liveLocked(s, e, sh, key)
 	// A touch refreshes recency in the eviction queues but is accounted
@@ -1093,7 +1071,7 @@ func (s *Store) Delete(tenant, key string) (bool, error) {
 	if !ok {
 		return false, ErrNoTenant{tenant}
 	}
-	sh := shardFor(e, key)
+	sh := e.shard(cache.Hash(key))
 	sh.mu.Lock()
 	it := liveLocked(s, e, sh, key)
 	if it != nil {

@@ -185,21 +185,23 @@ func TestTenantLookupDoesNotAdmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit, _ := tenant.lookup(evLookup, "ghost", nil, 64); hit {
+		// An unknown key reaches the tenant as a miss event, with no key.
+		if hit, _ := tenant.lookup(evLookup, "", nil, 64); hit {
 			t.Fatalf("%v: lookup of unknown key should miss", mode)
 		}
 		// A second lookup must still miss: GETs never admit.
-		if hit, _ := tenant.lookup(evLookup, "ghost", nil, 64); hit {
+		if hit, _ := tenant.lookup(evLookup, "", nil, 64); hit {
 			t.Fatalf("%v: GET must not admit keys", mode)
 		}
 		tenant.Admit("real", 64)
-		if hit, _ := tenant.lookup(evLookup, "real", nil, 64); !hit {
+		node := tenant.nodeOf("real", 64)
+		if hit, _ := tenant.lookup(evLookup, "real", node, 64); !hit {
 			t.Fatalf("%v: admitted key should hit", mode)
 		}
-		if !tenant.remove(evRemove, "real", 64) {
+		if !tenant.remove(evRemove, "real", node, 64) {
 			t.Fatalf("%v: delete of resident key should succeed", mode)
 		}
-		if hit, _ := tenant.lookup(evLookup, "real", nil, 64); hit {
+		if hit, _ := tenant.lookup(evLookup, "real", node, 64); hit {
 			t.Fatalf("%v: deleted key should miss", mode)
 		}
 	}
@@ -576,20 +578,16 @@ func TestStoreValueConsistencyWithQueues(t *testing.T) {
 				}
 				e.bk.mu.Lock()
 				defer e.bk.mu.Unlock()
-				// Every stored value's key must still be resident in some
-				// queue, and under a managed policy found through the node
-				// the record remembers, without a probe.
-				missing, probes := 0, e.tenant.probes
+				// Every stored value's key must still be resident in its
+				// class queue, through the node its record remembers.
+				missing := 0
 				for _, h := range held {
-					if hit, _ := e.tenant.lookup(evLookup, h.key, h.node, h.size); !hit {
+					if class, _ := e.tenant.ClassFor(h.size); !e.tenant.queues[class].Holds(h.key, h.node) {
 						missing++
 					}
 				}
 				if missing > 0 {
 					t.Fatalf("%d stored values are not resident in the tenant queues", missing)
-				}
-				if probes = e.tenant.probes - probes; mode == AllocCliffhanger && probes != 0 {
-					t.Fatalf("%d of %d settled records had to be probed for", probes, len(held))
 				}
 				// With the item directory emitting re-admit events, a re-set
 				// key never leaves a stale entry in its old class queue, so

@@ -181,12 +181,7 @@ type TenantStats struct {
 	// rate the hill climber and the stats consumers read.
 	Touches   int64
 	TouchHits int64
-	// ReplayProbes counts the GET and touch hits whose promotion had to probe
-	// the class queue for the key because the node the record remembered was
-	// stale or missing: its admission had not replayed yet. Misses carry no
-	// key and probe nothing.
-	ReplayProbes int64
-	Classes      []ClassStats
+	Classes   []ClassStats
 	// DroppedEvents, Sweeps and InlineApplies are the Store bookkeeper's
 	// counters (bookkeeper.dropped and so on); Tenant.Stats leaves them 0.
 	DroppedEvents int64
@@ -226,8 +221,17 @@ type Tenant struct {
 
 	// Counters. The tenant's requests, hits and misses are the sums of the
 	// per-class ones (Stats, sum).
-	sets, deletes, expired, touches, touchHits, probes int64
-	classReq, classHit, classMiss, classEvict          []int64
+	sets, deletes, expired, touches, touchHits int64
+	classReq, classHit, classMiss, classEvict  []int64
+
+	// placed is the directory of Access and Admit, which have no Store
+	// around them: the node each class queue last placed each key under.
+	placed map[placedKey]*cache.Node
+}
+
+type placedKey struct {
+	class int
+	key   string
 }
 
 // NewTenant builds a tenant from cfg.
@@ -239,7 +243,7 @@ func NewTenant(cfg TenantConfig) (*Tenant, error) {
 	if geom == nil {
 		geom = slab.DefaultGeometry()
 	}
-	t := &Tenant{cfg: cfg, geom: geom}
+	t := &Tenant{cfg: cfg, geom: geom, placed: make(map[placedKey]*cache.Node)}
 	n := geom.NumClasses()
 	t.classReq = make([]int64, n)
 	t.classHit = make([]int64, n)
@@ -324,24 +328,20 @@ func (t *Tenant) cost(class int, size int64) int64 {
 // the hit rate and a touch into its own counters (memcached's
 // cmd_touch/touch_hits), so TTL refreshes do not skew the hit rate. An empty
 // key stands for a key the store's directory already found absent: the miss
-// is counted against the class of size and no queue is probed. node is the
-// queue node the admission of key returned (nil if the caller has none):
-// while it still holds key the promotion goes through it, and a promotion
-// that had to probe the queue's index counts in replay_probes. Keys a resize
-// applied by the hit evicts are returned so the caller can drop their values,
-// as after admit.
+// is counted against the class of size and no queue is touched. node is the
+// record's: the promotion goes through it while it holds key, and a hit with
+// none counts and promotes nothing (rule 2 of event). Keys a resize applied
+// by the hit evicts are returned so the caller can drop their values, as
+// after admit.
 func (t *Tenant) lookup(kind eventKind, key string, node *cache.Node, size int64) (bool, []cache.Victim) {
 	class, ok := t.ClassFor(size)
 	if !ok {
 		return false, nil
 	}
-	var hit, probed bool
+	hit := key != ""
 	var victims []cache.Victim
-	if key != "" {
-		hit, victims, probed = t.queues[class].AccessResident(key, node, t.cost(class, size))
-		if probed {
-			t.probes++
-		}
+	if hit && node != nil {
+		hit, victims = t.queues[class].AccessResident(key, node, t.cost(class, size))
 		t.classEvict[class] += evictedOthers(key, victims)
 	}
 	switch {
@@ -363,48 +363,55 @@ func (t *Tenant) lookup(kind eventKind, key string, node *cache.Node, size int64
 // Admit performs the SET path of a fresh key: the key becomes resident (if it
 // fits) and any evicted keys are returned so the caller can drop their values.
 func (t *Tenant) Admit(key string, size int64) []cache.Victim {
-	victims, _ := t.admit(key, 0, size)
+	class, _ := t.ClassFor(size)
+	k := placedKey{class, key}
+	victims, node := t.admit(key, cache.Hash(key), t.placed[k], 0, size)
+	t.placed[k] = node
 	return victims
 }
 
 // admit is the replay of a write (evAdmit): key becomes resident at size, if
-// it fits. oldSize is the charge of the record the write replaced, 0 for a
-// fresh key: when the new size maps to a different class (or to a different
-// cost, as under the exact-size global-LRU accounting) the stale entry is
-// removed from its old queue first, so a re-set key never occupies two queues
-// or double-charges UsedBytes; that removal is not counted as a delete. It
-// returns the evicted keys and the queue node key was placed under, for the
-// caller to hand back to lookup (nil for a key no chunk can hold).
-func (t *Tenant) admit(key string, oldSize, size int64) ([]cache.Victim, *cache.Node) {
+// it fits. node and oldSize are the queue node and charge of the record the
+// write replaced, nil and 0 for a fresh key: when the new size maps to a
+// different class (or to a different cost, as under the exact-size global-LRU
+// accounting) the stale entry is removed from its old queue first, so a
+// re-set key never occupies two queues or double-charges UsedBytes; that
+// removal is not counted as a delete. It returns the evicted keys and the
+// queue node key was placed under (nil for a key no chunk can hold).
+func (t *Tenant) admit(key string, hash uint64, node *cache.Node, oldSize, size int64) ([]cache.Victim, *cache.Node) {
 	class, ok := t.ClassFor(size)
 	if oldSize != 0 {
 		if old, okOld := t.ClassFor(oldSize); okOld && (!ok || old != class || t.cost(old, oldSize) != t.cost(class, size)) {
-			t.queues[old].Remove(key)
+			t.queues[old].Remove(key, node)
+			node = nil
 		}
 	}
 	if !ok {
-		return []cache.Victim{{Key: key, Cost: size}}, nil
+		return []cache.Victim{{Key: key, Hash: hash, Cost: size}}, nil
 	}
 	t.sets++
-	out, node := t.policy.admit(class, key, t.cost(class, size))
+	out, node := t.policy.admit(class, key, hash, node, t.cost(class, size))
 	t.classEvict[class] += evictedOthers(key, out.Evicted)
 	return out.Evicted, node
 }
 
-// remove is the replay of a structural removal, counted by kind: a client
+// remove is the replay of a structural removal, counted by kind: an
+// admission taken back (evAdmit, rule 1 of event) counts nothing; a client
 // delete (evRemove) always counts in deletes; an expiry (evExpire) counts in
 // expired and a page migration's eviction (evMigrate) in its class's
-// evictions only when an entry was actually removed, so one racing an
-// eviction replay of the same key is not counted twice. Retiring a page
-// evicts its residents (Memshare semantics), so the hit-rate damage shows in
-// the same counters organic evictions land in.
-func (t *Tenant) remove(kind eventKind, key string, size int64) bool {
+// evictions only when an entry was removed (through the record's node, or by
+// rule 1 of event when it has none), so one racing an eviction replay of the
+// same key is not counted twice. Retiring a page evicts its residents
+// (Memshare semantics), so the hit-rate damage shows in the same counters
+// organic evictions land in.
+func (t *Tenant) remove(kind eventKind, key string, node *cache.Node, size int64) bool {
 	class, ok := t.ClassFor(size)
 	if !ok {
 		return false
 	}
-	removed := t.queues[class].Remove(key)
+	removed := node == nil || t.queues[class].Remove(key, node)
 	switch {
+	case kind == evAdmit:
 	case kind == evRemove:
 		t.deletes++
 	case !removed:
@@ -453,7 +460,9 @@ func (t *Tenant) Access(key string, size int64) (bool, []cache.Victim) {
 		return false, nil
 	}
 	t.classReq[class]++
-	out, _ := t.policy.admit(class, key, t.cost(class, size))
+	k := placedKey{class, key}
+	out, node := t.policy.admit(class, key, cache.Hash(key), t.placed[k], t.cost(class, size))
+	t.placed[k] = node
 	if out.Hit {
 		t.classHit[class]++
 	} else {
@@ -487,16 +496,15 @@ func (t *Tenant) UsedBytes() int64 {
 // have seen traffic or hold memory in class order.
 func (t *Tenant) Stats() TenantStats {
 	st := TenantStats{
-		Name:         t.cfg.Name,
-		Requests:     sum(t.classReq),
-		Hits:         sum(t.classHit),
-		Misses:       sum(t.classMiss),
-		Sets:         t.sets,
-		Deletes:      t.deletes,
-		Expired:      t.expired,
-		Touches:      t.touches,
-		TouchHits:    t.touchHits,
-		ReplayProbes: t.probes,
+		Name:      t.cfg.Name,
+		Requests:  sum(t.classReq),
+		Hits:      sum(t.classHit),
+		Misses:    sum(t.classMiss),
+		Sets:      t.sets,
+		Deletes:   t.deletes,
+		Expired:   t.expired,
+		Touches:   t.touches,
+		TouchHits: t.touchHits,
 	}
 	for c, q := range t.queues {
 		capacity, used, items := q.Capacity(), q.Used(), q.Items()
