@@ -32,8 +32,12 @@ race:
 # TestArenaRunReadersVsFrees). Both store lines run the differential oracle:
 # FuzzStoreMatchesReference's seed corpus (a synchronous store against a naive
 # reference cache, every mode within capacity and both unmanaged modes under
-# eviction pressure) and TestStoreMatchesReferenceAsync, its asynchronous
-# twin. The fourth line is the tenant switch on both
+# eviction pressure, the reference keeping the store's hit window) and
+# TestStoreMatchesReferenceAsync, its asynchronous twin, and the hit window's
+# own two: TestOnlyFrontHitsSkip (a GET hit that emits no event finds its key
+# in a front segment) and TestUnpromotedHitsAreCounted (every settled reader
+# counts the hits served within their window), the second also asynchronous,
+# where the window is read by requests while sweeps publish it. The fourth line is the tenant switch on both
 # sides of the socket: the client's deferred tenant line against scripted
 # and real servers, the server's one-write answer, and the two switch alloc
 # gates. On internal/server it
@@ -142,10 +146,15 @@ conformance:
 # records' queue nodes go stale, or whose admissions are still pending, behind
 # a held bookkeeper lock must settle to what a synchronous store holds, and so
 # does the asynchronous run of the differential oracle. The
-# last two pin one settle per critical section: a flush_all of 100 000 records
+# next two pin one settle per critical section: a flush_all of 100 000 records
 # moves inline_applies and producer_sweeps by at most one per shard, and an
-# add that sheds a dead record past the high-water mark applies once.
-FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestProducerSweepsAtTheBatchBoundary|TestBacklogBoundedUnderOverload|TestStaleNodesThroughStore|TestStoreMatchesReferenceAsync|TestFlushIsNotOverload|TestOneSectionSettlesOnce
+# add that sheds a dead record past the high-water mark applies once. The last
+# two hold the hit window: a GET hit that emits no event finds its key in a
+# front segment, under eviction pressure with hill climbing and cliff scaling
+# on, and every reader of a settled tenant (its hits, the per-class and queue
+# hits, the arbiter's) counts the hits served within their window, sync and
+# async.
+FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestProducerSweepsAtTheBatchBoundary|TestBacklogBoundedUnderOverload|TestStaleNodesThroughStore|TestStoreMatchesReferenceAsync|TestFlushIsNotOverload|TestOneSectionSettlesOnce|TestOnlyFrontHitsSkip|TestUnpromotedHitsAreCounted
 FITS_COUNT ?= 200
 FITS_RACE_COUNT ?= 20
 fits:
@@ -168,7 +177,9 @@ fits:
 # number of incr/decr is formatted on the stack);
 # SetItemBytes+Delete churn <= 1; the bookkeeper's sweep = 0 — buffers stolen
 # and handed back, ordered in kept scratch — and so is an asynchronous GET
-# loop whose own requests sweep at the batch boundary; streaming client
+# loop whose own requests sweep at the batch boundary (with the hit window at
+# 0, so that every hit emits), and so is a GET hit within its window, which
+# emits nothing and is counted in its shard, sync and async; streaming client
 # pipelined GET <= 1 amortized over a real socket; a tenant switch between registered
 # tenants = 0 in the server, switch + GET <= 1 through client and server; in a
 # full, split class queue a hit = 0 through the remembered node that a
@@ -304,13 +315,17 @@ connscale: bins
 # is the daemon's CPU per command over the whole cliffbench run (its utime +
 # stime ticks from /proc/<pid>/stat, over the ops= cliffbench prints), so a
 # before/after pair reads in ns per GET: a profile line's flat % of it is that
-# function's ns per GET. Not in CI.
+# function's ns per GET. Next to it, the GET events per GET hit from the
+# daemon's last stats tick (1 - get_hits_unpromoted / get_hits, with the
+# stats JSON in the same directory): the share of hits that still stamp,
+# append and replay an event, the rest being served within their hit window.
+# Not in CI.
 PIPELINE ?= 64
 profile: bins
 	@set -e; \
 	dir=$$(mktemp -d); \
 	addr=127.0.0.1:13227; paddr=127.0.0.1:13228; \
-	./bin/cliffhangerd -addr $$addr -pprof-addr $$paddr 2>$$dir/daemon.log & pid=$$!; \
+	./bin/cliffhangerd -addr $$addr -pprof-addr $$paddr -stats-interval 1s -stats-json $$dir/stats.jsonl 2>$$dir/daemon.log & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	sleep 1; \
 	ticks() { awk '{print $$14 + $$15}' /proc/$$pid/stat; }; \
@@ -325,7 +340,12 @@ profile: bins
 	echo "profile: $$dir/cpu.pb.gz"; \
 	ops=$$(sed -n 's/^ops=\([0-9]*\) .*/\1/p' $$dir/bench.log); \
 	awk -v t=$$((t1 - t0)) -v hz=$$(getconf CLK_TCK) -v ops=$$ops \
-		'BEGIN { printf "daemon CPU per command: %.0f ns (%d ticks at %d Hz over %d commands)\n", t * 1e9 / hz / ops, t, hz, ops }'
+		'BEGIN { printf "daemon CPU per command: %.0f ns (%d ticks at %d Hz over %d commands)\n", t * 1e9 / hz / ops, t, hz, ops }'; \
+	last=$$(tail -n 1 $$dir/stats.jsonl); \
+	hits=$$(echo "$$last" | sed -n 's/.*"get_hits":"\([0-9]*\)".*/\1/p'); \
+	skipped=$$(echo "$$last" | sed -n 's/.*"get_hits_unpromoted":"\([0-9]*\)".*/\1/p'); \
+	awk -v h=$${hits:-0} -v u=$${skipped:-0} \
+		'BEGIN { if (h > 0) printf "GET events per GET hit: %.3f (%d of %d hits within their window)\n", 1 - u / h, u, h; else print "GET events per GET hit: no hits in the stats" }'
 
 clean:
 	rm -rf bin

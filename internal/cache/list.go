@@ -32,16 +32,19 @@ package cache
 
 // Node is an intrusive doubly-linked list element holding one cache entry.
 // Whoever indexes the entry owns the node: it may be unlinked from one List
-// and linked into another, keeping its identity.
+// and linked into another, keeping its identity. It is 48 bytes, a size class
+// of its own: Cost and Aux are 32 bits, which holds any cost a store charges
+// (one chunk, at most the 1 MiB largest class) and any segment tag (a few per
+// queue of a tenant or manager).
 type Node struct {
 	prev, next *Node
 	// Key is the entry's key while it is resident; Hash(Key) stays.
 	Key  string
 	Hash uint64
-	Cost int64
+	Cost int32
 	// Aux is scratch space for the owner's per-entry metadata (for a
 	// core.Queue entry, the queue and segment it is linked in).
-	Aux int64
+	Aux int32
 }
 
 // Hash is the repository's one key hash, 64-bit FNV-1a, generic so that

@@ -73,8 +73,8 @@ func (l *LRU) Access(key string, cost int64) (hit bool, victims []Victim) {
 // queue's capacity it is not admitted and is returned as its own victim.
 func (l *LRU) Add(key string, cost int64) []Victim {
 	if n, ok := l.items[key]; ok {
-		l.used += cost - n.Cost
-		n.Cost = cost
+		l.used += cost - int64(n.Cost)
+		n.Cost = int32(cost)
 		l.ll.MoveToFront(n)
 		return l.evictOverflow(nil)
 	}
@@ -117,7 +117,7 @@ func (l *LRU) evictOverflow(victims []Victim) []Victim {
 		if n == nil {
 			break
 		}
-		victims = append(victims, Victim{Key: n.Key, Cost: n.Cost})
+		victims = append(victims, Victim{Key: n.Key, Cost: int64(n.Cost)})
 		l.unlink(n)
 	}
 	return victims
@@ -126,7 +126,7 @@ func (l *LRU) evictOverflow(victims []Victim) []Victim {
 func (l *LRU) unlink(n *Node) {
 	l.ll.Remove(n)
 	delete(l.items, n.Key)
-	l.used -= n.Cost
+	l.used -= int64(n.Cost)
 	l.recycle(n)
 }
 
@@ -135,10 +135,10 @@ func (l *LRU) newNode(key string, cost int64) *Node {
 		l.free = n.next
 		n.next = nil
 		n.Key = key
-		n.Cost = cost
+		n.Cost = int32(cost)
 		return n
 	}
-	return &Node{Key: key, Cost: cost}
+	return &Node{Key: key, Cost: int32(cost)}
 }
 
 func (l *LRU) recycle(n *Node) {

@@ -258,7 +258,7 @@ func TestLRUInvariantLenMatchesKeys(t *testing.T) {
 				if l.items[n.Key] != n {
 					return false
 				}
-				sum += n.Cost
+				sum += int64(n.Cost)
 			}
 			if sum != l.Used() {
 				return false

@@ -24,12 +24,12 @@ type segment struct {
 
 func (s *segment) pushFront(n *cache.Node) {
 	s.list.PushFront(n)
-	s.used += n.Cost
+	s.used += int64(n.Cost)
 }
 
 func (s *segment) remove(n *cache.Node) {
 	s.list.Remove(n)
-	s.used -= n.Cost
+	s.used -= int64(n.Cost)
 }
 
 // partition is one half of a cliff-scaled queue, drawn in Figure 5 as one
@@ -44,13 +44,13 @@ type partition struct {
 	// segment; the other segments follow (Queue.segmentOf). The tags of a
 	// Manager's queues do not overlap (newQueue's owner), so a tag also says
 	// which queue a node belongs to (Queue.owns).
-	tag int64
+	tag int32
 
 	physCapacity int64 // target capacity of front+tail, in cost units
 	tailCapacity int64 // capacity reserved for the tail window
 }
 
-func (p *partition) init(tag, physCapacity, tailCapacity, cliffCapacity, hillCapacity int64) {
+func (p *partition) init(tag int32, physCapacity, tailCapacity, cliffCapacity, hillCapacity int64) {
 	for i := range p.segs {
 		p.segs[i].list = cache.NewList()
 	}
@@ -246,7 +246,7 @@ func newQueue(id string, cfg Config, owner int, capacity, unitCost int64) *Queue
 	}
 	q.left, q.right = &q.parts[0], &q.parts[1]
 	// Unsplit layout: everything lives in the left partition.
-	tag := int64(owner) * 2 * numSegs
+	tag := int32(owner) * 2 * numSegs
 	q.left.init(tag, capacity, tailCap, cliffCap, cfg.ShadowBytes)
 	q.right.init(tag+numSegs, 0, tailCap, cliffCap, 0)
 	q.leftPointer = capacity
@@ -306,6 +306,40 @@ func (q *Queue) Pointers() (int64, int64) { return q.leftPointer, q.rightPointer
 // and right partitions.
 func (q *Queue) PartitionCapacities() (int64, int64) {
 	return q.left.physCapacity, q.right.physCapacity
+}
+
+// FrontWindow is how many entries may be put at the head of the queue's
+// front segments after a resident key was last put there, with the key still
+// sure to be in one: the smallest front-segment item count among the
+// partitions in use (the left one alone while unsplit). It is 0 while a
+// resize is pending that a hit would apply, which only a queue that applies
+// resizes on every access does: under ResizeOnMissOnly a front hit moves the
+// key to the head and nothing else (settle), whatever is pending, and a
+// pending resize is applied by a miss, itself an access that places an
+// entry. A key that has left its front segment left it from the back,
+// with only entries placed after it ahead, and those are all its segment
+// holds until more are placed; so while fewer entries than that count have
+// been placed since the key was, it has not left. Entries are placed by
+// accesses and admissions. A resize only drains, but for the one that first
+// splits the queue, which moves the colder residents to the right partition
+// in recency order and so puts nothing ahead of a key that was not already.
+func (q *Queue) FrontWindow() int {
+	if q.pendingResize && !q.cfg.ResizeOnMissOnly {
+		return 0
+	}
+	n := q.left.segs[segFront].list.Len()
+	if q.split {
+		n = min(n, q.right.segs[segFront].list.Len())
+	}
+	return n
+}
+
+// CountHits counts n front-segment hits that promoted nothing, as the
+// store's GET hits within their FrontWindow do: the requests and hits a
+// settle of each would have counted.
+func (q *Queue) CountHits(n int64) {
+	q.stats.Requests += n
+	q.stats.Hits += n
 }
 
 // SetCapacity retargets the queue's total physical capacity. The change is
@@ -369,7 +403,7 @@ func (q *Queue) segmentOf(n *cache.Node) (*partition, int) {
 
 // owns reports whether n is linked in one of this queue's segments: its tag
 // is one of the queue's eight (a forgotten node's, -1, is no queue's).
-func (q *Queue) owns(n *cache.Node) bool { return uint64(n.Aux-q.left.tag) < 2*numSegs }
+func (q *Queue) owns(n *cache.Node) bool { return uint32(n.Aux-q.left.tag) < 2*numSegs }
 
 // unlink takes n out of the segment that holds it; an index entry stays.
 func (q *Queue) unlink(n *cache.Node) {
@@ -389,19 +423,19 @@ func (q *Queue) place(n *cache.Node, p *partition, seg int, victims []cache.Vict
 	shadow := seg > segCliff
 	for ; seg < numSegs; seg++ {
 		s := &p.segs[seg]
-		if n.Cost <= s.capacity {
+		if int64(n.Cost) <= s.capacity {
 			if seg >= segCliff && !shadow {
 				if q.index[n.Hash] != nil {
 					break // a collision: a lost shadow hit
 				}
 				q.index[n.Hash], n.Key, shadow = n, "", true
 			}
-			n.Aux = p.tag + int64(seg)
+			n.Aux = p.tag + int32(seg)
 			s.pushFront(n)
 			return q.drain(p, seg, victims)
 		}
 		if seg == segTail {
-			victims = append(victims, cache.Victim{Key: n.Key, Hash: n.Hash, Cost: n.Cost})
+			victims = append(victims, cache.Victim{Key: n.Key, Hash: n.Hash, Cost: int64(n.Cost)})
 		}
 	}
 	q.forget(n, shadow)
@@ -419,7 +453,7 @@ func (q *Queue) drain(p *partition, seg int, victims []cache.Victim) []cache.Vic
 		}
 		s.remove(n)
 		if seg == segTail {
-			victims = append(victims, cache.Victim{Key: n.Key, Hash: n.Hash, Cost: n.Cost})
+			victims = append(victims, cache.Victim{Key: n.Key, Hash: n.Hash, Cost: int64(n.Cost)})
 		}
 		victims = q.place(n, p, seg+1, victims)
 	}
@@ -565,7 +599,7 @@ func (q *Queue) settle(key string, hash uint64, cost int64, n *cache.Node, found
 		default:
 			q.unlink(n)
 		}
-		n.Key, n.Hash, n.Cost = key, hash, cost
+		n.Key, n.Hash, n.Cost = key, hash, int32(cost)
 		evicted = q.place(n, target, segFront, nil)
 	}
 	// Relax pointers toward "just full" partition sizes. A partition that is

@@ -497,7 +497,7 @@ func TestQueueIndexAgreesWithSegments(t *testing.T) {
 					seg := &p.segs[si]
 					var used int64
 					for n := seg.list.Front(); n != nil; n = seg.list.Next(n) {
-						used += n.Cost
+						used += int64(n.Cost)
 						switch {
 						case si < segCliff && (n.Key == "" || resident[n.Key]):
 							t.Fatalf("op %d %s: a resident node in segment %d/%d holds %q, which is empty or another resident's", i, op, pi, si, n.Key)

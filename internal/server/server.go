@@ -1277,6 +1277,9 @@ func (s *Server) plainStats(tenant string) (statList, error) {
 	l.add("tenant", tenant)
 	l.num("cmd_get", st.Requests)
 	l.num("get_hits", st.Hits)
+	// The part of get_hits served within the hit window: keys still in their
+	// queue's front segment, whose hits emitted no event.
+	l.num("get_hits_unpromoted", st.HitsUnpromoted)
 	l.num("get_misses", st.Misses)
 	l.ratio("hit_rate", st.HitRate())
 	l.num("cmd_set", st.Sets)

@@ -694,7 +694,7 @@ func TestServerStatsSchema(t *testing.T) {
 		}
 		return out
 	}
-	plain := []string{"tenant", "cmd_get", "get_hits", "get_misses", "hit_rate", "cmd_set", "cmd_touch", "touch_hits",
+	plain := []string{"tenant", "cmd_get", "get_hits", "get_hits_unpromoted", "get_misses", "hit_rate", "cmd_set", "cmd_touch", "touch_hits",
 		"expired", "ops_per_sec", "curr_connections", "total_connections", "rejected_connections", "conn_timeouts",
 		"conn_panics", "parked_connections", "spurious_wakes", "active_sessions", "buffer_pool_bytes", "mem_inuse_bytes",
 		"arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees",

@@ -30,6 +30,19 @@ import (
 // class's 0.5011 to 0.5025). Granting until the key has room, and never for a
 // key that is already resident, moves nothing here by itself: at a whole-page
 // step the row still reads 202120.
+//
+// Every row moved once more when a GET hit on a key still in its queue's
+// front segment stopped emitting its event (the hit window, internal/store's
+// Reader.Get): such a key ages as if it had not been hit, so an LRU evicts a
+// little earlier, and cliff scaling sees other tail-window hits. From default
+// 187842 (0.4696; app1 109324, 0.3910), cliffhanger 203873 (0.5097; app1
+// 127674, 0.4566), static-solver 192959 (0.6432; app1 134883, 0.6434) and
+// global-lru 40293 (0.2686; app1 13000, 0.1242) to the values below. The
+// cliffhanger row's -0.0032 is mostly this configuration's spread: over trace
+// seeds 1 to 10 its deltas run from -0.0062 to +0.0062, -0.0014 on average,
+// and the default row's from -0.0004 to +0.0001. With the window held at 0
+// the engine matches the old values bit for bit (internal/store's
+// TestHitWindowOffIsThePerEventPath).
 func TestPolicyGoldenHitRates(t *testing.T) {
 	apps := smallApps()
 
@@ -50,14 +63,15 @@ func TestPolicyGoldenHitRates(t *testing.T) {
 		mode     store.AllocationMode
 		requests int64
 		mutate   func(*testing.T, *Config)
-		// Golden values measured at commit f912d5d (pre-refactor), except
-		// the cliffhanger row (PR 21, see above).
+		// Golden values re-recorded with the hit window (see above); before
+		// it, measured at commit f912d5d (pre-refactor), except the
+		// cliffhanger row (PR 21).
 		hits, app1Hits int64
 		rate, app1Rate string
 	}{
 		{
 			name: "default", mode: store.AllocDefault, requests: 400000,
-			hits: 187842, app1Hits: 109324, rate: "0.4696", app1Rate: "0.3910",
+			hits: 187726, app1Hits: 109289, rate: "0.4693", app1Rate: "0.3909",
 		},
 		{
 			name: "cliffhanger", mode: store.AllocCliffhanger, requests: 400000,
@@ -65,18 +79,18 @@ func TestPolicyGoldenHitRates(t *testing.T) {
 				c.Cliffhanger = core.DefaultConfig()
 				c.Cliffhanger.ShadowBytes = 512 << 10
 			},
-			hits: 203873, app1Hits: 127674, rate: "0.5097", app1Rate: "0.4566",
+			hits: 202584, app1Hits: 126247, rate: "0.5065", app1Rate: "0.4515",
 		},
 		{
 			name: "static-solver", mode: store.AllocStatic, requests: 300000,
 			mutate: func(t *testing.T, c *Config) {
 				c.StaticAllocations = solverAllocs(t)
 			},
-			hits: 192959, app1Hits: 134883, rate: "0.6432", app1Rate: "0.6434",
+			hits: 192901, app1Hits: 134827, rate: "0.6430", app1Rate: "0.6431",
 		},
 		{
 			name: "global-lru", mode: store.AllocGlobalLRU, requests: 150000,
-			hits: 40293, app1Hits: 13000, rate: "0.2686", app1Rate: "0.1242",
+			hits: 40127, app1Hits: 12836, rate: "0.2675", app1Rate: "0.1226",
 		},
 	}
 	for _, tc := range cases {

@@ -324,11 +324,49 @@ func TestAllocGateSweep(t *testing.T) {
 	}
 }
 
+// TestAllocGateGetHitWithinWindow pins the GET hit that emits no event at 0
+// allocations, in both bookkeeping modes: one key read over and over, so that
+// after the first read no stamp separates a hit from the key's last
+// promotion, and each is counted in its shard instead.
+func TestAllocGateGetHitWithinWindow(t *testing.T) {
+	for _, syncBk := range []bool{true, false} {
+		s := New(Config{DefaultMode: AllocCliffhanger, SyncBookkeeping: syncBk})
+		if err := s.RegisterTenant("hot", 64<<20); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			if err := set(s, "hot", fmt.Sprintf("key-%d", i), make([]byte, 256)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Flush()
+		key := []byte("key-0")
+		read := func() {
+			v, ok, err := s.GetItemView("hot", key)
+			if err != nil || !ok {
+				t.Fatalf("get hit = %v %v", ok, err)
+			}
+			v.Release()
+		}
+		read()
+		allocs := testing.AllocsPerRun(2000, read)
+		st, _ := s.Stats("hot")
+		if allocs != 0 || st.HitsUnpromoted < 2000 {
+			t.Errorf("sync=%v: a GET hit within its window allocates %.2f objects, want 0; %d of %d hits within it",
+				syncBk, allocs, st.HitsUnpromoted, st.Hits)
+		}
+		s.Close()
+	}
+}
+
 // TestAllocGateAsyncGetSweeps pins the producer-side sweep at 0 allocations:
 // an asynchronous store's GET-hit loop in which every shard crosses the batch
 // boundary, so requests inside the measured loop replay every shard's events
 // themselves. The maintenance tick is held off so every sweep is a request's.
+// The hit window is held at 0, so that every GET hit emits its event: most of
+// the loop's would be within it.
 func TestAllocGateAsyncGetSweeps(t *testing.T) {
+	defer SetHitWindowOff(true)()
 	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
 	if err := s.RegisterTenant("hot", 64<<20); err != nil {

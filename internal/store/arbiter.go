@@ -295,22 +295,7 @@ func (s *Store) ArbiterTick() bool {
 	sort.Strings(names)
 	obs := make([]arbiterObservation, 0, len(names))
 	for _, n := range names {
-		e := reg[n]
-		var shadow int64
-		e.bk.mu.Lock()
-		if m := e.tenant.Manager(); m != nil {
-			shadow = m.TotalStats().ShadowHits
-		}
-		hits := sum(e.tenant.classHit)
-		e.bk.mu.Unlock()
-		obs = append(obs, arbiterObservation{
-			name:          n,
-			shadowHits:    shadow,
-			hits:          hits,
-			shadowBytes:   e.tenant.shadowBytes(),
-			targetBytes:   e.targetBytes.Load(),
-			reservedBytes: e.tenant.reserved,
-		})
+		obs = append(obs, reg[n].observe(n))
 	}
 	s.arbMu.Lock()
 	mv, ok := s.arb.tick(obs)
@@ -323,6 +308,28 @@ func (s *Store) ArbiterTick() bool {
 	_ = s.ResizeTenant(mv.donor, mv.donorBytes)
 	_ = s.ResizeTenant(mv.recipient, mv.recipientBytes)
 	return true
+}
+
+// observe reads what the arbiter ranks the tenant by off the settled
+// tenant, so its hits include every GET hit served, those within their hit
+// window too (Reader.Get).
+func (e *tenantEntry) observe(name string) arbiterObservation {
+	var shadow int64
+	e.bk.mu.Lock()
+	e.bk.sweepLocked()
+	if m := e.tenant.Manager(); m != nil {
+		shadow = m.TotalStats().ShadowHits
+	}
+	hits := sum(e.tenant.classHit)
+	e.bk.mu.Unlock()
+	return arbiterObservation{
+		name:          name,
+		shadowHits:    shadow,
+		hits:          hits,
+		shadowBytes:   e.tenant.shadowBytes(),
+		targetBytes:   e.targetBytes.Load(),
+		reservedBytes: e.tenant.reserved,
+	}
 }
 
 // ArbiterTenantStats is one tenant's arbitration-facing state.

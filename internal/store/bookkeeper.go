@@ -33,15 +33,30 @@ import (
 // such records (the upcoming re-admission re-establishes their structural
 // entry), so a settled engine holds exactly one value per structural entry.
 //
+// Most GET hits emit no event at all. A hit on a key whose record was last
+// promoted (admitted, or hit with an event) fewer than W of the tenant's
+// stamps ago is still in its queue's front segment, whatever those stamped
+// events did, and a replayed front hit only moves the key to the head: the
+// request counts the hit in its shard and buffers nothing. W is the class
+// queue's smallest front-segment item count (core.Queue.FrontWindow, 0 while
+// a resize is pending that a hit would apply), published per class after
+// every replay (window). Only stamped events place entries, so counting the
+// tenant's stamps is conservative; in a synchronous store the rule is exact
+// and decided in request order, so the simulator and a wire replay still
+// agree. It is not free: a key whose hits are skipped ages as if it had not
+// been hit, and can leave its front segment up to W stamps early.
+//
 // Overload behaviour: lookup (GET) events are advisory — they feed hit/miss
 // counters and the shadow queues — and are shed once a shard's buffer hits
 // its high-water mark, which a shard only reaches while sweeps in progress
-// keep its own producers from sweeping. Structural events (SET admissions,
-// DELETEs) are never dropped; instead, a producer that finds the buffer past
-// the high-water mark applies the backlog inline, so the value table and the
-// eviction queues cannot diverge without bound. A critical section of a shard
-// settles once, at its end (release), however many events it buffered: a
-// flush_all applies each shard once and does not read as overload.
+// keep its own producers from sweeping. A shed hit, like one within the
+// window, leaves its record's promotion stamp where it was. Structural events
+// (SET admissions, DELETEs) are never dropped; instead, a producer that finds
+// the buffer past the high-water mark applies the backlog inline, so the value
+// table and the eviction queues cannot diverge without bound. A critical
+// section of a shard settles once, at its end (release), however many events
+// it buffered: a flush_all applies each shard once and does not read as
+// overload.
 
 // eventKind identifies a bookkeeping event.
 type eventKind uint8
@@ -73,12 +88,14 @@ const (
 
 // event is one deferred bookkeeping operation. seq is a per-tenant arrival
 // stamp: sweeps merge the shard buffers back into arrival order so eviction
-// recency matches what a synchronous engine would have seen. oldSize carries
-// the previous charged size of a re-admitted key (0 for a fresh one). A
-// lookup or touch event with an empty key is one the directory answered with
-// a miss: size is the key length and the replay only counts it
-// (Tenant.lookup). node is the record's queue node (item.node), the only way
-// to a resident entry; a re-set's admission carries the previous record's.
+// recency matches what a synchronous engine would have seen, and a GET hit
+// within its class's window of its record's last promoted stamp is no event
+// (Reader.Get). oldSize carries the previous charged size of a re-admitted key
+// (0 for a fresh one). A lookup or touch event with an empty key is one the
+// directory answered with a miss: size is the key length and the replay only
+// counts it (Tenant.lookup). node is the record's queue node (item.node), the
+// only way to a resident entry; a re-set's admission carries the previous
+// record's.
 // An admission's hash routes the key and finds its shadow entry and record,
 // so no replay hashes a key (victims carry theirs). An event buffered while
 // its record's admission is pending carries no node, and two rules settle
@@ -156,6 +173,11 @@ type bookkeeper struct {
 
 	// seq stamps events with their arrival order across all shards.
 	seq atomic.Uint64
+	// window is each class queue's hit window as of the last replay
+	// (publishLocked): a GET hit whose record was promoted fewer stamps ago
+	// than its class's window emits no event. Written under mu, read by
+	// requests without it.
+	window []atomic.Int64
 
 	// dropped counts advisory events shed because bookkeeping was
 	// saturated; sweeps counts sweeps a producer ran at the batch boundary
@@ -254,20 +276,47 @@ func (b *bookkeeper) release(sh *valueShard) {
 // buffering never allocates.
 func (b *bookkeeper) applyShard(sh *valueShard) {
 	b.mu.Lock()
-	batch := sh.steal()
+	batch := sh.steal(b.tenant)
 	for i := range batch {
 		b.applyEventLocked(&batch[i])
 	}
 	sh.handBack(batch)
+	b.publishLocked()
 	b.mu.Unlock()
 }
 
-// steal takes the shard's buffered events, leaving its spare buffer to
-// collect new ones, and returns nil if there are none. The caller must hold
-// bk.mu and pass the batch to handBack once it has been replayed.
-func (sh *valueShard) steal() []event {
+// hitWindowOff makes publishLocked publish 0 for every class, so that every
+// GET hit emits its event as it did before the window rule. Tests set it.
+var hitWindowOff atomic.Bool
+
+// publishLocked publishes every class queue's hit window (window), its
+// FrontWindow. Only a changed window is stored, so a steady run of hits
+// writes nothing that the requests read. The caller must hold b.mu, having
+// replayed every event that could have moved a queue.
+func (b *bookkeeper) publishLocked() {
+	off := hitWindowOff.Load()
+	for c, q := range b.tenant.queues {
+		w := int64(0)
+		if !off {
+			w = int64(q.FrontWindow())
+		}
+		if b.window[c].Load() != w {
+			b.window[c].Store(w)
+		}
+	}
+}
+
+// steal folds the hits the shard served within their window into t's counters
+// and takes the shard's buffered events, leaving its spare buffer to collect
+// new ones; it returns nil if there are none. The caller must hold bk.mu and
+// pass the batch to handBack once it has been replayed.
+func (sh *valueShard) steal(t *Tenant) []event {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.unpromotedSum > 0 {
+		t.countUnpromoted(sh.unpromoted)
+		sh.unpromotedSum = 0
+	}
 	if len(sh.pending) == 0 {
 		return nil
 	}
@@ -373,7 +422,7 @@ func (b *bookkeeper) sweepLocked() {
 	shards := b.entry.shards
 	n := 0
 	for i := range shards {
-		b.stolen[i] = shards[i].steal()
+		b.stolen[i] = shards[i].steal(b.tenant)
 		n += len(b.stolen[i])
 	}
 	if n > 0 {
@@ -383,6 +432,7 @@ func (b *bookkeeper) sweepLocked() {
 		shards[i].handBack(b.stolen[i])
 		b.stolen[i] = nil
 	}
+	b.publishLocked()
 }
 
 // replayInOrder replays the n stolen events in ascending stamp order without

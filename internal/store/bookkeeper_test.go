@@ -279,8 +279,10 @@ func TestOneMaintenanceGoroutine(t *testing.T) {
 // anywhere, and a GET below it sweeps nothing. Then, with every shard but one
 // filled to just under the high-water mark while someone else holds the
 // bookkeeper lock, one GET replays all of it, no more than len(shards) ×
-// shardBufferHighWater events.
+// shardBufferHighWater events. Every GET must buffer its event, so the hit
+// window is held at 0.
 func TestProducerSweepsAtTheBatchBoundary(t *testing.T) {
+	defer SetHitWindowOff(true)()
 	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
 	if err := s.RegisterTenant("app", 64<<20); err != nil {
@@ -360,12 +362,14 @@ func TestProducerSweepsAtTheBatchBoundary(t *testing.T) {
 // TestBacklogBoundedUnderOverload storms one asynchronous tenant with four
 // producers. First three of them GET keys of one shard while a stand-in for a
 // slow sweep holds the bookkeeper lock: the GET that fills the shard to the
-// high-water mark waits to apply it inline, and every GET
-// after it is shed. Then all four mix SETs, DELETEs and GETs over every
-// shard. No shard may ever hold more than shardBufferHighWater events plus one
-// per producer (a producer's event past the mark is applied before it makes
-// another), every GET is either replayed or counted in DroppedEvents, and the
-// conservation audit is clean afterwards.
+// high-water mark waits to apply it inline, and every GET after it is shed.
+// That phase runs with the hit window at 0, since every one of its GETs hits
+// a key just admitted and would otherwise emit nothing. Then all four mix
+// SETs, DELETEs and GETs over every shard, with the window back. No shard may
+// ever hold more than shardBufferHighWater events plus one per producer (a
+// producer's event past the mark is applied before it makes another), every
+// GET is replayed, served within its window (both count in Requests) or
+// counted in DroppedEvents, and the conservation audit is clean afterwards.
 func TestBacklogBoundedUnderOverload(t *testing.T) {
 	const producers = 4
 	s := New(Config{DefaultMode: AllocCliffhanger})
@@ -387,6 +391,7 @@ func TestBacklogBoundedUnderOverload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	restoreWindow := SetHitWindowOff(true)
 	s.Flush()
 
 	var peak atomic.Int64
@@ -433,6 +438,7 @@ func TestBacklogBoundedUnderOverload(t *testing.T) {
 	if n := e.bk.dropped.Load(); n < 1000 {
 		t.Fatalf("only %d GETs shed in 20 s with the sweep held", n)
 	}
+	restoreWindow()
 
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -469,8 +475,12 @@ func TestBacklogBoundedUnderOverload(t *testing.T) {
 	if st.DroppedEvents == 0 || st.InlineApplies == 0 {
 		t.Errorf("storm shed %d GETs and applied %d backlogs inline, want both > 0", st.DroppedEvents, st.InlineApplies)
 	}
+	if st.HitsUnpromoted == 0 {
+		t.Errorf("no GET hit was served within its window")
+	}
 	if st.Requests+st.DroppedEvents != gets.Load() {
-		t.Errorf("%d GETs replayed + %d shed != %d issued", st.Requests, st.DroppedEvents, gets.Load())
+		t.Errorf("%d GETs replayed or within their window (%d of them) + %d shed != %d issued",
+			st.Requests, st.HitsUnpromoted, st.DroppedEvents, gets.Load())
 	}
 	if err := s.AuditConservation("app"); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,11 @@
 package store
 
-import "cliffhanger/internal/cache"
+import (
+	"fmt"
+	"slices"
+
+	"cliffhanger/internal/cache"
+)
 
 // AssertPagesFollowPeak shares the leases-follow-residency check with the
 // external test package, which drives the store from internal/workload (a
@@ -61,4 +66,37 @@ func (p *classQueues) numQueues() int { return len(p.queues) }
 func (p *classQueues) queueView(i int) (capacity, used int64, items int) {
 	q := p.queues[i]
 	return q.Capacity(), q.Used(), q.Items()
+}
+
+// ResidentSegments lists every record of the tenant, settled, as "key size
+// tag" sorted by key: tag is the segment tag (cache.Node.Aux) of the queue
+// node the record remembers, which names the partition and segment holding
+// it.
+func ResidentSegments(s *Store, tenant string) []string {
+	s.Flush()
+	e, _ := s.entry(tenant)
+	var out []string
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		for k, it := range sh.items {
+			tag := "none"
+			if it.node != nil {
+				tag = fmt.Sprint(it.node.Aux)
+			}
+			out = append(out, fmt.Sprintf("%s %d %s", k, it.size, tag))
+		}
+		sh.mu.Unlock()
+	}
+	slices.Sort(out)
+	return out
+}
+
+// SetHitWindowOff holds every class's hit window at 0 while off is true, so
+// every GET hit emits its event, and returns the function that restores the
+// previous setting. A store publishes windows after each replay, so a test
+// sets it before it drives one.
+func SetHitWindowOff(off bool) (restore func()) {
+	was := hitWindowOff.Swap(off)
+	return func() { hitWindowOff.Store(was) }
 }

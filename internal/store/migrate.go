@@ -205,6 +205,7 @@ func (e *tenantEntry) reconfigureTick() bool {
 		}
 		cur = next
 		e.appliedBytes.Store(next)
+		e.bk.publishLocked()
 	}
 	e.bk.mu.Unlock()
 

@@ -17,6 +17,14 @@ import (
 // least recent entries when it has none left, and a shrink takes pages off
 // the largest queue. The managed modes are modelled only while nothing is
 // evicted: their queues never fill, which the tests that run them keep to.
+//
+// The reference stamps what the Store stamps, one per event a request
+// buffers (a GET miss, a GET hit outside its window, a touch, a write that
+// stores, a removal, an expiry), and keeps the Store's hit window: a GET hit
+// on a record promoted fewer than its queue's length of stamps ago neither
+// stamps nor promotes. An unmanaged queue is all front segment, so
+// that is the Store's window; a managed queue's segments are not modelled,
+// and there every hit promotes, which nothing within capacity can tell apart.
 type refCache struct {
 	geom    *slab.Geometry
 	mode    AllocationMode
@@ -30,6 +38,7 @@ type refCache struct {
 	lru     [][]string // per queue, least recently used first
 	cap     []int64
 	used    []int64
+	stamps  uint64
 	st      TenantStats
 }
 
@@ -40,6 +49,7 @@ type refRecord struct {
 	expires, setAt int64
 	queue          int
 	cost           int64
+	promoted       uint64 // the stamp of its admission or last promoting hit
 }
 
 func newRefCache(cfg TenantConfig, sync bool, now func() int64) *refCache {
@@ -98,6 +108,7 @@ func (r *refCache) live(key string) *refRecord {
 	if (rec.expires != 0 && now >= rec.expires) || (r.flushAt != 0 && now >= r.flushAt && rec.setAt < r.flushAt) {
 		r.drop(key)
 		r.st.Expired++
+		r.stamps++
 		return nil
 	}
 	return rec
@@ -132,10 +143,17 @@ func (r *refCache) GetItemView(_ string, key []byte) (ItemView, bool, error) {
 	r.st.Requests++
 	if rec == nil {
 		r.st.Misses++
+		r.stamps++
 		return ItemView{}, false, nil
 	}
 	r.st.Hits++
-	r.promote(string(key))
+	if r.unmanaged() && r.stamps-rec.promoted < uint64(len(r.lru[rec.queue])) {
+		r.st.HitsUnpromoted++
+	} else {
+		r.stamps++
+		rec.promoted = r.stamps
+		r.promote(string(key))
+	}
 	return ItemView{Value: slices.Clone(rec.value), Flags: rec.flags, CAS: rec.cas}, true, nil
 }
 
@@ -143,6 +161,7 @@ func (r *refCache) Touch(_ string, key []byte, exptime int64) (bool, error) {
 	expires := r.deadline(exptime)
 	rec := r.live(string(key))
 	r.st.Touches++
+	r.stamps++
 	if rec != nil {
 		r.st.TouchHits++
 		rec.expires = expires
@@ -156,6 +175,7 @@ func (r *refCache) Delete(_, key string) (bool, error) {
 	if rec != nil {
 		r.drop(key)
 		r.st.Deletes++
+		r.stamps++
 	}
 	return rec != nil, nil
 }
@@ -169,6 +189,7 @@ func (r *refCache) FlushAll(_ string, exptime int64) error {
 	for key := range r.records {
 		r.drop(key)
 		r.st.Deletes++
+		r.stamps++
 	}
 	return nil
 }
@@ -245,8 +266,9 @@ func (r *refCache) write(tenant string, key string, verb writeVerb, value []byte
 		r.unlink(key)
 	}
 	r.cas++
+	r.stamps++
 	r.records[key] = &refRecord{value: append(slices.Clone(head), tail...), flags: flags, cas: r.cas,
-		expires: expires, setAt: r.now(), queue: q, cost: cost}
+		expires: expires, setAt: r.now(), queue: q, cost: cost, promoted: r.stamps}
 	r.st.Sets++
 	for r.unmanaged() && r.used[q]+cost > r.cap[q] && r.free >= r.geom.PageSize {
 		r.free -= r.geom.PageSize

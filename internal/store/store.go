@@ -105,6 +105,9 @@ type item struct {
 	// pinned view is immutable for its lifetime.
 	value []byte
 	flags uint32
+	// class is the class queue the charged size maps to (Tenant.ClassFor):
+	// the hit window a GET reads (Reader.Get).
+	class int32
 	cas   uint64
 	// size is the charged size, len(key)+len(value) at the last mutation;
 	// it is the size every structural event for the key is emitted with.
@@ -127,6 +130,11 @@ type item struct {
 	// plane's and is only dereferenced by a replay.
 	seq  uint64
 	node *cache.Node
+	// promoted is the stamp of the last event that put the key at the head
+	// of its queue's front segment: the admission's, or a GET hit's that was
+	// buffered while the record had its node (Reader.Get). A GET hit within
+	// its class's hit window of it emits nothing.
+	promoted uint64
 	// next links the record into its shard's freelist while pooled.
 	next *item
 }
@@ -173,6 +181,12 @@ type valueShard struct {
 	// act is what the critical section in progress owes (guarded by mu);
 	// bookkeeper.release takes and resets it.
 	act recordAction
+	// unpromoted counts, per class queue, the GET hits the shard served
+	// within their hit window, which emit no event (guarded by mu), and
+	// unpromotedSum is their total. The next steal of the shard's buffer
+	// folds them into the tenant's counters (Tenant.countUnpromoted).
+	unpromoted    []int64
+	unpromotedSum int64
 }
 
 // getItemLocked pops a pooled record (or allocates the shard's first). The
@@ -313,7 +327,7 @@ func (e *tenantEntry) markAdmitted(key string, hash, seq uint64, node *cache.Nod
 // retired one cycles back through epoch reclamation, so a steady-state write
 // allocates nothing. A fresh key pops a pooled record and a recycled chunk;
 // only the interned key string is born on the heap.
-func (e *tenantEntry) setLocked(sh *valueShard, key []byte, hash uint64, prev *item, head, tail []byte, flags uint32, expires, now int64) {
+func (e *tenantEntry) setLocked(sh *valueShard, key []byte, hash uint64, class int, prev *item, head, tail []byte, flags uint32, expires, now int64) {
 	sh.casCounter++
 	size := int64(len(key) + len(head) + len(tail))
 	value := e.newValueLocked(sh, size, len(head)+len(tail))
@@ -330,13 +344,14 @@ func (e *tenantEntry) setLocked(sh *valueShard, key []byte, hash uint64, prev *i
 	}
 	it.value = value
 	it.flags = flags
+	it.class = int32(class)
 	it.cas = sh.casCounter
 	it.size = size
 	e.setExpiresLocked(it, expires)
 	it.setAt = now
 	ev.key = it.key
 	e.bk.bufferLocked(sh, &ev)
-	it.seq = ev.seq
+	it.seq, it.promoted = ev.seq, ev.seq
 	it.node = nil
 }
 
@@ -491,8 +506,9 @@ func (s *Store) RegisterTenantConfig(cfg TenantConfig) error {
 	for i := range e.shards {
 		e.shards[i].items = make(map[string]*item)
 		e.shards[i].idx = i
+		e.shards[i].unpromoted = make([]int64, len(tenant.queues))
 	}
-	e.bk = &bookkeeper{tenant: tenant, entry: e, now: s.cfg.Now,
+	e.bk = &bookkeeper{tenant: tenant, entry: e, now: s.cfg.Now, window: make([]atomic.Int64, len(tenant.queues)),
 		stolen: make([][]event, n), cursor: make([]int, n), slots: make([]*event, sweepWindow)}
 	e.bk.inline.Store(s.cfg.SyncBookkeeping)
 	next := make(map[string]*tenantEntry, len(old)+1)
@@ -769,6 +785,16 @@ func (s *Store) BeginRead(tenant string) (Reader, error) {
 // On a hit the returned view borrows the record's chunk directly; on a miss
 // (ok false) the view is zero.
 //
+// A hit emits no event at all when its record was last promoted fewer than
+// W of the tenant's stamps ago, W being its class's hit window
+// (bookkeeper.window): however the stamped events since were replayed, the
+// key is still in its queue's front segment, where a replayed hit would only
+// have moved it to the head. Stock memcached skips the relink of an item it
+// bumped recently the same way (ITEM_UPDATE_INTERVAL), by time; the window
+// counts events, so a synchronous store decides it in request order. The
+// shard counts such a hit (valueShard.unpromoted) and the next steal of its
+// buffer folds it into the tenant's hits.
+//
 // One pin covers the whole run. The first hit pins its shard's stripe before
 // that shard unlocks, as a one-key read must. Every later view is of a chunk
 // the run read under its shard's lock after the pin was published, so that
@@ -792,11 +818,12 @@ func (r *Reader) Get(key []byte) (ItemView, bool) {
 	// included) is an event without a key, counted against the class of the
 	// key length: a record leaves the directory only after its structural
 	// removal, or ahead of it in this shard's buffer, and a GET never admits,
-	// so there is nothing in any queue for the replay to find.
+	// so there is nothing in any queue for the replay to find. A hit within
+	// its window sends nothing; one whose admission is pending (no node) is
+	// never in it, and its event does not move promoted (rule 2 of event).
 	ev := event{kind: evLookup, size: int64(len(key))}
 	var out ItemView
 	if it != nil {
-		ev.key, ev.size, ev.node = it.key, it.size, it.node
 		if r.pin.arena == nil {
 			// Pin before unlocking: the pin-store happens-before any
 			// retirement of this chunk (retires run under this same shard
@@ -806,8 +833,18 @@ func (r *Reader) Get(key []byte) (ItemView, bool) {
 			r.pin = epochPin{arena: e.arena, stripe: sh.idx}
 		}
 		out = ItemView{Value: it.value, Flags: it.flags, CAS: it.cas}
+		if it.node != nil && e.bk.seq.Load()-it.promoted < uint64(e.bk.window[it.class].Load()) {
+			sh.unpromoted[it.class]++
+			sh.unpromotedSum++
+			sh.mu.Unlock() // the section buffered nothing: nothing to settle
+			return out, true
+		}
+		ev.key, ev.size, ev.node = it.key, it.size, it.node
 	}
 	e.bk.bufferLocked(sh, &ev)
+	if it != nil && it.node != nil && ev.seq != 0 {
+		it.promoted = ev.seq
+	}
 	e.bk.release(sh)
 	return out, it != nil
 }
@@ -986,14 +1023,15 @@ func (s *Store) write(tenant string, key []byte, verb writeVerb, value []byte, f
 		}
 	}
 	size := int64(len(key) + len(head) + len(tail))
-	if _, fits := e.tenant.ClassFor(size); res == CASStored && !fits {
+	class, fits := e.tenant.ClassFor(size)
+	if res == CASStored && !fits {
 		err = errTooLarge(string(key), size)
 	}
 	if res != CASStored || err != nil {
 		e.bk.release(sh)
 		return res, n, err
 	}
-	e.setLocked(sh, key, hash, it, head, tail, flags, expires, s.cfg.Now())
+	e.setLocked(sh, key, hash, class, it, head, tail, flags, expires, s.cfg.Now())
 	e.bk.release(sh)
 	return res, n, e.admitOutcome(tenant, sh, key)
 }

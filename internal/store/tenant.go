@@ -181,7 +181,11 @@ type TenantStats struct {
 	// rate the hill climber and the stats consumers read.
 	Touches   int64
 	TouchHits int64
-	Classes   []ClassStats
+	// HitsUnpromoted is the part of Hits served within the hit window: GET
+	// hits on keys still in their queue's front segment, which emitted no
+	// event and moved nothing (Reader.Get).
+	HitsUnpromoted int64
+	Classes        []ClassStats
 	// DroppedEvents, Sweeps and InlineApplies are the Store bookkeeper's
 	// counters (bookkeeper.dropped and so on); Tenant.Stats leaves them 0.
 	DroppedEvents int64
@@ -220,9 +224,10 @@ type Tenant struct {
 	reserved int64
 
 	// Counters. The tenant's requests, hits and misses are the sums of the
-	// per-class ones (Stats, sum).
-	sets, deletes, expired, touches, touchHits int64
-	classReq, classHit, classMiss, classEvict  []int64
+	// per-class ones (Stats, sum); unpromoted is the part of the hits that
+	// a store served within their hit window (countUnpromoted).
+	sets, deletes, expired, touches, touchHits, unpromoted int64
+	classReq, classHit, classMiss, classEvict              []int64
 
 	// placed is the directory of Access and Admit, which have no Store
 	// around them: the node each class queue last placed each key under.
@@ -358,6 +363,23 @@ func (t *Tenant) lookup(kind eventKind, key string, node *cache.Node, size int64
 	}
 	t.classReq[class]++
 	return hit, victims
+}
+
+// countUnpromoted counts the GET hits a store's shard served within their
+// class's hit window, which emitted no event (Reader.Get), and zeroes counts,
+// the shard's per-class tally: each is a request and a hit of its class, and
+// of its class queue, as the replay of a front hit would have counted it.
+func (t *Tenant) countUnpromoted(counts []int64) {
+	for c, n := range counts {
+		if n == 0 {
+			continue
+		}
+		t.classReq[c] += n
+		t.classHit[c] += n
+		t.unpromoted += n
+		t.queues[c].CountHits(n)
+		counts[c] = 0
+	}
 }
 
 // Admit performs the SET path of a fresh key: the key becomes resident (if it
@@ -505,6 +527,8 @@ func (t *Tenant) Stats() TenantStats {
 		Expired:   t.expired,
 		Touches:   t.touches,
 		TouchHits: t.touchHits,
+
+		HitsUnpromoted: t.unpromoted,
 	}
 	for c, q := range t.queues {
 		capacity, used, items := q.Capacity(), q.Used(), q.Items()
