@@ -63,9 +63,8 @@ func TestPolicyGoldenHitRates(t *testing.T) {
 		mode     store.AllocationMode
 		requests int64
 		mutate   func(*testing.T, *Config)
-		// Golden values re-recorded with the hit window (see above); before
-		// it, measured at commit f912d5d (pre-refactor), except the
-		// cliffhanger row (PR 21).
+		// Golden values re-recorded with the hit window; see above for
+		// what each row read before it.
 		hits, app1Hits int64
 		rate, app1Rate string
 	}{
