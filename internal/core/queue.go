@@ -311,18 +311,25 @@ func (q *Queue) PartitionCapacities() (int64, int64) {
 // FrontWindow is how many entries may be put at the head of the queue's
 // front segments after a resident key was last put there, with the key still
 // sure to be in one: the smallest front-segment item count among the
-// partitions in use (the left one alone while unsplit). It is 0 while a
-// resize is pending that a hit would apply, which only a queue that applies
-// resizes on every access does: under ResizeOnMissOnly a front hit moves the
-// key to the head and nothing else (settle), whatever is pending, and a
-// pending resize is applied by a miss, itself an access that places an
-// entry. A key that has left its front segment left it from the back,
-// with only entries placed after it ahead, and those are all its segment
-// holds until more are placed; so while fewer entries than that count have
-// been placed since the key was, it has not left. Entries are placed by
-// accesses and admissions. A resize only drains, but for the one that first
-// splits the queue, which moves the colder residents to the right partition
-// in recency order and so puts nothing ahead of a key that was not already.
+// partitions in use (the left one alone while unsplit), less the tail
+// window's length in items (TailWindowItems with cliff scaling on, none
+// otherwise). It is 0 while a resize is pending that a hit would apply, which
+// only a queue that applies resizes on every access does: under
+// ResizeOnMissOnly a front hit moves the key to the head and nothing else
+// (settle), whatever is pending, and a pending resize is applied by a miss,
+// itself an access that places an entry. A key that has left its front
+// segment left it from the back, with only entries placed after it ahead, and
+// those are all its segment holds until more are placed; so while fewer
+// entries than that count have been placed since the key was, it has not
+// left. Entries are placed by accesses and admissions. A resize only drains,
+// but for the one that first splits the queue, which moves the colder
+// residents to the right partition in recency order and so puts nothing ahead
+// of a key that was not already.
+//
+// The margin keeps a tail window's length of front segment behind a key that
+// a caller leaves where it is: such a key ages as if it had not been hit, and
+// without the margin enough of them reached the tail window to move cliff
+// scaling's pointers, whose signal is the hits there.
 func (q *Queue) FrontWindow() int {
 	if q.pendingResize && !q.cfg.ResizeOnMissOnly {
 		return 0
@@ -331,7 +338,7 @@ func (q *Queue) FrontWindow() int {
 	if q.split {
 		n = min(n, q.right.segs[segFront].list.Len())
 	}
-	return n
+	return max(0, n-int(q.left.tailCapacity/q.unitCost))
 }
 
 // CountHits counts n front-segment hits that promoted nothing, as the

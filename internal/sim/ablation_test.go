@@ -17,8 +17,8 @@ import (
 //	go test -count=1 -run TestAblationTable -v ./internal/sim/
 //
 // Run replays through the store, so the table measures the engine the daemon
-// runs: 0.6822 / 0.7648 / 0.7634 / 0.7689 on Memcachier and 0.4328 / 0.5093 /
-// 0.4338 / 0.4848 on facebook, whose generator gives a key a new value size
+// runs: 0.6822 / 0.7648 / 0.7627 / 0.7683 on Memcachier and 0.4328 / 0.5093 /
+// 0.4338 / 0.4845 on facebook, whose generator gives a key a new value size
 // on every request (a GET hit keeps the size the key was filled at).
 func TestAblationTable(t *testing.T) {
 	if testing.Short() {

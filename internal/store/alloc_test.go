@@ -327,14 +327,16 @@ func TestAllocGateSweep(t *testing.T) {
 // TestAllocGateGetHitWithinWindow pins the GET hit that emits no event at 0
 // allocations, in both bookkeeping modes: one key read over and over, so that
 // after the first read no stamp separates a hit from the key's last
-// promotion, and each is counted in its shard instead.
+// promotion, and each is counted in its shard instead. The tenant holds
+// enough keys for each partition's front segment to outnumber its tail window,
+// so that the window is not 0.
 func TestAllocGateGetHitWithinWindow(t *testing.T) {
 	for _, syncBk := range []bool{true, false} {
 		s := New(Config{DefaultMode: AllocCliffhanger, SyncBookkeeping: syncBk})
 		if err := s.RegisterTenant("hot", 64<<20); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 64; i++ {
+		for i := 0; i < 1024; i++ {
 			if err := set(s, "hot", fmt.Sprintf("key-%d", i), make([]byte, 256)); err != nil {
 				t.Fatal(err)
 			}
