@@ -35,16 +35,25 @@ import (
 //
 // Most GET hits emit no event at all. A hit on a key whose record was last
 // promoted (admitted, or hit with an event) fewer than W of the tenant's
-// stamps ago is still in its queue's front segment, whatever those stamped
-// events did, and a replayed front hit only moves the key to the head: the
-// request counts the hit in its shard and buffers nothing. W is the class
-// queue's smallest front-segment item count (core.Queue.FrontWindow, 0 while
-// a resize is pending that a hit would apply), published per class after
-// every replay (window). Only stamped events place entries, so counting the
-// tenant's stamps is conservative; in a synchronous store the rule is exact
-// and decided in request order, so the simulator and a wire replay still
-// agree. It is not free: a key whose hits are skipped ages as if it had not
-// been hit, and can leave its front segment up to W stamps early.
+// stamps ago emits nothing: the request counts the hit in its shard and
+// buffers nothing. W is the class queue's hit window
+// (core.Queue.FrontWindow: its smallest front-segment item count less a tail
+// window, 0 while a resize is pending that a hit would apply), published per
+// class after every replay (window). Only stamped events place entries, so
+// counting the tenant's stamps is conservative. With SyncBookkeeping every
+// event is replayed before the next request reads a freshly published W, so
+// such a key is still in its queue's front segment, where a replayed hit
+// would only have moved it to the head; the rule is decided in request
+// order, and the simulator and a wire replay still agree. An asynchronous
+// store decides against the W its last replay published while events stamped
+// since may still be buffered: a shrink that a buffered miss applies, an
+// admission that drains several smaller entries, or a high-water apply that
+// replays one shard ahead of lower stamps in the others can push the key out
+// of its front segment first, and the skipped hit then loses its promotion
+// and the tail-window hit cliff scaling would have counted. There the rule is
+// approximate, as shed GET events are (TestFrontHitsSkipAsync measures it).
+// Either way it is not free: a key whose hits are skipped ages as if it had
+// not been hit.
 //
 // Overload behaviour: lookup (GET) events are advisory — they feed hit/miss
 // counters and the shadow queues — and are shed once a shard's buffer hits

@@ -787,9 +787,11 @@ func (s *Store) BeginRead(tenant string) (Reader, error) {
 //
 // A hit emits no event at all when its record was last promoted fewer than
 // W of the tenant's stamps ago, W being its class's hit window
-// (bookkeeper.window): however the stamped events since were replayed, the
-// key is still in its queue's front segment, where a replayed hit would only
-// have moved it to the head. Stock memcached skips the relink of an item it
+// (bookkeeper.window). In a synchronous store, whose every event is replayed
+// before this read, the key is then still in its queue's front segment, where
+// a replayed hit would only have moved it to the head; in an asynchronous one
+// events stamped since may still be buffered, and the rule is approximate
+// (the bookkeeper's doc). Stock memcached skips the relink of an item it
 // bumped recently the same way (ITEM_UPDATE_INTERVAL), by time; the window
 // counts events, so a synchronous store decides it in request order. The
 // shard counts such a hit (valueShard.unpromoted) and the next steal of its
