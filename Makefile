@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race4 stable benchcheck benchquick vet fmt count bench bins conformance fits alloccheck fuzz replay churn verify arbiter chaos drain connscale profile clean
+.PHONY: build test race race4 testnames stable benchcheck benchquick vet fmt count bench bins conformance fits alloccheck fuzz replay churn verify arbiter chaos drain connscale profile clean
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,8 @@ race:
 # real parallelism; CI runs this as its own lane. The whole store package
 # runs, so the footprint tests (TestArenaLeasesFollowResidency and its
 # twenty-tenant Memcachier form, TestArenaQuarantineBoundedInBytes) race the
-# maintenance tick's reclaim here too, and four producers storm one tenant's
-# event buffers past the high-water mark while requests sweep them
+# maintenance tick's reclaim here too, and four producers storm one tenant
+# while no shard buffers more than the events of the requests in flight on it
 # (TestBacklogBoundedUnderOverload). internal/core rides along for the
 # keeps-what-fits property, whose store-level twins are in here. The second
 # line repeats the concurrent arena storm (TestArenaConservationConcurrent)
@@ -33,11 +33,12 @@ race:
 # FuzzStoreMatchesReference's seed corpus (a synchronous store against a naive
 # reference cache, every mode within capacity and both unmanaged modes under
 # eviction pressure, the reference keeping the store's hit window) and
-# TestStoreMatchesReferenceAsync, its asynchronous twin, and the hit window's
-# own two: TestOnlyFrontHitsSkip (a GET hit that emits no event finds its key
-# in a front segment) and TestUnpromotedHitsAreCounted (every settled reader
-# counts the hits served within their window), the second also asynchronous,
-# where the window is read by requests while sweeps publish it. The fourth line is the tenant switch on both
+# TestStoreMatchesReferenceAsync, its concurrent twin (four drivers over keys
+# of their own), and the hit window's own three: TestOnlyFrontHitsSkip (a GET
+# hit that emits no event finds its key in a front segment),
+# TestFrontHitsSkipAsync (two drivers, where a window is read while the other
+# driver's replays publish it) and TestUnpromotedHitsAreCounted (every settled
+# reader counts the hits served within their window). The fourth line is the tenant switch on both
 # sides of the socket: the client's deferred tenant line against scripted
 # and real servers, the server's one-write answer, and the two switch alloc
 # gates. On internal/server it
@@ -48,17 +49,38 @@ race:
 # holds its one epoch pin across the writer's mid-run flushes while writers
 # re-set and delete its keys (TestGetRunPinnedAcrossFlushes; its store-level
 # twin, TestArenaRunReadersVsFrees, rides in the store line).
+RACE4_STORE = TestArenaConservationConcurrent$$
+RACE4_CLIENT = Tenant
+RACE4_SERVER = Tenant|TestPark|TestGoverned|TestGetRun
 race4:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/store/... ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestArenaConservationConcurrent$$' ./internal/store/
+	GOMAXPROCS=4 $(GO) test -race -count=20 -run '$(RACE4_STORE)' ./internal/store/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -tags arenapoison ./internal/store/...
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant' ./internal/client/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Tenant|TestPark|TestGoverned|TestGetRun' ./internal/server/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run '$(RACE4_CLIENT)' ./internal/client/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run '$(RACE4_SERVER)' ./internal/server/
+
+# testnames fails when an alternative of a gate's -run pattern matches no test
+# of its package, as go test -list prints them: every name in FITS, and each
+# of race4's patterns. A gate whose list names a deleted or renamed test
+# would otherwise run the rest and pass. CI runs it before the gates.
+testnames:
+	@set -e; \
+	check() { \
+		names=$$($(GO) test -list '.*' $$1 | grep -E '^(Test|Fuzz|Example)'); \
+		for alt in $$(echo "$$2" | tr '|' ' '); do \
+			echo "$$names" | grep -qE -- "$$alt" || { echo "testnames: $$alt matches no test in $$1"; exit 1; }; \
+		done; \
+	}; \
+	check ./internal/store/ '$(FITS)'; \
+	check ./internal/store/ '$(RACE4_STORE)'; \
+	check ./internal/client/ '$(RACE4_CLIENT)'; \
+	check ./internal/server/ '$(RACE4_SERVER)'; \
+	echo "testnames: every alternative names a test"
 
 # stable is the flake hunt for the packages with real concurrency (in
-# internal/store that includes the asynchronous halves of the
-# leases-follow-residency tests, whose page counts depend on when the
-# maintenance tick reclaims), plus internal/core for the keeps-what-fits
+# internal/store that includes the halves of the leases-follow-residency
+# tests that run the maintenance goroutine, whose page counts depend on when
+# its tick reclaims), plus internal/core for the keeps-what-fits
 # property and internal/client for the scripted-listener tests, which count the segments a
 # request arrives in: 20 runs each at one, two and four Ps (CI runs it on
 # demand, not on every push).
@@ -127,35 +149,39 @@ count:
 # names, in wire order, for a fixed store state. Last, settled GET hits at
 # shipped defaults all hit, each replay going through the queue node its
 # record remembers (no class queue indexes resident keys), and touches of
-# absent keys, whose events carry no key, move only the touch counters.
+# absent keys, whose events carry no key, move only the touch counters. Then
+# the wire's answer to a bounce: a SET that bounces off a full managed tenant
+# answers STORED and the next GET misses, and SETs racing DELETEs of the same
+# key on another connection never answer SERVER_ERROR.
 conformance:
-	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits|TestServerStatsSchema|TestServerSettledHitsProbeNothing|TestServerTouchMissesProbeNothing' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestServerProtocolConformance|TestServerShippedDefaultsKeepWhatFits|TestServerStatsSchema|TestServerSettledHitsProbeNothing|TestServerTouchMissesProbeNothing|TestServerBounceAnswersStored|TestServerSetRacingDeleteIsStored' -v ./internal/server/
 
 # fits repeats the keeps-what-fits tests where they used to flake: the
 # store-level twins (a load that fits evicts nothing, a fill of twice the
-# reservation ends up holding it, sync and async) and the grant that splits a
-# queue, 200 times at one and at two Ps and 20 times at four under the race
-# detector (one race iteration is 17 s on a 2-CPU box, so 200 would be an
-# hour). The asynchronous twin failed about one full-suite run in thirty until
-# PR 21 (the bookkeeper replaying admissions in another order reached a grant
-# that left the key without room); here it gets 420 tries on every push. The
-# three apply-regime tests ride along (one maintenance goroutine per store,
-# the producer sweep and its bound, the backlog bound under overload): at one
-# and two Ps a request's sweep and the maintenance tick interleave differently.
-# So does the stale-node test: GETs, deletes, expiries and re-sets whose
-# records' queue nodes go stale, or whose admissions are still pending, behind
-# a held bookkeeper lock must settle to what a synchronous store holds, and so
-# does the asynchronous run of the differential oracle. The
-# next two pin one settle per critical section: a flush_all of 100 000 records
-# moves inline_applies and producer_sweeps by at most one per shard, and an
-# add that sheds a dead record past the high-water mark applies once. The last
-# three hold the hit window: a GET hit that emits no event finds its key in a
-# front segment, under eviction pressure with hill climbing and cliff scaling
-# on, in a synchronous store; an asynchronous one, whose buffered events can
-# still move the key, skips outside one at most one time in twenty; and
-# every reader of a settled tenant (its hits, the per-class and queue hits,
-# the arbiter's) counts the hits served within their window, sync and async.
-FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestProducerSweepsAtTheBatchBoundary|TestBacklogBoundedUnderOverload|TestStaleNodesThroughStore|TestStoreMatchesReferenceAsync|TestFlushIsNotOverload|TestOneSectionSettlesOnce|TestOnlyFrontHitsSkip|TestFrontHitsSkipAsync|TestUnpromotedHitsAreCounted
+# reservation ends up holding it, with and without the maintenance
+# goroutine) and the grant that splits a queue, 200 times at one and at two
+# Ps and 20 times at four under the race detector (one race iteration is 17 s
+# on a 2-CPU box, so 200 would be an hour). The twin with the maintenance
+# goroutine failed about one full-suite run in thirty until PR 21 (the
+# since-removed asynchronous bookkeeper replaying admissions in another order
+# reached a grant that left the key without room). The apply-regime tests
+# ride along (one maintenance goroutine per store, and four producers whose
+# shards never buffer more than the requests in flight): at one and two Ps
+# requests and the maintenance tick interleave differently. So do the
+# stale-node test (GETs, deletes, expiries and re-sets whose records' queue
+# nodes go stale, or whose admissions are still pending, while another apply
+# holds the accounting lock, must settle to what the same calls hold made one
+# after the other) and the concurrent run of the differential oracle. The
+# next two pin one apply per critical section: a flush_all of 100 000 records
+# applies at most once per shard, and an add that sheds a dead record applies
+# its two events once. The last three hold the hit window: a GET hit that
+# emits no event finds its key in a front segment, under eviction pressure
+# with hill climbing and cliff scaling on, from one driver; from two, where
+# the other driver's events can still move the key, it skips outside one at
+# most one time in twenty; and every reader of a settled tenant (its hits,
+# the per-class and queue hits, the arbiter's) counts the hits served within
+# their window. make testnames checks that every name here is a test.
+FITS = TestColdLoadThatFitsEvictsNothing|TestWriteChurnMissesOnlyAfterDelete|TestColdFillUsesTheBudget|TestGrantThatSplitsAQueueStillMakesRoom|TestOneMaintenanceGoroutine|TestBacklogBoundedUnderOverload|TestStaleNodesThroughStore|TestStoreMatchesReferenceAsync|TestFlushIsNotOverload|TestOneSectionSettlesOnce|TestOnlyFrontHitsSkip|TestFrontHitsSkipAsync|TestUnpromotedHitsAreCounted
 FITS_COUNT ?= 200
 FITS_RACE_COUNT ?= 20
 fits:
@@ -176,11 +202,11 @@ fits:
 # stale token, touch hit and miss, incr and decr, delete: the key reaches the
 # store as the parser's bytes, a touch miss's event carries no key and the
 # number of incr/decr is formatted on the stack);
-# SetItemBytes+Delete churn <= 1; the bookkeeper's sweep = 0 — buffers stolen
-# and handed back, ordered in kept scratch — and so is an asynchronous GET
-# loop whose own requests sweep at the batch boundary (with the hit window at
-# 0, so that every hit emits), and so is a GET hit within its window, which
-# emits nothing and is counted in its shard, sync and async; streaming client
+# SetItemBytes+Delete churn <= 1; the settle Flush and every settled reader
+# run = 0 — buffers stolen and handed back — and so is a GET hit whose event
+# its request applies (with the hit window at 0, so that every hit emits),
+# and so is a GET hit within its window, which emits nothing and is counted
+# in its shard, with and without the maintenance goroutine; streaming client
 # pipelined GET <= 1 amortized over a real socket; a tenant switch between registered
 # tenants = 0 in the server, switch + GET <= 1 through client and server; in a
 # full, split class queue a hit = 0 through the remembered node that a

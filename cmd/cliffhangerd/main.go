@@ -50,11 +50,12 @@
 // client.Stats("arbiter"), and on each -stats-json line.
 //
 // -stats-interval logs one line per tick: the commands served per second
-// over that tick, then each tenant's hit rate, shed GET events, leased pages
-// and arena occupancy. -stats-json (which needs -stats-interval) appends the
-// same tick as one JSON object: "ts", "interval_ops_per_sec", "tenants" (each
-// tenant's plain "stats" group) and "arbiter" (the "stats arbiter" group),
-// every group a name-to-value object of the strings the stats verb sends.
+// over that tick, then each tenant's hit rate, GET hits served within their
+// hit window, leased pages and arena occupancy. -stats-json (which needs
+// -stats-interval) appends the same tick as one JSON object: "ts",
+// "interval_ops_per_sec", "tenants" (each tenant's plain "stats" group) and
+// "arbiter" (the "stats arbiter" group), every group a name-to-value object
+// of the strings the stats verb sends.
 // The verb's own ops_per_sec is the average since the daemon started.
 //
 // One goroutine serves each connection, but a connection holds its 64 KiB
@@ -273,8 +274,8 @@ func byName(stats []protocol.Stat) map[string]string {
 
 // logLine is the -stats-interval log line: the interval rate, the sampled
 // latency p99s and the page pool (process-wide, so read from any tenant's
-// group), then each tenant's hit rate, GETs, shed GET events, leased pages,
-// arena bytes and arena occupancy.
+// group), then each tenant's hit rate, GETs, GET hits served within their hit
+// window, leased pages, arena bytes and arena occupancy.
 func (tk *tick) logLine() string {
 	names := make([]string, 0, len(tk.Tenants))
 	for n := range tk.Tenants {
@@ -290,8 +291,8 @@ func (tk *tick) logLine() string {
 	}
 	for _, n := range names {
 		g := tk.Tenants[n]
-		fmt.Fprintf(&b, " | %s hit=%s req=%s shed=%s pages=%s arena=%s occ=%s", n,
-			g["hit_rate"], g["cmd_get"], g["dropped_events"], g["lease_pages"], g["arena_bytes"], g["arena_occupancy"])
+		fmt.Fprintf(&b, " | %s hit=%s req=%s unpromoted=%s pages=%s arena=%s occ=%s", n,
+			g["hit_rate"], g["cmd_get"], g["get_hits_unpromoted"], g["lease_pages"], g["arena_bytes"], g["arena_occupancy"])
 	}
 	return b.String()
 }

@@ -129,7 +129,7 @@ func TestStatsTick(t *testing.T) {
 	}
 
 	line := second.logLine()
-	for _, part := range []string{"ops/s=50 ", " | app2 hit=", " | default hit=1.0000 req=50 shed=0 "} {
+	for _, part := range []string{"ops/s=50 ", " | app2 hit=", " | default hit=1.0000 req=50 unpromoted=0 "} {
 		if !strings.Contains(line, part) {
 			t.Fatalf("log line %q lacks %q", line, part)
 		}

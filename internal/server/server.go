@@ -1246,8 +1246,7 @@ func (l *statList) ratio(name string, v float64) { l.add(name, strconv.FormatFlo
 // plainStats is the plain "stats" group: the tenant's request counters, the
 // process-wide connection governor and front-end gauges (memcached field
 // names), the tenant's arena, reclamation, page-pool and arbitration state,
-// the bookkeeper's shed GET events, sweeps and inline applies, the sampled
-// latency p99s, and a hit rate per slab class.
+// the sampled latency p99s, and a hit rate per slab class.
 func (s *Server) plainStats(tenant string) (statList, error) {
 	st, err := s.store.Stats(tenant)
 	if err != nil {
@@ -1315,12 +1314,6 @@ func (s *Server) plainStats(tenant string) (statList, error) {
 	l.num("target_bytes", at.TargetBytes)
 	l.add("marginal_hit_per_byte", strconv.FormatFloat(at.MarginalHitPerByte, 'g', -1, 64))
 	l.num("arbiter_moves", as.Moves)
-	// The bookkeeper: GET events it shed, sweeps requests ran at the batch
-	// boundary and shard backlogs requests applied at the high-water mark (at
-	// most one of those two per critical section).
-	l.num("dropped_events", st.DroppedEvents)
-	l.num("producer_sweeps", st.Sweeps)
-	l.num("inline_applies", st.InlineApplies)
 	// Sampled (latencySampleEvery) store-call latencies, process-wide.
 	l.num("get_p99_us", s.GetLatency.Quantile(0.99).Microseconds())
 	l.num("set_p99_us", s.SetLatency.Quantile(0.99).Microseconds())

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -699,7 +700,7 @@ func TestServerStatsSchema(t *testing.T) {
 		"conn_panics", "parked_connections", "spurious_wakes", "active_sessions", "buffer_pool_bytes", "mem_inuse_bytes",
 		"arena_bytes", "arena_occupancy", "epoch_current", "epoch_quarantined_chunks", "epoch_deferred_frees",
 		"page_pool_total", "page_pool_free", "lease_pages", "reserved_pages", "target_bytes", "marginal_hit_per_byte",
-		"arbiter_moves", "dropped_events", "producer_sweeps", "inline_applies", "get_p99_us", "set_p99_us"}
+		"arbiter_moves", "get_p99_us", "set_p99_us"}
 	// A cliffhanger tenant's queues all hold their floor capacity, so every
 	// class of the default geometry (15) has a hit rate line.
 	var classHitRates []string
@@ -1439,6 +1440,71 @@ func TestServerTouchMissesProbeNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServerBounceAnswersStored: a SET whose value a slab class holds but its
+// full managed tenant cannot (900 KiB into a 512 KiB cliffhanger tenant, at
+// shipped defaults) answers STORED, as the daemon has always answered it: a
+// bounce is no error in any store. The replay of the SET's own admission
+// drops the value before the answer goes out, so the next GET misses.
+func TestServerBounceAnswersStored(t *testing.T) {
+	st := store.New(store.Config{DefaultMode: store.AllocCliffhanger})
+	if err := st.RegisterTenant("default", 512<<10); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Addr: "127.0.0.1:0", DefaultTenant: "default"}, st)
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); st.Close() })
+	c := dialTest(t, srv)
+	if err := c.Set("big", make([]byte, 900<<10)); err != nil {
+		t.Fatalf("a SET that bounces off its tenant answered %v, want STORED", err)
+	}
+	if _, ok, err := c.Get("big"); err != nil || ok {
+		t.Fatalf("GET after the bounce: ok=%v err=%v, want a miss", ok, err)
+	}
+	if n, _ := st.Items("default"); n != 0 {
+		t.Fatalf("%d records after the bounce, want 0", n)
+	}
+}
+
+// TestServerSetRacingDeleteIsStored: SETs of one key on one connection race
+// DELETEs of the same key on another, 1 000 rounds at two Ps. A DELETE that
+// lands between a SET's unlock and the replay of its admission leaves no
+// record behind, and the SET still answers STORED: nothing reads a missing
+// record as a bounce.
+func TestServerSetRacingDeleteIsStored(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	srv, _ := startTestServer(t, store.AllocCliffhanger)
+	setter, deleter := dialTest(t, srv), dialTest(t, srv)
+	stop := make(chan struct{})
+	deleted := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				deleted <- n
+				return
+			default:
+			}
+			if ok, err := deleter.Delete("racing"); err != nil {
+				t.Errorf("delete: %v", err)
+			} else if ok {
+				n++
+			}
+		}
+	}()
+	value := make([]byte, 100)
+	for i := 0; i < 1000; i++ {
+		if err := setter.Set("racing", value); err != nil {
+			t.Errorf("SET %d racing DELETEs answered %v, want STORED", i, err)
+			break
+		}
+	}
+	close(stop)
+	t.Logf("%d of 1000 SETs deleted by the racing connection", <-deleted)
 }
 
 // TestLatencySampling pins the sampler: per session and per histogram, the

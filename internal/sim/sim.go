@@ -126,7 +126,7 @@ type Result struct {
 	TotalHits     int64
 	TotalMisses   int64
 	// Fills counts the replay's writes, one per GET miss and one per SET;
-	// Refused counts those the engine refused.
+	// Refused counts those the engine refused, values no slab class holds.
 	Fills, Refused int64
 	// ArbiterMoves is TotalRequests at each arbiter tick that moved memory.
 	ArbiterMoves []int64
@@ -206,9 +206,9 @@ func NewStore(cfg Config) (*store.Store, error) {
 // Engine is what Replay drives: a store called directly (StoreEngine) or a
 // client in front of a server's store. Get reports whether tenant holds key.
 // Fill stores r's key under a PadValue(r) value and reports whether the
-// engine refused it (no slab class holds it, or it bounced off a full
-// tenant): a refusal is an outcome of the trace, a permanent miss, not an
-// error. Delete removes key.
+// engine refused it (no slab class holds it): a refusal is an outcome of the
+// trace, a permanent miss, not an error. A value that bounces off a full
+// tenant is stored and dropped, not refused. Delete removes key.
 type Engine interface {
 	Get(tenant, key string) (hit bool, err error)
 	Fill(tenant string, r trace.Request) (refused bool, err error)
@@ -233,8 +233,8 @@ func (d *direct) Get(tenant, key string) (bool, error) {
 }
 
 // Fill counts every error as a refusal: the store refuses a value no chunk
-// can hold, or one that bounces off a full tenant, and a server answers both
-// with the SERVER_ERROR a client reads as one.
+// can hold, and a server answers it with the SERVER_ERROR a client reads as
+// one.
 func (d *direct) Fill(tenant string, r trace.Request) (bool, error) {
 	d.key = append(d.key[:0], r.Key...)
 	return d.st.SetItemBytes(tenant, d.key, PadValue(r), 0, 0) != nil, nil

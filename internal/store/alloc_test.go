@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestAllocGateStoreGet pins the allocation floor of the byte-keyed GET path
-// with synchronous bookkeeping (the deterministic mode, where every
-// structural event is applied inline rather than buffered):
+// TestAllocGateStoreGet pins the allocation floor of the byte-keyed GET path,
+// each request applying its own event:
 //
 //   - hit:  0 allocations — the map lookup rides the alloc-free m[string(b)]
 //     form, the lookup event reuses the record's interned key string, and
@@ -277,13 +276,13 @@ func TestSetItemBytesCopiesValue(t *testing.T) {
 	}
 }
 
-// TestAllocGateSweep pins the sweep at 0 allocations per call in the steady
-// state: shard buffers are stolen and handed back, the union is ordered in
-// scratch the bookkeeper keeps, and nothing is copied or sorted. The burst is
-// a pipelined batch's worth of GET-hit events on every shard, with the
-// hundredth stamp skipped the way an inline applier leaves holes. The tenant
-// is a default-mode one so that the replay itself is a plain LRU promotion,
-// which never allocates.
+// TestAllocGateSweep pins the settle that Flush and every settled reader run
+// at 0 allocations per call in the steady state: each shard's buffer is
+// stolen and handed back as its spare, and nothing is copied. The burst is a
+// pipelined batch's worth of GET-hit events on every shard, buffered the way
+// requests caught between their unlock and their apply leave them. The
+// tenant is a default-mode one so that the replay itself is a plain LRU
+// promotion, which never allocates.
 func TestAllocGateSweep(t *testing.T) {
 	s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: true})
 	defer s.Close()
@@ -300,27 +299,23 @@ func TestAllocGateSweep(t *testing.T) {
 		items = append(items, shardFor(e, key).items[key])
 	}
 	burst := func() {
-		for i, it := range items {
-			if i%100 == 99 {
-				e.bk.seq.Add(1)
-			}
+		for _, it := range items {
 			sh := shardFor(e, it.key)
-			ev := event{kind: evLookup, key: it.key, size: it.size}
+			ev := event{kind: evLookup, key: it.key, size: it.size, node: it.node}
 			sh.mu.Lock()
 			e.bk.bufferLocked(sh, &ev)
-			sh.act = actNone // synchronous mode: buffered, left for the sweep
-			sh.mu.Unlock()
+			sh.mu.Unlock() // not release: left for the settle
 		}
-		e.bk.sweep()
+		e.bk.settle()
 	}
 	burst() // each shard swaps two buffers; AllocsPerRun's own warm-up grows the second
 	allocs := testing.AllocsPerRun(200, burst)
 	if allocs != 0 {
-		t.Errorf("a sweep of %d events allocates %.2f objects, want 0", len(items), allocs)
+		t.Errorf("a settle of %d events allocates %.2f objects, want 0", len(items), allocs)
 	}
 	st, _ := s.Stats("hot")
 	if want := int64(202 * len(items)); st.Hits != want {
-		t.Errorf("sweeps replayed %d hits, want %d", st.Hits, want)
+		t.Errorf("settles replayed %d hits, want %d", st.Hits, want)
 	}
 }
 
@@ -361,13 +356,12 @@ func TestAllocGateGetHitWithinWindow(t *testing.T) {
 	}
 }
 
-// TestAllocGateAsyncGetSweeps pins the producer-side sweep at 0 allocations:
-// an asynchronous store's GET-hit loop in which every shard crosses the batch
-// boundary, so requests inside the measured loop replay every shard's events
-// themselves. The maintenance tick is held off so every sweep is a request's.
-// The hit window is held at 0, so that every GET hit emits its event: most of
-// the loop's would be within it.
-func TestAllocGateAsyncGetSweeps(t *testing.T) {
+// TestAllocGateAppliedGetEvent pins a GET hit that emits its event, which
+// the request applies before it returns, at 0 allocations, in a store with
+// its maintenance goroutine, as the daemon runs one. The hit window is held
+// at 0, so that every GET hit emits its event: most of the loop's would be
+// within it.
+func TestAllocGateAppliedGetEvent(t *testing.T) {
 	defer SetHitWindowOff(true)()
 	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
@@ -381,33 +375,19 @@ func TestAllocGateAsyncGetSweeps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Flush()
-	defer HoldMaintenance(s)()
-	e, _ := s.entry("hot")
-	const perRun = 64 * eventBatchSize
-	run := func() {
-		for i := 0; i < perRun; i++ {
-			v, ok, err := s.GetItemView("hot", keys[i%len(keys)])
-			if err != nil || !ok {
-				t.Fatalf("get hit = %v %v", ok, err)
-			}
-			v.Release()
+	var i int
+	allocs := testing.AllocsPerRun(2000, func() {
+		v, ok, err := s.GetItemView("hot", keys[i%len(keys)])
+		i++
+		if err != nil || !ok {
+			t.Fatalf("get hit = %v %v", ok, err)
 		}
-	}
-	// Each shard's two buffers grow to the most events they ever hold
-	// between sweeps. Where a sweep starts in the 64-key cycle fixes where the
-	// next one does, so the sweeps settle into a cycle of at most 64 starts
-	// (128 with the two buffers swapping roles), one or more a run; let the
-	// buffers meet that cycle's largest batch before measuring.
-	for i := 0; i < 150; i++ {
-		run()
-	}
-	sweeps := e.bk.sweeps.Load()
-	allocs := testing.AllocsPerRun(50, run)
+		v.Release()
+	})
 	if allocs != 0 {
-		t.Errorf("%d async GET hits with producer sweeps allocate %.2f objects, want 0", perRun, allocs)
+		t.Errorf("a GET hit whose event is applied allocates %.2f objects, want 0", allocs)
 	}
-	if n := e.bk.sweeps.Load() - sweeps; n < 51 {
-		t.Errorf("%d producer sweeps in 51 runs, want at least one a run", n)
+	if st, _ := s.Stats("hot"); st.HitsUnpromoted != 0 || st.Hits < 2000 {
+		t.Errorf("%d of %d hits within their window, want none", st.HitsUnpromoted, st.Hits)
 	}
 }

@@ -316,7 +316,7 @@ func (s *Store) ArbiterTick() bool {
 func (e *tenantEntry) observe(name string) arbiterObservation {
 	var shadow int64
 	e.bk.mu.Lock()
-	e.bk.sweepLocked()
+	e.bk.settleLocked()
 	if m := e.tenant.Manager(); m != nil {
 		shadow = m.TotalStats().ShadowHits
 	}

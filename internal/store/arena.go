@@ -47,7 +47,7 @@ package store
 // those chunks with the pin on another stripe, because the reclaimer scans
 // every stripe's slot (minPinned).
 //
-// The epoch advances on the store's maintenance tick (async mode), on free
+// The epoch advances on the store's maintenance tick (if it runs one), on free
 // pressure (an alloc that finds its class's freelist and tail both empty
 // advances and harvests every stripe before leasing a page — this is what
 // keeps synchronous stores, which have no maintenance tick, recycling), and

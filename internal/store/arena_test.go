@@ -130,7 +130,8 @@ func arenaStormOps(t *testing.T, s *Store, tenant string, rng *rand.Rand, ops in
 // quarantine or not carved yet (used + free + quarantined + migrating +
 // uncarved == pages * chunks-per-page: no leak, no double free), every
 // resident chunk's capacity must match its class, and UsedBytes must still
-// equal the live records' structural charge — in both bookkeeping modes.
+// equal the live records' structural charge — with and without the
+// maintenance goroutine.
 // A forced epoch advance on the quiesced store must then drain the
 // quarantine to empty and leave conservation intact. Run under -race (make
 // race / CI) this also hammers the chunk-recycling paths against the
@@ -179,9 +180,9 @@ func TestArenaConservationProperty(t *testing.T) {
 }
 
 // TestArenaConservationConcurrent runs the same storm from several
-// goroutines at once (async bookkeeping, the production mode), settles, and
-// audits. Under -race this is the main detector for a chunk being recycled
-// while another goroutine can still observe it.
+// goroutines at once (with the maintenance goroutine, as the daemon runs),
+// settles, and audits. Under -race this is the main detector for a chunk
+// being recycled while another goroutine can still observe it.
 func TestArenaConservationConcurrent(t *testing.T) {
 	var (
 		mu    sync.Mutex
@@ -336,11 +337,9 @@ func TestArenaReadersVsFrees(t *testing.T) {
 						case r < 80: // overwrite (often cross-class): retires the old chunk
 							v := buf[:sizes[rng.Intn(len(sizes))]]
 							fill(v, byte(rng.Intn(256)))
-							// The synchronous does-not-fit report is best-effort
-							// under concurrency (admitOutcome): a racing delete or
-							// flush of the same key is indistinguishable from an
-							// admission bounce, so set errors are expected here.
-							_ = s.SetItemBytes("app", key, v, 0, 0)
+							if err := s.SetItemBytes("app", key, v, 0, 0); err != nil {
+								t.Errorf("set: %v", err)
+							}
 						case r < 95:
 							if _, err := s.Delete("app", string(key)); err != nil {
 								t.Errorf("delete: %v", err)
@@ -395,8 +394,8 @@ func TestArenaReadersVsFrees(t *testing.T) {
 // each reader holds one BeginRead across 64 Gets, keeps every view, and
 // checks them all only after the run's last Get, while writers overwrite
 // (often across classes), delete and flush the same keys. The run pins once,
-// at its first hit, so a view taken early must survive the later Gets, their
-// events and the sweeps they trigger. Every value encodes its key and a
+// at its first hit, so a view taken early must survive the later Gets and
+// the events they apply. Every value encodes its key and a
 // version, so a chunk recycled under the run shows up as another key's bytes
 // or a broken pattern, and under -race (make race4 runs it at GOMAXPROCS=4)
 // as a write into a chunk a reader still holds.

@@ -4,121 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"cliffhanger/internal/cache"
-	"cliffhanger/internal/core"
 	"cliffhanger/internal/slab"
 )
-
-// TestSweepReplaysInStampOrder buffers admissions of distinct keys on their
-// own shards, lets inline appliers take single shards' backlogs in between
-// (which leaves holes in the stamps a sweep finds) and jumps the stamp counter
-// by more than a sweep window, and requires that every sweep replays what is
-// left in ascending stamp order: the class queue's recency order must be the
-// order the model applied the keys in.
-func TestSweepReplaysInStampOrder(t *testing.T) {
-	s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: true})
-	defer s.Close()
-	if err := s.RegisterTenant("app", 64<<20); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := s.entry("app")
-	bk := e.bk
-
-	type buffered struct {
-		key   string
-		shard *valueShard
-	}
-	var waiting []buffered // buffered and not yet applied, in stamp order
-	var want []string      // keys in the order the model applied them
-	rng := rand.New(rand.NewSource(3))
-	var sweeps, multiWindow int
-	sweep := func() {
-		if len(waiting) > 0 {
-			sweeps++
-		}
-		for _, b := range waiting {
-			want = append(want, b.key)
-		}
-		waiting = waiting[:0]
-		bk.sweep()
-	}
-	const size = 50
-	for i := 0; i < 20000; i++ {
-		switch r := rng.Intn(1000); {
-		case r < 960:
-			key := fmt.Sprintf("key-%d", i)
-			hash := cache.Hash(key)
-			sh := e.shard(hash)
-			ev := event{kind: evAdmit, key: key, size: size, hash: hash}
-			sh.mu.Lock()
-			bk.bufferLocked(sh, &ev)
-			sh.act = actNone // synchronous mode: stamped, buffered, left for us to apply
-			// The record the admission is of, or its replay unlinks it.
-			it := sh.getItemLocked()
-			it.key, it.size, it.seq = key, size, ev.seq
-			sh.items[key] = it
-			sh.mu.Unlock()
-			waiting = append(waiting, buffered{key, sh})
-		case r < 990:
-			sh := &e.shards[rng.Intn(len(e.shards))]
-			waiting = slices.DeleteFunc(waiting, func(b buffered) bool {
-				if b.shard == sh {
-					want = append(want, b.key)
-				}
-				return b.shard == sh
-			})
-			bk.applyShard(sh)
-		case r < 995:
-			if len(waiting) > 0 {
-				multiWindow++
-			}
-			bk.seq.Add(3 * sweepWindow)
-		default:
-			sweep()
-		}
-	}
-	sweep()
-	if sweeps < 10 || multiWindow < 10 {
-		t.Fatalf("op stream too narrow: %d non-empty sweeps, %d stamp jumps over waiting events", sweeps, multiWindow)
-	}
-
-	class, _ := e.tenant.ClassFor(size)
-	got := recencyOrder(e.tenant.queues[class])
-	if !slices.Equal(got, want) {
-		for i := range want {
-			if i >= len(got) || got[i] != want[i] {
-				t.Fatalf("replay order diverges from stamp order at event %d of %d (%d replayed)", i, len(want), len(got))
-			}
-		}
-		t.Fatalf("%d keys replayed, %d buffered", len(got), len(want))
-	}
-	for i, b := range bk.stolen {
-		if b != nil {
-			t.Fatalf("sweep left shard %d's stolen buffer in the scratch", i)
-		}
-	}
-	if i := slices.IndexFunc(bk.slots, func(ev *event) bool { return ev != nil }); i >= 0 {
-		t.Fatalf("sweep left slot %d pointing at an event", i)
-	}
-}
-
-// recencyOrder empties q and returns the keys it held, least recently used
-// first: a queue that runs neither algorithm, shrunk to nothing, evicts every
-// resident in that order.
-func recencyOrder(q *core.Queue) []string {
-	q.SetCapacity(0)
-	var keys []string
-	for _, v := range q.ForceApplyResize() {
-		keys = append(keys, v.Key)
-	}
-	return keys
-}
 
 // TestReaperSkipsTenantsWithoutTTL checks the reaper's latch from both sides:
 // a tenant that never stored a deadline is not scanned — its tick returns
@@ -237,7 +129,8 @@ func TestGetMissIsCountedAgainstTheKeyLengthClass(t *testing.T) {
 	}
 }
 
-// TestOneMaintenanceGoroutine registers twenty asynchronous tenants and
+// TestOneMaintenanceGoroutine registers twenty tenants of a store that runs
+// its maintenance goroutine and
 // requires that they cost the store one goroutine between them, not one each,
 // and that deleting them all and closing the store leaves no goroutine behind.
 func TestOneMaintenanceGoroutine(t *testing.T) {
@@ -256,7 +149,7 @@ func TestOneMaintenanceGoroutine(t *testing.T) {
 		}
 	}
 	if g := runtime.NumGoroutine(); g > base+1 {
-		t.Errorf("20 asynchronous tenants run %d goroutines beyond the %d before the store, want at most 1", g-base, base)
+		t.Errorf("20 tenants run %d goroutines beyond the %d before the store, want at most 1", g-base, base)
 	}
 	for i := 0; i < 20; i++ {
 		if err := s.DeleteTenant(fmt.Sprintf("app%d", i)); err != nil {
@@ -273,103 +166,13 @@ func TestOneMaintenanceGoroutine(t *testing.T) {
 	}
 }
 
-// TestProducerSweepsAtTheBatchBoundary checks the trigger and its bound with
-// the maintenance tick held off, so every replay is a request's own. The GET
-// whose event brings a shard to eventBatchSize returns with nothing buffered
-// anywhere, and a GET below it sweeps nothing. Then, with every shard but one
-// filled to just under the high-water mark while someone else holds the
-// bookkeeper lock, one GET replays all of it, no more than len(shards) ×
-// shardBufferHighWater events. Every GET must buffer its event, so the hit
-// window is held at 0.
-func TestProducerSweepsAtTheBatchBoundary(t *testing.T) {
-	defer SetHitWindowOff(true)()
-	s := New(Config{DefaultMode: AllocCliffhanger})
-	defer s.Close()
-	if err := s.RegisterTenant("app", 64<<20); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := s.entry("app")
-	// One resident key per shard.
-	keys := make([]string, len(e.shards))
-	for i, filled := 0, 0; filled < len(keys); i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if sh := shardFor(e, k); keys[sh.idx] == "" {
-			keys[sh.idx] = k
-			filled++
-			if err := set(s, "app", k, make([]byte, 100)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	s.Flush()
-	defer HoldMaintenance(s)()
-	replayed := func() int64 {
-		e.bk.mu.Lock()
-		defer e.bk.mu.Unlock()
-		return sum(e.tenant.classReq)
-	}
-	sum := func(n []int) (total int) {
-		for _, v := range n {
-			total += v
-		}
-		return total
-	}
-
-	rng := rand.New(rand.NewSource(1))
-	boundaries := 0
-	for i := 0; i < 20000; i++ {
-		idx := rng.Intn(len(keys))
-		before, sweeps := BufferedEvents(s, "app"), e.bk.sweeps.Load()
-		get(s, "app", keys[idx])
-		after := BufferedEvents(s, "app")
-		if before[idx] == eventBatchSize-1 {
-			boundaries++
-			if n := sum(after); n != 0 || e.bk.sweeps.Load() != sweeps+1 {
-				t.Fatalf("the GET that filled shard %d to %d left %d events buffered (%d sweeps, want %d)",
-					idx, eventBatchSize, n, e.bk.sweeps.Load(), sweeps+1)
-			}
-		} else if after[idx] != before[idx]+1 || e.bk.sweeps.Load() != sweeps {
-			t.Fatalf("a GET into shard %d at %d buffered events swept", idx, before[idx])
-		}
-	}
-	if boundaries < 10 {
-		t.Fatalf("only %d GETs reached the batch boundary", boundaries)
-	}
-
-	s.Flush()
-	e.bk.mu.Lock()
-	for idx, k := range keys {
-		want := shardBufferHighWater - 1
-		if idx == 0 {
-			want = eventBatchSize - 1
-		}
-		for BufferedEvents(s, "app")[idx] < want {
-			get(s, "app", k)
-		}
-	}
-	e.bk.mu.Unlock()
-	buffered, from := sum(BufferedEvents(s, "app")), replayed()
-	get(s, "app", keys[0])
-	n := replayed() - from
-	if n != int64(buffered)+1 || sum(BufferedEvents(s, "app")) != 0 {
-		t.Fatalf("the sweeping GET replayed %d of %d buffered events and its own", n, buffered)
-	}
-	if bound := int64(len(e.shards) * shardBufferHighWater); n > bound {
-		t.Fatalf("one GET replayed %d events, bound %d", n, bound)
-	}
-}
-
-// TestBacklogBoundedUnderOverload storms one asynchronous tenant with four
-// producers. First three of them GET keys of one shard while a stand-in for a
-// slow sweep holds the bookkeeper lock: the GET that fills the shard to the
-// high-water mark waits to apply it inline, and every GET after it is shed.
-// That phase runs with the hit window at 0, since every one of its GETs hits
-// a key just admitted and would otherwise emit nothing. Then all four mix
-// SETs, DELETEs and GETs over every shard, with the window back. No shard may
-// ever hold more than shardBufferHighWater events plus one per producer (a
-// producer's event past the mark is applied before it makes another), every
-// GET is replayed, served within its window (both count in Requests) or
-// counted in DroppedEvents, and the conservation audit is clean afterwards.
+// TestBacklogBoundedUnderOverload storms one tenant with four producers
+// mixing SETs, DELETEs and GETs over every shard. Every request applies its
+// own events before it returns, so a shard never holds more than the events
+// of the sections in flight on it: one section per producer, each of at most
+// two events (an expiry and its own). Every GET is replayed or served within
+// its window (both count in Requests), some within it, and the conservation
+// audit is clean afterwards.
 func TestBacklogBoundedUnderOverload(t *testing.T) {
 	const producers = 4
 	s := New(Config{DefaultMode: AllocCliffhanger})
@@ -377,28 +180,18 @@ func TestBacklogBoundedUnderOverload(t *testing.T) {
 	if err := s.RegisterTenant("app", 16<<20); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := s.entry("app")
-	var hot, all []string
-	for i := 0; len(hot) < 16 || i < 2048; i++ {
+	var all []string
+	for i := 0; i < 2048; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if i < 2048 {
-			all = append(all, k)
-		}
-		if shardFor(e, k).idx == 0 {
-			hot = append(hot, k)
-		}
+		all = append(all, k)
 		if err := set(s, "app", k, make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	restoreWindow := SetHitWindowOff(true)
-	s.Flush()
 
 	var peak atomic.Int64
 	sampling := make(chan struct{})
 	sampled := make(chan struct{})
-	stopSampling := sync.OnceFunc(func() { close(sampling); <-sampled })
-	defer stopSampling()
 	go func() {
 		defer close(sampled)
 		for {
@@ -415,31 +208,7 @@ func TestBacklogBoundedUnderOverload(t *testing.T) {
 		}
 	}()
 	var gets atomic.Int64
-
-	e.bk.mu.Lock()
-	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for p := 0; p < producers-1; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; !stop.Load(); i++ {
-				gets.Add(1)
-				get(s, "app", hot[i%len(hot)])
-			}
-		}(p)
-	}
-	for deadline := time.Now().Add(20 * time.Second); e.bk.dropped.Load() < 1000 && time.Now().Before(deadline); {
-		runtime.Gosched()
-	}
-	stop.Store(true)
-	e.bk.mu.Unlock()
-	wg.Wait()
-	if n := e.bk.dropped.Load(); n < 1000 {
-		t.Fatalf("only %d GETs shed in 20 s with the sweep held", n)
-	}
-	restoreWindow()
-
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -463,36 +232,40 @@ func TestBacklogBoundedUnderOverload(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	stopSampling()
+	close(sampling)
+	<-sampled
 
-	if bound := int64(shardBufferHighWater + producers); peak.Load() > bound {
+	if bound := int64(2 * producers); peak.Load() > bound {
 		t.Errorf("a shard buffered %d events, bound %d", peak.Load(), bound)
 	}
 	st, err := s.Stats("app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DroppedEvents == 0 || st.InlineApplies == 0 {
-		t.Errorf("storm shed %d GETs and applied %d backlogs inline, want both > 0", st.DroppedEvents, st.InlineApplies)
-	}
 	if st.HitsUnpromoted == 0 {
 		t.Errorf("no GET hit was served within its window")
 	}
-	if st.Requests+st.DroppedEvents != gets.Load() {
-		t.Errorf("%d GETs replayed or within their window (%d of them) + %d shed != %d issued",
-			st.Requests, st.HitsUnpromoted, st.DroppedEvents, gets.Load())
+	if st.Requests != gets.Load() {
+		t.Errorf("%d GETs replayed or within their window (%d of them) != %d issued",
+			st.Requests, st.HitsUnpromoted, gets.Load())
 	}
 	if err := s.AuditConservation("app"); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestFlushIsNotOverload: flush_all of a loaded asynchronous tenant removes
-// each shard's records in one critical section, and that section settles
-// once, so the overload counters move by at most one per shard however many
-// records go, and the flush takes bk.mu once per shard, not once per record.
-// The maintenance tick is held off so every settle counted is the flush's.
-// Afterwards the tenant holds nothing and its conservation audit is clean.
+// applies reads how many times the tenant's shards have been applied.
+func applies(e *tenantEntry) int64 {
+	e.bk.mu.Lock()
+	defer e.bk.mu.Unlock()
+	return e.bk.applies
+}
+
+// TestFlushIsNotOverload: flush_all of a loaded tenant removes each shard's
+// records in one critical section, and that section applies once, so the
+// flush takes bk.mu once per shard, not once per record. The maintenance tick
+// is held off so that every apply counted is the flush's. Afterwards the
+// tenant holds nothing and its conservation audit is clean.
 func TestFlushIsNotOverload(t *testing.T) {
 	s := New(Config{DefaultMode: AllocCliffhanger})
 	defer s.Close()
@@ -511,17 +284,12 @@ func TestFlushIsNotOverload(t *testing.T) {
 		t.Fatalf("%d of %d records resident before the flush", n, records)
 	}
 	e, _ := s.entry("app")
-	before, _ := s.Stats("app")
+	before := applies(e)
 	if err := s.FlushAll("app", 0); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := s.Stats("app")
-	bound := int64(len(e.shards))
-	if n := after.InlineApplies - before.InlineApplies; n > bound {
-		t.Errorf("one flush of %d records counted %d inline applies, want at most %d", records, n, bound)
-	}
-	if n := after.Sweeps - before.Sweeps; n > bound {
-		t.Errorf("one flush of %d records counted %d producer sweeps, want at most %d", records, n, bound)
+	if n, bound := applies(e)-before, int64(len(e.shards)); n > bound {
+		t.Errorf("one flush of %d records applied %d times, want at most %d", records, n, bound)
 	}
 	if n, _ := s.Items("app"); n != 0 {
 		t.Errorf("%d records survived the flush", n)
@@ -532,10 +300,9 @@ func TestFlushIsNotOverload(t *testing.T) {
 }
 
 // TestOneSectionSettlesOnce: an add over a TTL-dead record buffers two events
-// in one critical section, the dead record's expiry and the add's admission.
-// Into a shard one event short of the high-water mark, both land past it, and
-// the section applies the shard's backlog once: one inline apply, not one per
-// event, and nothing left buffered on the shard.
+// in one critical section, the dead record's expiry and the add's admission,
+// and the section applies its shard once, not once per event, leaving
+// nothing buffered on the shard.
 func TestOneSectionSettlesOnce(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1_000_000)
@@ -548,27 +315,17 @@ func TestOneSectionSettlesOnce(t *testing.T) {
 	if err := setItem(s, "app", key, []byte("old"), 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	s.Flush()
 	defer HoldMaintenance(s)()
 	e, _ := s.entry("app")
-	idx := shardFor(e, key).idx
-	release := HoldSweep(s, "app")
-	for BufferedEvents(s, "app")[idx] < shardBufferHighWater-1 {
-		get(s, "app", key)
-	}
-	release()
 	now.Add(10)
-	applies, sweeps := e.bk.inlineApplies.Load(), e.bk.sweeps.Load()
+	before := applies(e)
 	if stored, err := s.Add("app", []byte(key), []byte("new"), 0, 0); !stored || err != nil {
 		t.Fatalf("add over a dead record = %v, %v", stored, err)
 	}
-	if n := e.bk.inlineApplies.Load() - applies; n != 1 {
-		t.Errorf("one add that buffered an expiry and an admission counted %d inline applies, want 1", n)
+	if n := applies(e) - before; n != 1 {
+		t.Errorf("one add that buffered an expiry and an admission applied %d times, want 1", n)
 	}
-	if n := e.bk.sweeps.Load() - sweeps; n != 0 {
-		t.Errorf("the add counted %d producer sweeps, want 0", n)
-	}
-	if n := BufferedEvents(s, "app")[idx]; n != 0 {
+	if n := BufferedEvents(s, "app")[shardFor(e, key).idx]; n != 0 {
 		t.Errorf("the add left %d events buffered on its shard", n)
 	}
 	st, _ := s.Stats("app")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -123,94 +124,149 @@ func (d diffRun) config() TenantConfig {
 // diffGeometry, and one beyond the largest chunk.
 var diffValueLens = []int{1, 30, 90, 200, 450, 700, 1000, 1100}
 
-// runDifferential decodes script, four bytes an operation, into a sequence of
-// verbs, TTLs and clock steps, delayed and immediate flush_all, and (with
-// synchronous bookkeeping) tenant resizes, and runs it on a Store and on the
-// reference side by side. Every reply must match; with synchronous
-// bookkeeping so must the records, Items, UsedBytes and counters after every
-// operation, and with asynchronous bookkeeping after a Flush every eight
-// operations and at the end. The maintenance tick is held, so no reaper
-// sheds a dead record behind the reference's back.
+// diffOp decodes operation i of script, four bytes an operation, over the
+// keys prefix+"k00" onward: a verb, a TTL or clock step, a delayed or
+// immediate flush_all, or (with synchronous bookkeeping, whose ResizeTenant
+// drives the resize itself) a tenant resize. vals numbers the values. With
+// shared false, where other goroutines drive the store too, the clock step,
+// flush_all and resizes, which reach every key, run as GETs. It returns how
+// to run the operation on a cache, and the clock step to take once for both
+// sides first.
+func diffOp(d diffRun, script []byte, i, keys, vals int, prefix string, shared bool) (step int64, do func(c verbCache) string) {
+	op, k, v, x := script[i]%20, fmt.Sprintf("%sk%02d", prefix, int(script[i+1])%keys), script[i+2], int64(script[i+3])
+	exptime := [...]int64{0, 0, 0, 0, 1, 2, 3, -1}[x%8]
+	var value []byte
+	if v%4 == 0 {
+		value = []byte(fmt.Sprint(int(v) * 7)) // a number for incr and decr
+	} else {
+		value = fmt.Appendf(nil, "%0*d", diffValueLens[int(v)%len(diffValueLens)], vals)
+	}
+	if op == 17 && shared {
+		step = 1 + x%4
+	}
+	return step, func(c verbCache) string {
+		key := []byte(k)
+		switch op {
+		case 0, 1, 2:
+			return fmt.Sprint(c.SetItemBytes("app", key, value, uint32(v), exptime))
+		case 3:
+			return fmt.Sprint(c.Add("app", key, value, uint32(v), exptime))
+		case 4:
+			return fmt.Sprint(c.Replace("app", key, value, uint32(v), exptime))
+		case 5, 6:
+			return fmt.Sprint(c.CompareAndSwap("app", key, value, uint32(v), exptime, casOf(c, k)+uint64(op-5)))
+		case 7:
+			return fmt.Sprint(c.AppendBytes("app", key, value[:min(len(value), 1+int(x)%4)]))
+		case 8:
+			return fmt.Sprint(c.PrependBytes("app", key, value[:min(len(value), 1+int(x)%4)]))
+		case 9:
+			return fmt.Sprint(c.Incr("app", key, uint64(x)))
+		case 10:
+			return fmt.Sprint(c.Decr("app", key, uint64(x)))
+		case 11:
+			return fmt.Sprint(c.Touch("app", key, exptime))
+		case 12:
+			return fmt.Sprint(c.Delete("app", k))
+		case 17:
+			if shared {
+				return "" // the clock step, taken once for both
+			}
+		case 18:
+			if shared {
+				return fmt.Sprint(c.FlushAll("app", [...]int64{0, 1, 2, 3}[x%4]))
+			}
+		case 19:
+			if shared && d.sync {
+				return fmt.Sprint(c.ResizeTenant("app", d.config().MemoryBytes+(x%4-1)*diffGeometry.PageSize))
+			}
+		}
+		view, ok, err := c.GetItemView("app", key)
+		defer view.Release()
+		return fmt.Sprintf("%q %d %v %v", view.Value, view.Flags, ok, err)
+	}
+}
+
+// newDiffStore returns a store for d's tenant on clock. Its maintenance tick
+// is held until the test ends, so that no reaper sheds a dead record behind
+// the reference's back.
+func newDiffStore(t *testing.T, d diffRun, clock *atomic.Int64) *Store {
+	s := New(Config{Geometry: diffGeometry, SyncBookkeeping: d.sync, Now: clock.Load})
+	release := HoldMaintenance(s)
+	t.Cleanup(func() { release(); s.Close() })
+	if err := s.RegisterTenantConfig(d.config()); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// runDifferential runs script on a Store and on the reference side by side.
+// Every reply must match, and so must the records, Items, UsedBytes and
+// counters after every operation.
 func runDifferential(t *testing.T, d diffRun, script []byte) {
 	var clock atomic.Int64
 	clock.Store(1000)
-	s := New(Config{Geometry: diffGeometry, SyncBookkeeping: d.sync, Now: clock.Load})
-	defer s.Close()
-	defer HoldMaintenance(s)()
-	cfg := d.config()
-	if err := s.RegisterTenantConfig(cfg); err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefCache(cfg, d.sync, clock.Load)
+	s := newDiffStore(t, d, &clock)
+	ref := newRefCache(d.config(), clock.Load)
 	keys := 24
 	if d.pressure {
 		keys = 40
 	}
-	var vals int
 	for i := 0; i+4 <= len(script); i += 4 {
-		op, k, v, x := script[i]%20, fmt.Sprintf("k%02d", int(script[i+1])%keys), script[i+2], int64(script[i+3])
-		exptime := [...]int64{0, 0, 0, 0, 1, 2, 3, -1}[x%8]
-		var value []byte
-		if vals++; v%4 == 0 {
-			value = []byte(fmt.Sprint(int(v) * 7)) // a number for incr and decr
-		} else {
-			value = fmt.Appendf(nil, "%0*d", diffValueLens[int(v)%len(diffValueLens)], vals)
+		step, do := diffOp(d, script, i, keys, i/4+1, "", true)
+		clock.Add(step)
+		if got, want := do(s), do(ref); got != want {
+			t.Fatalf("%v op %d (% x): store %s, reference %s", d, i/4, script[i:i+4], got, want)
 		}
-		do := func(c verbCache) string {
-			key := []byte(k)
-			switch op {
-			case 0, 1, 2:
-				return fmt.Sprint(c.SetItemBytes("app", key, value, uint32(v), exptime))
-			case 3:
-				return fmt.Sprint(c.Add("app", key, value, uint32(v), exptime))
-			case 4:
-				return fmt.Sprint(c.Replace("app", key, value, uint32(v), exptime))
-			case 5, 6:
-				return fmt.Sprint(c.CompareAndSwap("app", key, value, uint32(v), exptime, casOf(c, k)+uint64(op-5)))
-			case 7:
-				return fmt.Sprint(c.AppendBytes("app", key, value[:min(len(value), 1+int(x)%4)]))
-			case 8:
-				return fmt.Sprint(c.PrependBytes("app", key, value[:min(len(value), 1+int(x)%4)]))
-			case 9:
-				return fmt.Sprint(c.Incr("app", key, uint64(x)))
-			case 10:
-				return fmt.Sprint(c.Decr("app", key, uint64(x)))
-			case 11:
-				return fmt.Sprint(c.Touch("app", key, exptime))
-			case 12:
-				return fmt.Sprint(c.Delete("app", k))
-			case 17:
-				return "" // the clock step, taken once for both
-			case 18:
-				return fmt.Sprint(c.FlushAll("app", [...]int64{0, 1, 2, 3}[x%4]))
-			case 19:
-				if d.sync {
-					return fmt.Sprint(c.ResizeTenant("app", cfg.MemoryBytes+(x%4-1)*diffGeometry.PageSize))
-				}
-			}
-			view, ok, err := c.GetItemView("app", key)
-			defer view.Release()
-			return fmt.Sprintf("%q %d %v %v", view.Value, view.Flags, ok, err)
-		}
-		if op == 17 {
-			clock.Add(1 + x%4)
-		}
-		got, want := do(s), do(ref)
-		if got != want {
-			t.Fatalf("%v op %d (%d on %s, value %d bytes, x %d): store %s, reference %s", d, i/4, op, k, len(value), x, got, want)
-		}
-		if d.sync || i/4%8 == 7 || i+8 > len(script) {
-			compareWithReference(t, d, i/4, s, ref)
-		}
+		compareWithReference(t, d, i/4, s, ref)
 	}
 }
 
+// runConcurrentDifferential runs one script per reference on as many
+// goroutines against the one store, each over keys of its own (six apiece,
+// within capacity in every mode). Every reply must match the driver's
+// reference at once; after a Flush, the store's records, Items, UsedBytes
+// and counters must be the references' together.
+func runConcurrentDifferential(t *testing.T, d diffRun, scripts [][]byte) {
+	var clock atomic.Int64
+	clock.Store(1000)
+	s := newDiffStore(t, d, &clock)
+	refs := make([]*refCache, len(scripts))
+	var wg sync.WaitGroup
+	for g, script := range scripts {
+		refs[g] = newRefCache(d.config(), clock.Load)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i+4 <= len(script); i += 4 {
+				_, do := diffOp(d, script, i, 6, i/4+1, fmt.Sprintf("g%d-", g), false)
+				if got, want := do(s), do(refs[g]); got != want {
+					t.Errorf("%v driver %d op %d (% x): store %s, reference %s", d, g, i/4, script[i:i+4], got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	compareWithReference(t, d, len(scripts[0])/4, s, refs...)
+}
+
 // compareWithReference settles the store and holds its records, Items,
-// UsedBytes and counters to the reference's.
-func compareWithReference(t *testing.T, d diffRun, op int, s *Store, ref *refCache) {
+// UsedBytes and counters to the references' together.
+func compareWithReference(t *testing.T, d diffRun, op int, s *Store, refs ...*refCache) {
 	t.Helper()
 	s.Flush()
-	if got, want := recordsOf(s), recordsOf(ref); !maps.Equal(got, want) {
+	want := map[string]refRecordView{}
+	var w [11]int64
+	for _, ref := range refs {
+		maps.Copy(want, recordsOf(ref))
+		items, _ := ref.Items("app")
+		used, _ := ref.UsedBytes("app")
+		r := ref.st
+		for i, n := range [...]int64{int64(items), used, r.Requests, r.Hits, r.Misses, r.Sets, r.Deletes, r.Expired, r.Touches, r.TouchHits, r.HitsUnpromoted} {
+			w[i] += n
+		}
+	}
+	if got := recordsOf(s); !maps.Equal(got, want) {
 		t.Fatalf("%v after op %d: store holds\n%v\nreference holds\n%v", d, op, got, want)
 	}
 	if err := s.AuditConservation("app"); err != nil {
@@ -218,20 +274,16 @@ func compareWithReference(t *testing.T, d diffRun, op int, s *Store, ref *refCac
 	}
 	items, _ := s.Items("app")
 	used, _ := s.UsedBytes("app")
-	wantItems, _ := ref.Items("app")
-	wantUsed, _ := ref.UsedBytes("app")
 	st, _ := s.Stats("app")
 	got := [...]int64{int64(items), used, st.Requests, st.Hits, st.Misses, st.Sets, st.Deletes, st.Expired, st.Touches, st.TouchHits, st.HitsUnpromoted}
-	r := ref.st
-	want := [...]int64{int64(wantItems), wantUsed, r.Requests, r.Hits, r.Misses, r.Sets, r.Deletes, r.Expired, r.Touches, r.TouchHits, r.HitsUnpromoted}
-	if !ref.unmanaged() || !d.sync {
-		// The reference has no managed queue's window, and an asynchronous
-		// store decides its window against the replays it has seen so far.
-		got[10], want[10] = 0, 0
+	if !refs[0].unmanaged() || len(refs) > 1 {
+		// The reference has no managed queue's window, and concurrent
+		// drivers interleave the stamps a window counts.
+		got[10], w[10] = 0, 0
 	}
-	if got != want {
+	if got != w {
 		t.Fatalf("%v after op %d: items, used, requests, hits, misses, sets, deletes, expired, touches, touch hits, hits within the window: store %v, reference %v",
-			d, op, got, want)
+			d, op, got, w)
 	}
 }
 
@@ -257,7 +309,7 @@ func diffRuns() []diffRun {
 func TestReferenceMatchesVerbSemantics(t *testing.T) {
 	verbStateTable(t, func(now func() int64) (verbCache, func()) {
 		cfg := TenantConfig{Name: "app", MemoryBytes: 4 << 20, Geometry: slab.DefaultGeometry(), Mode: AllocDefault}
-		return newRefCache(cfg, true, now), func() {}
+		return newRefCache(cfg, now), func() {}
 	})
 }
 
@@ -274,11 +326,18 @@ func FuzzStoreMatchesReference(f *testing.F) {
 	})
 }
 
-// TestStoreMatchesReferenceAsync is the asynchronous twin, within capacity in
-// every mode: replies at once, everything else after a Flush.
+// TestStoreMatchesReferenceAsync runs four drivers at once against a store
+// with its maintenance goroutine (held), as the daemon runs one, within
+// capacity in every mode: replies at once, everything else after a Flush.
 func TestStoreMatchesReferenceAsync(t *testing.T) {
 	for i, d := range diffRuns()[:5] {
 		d.sync = false
-		t.Run(d.String(), func(t *testing.T) { runDifferential(t, d, diffScript(int64(100+i), 3000)) })
+		t.Run(d.String(), func(t *testing.T) {
+			scripts := make([][]byte, 4)
+			for g := range scripts {
+				scripts[g] = diffScript(int64(100+10*i+g), 3000)
+			}
+			runConcurrentDifferential(t, d, scripts)
+		})
 	}
 }

@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 
 	"cliffhanger/internal/cache"
 )
@@ -13,7 +15,7 @@ import (
 var AssertPagesFollowPeak = assertPagesFollowPeak
 
 // BufferedEvents returns how many events each of the tenant's shards holds
-// buffered, read under the shard locks without sweeping or applying any.
+// buffered, read under the shard locks without applying any.
 func BufferedEvents(s *Store, tenant string) []int {
 	e, _ := s.entry(tenant)
 	n := make([]int, len(e.shards))
@@ -26,21 +28,54 @@ func BufferedEvents(s *Store, tenant string) []int {
 	return n
 }
 
-// HoldSweep holds the tenant's bookkeeper lock until release is called, so
-// none of its buffered events is applied: a request that fills a shard to the
-// batch boundary finds the lock held and leaves its event buffered, and the
-// maintenance tick waits. A request that takes its shard past the high-water
-// mark waits to apply it inline, and so does every request of a synchronous
-// store, so only an asynchronous store's requests below that mark get past.
-func HoldSweep(s *Store, tenant string) (release func()) {
+// pendingWindow runs each op, one store call, on its own goroutine while the
+// tenant's accounting lock is held, starting the next op only once the one
+// before has buffered its events (it then waits to apply them) or has
+// returned; release applies every shard's events, lets the ops return and
+// waits for them. The ops' events thus wait buffered behind one another, as
+// a request's do between its unlock and its apply while a concurrent apply
+// holds the lock. An op must buffer events or buffer none on a shard that
+// holds none: one that finds a shard's buffer non-empty applies it, and
+// would wait with nothing to show for it.
+func pendingWindow(s *Store, tenant string, ops ...func()) (release func()) {
 	e, _ := s.entry(tenant)
+	buffered := func() (n int) {
+		for _, b := range BufferedEvents(s, tenant) {
+			n += b
+		}
+		return n
+	}
 	e.bk.mu.Lock()
-	return e.bk.mu.Unlock
+	var wg sync.WaitGroup
+	for _, op := range ops {
+		before := buffered()
+		done := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(done)
+			op()
+		}()
+		for waiting := true; waiting; {
+			select {
+			case <-done:
+				waiting = false
+			default:
+				waiting = buffered() == before
+				runtime.Gosched()
+			}
+		}
+	}
+	return func() {
+		e.bk.settleLocked()
+		e.bk.mu.Unlock()
+		wg.Wait()
+	}
 }
 
 // HoldMaintenance keeps the store's maintenance goroutine from starting its
-// next pass over the tenants until release is called, so a test can count
-// what the requests alone swept.
+// next pass over the tenants until release is called, so that no reaper
+// sheds a record and no tick applies anything behind a test's back.
 func HoldMaintenance(s *Store) (release func()) {
 	s.tickMu.Lock()
 	return s.tickMu.Unlock

@@ -13,8 +13,8 @@ import (
 // The store-level twins of internal/core's fits_test.go: in Cliffhanger mode,
 // at shipped defaults, a tenant that still has free budget neither evicts nor
 // moves a cliff pointer, and a tenant that is offered more than it can hold
-// ends up holding about what it was promised. They run with inline and with
-// asynchronous bookkeeping.
+// ends up holding about what it was promised. They run with and without the
+// maintenance goroutine.
 
 func bookkeepingModes(t *testing.T, f func(t *testing.T, s *Store)) {
 	for _, inline := range []bool{true, false} {
@@ -197,10 +197,10 @@ func TestColdFillUsesTheBudget(t *testing.T) {
 }
 
 // TestGrantThatSplitsAQueueStillMakesRoom pins ROADMAP item 8(a), which was
-// reached only when asynchronous replay reordered admissions: the grant that
-// takes a class queue over CliffMinItems splits it, splitResidents leaves the
-// left partition exactly full, and a key that routes left has no more room
-// than before the grant. The admission must keep taking free budget until it
+// reached only when a since-removed asynchronous replay reordered
+// admissions: the grant that takes a class queue over CliffMinItems splits
+// it, splitResidents leaves the left partition exactly full, and a key that
+// routes left has no more room than before the grant. The admission must keep taking free budget until it
 // does, and evict nothing.
 func TestGrantThatSplitsAQueueStillMakesRoom(t *testing.T) {
 	const size, chunk = 500, 512 // class 3

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -16,8 +15,9 @@ import (
 // core.Config calls it) a GET hit applies a pending resize, and whatever that
 // evicts must leave the directory the way an admission's victims do. A
 // GET-else-SET mix over four item sizes in a 2 MiB tenant keeps hill-climbing
-// resizes pending; at both settings, sync and async, it must end with a clean
-// conservation audit and one directory record per queue entry.
+// resizes pending; at both settings, with and without the maintenance
+// goroutine, it must end with a clean conservation audit and one directory
+// record per queue entry.
 func TestHitResizeVictimsAreDropped(t *testing.T) {
 	sizes := []int{100, 400, 900, 3000}
 	for _, missOnly := range []bool{true, false} {
@@ -60,8 +60,11 @@ func TestHitResizeVictimsAreDropped(t *testing.T) {
 	}
 }
 
-// TestStaleNodesThroughStore holds the sweep while requests are made whose
-// records' queue nodes go stale, or have none, before the requests replay:
+// TestStaleNodesThroughStore makes requests, one store call a goroutine,
+// while the tenant's accounting lock is held (pendingWindow), so their events
+// sit buffered behind one another the way a request's do between its unlock
+// and its apply while another connection's apply holds the lock. Their
+// records' queue nodes go stale, or have none, before the events replay:
 //
 //   - a GET between a cross-class re-set and the replay of its re-admission
 //     (the record has forgotten its old class's node and has no new one yet);
@@ -75,10 +78,11 @@ func TestHitResizeVictimsAreDropped(t *testing.T) {
 //   - a cross-class re-set of such a record;
 //   - a set, a GET and a delete of one key, all inside one pending window.
 //
-// Each must settle to what a synchronous store running the same ops holds:
+// Each must settle to what the same calls hold made one after the other:
 // per-class hits and misses, Items, UsedBytes, the removal counters and a
 // clean conservation audit, with no resident queue entry left that has no
-// record.
+// record. Every key a script uses hashes to one shard, so that its events
+// replay in the order they were made.
 func TestStaleNodesThroughStore(t *testing.T) {
 	// A queue small enough that a key falls off the end of its chain after
 	// a few dozen admissions: 18 class-0 items, tail window and cliff shadow
@@ -92,56 +96,60 @@ func TestStaleNodesThroughStore(t *testing.T) {
 	small, big := make([]byte, 10), make([]byte, 100)
 	const key = "key"
 	var clock atomic.Int64 // each run starts it at 1000
+	var fillers []string   // keys on key's shard
+	for i := 0; len(fillers) < 40; i++ {
+		if k := fmt.Sprintf("filler-%d", i); cache.Hash(k)&(valueShards-1) == cache.Hash(key)&(valueShards-1) {
+			fillers = append(fillers, k)
+		}
+	}
 
+	type op = func(t *testing.T, s *Store)
+	setOp := func(k string, v []byte, exptime int64) op {
+		return func(t *testing.T, s *Store) {
+			if err := setItem(s, "app", k, v, 0, exptime); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	getOp := func(t *testing.T, s *Store) { get(s, "app", key) }
+	deleteOp := func(t *testing.T, s *Store) { s.Delete("app", key) }
 	type script struct {
 		name string
-		// before, if any, runs with the sweep free and ops with it held (on
-		// the asynchronous run). held checks the key's record as it was when
-		// the sweep was released, after the node it had before the hold
-		// (asynchronous run only).
-		before, ops func(t *testing.T, s *Store)
-		held        func(t *testing.T, it item)
-		after       func(t *testing.T, stale *cache.Node)
+		// before, if any, runs settled first; ops are the calls made, each
+		// on its own goroutine in the held run. held checks the key's record
+		// as it was once every op had buffered, after the node it had before
+		// (held run only).
+		before func(t *testing.T, s *Store)
+		ops    []op
+		held   func(t *testing.T, it item)
+		after  func(t *testing.T, stale *cache.Node)
+	}
+	noNode := func(t *testing.T, it item) {
+		if it.node != nil {
+			t.Fatalf("re-set record remembers node %p, want none while its admission is pending", it.node)
+		}
+	}
+	evicting := make([]op, 0, len(fillers)+1)
+	for _, k := range fillers {
+		evicting = append(evicting, setOp(k, small, 0))
 	}
 	cases := []script{
 		{
 			name:   "cross-class re-set",
-			before: func(t *testing.T, s *Store) { mustSet(t, s, key, small) },
-			ops: func(t *testing.T, s *Store) {
-				get(s, "app", key) // through the class-0 node
-				mustSet(t, s, key, big)
-				get(s, "app", key) // class 1, no node yet
-			},
-			held: func(t *testing.T, it item) {
-				if it.node != nil {
-					t.Fatalf("re-set record remembers node %p, want none while its admission is pending", it.node)
-				}
-			},
+			before: setOp(key, small, 0),
+			ops:    []op{getOp, setOp(key, big, 0), getOp}, // through the class-0 node, then class 1 with no node yet
+			held:   noNode,
 		},
 		{
 			name:   "delete and re-set",
-			before: func(t *testing.T, s *Store) { mustSet(t, s, key, small) },
-			ops: func(t *testing.T, s *Store) {
-				get(s, "app", key)
-				s.Delete("app", key)
-				mustSet(t, s, key, small)
-				get(s, "app", key)
-			},
-			held: func(t *testing.T, it item) {
-				if it.node != nil {
-					t.Fatalf("re-set record remembers node %p before its admission replayed", it.node)
-				}
-			},
+			before: setOp(key, small, 0),
+			ops:    []op{getOp, deleteOp, setOp(key, small, 0), getOp},
+			held:   noNode,
 		},
 		{
 			name:   "eviction and node reuse",
-			before: func(t *testing.T, s *Store) { mustSet(t, s, key, small) },
-			ops: func(t *testing.T, s *Store) {
-				for i := 0; i < 40; i++ {
-					mustSet(t, s, fmt.Sprintf("filler-%d", i), small)
-				}
-				get(s, "app", key) // the directory still holds it; the replay will not
-			},
+			before: setOp(key, small, 0),
+			ops:    append(evicting, getOp), // the directory still holds it; the replay will not
 			after: func(t *testing.T, stale *cache.Node) {
 				if stale.Key == "" || stale.Key == key {
 					t.Fatalf("the key's node holds %q after the replay, want another key", stale.Key)
@@ -150,41 +158,23 @@ func TestStaleNodesThroughStore(t *testing.T) {
 		},
 		{
 			name: "delete of a pending admission",
-			ops: func(t *testing.T, s *Store) {
-				mustSet(t, s, key, small)
-				s.Delete("app", key)
-			},
+			ops:  []op{setOp(key, small, 0), deleteOp},
 		},
 		{
 			name: "expiry of a pending admission",
-			ops: func(t *testing.T, s *Store) {
-				if err := setItem(s, "app", key, small, 0, 1); err != nil {
-					t.Fatal(err)
-				}
+			ops: []op{setOp(key, small, 1), func(t *testing.T, s *Store) {
 				clock.Add(2)
 				get(s, "app", key) // sheds it as an expiry, then misses
-			},
+			}},
 		},
 		{
 			name: "cross-class re-set of a pending admission",
-			ops: func(t *testing.T, s *Store) {
-				mustSet(t, s, key, small)
-				mustSet(t, s, key, big)
-				get(s, "app", key)
-			},
-			held: func(t *testing.T, it item) {
-				if it.node != nil {
-					t.Fatalf("re-set record remembers node %p, want none while its admission is pending", it.node)
-				}
-			},
+			ops:  []op{setOp(key, small, 0), setOp(key, big, 0), getOp},
+			held: noNode,
 		},
 		{
 			name: "set, get and delete in one window",
-			ops: func(t *testing.T, s *Store) {
-				mustSet(t, s, key, small)
-				get(s, "app", key)
-				s.Delete("app", key)
-			},
+			ops:  []op{setOp(key, small, 0), getOp, deleteOp},
 		},
 	}
 	type outcome struct {
@@ -193,9 +183,9 @@ func TestStaleNodesThroughStore(t *testing.T) {
 		used                   int64
 		sets, deletes, expired int64
 	}
-	run := func(t *testing.T, sc script, syncBk bool) outcome {
+	run := func(t *testing.T, sc script, held bool) outcome {
 		clock.Store(1000)
-		s := New(Config{DefaultMode: AllocCliffhanger, Cliffhanger: cfg, SyncBookkeeping: syncBk, Now: clock.Load})
+		s := New(Config{DefaultMode: AllocCliffhanger, Cliffhanger: cfg, SyncBookkeeping: true, Now: clock.Load})
 		defer s.Close()
 		if err := s.RegisterTenant("app", 16*64); err != nil {
 			t.Fatal(err)
@@ -205,7 +195,6 @@ func TestStaleNodesThroughStore(t *testing.T) {
 		var stale *cache.Node
 		if sc.before != nil {
 			sc.before(t, s)
-			s.Flush()
 			sh.mu.Lock()
 			stale = sh.items[key].node
 			sh.mu.Unlock()
@@ -213,28 +202,29 @@ func TestStaleNodesThroughStore(t *testing.T) {
 				t.Fatal("a settled record remembers no node")
 			}
 		}
-		// Only the asynchronous side holds the sweep: a synchronous request
-		// applies its own events, and would wait on the held lock. Released
-		// before Close settles the store, should the test fail with it held.
-		release := func() {}
-		if !syncBk {
-			release = sync.OnceFunc(HoldSweep(s, "app"))
-		}
-		defer release()
-		sc.ops(t, s)
-		var rec item
-		sh.mu.Lock()
-		if it := sh.items[key]; it != nil {
-			rec = *it
-		}
-		sh.mu.Unlock()
-		release()
-		if sc.held != nil && !syncBk {
-			sc.held(t, rec)
-		}
-		s.Flush()
-		if sc.after != nil && !syncBk {
-			sc.after(t, stale)
+		if !held {
+			for _, op := range sc.ops {
+				op(t, s)
+			}
+		} else {
+			ops := make([]func(), len(sc.ops))
+			for i, op := range sc.ops {
+				ops[i] = func() { op(t, s) }
+			}
+			release := pendingWindow(s, "app", ops...)
+			var rec item
+			sh.mu.Lock()
+			if it := sh.items[key]; it != nil {
+				rec = *it
+			}
+			sh.mu.Unlock()
+			release()
+			if sc.held != nil {
+				sc.held(t, rec)
+			}
+			if sc.after != nil {
+				sc.after(t, stale)
+			}
 		}
 		if err := s.AuditConservation("app"); err != nil {
 			t.Fatal(err)
@@ -259,18 +249,11 @@ func TestStaleNodesThroughStore(t *testing.T) {
 	}
 	for _, sc := range cases {
 		t.Run(sc.name, func(t *testing.T) {
-			want, got := run(t, sc, true), run(t, sc, false)
+			want, got := run(t, sc, false), run(t, sc, true)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("async: %+v; sync: %+v", got, want)
+				t.Fatalf("held: %+v; one after the other: %+v", got, want)
 			}
 			t.Logf("%+v", got)
 		})
-	}
-}
-
-func mustSet(t *testing.T, s *Store, key string, value []byte) {
-	t.Helper()
-	if err := set(s, "app", key, value); err != nil {
-		t.Fatal(err)
 	}
 }

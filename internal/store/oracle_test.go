@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 
@@ -28,7 +27,6 @@ import (
 type refCache struct {
 	geom    *slab.Geometry
 	mode    AllocationMode
-	sync    bool // a synchronous store reports an admission that bounced
 	now     func() int64
 	memory  int64
 	free    int64
@@ -52,12 +50,12 @@ type refRecord struct {
 	promoted       uint64 // the stamp of its admission or last promoting hit
 }
 
-func newRefCache(cfg TenantConfig, sync bool, now func() int64) *refCache {
+func newRefCache(cfg TenantConfig, now func() int64) *refCache {
 	n := cfg.Geometry.NumClasses()
 	if cfg.Mode == AllocGlobalLRU {
 		n = 1
 	}
-	r := &refCache{geom: cfg.Geometry, mode: cfg.Mode, sync: sync, now: now, memory: cfg.MemoryBytes,
+	r := &refCache{geom: cfg.Geometry, mode: cfg.Mode, now: now, memory: cfg.MemoryBytes,
 		records: map[string]*refRecord{}, lru: make([][]string, n), cap: make([]int64, n), used: make([]int64, n)}
 	switch cfg.Mode {
 	case AllocDefault:
@@ -218,7 +216,7 @@ func (r *refCache) ResizeTenant(_ string, newBytes int64) error {
 
 // write is Store.write over the reference: the same decisions, then the
 // record replaces any old one and is admitted to its queue.
-func (r *refCache) write(tenant string, key string, verb writeVerb, value []byte, flags uint32, exptime int64, arg uint64) (CASResult, uint64, error) {
+func (r *refCache) write(_ string, key string, verb writeVerb, value []byte, flags uint32, exptime int64, arg uint64) (CASResult, uint64, error) {
 	rec := r.records[key]
 	if verb != verbSet {
 		rec = r.live(key)
@@ -278,10 +276,7 @@ func (r *refCache) write(tenant string, key string, verb writeVerb, value []byte
 	case resident:
 		r.promote(key)
 	case r.unmanaged() && cost > r.cap[q]:
-		delete(r.records, key) // it bounces: no queue entry, no record
-		if r.sync {
-			return CASStored, n, fmt.Errorf("store: object %q does not fit in tenant %q", key, tenant)
-		}
+		delete(r.records, key) // it bounces: no queue entry, no record, no error
 	default:
 		r.lru[q] = append(r.lru[q], key)
 		r.used[q] += cost

@@ -46,8 +46,8 @@ func TestArenaLeasesFollowResidencyMemcachier(t *testing.T) {
 				}
 				peak[tenant] = make([]int64, len(classes))
 			}
-			// A fill refused (a value beyond the largest class, or one whose
-			// admission bounces) is an outcome of the trace, not a failure.
+			// A fill refused (a value beyond the largest class) is an outcome
+			// of the trace, not a failure.
 			rec := &peakRecorder{Engine: sim.StoreEngine(s), s: s, peak: peak}
 			cfg := sim.Config{Apps: wl.Apps, Mode: store.AllocCliffhanger}
 			if _, err := sim.Replay(cfg, s, rec, wl.Source); err != nil {

@@ -26,12 +26,12 @@ func capacitySum(e *tenantEntry) int64 {
 // TestUnmanagedTenantResizeUnderLoad is the live resize of the two classQueues
 // modes a binary can start (every other lifecycle test registers
 // AllocCliffhanger): an 8 MiB tenant under a read/write storm is shrunk to
-// 3.5 MiB and grown back, with synchronous and asynchronous bookkeeping. After
-// the shrink the queues hold no more than the whole pages of the reservation
-// (a global-LRU tenant moves in pages like everyone else), every record a
-// shed page evicted is gone from the directory, and the audit is clean; after
-// the growth nothing has moved until admissions ask, and then the queues take
-// all of it.
+// 3.5 MiB and grown back, by ResizeTenant itself and by the maintenance
+// tick. After the shrink the queues hold no more than the whole pages of the
+// reservation (a global-LRU tenant moves in pages like everyone else), every
+// record a shed page evicted is gone from the directory, and the audit is
+// clean; after the growth nothing has moved until admissions ask, and then
+// the queues take all of it.
 func TestUnmanagedTenantResizeUnderLoad(t *testing.T) {
 	const (
 		page    = slab.DefaultPageSize

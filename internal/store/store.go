@@ -27,11 +27,11 @@ type Config struct {
 	DefaultPolicy cache.PolicyKind
 	// Cliffhanger configures Cliffhanger-managed tenants.
 	Cliffhanger core.Config
-	// SyncBookkeeping makes every request apply its own events before it
-	// returns, where asynchronous mode (the default, faster) leaves them
-	// buffered until a shard reaches the batch boundary and one request
-	// sweeps them all. Synchronous mode is deterministic, has no background
-	// reaper or reclaim, and is what tests and the simulator run.
+	// SyncBookkeeping runs the store without its maintenance goroutine: no
+	// background reaper or reclaim, and ResizeTenant drives a resize itself
+	// instead of leaving it to the maintenance tick. Every store applies each
+	// request's bookkeeping before the request returns either way. Tests, the
+	// simulator and the repository benchmark set it.
 	SyncBookkeeping bool
 	// Now supplies the expiry clock in unix seconds; nil uses time.Now.
 	// Tests stub it to drive TTL expiry deterministically.
@@ -52,7 +52,7 @@ const valueShards = 64
 // key-hash-sharded table with striped locks, so operations on independent
 // keys proceed in parallel even within one tenant; structural bookkeeping
 // (eviction queues, Cliffhanger shadow queues) is owned by a per-tenant
-// bookkeeper and replayed in batches by the requests themselves.
+// bookkeeper, and every request applies its own before it returns.
 type Store struct {
 	cfg Config
 
@@ -171,16 +171,14 @@ type valueShard struct {
 	// reader can still hold it.
 	freeItems *item
 
-	// pending buffers this shard's bookkeeping events (guarded by mu); it is
-	// only stolen under bk.mu, which makes stealing and replaying it one
-	// atomic step so per-key event order is preserved (see
-	// bookkeeper.applyShard). spare is the recycled second buffer a steal
-	// ping-pongs with, so steady-state event buffering never allocates.
+	// pending buffers this shard's bookkeeping events (guarded by mu) from a
+	// section's buffering to its apply; it is only stolen under bk.mu, which
+	// makes stealing and replaying it one atomic step so per-key event order
+	// is preserved (see bookkeeper.replayLocked). spare is the recycled
+	// second buffer a steal ping-pongs with, so steady-state event buffering
+	// never allocates.
 	pending []event
 	spare   []event
-	// act is what the critical section in progress owes (guarded by mu);
-	// bookkeeper.release takes and resets it.
-	act recordAction
 	// unpromoted counts, per class queue, the GET hits the shard served
 	// within their hit window, which emit no event (guarded by mu), and
 	// unpromotedSum is their total. The next steal of the shard's buffer
@@ -230,9 +228,9 @@ type tenantEntry struct {
 	// maintenance tick's is-there-work probe — the authoritative value lives
 	// in the Tenant under bk.mu). resized latches once a ResizeTenant has ever run:
 	// physical page retirement only happens on explicitly resized tenants,
-	// so the asynchronous maintenance tick never retires pages of a tenant
-	// that was never resized, although its arena, which has no per-tenant
-	// cap, may lease more pages than its reservation.
+	// so the maintenance tick never retires pages of a tenant that was never
+	// resized, although its arena, which has no per-tenant cap, may lease
+	// more pages than its reservation.
 	targetBytes  atomic.Int64
 	appliedBytes atomic.Int64
 	resized      atomic.Bool
@@ -422,15 +420,15 @@ func New(cfg Config) *Store {
 }
 
 // maintain is the store's one background goroutine, whatever its tenant
-// count, as memcached runs one LRU maintainer thread. With asynchronous
-// bookkeeping it gives every tenant a tick each sweepInterval (bookkeeper.tick:
-// reap, sweep what low-rate traffic left below the batch boundary, reclaim,
-// resize); with a positive Config.Arbiter.Interval it runs the arbiter.
+// count, as memcached runs one LRU maintainer thread. Without
+// Config.SyncBookkeeping it gives every tenant a tick each tickInterval
+// (bookkeeper.tick: reap, reclaim, resize); with a positive
+// Config.Arbiter.Interval it runs the arbiter.
 func (s *Store) maintain() {
 	defer close(s.done)
 	var ticks, arbTicks <-chan time.Time
 	if !s.cfg.SyncBookkeeping {
-		t := time.NewTicker(sweepInterval)
+		t := time.NewTicker(tickInterval)
 		defer t.Stop()
 		ticks = t.C
 	}
@@ -508,9 +506,7 @@ func (s *Store) RegisterTenantConfig(cfg TenantConfig) error {
 		e.shards[i].idx = i
 		e.shards[i].unpromoted = make([]int64, len(tenant.queues))
 	}
-	e.bk = &bookkeeper{tenant: tenant, entry: e, now: s.cfg.Now, window: make([]atomic.Int64, len(tenant.queues)),
-		stolen: make([][]event, n), cursor: make([]int, n), slots: make([]*event, sweepWindow)}
-	e.bk.inline.Store(s.cfg.SyncBookkeeping)
+	e.bk = &bookkeeper{tenant: tenant, entry: e, now: s.cfg.Now, window: make([]atomic.Int64, len(tenant.queues))}
 	next := make(map[string]*tenantEntry, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -524,10 +520,10 @@ func (s *Store) RegisterTenantConfig(cfg TenantConfig) error {
 // call only records the target: the resize executes incrementally on the
 // store's maintenance ticks — structural capacity moves in bounded steps, and
 // surplus pages are retired one at a time through the migration machinery —
-// so traffic is never stalled or dropped. With synchronous bookkeeping (no
+// so traffic is never stalled or dropped. With Config.SyncBookkeeping (no
 // maintenance tick) the work is driven here instead, bounded so a long-held
 // reader pin cannot wedge the caller: a shrink behind a pinned reader can
-// return mid-migration. Flush does not finish it (it only sweeps events);
+// return mid-migration. Flush does not finish it (it only applies events);
 // the next ResizeTenant goes on with it, and the package's tests that need it
 // finished loop reconfigureTick.
 func (s *Store) ResizeTenant(name string, newBytes int64) error {
@@ -581,17 +577,16 @@ func (s *Store) DeleteTenant(name string) error {
 }
 
 // teardownTenant drains a deleted tenant: wait out a maintenance pass that
-// loaded the registry before the delete (no later one can reap, sweep or
-// migrate behind the teardown), close its bookkeeper, flush every record
-// through the normal event path, then spin the epoch clock until every chunk
-// has left quarantine (a pinned reader of the dying tenant blocks this exactly
-// as long as it holds its view) and any in-flight page migration has
-// completed. Only a fully drained arena returns its pages.
+// loaded the registry before the delete (no later one can reap or migrate
+// behind the teardown), flush every record through the normal event path,
+// then spin the epoch clock until every chunk has left quarantine (a pinned
+// reader of the dying tenant blocks this exactly as long as it holds its
+// view) and any in-flight page migration has completed. Only a fully drained
+// arena returns its pages.
 func (s *Store) teardownTenant(e *tenantEntry) {
 	defer s.teardowns.Done()
 	s.tickMu.Lock()
 	s.tickMu.Unlock()
-	e.bk.close()
 	s.flushNow(e)
 	for {
 		if m := e.arena.migrating.Load(); m != nil {
@@ -781,21 +776,22 @@ func (s *Store) BeginRead(tenant string) (Reader, error) {
 
 // Get is the read path, and it is zero-copy: a byte-keyed lookup whose
 // critical section is just the directory probe, the event append and, at the
-// run's first hit, the epoch pin — no value bytes move under the shard lock.
+// run's first hit, the epoch pin — no value bytes move under the shard lock;
+// the event, if any, is applied after the unlock (release).
 // On a hit the returned view borrows the record's chunk directly; on a miss
 // (ok false) the view is zero.
 //
 // A hit emits no event at all when its record was last promoted fewer than
 // W of the tenant's stamps ago, W being its class's hit window
-// (bookkeeper.window). In a synchronous store, whose every event is replayed
-// before this read, the key is then still in its queue's front segment, where
-// a replayed hit would only have moved it to the head; in an asynchronous one
-// events stamped since may still be buffered, and the rule is approximate
-// (the bookkeeper's doc). Stock memcached skips the relink of an item it
-// bumped recently the same way (ITEM_UPDATE_INTERVAL), by time; the window
-// counts events, so a synchronous store decides it in request order. The
-// shard counts such a hit (valueShard.unpromoted) and the next steal of its
-// buffer folds it into the tenant's hits.
+// (bookkeeper.window). Every earlier request of this goroutine has applied
+// its events, so the key is then still in its queue's front segment, where a
+// replayed hit would only have moved it to the head; a concurrent request's
+// events may still be on their way to the queues, and the rule is then
+// approximate (the bookkeeper's doc). Stock memcached skips the relink of an
+// item it bumped recently the same way (ITEM_UPDATE_INTERVAL), by time; the
+// window counts events, so it is decided in request order. The shard counts
+// such a hit (valueShard.unpromoted) and the next steal of its buffer folds
+// it into the tenant's hits.
 //
 // One pin covers the whole run. The first hit pins its shard's stripe before
 // that shard unlocks, as a one-key read must. Every later view is of a chunk
@@ -881,9 +877,9 @@ func (s *Store) GetItemView(tenant string, key []byte) (ItemView, bool, error) {
 // materialized only at map insertion — re-setting a resident key reuses its
 // interned key and its record, so the steady-state SET allocates nothing.
 //
-// With asynchronous bookkeeping the admission is settled off the request
-// path: in the rare case that the key does not fit its tenant at all, the
-// value is dropped shortly after the call instead of producing an error.
+// A value that a class holds but its tenant cannot (its admission bounces
+// off a full tenant) is no error: the replay of its own admission drops it
+// before the call returns, and the next read misses.
 func (s *Store) SetItemBytes(tenant string, key, value []byte, flags uint32, exptime int64) error {
 	_, _, err := s.write(tenant, key, verbSet, value, flags, exptime, 0)
 	return err
@@ -969,8 +965,8 @@ const (
 // res is what the verb decided: CASNotFound when it needs a record and there
 // is none, CASExists when it declined the one there (add of a present key, a
 // stale cas token, incr or decr of a non-numeric value), CASStored when it
-// stored; err may still follow a stored decision (too large, or in a
-// synchronous store a key that does not fit its tenant). n is incr and
+// stored; err may still follow a stored decision (too large for every
+// class; a value that bounces off its tenant is no error). n is incr and
 // decr's new value; its decimal form is built in a stack array, so no verb
 // allocates but for the interned key of a fresh record and an error.
 func (s *Store) write(tenant string, key []byte, verb writeVerb, value []byte, flags uint32, exptime int64, arg uint64) (res CASResult, n uint64, err error) {
@@ -984,7 +980,7 @@ func (s *Store) write(tenant string, key []byte, verb writeVerb, value []byte, f
 	if e.dying.Load() {
 		// The tenant was deleted after this caller resolved the entry: the
 		// check runs under the shard lock, ordered before the teardown's
-		// flush sweep of this shard, so no record can be created behind it.
+		// flush of this shard, so no record can be created behind it.
 		sh.mu.Unlock()
 		return CASNotFound, 0, ErrNoTenant{tenant}
 	}
@@ -1035,7 +1031,7 @@ func (s *Store) write(tenant string, key []byte, verb writeVerb, value []byte, f
 	}
 	e.setLocked(sh, key, hash, class, it, head, tail, flags, expires, s.cfg.Now())
 	e.bk.release(sh)
-	return res, n, e.admitOutcome(tenant, sh, key)
+	return res, n, nil
 }
 
 // addDelta is incr (decr false) or decr of the unsigned decimal value: incr
@@ -1052,27 +1048,6 @@ func addDelta(value []byte, delta uint64, decr bool) (uint64, bool) {
 		return 0, true
 	}
 	return cur - delta, true
-}
-
-// admitOutcome reports the does-not-fit error of an admission its producer
-// applied (synchronous mode, or after Close): by the time release has
-// returned, a bounced key's record has been dropped by the replay
-// (dropVictim), so a missing record means the key did not fit its tenant.
-// Asynchronous admissions settle later and always report nil (the value is
-// shed shortly after; see SetItemBytes). Under concurrent use the check is
-// best-effort — a racing delete of the same key can be indistinguishable
-// from a bounce.
-func (e *tenantEntry) admitOutcome(tenant string, sh *valueShard, key []byte) error {
-	if !e.bk.inline.Load() {
-		return nil
-	}
-	sh.mu.Lock()
-	_, alive := sh.items[string(key)]
-	sh.mu.Unlock()
-	if !alive {
-		return fmt.Errorf("store: object %q does not fit in tenant %q", string(key), tenant)
-	}
-	return nil
 }
 
 // Touch updates key's expiry deadline without touching the value, promoting
@@ -1162,17 +1137,18 @@ func (s *Store) flushNow(e *tenantEntry) error {
 	return nil
 }
 
-// Flush blocks until every bookkeeping event enqueued before the call has
-// been applied, so stats and snapshots reflect all completed operations.
+// Flush blocks until every bookkeeping event buffered before the call has
+// been applied. Every request applies its own events before it returns, so
+// Flush only matters to a reader racing requests still in flight.
 func (s *Store) Flush() {
 	for _, e := range *s.tenants.Load() {
-		e.bk.sweep()
+		e.bk.settle()
 	}
 }
 
-// Close stops the maintenance goroutine and settles every tenant's
-// bookkeeper. Operations issued after Close fall back to inline bookkeeping;
-// Close is idempotent.
+// Close stops the maintenance goroutine and waits for the teardowns of
+// deleted tenants. Operations issued after Close still work; Close is
+// idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1185,28 +1161,20 @@ func (s *Store) Close() error {
 		close(s.stop)
 		<-s.done
 	}
-	for _, e := range *s.tenants.Load() {
-		e.bk.close()
-	}
 	s.teardowns.Wait()
 	return nil
 }
 
-// Stats returns the tenant's counters, settling in-flight bookkeeping first,
-// with its bookkeeper's shed events, producer sweeps and inline applies.
+// Stats returns the tenant's counters, settling in-flight bookkeeping first.
 func (s *Store) Stats(tenant string) (TenantStats, error) {
 	e, ok := s.entry(tenant)
 	if !ok {
 		return TenantStats{}, ErrNoTenant{tenant}
 	}
 	e.bk.mu.Lock()
-	e.bk.sweepLocked()
-	st := e.tenant.Stats()
-	e.bk.mu.Unlock()
-	st.DroppedEvents = e.bk.dropped.Load()
-	st.Sweeps = e.bk.sweeps.Load()
-	st.InlineApplies = e.bk.inlineApplies.Load()
-	return st, nil
+	defer e.bk.mu.Unlock()
+	e.bk.settleLocked()
+	return e.tenant.Stats(), nil
 }
 
 // SlabStats returns the tenant's per-class arena occupancy: chunk size,
@@ -1245,7 +1213,7 @@ func (s *Store) QueueSnapshots(tenant string) (queues []core.QueueSnapshot, free
 	}
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
-	e.bk.sweepLocked()
+	e.bk.settleLocked()
 	p, ok := e.tenant.policy.(*managedPolicy)
 	if !ok {
 		return nil, 0, nil
@@ -1262,7 +1230,7 @@ func (s *Store) ClassCapacities(tenant string) (map[int]int64, error) {
 	}
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
-	e.bk.sweepLocked()
+	e.bk.settleLocked()
 	return e.tenant.ClassCapacities(), nil
 }
 
@@ -1274,7 +1242,7 @@ func (s *Store) Items(tenant string) (int, error) {
 	if !ok {
 		return 0, ErrNoTenant{tenant}
 	}
-	e.bk.sweep()
+	e.bk.settle()
 	n := 0
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -1294,7 +1262,7 @@ func (s *Store) UsedBytes(tenant string) (int64, error) {
 	}
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
-	e.bk.sweepLocked()
+	e.bk.settleLocked()
 	return e.tenant.UsedBytes(), nil
 }
 
@@ -1322,18 +1290,19 @@ func (s *Store) AuditConservation(tenant string) error {
 	}
 }
 
-// auditSealed is AuditConservation's critical section. It holds bk.mu, sweeps,
-// and then takes every shard lock, in index order (the documented lock
-// order), so nothing can enter or leave the directory and no event can reach
-// the queues while the three counts are compared; taken one after the other,
-// a record the reaper expires between the directory walk and the UsedBytes
-// read is a charge nobody holds. Holding bk.mu also means no applier is
-// sitting on events it stole and has not replayed; events buffered on a shard
-// after the sweep (the reaper's) make the pass report settled = false.
+// auditSealed is AuditConservation's critical section. It holds bk.mu,
+// settles, and then takes every shard lock, in index order (the documented
+// lock order), so nothing can enter or leave the directory and no event can
+// reach the queues while the three counts are compared; taken one after the
+// other, a record the reaper expires between the directory walk and the
+// UsedBytes read is a charge nobody holds. Holding bk.mu also means no
+// applier is sitting on events it stole and has not replayed; events
+// buffered on a shard after the settle (the reaper's, waiting to apply) make
+// the pass report settled = false.
 func (e *tenantEntry) auditSealed() (settled bool, err error) {
 	e.bk.mu.Lock()
 	defer e.bk.mu.Unlock()
-	e.bk.sweepLocked()
+	e.bk.settleLocked()
 	for i := range e.shards {
 		e.shards[i].mu.Lock()
 		defer e.shards[i].mu.Unlock()
@@ -1364,12 +1333,11 @@ func (e *tenantEntry) auditSealed() (settled bool, err error) {
 	return true, nil
 }
 
-// DroppedEvents reports how many advisory bookkeeping events the tenant has
-// shed under overload (structural events are never dropped).
+// DroppedEvents is 0 for every tenant: no bookkeeping event is ever shed. It
+// stays because the repository benchmark reads it.
 func (s *Store) DroppedEvents(tenant string) (int64, error) {
-	e, ok := s.entry(tenant)
-	if !ok {
+	if _, ok := s.entry(tenant); !ok {
 		return 0, ErrNoTenant{tenant}
 	}
-	return e.bk.dropped.Load(), nil
+	return 0, nil
 }

@@ -601,8 +601,8 @@ func TestStoreValueConsistencyWithQueues(t *testing.T) {
 	}
 }
 
-// TestStoreSyncBookkeeping exercises the deterministic inline path: the
-// does-not-fit error is reported synchronously and no settling is needed.
+// TestStoreSyncBookkeeping: a store without its maintenance goroutine
+// stores, serves and counts.
 func TestStoreSyncBookkeeping(t *testing.T) {
 	s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: true})
 	defer s.Close()
@@ -617,29 +617,33 @@ func TestStoreSyncBookkeeping(t *testing.T) {
 	}
 	st, _ := s.Stats("app")
 	if st.Sets != 1 || st.Requests != 1 {
-		t.Fatalf("sync bookkeeping should settle immediately: %+v", st)
+		t.Fatalf("the requests are not counted: %+v", st)
 	}
 }
 
-// TestStoreAsyncDoesNotFitDropsValue checks the asynchronous counterpart of
-// the does-not-fit error: the set succeeds but the value is dropped once the
-// bookkeeper settles the bounced admission.
-func TestStoreAsyncDoesNotFitDropsValue(t *testing.T) {
-	// A tiny tenant whose largest class cannot hold a near-1-MiB object
-	// within its reservation: the admission bounces.
-	geom := slab.DefaultGeometry()
-	s := New(Config{DefaultMode: AllocDefault, Geometry: geom})
-	defer s.Close()
-	if err := s.RegisterTenant("tiny", 128<<10); err != nil {
-		t.Fatal(err)
-	}
-	big := make([]byte, 512<<10)
-	if err := set(s, "tiny", "big", big); err != nil {
-		t.Fatalf("async set should not report fit errors: %v", err)
-	}
-	s.Flush()
-	if _, ok, _ := get(s, "tiny", "big"); ok {
-		t.Fatalf("bounced admission should have dropped the value")
+// TestStoreBounceDropsValue: a value a class holds but its tenant cannot (a
+// near-1-MiB object in a 128 KiB tenant, whose admission bounces) is stored
+// without an error, and the replay of its admission drops it before the set
+// returns, so the next GET misses, with and without the maintenance
+// goroutine.
+func TestStoreBounceDropsValue(t *testing.T) {
+	for _, syncBk := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sync=%v", syncBk), func(t *testing.T) {
+			s := New(Config{DefaultMode: AllocDefault, SyncBookkeeping: syncBk})
+			defer s.Close()
+			if err := s.RegisterTenant("tiny", 128<<10); err != nil {
+				t.Fatal(err)
+			}
+			if err := set(s, "tiny", "big", make([]byte, 512<<10)); err != nil {
+				t.Fatalf("a bounced set reported %v", err)
+			}
+			if _, ok, _ := get(s, "tiny", "big"); ok {
+				t.Fatalf("a bounced admission's value is still served")
+			}
+			if n, _ := s.Items("tiny"); n != 0 {
+				t.Fatalf("%d records after a bounce, want 0", n)
+			}
+		})
 	}
 }
 
@@ -1062,7 +1066,7 @@ func TestStoreExpiry(t *testing.T) {
 
 // TestStoreExpiryReaper checks that the background reaper reclaims expired
 // items without any client access: the maintenance tick's incremental scan
-// must shed them within a few sweep intervals.
+// must shed them within a few tick intervals.
 func TestStoreExpiryReaper(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1_000_000)
@@ -1233,11 +1237,11 @@ type verbOutcome struct {
 // its key can be in when it arrives: absent, live, dead by its TTL, and dead
 // by a delayed flush_all whose deadline has passed. A dead record is still in
 // the directory; every verb but SET sheds it as an expiry and then acts as on
-// an absent key, while SET writes over it without counting an expiry. The
-// asynchronous store is read after Flush (Stats, Items and UsedBytes settle),
-// with the maintenance tick held so the reaper cannot shed a dead record
-// before the verb arrives. open gives a fresh 4 MiB AllocDefault tenant "app"
-// on the clock now, a Store's or the reference's, and the func that closes it.
+// an absent key, while SET writes over it without counting an expiry. A
+// store with a maintenance goroutine runs with the tick held, so that the
+// reaper cannot shed a dead record before the verb arrives. open gives a
+// fresh 4 MiB AllocDefault tenant "app" on the clock now, a Store's or the
+// reference's, and the func that closes it.
 func verbStateTable(t *testing.T, open func(now func() int64) (verbCache, func())) {
 	const key = "k"
 	recordCAS := func(s verbCache) uint64 { return casOf(s, key) }

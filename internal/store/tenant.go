@@ -36,14 +36,13 @@
 //   - bookkeeper (bookkeeper.go) is the accounting plane. All structural
 //     consequences of a request — shadow-queue updates, hill-climbing credit
 //     transfers, cliff-pointer walks, evictions — are described by small
-//     events, batched per value shard, and replayed in arrival order by the
-//     request that fills a shard to the batch boundary, so Cliffhanger's
-//     bookkeeping is out of every other request's critical section. The
-//     store's one maintenance goroutine sweeps what low-rate tenants leave
-//     behind. A synchronous mode (Config.SyncBookkeeping) applies events
-//     inline for deterministic tests; Store.Flush settles in-flight events
-//     so snapshots and stats observe a quiesced engine, and Store.Close
-//     stops the maintenance goroutine.
+//     events, buffered on the request's value shard under its lock and
+//     applied under the tenant's one accounting lock by the same request
+//     after it unlocks the shard, before it returns; most GET hits emit no
+//     event at all. The store's one maintenance goroutine reaps, reclaims
+//     and resizes (Config.SyncBookkeeping runs without it); Store.Flush
+//     settles what concurrent requests have in flight, and Store.Close stops
+//     the maintenance goroutine.
 //
 // Concurrency contract: Tenant and everything it owns (core.Manager,
 // core.Queue) are not safe for concurrent use; the bookkeeper serializes all
@@ -56,7 +55,7 @@
 //  1. Store.mu, Store.tickMu, Store.arbMu (never held together);
 //  2. tenantEntry.reconfMu (a live resize step);
 //  3. bookkeeper.mu, the accounting plane's one lock: the Tenant, every
-//     steal and replay of a shard's event buffer, the sweep scratch;
+//     steal and replay of a shard's event buffer;
 //  4. valueShard.mu (several only in index order, as the sealed audit does);
 //  5. arenaStripe.mu;
 //  6. arenaCentral.mu;
@@ -186,11 +185,6 @@ type TenantStats struct {
 	// event and moved nothing (Reader.Get).
 	HitsUnpromoted int64
 	Classes        []ClassStats
-	// DroppedEvents, Sweeps and InlineApplies are the Store bookkeeper's
-	// counters (bookkeeper.dropped and so on); Tenant.Stats leaves them 0.
-	DroppedEvents int64
-	Sweeps        int64
-	InlineApplies int64
 }
 
 // HitRate returns hits / (hits + misses).

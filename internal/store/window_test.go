@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"cliffhanger/internal/cache"
@@ -14,13 +15,15 @@ import (
 func inFront(n *cache.Node) bool { return n != nil && n.Aux >= 0 && n.Aux%4 == 0 }
 
 // skipLoad drives s's tenant "app" under eviction pressure with 60 000
-// read-through GETs, re-sets and deletes over two value sizes, and calls
-// hit for every GET hit: it is the key's record and the node it had just
-// before the GET, front whether that node was then linked in a front segment,
-// and skipped whether the GET emitted no event (its shard's unpromoted count
-// rose by one). It returns the tenant's stats, settled.
-func skipLoad(t *testing.T, s *Store, seed int64, hit func(key string, it *item, node *cache.Node, front, skipped bool)) TenantStats {
-	t.Helper()
+// read-through GETs, re-sets and deletes over two value sizes, on keys named
+// prefix+"key-N", and calls hit for every GET hit: it is the key's record and
+// the node it had just before the GET, front whether that node was then
+// linked in a front segment, and skipped whether the GET emitted no event
+// (the record's promoted stamp stayed where it was). front is read only when
+// still is set: with no other goroutine driving the tenant, nodes hold still
+// outside bk.mu. It reports errors with t.Error, so that it can drive from a
+// goroutine of its own.
+func skipLoad(t *testing.T, s *Store, seed int64, prefix string, still bool, hit func(key string, it *item, node *cache.Node, front, skipped bool)) {
 	e, _ := s.entry("app")
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.01, 1, 20000)
@@ -37,44 +40,45 @@ func skipLoad(t *testing.T, s *Store, seed int64, hit func(key string, it *item,
 		if i%2 == 1 {
 			k = uint64(rng.Intn(20000))
 		}
-		key := fmt.Sprintf("key-%d", k)
+		key := fmt.Sprintf("%skey-%d", prefix, k)
 		switch r := rng.Intn(20); {
 		case r == 0:
 			s.Delete("app", key)
 			continue
 		case r == 1:
 			if err := set(s, "app", key, value(k)); err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
 			continue
 		}
 		sh := shardFor(e, key)
 		sh.mu.Lock()
-		it, before := sh.items[key], sh.unpromotedSum
+		it := sh.items[key]
 		var node *cache.Node
+		var promoted uint64
 		if it != nil {
-			node = it.node
+			node, promoted = it.node, it.promoted
 		}
-		// Only a synchronous store's nodes hold still outside bk.mu.
-		front := s.cfg.SyncBookkeeping && inFront(node)
+		front := still && inFront(node)
 		sh.mu.Unlock()
 		_, ok, err := get(s, "app", key)
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		if !ok {
 			if err := set(s, "app", key, value(k)); err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
 			continue
 		}
 		sh.mu.Lock()
-		skipped := sh.unpromotedSum == before+1
+		skipped := node != nil && sh.items[key] == it && it.promoted == promoted
 		sh.mu.Unlock()
 		hit(key, it, node, front, skipped)
 	}
-	st, _ := s.Stats("app")
-	return st
 }
 
 // TestOnlyFrontHitsSkip drives synchronous stores under eviction pressure
@@ -93,7 +97,7 @@ func TestOnlyFrontHitsSkip(t *testing.T) {
 					t.Fatal(err)
 				}
 				var skips, tailHits, hits int
-				st := skipLoad(t, s, seed, func(key string, it *item, node *cache.Node, front, skipped bool) {
+				skipLoad(t, s, seed, "", true, func(key string, it *item, node *cache.Node, front, skipped bool) {
 					hits++
 					if !front {
 						tailHits++
@@ -105,6 +109,7 @@ func TestOnlyFrontHitsSkip(t *testing.T) {
 						}
 					}
 				})
+				st, _ := s.Stats("app")
 				var evictions int64
 				for _, c := range st.Classes {
 					evictions += c.Evictions
@@ -128,22 +133,20 @@ func TestOnlyFrontHitsSkip(t *testing.T) {
 	}
 }
 
-// TestFrontHitsSkipAsync measures how often the window rule is wrong in an
-// asynchronous store, where a GET decides against the window the last replay
-// published while events stamped since are still buffered. A shrink applied
-// by a miss, an admission that drains several smaller entries, or a
-// high-water apply that replays one shard ahead of others can then push a
-// key out of its front segment before the hit that skipped its promotion.
-// It drives asynchronous stores as TestOnlyFrontHitsSkip does, global LRU
-// included, and at one skip in 32 settles the tenant (every event buffered so
-// far was stamped before that skip, there being one driver) and looks at the
-// key's node: a key whose node left the front segment, or which left the
-// directory, counts as a wrong skip. The maintenance goroutine is held off,
-// so that only the driver's producer sweeps steal (a steal zeroes the count
-// that tells a skip), and the events of up to a sweep batch per shard wait
-// unreplayed. The driver is one goroutine, so no high-water apply happens
-// here. The share of wrong skips is reported and bounded by 5 %: on this load
-// cliffhanger reads 0 to ~1 %, default and global LRU 0.
+// TestFrontHitsSkipAsync measures how often the window rule is wrong when
+// two connections drive one tenant: a GET decides against the window the last
+// replay published while the other driver's request may be between its
+// unlock and its apply, and the events it then applies (a shrink applied by
+// a miss, an admission that drains several smaller entries) can push the key
+// out of its front segment before the hit that skipped its promotion. Two
+// goroutines drive a store with its maintenance goroutine, as the daemon
+// runs, each skipLoad over keys of its own, default, cliffhanger and global
+// LRU. At one skip in 32 a driver takes the accounting lock, applies
+// whatever is still buffered and looks at the key's node: a key whose node
+// left the front segment, or which left the directory, counts as a wrong
+// skip. Events the other driver applied after the skip count against the
+// rule too, so the share is an upper bound; it is reported and bounded by
+// 5 %.
 func TestFrontHitsSkipAsync(t *testing.T) {
 	for _, mode := range []AllocationMode{AllocDefault, AllocCliffhanger, AllocGlobalLRU} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -153,34 +156,45 @@ func TestFrontHitsSkipAsync(t *testing.T) {
 				if err := s.RegisterTenantConfig(TenantConfig{Name: "app", MemoryBytes: 2 << 20, Mode: mode}); err != nil {
 					t.Fatal(err)
 				}
-				defer HoldMaintenance(s)()
 				e, _ := s.entry("app")
-				var skips, checked, wrong int
-				st := skipLoad(t, s, seed, func(key string, it *item, node *cache.Node, _, skipped bool) {
-					if !skipped {
-						return
-					}
-					if skips++; skips%32 != 0 {
-						return
-					}
-					checked++
-					s.Flush()
-					release := HoldSweep(s, "app")
-					sh := shardFor(e, key)
-					sh.mu.Lock()
-					if sh.items[key] != it || it.node != node || !inFront(node) {
-						wrong++
-					}
-					sh.mu.Unlock()
-					release()
-				})
-				t.Logf("%s: %d skips, %d checked, %d outside a front segment (%.2f%%)",
-					mode, skips, checked, wrong, 100*float64(wrong)/float64(max(checked, 1)))
-				if checked < 100 || int64(skips) != st.HitsUnpromoted {
-					t.Fatalf("%d skips, stats count %d, %d checked", skips, st.HitsUnpromoted, checked)
+				var skips, checked, wrong [2]int
+				var wg sync.WaitGroup
+				for d := range 2 {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						skipLoad(t, s, 10*seed+int64(d), fmt.Sprint(d), false, func(key string, it *item, node *cache.Node, _, skipped bool) {
+							if !skipped {
+								return
+							}
+							if skips[d]++; skips[d]%32 != 0 {
+								return
+							}
+							checked[d]++
+							e.bk.mu.Lock()
+							e.bk.settleLocked()
+							sh := shardFor(e, key)
+							sh.mu.Lock()
+							if sh.items[key] != it || it.node != node || !inFront(node) {
+								wrong[d]++
+							}
+							sh.mu.Unlock()
+							e.bk.mu.Unlock()
+						})
+					}()
 				}
-				if wrong*20 > checked {
-					t.Errorf("%d of %d checked skips outside a front segment, more than 5%%", wrong, checked)
+				wg.Wait()
+				st, _ := s.Stats("app")
+				allSkips, allChecked, allWrong := skips[0]+skips[1], checked[0]+checked[1], wrong[0]+wrong[1]
+				t.Logf("%s: %d skips, %d checked, %d outside a front segment (%.2f%%)",
+					mode, allSkips, allChecked, allWrong, 100*float64(allWrong)/float64(max(allChecked, 1)))
+				// A skip whose record the other driver's replay drops before
+				// its driver looks is not told from a hit that emitted.
+				if n := int64(allSkips); allChecked < 100 || n > st.HitsUnpromoted || st.HitsUnpromoted-n > n/100 {
+					t.Fatalf("%d skips, stats count %d, %d checked", allSkips, st.HitsUnpromoted, allChecked)
+				}
+				if allWrong*20 > allChecked {
+					t.Errorf("%d of %d checked skips outside a front segment, more than 5%%", allWrong, allChecked)
 				}
 			})
 		}
@@ -190,7 +204,7 @@ func TestFrontHitsSkipAsync(t *testing.T) {
 // TestUnpromotedHitsAreCounted serves GET hits, most of them within their
 // window, and holds every reader of the settled tenant to the number served:
 // the tenant's hits (get_hits), the per-class hits, the class queues' hits and
-// the hits the arbiter observes, in synchronous and asynchronous mode.
+// the hits the arbiter observes, with and without the maintenance goroutine.
 func TestUnpromotedHitsAreCounted(t *testing.T) {
 	for _, syncBk := range []bool{true, false} {
 		t.Run(fmt.Sprintf("sync=%v", syncBk), func(t *testing.T) {

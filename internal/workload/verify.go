@@ -145,7 +145,7 @@ func (w *Wire) Get(tenant, key string) (bool, error) {
 }
 
 // Fill reads a server error as a refusal: the server answers a value no slab
-// class holds, or one that bounces off a full tenant, with SERVER_ERROR.
+// class holds with SERVER_ERROR.
 func (w *Wire) Fill(tenant string, r trace.Request) (bool, error) {
 	w.Select(tenant)
 	err := w.c.SetWithOptions(r.Key, sim.PadValue(r), 0, w.ttl)
